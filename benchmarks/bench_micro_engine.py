@@ -122,13 +122,15 @@ def test_broadcast_fanout(benchmark):
     assert events >= 400 * 9
 
 
-# ---------------------------------------------------------------- engines
+# ------------------------------------------------------------------ storm
 
-def _storm_sim(n, engine, rounds=120):
-    """A broadcast storm at fan-out n-1: every node re-broadcasts each
-    delivery until it has originated ``rounds`` broadcasts of its own.
-    This is the O(n²) echo-class delivery shape that dominates large-n
-    sweeps, isolated from protocol logic (~n * rounds * n events)."""
+def test_fanout_storm_n64(benchmark):
+    """A broadcast storm at fan-out 63: every node re-broadcasts each
+    delivery until it has originated 120 broadcasts of its own.  This is
+    the O(n²) echo-class delivery shape that dominates large-n sweeps,
+    isolated from protocol logic (~n * rounds * n events).  BENCH_PR10.json
+    holds the historical numbers for this body; the pinned end-to-end
+    equivalent is ``sim_scale_n64`` in ``benchmarks/suite``."""
     from dataclasses import dataclass
 
     from repro.net.interfaces import Message, Node
@@ -144,59 +146,20 @@ def _storm_sim(n, engine, rounds=120):
 
         def on_message(self, src, msg):
             self.count += 1
-            if self.count < rounds:
+            if self.count < 120:
                 self.net.broadcast(msg)
 
-    sim = Simulation(
-        [lambda net: Echoer(net) for _ in range(n)],
-        latency_model=WanLatency(jitter_frac=0.1),
-        bandwidth_bps=100_000_000,
-        seed=9,
-        engine=engine,
-    )
-    sim.start()
-    sim.nodes[0].net.broadcast(Wave())
-    return sim
-
-
-@pytest.mark.parametrize("engine", ["generic", "flat", "numpy"])
-def test_engine_fanout_n64(benchmark, engine):
-    """The PR-10 acceptance bench: n=64 broadcast fan-out under each
-    delivery engine.  The numpy engine's batched heap representation is
-    required to beat the generic per-copy queue by >= 1.3x (asserted
-    against wall-clock in BENCH_PR10.json; here the three engines are
-    recorded side by side for regression tracking)."""
-
     def run():
-        sim = _storm_sim(64, engine)
+        sim = Simulation(
+            [lambda net: Echoer(net) for _ in range(64)],
+            latency_model=WanLatency(jitter_frac=0.1),
+            bandwidth_bps=100_000_000,
+            seed=9,
+        )
+        sim.start()
+        sim.nodes[0].net.broadcast(Wave())
         sim.run(until=30.0)
         return sim.stats.events_processed
 
     events = benchmark(run)
     assert events > 64 * 63 * 100  # the storm really ran rounds deep
-
-
-def test_engine_small_n_no_regression():
-    """Gate: the batched representation must not slow down the n<=16
-    regime every tier-1 test runs in.  Compared inline (best-of-5) so a
-    regression fails loudly rather than drifting in a dashboard."""
-    import time
-
-    def best_of(engine, reps=5):
-        best = float("inf")
-        for _ in range(reps):
-            sim = _storm_sim(12, engine, rounds=240)
-            t0 = time.perf_counter()
-            sim.run(until=60.0)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    generic = best_of("generic")
-    flat = best_of("flat")
-    numpy_t = best_of("numpy")
-    # Generous 25% tolerance: this is an absolute regression tripwire,
-    # not a micro-benchmark — timer noise on shared CI must not flake it.
-    assert flat <= generic * 1.25, f"flat {flat:.3f}s vs generic {generic:.3f}s"
-    assert numpy_t <= generic * 1.25, (
-        f"numpy {numpy_t:.3f}s vs generic {generic:.3f}s"
-    )

@@ -77,7 +77,8 @@ from ..dag.rounds import WaveStructure
 from ..errors import ConfigError, ReproError
 from ..net.interfaces import Message, NetworkAPI
 from ..net.latency import FixedLatency, LatencyModel
-from ..net.simulator import _DELIVER, Simulation, SimulatorSnapshot
+from ..net.simulator import _DELIVER, Simulation
+from ..net.snapshot import SimulatorSnapshot
 from ..obs import NULL_OBS, Observability
 from ..obs.journal import EventJournal
 from ..obs.registry import _SharedSink

@@ -27,6 +27,7 @@ from .latency import (
     register_latency_model,
 )
 from .simulator import Simulation, SimulationStats
+from .snapshot import SimulatorSnapshot
 
 __all__ = [
     "BROADCAST",
@@ -38,6 +39,7 @@ __all__ = [
     "Node",
     "Simulation",
     "SimulationStats",
+    "SimulatorSnapshot",
     "TopologyLatency",
     "UniformLatency",
     "WanLatency",

@@ -36,7 +36,7 @@ class Message(ABC):
 
     # Messages are frozen values (the only mutation anywhere is the
     # idempotent ``_wire_size`` memo below).  Simulator snapshots
-    # (:class:`repro.net.simulator.SimulatorSnapshot`) therefore share
+    # (:class:`repro.net.snapshot.SimulatorSnapshot`) therefore share
     # in-flight messages between branches instead of forking them — a
     # branch can never observe a difference, and copies would dominate
     # snapshot cost during state-space exploration.

@@ -18,19 +18,22 @@ figure.  Design points:
   implementations, matching the paper's threat model where the adversary
   controls up to ``f`` replicas and the message schedule.
 
-The hot loop is kept allocation-light on purpose (the profiling-first guide:
-the event loop dominates; everything else is protocol logic).  Three
-engine-level choices carry the throughput:
+There is one engine: a single heap of event records with three kinds
+(deliver, timer, CPU-queued process) and no mode to select.  The hot loop
+is kept allocation-light on purpose (the profiling-first guide: the event
+loop dominates; everything else is protocol logic):
 
 * **Flat event records** — one 6-tuple ``(when, seq, kind, a, b, c)`` per
   event instead of a nested payload tuple; ``seq`` is a plain int bumped
   inline (no ``itertools.count`` indirection), and heap comparisons never
   get past ``(when, seq)`` because ``seq`` is unique.
-* **Broadcast fast path** — :meth:`Simulation._enqueue_broadcast` draws
+* **Broadcast in one pass** — :meth:`Simulation._enqueue_broadcast` draws
   all ``n − 1`` latencies and pushes all copies in one pass, with the
   crash check, stats accounting, and NIC serialization constant hoisted
   out of the per-copy loop (everything in these protocols is a
-  broadcast).
+  broadcast).  It has two loops and picks between them from what it can
+  observe: a factored latency model on reliable links with no adversary
+  gets its base-delay row inlined; anything else samples per copy.
 * **Hoisted run loop** — :meth:`Simulation.run` binds the queue, node
   table, crash set, and the CPU/obs mode flags to locals once, and
   accumulates ``events_processed``/``messages_delivered`` in local ints
@@ -41,60 +44,21 @@ engine-level choices carry the throughput:
 
 from __future__ import annotations
 
-import copy
 import heapq
-import io
 import math
-import os
-import pickle
 import random
 from dataclasses import dataclass
-from heapq import heappush as _heappush
 from typing import Any, Callable, List, Optional, Sequence
 
 from ..errors import SimulationError
 from ..obs import NULL_OBS, Observability
 from .interfaces import Message, NetworkAPI, Node, NodeFactory
 from .latency import FactoredLatency, FixedLatency, LatencyModel
+from .snapshot import SimulatorSnapshot
 
 _DELIVER = 0
 _TIMER = 1
 _PROCESS = 2
-#: A whole broadcast fan-out as ONE heap entry: ``(when, seq, _BATCH,
-#: src, idx, (arrivals, seqs, dsts, msg))`` where the payload lists are
-#: sorted by ``(arrival, seq)``.  The run loop delivers ``idx`` and
-#: re-keys the entry to ``idx + 1`` with a single ``heapreplace`` sift.
-#: The heap holds O(broadcasts-in-flight) entries instead of O(n²)
-#: copies, which shrinks every sift at large n; the pop order is exactly
-#: the per-copy order because each batch's head is always its
-#: ``(when, seq)``-minimal remaining element.
-_BATCH = 3
-
-#: Valid values for the ``engine`` knob (see :class:`Simulation`).
-_ENGINES = ("auto", "flat", "generic", "numpy")
-
-#: Below this fan-out the numpy batch path costs more than it saves.
-_NUMPY_MIN_FANOUT = 32
-
-_NUMPY_UNSET = object()
-_numpy_mod: Any = _NUMPY_UNSET
-
-
-def _numpy():
-    """The numpy module, or ``None`` — resolved once, never a hard dep.
-
-    Kept out of instance state on purpose: a module object would poison
-    snapshot pickling, and the fallback must stay zero-dependency.
-    """
-    global _numpy_mod
-    if _numpy_mod is _NUMPY_UNSET:
-        try:
-            import numpy  # noqa: PLC0415 - optional accelerator
-
-            _numpy_mod = numpy
-        except ImportError:  # pragma: no cover - numpy present in CI image
-            _numpy_mod = None
-    return _numpy_mod
 
 
 @dataclass(frozen=True)
@@ -193,75 +157,20 @@ class _SimNetworkAPI(NetworkAPI):
         return self._sim.now
 
     def send(self, dst: int, msg: Message) -> None:
+        """One wire copy: stage its per-type obs counts (one op per send),
+        then :meth:`Simulation._enqueue_send`."""
         sim = self._sim
         src = self._node_id
-        if sim.adversary is not None:
-            # Adversarial runs take the general path; the obs per-type
-            # staging lives here (one op per send).
-            if sim._obs_on and dst != src and src not in sim._crashed:
-                size = msg.wire_size()
-                counts = sim._obs_msg_counts.get(msg.__class__)
-                if counts is None:
-                    counts = sim._obs_counts(msg.__class__)
-                counts[0] += 1
-                counts[1] += size
-                sim._enqueue_send(src, dst, msg, size)
-            else:
-                sim._enqueue_send(src, dst, msg)
-            return
-        # Fast path: no adversary — the configuration every favorable-case
-        # figure sweep runs in.  One function frame for the whole send
-        # instead of facade → _enqueue_send; obs staging (when enabled) is
-        # a dict lookup and three int bumps inline.
-        if src in sim._crashed:
-            return
-        now = sim.now
-        if dst == src:
-            seq = sim._seq
-            sim._seq = seq + 1
-            _heappush(sim._queue, (now, seq, _DELIVER, src, dst, msg))
-            return
-        size = msg.wire_size()
-        stats = sim.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size
-        stats.per_node_bytes[src] += size
-        obs_on = sim._obs_on
-        if obs_on:
+        if sim._obs_on and dst != src and src not in sim._crashed:
+            size = msg.wire_size()
             counts = sim._obs_msg_counts.get(msg.__class__)
             if counts is None:
                 counts = sim._obs_counts(msg.__class__)
             counts[0] += 1
             counts[1] += size
-        node_bw = sim._node_bw
-        if node_bw is not None:
-            egress = sim._egress_free
-            free = egress[src]
-            start = free if free > now else now
-            finish = start + size * 8.0 / node_bw[src]
-            egress[src] = finish
-            if obs_on:
-                if start > now:
-                    sim._obs_egress_waits.append(start - now)
-                else:
-                    sim._obs_egress_zero += 1
+            sim._enqueue_send(src, dst, msg, size)
         else:
-            finish = now
-        if sim._lossy:
-            d = sim.latency.sample(src, dst, sim.rng, now)
-            if d is None:
-                # Link loss: NIC time was spent (the packet went out),
-                # recovery rides the §IV-A retrieval path.
-                stats.messages_dropped += 1
-                if obs_on:
-                    sim._obs_counts(msg.__class__)[3] += 1
-                return
-        else:
-            d = sim.latency.delay(src, dst, sim.rng)
-        arrival = finish + d
-        seq = sim._seq
-        sim._seq = seq + 1
-        _heappush(sim._queue, (arrival, seq, _DELIVER, src, dst, msg))
+            sim._enqueue_send(src, dst, msg)
 
     def broadcast(self, msg: Message, include_self: bool = True) -> None:
         """Fan-out with one obs staging op and one wire_size for the batch.
@@ -328,7 +237,6 @@ class Simulation:
         cpu: CpuCost | None = None,
         seed: int = 0,
         obs: Observability | None = None,
-        engine: str | None = None,
     ) -> None:
         self.latency = latency_model or FixedLatency()
         self.bandwidth_bps = bandwidth_bps
@@ -354,40 +262,16 @@ class Simulation:
         self.cpu = cpu
         self.rng = random.Random(f"sim:{seed}")
         self.now = 0.0
-        # --- engine selection (see module docstring) ---------------------
-        # "auto"/"flat": inline the factored-latency fast path on the
-        # broadcast fan-out when the model supports it; "generic" keeps the
-        # per-copy latency.delay() path (the pre-flat engine — benchmarks
-        # compare against it); "numpy" additionally vectorizes large
-        # fan-outs (bit-identical, pure-python fallback when numpy is
-        # missing).  Lossy models always sample per copy.
-        if engine is None:
-            engine = os.environ.get("REPRO_SIM_ENGINE", "auto")
-        if engine not in _ENGINES:
-            raise SimulationError(
-                f"unknown engine {engine!r} (one of {_ENGINES})"
-            )
-        self.engine = engine
         self._lossy = bool(getattr(self.latency, "lossy", False))
-        flat_ok = (
-            engine != "generic"
-            and isinstance(self.latency, FactoredLatency)
-            and not self._lossy
-        )
-        #: src -> per-destination base-delay row (lazily built); None when
-        #: the flat fast path is off.  A pure function of the pinned
-        #: latency model, so snapshot/restore may capture it freely.
+        flat_ok = isinstance(self.latency, FactoredLatency) and not self._lossy
+        #: src -> per-destination base-delay row (lazily built) for the
+        #: broadcast fan-out's inlined loop; None when the model is not
+        #: factored or links are lossy (loss is decided per copy).  A pure
+        #: function of the pinned latency model, so snapshot/restore may
+        #: capture it freely.
         self._flat_rows: Optional[dict] = {} if flat_ok else None
         self._flat_jitter = (
             float(getattr(self.latency, "jitter_frac", 0.0)) if flat_ok else 0.0
-        )
-        #: src -> (bases, dsts, arange, draw?) arrays for the vectorized
-        #: delivery-batch path, or ``()`` for rows it cannot serve (mixed
-        #: zero/non-zero bases would change the RNG draw count).  Only
-        #: populated under engine="numpy"; a pure function of the pinned
-        #: latency model, so snapshots may capture it freely.
-        self._np_rows: Optional[dict] = (
-            {} if flat_ok and engine == "numpy" and _numpy() is not None else None
         )
         self.stats = SimulationStats(per_node_bytes=[0] * len(factories))
         self.obs = obs if obs is not None else NULL_OBS
@@ -469,16 +353,7 @@ class Simulation:
         if self._obs_msg_counts or self._obs_inflight_prev:
             inflight: dict = {}
             for ev in self._queue:
-                kind = ev[2]
-                if kind == _BATCH:
-                    # One entry, many copies: all undelivered arrivals of
-                    # the batch (the enqueue path currently declines when
-                    # obs is on, but the accounting must not depend on
-                    # that).
-                    payload = ev[5]
-                    cls = payload[3].__class__
-                    inflight[cls] = inflight.get(cls, 0) + len(payload[0]) - ev[4]
-                elif kind != _TIMER and ev[3] != ev[4]:
+                if ev[2] != _TIMER and ev[3] != ev[4]:
                     # a delivery/process record (src, dst, msg)
                     cls = ev[5].__class__
                     inflight[cls] = inflight.get(cls, 0) + 1
@@ -599,13 +474,14 @@ class Simulation:
         order, but with the crash check, stats accounting, and the NIC
         serialization term hoisted out of the per-copy loop.
 
-        With a :class:`~repro.net.latency.FactoredLatency` model and no
-        adversary, the per-copy latency call is inlined against a
-        precomputed base-delay row (the *flat* engine): one uniform draw
+        With a :class:`~repro.net.latency.FactoredLatency` model on
+        reliable links and no adversary, the per-copy latency call is
+        inlined against a precomputed base-delay row: one uniform draw
         and three float ops per copy instead of a four-call tower through
-        ``latency.delay``.  Bit-identical to the generic path by
+        ``latency.delay``.  Bit-identical to the per-copy loop below by
         construction — CPython's ``Random.uniform(a, b)`` is
-        ``a + (b - a) * random()``, the exact expression inlined here.
+        ``a + (b - a) * random()``, the exact expression inlined here
+        (``tests/net/test_engine.py`` diffs the two).
         """
         if src in self._crashed:
             return
@@ -627,20 +503,10 @@ class Simulation:
         obs_on = self._obs_on
         rows = self._flat_rows
         if adversary is None and rows is not None:
-            # ---- flat fast path (factored latency, reliable links) ----
+            # ---- flat row (factored latency, reliable links) ----
             row = rows.get(src)
             if row is None:
                 row = rows[src] = self.latency.base_row(src, n)
-            np_rows = self._np_rows
-            if (
-                np_rows is not None
-                and copies >= _NUMPY_MIN_FANOUT
-                and not obs_on
-                and self._enqueue_broadcast_numpy(
-                    src, msg, size, include_self, row, np_rows
-                )
-            ):
-                return
             if node_bw is not None:
                 ser = size * 8.0 / node_bw[src]
                 free = egress[src]
@@ -691,7 +557,7 @@ class Simulation:
                 else:
                     self._obs_egress_zero += copies
             return
-        # ---- generic path: adversary, lossy links, or engine="generic" ----
+        # ---- per copy: adversary, lossy links, or a non-factored model ----
         latency = self.latency
         latency_delay = latency.delay
         latency_sample = latency.sample if self._lossy else None
@@ -752,101 +618,6 @@ class Simulation:
         self._seq = seq
         if obs_on and obs_zero:
             self._obs_egress_zero += obs_zero
-
-    def _enqueue_broadcast_numpy(
-        self,
-        src: int,
-        msg: Message,
-        size: int,
-        include_self: bool,
-        row: List[float],
-        np_rows: dict,
-    ) -> bool:
-        """Vectorized delivery batch (engine="numpy"): False to decline.
-
-        Builds the whole fan-out as arrays — jitter draws, NIC chain,
-        arrival sort — and pushes a single ``_BATCH`` heap entry instead
-        of n − 1 copies.  Bit-identical to the flat loop by construction:
-
-        * the uniforms come from the same ``rng.random()`` stream in the
-          same order, and ``uniform(a, b) == a + (b − a) * random()`` is
-          applied elementwise in the scalar path's exact op order;
-        * the NIC serialization chain is ``cumsum`` over per-copy service
-          times (sequential adds — exactly the loop's running sum);
-        * the batch is sorted by arrival with a *stable* sort (seqs are
-          ascending pre-sort), so its pop order is the heap's
-          ``(when, seq)`` order.
-
-        Declines rows that mix zero and non-zero bases under non-zero
-        jitter: the scalar path skips the draw for zero-base copies, so
-        vectorizing would desynchronize the RNG stream.  All-zero rows
-        and zero-jitter models draw nothing and vectorize fine.
-        """
-        np = _numpy()
-        entry = np_rows.get(src)
-        if entry is None:
-            n = len(row)
-            jfrac = self._flat_jitter
-            bases = [b for dst, b in enumerate(row) if dst != src]
-            nonzero = sum(1 for b in bases if b != 0.0)
-            if jfrac != 0.0 and 0 < nonzero < len(bases):
-                entry = np_rows[src] = ()
-            else:
-                dsts = [d for d in range(n) if d != src]
-                entry = np_rows[src] = (
-                    np.asarray(bases, dtype=np.float64),
-                    np.asarray(dsts, dtype=np.int64),
-                    np.arange(len(dsts), dtype=np.int64),
-                    jfrac != 0.0 and nonzero == len(bases),
-                )
-        if not entry:
-            return False
-        base_arr, dst_arr, arange_k, draw = entry
-        k = len(dst_arr)
-        if draw:
-            rnd = self.rng.random
-            draws = np.asarray([rnd() for _ in range(k)], dtype=np.float64)
-            jfrac = self._flat_jitter
-            neg = -jfrac
-            jitters = neg + (jfrac - neg) * draws
-            delays = base_arr * (1.0 + jitters)
-        else:
-            # jfrac == 0 or every base is 0: delay == base, no draws.
-            delays = base_arr
-        now = self.now
-        node_bw = self._node_bw
-        if node_bw is not None:
-            egress = self._egress_free
-            ser = size * 8.0 / node_bw[src]
-            free = egress[src]
-            start0 = free if free > now else now
-            chain = np.full(k, ser, dtype=np.float64)
-            chain[0] = start0 + ser
-            finishes = np.cumsum(chain)
-            arrivals = finishes + delays
-            egress[src] = float(finishes[-1])
-        else:
-            arrivals = now + delays
-        # Seq assignment matches the scalar loop: one seq per destination
-        # in ascending dst order, with src's position consumed by the
-        # self-delivery (when included) or skipped entirely.
-        seq = self._seq
-        seqs = (seq + dst_arr) if include_self else (seq + arange_k)
-        order = np.argsort(arrivals, kind="stable")
-        payload = (
-            arrivals[order].tolist(),
-            seqs[order].tolist(),
-            dst_arr[order].tolist(),
-            msg,
-        )
-        queue = self._queue
-        if include_self:
-            _heappush(queue, (now, seq + src, _DELIVER, src, src, msg))
-            self._seq = seq + k + 1
-        else:
-            self._seq = seq + k
-        _heappush(queue, (payload[0][0], payload[1][0], _BATCH, src, 0, payload))
-        return True
 
     def _enqueue_timer(self, node_id: int, delay: float, tag: str, data: Any) -> None:
         if delay < 0:
@@ -928,7 +699,6 @@ class Simulation:
         queue = self._queue
         pop = heapq.heappop
         push = heapq.heappush
-        replace = heapq.heapreplace
         crashed = self._crashed
         stats = self.stats
         cpu = self.cpu
@@ -941,7 +711,7 @@ class Simulation:
         # the tracing-off run loop pays nothing beyond that branch.
         trace = self.obs.trace if self.obs.trace.enabled else None
         limit = until if until is not None else math.inf
-        deliver, process, batch = _DELIVER, _PROCESS, _BATCH
+        deliver, process = _DELIVER, _PROCESS
         # Handlers prebound once per run(): one attribute hop per event
         # instead of two.  Crash-stop goes through ``crashed``, never
         # through the node table, so the bindings stay valid all run.
@@ -994,52 +764,6 @@ class Simulation:
                 else:
                     delivered += 1
                     on_message[dst](src, head[5])
-            elif kind == batch:
-                # One broadcast, one heap entry: deliver arrivals[idx],
-                # then advance the cursor with a single heapreplace sift
-                # (cheaper than pop + push).  Batches never contain the
-                # self-delivery, so src != dst throughout.
-                payload = head[5]
-                idx = head[4]
-                src = head[3]
-                arrivals = payload[0]
-                nxt = idx + 1
-                if nxt < len(arrivals):
-                    replace(
-                        queue,
-                        (arrivals[nxt], payload[1][nxt], batch, src, nxt, payload),
-                    )
-                else:
-                    pop(queue)
-                dst = payload[2][idx]
-                if dst in crashed:
-                    if obs_on:
-                        self._obs_counts(payload[3].__class__)[2] += 1
-                elif cpu_cost is not None:
-                    msg = payload[3]
-                    cost = cpu_cost(msg.wire_size())
-                    free = cpu_free[dst]
-                    if free <= when:
-                        cpu_free[dst] = when + cost
-                        delivered += 1
-                        on_message[dst](src, msg)
-                    else:
-                        if obs_on:
-                            cpu_waits.append(free - when)
-                            if trace is not None:
-                                trace.emit(
-                                    when, "trace.cpu_wait", dst,
-                                    wait=free - when,
-                                    msg=msg.__class__.__name__,
-                                )
-                        ready = free + cost
-                        cpu_free[dst] = ready
-                        seq = self._seq
-                        self._seq = seq + 1
-                        push(queue, (ready, seq, process, src, dst, msg))
-                else:
-                    delivered += 1
-                    on_message[dst](src, payload[3])
             elif kind == process:
                 pop(queue)
                 dst = head[4]
@@ -1138,13 +862,8 @@ class Simulation:
 
     @property
     def pending_events(self) -> int:
-        """Undelivered events in the queue (batch entries count each
-        remaining arrival, so the number is representation-independent)."""
-        extra = 0
-        for ev in self._queue:
-            if ev[2] == _BATCH:
-                extra += len(ev[5][0]) - ev[4] - 1
-        return len(self._queue) + extra
+        """Undelivered events in the queue."""
+        return len(self._queue)
 
     def snapshot(self, extra_roots: Sequence[object] = ()) -> "SimulatorSnapshot":
         """Capture a restorable snapshot of the whole world (see
@@ -1152,178 +871,6 @@ class Simulation:
         stateful objects (invariant monitor, metrics collector, mempools)
         whose state must travel with the simulation."""
         return SimulatorSnapshot(self, extra_roots=extra_roots)
-
-
-class SimulatorSnapshot:
-    """Copy-on-branch snapshot/restore of a :class:`Simulation` world.
-
-    The model-checking explorer (:mod:`repro.check.explorer`) branches a
-    run at every scheduling decision: capture once, execute one candidate
-    event, recurse, restore, execute the next.  That forces a precise
-    definition of "the world":
-
-    * **Roots** — objects whose ``__dict__`` is captured and written back
-      in place on restore: the simulation itself, every node, the attached
-      adversary, and caller-supplied ``extra_roots`` (invariant monitor,
-      metrics collector, mempools).  Restoring *in place* is what keeps
-      closures and bound methods alive — the harness wires callbacks like
-      ``monitor.wrap_commit`` and ``tracker._on_deliver`` (a node's bound
-      method) at construction time, and those references must stay valid
-      across every restore.
-    * **Pins** — objects deep-copied *by identity* (the memo maps them to
-      themselves): the roots, each node's network facade, and the
-      immutable environment (configs, wave geometry, latency model, crypto
-      backend).  A bound method found in captured state re-binds to the
-      pinned live object, not to a stale private copy.
-    * **Values** — blocks, batches, messages, and the Schnorr group define
-      ``__deepcopy__ = self`` (they are frozen), and observability objects
-      are shared sinks that alias themselves; both fall out of the copy
-      automatically.
-
-    Two deliberate exclusions keep snapshots cheap without affecting
-    behaviour: the crypto backend's verification memo is shared across
-    branches (it caches only *successful* verifications of immutable
-    signatures — a branch can observe speed, never a different verdict),
-    and observability counters keep accumulating across restores (they are
-    telemetry about the exploration, not simulation state).
-
-    One snapshot may be restored any number of times: every restore
-    materializes the captured state afresh, so branches never alias each
-    other's mutable state.
-
-    Mechanically, capture pickles the root ``__dict__``s with a
-    ``persistent_id`` hook that swaps every pinned object, callable, and
-    self-aliasing value (``__deepcopy__`` returning ``self``) for an index
-    into a live-object table — the C pickler walks the mutable state an
-    order of magnitude faster than ``copy.deepcopy``, which profiling
-    shows is where a model-checking run otherwise spends ~90% of its
-    time.  State that refuses to pickle falls back to the original
-    deepcopy-with-memo path; both produce bit-identical restores (the
-    snapshot property suite exercises whichever path is active).
-    """
-
-    #: Per-node attributes pinned by identity (immutable environment).
-    _NODE_PINS = ("obs", "system", "protocol", "backend", "wave")
-
-    __slots__ = ("_roots", "_pins", "_table", "_table_ids", "_state", "_blob")
-
-    def __init__(
-        self, sim: Simulation, extra_roots: Sequence[object] = ()
-    ) -> None:
-        roots: List[object] = [sim]
-        roots.extend(sim.nodes)
-        if sim.adversary is not None:
-            roots.append(sim.adversary)
-        for root in extra_roots:
-            if root is not None:
-                roots.append(root)
-        pins: dict = {}
-
-        def pin(obj: object) -> None:
-            if obj is not None:
-                pins[id(obj)] = obj
-
-        for root in roots:
-            if not hasattr(root, "__dict__"):
-                raise SimulationError(
-                    f"snapshot root {root!r} has no __dict__ to capture "
-                    "(slotted objects must be reached through a pin instead)"
-                )
-            pin(root)
-        pin(sim.latency)
-        pin(sim.obs)
-        pin(NULL_OBS)
-        for node in sim.nodes:
-            pin(getattr(node, "net", None))
-            for name in self._NODE_PINS:
-                pin(getattr(node, name, None))
-        self._roots = roots
-        self._pins = pins
-        self._table: List[object] = list(pins.values())
-        self._table_ids: dict = {
-            id(obj): i for i, obj in enumerate(self._table)
-        }
-        self._state: Optional[list] = None
-        self._blob: Optional[bytes] = None
-        try:
-            buf = io.BytesIO()
-            _SnapshotPickler(buf, self).dump(
-                [root.__dict__ for root in roots]
-            )
-            self._blob = buf.getvalue()
-        except (pickle.PicklingError, TypeError, AttributeError):
-            # One shared memo across all roots so aliasing *between* roots
-            # (e.g. a monitor holding the node list) is preserved exactly.
-            memo = dict(pins)
-            self._state = [
-                copy.deepcopy(root.__dict__, memo) for root in roots
-            ]
-
-    def _persistent_id(self, obj: object) -> Optional[int]:
-        """Swap shared identities out of the pickled graph.
-
-        Pinned objects, callables (closures and bound methods capture only
-        roots or immutable values — exactly the contract the deepcopy path
-        relies on, which treats functions as atoms), and frozen values
-        whose ``__deepcopy__`` returns ``self`` are stored as indexes into
-        the live-object table and resolved back by identity on restore.
-
-        The pickler consults this hook for *every* object it encounters,
-        so the type-level verdict is cached in :data:`_PIN_BY_TYPE` — the
-        common case (plain data) costs two dict lookups.
-        """
-        idx = self._table_ids.get(id(obj))
-        if idx is not None:
-            return idx
-        cls = obj.__class__
-        pin = _PIN_BY_TYPE.get(cls)
-        if pin is None:
-            pin = _PIN_BY_TYPE[cls] = bool(
-                callable(obj) or getattr(cls, "__deepcopy__", None)
-            )
-        if pin:
-            idx = len(self._table)
-            self._table.append(obj)
-            self._table_ids[id(obj)] = idx
-            return idx
-        return None
-
-    def restore(self) -> None:
-        """Rewind every root to the captured state, in place."""
-        if self._blob is not None:
-            unpickler = _SnapshotUnpickler(io.BytesIO(self._blob), self)
-            fresh = unpickler.load()
-        else:
-            memo = dict(self._pins)
-            fresh = [copy.deepcopy(state, memo) for state in self._state]
-        for root, state in zip(self._roots, fresh):
-            root.__dict__.clear()
-            root.__dict__.update(state)
-
-
-#: class → "pin by identity" verdict: callables and self-aliasing frozen
-#: values (types defining ``__deepcopy__``, which in this codebase always
-#: return ``self``).  Shared across snapshots — it is a property of the
-#: type, not of the run.
-_PIN_BY_TYPE: dict = {}
-
-
-class _SnapshotPickler(pickle.Pickler):
-    def __init__(self, buf: io.BytesIO, snap: SimulatorSnapshot) -> None:
-        super().__init__(buf, protocol=pickle.HIGHEST_PROTOCOL)
-        self._snap = snap
-
-    def persistent_id(self, obj: object) -> Optional[int]:
-        return self._snap._persistent_id(obj)
-
-
-class _SnapshotUnpickler(pickle.Unpickler):
-    def __init__(self, buf: io.BytesIO, snap: SimulatorSnapshot) -> None:
-        super().__init__(buf)
-        self._snap = snap
-
-    def persistent_load(self, pid: int) -> object:
-        return self._snap._table[pid]
 
 
 class AdversaryProtocol:

@@ -41,7 +41,7 @@ class _SharedSink:
     Instruments, registries, journals, and tracers are *channels*, not
     simulation state: protocol objects hold direct references to them
     (``self._ctr_x = obs.metrics.counter(...)``), and a snapshot/restore
-    cycle (:class:`repro.net.simulator.SimulatorSnapshot`) must keep every
+    cycle (:class:`repro.net.snapshot.SimulatorSnapshot`) must keep every
     holder pointed at the one live sink rather than forking private copies
     per branch — forked copies would silently swallow telemetry after a
     restore.  Copy protocols therefore return ``self``.

@@ -1,16 +1,14 @@
-"""Engine-equivalence tests for the simulator's broadcast fast paths.
+"""The broadcast fan-out's two loops must be one behaviour.
 
-The simulator has three delivery engines (``Simulation(engine=...)``):
-
-* ``"generic"`` — the per-copy ``latency.delay()`` path (the reference).
-* ``"flat"`` — inlines the factored-latency row on the fan-out.
-* ``"numpy"`` — additionally vectorizes fan-outs of 32+ destinations into
-  one batched heap entry (pure-python fallback when numpy is missing).
+``Simulation._enqueue_broadcast`` inlines a factored latency model's
+base-delay row when links are reliable and no adversary is attached, and
+samples ``latency.delay()`` per copy otherwise.  The choice is the code's,
+not the caller's, so the reference here is test-local: :class:`PerCopy`
+hides the model's factored structure and thereby forces the per-copy loop.
 
 The contract is **bit-identity**: same deliveries, same times, same RNG
-trajectory, same stats — the engines are representations, not semantics.
-These tests drive a 40-replica broadcast storm (fan-out 39, above the
-vectorization threshold) through all three and diff everything.
+trajectory, same stats.  These tests drive a 40-replica broadcast storm
+through both loops and diff everything.
 """
 
 from dataclasses import dataclass
@@ -19,10 +17,15 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.net.interfaces import Message, Node
-from repro.net.latency import TopologyLatency, UniformLatency, WanLatency
-from repro.net.simulator import _NUMPY_MIN_FANOUT, Simulation, _numpy
+from repro.net.latency import (
+    LatencyModel,
+    TopologyLatency,
+    UniformLatency,
+    WanLatency,
+)
+from repro.net.simulator import Simulation
 
-N_STORM = 40  # fan-out 39 >= _NUMPY_MIN_FANOUT, so batches engage
+N_STORM = 40
 ROUNDS = 4
 
 
@@ -56,21 +59,33 @@ class Storm(Node):
             self.net.set_timer(0.25, "next", data + 1)
 
 
-def run_storm(engine, latency=None, bandwidth=None, n=N_STORM):
+class PerCopy(LatencyModel):
+    """The oracle: same delays as ``inner``, but not a FactoredLatency."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def delay(self, src, dst, rng):
+        return self.inner.delay(src, dst, rng)
+
+    def mean_delay(self, src, dst):
+        return self.inner.mean_delay(src, dst)
+
+
+def run_storm(latency, bandwidth=None, n=N_STORM, stops=(3.0,)):
     sim = Simulation(
         [Storm for _ in range(n)],
-        latency_model=latency or WanLatency(jitter_frac=0.1),
+        latency_model=latency,
         bandwidth_bps=bandwidth,
         seed=11,
-        engine=engine,
     )
-    sim.start()
-    sim.run(until=3.0)
+    for until in stops:
+        sim.run(until=until)
     return sim
 
 
 def trace(sim):
-    """Everything that must be engine-invariant, in one comparable blob."""
+    """Everything that must not depend on the loop taken, in one blob."""
     return {
         "received": [node.received for node in sim.nodes],
         "rng": sim.rng.getstate(),
@@ -83,47 +98,40 @@ def trace(sim):
     }
 
 
-class TestEngineEquivalence:
-    @pytest.mark.parametrize("engine", ["flat", "numpy", "auto"])
-    def test_bit_identical_to_generic(self, engine):
-        reference = trace(run_storm("generic"))
-        assert trace(run_storm(engine)) == reference
+def topology():
+    return TopologyLatency(clusters=8, jitter_frac=0.1, link_spread=0.2)
+
+
+class TestFlatRowMatchesPerCopy:
+    @pytest.mark.parametrize(
+        "make_latency, kwargs",
+        [
+            (WanLatency, {}),
+            (topology, {}),
+            (WanLatency, {"bandwidth": 50_000_000}),
+            (WanLatency, {"n": 8}),  # the n<=16 regime most tests run in
+        ],
+        ids=["wan", "topology", "bandwidth", "n8"],
+    )
+    def test_bit_identical(self, make_latency, kwargs):
+        flat = run_storm(make_latency(), **kwargs)
+        per_copy = run_storm(PerCopy(make_latency()), **kwargs)
+        assert flat._flat_rows and per_copy._flat_rows is None
+        assert trace(flat) == trace(per_copy)
         # Sanity: every broadcast reached the full mesh (self included).
-        assert reference["delivered"] == N_STORM * ROUNDS * N_STORM
+        n = kwargs.get("n", N_STORM)
+        assert flat.stats.messages_delivered == n * ROUNDS * n
 
-    @pytest.mark.parametrize("engine", ["flat", "numpy"])
-    def test_bit_identical_with_bandwidth(self, engine):
-        reference = trace(run_storm("generic", bandwidth=50_000_000))
-        assert trace(run_storm(engine, bandwidth=50_000_000)) == reference
-
-    @pytest.mark.parametrize("engine", ["flat", "numpy"])
-    def test_bit_identical_on_topology_model(self, engine):
-        latency = TopologyLatency(clusters=8, jitter_frac=0.1, link_spread=0.2)
-        reference = trace(run_storm("generic", latency=latency))
-        fresh = TopologyLatency(clusters=8, jitter_frac=0.1, link_spread=0.2)
-        assert trace(run_storm(engine, latency=fresh)) == reference
-
-    @pytest.mark.parametrize("engine", ["flat", "numpy"])
-    def test_bit_identical_below_vector_threshold(self, engine):
-        """Small fan-outs take the scalar path in every engine — still
-        identical (this is the n<=16 regime every existing test runs in)."""
-        reference = trace(run_storm("generic", n=8))
-        assert trace(run_storm(engine, n=8)) == reference
-
-    def test_numpy_batch_path_exercised(self):
-        """The vectorized path must actually engage at fan-out 39 —
-        otherwise the equivalence tests above prove nothing about it."""
-        if _numpy() is None:
-            pytest.skip("numpy not available; pure-python fallback in use")
-        sim = run_storm("numpy")
-        assert sim._np_rows, "no vectorized rows were ever built"
-        assert N_STORM - 1 >= _NUMPY_MIN_FANOUT
+    def test_split_run_resumes_exactly(self):
+        """run(until=...) stops with wire copies in flight (WAN links take
+        0.045s+); a second run() picks them up where the first stopped."""
+        split = run_storm(WanLatency(), stops=(0.04, 3.0))
+        assert trace(split) == trace(run_storm(WanLatency()))
 
     def test_lossy_model_forces_per_copy_sampling(self):
-        """Loss decisions are per copy, so lossy models disable the flat
-        rows in every engine — and drops actually happen."""
-        latency = TopologyLatency(clusters=4, loss=0.3)
-        sim = run_storm("auto", latency=latency)
+        """Loss decisions are per copy, so lossy models get no flat rows
+        — and drops actually happen."""
+        sim = run_storm(TopologyLatency(clusters=4, loss=0.3))
         assert sim._flat_rows is None
         assert sim.stats.messages_dropped > 0
         # Conservation: every wire copy is delivered or dropped; the
@@ -132,64 +140,6 @@ class TestEngineEquivalence:
             sim.stats.messages_delivered + sim.stats.messages_dropped
             == sim.stats.messages_sent + N_STORM * ROUNDS
         )
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError, match="unknown engine"):
-            run_storm("turbo")
-
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "generic")
-        sim = Simulation([Storm], latency_model=WanLatency())
-        assert sim.engine == "generic"
-        assert sim._flat_rows is None
-
-
-class TestBatchBookkeeping:
-    def test_pending_events_counts_batch_remainders(self):
-        """A batched fan-out is one heap entry but n-1 pending deliveries;
-        pending_events must report the logical count."""
-        if _numpy() is None:
-            pytest.skip("numpy not available; pure-python fallback in use")
-        sim = Simulation(
-            [Storm for _ in range(N_STORM)],
-            latency_model=WanLatency(jitter_frac=0.1),
-            seed=3,
-            engine="numpy",
-        )
-        sim.start()
-        drained = Simulation(
-            [Storm for _ in range(N_STORM)],
-            latency_model=WanLatency(jitter_frac=0.1),
-            seed=3,
-            engine="generic",
-        )
-        drained.start()
-        assert sim.pending_events == drained.pending_events
-        assert len(sim._queue) < len(drained._queue)  # ...in fewer entries
-
-    def test_repeated_run_calls_resume_cleanly(self):
-        """run(until=...) leaves batch entries half-delivered on the heap;
-        a second run() must pick them up exactly where they stopped."""
-        split = Simulation(
-            [Storm for _ in range(N_STORM)],
-            latency_model=WanLatency(jitter_frac=0.1),
-            seed=5,
-            engine="numpy",
-        )
-        split.start()
-        split.run(until=0.04)  # mid-flight: WAN links take 0.045s+
-        split.run(until=3.0)
-        whole = run_storm("numpy")
-        # seeds differ between helpers; rebuild the reference with seed 5
-        whole = Simulation(
-            [Storm for _ in range(N_STORM)],
-            latency_model=WanLatency(jitter_frac=0.1),
-            seed=5,
-            engine="generic",
-        )
-        whole.start()
-        whole.run(until=3.0)
-        assert trace(split) == trace(whole)
 
 
 class Quiet(Node):
