@@ -2,13 +2,24 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full examples table1 figs clean
+.PHONY: install test loc bench bench-full examples table1 figs clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
+# benchmarks/suite's own tests are the only check that a src/ refactor
+# has not broken the benchmark's frozen entry-point table.
 test:
 	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest benchmarks/suite -q
+
+# Lines per package: the acceptance number of every simplicity PR.
+loc:
+	@for d in src/repro/*/; do \
+		printf '%7d %s\n' "$$(cat $$d*.py | wc -l)" "$$d"; \
+	done
+	@printf '%7d %s\n' "$$(cat src/repro/*.py | wc -l)" "src/repro/*.py"
+	@printf '%7d %s\n' "$$(find src -name '*.py' | xargs cat | wc -l)" "total"
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

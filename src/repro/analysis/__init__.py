@@ -7,8 +7,6 @@
   results, for plotting outside this repository.
 * :mod:`repro.analysis.dagviz` — render a replica's DAG as ASCII art or
   Graphviz DOT (committed blocks, leaders, equivocations highlighted).
-* :mod:`repro.analysis.trace` — commit-pipeline breakdown: how much of
-  the latency is broadcast dissemination vs wave ordering.
 * :mod:`repro.analysis.obs_export` — exporters for instrumented runs:
   JSONL journal dump, Prometheus text snapshot, Chrome ``trace_event``
   JSON (opens in Perfetto / ``about:tracing``).
@@ -30,11 +28,9 @@ from .obs_export import (
     registry_to_prometheus,
 )
 from .stats import Aggregate, RepeatedResult, percentile, repeat_experiment
-from .trace import PipelineTrace
 
 __all__ = [
     "Aggregate",
-    "PipelineTrace",
     "RepeatedResult",
     "dag_to_ascii",
     "dag_to_dot",

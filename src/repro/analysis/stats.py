@@ -53,7 +53,7 @@ class Aggregate:
         n = len(values)
         if n == 0:
             # An empty sample set aggregates to NaN, not a crash — e.g. a
-            # PipelineTrace over a run that committed nothing.
+            # run that committed nothing.
             return cls(
                 mean=math.nan, stdev=math.nan, ci95_half_width=math.nan, samples=()
             )

@@ -29,12 +29,9 @@ the seeded sequence ``H(seed, wave) mod n`` (fixed before execution —
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
 from typing import Set
 
-from ..broadcast.rbc import RbcManager
-from ..crypto.hashing import Digest, hash_to_int
-from ..dag.block import Block
+from ..crypto.hashing import hash_to_int
 from ..core.base import BaseDagNode
 
 #: Timer tag for the optimistic leader wait.
@@ -46,7 +43,10 @@ class BullsharkNode(BaseDagNode):
 
     WAVE_LENGTH = 2
     WAVE_OVERLAP = False
+    BROADCAST = ("rbc", "rbc")
     SUPPORT_DEPTH = 1
+    SUPPORT_THRESHOLD = "2f+1"
+    LEADER_SOURCE = "predefined"
     STRICT_STORE = True
 
     #: Base seconds to wait for the predefined leader before advancing.
@@ -72,68 +72,20 @@ class BullsharkNode(BaseDagNode):
         exponent = min(self._timeout_misses, self.max_backoff_exponent)
         return self.leader_timeout * (2 ** exponent)
 
-    def _make_managers(self) -> None:
-        self.rbc = RbcManager(
-            self.net,
-            quorum=self.system.quorum,
-            amplify_threshold=self.system.validity_quorum,
-            on_deliver=self._on_deliver,
-            obs=self.obs,
-        )
-
-    def _manager_for_round(self, round_: int) -> RbcManager:
-        return self.rbc
-
-    def _broadcast_managers(self) -> tuple:
-        return (self.rbc,)
-
-    def _commit_threshold_value(self) -> int:
-        return 2 * self.system.f + 1
-
-    def _participate(self, block: Block, src: int) -> None:
-        self.rbc.echo(block)
-
-    def _holders_of(self, digest: Digest) -> AbstractSet:
-        return self.rbc.echoers_of(digest)
-
-    # ---------------------------------------------------- predefined leaders
-
     def predefined_leader(self, wave_num: int) -> int:
         """The leader slot of a wave, fixed before execution."""
         return hash_to_int("bullshark-leader", self.system.seed, wave_num) % self.system.n
-
-    def _ensure_leaders_through(self, round_: int) -> None:
-        """Populate ``revealed_leaders`` for every wave starting at or
-        before ``round_`` (predefinition = instantly 'revealed')."""
-        wave_num = 1
-        while self.wave.first_round(wave_num) <= round_:
-            if wave_num not in self.revealed_leaders:
-                self.revealed_leaders[wave_num] = self.predefined_leader(wave_num)
-            wave_num += 1
-
-    def _broadcast_coin_shares(self, round_: int) -> None:
-        """No coin on the steady-state path — leaders are predefined."""
-
-    def _coin_sync_check(self) -> None:
-        """Predefined leaders need no share recovery — just ensure the
-        local table covers every round blocks have reached."""
-        self._ensure_leaders_through(self.store.highest_round() + 1)
-
-    def _recheck_commits_for(self, block: Block) -> None:
-        self._ensure_leaders_through(block.round + 1)
-        super()._recheck_commits_for(block)
 
     # ------------------------------------------------------- optimistic wait
 
     def _can_propose_extra(self, round_: int) -> bool:
         """Hold a vote-round proposal until the leader block arrives or the
         optimistic timeout burns off."""
-        self._ensure_leaders_through(round_)
         wave_num = self.wave.wave_of_last_round(round_)
         if wave_num is None:
             return True  # proposing a leader round needs no wait
         leader_round = self.wave.first_round(wave_num)
-        leader = self.revealed_leaders[wave_num]
+        leader = self.predefined_leader(wave_num)
         if self.store.block_in_slot(leader_round, leader) is not None:
             if round_ in self._wait_armed and round_ not in self._waived_rounds:
                 # Leader made it within the window: decay the backoff.

@@ -12,12 +12,6 @@ Latency accounting (Table I): 4 RBC rounds × 3 steps = 12 steps best case
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
-from typing import Set
-
-from ..broadcast.rbc import RbcManager
-from ..crypto.hashing import Digest
-from ..dag.block import Block
 from ..core.base import BaseDagNode
 
 
@@ -26,29 +20,7 @@ class DagRiderNode(BaseDagNode):
 
     WAVE_LENGTH = 4
     WAVE_OVERLAP = False
+    BROADCAST = ("rbc",) * 4
     SUPPORT_DEPTH = 3
+    SUPPORT_THRESHOLD = "2f+1"
     STRICT_STORE = True
-
-    def _make_managers(self) -> None:
-        self.rbc = RbcManager(
-            self.net,
-            quorum=self.system.quorum,
-            amplify_threshold=self.system.validity_quorum,
-            on_deliver=self._on_deliver,
-            obs=self.obs,
-        )
-
-    def _manager_for_round(self, round_: int) -> RbcManager:
-        return self.rbc
-
-    def _broadcast_managers(self) -> tuple:
-        return (self.rbc,)
-
-    def _commit_threshold_value(self) -> int:
-        return 2 * self.system.f + 1
-
-    def _participate(self, block: Block, src: int) -> None:
-        self.rbc.echo(block)
-
-    def _holders_of(self, digest: Digest) -> AbstractSet:
-        return self.rbc.echoers_of(digest)

@@ -2,9 +2,10 @@
 
 An oracle that never fires is indistinguishable from one that cannot
 fire.  These mutants each break exactly one commit-rule ingredient the
-paper's safety argument depends on; the fuzzer run against them (tests
-and the ``--mutants`` CLI flag) must catch and shrink a violation, which
-is the evidence the oracles have teeth.
+paper's safety argument depends on — by re-parameterizing the one
+:class:`~repro.core.commit.CommitRule`, not by re-deriving it; the fuzzer
+run against them (tests and the ``--mutants`` CLI flag) must catch and
+shrink a violation, which is the evidence the oracles have teeth.
 
 They are kept out of :data:`~repro.harness.runner.PROTOCOL_REGISTRY` —
 callers opt in by passing a merged registry to
@@ -13,8 +14,6 @@ callers opt in by passing a merged registry to
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..core.lightdag1 import LightDag1Node
 
@@ -28,8 +27,9 @@ class UnsafeSupportLightDag1Node(LightDag1Node):
     the claim that f+1 support makes this impossible).
     """
 
-    def _commit_threshold_value(self) -> int:
-        return 1
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.commit.support_threshold = 1
 
 
 class NoCascadeLightDag1Node(LightDag1Node):
@@ -41,8 +41,9 @@ class NoCascadeLightDag1Node(LightDag1Node):
     oracles.
     """
 
-    def _cascade_candidate(self, w: int, leader_v) -> Optional[object]:
-        return None
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.commit.cascade = False
 
 
 #: name → node class, same shape as PROTOCOL_REGISTRY, for merging.

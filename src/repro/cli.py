@@ -78,6 +78,30 @@ def _adversary(value: str) -> str:
     )
 
 
+def _add_run_args(
+    parser: argparse.ArgumentParser,
+    *,
+    replicas: int,
+    batch: int = 400,
+    batch_help: Optional[str] = None,
+    adversary: bool = True,
+) -> None:
+    """The block every command that runs one experiment shares: protocol,
+    system size, batch, (adversary,) run length, seed, crypto backend."""
+    parser.add_argument("--protocol", default="lightdag2",
+                        choices=sorted(PROTOCOL_REGISTRY))
+    parser.add_argument("-n", "--replicas", type=int, default=replicas)
+    parser.add_argument("--batch", type=int, default=batch, help=batch_help)
+    if adversary:
+        parser.add_argument("--adversary", default="none", type=_adversary,
+                            metavar="ADVERSARY")
+    parser.add_argument("--duration", type=float, default=10.0)
+    parser.add_argument("--warmup", type=float, default=2.0)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--crypto", default="hmac",
+                        choices=["schnorr", "hmac", "null"])
+
+
 def _add_check_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--check-level", default="prefix", choices=CHECK_LEVELS,
@@ -118,17 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment")
-    run_p.add_argument("--protocol", default="lightdag2",
-                       choices=sorted(PROTOCOL_REGISTRY))
-    run_p.add_argument("-n", "--replicas", type=int, default=7)
-    run_p.add_argument("--batch", type=int, default=400)
-    run_p.add_argument("--adversary", default="none", type=_adversary,
-                       metavar="ADVERSARY")
-    run_p.add_argument("--duration", type=float, default=10.0)
-    run_p.add_argument("--warmup", type=float, default=2.0)
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--crypto", default="hmac",
-                       choices=["schnorr", "hmac", "null"])
+    _add_run_args(run_p, replicas=7)
     run_p.add_argument("--latency-model", default="wan4", metavar="SPEC",
                        help="latency model name or spec string, e.g. wan4 or "
                             "topology:clusters=8,loss=0.01,jitter_frac=0.1 "
@@ -169,17 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "coin / ordering), the slowest block's causal critical "
                     "path, and the run's health verdict.",
     )
-    explain_p.add_argument("--protocol", default="lightdag2",
-                           choices=sorted(PROTOCOL_REGISTRY))
-    explain_p.add_argument("-n", "--replicas", type=int, default=4)
-    explain_p.add_argument("--batch", type=int, default=400)
-    explain_p.add_argument("--adversary", default="none", type=_adversary,
-                           metavar="ADVERSARY")
-    explain_p.add_argument("--duration", type=float, default=10.0)
-    explain_p.add_argument("--warmup", type=float, default=2.0)
-    explain_p.add_argument("--seed", type=int, default=0)
-    explain_p.add_argument("--crypto", default="hmac",
-                           choices=["schnorr", "hmac", "null"])
+    _add_run_args(explain_p, replicas=4)
     _add_retrieval_args(explain_p)
     _add_check_arg(explain_p)
     explain_p.add_argument("--json", metavar="PATH",
@@ -191,17 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p = sub.add_parser(
         "report", help="instrumented run + metrics/journal summary"
     )
-    report_p.add_argument("--protocol", default="lightdag2",
-                          choices=sorted(PROTOCOL_REGISTRY))
-    report_p.add_argument("-n", "--replicas", type=int, default=7)
-    report_p.add_argument("--batch", type=int, default=400)
-    report_p.add_argument("--adversary", default="none", type=_adversary,
-                          metavar="ADVERSARY")
-    report_p.add_argument("--duration", type=float, default=10.0)
-    report_p.add_argument("--warmup", type=float, default=2.0)
-    report_p.add_argument("--seed", type=int, default=0)
-    report_p.add_argument("--crypto", default="hmac",
-                          choices=["schnorr", "hmac", "null"])
+    _add_run_args(report_p, replicas=7)
     _add_retrieval_args(report_p)
     _add_check_arg(report_p)
 
@@ -298,16 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "across the given points and render the saturation "
                     "knee (ASCII figure + JSON).",
     )
-    load_p.add_argument("--protocol", default="lightdag2",
-                        choices=sorted(PROTOCOL_REGISTRY))
-    load_p.add_argument("-n", "--replicas", type=int, default=4)
-    load_p.add_argument("--batch", type=int, default=64,
-                        help="commands per block proposal (the capacity knob)")
-    load_p.add_argument("--duration", type=float, default=10.0)
-    load_p.add_argument("--warmup", type=float, default=2.0)
-    load_p.add_argument("--seed", type=int, default=0)
-    load_p.add_argument("--crypto", default="hmac",
-                        choices=["schnorr", "hmac", "null"])
+    _add_run_args(
+        load_p, replicas=4, batch=64, adversary=False,
+        batch_help="commands per block proposal (the capacity knob)",
+    )
     load_p.add_argument("--latency-model", default="uniform", metavar="SPEC",
                         help="latency model name or spec string (default "
                              "uniform 10-50 ms; e.g. wan4, "
@@ -825,7 +813,7 @@ def _cmd_viz(args) -> int:
     node = sim.nodes[0]
     leaders = {
         node.leader_block_of(w).digest
-        for w in node.committed_leader_waves
+        for w in node.commit.committed_leader_waves
         if node.leader_block_of(w) is not None
     }
     print(f"{args.protocol} after {args.duration:.1f}s simulated "
@@ -841,12 +829,17 @@ def _cmd_protocols(args) -> int:
             "name": name,
             "class": cls.__name__,
             "wave": f"{cls.WAVE_LENGTH}{'*' if cls.WAVE_OVERLAP else ''}",
+            "broadcast": ",".join(cls.BROADCAST),
+            "support": f"{cls.SUPPORT_THRESHOLD} @+{cls.SUPPORT_DEPTH}",
+            "leaders": cls.LEADER_SOURCE,
             "worst_attack": WORST_ATTACK[name],
         }
         for name, cls in sorted(PROTOCOL_REGISTRY.items())
     ]
-    print(format_table(rows, ["name", "class", "wave", "worst_attack"]))
-    print("(* = overlapping wave boundary)")
+    print(format_table(rows, ["name", "class", "wave", "broadcast", "support",
+                              "leaders", "worst_attack"]))
+    print("(* = overlapping wave boundary; support = supporters needed, in "
+          "the round that many after the leader's)")
     return 0
 
 

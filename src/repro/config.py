@@ -205,22 +205,26 @@ class ProtocolConfig:
 
     def resolve_commit_threshold(self, system: SystemConfig) -> int:
         """Concrete replica count behind :attr:`commit_threshold`."""
-        return _resolve(self.commit_threshold, system)
+        return resolve_threshold(self.commit_threshold, system)
 
     def resolve_coin_threshold(self, system: SystemConfig) -> int:
         """Concrete replica count behind :attr:`coin_threshold`."""
-        return _resolve(self.coin_threshold, system)
+        return resolve_threshold(self.coin_threshold, system)
 
     def with_updates(self, **kwargs: Any) -> "ProtocolConfig":
         """Return a copy with the given fields replaced (validated again)."""
         return replace(self, **kwargs)
 
 
-def _resolve(spec: str, system: SystemConfig) -> int:
+def resolve_threshold(spec: str, system: SystemConfig) -> int:
+    """Replica count behind a threshold name (``"n-f"`` is for protocol
+    classes only: the config fields accept ``"f+1"`` / ``"2f+1"``)."""
     if spec == "f+1":
         return system.f + 1
     if spec == "2f+1":
         return 2 * system.f + 1
+    if spec == "n-f":
+        return system.quorum
     raise ConfigError(f"unknown threshold spec {spec!r}")
 
 

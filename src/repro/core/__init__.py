@@ -1,8 +1,10 @@
 """The paper's contribution: LightDAG1 and LightDAG2.
 
-* :mod:`repro.core.base` — the wave/commit engine shared by both variants
-  *and* the baselines: round advancement, the Global Perfect Coin plumbing,
-  Algorithm 1's commit cascade, and the §IV-A retrieval integration.
+* :mod:`repro.core.base` — the engine shared by both variants *and* the
+  baselines: round advancement, broadcast wiring, the Global Perfect Coin
+  plumbing, and the §IV-A retrieval integration.
+* :mod:`repro.core.commit` — the one commit rule (§IV-B, Algorithm 1):
+  direct commit, cascade and commit scope as a reading of the DAG alone.
 * :mod:`repro.core.retrieval` — the block retrieval mechanism (§IV-A).
 * :mod:`repro.core.lightdag1` — LightDAG1 (§IV): three overlapping CBC
   rounds per wave, f+1 direct-commit rule.
@@ -12,6 +14,7 @@
 """
 
 from .base import BaseDagNode
+from .commit import Commit, CommitRule
 from .lightdag1 import LightDag1Node
 from .lightdag2 import LightDag2Node
 from .proofs import ByzantineProof
@@ -20,6 +23,8 @@ from .retrieval import RetrievalManager
 __all__ = [
     "BaseDagNode",
     "ByzantineProof",
+    "Commit",
+    "CommitRule",
     "LightDag1Node",
     "LightDag2Node",
     "RetrievalManager",

@@ -7,33 +7,26 @@ Bullshark — is an instance of the same skeleton (§II-B):
    distinct slots of the previous round have been delivered;
 2. broadcast each block with some broadcast primitive (the paper's whole
    point is *which* primitive);
-3. carry Global-Perfect-Coin shares in each wave's last round; the coin
-   names a leader slot in the wave's first round;
-4. directly commit a leader once enough later-round blocks reference it,
-   then run Algorithm 1's cascade: commit skipped-but-referenced earlier
-   leaders, then each leader's uncommitted ancestors in (round, author)
-   order.
+3. learn each wave's leader slot — from Global-Perfect-Coin shares carried
+   in the wave's last round, or from a predefined schedule;
+4. hand every delivery and every known leader to the one commit rule
+   (:mod:`repro.core.commit`: direct commit, Algorithm 1's cascade, commit
+   scope) and append what it returns to the ledger.
 
 :class:`BaseDagNode` implements all of that plus the §IV-A retrieval
-integration, leaving protocol-specific policy to a small set of hooks
-(class attributes for wave shape and commit thresholds; methods for vote
-policy, parent filtering, and extra proposal conditions).
-
-Correctness note on cascade determinism: replicas may *directly* commit
-different subsets of leaders (support observation is local), but Lemma 1
-guarantees directly-committable leaders are totally ordered by ancestry,
-so the "walk back to the last committed leader, commit every delivered
-leader that is an ancestor" cascade yields the same leader sequence — and
-hence the same ledger — everywhere.  After committing wave ``v`` the engine
-marks waves ``≤ v`` *settled* and never direct-commits them later (their
-leaders were either cascaded in or provably non-committable).
+integration.  What distinguishes a protocol is **data** — the class
+attributes listed on :class:`BaseDagNode` — from which this class builds
+the broadcast managers, routes VAL/ECHO/READY and parameterizes the commit
+rule.  Only behaviour the paper describes as different is left to methods:
+LightDAG2's Rules 2–4 and Bullshark's leader wait.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
+from ..broadcast.cbc import CbcManager
 from ..broadcast.messages import (
     BlockEcho,
     BlockReady,
@@ -43,7 +36,9 @@ from ..broadcast.messages import (
     RetrievalRequest,
     RetrievalResponse,
 )
-from ..config import ProtocolConfig, SystemConfig
+from ..broadcast.pbc import PbcManager
+from ..broadcast.rbc import RbcManager
+from ..config import ProtocolConfig, SystemConfig, resolve_threshold
 from ..crypto.backend import CryptoBackend, make_backend
 from ..crypto.coin import GlobalPerfectCoin, make_coin
 from ..crypto.hashing import Digest, short_hex
@@ -52,11 +47,11 @@ from ..dag.block import Block, EMPTY_BATCH, TxBatch, make_block
 from ..dag.ledger import CommitRecord, Ledger
 from ..dag.rounds import WaveStructure
 from ..dag.store import DagStore
-from ..dag.traversal import is_ancestor, uncommitted_ancestors
 from ..dag.validation import validate_block_structure
-from ..errors import InvalidBlockError, UnknownBlockError
+from ..errors import ConfigError, InvalidBlockError, UnknownBlockError
 from ..net.interfaces import Message, NetworkAPI, Node
 from ..obs import NULL_OBS, Observability
+from .commit import Commit, CommitRule
 from .retrieval import RETRY_TAG, RetrievalManager
 
 #: Signature of the payload hook: ``payload_source(now) -> TxBatch``.
@@ -67,10 +62,10 @@ CommitCallback = Callable[[CommitRecord], None]
 #: Timer tag for the deferred-proposal tick (see ``_schedule_advance``).
 ADVANCE_TAG = "__advance__"
 
-#: Timer tag for the periodic coin-share recovery check.
+#: Timer tag for the periodic recovery check (coin shares, stalls).
 COIN_SYNC_TAG = "__coin_sync__"
 
-#: Period of the coin-share recovery check (seconds).
+#: Period of the recovery check (seconds).
 COIN_SYNC_PERIOD = 0.5
 
 #: Silence (no delivery/proposal progress) before a stall re-broadcast,
@@ -84,30 +79,45 @@ STALL_STARTUP_GRACE = 8 * COIN_SYNC_PERIOD
 
 
 class BaseDagNode(Node):
-    """Common engine; subclasses define the wave shape and broadcast kind.
+    """Common engine; subclasses say what differs, mostly as data.
 
     Subclass contract (class attributes)
     ------------------------------------
     WAVE_LENGTH / WAVE_OVERLAP:
         The :class:`~repro.dag.rounds.WaveStructure` parameters.
+    BROADCAST:
+        The broadcast primitive (``"pbc"``, ``"cbc"`` or ``"rbc"``) of each
+        wave position ``e = 1 .. WAVE_LENGTH``; each one named is built and
+        reachable as ``node.pbc`` / ``node.cbc`` / ``node.rbc`` (else None).
     SUPPORT_DEPTH:
         Rounds between a wave's first round (the leader round) and the
         round whose references directly commit the leader (1 for
         LightDAG1/Tusk, 3 for DAG-Rider).
+    SUPPORT_THRESHOLD:
+        Supporters a direct commit needs: ``"f+1"``, ``"2f+1"``, ``"n-f"``,
+        or ``"config"`` for ``ProtocolConfig.commit_threshold``.
+    LEADER_SOURCE:
+        ``"coin"`` (GPC shares ride with each wave's last round) or
+        ``"predefined"`` (:meth:`predefined_leader`; no shares sent or
+        recovered).
     STRICT_STORE:
         Whether a second block in a slot is a fatal violation (True for
         every CBC/RBC protocol; LightDAG2 sets False).
 
     Subclass contract (methods)
     ---------------------------
-    ``_make_managers`` (required), ``_participate`` (required),
-    ``_commit_threshold_value``, ``_parent_allowed``,
-    ``_can_propose_extra``, ``_after_deliver``, ``_on_other_message``.
+    ``_participate`` (default: endorse at most one block per slot),
+    ``_parent_allowed``, ``_can_propose_extra``, ``_build_block``,
+    ``_inspect_body``, ``_after_deliver``, ``_on_other_message``,
+    ``_gc_state`` and, for predefined leaders, ``predefined_leader``.
     """
 
     WAVE_LENGTH = 3
     WAVE_OVERLAP = False
+    BROADCAST = ("cbc", "cbc", "cbc")
     SUPPORT_DEPTH = 1
+    SUPPORT_THRESHOLD = "f+1"
+    LEADER_SOURCE = "coin"
     STRICT_STORE = True
 
     #: Attributes the model-checking explorer (:mod:`repro.check.explorer`)
@@ -188,10 +198,23 @@ class BaseDagNode(Node):
         self._stall_clock: Optional[float] = None
         self._delivered_any = False
         self._my_latest_block: Optional[Block] = None
+        #: wave -> leader slot, filled by coin reveals or the predefined
+        #: schedule; shared with (and garbage-collected by) the commit rule
         self.revealed_leaders: Dict[int, int] = {}
-        self.committed_leader_waves: Set[int] = set()
-        self.last_settled_wave = 0
-        self._deferred_cascades: Set[int] = set()
+        #: waves of the predefined schedule already in ``revealed_leaders``
+        self._predefined_waves = 0
+        threshold = self.SUPPORT_THRESHOLD
+        if threshold == "config":
+            threshold = protocol.commit_threshold
+        self.commit = CommitRule(
+            self.store,
+            self.wave,
+            self.revealed_leaders,
+            self.ledger.committed_digests,
+            support_depth=self.SUPPORT_DEPTH,
+            support_threshold=resolve_threshold(threshold, system),
+            gc_depth=protocol.gc_depth,
+        )
         #: digest -> round for every authenticated body seen (dedup gate)
         #: and every rejected digest.  Round-stamped so :meth:`_gc_state`
         #: can drop entries below the commit horizon — as plain sets these
@@ -206,7 +229,6 @@ class BaseDagNode(Node):
         #: ``_sent_share_waves`` entry was garbage-collected.
         self._max_share_wave = 0
         self._quorum = system.quorum
-        self._commit_support = self._commit_threshold_value()
         #: per-wave timestamp of the last coin-share recovery request
         self._coin_requested: Dict[int, float] = {}
 
@@ -219,45 +241,57 @@ class BaseDagNode(Node):
         }
         self._uncovered: Dict[Digest, Block] = {}
         if protocol.weak_links and not self.STRICT_STORE:
-            from ..errors import ConfigError
-
             raise ConfigError(
                 "weak links require a strict-store protocol (LightDAG2's "
                 "Rule 2 assumes previous-round parents)"
             )
 
-        self._make_managers()
+        # One manager per primitive BROADCAST names (None for the others:
+        # constructing one registers its metrics), all delivering here.
+        deliver, kinds = self._on_deliver, self.BROADCAST
+        self.pbc = PbcManager(net, deliver, obs=self.obs) if "pbc" in kinds else None
+        self.cbc = (
+            CbcManager(net, system.quorum, deliver, obs=self.obs)
+            if "cbc" in kinds else None
+        )
+        self.rbc = (
+            RbcManager(
+                net, system.quorum, system.validity_quorum, deliver, obs=self.obs
+            )
+            if "rbc" in kinds else None
+        )
+        #: manager of wave position e at index e - 1, one stride long: with
+        #: overlapping waves position WAVE_LENGTH *is* the next position 1.
+        self._round_managers = tuple(
+            getattr(self, kind) for kind in self.BROADCAST[: self.wave.stride]
+        )
 
     # ------------------------------------------------------------------ hooks
 
-    def _make_managers(self) -> None:
-        """Create broadcast manager(s); subclasses must set them up and make
-        :meth:`_manager_for_round` resolve correctly."""
-        raise NotImplementedError
-
     def _manager_for_round(self, round_: int):
         """The broadcast manager handling blocks of ``round_``."""
-        raise NotImplementedError
-
-    def _broadcast_managers(self) -> tuple:
-        """Every broadcast manager this node owns (for GC sweeps).
-
-        Subclasses must return all managers `_manager_for_round` can
-        resolve to; the default keeps manager state forever.
-        """
-        return ()
+        managers = self._round_managers
+        return managers[(round_ - 1) % len(managers)]
 
     def _broadcast_block(self, block: Block) -> None:
         self._manager_for_round(block.round).broadcast(block)
 
     def _participate(self, block: Block, src: int) -> None:
         """Vote/echo policy, called once a block is structurally valid and
-        all its ancestors are delivered (§IV-A gate already passed)."""
-        raise NotImplementedError
+        all its ancestors are delivered (§IV-A gate already passed).
 
-    def _commit_threshold_value(self) -> int:
-        """Support needed in the support round for a direct commit."""
-        return self.protocol.resolve_commit_threshold(self.system)
+        Default: endorse at most one block per slot — the honest-replica
+        discipline CBC's and RBC's consistency proofs rest on.  PBC rounds
+        deliver without votes."""
+        manager = self._manager_for_round(block.round)
+        if manager is self.rbc:
+            manager.echo(block)  # RbcManager keeps the once-per-slot gate
+        elif manager is self.cbc and not manager.has_voted_in_slot(block.slot):
+            manager.vote(block)
+
+    def predefined_leader(self, wave_num: int) -> int:
+        """``LEADER_SOURCE = "predefined"``: the leader slot of a wave."""
+        raise NotImplementedError
 
     def _parent_allowed(self, block: Block) -> bool:
         """May ``block`` be chosen as a parent of our next proposal?"""
@@ -267,9 +301,6 @@ class BaseDagNode(Node):
         """Additional proposal preconditions (Bullshark's leader wait,
         LightDAG2's coin-reveal wait at wave boundaries)."""
         return True
-
-    def _min_parents(self, block: Block) -> int:
-        return self._quorum
 
     def _after_deliver(self, block: Block) -> None:
         """Protocol-specific reaction to a delivery (before commit checks)."""
@@ -293,10 +324,12 @@ class BaseDagNode(Node):
         if isinstance(msg, BlockVal):
             self._on_block_body(src, msg.block)
         elif isinstance(msg, BlockEcho):
-            self._manager_for_round(msg.round).on_echo(src, msg)
+            manager = self._manager_for_round(msg.round)
+            if manager is not self.pbc:  # PBC rounds have no ECHO step
+                manager.on_echo(src, msg)
         elif isinstance(msg, BlockReady):
             manager = self._manager_for_round(msg.round)
-            if hasattr(manager, "on_ready"):  # CBC/PBC protocols ignore READYs
+            if manager is self.rbc:  # only RBC rounds have a READY step
                 manager.on_ready(src, msg)
         elif isinstance(msg, CoinShareMsg):
             self._on_coin_share(src, msg)
@@ -340,7 +373,9 @@ class BaseDagNode(Node):
             self._advance_scheduled = False
             self._try_advance()
         elif tag == COIN_SYNC_TAG:
-            self._coin_sync_check()
+            if self.LEADER_SOURCE == "coin":
+                self._recover_coin_shares()
+            self._recover_from_stall()
             self.net.set_timer(COIN_SYNC_PERIOD, COIN_SYNC_TAG)
 
     def _schedule_advance(self) -> None:
@@ -353,11 +388,10 @@ class BaseDagNode(Node):
             self.net.set_timer(0.0, ADVANCE_TAG)
 
     def _holders_of(self, digest: Digest) -> AbstractSet:
-        """Replicas believed to hold a block body (echoers of its digest).
-
-        Implementations return a live read-only view (see
-        ``InstanceTracker.echoers_of``) — never mutate the result."""
-        return frozenset()
+        """Replicas believed to hold a block body (echoers of its digest):
+        a live read-only view (see ``InstanceTracker.echoers_of``) — never
+        mutate the result."""
+        return (self.cbc or self.rbc).echoers_of(digest)
 
     # -------------------------------------------------------------- accepting
 
@@ -425,7 +459,7 @@ class BaseDagNode(Node):
                 block,
                 self.store,
                 self.system,
-                min_parents=self._min_parents(block),
+                min_parents=self._quorum,
                 allow_weak=self.protocol.weak_links,
                 max_weak=self.protocol.max_weak_refs,
             )
@@ -477,7 +511,9 @@ class BaseDagNode(Node):
                 )
             self._finish_accept(dep, src, retrieved=was_retrieved)
         self._after_deliver(block)
-        self._recheck_commits_for(block)
+        if self.LEADER_SOURCE == "predefined":
+            self._predefine_leaders(block.round + 1)
+        self._apply_commits(self.commit.block_delivered(block))
         self._schedule_advance()
 
     # -------------------------------------------------------------- proposing
@@ -500,15 +536,10 @@ class BaseDagNode(Node):
     def _choose_parents(self, round_: int) -> List[Digest]:
         parents = []
         for author in sorted(self.store.authors_in_round(round_ - 1)):
-            candidate = self._parent_in_slot(round_ - 1, author)
+            candidate = self.store.block_in_slot(round_ - 1, author)
             if candidate is not None and self._parent_allowed(candidate):
                 parents.append(candidate.digest)
         return parents
-
-    def _parent_in_slot(self, round_: int, author: int) -> Optional[Block]:
-        """Which block of a slot to reference (LightDAG2 overrides for its
-        Rule-4 determinations)."""
-        return self.store.block_in_slot(round_, author)
 
     def _propose(self, round_: int) -> None:
         parents = self._choose_parents(round_)
@@ -565,6 +596,8 @@ class BaseDagNode(Node):
 
     def _broadcast_coin_shares(self, round_: int) -> None:
         """Ship the GPC share for every wave whose *last* round this is."""
+        if self.LEADER_SOURCE != "coin":
+            return
         for wave_num, e in self.wave.waves_containing(round_):
             if e == self.WAVE_LENGTH and wave_num not in self._sent_share_waves:
                 self._sent_share_waves.add(wave_num)
@@ -585,9 +618,21 @@ class BaseDagNode(Node):
                     self.net.now(), "coin.reveal", self.node_id,
                     wave=msg.wave, leader=leader,
                 )
-            self._on_leader_revealed(msg.wave, leader)
+            self._apply_commits(self.commit.leader_known(msg.wave))
+            self._schedule_advance()
 
-    def _coin_sync_check(self) -> None:
+    def _predefine_leaders(self, through_round: int) -> None:
+        """Predefined leaders are "revealed" as soon as their wave can have
+        started: fill the table for every wave whose first round is at or
+        before ``through_round``.  Nothing can commit on the news alone —
+        such a wave has no supporters yet — so the rule is not told."""
+        wave_num = self._predefined_waves + 1
+        while self.wave.first_round(wave_num) <= through_round:
+            self.revealed_leaders[wave_num] = self.predefined_leader(wave_num)
+            wave_num += 1
+        self._predefined_waves = wave_num - 1
+
+    def _recover_coin_shares(self) -> None:
         """Coin-share recovery: if blocks prove a wave completed at other
         replicas but we never revealed its coin (missed shares — partition,
         crash window, dropped messages), ask peers to resend theirs.
@@ -597,7 +642,7 @@ class BaseDagNode(Node):
         blocks, which retrieval then recovers — see DESIGN.md §3)."""
         horizon = self.store.highest_round()
         now = self.net.now()
-        wave_num = self.last_settled_wave + 1
+        wave_num = self.commit.last_settled_wave + 1
         requested = 0
         while self.wave.last_round(wave_num) <= horizon and requested < 8:
             if wave_num not in self.revealed_leaders:
@@ -615,131 +660,54 @@ class BaseDagNode(Node):
                     requested += 1
             wave_num += 1
 
-        # Stall recovery: if nothing has progressed for a while, some of
-        # our outbound traffic may have been lost (partition, drops) —
-        # re-broadcast the latest proposal.  Receivers that have it refresh
-        # their echoes; receivers that missed it join its broadcast now.
-        # The clock arms at our first own proposal (never at sim start),
-        # uses a generous grace period until the first-ever delivery, and
-        # resets on each re-broadcast so a genuine stall costs one
-        # re-broadcast per window, not one per sync tick.
-        if self._my_latest_block is not None and self._stall_clock is not None:
-            threshold = STALL_AFTER if self._delivered_any else STALL_STARTUP_GRACE
-            if now - self._stall_clock > threshold:
-                self._stall_clock = now
-                self._ctr_stall_rebroadcasts.inc()
-                if self._obs_emit is not None:
-                    self._obs_emit(
-                        now, "stall.rebroadcast", self.node_id,
-                        round=self._my_latest_block.round,
-                    )
-                self._broadcast_block(self._my_latest_block)
+    def _recover_from_stall(self) -> None:
+        """Stall recovery: if nothing has progressed for a while, some of
+        our outbound traffic may have been lost (partition, drops) —
+        re-broadcast the latest proposal.  Receivers that have it refresh
+        their echoes; receivers that missed it join its broadcast now.
 
-    def _on_leader_revealed(self, wave_num: int, leader: int) -> None:
-        self._try_direct_commit(wave_num)
-        for deferred in sorted(self._deferred_cascades):
-            self._try_direct_commit(deferred)
-        self._schedule_advance()
+        The clock arms at our first own proposal (never at sim start),
+        uses a generous grace period until the first-ever delivery, and
+        resets on each re-broadcast so a genuine stall costs one
+        re-broadcast per window, not one per sync tick."""
+        if self._my_latest_block is None or self._stall_clock is None:
+            return
+        now = self.net.now()
+        threshold = STALL_AFTER if self._delivered_any else STALL_STARTUP_GRACE
+        if now - self._stall_clock > threshold:
+            self._stall_clock = now
+            self._ctr_stall_rebroadcasts.inc()
+            if self._obs_emit is not None:
+                self._obs_emit(
+                    now, "stall.rebroadcast", self.node_id,
+                    round=self._my_latest_block.round,
+                )
+            self._broadcast_block(self._my_latest_block)
 
     # -------------------------------------------------------------- committing
 
     def leader_block_of(self, wave_num: int) -> Optional[Block]:
         """The (unique, in strict mode) delivered block in a wave's leader
         slot, or None."""
-        leader = self.revealed_leaders.get(wave_num)
-        if leader is None:
-            return None
-        return self.store.block_in_slot(self.wave.first_round(wave_num), leader)
+        candidates = self.commit.candidates(wave_num)
+        return candidates[0] if candidates else None
 
-    def _support_round(self, wave_num: int) -> int:
-        return self.wave.first_round(wave_num) + self.SUPPORT_DEPTH
+    def _apply_commits(self, commits: Iterable[Commit]) -> None:
+        """Append what the commit rule decided, one leader at a time (the
+        rule computes each scope against the ledger as the previous leader
+        left it).  A direct commit closes its cascade: prune after it."""
+        for commit in commits:
+            self._commit_leader(commit)
+            if commit.kind == "direct":
+                self._maybe_prune()
 
-    def _recheck_commits_for(self, block: Block) -> None:
-        for wave_num, e in self.wave.waves_containing(block.round):
-            if e == 1 or e == 1 + self.SUPPORT_DEPTH:
-                if wave_num in self.revealed_leaders:
-                    self._try_direct_commit(wave_num)
-
-    def _support_count(self, wave_num: int, leader_block: Block) -> int:
-        """Distinct-slot blocks in the support round referencing the leader
-        within SUPPORT_DEPTH parent hops."""
-        count = 0
-        for author in self.store.authors_in_round(self._support_round(wave_num)):
-            supporter = self.store.block_in_slot(self._support_round(wave_num), author)
-            if supporter is not None and self._references_within(
-                supporter, leader_block.digest, self.SUPPORT_DEPTH
-            ):
-                count += 1
-        return count
-
-    def _references_within(self, block: Block, target: Digest, depth: int) -> bool:
-        """Does ``block`` reach ``target`` in at most ``depth`` parent hops?"""
-        frontier = {block.digest}
-        for _ in range(depth):
-            next_frontier: Set[Digest] = set()
-            for digest in frontier:
-                holder = self.store.get_optional(digest)
-                if holder is None:
-                    continue
-                for parent in holder.parents:
-                    if parent == target:
-                        return True
-                    next_frontier.add(parent)
-            frontier = next_frontier
-        return False
-
-    def _try_direct_commit(self, wave_num: int) -> None:
-        if (
-            wave_num <= self.last_settled_wave
-            or wave_num in self.committed_leader_waves
-        ):
-            self._deferred_cascades.discard(wave_num)
-            return
-        leader_block = self.leader_block_of(wave_num)
-        if leader_block is None:
-            return
-        if self._support_count(wave_num, leader_block) < self._commit_support:
-            return
-        self._commit_cascade(wave_num, leader_block)
-
-    def _commit_cascade(self, v: int, leader_v: Block) -> None:
-        """Algorithm 1: walk back to the last committed leader, then commit
-        every delivered, referenced leader in wave order, then wave ``v``."""
-        u = max((w for w in self.committed_leader_waves if w < v), default=0)
-        for w in range(u + 1, v):
-            if w not in self.revealed_leaders:
-                # Cannot yet decide whether wave w's leader must be cascaded
-                # in; defer the whole cascade until its coin reveals.
-                self._deferred_cascades.add(v)
-                return
-        self._deferred_cascades.discard(v)
-        for w in range(u + 1, v):
-            candidate = self._cascade_candidate(w, leader_v)
-            if candidate is not None:
-                self._commit_leader(candidate, w, kind="cascade")
-        self._commit_leader(leader_v, v, kind="direct")
-        self.last_settled_wave = max(self.last_settled_wave, v)
-        self._maybe_prune()
-
-    def _cascade_candidate(self, w: int, leader_v: Block) -> Optional[Block]:
-        """The wave-``w`` leader block to commit indirectly through
-        ``leader_v``, or None if the wave must stay skipped (Fig. 5/6)."""
-        candidate = self.leader_block_of(w)
-        if candidate is not None and is_ancestor(candidate.digest, leader_v, self.store):
-            return candidate
-        return None
-
-    def _commit_leader(self, leader: Block, wave_num: int, kind: str = "direct") -> None:
-        if wave_num in self.committed_leader_waves:
-            return
-        self.committed_leader_waves.add(wave_num)
+    def _commit_leader(self, commit: Commit) -> None:
+        leader, wave_num, kind, blocks = commit
         k = self.ledger.begin_leader()
         now = self.net.now()
         journal = self.obs.journal if self.obs.enabled else None
-        committed = 0
-        for block in self._commit_scope(leader):
+        for block in blocks:
             record = self.ledger.append(block, now, leader.digest, k)
-            committed += 1
             if journal is not None:
                 journal.emit(
                     now, "block.commit", self.node_id,
@@ -749,45 +717,21 @@ class BaseDagNode(Node):
             if self.on_commit is not None:
                 self.on_commit(record)
         self._ctr_commit_kind[kind].inc()
-        self._ctr_committed.inc(committed)
+        self._ctr_committed.inc(len(blocks))
         if journal is not None:
             journal.emit(
                 now, "wave.commit", self.node_id,
-                wave=wave_num, kind=kind, leader=leader.author, blocks=committed,
+                wave=wave_num, kind=kind, leader=leader.author, blocks=len(blocks),
             )
-
-    def _commit_scope(self, leader: Block) -> List[Block]:
-        """The blocks this leader commits: uncommitted ancestors, bounded
-        below by the deterministic GC horizon when one is configured.
-
-        The horizon depends only on the leader's round, so every replica
-        commits the identical set regardless of local pruning state."""
-        gc_depth = self.protocol.gc_depth
-        committed = self.ledger.committed_digests
-        if gc_depth is None:
-            return uncommitted_ancestors(leader, self.store, committed)
-        floor = leader.round - gc_depth
-        from ..dag.traversal import ancestors_of
-
-        scope = [
-            block
-            for block in ancestors_of(
-                leader,
-                self.store,
-                stop=lambda b: b.digest in committed or b.round < floor,
-            )
-            if not block.is_genesis
-        ]
-        scope.sort(key=lambda b: (b.round, b.author, b.repropose_index))
-        return scope
 
     def _maybe_prune(self) -> None:
         """Physically drop history far below the settled frontier."""
         gc_depth = self.protocol.gc_depth
-        if gc_depth is None or self.last_settled_wave < 1:
+        settled = self.commit.last_settled_wave
+        if gc_depth is None or settled < 1:
             return
         horizon = (
-            self.wave.first_round(self.last_settled_wave)
+            self.wave.first_round(settled)
             - gc_depth
             - self.WAVE_LENGTH
         )
@@ -814,8 +758,9 @@ class BaseDagNode(Node):
         # straggler message for a pruned digest re-enters through the
         # normal paths (re-verify, empty instance stub) and is re-pruned
         # on the next sweep.
-        for manager in self._broadcast_managers():
-            manager.gc_below(horizon)
+        for manager in (self.pbc, self.cbc, self.rbc):
+            if manager is not None:
+                manager.gc_below(horizon)
         for mapping in (self._known, self._invalid):
             for digest in [d for d, r in mapping.items() if r < horizon]:
                 del mapping[digest]
@@ -831,17 +776,14 @@ class BaseDagNode(Node):
             self._covered = {d for d in self._covered if d in self.store}
         # Wave-keyed coin/commit bookkeeping: waves strictly below the
         # settled frontier are decided forever.  The frontier wave itself
-        # must survive — the cascade anchors on max(committed < v) and the
-        # sync check starts at last_settled_wave + 1.
-        floor_wave = self.last_settled_wave
-        for mapping in (self.revealed_leaders, self._coin_requested):
-            for wave_num in [w for w in mapping if w < floor_wave]:
-                del mapping[wave_num]
-        for wave_set in (self.committed_leader_waves, self._sent_share_waves):
-            for wave_num in [w for w in wave_set if w < floor_wave]:
-                wave_set.discard(wave_num)
-        self._deferred_cascades = {
-            w for w in self._deferred_cascades if w >= floor_wave
+        # must survive — the cascade anchors on it and the share recovery
+        # starts at last_settled_wave + 1.
+        self.commit.forget_settled()
+        floor_wave = self.commit.last_settled_wave
+        for wave_num in [w for w in self._coin_requested if w < floor_wave]:
+            del self._coin_requested[wave_num]
+        self._sent_share_waves = {
+            w for w in self._sent_share_waves if w >= floor_wave
         }
 
     # -------------------------------------------------------------- metrics

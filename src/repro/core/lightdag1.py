@@ -22,13 +22,7 @@ full CBC).
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
-from typing import Set
-
-from ..crypto.hashing import Digest
-from ..dag.block import Block
 from .base import BaseDagNode
-from ..broadcast.cbc import CbcManager
 
 
 class LightDag1Node(BaseDagNode):
@@ -36,28 +30,11 @@ class LightDag1Node(BaseDagNode):
 
     WAVE_LENGTH = 3
     WAVE_OVERLAP = True
+    BROADCAST = ("cbc", "cbc", "cbc")
     SUPPORT_DEPTH = 1
+    #: f+1 in the main text, 2f+1 in Algorithm 1 — the ablation's knob
+    SUPPORT_THRESHOLD = "config"
     STRICT_STORE = True
-
-    def _make_managers(self) -> None:
-        self.cbc = CbcManager(
-            self.net, self.system.quorum, self._on_deliver, obs=self.obs
-        )
-
-    def _manager_for_round(self, round_: int) -> CbcManager:
-        return self.cbc
-
-    def _broadcast_managers(self) -> tuple:
-        return (self.cbc,)
-
-    def _participate(self, block: Block, src: int) -> None:
-        """Echo at most one block per slot — the honest-replica discipline
-        CBC's consistency proof rests on."""
-        if not self.cbc.has_voted_in_slot(block.slot):
-            self.cbc.vote(block)
-
-    def _holders_of(self, digest: Digest) -> AbstractSet:
-        return self.cbc.echoers_of(digest)
 
 
 class LightDag1NoMergeNode(LightDag1Node):

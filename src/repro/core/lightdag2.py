@@ -40,17 +40,14 @@ bounds how much equivocated data can ever reach the ledger.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..broadcast.cbc import CbcManager
 from ..broadcast.messages import ByzantineProofMsg, ContradictionNotice
-from ..broadcast.pbc import PbcManager
 from ..crypto.hashing import Digest
 from ..dag.block import Block, TxBatch, make_block
-from ..dag.traversal import is_ancestor
 from ..net.interfaces import Message
 from .base import BaseDagNode
+from .commit import references_within
 from .proofs import ByzantineProof
 
 
@@ -59,10 +56,12 @@ class LightDag2Node(BaseDagNode):
 
     WAVE_LENGTH = 3
     WAVE_OVERLAP = False
+    BROADCAST = ("pbc", "cbc", "pbc")
     SUPPORT_DEPTH = 2  # leader in ⟨w,1⟩, support from ⟨w,3⟩
+    SUPPORT_THRESHOLD = "n-f"  # §III-D
     STRICT_STORE = False
 
-    PBC_E = (1, 3)
+    #: wave position of the CBC round in ``BROADCAST``
     CBC_E = 2
 
     def __init__(self, *args, **kwargs) -> None:
@@ -103,24 +102,6 @@ class LightDag2Node(BaseDagNode):
     def wave_of(round_: int) -> int:
         return (round_ - 1) // 3 + 1
 
-    def _make_managers(self) -> None:
-        self.pbc = PbcManager(self.net, self._on_deliver, obs=self.obs)
-        self.cbc = CbcManager(
-            self.net, self.system.quorum, self._on_deliver, obs=self.obs
-        )
-
-    def _manager_for_round(self, round_: int):
-        return self.cbc if self.round_kind(round_) == self.CBC_E else self.pbc
-
-    def _broadcast_managers(self) -> tuple:
-        return (self.pbc, self.cbc)
-
-    def _commit_threshold_value(self) -> int:
-        return self.system.quorum  # n - f, §III-D
-
-    def _holders_of(self, digest: Digest) -> AbstractSet:
-        return self.cbc.echoers_of(digest)
-
     # ------------------------------------------------------------- messages
 
     def _on_other_message(self, src: int, msg: Message) -> None:
@@ -139,12 +120,9 @@ class LightDag2Node(BaseDagNode):
     # --------------------------------------------------------------- voting
 
     def _participate(self, block: Block, src: int) -> None:
+        """Rules 2 and 3 — decide whether to echo a CBC block."""
         if self.round_kind(block.round) != self.CBC_E:
             return  # PBC rounds deliver without votes
-        self._apply_vote_policy(block)
-
-    def _apply_vote_policy(self, block: Block) -> None:
-        """Rules 2 and 3 — decide whether to echo a CBC block."""
         wave = self.wave_of(block.round)
         if wave < self._max_cbc_wave:
             return  # Rule 3, first bullet: never vote in older waves
@@ -385,58 +363,8 @@ class LightDag2Node(BaseDagNode):
                 continue
             for third in self.store.blocks_in_round(leader_round + 2):
                 for candidate in candidates:
-                    if self._references_within(third, candidate.digest, 2):
+                    if references_within(self.store, third, candidate.digest, 2):
                         return (leader_round, leader, candidate.digest)
             # Non-empty locally but unreferenced by any third-round block we
             # hold: treat as empty and fall through to an older wave.
-        return None
-
-    # ----------------------------------------------------------- committing
-
-    def _support_count(self, wave_num: int, leader_block: Block) -> int:
-        """Distinct authors in round ⟨w,3⟩ with any delivered block that
-        references the candidate (two hops, through delivered — hence
-        Rule-2-consistent — CBC blocks)."""
-        support_round = self._support_round(wave_num)
-        count = 0
-        for author in self.store.authors_in_round(support_round):
-            for supporter in self.store.blocks_in_slot(support_round, author):
-                if self._references_within(
-                    supporter, leader_block.digest, self.SUPPORT_DEPTH
-                ):
-                    count += 1
-                    break
-        return count
-
-    def _try_direct_commit(self, wave_num: int) -> None:
-        if (
-            wave_num <= self.last_settled_wave
-            or wave_num in self.committed_leader_waves
-        ):
-            self._deferred_cascades.discard(wave_num)
-            return
-        leader = self.revealed_leaders.get(wave_num)
-        if leader is None:
-            return
-        leader_round = self.wave.first_round(wave_num)
-        for candidate in self.store.blocks_in_slot(leader_round, leader):
-            if self._support_count(wave_num, candidate) >= self._commit_support:
-                self._commit_cascade(wave_num, candidate)
-                return
-
-    def _cascade_candidate(self, w: int, leader_v: Block) -> Optional[Block]:
-        """Among (possibly several) blocks in wave ``w``'s leader slot, the
-        unique one inside ``leader_v``'s closure (Lemma 4 makes at most one
-        reachable; iteration order is a deterministic tie-break regardless)."""
-        leader = self.revealed_leaders.get(w)
-        if leader is None:
-            return None
-        leader_round = self.wave.first_round(w)
-        candidates = sorted(
-            self.store.blocks_in_slot(leader_round, leader),
-            key=lambda b: (b.repropose_index, b.digest),
-        )
-        for candidate in candidates:
-            if is_ancestor(candidate.digest, leader_v, self.store):
-                return candidate
         return None

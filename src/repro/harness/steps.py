@@ -121,7 +121,7 @@ def measure_commit_steps(
         protocol=protocol_name,
         best_steps=min(latencies),
         mean_steps=sum(latencies) / len(latencies),
-        waves_committed=len(sim.nodes[0].committed_leader_waves),
+        waves_committed=len(sim.nodes[0].commit.committed_leader_waves),
     )
 
 

@@ -207,7 +207,7 @@ class TestDagVizFromRealRun:
         node = sim.nodes[0]
         leaders = {
             node.leader_block_of(w).digest
-            for w in node.committed_leader_waves
+            for w in node.commit.committed_leader_waves
             if node.leader_block_of(w) is not None
         }
         art = dag_to_ascii(node.store, ledger=node.ledger, leaders=leaders,

@@ -73,19 +73,19 @@ class TestWaveShapes:
         node = sim.nodes[0]
         assert node.WAVE_LENGTH == 4 and not node.WAVE_OVERLAP
         assert node.SUPPORT_DEPTH == 3
-        assert node._commit_support == 3  # 2f+1
+        assert node.commit.support_threshold == 3  # 2f+1
 
     def test_tusk_three_round_waves(self):
         sim = build_sim(TuskNode)
         node = sim.nodes[0]
         assert node.WAVE_LENGTH == 3 and node.SUPPORT_DEPTH == 1
-        assert node._commit_support == 2  # f+1
+        assert node.commit.support_threshold == 2  # f+1
 
     def test_bullshark_two_round_units(self):
         sim = build_sim(BullsharkNode)
         node = sim.nodes[0]
         assert node.WAVE_LENGTH == 2 and node.SUPPORT_DEPTH == 1
-        assert node._commit_support == 3  # 2f+1
+        assert node.commit.support_threshold == 3  # 2f+1
 
     def test_rbc_rounds_slower_than_cbc(self):
         """3 steps per round: at 0.05s latency, ~6-7 rounds/s."""
@@ -140,6 +140,33 @@ class TestBullsharkSpecifics:
         sim = build_sim(BullsharkNode)
         sim.run(until=4.0)
         node = sim.nodes[0]
-        committed = node.committed_leader_waves
+        committed = node.commit.committed_leader_waves
         # Nearly every 2-round wave commits when the network is friendly.
         assert len(committed) >= node.current_round // 2 - 3
+
+
+class TestBullsharkStallRecovery:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_lost_proposals_are_rebroadcast_after_a_partition(self, seed):
+        """Stall recovery is not coin business: a protocol with predefined
+        leaders must still re-send a proposal the network lost.  On lossy
+        links a three-way partition drops enough round-11..13 traffic that
+        every replica waits on a block nobody will send again; without the
+        re-broadcast the run stops there for good (seeds 1-5: round 11-13
+        before the fix, 52-60 after)."""
+        from repro.config import ExperimentConfig
+        from repro.harness.runner import run_experiment
+
+        result = run_experiment(
+            ExperimentConfig(
+                system=SystemConfig(n=7, crypto="hmac", seed=seed),
+                protocol=ProtocolConfig(batch_size=50),
+                protocol_name="bullshark",
+                latency_model="topology:clusters=3,loss=0.05",
+                adversary_name="schedule:partition@2+3:group=0|1|2",
+                duration=14.0,
+                seed=seed,
+                check_level="prefix",
+            )
+        )
+        assert result.rounds_reached >= 40

@@ -9,6 +9,7 @@ import pytest
 
 from repro.broadcast.messages import BlockVal, CoinShareMsg, RetrievalRequest
 from repro.config import ProtocolConfig, SystemConfig
+from repro.core.commit import references_within
 from repro.core.lightdag1 import LightDag1Node
 from repro.crypto.backend import HmacBackend
 from repro.crypto.keys import TrustedDealer
@@ -133,8 +134,8 @@ class TestReferenceCounting:
         node.store.add(block)
         child = signed_block(system, 2, 2, [block.digest])
         node.store.add(child)
-        assert node._references_within(child, block.digest, 1)
-        assert not node._references_within(child, b"\x01" * 32, 1)
+        assert references_within(node.store, child, block.digest, 1)
+        assert not references_within(node.store, child, b"\x01" * 32, 1)
 
     def test_references_within_depth_two(self, system, node):
         a = signed_block(system, 1, 1, genesis_parents())
@@ -143,13 +144,13 @@ class TestReferenceCounting:
         node.store.add(b)
         c = signed_block(system, 3, 3, [b.digest])
         node.store.add(c)
-        assert not node._references_within(c, a.digest, 1)
-        assert node._references_within(c, a.digest, 2)
+        assert not references_within(node.store, c, a.digest, 1)
+        assert references_within(node.store, c, a.digest, 2)
 
     def test_genesis_reachable(self, system, node):
         block = signed_block(system, 1, 1, genesis_parents())
         node.store.add(block)
-        assert node._references_within(block, genesis_block(0).digest, 1)
+        assert references_within(node.store, block, genesis_block(0).digest, 1)
 
 
 class TestCoinPlumbing:

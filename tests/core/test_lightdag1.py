@@ -39,7 +39,7 @@ class TestProgressAndSafety:
     def test_all_waves_commit_in_synchrony(self):
         sim = build_sim()
         sim.run(until=3.0)
-        waves = sim.nodes[0].committed_leader_waves
+        waves = sim.nodes[0].commit.committed_leader_waves
         assert waves == set(range(1, max(waves) + 1))
 
     def test_jittered_network_stays_safe(self):
@@ -52,7 +52,7 @@ class TestProgressAndSafety:
         sim = build_sim(n=7, latency=UniformLatency(0.02, 0.08), seed=5)
         sim.run(until=3.0)
         check_prefix_consistency([node.ledger for node in sim.nodes])
-        assert all(node.committed_leader_waves for node in sim.nodes)
+        assert all(node.commit.committed_leader_waves for node in sim.nodes)
 
     def test_schnorr_crypto_end_to_end(self):
         sim = build_sim(crypto="schnorr")
@@ -89,12 +89,12 @@ class TestWaveShape:
 
     def test_commit_threshold_default_f_plus_1(self):
         sim = build_sim()
-        assert sim.nodes[0]._commit_support == 2  # f+1 with f=1
+        assert sim.nodes[0].commit.support_threshold == 2  # f+1 with f=1
 
     def test_commit_threshold_config_2f_plus_1(self):
         protocol = ProtocolConfig(batch_size=10, commit_threshold="2f+1")
         sim = build_sim(protocol=protocol)
-        assert sim.nodes[0]._commit_support == 3
+        assert sim.nodes[0].commit.support_threshold == 3
         sim.run(until=3.0)
         check_prefix_consistency([node.ledger for node in sim.nodes])
         assert all(len(node.ledger) > 0 for node in sim.nodes)
@@ -108,8 +108,8 @@ class TestNoMergeAblation:
         unmerged.run(until=3.0)
         # Same rounds per second, but waves advance by 3 rounds instead of 2.
         assert (
-            len(unmerged.nodes[0].committed_leader_waves)
-            < len(merged.nodes[0].committed_leader_waves)
+            len(unmerged.nodes[0].commit.committed_leader_waves)
+            < len(merged.nodes[0].commit.committed_leader_waves)
         )
         check_prefix_consistency([node.ledger for node in unmerged.nodes])
 
@@ -137,10 +137,10 @@ class TestCrashFaults:
         skipped = [
             w
             for w in node.revealed_leaders
-            if node.revealed_leaders[w] == 3 and w <= max(node.committed_leader_waves)
+            if node.revealed_leaders[w] == 3 and w <= max(node.commit.committed_leader_waves)
         ]
         committed_after_skip = [
-            w for w in node.committed_leader_waves if skipped and w > min(skipped)
+            w for w in node.commit.committed_leader_waves if skipped and w > min(skipped)
         ]
         if skipped:  # seed-dependent, but seed=2 picks replica 3 eventually
             assert committed_after_skip

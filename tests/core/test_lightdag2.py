@@ -100,7 +100,20 @@ class TestRoundShape:
         assert node._manager_for_round(3) is node.pbc
 
     def test_commit_threshold_is_n_minus_f(self, system, chains):
-        assert make_node(system, chains)._commit_support == 3
+        assert make_node(system, chains).commit.support_threshold == 3
+
+    def test_echo_and_ready_for_a_pbc_round_are_ignored(self, system, chains):
+        """PBC has neither step: a (Byzantine) ECHO or READY naming a PBC
+        round is routed nowhere instead of reaching a manager without the
+        handler."""
+        from repro.broadcast.messages import BlockEcho, BlockReady
+
+        node = make_node(system, chains)
+        block = signed(system, 1, 1, genesis_parents())
+        node.on_message(1, BlockEcho(round=1, author=1, digest=block.digest))
+        node.on_message(1, BlockReady(round=2, author=1, digest=block.digest))
+        assert node.pbc.tracker.peek(block.digest) is None
+        assert node.cbc.tracker.peek(block.digest) is None
 
 
 class TestPbcDelivery:

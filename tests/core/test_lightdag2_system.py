@@ -90,7 +90,7 @@ class TestEquivocationEndToEnd:
         sim.run(until=10.0)
         node = honest(sim, byz)[0]
         # Commits continue well past the attack wave.
-        assert max(node.committed_leader_waves) > 10
+        assert max(node.commit.committed_leader_waves) > 10
 
     def test_culprit_blocks_unreferenced_after_exposure(self):
         byz = {3: 2}

@@ -68,7 +68,7 @@ class TestBoundedGrowth:
             stop_when=lambda s: all(n.current_round >= 181 for n in s.nodes),
         )
         node = sim.nodes[0]
-        waves_done = node.last_settled_wave
+        waves_done = node.commit.last_settled_wave
         assert waves_done >= 60, f"only reached wave {waves_done}"
         retained_rounds = (
             node.current_round - node.store.lowest_retained_round() + 1
@@ -85,10 +85,10 @@ class TestBoundedGrowth:
         # Wave-keyed base-engine state: bounded by the unsettled frontier.
         wave_bound = retained_rounds  # ≥ rounds/3 waves, generous
         assert len(node.revealed_leaders) <= wave_bound
-        assert len(node.committed_leader_waves) <= wave_bound
+        assert len(node.commit.committed_leader_waves) <= wave_bound
         assert len(node._sent_share_waves) <= wave_bound
         assert len(node._coin_requested) <= wave_bound
-        assert len(node._deferred_cascades) <= wave_bound
+        assert len(node.commit._deferred) <= wave_bound
 
         check_prefix_consistency([n.ledger for n in sim.nodes])
 

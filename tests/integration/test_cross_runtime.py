@@ -78,9 +78,9 @@ class TestEveryRuntime:
         node = nodes[0]
         # Same protocol constants regardless of transport.
         assert node.WAVE_LENGTH == 3
-        assert node._commit_support == SYSTEM.quorum
+        assert node.commit.support_threshold == SYSTEM.quorum
         # Committed leaders occupy first-round slots.
-        for w in node.committed_leader_waves:
+        for w in node.commit.committed_leader_waves:
             leader = node.leader_block_of(w)
             assert leader is not None
             assert node.wave.first_round(w) == leader.round

@@ -58,7 +58,7 @@ class TestSteadyProgress:
         sim.run(until=8.0)
         node = sim.nodes[0]
         revealed = len(node.revealed_leaders)
-        committed = len(node.committed_leader_waves)
+        committed = len(node.commit.committed_leader_waves)
         assert committed / revealed > 1 / 3
 
     def test_every_slot_of_settled_rounds_committed_in_synchrony(self):
@@ -72,7 +72,7 @@ class TestSteadyProgress:
         sim.latency = FixedLatency(0.05)
         sim.run(until=8.0)
         node = sim.nodes[0]
-        horizon = node.wave.first_round(max(node.committed_leader_waves))
+        horizon = node.wave.first_round(max(node.commit.committed_leader_waves))
         committed_slots = {r.block.slot for r in node.ledger}
         for round_ in range(1, horizon):
             for author in range(4):
@@ -86,7 +86,7 @@ class TestLivenessUnderFaults:
         sim = build(LightDag2Node, byzantine={3: 2}, seed=7)
         sim.run(until=12.0)
         node = sim.nodes[0]
-        committed = sorted(node.committed_leader_waves)
+        committed = sorted(node.commit.committed_leader_waves)
         assert committed, "nothing committed at all"
         gaps = [b - a for a, b in zip(committed, committed[1:])]
         # After exclusion, commit cadence returns to normal: mostly gap-1
@@ -108,7 +108,7 @@ class TestLivenessUnderFaults:
         sim.run(until=15.0)
         honest = [sim.nodes[i] for i in range(5)]
         for node in honest:
-            committed = sorted(node.committed_leader_waves)
+            committed = sorted(node.commit.committed_leader_waves)
             assert len(committed) > 10
             gaps = [b - a for a, b in zip(committed, committed[1:])]
             tail = gaps[len(gaps) // 2:]

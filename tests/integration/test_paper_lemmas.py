@@ -36,11 +36,10 @@ class RecordingLightDag1(LightDag1Node):
         super().__init__(*args, **kwargs)
         self.directly_committed = []  # (wave, leader_block)
 
-    def _commit_cascade(self, v, leader_v):
-        before = v in self.committed_leader_waves
-        super()._commit_cascade(v, leader_v)
-        if not before and v in self.committed_leader_waves:
-            self.directly_committed.append((v, leader_v))
+    def _commit_leader(self, commit):
+        super()._commit_leader(commit)
+        if commit.kind == "direct":
+            self.directly_committed.append((commit.wave, commit.leader))
 
 
 def run_cluster(node_classes, seed=1, until=8.0, adversary=None, crashes=()):

@@ -1,13 +1,59 @@
 """Tests for the CLI (invoked in-process through main())."""
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 
 
+def cli_surface() -> dict:
+    """Every sub-command's options: flag spellings, default, choices, type."""
+    parser = build_parser()
+    sub = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: {
+            (a.option_strings[-1] if a.option_strings else a.dest): {
+                "flags": sorted(a.option_strings),
+                "default": a.default,
+                "choices": list(a.choices) if a.choices is not None else None,
+                "type": getattr(a.type, "__name__", None),
+            }
+            for a in command._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, command in sub.choices.items()
+    }
+
+
 class TestParser:
+    def test_surface_is_the_pinned_one(self):
+        """``cli_surface.json`` was captured before run/explain/report/
+        loadtest started sharing one options block: no flag may appear,
+        vanish, or change spelling, default, choices or type."""
+        pinned = json.loads(
+            Path(__file__).with_name("cli_surface.json").read_text()
+        )
+        surface = cli_surface()
+        assert sorted(surface) == sorted(pinned)
+        for command in pinned:
+            assert surface[command] == pinned[command], command
+
+    def test_help_lists_every_pinned_flag(self, capsys):
+        pinned = json.loads(
+            Path(__file__).with_name("cli_surface.json").read_text()
+        )
+        for command in ("run", "explain", "report", "loadtest"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--help"])
+            text = capsys.readouterr().out
+            for option in pinned[command].values():
+                assert all(flag in text for flag in option["flags"]), option
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
