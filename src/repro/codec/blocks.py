@@ -8,7 +8,7 @@ block whose identity disagrees with its content.
 
 from __future__ import annotations
 
-from ..core.proofs import ByzantineProof
+from ..core.proofs import MAX_PROOF_DEPTH, ByzantineProof
 from ..crypto.hashing import intern_digest
 from ..crypto.schnorr import SchnorrSignature
 from ..dag.block import Block, TxBatch, compute_block_digest
@@ -92,8 +92,8 @@ def encode_block(w: Writer, block: Block) -> None:
     encode_signature(w, block.signature)
 
 
-def decode_block(r: Reader) -> Block:
-    """Read a block and *recompute* its digest from the decoded content."""
+def decode_block(r: Reader, depth: int = 0) -> Block:
+    """Read a block (nested in ``depth`` proofs) and *recompute* its digest."""
     round_ = r.uvarint()
     author = r.uvarint()
     # Digest references are interned: at scale the same parent digest
@@ -103,7 +103,7 @@ def decode_block(r: Reader) -> Block:
     parents = tuple(intern_digest(r.lp_bytes()) for _ in range(r.uvarint()))
     payload = decode_batch(r)
     repropose_index = r.uvarint()
-    proofs = tuple(decode_proof(r) for _ in range(r.uvarint()))
+    proofs = tuple(decode_proof(r, depth + 1) for _ in range(r.uvarint()))
     determinations = tuple(
         (r.uvarint(), r.uvarint(), intern_digest(r.lp_bytes()))
         for _ in range(r.uvarint())
@@ -137,11 +137,13 @@ def encode_proof(w: Writer, proof: ByzantineProof) -> None:
     encode_block(w, proof.block_b)
 
 
-def decode_proof(r: Reader) -> ByzantineProof:
+def decode_proof(r: Reader, depth: int = 1) -> ByzantineProof:
     """Read a Byzantine proof written by :func:`encode_proof`."""
+    if depth > MAX_PROOF_DEPTH:
+        raise CodecError("proof nesting too deep")
     culprit = r.uvarint()
-    block_a = decode_block(r)
-    block_b = decode_block(r)
+    block_a = decode_block(r, depth)
+    block_b = decode_block(r, depth)
     return ByzantineProof(culprit=culprit, block_a=block_a, block_b=block_b)
 
 

@@ -117,31 +117,43 @@ class Reader:
         if self.remaining:
             raise CodecError(f"{self.remaining} trailing bytes after message")
 
+    # Several calls per decoded field: each indexes the buffer itself.
     def _take(self, n: int) -> bytes:
-        if n > self.remaining:
+        pos = self._pos
+        out = self._data[pos:pos + n]
+        if len(out) != n:
             raise CodecError(
                 f"truncated input: wanted {n} bytes, have {self.remaining}"
             )
-        out = self._data[self._pos:self._pos + n]
-        self._pos += n
+        self._pos = pos + n
         return out
 
     # -- primitives --------------------------------------------------------
 
     def byte(self) -> int:
-        return self._take(1)[0]
+        pos = self._pos
+        if pos >= len(self._data):
+            raise CodecError("truncated input: wanted 1 bytes, have 0")
+        self._pos = pos + 1
+        return self._data[pos]
 
     def uvarint(self) -> int:
-        shift = 0
-        result = 0
-        while True:
-            if shift > 70:
-                raise CodecError("varint too long")
-            b = self.byte()
+        data = self._data
+        pos = self._pos
+        end = len(data)
+        shift = result = 0
+        while pos < end and shift <= 70:
+            b = data[pos]
+            pos += 1
             result |= (b & 0x7F) << shift
-            if not b & 0x80:
+            if b < 0x80:
+                self._pos = pos
                 return result
             shift += 7
+        self._pos = pos
+        if shift > 70:
+            raise CodecError("varint too long")
+        raise CodecError("truncated input: wanted 1 bytes, have 0")
 
     def svarint(self) -> int:
         raw = self.uvarint()

@@ -48,7 +48,7 @@ from ..dag.block import Block, TxBatch, make_block
 from ..net.interfaces import Message
 from .base import BaseDagNode
 from .commit import references_within
-from .proofs import ByzantineProof
+from .proofs import MAX_PROOF_DEPTH, ByzantineProof
 
 
 class LightDag2Node(BaseDagNode):
@@ -178,7 +178,9 @@ class LightDag2Node(BaseDagNode):
             return False
         self.proofs[proof.culprit] = proof
         self.blacklist.add(proof.culprit)
-        self._proofs_to_embed.append(proof.culprit)
+        # Deeper than peers decode: convicts, travels as a notice, rides in no block.
+        if proof.depth <= MAX_PROOF_DEPTH:
+            self._proofs_to_embed.append(proof.culprit)
         return True
 
     def _on_contradiction(self, src: int, notice: ContradictionNotice) -> None:

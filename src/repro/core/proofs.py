@@ -17,6 +17,10 @@ from functools import cached_property
 from ..crypto.hashing import Digest, hash_fields
 from ..dag.block import Block
 
+#: Blocks inside a proof may carry proofs of their own.  The codec refuses a
+#: frame that nests deeper, and a replica never embeds a proof that would.
+MAX_PROOF_DEPTH = 8
+
 
 @dataclass(frozen=True)
 class ByzantineProof:
@@ -32,6 +36,12 @@ class ByzantineProof:
         # Order-normalize so (a, b) and (b, a) are the same proof.
         lo, hi = sorted((self.block_a.digest, self.block_b.digest))
         return hash_fields("byzproof", self.culprit, lo, hi)
+
+    @cached_property
+    def depth(self) -> int:
+        """Proofs nested in this one, itself included."""
+        blocks = (self.block_a, self.block_b)
+        return 1 + max((p.depth for b in blocks for p in b.byz_proofs), default=0)
 
     def verify(self, backend) -> bool:
         """Check the proof is genuine.

@@ -57,32 +57,34 @@ def intern_digest(digest: Digest) -> Digest:
     return digest
 
 
-def _encode_field(h: "hashlib._Hash", field: Field) -> None:
-    if field is None:
-        h.update(b"N")
-    elif isinstance(field, bool):  # must precede int (bool is an int subclass)
-        h.update(b"B1" if field else b"B0")
-    elif isinstance(field, int):
-        raw = field.to_bytes((field.bit_length() + 8) // 8 or 1, "big", signed=True)
-        h.update(b"I")
-        h.update(len(raw).to_bytes(4, "big"))
-        h.update(raw)
-    elif isinstance(field, bytes):
-        h.update(b"Y")
-        h.update(len(field).to_bytes(8, "big"))
-        h.update(field)
-    elif isinstance(field, str):
-        raw = field.encode("utf-8")
-        h.update(b"S")
-        h.update(len(raw).to_bytes(8, "big"))
-        h.update(raw)
-    elif isinstance(field, (tuple, list)):
-        h.update(b"T")
-        h.update(len(field).to_bytes(8, "big"))
-        for item in field:
-            _encode_field(h, item)
-    else:
-        raise TypeError(f"unhashable field type {type(field).__name__}")
+def _encode_fields(out: bytearray, fields: Union[tuple, list]) -> None:
+    """Append the type-tagged, length-prefixed encoding of a field sequence
+    (one call per nested sequence, not per field: every decoded block is hashed)."""
+    out += b"T"
+    out += len(fields).to_bytes(8, "big")
+    for field in fields:
+        if field is None:
+            out += b"N"
+        elif isinstance(field, bool):  # must precede int (bool is an int subclass)
+            out += b"B1" if field else b"B0"
+        elif isinstance(field, int):
+            raw = field.to_bytes((field.bit_length() + 8) // 8 or 1, "big", signed=True)
+            out += b"I"
+            out += len(raw).to_bytes(4, "big")
+            out += raw
+        elif isinstance(field, bytes):
+            out += b"Y"
+            out += len(field).to_bytes(8, "big")
+            out += field
+        elif isinstance(field, str):
+            raw = field.encode("utf-8")
+            out += b"S"
+            out += len(raw).to_bytes(8, "big")
+            out += raw
+        elif isinstance(field, (tuple, list)):
+            _encode_fields(out, field)
+        else:
+            raise TypeError(f"unhashable field type {type(field).__name__}")
 
 
 def hash_fields(*fields: Field) -> Digest:
@@ -91,9 +93,9 @@ def hash_fields(*fields: Field) -> Digest:
     >>> hash_fields(1, b"x") != hash_fields(b"x", 1)
     True
     """
-    h = hashlib.sha256()
-    _encode_field(h, tuple(fields))
-    return h.digest()
+    preimage = bytearray()
+    _encode_fields(preimage, fields)
+    return hashlib.sha256(preimage).digest()
 
 
 def hash_to_int(*fields: Field) -> int:

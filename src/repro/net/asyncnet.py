@@ -1,15 +1,16 @@
 """Asyncio runtime: the same protocol nodes over real async channels.
 
 The discrete-event simulator is the measurement instrument; this module is
-the *prototype system* (§VI implements one in Golang): every replica runs
-as an asyncio task with an inbox queue, messages travel through the event
-loop with optional injected latency, and handlers execute on wall-clock
-time.  Because protocols are sans-I/O :class:`~repro.net.interfaces.Node`
-state machines, **exactly the same protocol code** runs here and under the
-simulator — the property the whole layering exists for.
+the *prototype system* (§VI implements one in Golang): messages travel
+through the event loop with optional injected latency, every arrival waits
+in the cluster's :class:`~repro.net.dispatch.Dispatcher` FIFO, and handlers
+execute on wall-clock time.  Because protocols are sans-I/O
+:class:`~repro.net.interfaces.Node` state machines, **exactly the same
+protocol code** runs here and under the simulator — the property the whole
+layering exists for.
 
-Scope: in-process channels (queues) — the paper's distributed deployment
-is reproduced by the simulator's WAN model instead, per DESIGN.md §2.  The
+Scope: in-process channels — the paper's distributed deployment is
+reproduced by the simulator's WAN model instead, per DESIGN.md §2.  The
 runtime still exercises everything a multi-process deployment would except
 serialization: concurrency, reordering, backpressure, and real time.
 """
@@ -21,37 +22,13 @@ import random
 from typing import Any, List, Optional, Sequence
 
 from ..errors import NetworkError
-from .interfaces import Message, NetworkAPI, Node, NodeFactory
+from .dispatch import ClusterNetworkAPI, Dispatcher
+from .interfaces import Message, Node, NodeFactory
 from .latency import LatencyModel
 
 
-class _AsyncNetworkAPI(NetworkAPI):
-    """Per-node facade over the cluster."""
-
-    def __init__(self, cluster: "AsyncCluster", node_id: int) -> None:
-        self._cluster = cluster
-        self._node_id = node_id
-
-    @property
-    def node_id(self) -> int:
-        return self._node_id
-
-    @property
-    def n(self) -> int:
-        return len(self._cluster.inboxes)
-
-    def now(self) -> float:
-        return self._cluster.now()
-
-    def send(self, dst: int, msg: Message) -> None:
-        self._cluster.post(self._node_id, dst, msg)
-
-    def set_timer(self, delay: float, tag: str, data: Any = None) -> None:
-        self._cluster.post_timer(self._node_id, delay, tag, data)
-
-
 class AsyncCluster:
-    """A set of protocol nodes wired through asyncio queues.
+    """A set of protocol nodes wired through one event-loop FIFO.
 
     Parameters
     ----------
@@ -73,14 +50,13 @@ class AsyncCluster:
     ) -> None:
         self.latency = latency_model
         self.rng = random.Random(f"asyncnet:{seed}")
-        self.inboxes: List[asyncio.Queue] = [asyncio.Queue() for _ in factories]
+        self.n = len(factories)
         self.nodes: List[Node] = [
-            factory(_AsyncNetworkAPI(self, i)) for i, factory in enumerate(factories)
+            factory(ClusterNetworkAPI(self, i)) for i, factory in enumerate(factories)
         ]
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._start_time = 0.0
-        self._tasks: List[asyncio.Task] = []
-        self._running = False
+        self._dispatch: Optional[Dispatcher] = None
         self.messages_delivered = 0
 
     # -- time ----------------------------------------------------------------
@@ -93,66 +69,38 @@ class AsyncCluster:
     # -- posting -------------------------------------------------------------
 
     def post(self, src: int, dst: int, msg: Message) -> None:
-        if not self._running:
+        if self._dispatch is None:
             raise NetworkError("cluster is not running")
-        if not 0 <= dst < len(self.inboxes):
+        if not 0 <= dst < self.n:
             raise NetworkError(f"invalid destination {dst}")
         delay = 0.0
         if self.latency is not None and src != dst:
             delay = self.latency.delay(src, dst, self.rng)
-        item = ("msg", src, msg)
-        if delay <= 0:
-            self.inboxes[dst].put_nowait(item)
-        else:
-            assert self._loop is not None
-            self._loop.call_later(delay, self.inboxes[dst].put_nowait, item)
+        self._dispatch.push_later(delay, self._deliver, dst, src, msg)
+
+    def _deliver(self, dst: int, src: int, msg: Message) -> None:
+        self.messages_delivered += 1
+        self.nodes[dst].on_message(src, msg)
 
     def post_timer(self, node_id: int, delay: float, tag: str, data: Any) -> None:
-        if not self._running:
+        if self._dispatch is None:
             raise NetworkError("cluster is not running")
-        assert self._loop is not None
-        item = ("timer", tag, data)
-        if delay <= 0:
-            self.inboxes[node_id].put_nowait(item)
-        else:
-            self._loop.call_later(delay, self.inboxes[node_id].put_nowait, item)
+        self._dispatch.push_later(delay, self.nodes[node_id].on_timer, tag, data)
 
     # -- run loop --------------------------------------------------------------
-
-    async def _consume(self, node_id: int) -> None:
-        node = self.nodes[node_id]
-        inbox = self.inboxes[node_id]
-        while True:
-            item = await inbox.get()
-            kind = item[0]
-            if kind == "msg":
-                _, src, msg = item
-                self.messages_delivered += 1
-                node.on_message(src, msg)
-            elif kind == "timer":
-                _, tag, data = item
-                node.on_timer(tag, data)
-            else:  # pragma: no cover - defensive
-                raise NetworkError(f"unknown inbox item {kind!r}")
 
     async def run(self, duration: float) -> None:
         """Start every node and run for ``duration`` wall-clock seconds."""
         self._loop = asyncio.get_running_loop()
         self._start_time = self._loop.time()
-        self._running = True
+        self._dispatch = Dispatcher(self._loop)
         try:
             for node in self.nodes:
                 node.on_start()
-            self._tasks = [
-                asyncio.create_task(self._consume(i)) for i in range(len(self.nodes))
-            ]
             await asyncio.sleep(duration)
         finally:
-            self._running = False
-            for task in self._tasks:
-                task.cancel()
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-            self._tasks = []
+            self._dispatch.close()
+            self._dispatch = None
 
 
 def run_cluster(

@@ -1,15 +1,32 @@
 """TCP transport: protocol nodes over real sockets.
 
 The closest this repository gets to the paper's deployed prototype: each
-replica runs an asyncio TCP server, dials every peer, and exchanges
+replica listens on a TCP port, dials every peer, and exchanges
 length-prefixed frames of :mod:`repro.codec`-encoded messages.  The same
 :class:`~repro.net.interfaces.Node` state machines run unmodified.
 
 Framing: each frame is ``uvarint(length) || body``; each connection is
 authenticated-by-configuration (the dialer announces its replica id in a
-hello frame — a stand-in for the TLS/channel authentication a production
-deployment would use; transferable authenticity still comes from the
-block signatures inside the frames).
+hello frame, a 4-byte big-endian id — a stand-in for the TLS/channel
+authentication a production deployment would use; transferable
+authenticity still comes from the block signatures inside the frames).
+
+Receiving is callback-driven: one :class:`asyncio.Protocol` per inbound
+connection cuts each chunk the socket hands over into its complete frames
+in one pass (:class:`FrameSplitter`), decodes them and queues the handler
+calls on the cluster's :class:`~repro.net.dispatch.Dispatcher`.  Sending
+collects the frames one loop tick produces per connection and writes them
+at once: a handler burst costs one ``send`` per peer.
+
+A peer that sends anything but a well-formed stream has *that* connection
+closed and counted in :attr:`TcpCluster.rejected`: ``varint_overlong``
+(length prefix over 5 bytes), ``frame_too_large`` (over :data:`MAX_FRAME`),
+``bad_hello`` (first frame is not a replica id), ``decode_error`` (the
+codec refused the body).  Never an exception, never another connection.
+
+There is no write-side drain: handlers are synchronous, so nothing could
+wait for one.  The transport buffers what the socket does not take; a slow
+remote peer needs flow control in the protocol, not in the transport.
 
 Scope: single-host multi-port by default (the test suite binds
 ``127.0.0.1``), but nothing in the implementation assumes it — hand
@@ -20,27 +37,22 @@ them.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from itertools import permutations
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..codec.messages import decode_message, encoded_wire_bytes
-from ..codec.primitives import CodecError
+from ..codec.primitives import CodecError, Writer
 from ..errors import NetworkError
-from .interfaces import Message, NetworkAPI, Node, NodeFactory
+from .dispatch import ClusterNetworkAPI, Dispatcher
+from .interfaces import Message, Node, NodeFactory
 
 #: Maximum frame size accepted from a peer (matches codec MAX_LENGTH).
 MAX_FRAME = 64 * 1024 * 1024
 
 
 def _encode_frame(body: bytes) -> bytes:
-    length = len(body)
-    out = bytearray()
-    while True:
-        chunk = length & 0x7F
-        length >>= 7
-        out.append(chunk | 0x80 if length else chunk)
-        if not length:
-            break
-    return bytes(out) + body
+    return Writer().lp_bytes(body).getvalue()
 
 
 def _frame_for(msg: Message) -> bytes:
@@ -61,46 +73,95 @@ def _frame_for(msg: Message) -> bytes:
     return cached
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> bytes:
-    shift = 0
-    length = 0
-    while True:
-        byte = await reader.readexactly(1)
-        b = byte[0]
-        length |= (b & 0x7F) << shift
-        if not b & 0x80:
-            break
-        shift += 7
-        if shift > 35:
-            raise NetworkError("frame length varint too long")
-    if length > MAX_FRAME:
-        raise NetworkError(f"frame too large: {length}")
-    return await reader.readexactly(length)
+class FrameSplitter:
+    """Cuts a byte stream, fed in arbitrary chunks, into frame bodies."""
+
+    def __init__(self) -> None:
+        self._tail = bytearray()  # the stream from the start of an incomplete frame
+        self._need = 0  # ... and the length at which it is worth parsing again
+
+    def feed(self, data: bytes) -> List[bytes]:
+        """The bodies of every frame ``data`` completes, in stream order.
+
+        Raises :class:`NetworkError` with the rejection reason as message.
+        """
+        if self._tail:
+            # Appending until the frame is whole keeps a large frame that
+            # arrives in many chunks linear, not quadratic, in its size.
+            self._tail += data
+            if len(self._tail) < self._need:
+                return []
+            data = bytes(self._tail)
+            self._tail.clear()
+        bodies = []
+        pos = 0
+        end = len(data)
+        while pos < end:
+            start = pos
+            length = shift = 0
+            while pos < end:
+                b = data[pos]
+                pos += 1
+                length |= (b & 0x7F) << shift
+                if b < 0x80:
+                    break
+                shift += 7
+                if shift > 28:
+                    raise NetworkError("varint_overlong")
+            else:  # the chunk ends inside the length prefix
+                self._tail += data[start:]
+                self._need = len(self._tail) + 1
+                break
+            if length > MAX_FRAME:
+                raise NetworkError("frame_too_large")
+            if end - pos < length:
+                self._tail += data[start:]
+                self._need = pos - start + length
+                break
+            bodies.append(data[pos:pos + length])
+            pos += length
+        return bodies
 
 
-class _TcpNetworkAPI(NetworkAPI):
-    """Per-node facade over the TCP cluster."""
+class _Inbound(asyncio.Protocol):
+    """Receiving end of one connection a peer opened to a local replica."""
 
     def __init__(self, cluster: "TcpCluster", node_id: int) -> None:
         self._cluster = cluster
-        self._node_id = node_id
+        self._node = cluster.nodes[node_id]
+        self._push = cluster._dispatch.push
+        self._frames = FrameSplitter()
+        self._src: Optional[int] = None  # the peer's id, once its hello is in
+        self._transport: Optional[asyncio.BaseTransport] = None
 
-    @property
-    def node_id(self) -> int:
-        return self._node_id
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        self._cluster._inbound.add(transport)
 
-    @property
-    def n(self) -> int:
-        return self._cluster.n
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._cluster._inbound.discard(self._transport)
 
-    def now(self) -> float:
-        return self._cluster.now()
+    def data_received(self, data: bytes) -> None:
+        cluster = self._cluster
+        try:
+            bodies = self._frames.feed(data)
+            if self._src is None and bodies:
+                hello = bodies.pop(0)
+                if len(hello) != 4 or int.from_bytes(hello, "big") >= cluster.n:
+                    raise NetworkError("bad_hello")
+                self._src = int.from_bytes(hello, "big")
+            for body in bodies:
+                msg = decode_message(body)
+                cluster.frames_received += 1
+                self._push(self._node.on_message, self._src, msg)
+        except NetworkError as exc:
+            self._reject(exc.args[0])
+        except CodecError:
+            self._reject("decode_error")
 
-    def send(self, dst: int, msg: Message) -> None:
-        self._cluster.post(self._node_id, dst, msg)
-
-    def set_timer(self, delay: float, tag: str, data: Any = None) -> None:
-        self._cluster.post_timer(self._node_id, delay, tag, data)
+    def _reject(self, reason: str) -> None:
+        self._cluster.rejected[reason] += 1
+        self._transport.close()
 
 
 class TcpCluster:
@@ -117,9 +178,6 @@ class TcpCluster:
         Replica ``i`` listens on ``base_port + i``; 0 picks free ports.
     """
 
-    #: Write-buffer size (bytes) past which a background drain is scheduled.
-    DRAIN_THRESHOLD = 1 << 20
-
     def __init__(
         self,
         factories: Sequence[NodeFactory],
@@ -130,20 +188,25 @@ class TcpCluster:
         self.host = host
         self.base_port = base_port
         self.nodes: List[Node] = [
-            factory(_TcpNetworkAPI(self, i)) for i, factory in enumerate(factories)
+            factory(ClusterNetworkAPI(self, i)) for i, factory in enumerate(factories)
         ]
         self._servers: List[asyncio.AbstractServer] = []
         self._ports: List[int] = [0] * self.n
-        self._writers: Dict[Tuple[int, int], asyncio.StreamWriter] = {}
-        self._draining: set = set()
-        self._inboxes: List[asyncio.Queue] = []
-        self._tasks: List[asyncio.Task] = []
+        self._inbound: Set[asyncio.BaseTransport] = set()
+        self._links: Dict[Tuple[int, int], asyncio.WriteTransport] = {}
+        #: Frames the current loop tick has produced, per connection.
+        self._outbox: Dict[asyncio.WriteTransport, List[bytes]] = {}
+        self._dispatch: Optional[Dispatcher] = None  # set while running
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._start_time = 0.0
-        self._running = False
         self.frames_sent = 0
         self.frames_received = 0
-        self.decode_errors = 0
+        #: Inbound connections closed for what the peer sent, by reason.
+        self.rejected: Counter = Counter()
+
+    @property
+    def decode_errors(self) -> int:
+        return self.rejected["decode_error"]
 
     # -- time / posting --------------------------------------------------------
 
@@ -153,132 +216,66 @@ class TcpCluster:
         return self._loop.time() - self._start_time
 
     def post(self, src: int, dst: int, msg: Message) -> None:
-        if not self._running:
+        if self._dispatch is None:
             raise NetworkError("cluster is not running")
         if dst == src:
-            self._inboxes[dst].put_nowait(("msg", src, msg))
+            self._dispatch.push(self.nodes[dst].on_message, src, msg)
             return
-        writer = self._writers.get((src, dst))
-        if writer is None:
+        transport = self._links.get((src, dst))
+        if transport is None:
             raise NetworkError(f"no connection {src} -> {dst}")
-        frame = _frame_for(msg)
         self.frames_sent += 1
-        writer.write(frame)
-        # Backpressure: sends are fire-and-forget (protocol handlers are
-        # synchronous), so a long run under load could otherwise grow the
-        # transport's write buffer without bound.  Once the buffer passes
-        # the high-water mark, schedule a drain in the background.
-        transport = writer.transport
-        if (
-            transport.get_write_buffer_size() > self.DRAIN_THRESHOLD
-            and (src, dst) not in self._draining
-        ):
-            self._draining.add((src, dst))
-            assert self._loop is not None
-            task = self._loop.create_task(self._drain(src, dst, writer))
-            self._tasks.append(task)
+        frames = self._outbox.get(transport)
+        if frames is None:
+            if not self._outbox:
+                self._loop.call_soon(self._flush)
+            frames = self._outbox[transport] = []
+        frames.append(_frame_for(msg))
 
-    async def _drain(self, src: int, dst: int, writer: asyncio.StreamWriter) -> None:
-        try:
-            await writer.drain()
-        except ConnectionError:
-            pass
-        finally:
-            self._draining.discard((src, dst))
+    def _flush(self) -> None:
+        """Write what the tick queued: one ``send`` per connection."""
+        outbox, self._outbox = self._outbox, {}
+        for transport, frames in outbox.items():
+            transport.write(b"".join(frames))
 
     def post_timer(self, node_id: int, delay: float, tag: str, data: Any) -> None:
-        if not self._running:
+        if self._dispatch is None:
             raise NetworkError("cluster is not running")
-        assert self._loop is not None
-        item = ("timer", tag, data)
-        if delay <= 0:
-            self._inboxes[node_id].put_nowait(item)
-        else:
-            self._loop.call_later(delay, self._inboxes[node_id].put_nowait, item)
-
-    # -- connection management ---------------------------------------------------
-
-    async def _serve_node(self, node_id: int) -> None:
-        async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-            try:
-                hello = await _read_frame(reader)
-                src = int.from_bytes(hello, "big")
-                if not 0 <= src < self.n:
-                    writer.close()
-                    return
-                while True:
-                    frame = await _read_frame(reader)
-                    try:
-                        msg = decode_message(frame)
-                    except CodecError:
-                        self.decode_errors += 1
-                        continue  # a malformed peer frame never kills us
-                    self.frames_received += 1
-                    self._inboxes[node_id].put_nowait(("msg", src, msg))
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-
-        server = await asyncio.start_server(
-            handle, host=self.host,
-            port=self.base_port + node_id if self.base_port else 0,
-        )
-        self._servers.append(server)
-        self._ports[node_id] = server.sockets[0].getsockname()[1]
-
-    async def _dial_all(self) -> None:
-        for src in range(self.n):
-            for dst in range(self.n):
-                if src == dst:
-                    continue
-                reader, writer = await asyncio.open_connection(
-                    self.host, self._ports[dst]
-                )
-                writer.write(_encode_frame(src.to_bytes(4, "big")))
-                self._writers[(src, dst)] = writer
-
-    async def _consume(self, node_id: int) -> None:
-        node = self.nodes[node_id]
-        inbox = self._inboxes[node_id]
-        while True:
-            item = await inbox.get()
-            if item[0] == "msg":
-                _, src, msg = item
-                node.on_message(src, msg)
-            else:
-                _, tag, data = item
-                node.on_timer(tag, data)
+        self._dispatch.push_later(delay, self.nodes[node_id].on_timer, tag, data)
 
     # -- lifecycle ---------------------------------------------------------------
 
     async def run(self, duration: float) -> None:
         """Start servers, dial peers, run the nodes for ``duration`` s."""
-        self._loop = asyncio.get_running_loop()
-        self._inboxes = [asyncio.Queue() for _ in range(self.n)]
-        for i in range(self.n):
-            await self._serve_node(i)
-        await self._dial_all()
-        self._start_time = self._loop.time()
-        self._running = True
+        loop = self._loop = asyncio.get_running_loop()
+        self._dispatch = Dispatcher(loop)
         try:
+            for i in range(self.n):
+                server = await loop.create_server(
+                    lambda i=i: _Inbound(self, i), host=self.host,
+                    port=self.base_port + i if self.base_port else 0,
+                )
+                self._servers.append(server)
+                self._ports[i] = server.sockets[0].getsockname()[1]
+            for src, dst in permutations(range(self.n), 2):
+                transport, _ = await loop.create_connection(
+                    asyncio.Protocol, self.host, self._ports[dst]
+                )
+                transport.write(_encode_frame(src.to_bytes(4, "big")))
+                self._links[(src, dst)] = transport
+            self._start_time = loop.time()
             for node in self.nodes:
                 node.on_start()
-            self._tasks = [
-                asyncio.create_task(self._consume(i)) for i in range(self.n)
-            ]
             await asyncio.sleep(duration)
         finally:
-            self._running = False
-            for task in self._tasks:
-                task.cancel()
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-            for writer in self._writers.values():
-                writer.close()
+            self._dispatch.close()
+            self._dispatch = None
+            self._outbox.clear()
+            for transport in [*self._links.values(), *self._inbound]:
+                transport.close()
             for server in self._servers:
-                server.close()
-            await asyncio.gather(
-                *(s.wait_closed() for s in self._servers), return_exceptions=True
-            )
-            self._writers.clear()
+                server.close()  # the listening sockets are closed on return
+            self._links.clear()
             self._servers.clear()
 
 

@@ -17,7 +17,7 @@ from repro.codec.blocks import block_from_bytes, block_to_bytes
 from repro.codec.messages import decode_message, encode_message
 from repro.codec.primitives import CodecError
 from repro.config import SystemConfig
-from repro.core.proofs import ByzantineProof
+from repro.core.proofs import MAX_PROOF_DEPTH, ByzantineProof
 from repro.crypto.backend import HmacBackend, SchnorrBackend
 from repro.crypto.coin import CoinShare, SeededCoin, ThresholdCoin
 from repro.crypto.keys import TrustedDealer
@@ -164,6 +164,33 @@ class TestMessageCodec:
         raw = encode_message(BlockEcho(1, 0, b"\x01" * 32))
         with pytest.raises(CodecError, match="trailing"):
             decode_message(raw + b"!")
+
+    def test_proof_nesting_is_bounded(self):
+        # A 75 KB VAL frame: a block carrying a proof whose first block
+        # carries a proof ... 5000 deep.  A CodecError like any other
+        # malformed frame, not a RecursionError out of the decoder.
+        nested_block = bytes([1, 0, 0, 0, 0]) + bytes(8) + bytes([0, 0, 0, 1, 0])
+        with pytest.raises(CodecError, match="proof nesting too deep"):
+            decode_message(bytes([1]) + nested_block * 5000)
+
+    def test_honest_proof_nesting_roundtrips(self):
+        block = sample_block(author=2)
+        for level in range(MAX_PROOF_DEPTH):
+            other = sample_block(author=2, j=1, txs=level)
+            block = make_block(
+                level + 2, 2, block.parents,
+                byz_proofs=(ByzantineProof(culprit=2, block_a=block, block_b=other),),
+            )
+        assert block.byz_proofs[0].depth == MAX_PROOF_DEPTH
+        assert block_from_bytes(block_to_bytes(block)) == block
+        # One level more encodes but is refused: LightDAG2 never embeds such
+        # a proof (tests/core/test_lightdag2.py pins that side).
+        deeper = make_block(
+            99, 2, block.parents,
+            byz_proofs=(ByzantineProof(culprit=2, block_a=block, block_b=block),),
+        )
+        with pytest.raises(CodecError, match="proof nesting too deep"):
+            block_from_bytes(block_to_bytes(deeper))
 
 
 @settings(max_examples=50)

@@ -15,7 +15,8 @@ from repro.broadcast.messages import (
 )
 from repro.config import ProtocolConfig, SystemConfig
 from repro.core.lightdag2 import LightDag2Node
-from repro.core.proofs import proof_from_blocks
+from repro.codec.messages import decode_message, encode_message
+from repro.core.proofs import MAX_PROOF_DEPTH, ByzantineProof, proof_from_blocks
 from repro.crypto.backend import HmacBackend
 from repro.crypto.keys import TrustedDealer
 from repro.dag.block import genesis_block, make_block
@@ -218,6 +219,50 @@ class TestProposerSideReproposal:
         assert all(node.store.get(p).author != 3 for p in new_block.parents)
         assert len(new_block.byz_proofs) == 1
         assert new_block.byz_proofs[0].culprit == 3
+
+    def test_everything_sent_about_maximally_nested_equivocation_decodes(self, system, chains):
+        """Replica 3 equivocates with two blocks that each already nest proofs
+        as deep as the codec lets through.  The proof over them is one level
+        deeper: it convicts, but rides in no block, so the reproposal (and
+        every other message the node sends) still decodes at its peers."""
+        junk = make_block(1, 2, genesis_parents())  # unsigned: convicts nobody
+        for level in range(MAX_PROOF_DEPTH):
+            junk = make_block(
+                1, 2, genesis_parents(), repropose_index=level + 1,
+                byz_proofs=(ByzantineProof(culprit=2, block_a=junk, block_b=junk),),
+            )
+        node = make_node(system, chains)
+        for author in (1, 2):
+            node.on_message(author, BlockVal(signed(system, author, 1, genesis_parents())))
+        twins = [
+            make_block(
+                1, 3, genesis_parents(), repropose_index=j, byz_proofs=junk.byz_proofs,
+                signer=HmacBackend(3, system),
+            )
+            for j in (0, 1)
+        ]
+        for twin in twins:
+            assert decode_message(encode_message(BlockVal(twin))).block == twin
+            node.on_message(3, BlockVal(twin))
+        assert node.blacklist == set()
+        pump(node)
+        mine = {
+            m.block.round: m.block for _, m in node.net.sent
+            if isinstance(m, BlockVal) and m.block.author == 0
+        }
+        own_r1, d0 = mine[1], mine[2]
+        node.on_message(0, BlockVal(own_r1))
+        other = twins[1] if twins[0].digest in d0.parents else twins[0]
+        node.on_message(1, ContradictionNotice(objected=d0.digest, conflicting_block=other))
+        assert node.blacklist == {3}
+        assert node.proofs[3].depth == MAX_PROOF_DEPTH + 1
+        assert node.reproposals == 1
+        # A peer that still references the culprit gets the proof as a notice.
+        d1 = signed(system, 1, 2, [own_r1.digest, d0.parents[1], twins[0].digest])
+        node.on_message(1, BlockVal(d1))
+        assert any(isinstance(m, ByzantineProofMsg) for _, m in node.net.sent)
+        for _, msg in node.net.sent:
+            assert decode_message(encode_message(msg)) == msg
 
     def test_reproposal_deferred_until_clean_quorum(self, system, chains):
         node, blocks, d0 = self.prepare_proposed_cbc(system, chains)

@@ -78,3 +78,12 @@ class TestIdentity:
     def test_proof_from_blocks_takes_author(self, system):
         a, b = equivocation_pair(system, author=3)
         assert proof_from_blocks(a, b).culprit == 3
+
+    def test_depth_counts_the_proofs_nested_in_either_block(self, system):
+        a, b = equivocation_pair(system)
+        flat = ByzantineProof(2, a, b)
+        assert flat.depth == 1
+        parents = [genesis_block(x).digest for x in range(4)]
+        carrier = make_block(2, 2, parents, byz_proofs=(flat,))
+        assert ByzantineProof(2, b, carrier).depth == 2
+        assert ByzantineProof(2, carrier, b).depth == 2

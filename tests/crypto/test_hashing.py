@@ -1,5 +1,7 @@
 """Tests for repro.crypto.hashing: canonical field hashing and Merkle roots."""
 
+import enum
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +67,72 @@ class TestHashFields:
         # ("ab","c") must differ from ("a","bc") — length prefixing at work.
         if a != b:
             assert hash_fields(a, b) != hash_fields(b, a) or a == b
+
+
+class _MyInt(int):
+    pass
+
+
+class _MyBytes(bytes):
+    pass
+
+
+class _Colour(enum.IntEnum):
+    RED = 3
+
+
+#: Digests captured before ``hash_fields`` started building its preimage in
+#: one buffer.  Block identities, coin inputs and golden run fingerprints all
+#: hang off these bytes: they may never change.
+PINNED = {
+    "bool_before_int": (
+        (True, 1, False, 0),
+        "4f8a61762feaab60ce912aa064c63ee7e32fd703d421806c6f4c302f6d64b331",
+    ),
+    "ints": (
+        (0, -1, 1, 127, 128, -128, -129, 255, 256, -256, 2**64, -(2**64), 2**255 - 19),
+        "43803757ca2e6efcb1a2adf801fe6ba15324f97277dabbc5a9bb47a0def22c1c",
+    ),
+    "str": (
+        ("", "abc", "h\u00e9llo \u2713"),
+        "153038e249fe1f5a850b51d7ee2f0bd9c2a2f69fad6e7f551a7c13212e5a5ac8",
+    ),
+    "bytes": (
+        (b"", b"\x00", bytes(range(40))),
+        "13e88217fb9f247a68736bcf475c8f8247aa3c20c98326f9c1b8e34c343078e2",
+    ),
+    "none": (
+        (None,),
+        "65d18e9c904d335e4808f251a8c490bae134a0b13130a1bd40882ffc0dfba7b1",
+    ),
+    "nested": (
+        ((1, [2, (b"x", "y")]), [], [[]], ((),)),
+        "6302090f35c28e06ca0ff155d5f4d04710ee72d1f1c0b8646ded4102a264a957",
+    ),
+    "empty_tuple": (
+        ((),),
+        "22bfe617c604ecc9e9a78b562fc520cebf36ca23f5b8b3e2b2cf3d6f3b2cd385",
+    ),
+    "no_fields": (
+        (),
+        "0b39b13c0c1abca2eca24c1b5ad648abf55c10d9fb970656f1963a53a589a648",
+    ),
+    "subclasses": (
+        (_MyInt(7), _MyBytes(b"seven"), _MyInt(-7), _Colour.RED),
+        "437a97e891e2b9bb7114b602f897c5155a5c7835e47521a1f433350511ba2afa",
+    ),
+    "block_like": (
+        (7, 2, (bytes(32), bytes([1]) * 32), (100, 128, 12.5.hex(), ()), 0, (),
+         ((1, 2, bytes(32)),)),
+        "6261b6e4d1faf139d9a9d7f2aa34a4c7e291cdbd2b51c424c573f8fe3f7b4129",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_digests(name):
+    fields, digest = PINNED[name]
+    assert hash_fields(*fields).hex() == digest
 
 
 class TestHashToInt:
