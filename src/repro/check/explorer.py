@@ -60,7 +60,6 @@ and emitted in the fault-schedule grammar as an ``order`` phase, e.g.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
 import time
 from dataclasses import dataclass, field
@@ -400,15 +399,8 @@ def _scan_queue(sim: Simulation):
     return urgent, actionable
 
 
-def _pop_event(sim: Simulation, ev: tuple) -> None:
-    sim._queue.remove(ev)
-    # The explorer never heap-pops, but keep the invariant intact for
-    # anything else that might (e.g. sim.run on a replayed world).
-    heapq.heapify(sim._queue)
-
-
 def _dispatch(sim: Simulation, ev: tuple) -> None:
-    _pop_event(sim, ev)
+    sim._queue.remove(ev)
     sim._dispatch(ev[2], (ev[3], ev[4], ev[5]))
 
 
@@ -486,7 +478,9 @@ def _classify(cls: type) -> str:
         return "M"
     if issubclass(cls, _SKIP_TYPES):
         return "x"
-    if issubclass(cls, (tuple, list)):
+    if issubclass(cls, tuple):
+        return "t"
+    if issubclass(cls, list):
         return "T"
     if issubclass(cls, (set, frozenset)):
         return "S"
@@ -523,6 +517,12 @@ class _Canonicalizer:
             return _SKIPPED
         if kind == "O" and callable(obj):
             return _SKIPPED
+        if kind == "t":
+            # A tuple is a value: which holders share one object (a memoized
+            # ``Block.slot``, a pickled copy of it after a restore) is not
+            # state, so it gets no back reference.  Anything mutable inside
+            # it still does.
+            return ("T",) + tuple(self.canon(v) for v in obj)
         ref = self._memo.get(id(obj))
         if ref is not None:
             return ("R", ref)

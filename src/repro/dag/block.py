@@ -16,7 +16,7 @@ an original block and its reproposal distinct blocks in the same slot
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 from ..crypto.hashing import Digest, hash_fields
@@ -109,11 +109,14 @@ class Block:
     digest: Digest = b""
     #: Author's signature over the digest (backend-specific object).
     signature: object = None
+    #: The DAG position ``(round, author)`` this block occupies.  Derived,
+    #: built once at construction: validation and the per-parent loops read
+    #: it once per parent per recipient, and a plain attribute costs no
+    #: call.  ``compare=False`` keeps it out of ``==`` and ``hash``.
+    slot: Tuple[int, int] = field(init=False, compare=False)
 
-    @property
-    def slot(self) -> Tuple[int, int]:
-        """The DAG position ``(round, author)`` this block occupies."""
-        return (self.round, self.author)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "slot", (self.round, self.author))
 
     @property
     def is_genesis(self) -> bool:

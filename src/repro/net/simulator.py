@@ -18,15 +18,16 @@ figure.  Design points:
   implementations, matching the paper's threat model where the adversary
   controls up to ``f`` replicas and the message schedule.
 
-There is one engine: a single heap of event records with three kinds
-(deliver, timer, CPU-queued process) and no mode to select.  The hot loop
-is kept allocation-light on purpose (the profiling-first guide: the event
-loop dominates; everything else is protocol logic):
+There is one engine: one time-bucketed queue of event records
+(:mod:`repro.net.eventqueue`; it pops in a single heap's order) with three
+kinds (deliver, timer, CPU-queued process) and no mode to select.  The hot
+loop is kept allocation-light on purpose (the profiling-first guide: the
+event loop dominates; everything else is protocol logic):
 
 * **Flat event records** — one 6-tuple ``(when, seq, kind, a, b, c)`` per
   event instead of a nested payload tuple; ``seq`` is a plain int bumped
-  inline (no ``itertools.count`` indirection), and heap comparisons never
-  get past ``(when, seq)`` because ``seq`` is unique.
+  inline (no ``itertools.count`` indirection), and comparisons never get
+  past ``(when, seq)`` because ``seq`` is unique.
 * **Broadcast in one pass** — :meth:`Simulation._enqueue_broadcast` draws
   all ``n − 1`` latencies and pushes all copies in one pass, with the
   crash check, stats accounting, and NIC serialization constant hoisted
@@ -44,7 +45,6 @@ loop dominates; everything else is protocol logic):
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -52,6 +52,7 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from ..errors import SimulationError
 from ..obs import NULL_OBS, Observability
+from .eventqueue import BUCKETS_PER_SECOND, EventQueue
 from .interfaces import Message, NetworkAPI, Node, NodeFactory
 from .latency import FactoredLatency, FixedLatency, LatencyModel
 from .snapshot import SimulatorSnapshot
@@ -303,8 +304,8 @@ class Simulation:
         self._h_adv_delay = metrics.histogram("net.adversary_delay_seconds")
         #: flat event records ``(when, seq, kind, a, b, c)``; deliveries
         #: carry (src, dst, msg), timers (node_id, tag, data).  ``seq`` is
-        #: unique, so heap comparisons never reach the payload slots.
-        self._queue: list = []
+        #: unique, so comparisons never reach the payload slots.
+        self._queue = EventQueue()
         self._seq = 0
         self._egress_free = [0.0] * len(factories)
         self._cpu_free = [0.0] * len(factories)
@@ -400,15 +401,19 @@ class Simulation:
         self._h_cpu_wait.observe_bulk(self._obs_cpu_waits)
         self._obs_cpu_waits.clear()
 
+    def _push(self, when: float, kind: int, a: Any, b: Any, c: Any) -> None:
+        """Queue one event under the next sequence number."""
+        seq = self._seq
+        self._seq = seq + 1
+        self._queue.push((when, seq, kind, a, b, c))
+
     def _enqueue_send(self, src: int, dst: int, msg: Message, size: int = -1) -> None:
         if src in self._crashed:
             return
         if dst == src:
             # Local delivery: no propagation, no serialization, but still an
             # event so handler atomicity is preserved.
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(self._queue, (self.now, seq, _DELIVER, src, dst, msg))
+            self._push(self.now, _DELIVER, src, dst, msg)
             return
         if size < 0:
             size = msg.wire_size()
@@ -459,10 +464,7 @@ class Simulation:
                 return
         else:
             d = self.latency.delay(src, dst, self.rng)
-        arrival = finish + d + extra_delay
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._queue, (arrival, seq, _DELIVER, src, dst, msg))
+        self._push(finish + d + extra_delay, _DELIVER, src, dst, msg)
 
     def _enqueue_broadcast(
         self, src: int, msg: Message, size: int, include_self: bool
@@ -486,7 +488,10 @@ class Simulation:
         if src in self._crashed:
             return
         queue = self._queue
-        push = heapq.heappush
+        push = queue.push
+        # The queue module's inlined case: append to a later bucket that exists.
+        later_get = queue.later.get
+        appended = 0
         seq = self._seq
         now = self.now
         n = len(self.nodes)
@@ -520,7 +525,7 @@ class Simulation:
             for dst in range(n):
                 if dst == src:
                     if include_self:
-                        push(queue, (now, seq, _DELIVER, src, dst, msg))
+                        push((now, seq, _DELIVER, src, dst, msg))
                         seq += 1
                     continue
                 if node_bw is not None:
@@ -534,11 +539,17 @@ class Simulation:
                     arrival = finish + base * (1.0 + uniform(neg, jfrac))
                 else:
                     arrival = finish + base
-                push(queue, (arrival, seq, _DELIVER, src, dst, msg))
+                bucket = later_get(int(arrival * BUCKETS_PER_SECOND))
+                if bucket is not None:
+                    bucket.append((arrival, seq, _DELIVER, src, dst, msg))
+                    appended += 1
+                else:
+                    push((arrival, seq, _DELIVER, src, dst, msg))
                 seq += 1
             if node_bw is not None:
                 egress[src] = free
             self._seq = seq
+            queue.later_count += appended
             if obs_on and node_bw is not None and copies > 0:
                 # Egress waits staged as one arithmetic progression per
                 # broadcast: the NIC drains FIFO, so the k-th wire copy
@@ -568,7 +579,7 @@ class Simulation:
         for dst in range(n):
             if dst == src:
                 if include_self:
-                    push(queue, (now, seq, _DELIVER, src, dst, msg))
+                    push((now, seq, _DELIVER, src, dst, msg))
                     seq += 1
                 continue
             if adversary is not None:
@@ -613,20 +624,22 @@ class Simulation:
             else:
                 d = latency_delay(src, dst, rng)
             arrival = finish + d + extra_delay
-            push(queue, (arrival, seq, _DELIVER, src, dst, msg))
+            bucket = later_get(int(arrival * BUCKETS_PER_SECOND))
+            if bucket is not None:
+                bucket.append((arrival, seq, _DELIVER, src, dst, msg))
+                appended += 1
+            else:
+                push((arrival, seq, _DELIVER, src, dst, msg))
             seq += 1
         self._seq = seq
+        queue.later_count += appended
         if obs_on and obs_zero:
             self._obs_egress_zero += obs_zero
 
     def _enqueue_timer(self, node_id: int, delay: float, tag: str, data: Any) -> None:
         if delay < 0:
             raise SimulationError(f"negative timer delay {delay}")
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(
-            self._queue, (self.now + delay, seq, _TIMER, node_id, tag, data)
-        )
+        self._push(self.now + delay, _TIMER, node_id, tag, data)
 
     def call_at(self, at: float, fn: Callable[["Simulation"], None]) -> None:
         """Schedule ``fn(self)`` at absolute simulated time ``at``.
@@ -642,9 +655,7 @@ class Simulation:
             raise SimulationError(
                 f"callback scheduled in the past ({at} < now={self.now})"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._queue, (at, seq, _TIMER, -1, "__call__", fn))
+        self._push(at, _TIMER, -1, "__call__", fn)
 
     # -- fault injection -----------------------------------------------------
 
@@ -657,11 +668,7 @@ class Simulation:
         if at is None or at <= self.now:
             self._crashed.add(node_id)
         else:
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(
-                self._queue, (at, seq, _TIMER, node_id, "__crash__", None)
-            )
+            self._push(at, _TIMER, node_id, "__crash__", None)
 
     @property
     def crashed(self) -> frozenset:
@@ -697,8 +704,7 @@ class Simulation:
         """
         self.start()
         queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
+        pop = queue.pop
         crashed = self._crashed
         stats = self.stats
         cpu = self.cpu
@@ -720,17 +726,15 @@ class Simulation:
         processed = 0
         flushed = 0
         delivered = 0
-        while queue:
-            head = queue[0]
-            when = head[0]
-            if when > limit:
-                # Beyond the horizon: leave the event queued and stop.
-                self.now = until
+        while True:
+            head = pop(limit)
+            if head is None:
+                if queue:  # beyond the horizon: the event stays queued
+                    self.now = until
                 break
-            self.now = when
+            self.now = when = head[0]
             kind = head[2]
             if kind == deliver:
-                pop(queue)
                 dst = head[4]
                 src = head[3]
                 if dst in crashed:
@@ -760,12 +764,11 @@ class Simulation:
                         cpu_free[dst] = ready
                         seq = self._seq
                         self._seq = seq + 1
-                        push(queue, (ready, seq, process, src, dst, msg))
+                        queue.push((ready, seq, process, src, dst, msg))
                 else:
                     delivered += 1
                     on_message[dst](src, head[5])
             elif kind == process:
-                pop(queue)
                 dst = head[4]
                 if dst in crashed:
                     if obs_on and head[3] != dst:
@@ -774,7 +777,6 @@ class Simulation:
                     delivered += 1
                     on_message[dst](head[3], head[5])
             else:  # timer
-                pop(queue)
                 node_id = head[3]
                 tag = head[4]
                 if tag == "__crash__":
@@ -834,9 +836,7 @@ class Simulation:
                             )
                     ready = self._cpu_free[dst] + cost
                     self._cpu_free[dst] = ready
-                    seq = self._seq
-                    self._seq = seq + 1
-                    heapq.heappush(self._queue, (ready, seq, _PROCESS, src, dst, msg))
+                    self._push(ready, _PROCESS, src, dst, msg)
                     return
             self.stats.messages_delivered += 1
             self.nodes[dst].on_message(src, msg)

@@ -42,7 +42,8 @@ class SimulatorSnapshot:
     * **Values** — blocks, batches, messages, and the Schnorr group define
       ``__deepcopy__ = self`` (they are frozen), and observability objects
       are shared sinks that alias themselves; both fall out of the copy
-      automatically.
+      automatically.  The event queue is plain data under the simulation's
+      ``__dict__`` and is captured whole, a half-drained bucket included.
 
     Two deliberate exclusions keep snapshots cheap without affecting
     behaviour: the crypto backend's verification memo is shared across

@@ -1,7 +1,11 @@
 """Tests for repro.dag.block: block identity, payload modeling, sizes."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.check.explorer import _Canonicalizer
 from repro.config import SystemConfig
 from repro.crypto.backend import HmacBackend
 from repro.dag.block import (
@@ -131,3 +135,19 @@ class TestWireSize:
 
     def test_slot_property(self):
         assert make_block(5, 2, []).slot == (5, 2)
+
+    def test_slot_is_built_once_and_invisible(self):
+        """``slot`` is one tuple per block, and neither holding nor reading
+        it shows anywhere else: equality, hash, pickling, the explorer's
+        canonical form."""
+        g = [genesis_block(i).digest for i in range(3)]
+        block, fresh = make_block(5, 2, g), make_block(5, 2, g)
+        assert block.slot is block.slot  # one tuple, a plain attribute
+        assert block == fresh and hash(block) == hash(fresh)
+        copy = pickle.loads(pickle.dumps(block))
+        assert copy == block and copy.slot == (5, 2)
+        assert _Canonicalizer().canon(block) == ("B", block.digest)
+        assert _Canonicalizer().canon([block.slot, block.slot]) == \
+            _Canonicalizer().canon([(5, 2), (5, 2)])  # sharing it is not state
+        # a derived block computes its own
+        assert dataclasses.replace(block, round=6).slot == (6, 2)

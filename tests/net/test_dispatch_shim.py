@@ -9,7 +9,6 @@ mid-run, metrics + journal + tracer on — and everything observable must
 come out equal.
 """
 
-import heapq
 from dataclasses import dataclass
 
 from repro.net.interfaces import Message, Node
@@ -80,8 +79,8 @@ def single_step(sim, until):
     """What ``run(until=...)`` does, through the shim."""
     sim.start()
     queue = sim._queue
-    while queue and queue[0][0] <= until:
-        when, _, kind, a, b, c = heapq.heappop(queue)
+    while (ev := queue.pop(until)) is not None:
+        when, _, kind, a, b, c = ev
         sim.now = when
         sim._dispatch(kind, (a, b, c))
         sim.stats.events_processed += 1
@@ -101,7 +100,7 @@ def observed(sim):
             stats.bytes_sent, stats.final_time, list(stats.per_node_bytes),
         ),
         "rng": sim.rng.getstate(),
-        "queue": sorted(sim._queue, key=lambda ev: ev[:2]),
+        "queue": sorted(sim._queue),
         "crashed": sim.crashed,
         "cpu_free": list(sim._cpu_free),
         "metrics": sim.obs.metrics.snapshot(),

@@ -23,6 +23,7 @@ from repro.net.latency import (
     UniformLatency,
     WanLatency,
 )
+from repro.net.eventqueue import BUCKETS_PER_SECOND
 from repro.net.simulator import Simulation
 
 N_STORM = 40
@@ -72,15 +73,20 @@ class PerCopy(LatencyModel):
         return self.inner.mean_delay(src, dst)
 
 
-def run_storm(latency, bandwidth=None, n=N_STORM, stops=(3.0,)):
+def run_storm(latency, bandwidth=None, n=N_STORM, stops=(3.0,), crash_at=None):
     sim = Simulation(
         [Storm for _ in range(n)],
         latency_model=latency,
         bandwidth_bps=bandwidth,
         seed=11,
     )
+    if crash_at is not None:
+        sim.crash(3, at=crash_at)
     for until in stops:
-        sim.run(until=until)
+        if callable(until):
+            sim.run(stop_when=until)
+        else:
+            sim.run(until=until)
     return sim
 
 
@@ -95,6 +101,9 @@ def trace(sim):
         "delivered": sim.stats.messages_delivered,
         "bytes": sim.stats.bytes_sent,
         "per_node_bytes": list(sim.stats.per_node_bytes),
+        "crashed": sim.crashed,
+        "pending": sim.pending_events,
+        "queue": sorted(sim._queue),
     }
 
 
@@ -140,6 +149,51 @@ class TestFlatRowMatchesPerCopy:
             sim.stats.messages_delivered + sim.stats.messages_dropped
             == sim.stats.messages_sent + N_STORM * ROUNDS
         )
+
+
+def stopped_mid_bucket(sim):
+    """The next event is in the same queue bucket as the clock."""
+    head = sim._queue.peek()
+    return int(head[0] * BUCKETS_PER_SECOND) == int(sim.now * BUCKETS_PER_SECOND)
+
+
+class TestStopsInsideABucket:
+    """Stopping and resuming must not depend on where the event queue's
+    bucket boundaries fall: every way of reaching MID leaves the same
+    world, in-flight copies included."""
+
+    #: Round-2 copies are in flight (sent at 0.5, 0.045 s+ on the wire).
+    MID = 0.5607
+
+    def whole(self, **kwargs):
+        sim = run_storm(WanLatency(), stops=(self.MID,), **kwargs)
+        assert sim.pending_events > 500 and stopped_mid_bucket(sim)
+        return sim
+
+    def test_until_inside_a_bucket(self):
+        first = run_storm(WanLatency(), stops=(0.3307,))
+        assert stopped_mid_bucket(first)
+        split = run_storm(WanLatency(), stops=(0.0507, 0.3307, self.MID))
+        assert trace(split) == trace(self.whole())
+
+    def test_stop_when_inside_a_bucket(self):
+        def after_777(sim):
+            return sim.stats.events_processed >= 777
+
+        first = run_storm(WanLatency(), stops=(after_777,))
+        assert first.stats.events_processed == 777 and stopped_mid_bucket(first)
+        split = run_storm(WanLatency(), stops=(after_777, self.MID))
+        assert trace(split) == trace(self.whole())
+
+    def test_scheduled_crash(self):
+        whole = self.whole(crash_at=0.3007)
+        split = run_storm(
+            WanLatency(), stops=(0.3007, 0.31, self.MID), crash_at=0.3007
+        )
+        assert trace(split) == trace(whole)
+        assert whole.crashed == frozenset({3})
+        heard = [when for when, *_ in whole.nodes[3].received]
+        assert heard and max(heard) <= 0.3007  # alive first, then deaf
 
 
 class Quiet(Node):

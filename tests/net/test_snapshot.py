@@ -21,6 +21,7 @@ from repro.check.explorer import (
     build_world,
     state_fingerprint,
 )
+from repro.net.eventqueue import BUCKETS_PER_SECOND
 from repro.net.interfaces import Message, Node
 from repro.net.latency import UniformLatency
 from repro.net.simulator import Simulation
@@ -58,8 +59,8 @@ class Chatter(Node):
         self.net.set_timer(0.05, "tick")
 
 
-def make_timed_sim(seed=7):
-    factories = [Chatter for _ in range(4)]
+def make_timed_sim(seed=7, n=4):
+    factories = [Chatter for _ in range(n)]
     return Simulation(
         factories, latency_model=UniformLatency(0.01, 0.09), seed=seed
     )
@@ -93,6 +94,24 @@ class TestTimedSnapshot:
 
         assert timed_probe(sim) == timed_probe(control)
         assert branched != timed_probe(sim)
+
+    def test_snapshot_taken_inside_a_queue_bucket(self):
+        """The event queue is captured mid-drain: part of the clock's own
+        bucket already popped, the rest (and every later bucket) pending."""
+        control = make_timed_sim(n=16)
+        control.run(until=0.3)
+
+        sim = make_timed_sim(n=16)
+        sim.run(stop_when=lambda s: s.stats.events_processed >= 700)
+        bucket = int(sim.now * BUCKETS_PER_SECOND)
+        assert int(sim._queue.peek()[0] * BUCKETS_PER_SECOND) == bucket
+        snap = sim.snapshot()
+        sim.run(until=0.25)
+        snap.restore()
+        assert sim.stats.events_processed == 700
+        sim.run(until=0.3)
+
+        assert timed_probe(sim) == timed_probe(control)
 
     def test_restore_is_repeatable(self):
         sim = make_timed_sim()
