@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test loc bench bench-full examples table1 figs clean
+.PHONY: install test loc bench bench-full pairs examples table1 figs clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -32,6 +32,14 @@ bench-output:
 
 bench-full:
 	REPRO_BENCH_SCALE=full $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Alternating parent/change pairs of one pinned-suite workload: the
+# procedure behind every claimed gain (docs/PERFORMANCE.md §7).
+W ?= sim_scale_n64
+BASE ?= HEAD~1
+N ?= 10
+pairs:
+	$(PYTHON) benchmarks/pairs.py --workload $(W) --base $(BASE) --pairs $(N)
 
 examples:
 	$(PYTHON) examples/quickstart.py

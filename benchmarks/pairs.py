@@ -1,0 +1,134 @@
+"""Alternating parent/change pairs of one pinned-suite workload.
+
+``python benchmarks/pairs.py --workload sim_scale_n64 --base HEAD~1 --pairs 10``
+(or ``make pairs W=... BASE=... N=...``) is the procedure a performance PR
+has to follow (docs/PERFORMANCE.md §7): export ``BASE`` into a scratch
+directory, then for seeds 11, 12, ... measure the workload once in that
+export and once in this working tree — whichever went second last time goes
+first now, so slow drift of the host hits both sides alike — and report, per
+end-to-end metric of ``BENCHMARK.json``, both medians and quartiles and in
+how many pairs the change was ahead.
+
+Each measurement is the suite's own ``python -m benchmarks.suite run`` of
+the tree it measures (the same reps-and-medians as ``benchmarks/suite/
+run.py``, plus the fingerprint), so the parent is judged by the parent's
+copy of the suite.  Exit status is 0 when every run passed the suite's
+correctness checks; seconds never decide it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Optional
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+FIRST_SEED = 11
+
+
+def export(rev: str, into: Path) -> None:
+    """The committed files of ``rev``, unpacked under ``into``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev],
+        cwd=REPO_ROOT, check=True, capture_output=True,
+    )
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+
+
+def measure(tree: Path, workload: str, seed: int, seconds: float) -> Optional[dict]:
+    """One suite run in ``tree``; its trajectory row, or None if it failed."""
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "row.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "benchmarks.suite", "run", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--out", str(out)],
+            cwd=tree, capture_output=True, text=True,
+        )
+        if proc.returncode != 0 or not out.exists():
+            print(proc.stderr[-2000:], file=sys.stderr)
+            return None
+        return json.loads(out.read_text().splitlines()[-1])
+
+
+def quartiles(values: List[float]):
+    if len(values) < 2:
+        return (values[0],) * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize(metric: dict, parent: List[float], change: List[float]) -> str:
+    lower = metric["better"] == "lower"
+    ahead = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    ties = sum(c == p for p, c in zip(parent, change))
+    p1, p2, p3 = quartiles(parent)
+    c1, c2, c3 = quartiles(change)
+    delta = (c2 - p2) / p2 if p2 else 0.0
+    return (
+        f"{metric['name']:16} parent {p2:10.6g} [{p1:.6g}, {p3:.6g}]  "
+        f"change {c2:10.6g} [{c1:.6g}, {c3:.6g}]  {delta:+7.1%}  "
+        f"change ahead {ahead} of {len(parent)}"
+        + (f" ({ties} tied)" if ties else "")
+        + f"  {metric['unit']}"
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--base", required=True, help="revision to compare against")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="timed seconds per run (default: BENCHMARK.json run_seconds)")
+    args = parser.parse_args(argv)
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    rows: Dict[str, List[dict]] = {"parent": [], "change": []}
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="pairs-base-") as scratch:
+        export(args.base, Path(scratch))
+        trees = {"parent": Path(scratch), "change": REPO_ROOT}
+        print(f"{args.workload}: {args.pairs} pairs, {args.base} (parent) against "
+              f"the working tree (change), {seconds:g} s per run")
+        print(f"{'seed':>4}  {'first':6}  {'parent wall_s':>13}  {'change wall_s':>13}  "
+              f"{'delta':>7}  fingerprint", flush=True)
+        for pair in range(args.pairs):
+            seed = FIRST_SEED + pair
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            got = {side: measure(trees[side], args.workload, seed, seconds)
+                   for side in order}
+            if None in got.values():
+                failed += 1
+                print(f"{seed:4}  {order[0]:6}  a run failed its checks", flush=True)
+                continue
+            for side, row in got.items():
+                rows[side].append(row)
+            p = got["parent"]["end_to_end"]["host_wall_s"]["median"]
+            c = got["change"]["end_to_end"]["host_wall_s"]["median"]
+            same = got["parent"]["fingerprint"] == got["change"]["fingerprint"]
+            print(f"{seed:4}  {order[0]:6}  {p:13.3f}  {c:13.3f}  {(c - p) / p:+7.1%}  "
+                  f"{'same' if same else 'DIFFERENT'}", flush=True)
+    if rows["parent"]:
+        print()
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            print(summarize(
+                metric,
+                [row["end_to_end"][name]["median"] for row in rows["parent"]],
+                [row["end_to_end"][name]["median"] for row in rows["change"]],
+            ))
+        matching = sum(
+            p["fingerprint"] == c["fingerprint"]
+            for p, c in zip(rows["parent"], rows["change"])
+        )
+        print(f"fingerprints match in {matching} of {len(rows['parent'])} pairs; "
+              f"{failed} pairs failed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,6 @@ retrieval gate) out of the broadcast layer, matching the paper's layering.
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Optional, Set
 
 from ..crypto.hashing import Digest
@@ -75,22 +74,27 @@ class SetView(AbstractSet):
 EMPTY_SET_VIEW = SetView(frozenset())
 
 
-@dataclass
 class InstanceState:
-    """Per-block broadcast state."""
+    """Per-block broadcast state (slotted: one per block per replica, and
+    every echo reads it)."""
 
-    body: Optional[Block] = None
-    ready: bool = False  # protocol accepted it (ancestors present, valid)
-    delivered: bool = False
-    echoers: Set[int] = field(default_factory=set)
-    readiers: Set[int] = field(default_factory=set)
-    sent_ready: bool = False
-    #: DAG round of the block, stamped opportunistically from whichever
-    #: message first reveals it (body, echo, ready); -1 = not yet known.
-    #: Drives :meth:`InstanceTracker.gc_below` — without it the tracker
-    #: retains every instance ever seen, which is what unbounds memory on
-    #: long large-n runs.
-    round: int = -1
+    __slots__ = (
+        "body", "ready", "delivered", "echoers", "readiers", "sent_ready", "round",
+    )
+
+    def __init__(self) -> None:
+        self.body: Optional[Block] = None
+        self.ready = False  # protocol accepted it (ancestors present, valid)
+        self.delivered = False
+        self.echoers: Set[int] = set()
+        self.readiers: Set[int] = set()
+        self.sent_ready = False
+        #: DAG round of the block, stamped opportunistically from whichever
+        #: message first reveals it (body, echo, ready); -1 = not yet known.
+        #: Drives :meth:`InstanceTracker.gc_below` — without it the tracker
+        #: retains every instance ever seen, which is what unbounds memory on
+        #: long large-n runs.
+        self.round = -1
 
 
 class InstanceTracker:

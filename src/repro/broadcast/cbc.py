@@ -114,23 +114,26 @@ class CbcManager:
         """Count an echo; returns True if this completed a delivery."""
         inst = self.tracker.state(echo.digest)
         inst.round = echo.round
-        if self._trace is None:
-            inst.echoers.add(src)
-        else:
-            before = len(inst.echoers)
-            inst.echoers.add(src)
-            if before < self.quorum <= len(inst.echoers):
-                self._trace.emit(
-                    self.net.now(), "trace.quorum", self.net.node_id,
-                    digest=echo.digest.hex()[:8], round=echo.round,
-                    author=echo.author, kind="echo", primitive="cbc",
-                )
-        return self.tracker.try_deliver(inst, self._predicate(inst))
+        echoers = inst.echoers
+        if (
+            self._trace is not None
+            and len(echoers) + 1 == self.quorum
+            and src not in echoers
+        ):
+            self._trace.emit(
+                self.net.now(), "trace.quorum", self.net.node_id,
+                digest=echo.digest.hex()[:8], round=echo.round,
+                author=echo.author, kind="echo", primitive="cbc",
+            )
+        echoers.add(src)
+        if inst.delivered or len(echoers) < self.quorum:
+            return False
+        return self.tracker.try_deliver(inst, True)
 
     def mark_ready(self, digest: Digest) -> bool:
         """Protocol signal that validation + ancestor gate passed."""
         inst = self.tracker.mark_ready(digest)
-        return self.tracker.try_deliver(inst, self._predicate(inst))
+        return self.tracker.try_deliver(inst, len(inst.echoers) >= self.quorum)
 
     def deliver_retrieved(self, digest: Digest) -> bool:
         """Deliver a digest-pinned retrieval response directly (§IV-A).
@@ -145,9 +148,6 @@ class CbcManager:
         if delivered:
             self._retrieved_ctr.inc()
         return delivered
-
-    def _predicate(self, inst) -> bool:
-        return len(inst.echoers) >= self.quorum
 
     # -- memory ---------------------------------------------------------------
 

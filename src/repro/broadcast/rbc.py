@@ -110,38 +110,42 @@ class RbcManager:
     def on_echo(self, src: int, echo: BlockEcho) -> bool:
         inst = self.tracker.state(echo.digest)
         inst.round = echo.round
-        inst.echoers.add(src)
+        echoers = inst.echoers
+        echoers.add(src)
         self._slot_of_digest.setdefault(echo.digest, (echo.round, echo.author))
-        if len(inst.echoers) >= self.quorum:
-            self._maybe_send_ready(echo.round, echo.author, echo.digest, inst)
-        return self.tracker.try_deliver(inst, self._predicate(inst))
+        if len(echoers) >= self.quorum and not inst.sent_ready:
+            self._send_ready(echo.round, echo.author, echo.digest, inst)
+        if inst.delivered or len(inst.readiers) < self.quorum:
+            return False
+        return self.tracker.try_deliver(inst, True)
 
     def on_ready(self, src: int, ready: BlockReady) -> bool:
         inst = self.tracker.state(ready.digest)
         inst.round = ready.round
-        if self._trace is None:
-            inst.readiers.add(src)
-        else:
-            before = len(inst.readiers)
-            inst.readiers.add(src)
-            if before < self.quorum <= len(inst.readiers):
-                self._trace.emit(
-                    self.net.now(), "trace.quorum", self.net.node_id,
-                    digest=ready.digest.hex()[:8], round=ready.round,
-                    author=ready.author, kind="ready", primitive="rbc",
-                )
+        readiers = inst.readiers
+        if (
+            self._trace is not None
+            and len(readiers) + 1 == self.quorum
+            and src not in readiers
+        ):
+            self._trace.emit(
+                self.net.now(), "trace.quorum", self.net.node_id,
+                digest=ready.digest.hex()[:8], round=ready.round,
+                author=ready.author, kind="ready", primitive="rbc",
+            )
+        readiers.add(src)
         self._slot_of_digest.setdefault(ready.digest, (ready.round, ready.author))
-        if len(inst.readiers) >= self.amplify_threshold:
-            self._maybe_send_ready(
+        if len(readiers) >= self.amplify_threshold and not inst.sent_ready:
+            self._send_ready(
                 ready.round, ready.author, ready.digest, inst, amplified=True
             )
-        return self.tracker.try_deliver(inst, self._predicate(inst))
+        if inst.delivered or len(readiers) < self.quorum:
+            return False
+        return self.tracker.try_deliver(inst, True)
 
-    def _maybe_send_ready(
+    def _send_ready(
         self, round_: int, author: int, digest: Digest, inst, amplified: bool = False
     ) -> None:
-        if inst.sent_ready:
-            return
         inst.sent_ready = True
         self._readies_ctr.inc()
         if amplified:
@@ -151,7 +155,7 @@ class RbcManager:
     def mark_ready(self, digest: Digest) -> bool:
         """Protocol signal that validation + ancestor gate passed."""
         inst = self.tracker.mark_ready(digest)
-        return self.tracker.try_deliver(inst, self._predicate(inst))
+        return self.tracker.try_deliver(inst, len(inst.readiers) >= self.quorum)
 
     def deliver_retrieved(self, digest: Digest) -> bool:
         """Deliver a digest-pinned retrieval response directly (§IV-A).
@@ -166,9 +170,6 @@ class RbcManager:
         if delivered:
             self._retrieved_ctr.inc()
         return delivered
-
-    def _predicate(self, inst) -> bool:
-        return len(inst.readiers) >= self.quorum
 
     # -- memory ---------------------------------------------------------------
 

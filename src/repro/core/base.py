@@ -103,6 +103,9 @@ class BaseDagNode(Node):
     STRICT_STORE:
         Whether a second block in a slot is a fatal violation (True for
         every CBC/RBC protocol; LightDAG2 sets False).
+    HANDLERS:
+        Message class → name of the method handling it (LightDAG2 adds its
+        notices); anything unlisted reaches ``_on_other_message``.
 
     Subclass contract (methods)
     ---------------------------
@@ -119,6 +122,23 @@ class BaseDagNode(Node):
     SUPPORT_THRESHOLD = "f+1"
     LEADER_SOURCE = "coin"
     STRICT_STORE = True
+
+    HANDLERS = {
+        BlockVal: "_on_val",
+        BlockEcho: "_on_echo",
+        BlockReady: "_on_ready",
+        CoinShareMsg: "_on_coin_share",
+        CoinShareRequest: "_on_coin_share_request",
+        RetrievalRequest: "_on_retrieval_request",
+        RetrievalResponse: "_on_retrieval_response",
+    }
+    #: ``on_message``'s table, message class -> handler function: one per
+    #: node class, filled by ``_resolve_handler`` on first sight of a class.
+    _dispatch: Dict[type, Callable] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._dispatch = {}
 
     #: Attributes the model-checking explorer (:mod:`repro.check.explorer`)
     #: excludes when fingerprinting a replica's state: the immutable
@@ -276,9 +296,10 @@ class BaseDagNode(Node):
     def _broadcast_block(self, block: Block) -> None:
         self._manager_for_round(block.round).broadcast(block)
 
-    def _participate(self, block: Block, src: int) -> None:
+    def _participate(self, block: Block, src: int, parents: List[Block]) -> None:
         """Vote/echo policy, called once a block is structurally valid and
-        all its ancestors are delivered (§IV-A gate already passed).
+        all its ancestors are delivered (§IV-A gate already passed);
+        ``parents`` are its parent blocks, in ``block.parents`` order.
 
         Default: endorse at most one block per slot — the honest-replica
         discipline CBC's and RBC's consistency proofs rest on.  PBC rounds
@@ -306,7 +327,7 @@ class BaseDagNode(Node):
         """Protocol-specific reaction to a delivery (before commit checks)."""
 
     def _on_other_message(self, src: int, msg: Message) -> None:
-        """Protocol-specific messages (LightDAG2 notices)."""
+        """A message of no class ``HANDLERS`` lists (ignored)."""
 
     def _build_block(self, round_: int, parents: List[Digest], payload: TxBatch) -> Block:
         """Assemble the outgoing block (LightDAG2 adds proofs/determinations)."""
@@ -321,50 +342,70 @@ class BaseDagNode(Node):
         self._try_advance()
 
     def on_message(self, src: int, msg: Message) -> None:
-        if isinstance(msg, BlockVal):
-            self._on_block_body(src, msg.block)
-        elif isinstance(msg, BlockEcho):
-            manager = self._manager_for_round(msg.round)
-            if manager is not self.pbc:  # PBC rounds have no ECHO step
-                manager.on_echo(src, msg)
-        elif isinstance(msg, BlockReady):
-            manager = self._manager_for_round(msg.round)
-            if manager is self.rbc:  # only RBC rounds have a READY step
-                manager.on_ready(src, msg)
-        elif isinstance(msg, CoinShareMsg):
-            self._on_coin_share(src, msg)
-        elif isinstance(msg, CoinShareRequest):
-            # Shares are deterministic per (replica, wave): recompute and
-            # answer.  Only waves we have legitimately reached are served —
-            # revealing a future wave's share early would hand the
-            # adversary coin foreknowledge.  (Past waves stay servable even
-            # after their _sent_share_waves entry is pruned — a straggler
-            # may still need them.)
-            if msg.wave <= self._max_share_wave:
-                self.net.send(src, CoinShareMsg(self.coin.make_share(msg.wave)))
-        elif isinstance(msg, RetrievalRequest):
-            self.retrieval.on_request(src, msg)
-        elif isinstance(msg, RetrievalResponse):
-            deliveries = list(self.retrieval.on_response(src, msg))
-            if len(deliveries) > 1:
-                # A chunked response carries many author signatures at
-                # once: one randomized batch verification seeds the
-                # backend's verify-once memo, so the per-block check in
-                # _on_block_body is a set lookup.  A failed batch is
-                # simply not cached — the per-block path then localizes
-                # and attributes the forgery exactly as without batching.
-                self.backend.verify_batch(
-                    [
-                        (block.author, block.digest, block.signature)
-                        for block, _origin in deliveries
-                        if block.digest not in self._known
-                        and block.digest not in self._invalid
-                    ]
-                )
-            for block, origin in deliveries:
-                self._on_block_body(origin, block, retrieved=True)
-        else:
-            self._on_other_message(src, msg)
+        handler = self._dispatch.get(msg.__class__)
+        if handler is None:
+            handler = self._resolve_handler(msg.__class__)
+        handler(self, src, msg)
+
+    @classmethod
+    def _resolve_handler(cls, msg_cls: type) -> Callable:
+        """First ``HANDLERS`` entry along the message class's MRO (a
+        subclass of a listed message routes as its base), else
+        ``_on_other_message``; cached per node class."""
+        name = next(
+            (cls.HANDLERS[base] for base in msg_cls.__mro__ if base in cls.HANDLERS),
+            "_on_other_message",
+        )
+        handler = cls._dispatch[msg_cls] = getattr(cls, name)
+        return handler
+
+    def _on_val(self, src: int, msg: BlockVal) -> None:
+        self._on_block_body(src, msg.block)
+
+    def _on_echo(self, src: int, msg: BlockEcho) -> None:
+        # _manager_for_round, inlined: one call per echo is the hot path.
+        managers = self._round_managers
+        manager = managers[(msg.round - 1) % len(managers)]
+        if manager is not self.pbc:  # PBC rounds have no ECHO step
+            manager.on_echo(src, msg)
+
+    def _on_ready(self, src: int, msg: BlockReady) -> None:
+        manager = self._manager_for_round(msg.round)
+        if manager is self.rbc:  # only RBC rounds have a READY step
+            manager.on_ready(src, msg)
+
+    def _on_coin_share_request(self, src: int, msg: CoinShareRequest) -> None:
+        # Shares are deterministic per (replica, wave): recompute and
+        # answer.  Only waves we have legitimately reached are served —
+        # revealing a future wave's share early would hand the
+        # adversary coin foreknowledge.  (Past waves stay servable even
+        # after their _sent_share_waves entry is pruned — a straggler
+        # may still need them.)
+        if msg.wave <= self._max_share_wave:
+            self.net.send(src, CoinShareMsg(self.coin.make_share(msg.wave)))
+
+    def _on_retrieval_request(self, src: int, msg: RetrievalRequest) -> None:
+        self.retrieval.on_request(src, msg)
+
+    def _on_retrieval_response(self, src: int, msg: RetrievalResponse) -> None:
+        deliveries = list(self.retrieval.on_response(src, msg))
+        if len(deliveries) > 1:
+            # A chunked response carries many author signatures at
+            # once: one randomized batch verification seeds the
+            # backend's verify-once memo, so the per-block check in
+            # _on_block_body is a set lookup.  A failed batch is
+            # simply not cached — the per-block path then localizes
+            # and attributes the forgery exactly as without batching.
+            self.backend.verify_batch(
+                [
+                    (block.author, block.digest, block.signature)
+                    for block, _origin in deliveries
+                    if block.digest not in self._known
+                    and block.digest not in self._invalid
+                ]
+            )
+        for block, origin in deliveries:
+            self._on_block_body(origin, block, retrieved=True)
 
     def on_timer(self, tag: str, data=None) -> None:
         if tag == RETRY_TAG:
@@ -442,18 +483,17 @@ class BaseDagNode(Node):
         LightDAG2 harvests embedded Byzantine proofs here."""
 
     def _try_accept(self, block: Block, src: int, retrieved: bool = False) -> None:
-        missing = self.store.missing(block.parents)
-        # note_pending returns False when nothing is actually missing (the
-        # manager re-filters against the store): fall through and accept —
-        # an empty registration could never become ready.
-        if missing and self.retrieval.note_pending(
-            block, src, missing, retrieved=retrieved
-        ):
+        """Park the block while a parent is undelivered (§IV-A); once none
+        is, validate its structure and participate.  The parents are
+        resolved here, once, and handed down."""
+        try:
+            parents = self.store.parents_of(block)
+        except UnknownBlockError:
+            # (never False: ``missing`` is read off the same store, now)
+            self.retrieval.note_pending(
+                block, src, self.store.missing(block.parents), retrieved=retrieved
+            )
             return
-        self._finish_accept(block, src, retrieved=retrieved)
-
-    def _finish_accept(self, block: Block, src: int, retrieved: bool = False) -> None:
-        """All parents delivered: validate structure, then participate."""
         try:
             validate_block_structure(
                 block,
@@ -462,16 +502,13 @@ class BaseDagNode(Node):
                 min_parents=self._quorum,
                 allow_weak=self.protocol.weak_links,
                 max_weak=self.protocol.max_weak_refs,
+                parents=parents,
             )
-        except UnknownBlockError:
-            # Race: a parent disappeared between checks — re-queue.
-            self._try_accept(block, src, retrieved=retrieved)
-            return
         except InvalidBlockError:
             self._invalid[block.digest] = block.round
             self.retrieval.drop_pending(block.digest)
             return
-        self._participate(block, src)
+        self._participate(block, src, parents)
         manager = self._manager_for_round(block.round)
         if retrieved:
             # Digest-pinned retrieval response: deliver directly, without
@@ -509,7 +546,9 @@ class BaseDagNode(Node):
                     digest=short_hex(dep.digest), round=dep.round,
                     author=dep.author, by=short_hex(block.digest),
                 )
-            self._finish_accept(dep, src, retrieved=was_retrieved)
+            # Re-resolves the parents: one pruned since the block was
+            # parked sends it back to retrieval.
+            self._try_accept(dep, src, retrieved=was_retrieved)
         self._after_deliver(block)
         if self.LEADER_SOURCE == "predefined":
             self._predefine_leaders(block.round + 1)

@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..broadcast.messages import ByzantineProofMsg, ContradictionNotice
 from ..crypto.hashing import Digest
 from ..dag.block import Block, TxBatch, make_block
-from ..net.interfaces import Message
 from .base import BaseDagNode
 from .commit import references_within
 from .proofs import MAX_PROOF_DEPTH, ByzantineProof
@@ -60,6 +59,12 @@ class LightDag2Node(BaseDagNode):
     SUPPORT_DEPTH = 2  # leader in ⟨w,1⟩, support from ⟨w,3⟩
     SUPPORT_THRESHOLD = "n-f"  # §III-D
     STRICT_STORE = False
+
+    HANDLERS = {
+        **BaseDagNode.HANDLERS,
+        ContradictionNotice: "_on_contradiction",
+        ByzantineProofMsg: "_on_proof_msg",
+    }
 
     #: wave position of the CBC round in ``BROADCAST``
     CBC_E = 2
@@ -104,12 +109,6 @@ class LightDag2Node(BaseDagNode):
 
     # ------------------------------------------------------------- messages
 
-    def _on_other_message(self, src: int, msg: Message) -> None:
-        if isinstance(msg, ContradictionNotice):
-            self._on_contradiction(src, msg)
-        elif isinstance(msg, ByzantineProofMsg):
-            self._on_proof_msg(src, msg)
-
     def _inspect_body(self, block: Block) -> None:
         """Harvest embedded Byzantine proofs (Rule 3: proofs propagate by
         riding in blocks, Lemma 8's recognition mechanism)."""
@@ -119,7 +118,7 @@ class LightDag2Node(BaseDagNode):
 
     # --------------------------------------------------------------- voting
 
-    def _participate(self, block: Block, src: int) -> None:
+    def _participate(self, block: Block, src: int, parents: List[Block]) -> None:
         """Rules 2 and 3 — decide whether to echo a CBC block."""
         if self.round_kind(block.round) != self.CBC_E:
             return  # PBC rounds deliver without votes
@@ -127,12 +126,15 @@ class LightDag2Node(BaseDagNode):
         if wave < self._max_cbc_wave:
             return  # Rule 3, first bullet: never vote in older waves
 
-        # Rule 3, third bullet: refuse blocks referencing proven culprits.
-        for parent_digest in block.parents:
-            parent = self.store.get(parent_digest)
-            if parent.is_genesis:
-                continue
-            if parent.author in self.blacklist:
+        blacklist = self.blacklist
+        voted_refs = self.voted_refs
+        contradicted: Optional[Digest] = None
+        unbound = []  # (slot, digest) of parents nothing is endorsed for yet
+        for parent in parents:
+            # Rule 3, third bullet: refuse blocks referencing proven
+            # culprits — wherever the culprit sits among the parents, this
+            # comes before any Rule 2 objection.
+            if parent.author in blacklist and not parent.is_genesis:
                 proof = self.proofs[parent.author]
                 self.net.send(
                     block.author,
@@ -144,28 +146,28 @@ class LightDag2Node(BaseDagNode):
                     ),
                 )
                 return
+            endorsed = voted_refs.get(parent.slot)
+            if endorsed is None:
+                if not parent.is_genesis:
+                    unbound.append((parent.slot, parent.digest))
+            elif endorsed != parent.digest and contradicted is None:
+                contradicted = endorsed
 
-        # Rule 2: refuse contradictory references, notify the proposer.
-        for parent_digest in block.parents:
-            parent = self.store.get(parent_digest)
-            endorsed = self.voted_refs.get(parent.slot)
-            if endorsed is not None and endorsed != parent_digest:
-                self.contradictions_sent += 1
-                self.net.send(
-                    block.author,
-                    ContradictionNotice(
-                        objected=block.digest,
-                        conflicting_block=self.store.get(endorsed),
-                    ),
-                )
-                return
+        if contradicted is not None:
+            # Rule 2: refuse contradictory references, notify the proposer.
+            self.contradictions_sent += 1
+            self.net.send(
+                block.author,
+                ContradictionNotice(
+                    objected=block.digest,
+                    conflicting_block=self.store.get(contradicted),
+                ),
+            )
+            return
 
         # All clear: vote, and bind our endorsements (Rule 2 bookkeeping).
         self._max_cbc_wave = max(self._max_cbc_wave, wave)
-        for parent_digest in block.parents:
-            parent = self.store.get(parent_digest)
-            if not parent.is_genesis:
-                self.voted_refs.setdefault(parent.slot, parent_digest)
+        voted_refs.update(unbound)
         self.cbc.vote(block)
 
     # ------------------------------------------------- proofs & reproposals

@@ -115,8 +115,14 @@ class DagStore:
     # -- reference queries -----------------------------------------------------
 
     def parents_of(self, block: Block) -> List[Block]:
-        """Parent blocks; raises if any parent has not been delivered."""
-        return [self.get(p) for p in block.parents]
+        """Parent blocks, in ``block.parents`` order; raises if any parent
+        has not been delivered."""
+        try:
+            return list(map(self._by_digest.__getitem__, block.parents))
+        except KeyError as exc:
+            raise UnknownBlockError(
+                f"block {exc.args[0].hex()[:8]} not in store"
+            ) from None
 
     # -- garbage collection -------------------------------------------------------
 

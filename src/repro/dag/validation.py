@@ -17,7 +17,7 @@ first so that all parents are present (§IV-A), then validate.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..config import SystemConfig
 from ..errors import InvalidBlockError, UnknownBlockError
@@ -33,6 +33,7 @@ def validate_block_structure(
     min_parents: Optional[int] = None,
     allow_weak: bool = False,
     max_weak: int = 8,
+    parents: Optional[Sequence[Optional[Block]]] = None,
 ) -> None:
     """Raise :class:`InvalidBlockError` unless ``block`` is well-formed.
 
@@ -42,7 +43,8 @@ def validate_block_structure(
     (DAG-Rider weak links); without it, every parent must sit exactly one
     round back.  Raises :class:`UnknownBlockError` if a parent is missing
     from the store (callers translate this into a retrieval request, not
-    a rejection).
+    a rejection).  A caller that has already looked the parents up passes
+    them as ``parents`` (``block.parents`` order, None where missing).
     """
     if block.round < 1:
         raise InvalidBlockError(f"block round must be >= 1, got {block.round}")
@@ -54,19 +56,21 @@ def validate_block_structure(
     if len(set(block.parents)) != len(block.parents):
         raise InvalidBlockError("duplicate parent reference")
 
+    if parents is None:
+        parents = [store.get_optional(digest) for digest in block.parents]
+    previous_round = block.round - 1
     seen_slots = set()
     strong = 0
     weak = 0
-    for parent_digest in block.parents:
-        parent = store.get_optional(parent_digest)
+    for parent_digest, parent in zip(block.parents, parents):
         if parent is None:
             raise UnknownBlockError(
                 f"parent {parent_digest.hex()[:8]} of block "
                 f"{block.digest.hex()[:8]} not delivered"
             )
-        if parent.round == block.round - 1:
+        if parent.round == previous_round:
             strong += 1
-        elif allow_weak and 0 <= parent.round < block.round - 1:
+        elif allow_weak and 0 <= parent.round < previous_round:
             weak += 1
         else:
             raise InvalidBlockError(

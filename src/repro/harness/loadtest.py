@@ -31,6 +31,7 @@ from ..smr.replica import SmrCluster
 from ..workload.admission import AdmissionConfig
 from ..workload.clients import ClientPopulation, WorkloadSpec
 from ..workload.metrics import MetricsCollector
+from .runner import collector_paused
 
 __all__ = [
     "LoadtestConfig",
@@ -157,7 +158,8 @@ def run_loadtest(cfg: LoadtestConfig, obs: Optional[Observability] = None) -> Lo
         cfg.workload, cluster, duration=cfg.duration, warmup=cfg.warmup
     )
     population.install()
-    cluster.run(until=cfg.duration)
+    with collector_paused():
+        cluster.run(until=cfg.duration)
     cluster.verify_convergence()
 
     stats = population.stats

@@ -30,8 +30,10 @@ mid-run :class:`~repro.check.InvariantMonitor` on every honest replica.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple, Type
+from typing import Callable, Dict, Iterator, Optional, Tuple, Type
 
 from ..adversary.base import Adversary
 from ..adversary.byzantine import EquivocatingLightDag2Node, stagger_start_waves
@@ -76,6 +78,26 @@ WORST_ATTACK: Dict[str, str] = {
     "tusk": "crash",
     "bullshark": "leader-delay",
 }
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run a simulated event loop with the cycle collector suspended.
+
+    The loop creates no reference cycles (``tests/integration/
+    test_no_cyclic_garbage.py``) but allocates fast enough to trigger
+    thousands of collections that re-scan every queued event to find
+    nothing.  One collection first — a previous run's finished cluster *is*
+    a cycle — then none until the caller's setting is restored.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass
@@ -300,7 +322,8 @@ def run_experiment(
     if monitor is not None:
         monitor.bind(sim.nodes)
     try:
-        sim.run(until=cfg.duration)
+        with collector_paused():
+            sim.run(until=cfg.duration)
     finally:
         if cfg.track_memory:
             _, peak = tracemalloc.get_traced_memory()

@@ -521,7 +521,8 @@ class Simulation:
             free0 = free
             jfrac = self._flat_jitter
             neg = -jfrac
-            uniform = rng.uniform
+            width = jfrac - neg
+            random = rng.random
             for dst in range(n):
                 if dst == src:
                     if include_self:
@@ -536,7 +537,7 @@ class Simulation:
                     finish = now
                 base = row[dst]
                 if base != 0.0 and jfrac != 0.0:
-                    arrival = finish + base * (1.0 + uniform(neg, jfrac))
+                    arrival = finish + base * (1.0 + (neg + width * random()))
                 else:
                     arrival = finish + base
                 bucket = later_get(int(arrival * BUCKETS_PER_SECOND))
