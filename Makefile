@@ -33,8 +33,9 @@ bench-output:
 bench-full:
 	REPRO_BENCH_SCALE=full $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Alternating parent/change pairs of one pinned-suite workload: the
-# procedure behind every claimed gain (docs/PERFORMANCE.md §7).
+# Alternating parent/change pairs of one pinned-suite workload (W=all: every
+# workload back to back, one table): the procedure behind every claimed
+# gain (docs/PERFORMANCE.md §7).
 W ?= sim_scale_n64
 BASE ?= HEAD~1
 N ?= 10

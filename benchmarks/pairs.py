@@ -1,10 +1,11 @@
-"""Alternating parent/change pairs of one pinned-suite workload.
+"""Alternating parent/change pairs of one pinned-suite workload, or of all.
 
 ``python benchmarks/pairs.py --workload sim_scale_n64 --base HEAD~1 --pairs 10``
-(or ``make pairs W=... BASE=... N=...``) is the procedure a performance PR
-has to follow (docs/PERFORMANCE.md §7): export ``BASE`` into a scratch
-directory, then for seeds 11, 12, ... measure the workload once in that
-export and once in this working tree — whichever went second last time goes
+(or ``make pairs W=... BASE=... N=...``; ``W=all`` runs every workload of
+``BENCHMARK.json`` back to back and prints one table) is the procedure a
+performance PR has to follow (docs/PERFORMANCE.md §7): export ``BASE`` into
+a scratch directory, then for seeds 11, 12, ... measure the workload once in
+that export and once in this working tree — whichever went second last time goes
 first now, so slow drift of the host hits both sides alike — and report, per
 end-to-end metric of ``BENCHMARK.json``, both medians and quartiles and in
 how many pairs the change was ahead.
@@ -25,7 +26,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIRST_SEED = 11
@@ -77,9 +78,37 @@ def summarize(metric: dict, parent: List[float], change: List[float]) -> str:
     )
 
 
+def run_pairs(trees: Dict[str, Path], workload: str, base: str, pairs: int,
+              seconds: float) -> Tuple[Dict[str, List[dict]], int]:
+    """The alternating pairs of one workload: (rows per side, failed pairs)."""
+    rows: Dict[str, List[dict]] = {"parent": [], "change": []}
+    failed = 0
+    print(f"{workload}: {pairs} pairs, {base} (parent) against "
+          f"the working tree (change), {seconds:g} s per run")
+    print(f"{'seed':>4}  {'first':6}  {'parent wall_s':>13}  {'change wall_s':>13}  "
+          f"{'delta':>7}  fingerprint", flush=True)
+    for pair in range(pairs):
+        seed = FIRST_SEED + pair
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        got = {side: measure(trees[side], workload, seed, seconds) for side in order}
+        if None in got.values():
+            failed += 1
+            print(f"{seed:4}  {order[0]:6}  a run failed its checks", flush=True)
+            continue
+        for side, row in got.items():
+            rows[side].append(row)
+        p = got["parent"]["end_to_end"]["host_wall_s"]["median"]
+        c = got["change"]["end_to_end"]["host_wall_s"]["median"]
+        same = got["parent"]["fingerprint"] == got["change"]["fingerprint"]
+        print(f"{seed:4}  {order[0]:6}  {p:13.3f}  {c:13.3f}  {(c - p) / p:+7.1%}  "
+              f"{'same' if same else 'DIFFERENT'}", flush=True)
+    return rows, failed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a BENCHMARK.json workload, or 'all' for every one in turn")
     parser.add_argument("--base", required=True, help="revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None,
@@ -87,47 +116,36 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    rows: Dict[str, List[dict]] = {"parent": [], "change": []}
-    failed = 0
+    workloads = (
+        [w["name"] for w in spec["workloads"]] if args.workload == "all"
+        else [args.workload]
+    )
     with tempfile.TemporaryDirectory(prefix="pairs-base-") as scratch:
         export(args.base, Path(scratch))
         trees = {"parent": Path(scratch), "change": REPO_ROOT}
-        print(f"{args.workload}: {args.pairs} pairs, {args.base} (parent) against "
-              f"the working tree (change), {seconds:g} s per run")
-        print(f"{'seed':>4}  {'first':6}  {'parent wall_s':>13}  {'change wall_s':>13}  "
-              f"{'delta':>7}  fingerprint", flush=True)
-        for pair in range(args.pairs):
-            seed = FIRST_SEED + pair
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            got = {side: measure(trees[side], args.workload, seed, seconds)
-                   for side in order}
-            if None in got.values():
-                failed += 1
-                print(f"{seed:4}  {order[0]:6}  a run failed its checks", flush=True)
-                continue
-            for side, row in got.items():
-                rows[side].append(row)
-            p = got["parent"]["end_to_end"]["host_wall_s"]["median"]
-            c = got["change"]["end_to_end"]["host_wall_s"]["median"]
-            same = got["parent"]["fingerprint"] == got["change"]["fingerprint"]
-            print(f"{seed:4}  {order[0]:6}  {p:13.3f}  {c:13.3f}  {(c - p) / p:+7.1%}  "
-                  f"{'same' if same else 'DIFFERENT'}", flush=True)
-    if rows["parent"]:
-        print()
-        for metric in spec["end_to_end"]:
-            name = metric["name"]
-            print(summarize(
-                metric,
-                [row["end_to_end"][name]["median"] for row in rows["parent"]],
-                [row["end_to_end"][name]["median"] for row in rows["change"]],
-            ))
+        results = {
+            workload: run_pairs(trees, workload, args.base, args.pairs, seconds)
+            for workload in workloads
+        }
+    failed_total = 0
+    for workload, (rows, failed) in results.items():
+        failed_total += failed
+        print(f"\n{workload}")
+        if rows["parent"]:
+            for metric in spec["end_to_end"]:
+                name = metric["name"]
+                print(summarize(
+                    metric,
+                    [row["end_to_end"][name]["median"] for row in rows["parent"]],
+                    [row["end_to_end"][name]["median"] for row in rows["change"]],
+                ))
         matching = sum(
             p["fingerprint"] == c["fingerprint"]
             for p, c in zip(rows["parent"], rows["change"])
         )
         print(f"fingerprints match in {matching} of {len(rows['parent'])} pairs; "
               f"{failed} pairs failed")
-    return 1 if failed else 0
+    return 1 if failed_total else 0
 
 
 if __name__ == "__main__":

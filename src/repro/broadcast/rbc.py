@@ -64,7 +64,6 @@ class RbcManager:
         self._trace = obs.trace if obs.trace.enabled else None
         self._echoed_slots: Set[Tuple[int, int]] = set()
         self._echoed_digest: Dict[Tuple[int, int], Digest] = {}
-        self._slot_of_digest: Dict[Digest, Tuple[int, int]] = {}
 
     # -- proposer side ---------------------------------------------------------
 
@@ -78,7 +77,6 @@ class RbcManager:
         """Record the body; echoing happens via :meth:`echo` once the
         protocol has validated the block (and synced its ancestors)."""
         self.tracker.record_body(block)
-        self._slot_of_digest[block.digest] = block.slot
 
     def echo(self, block: Block) -> None:
         """Broadcast an ECHO — at most once per slot, which is where RBC's
@@ -112,7 +110,6 @@ class RbcManager:
         inst.round = echo.round
         echoers = inst.echoers
         echoers.add(src)
-        self._slot_of_digest.setdefault(echo.digest, (echo.round, echo.author))
         if len(echoers) >= self.quorum and not inst.sent_ready:
             self._send_ready(echo.round, echo.author, echo.digest, inst)
         if inst.delivered or len(inst.readiers) < self.quorum:
@@ -134,7 +131,6 @@ class RbcManager:
                 author=ready.author, kind="ready", primitive="rbc",
             )
         readiers.add(src)
-        self._slot_of_digest.setdefault(ready.digest, (ready.round, ready.author))
         if len(readiers) >= self.amplify_threshold and not inst.sent_ready:
             self._send_ready(
                 ready.round, ready.author, ready.digest, inst, amplified=True
@@ -174,19 +170,14 @@ class RbcManager:
     # -- memory ---------------------------------------------------------------
 
     def gc_below(self, horizon: int) -> int:
-        """Drop per-instance state and the slot/digest vote maps for rounds
+        """Drop per-instance state and the per-slot vote maps for rounds
         below ``horizon`` (the protocol's commit-settled GC watermark)."""
         removed = self.tracker.gc_below(horizon)
         stale_slots = [s for s in self._echoed_slots if s[0] < horizon]
         for slot in stale_slots:
             self._echoed_slots.discard(slot)
             self._echoed_digest.pop(slot, None)
-        stale_digests = [
-            d for d, slot in self._slot_of_digest.items() if slot[0] < horizon
-        ]
-        for digest in stale_digests:
-            del self._slot_of_digest[digest]
-        return removed + len(stale_slots) + len(stale_digests)
+        return removed + len(stale_slots)
 
     # -- introspection ---------------------------------------------------------
 

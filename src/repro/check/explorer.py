@@ -70,6 +70,7 @@ from ..adversary.schedule import FaultPhase, FaultSchedule
 from ..config import ProtocolConfig, SystemConfig
 from ..crypto.backend import CryptoBackend
 from ..crypto.keys import KeyChain, TrustedDealer
+from ..crypto.memo import VerifiedMemo
 from ..dag.block import Block, TxBatch
 from ..dag.ledger import check_prefix_consistency
 from ..dag.rounds import WaveStructure
@@ -112,6 +113,7 @@ _SKIP_TYPES = (
     Adversary,
     CryptoBackend,
     KeyChain,
+    VerifiedMemo,  # one per key deal, reachable from every replica's coin
     SystemConfig,
     ProtocolConfig,
     WaveStructure,

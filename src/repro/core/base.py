@@ -392,7 +392,7 @@ class BaseDagNode(Node):
         if len(deliveries) > 1:
             # A chunked response carries many author signatures at
             # once: one randomized batch verification seeds the
-            # backend's verify-once memo, so the per-block check in
+            # deal's verified-claims memo, so the per-block check in
             # _on_block_body is a set lookup.  A failed batch is
             # simply not cached — the per-block path then localizes
             # and attributes the forgery exactly as without batching.
@@ -563,6 +563,9 @@ class BaseDagNode(Node):
             self.next_round += 1
 
     def _can_propose(self, round_: int) -> bool:
+        # Most advance-timer wake-ups: fewer occupied slots than a quorum.
+        if self.store.round_author_count(round_ - 1) < self._quorum:
+            return False
         ready = 0
         for author in self.store.authors_in_round(round_ - 1):
             candidate = self.store.block_in_slot(round_ - 1, author)

@@ -393,9 +393,12 @@ class RetrievalManager:
 
         The wire codec recomputes digests on decode, but in-process blocks
         travel by reference — a Byzantine responder could label garbage
-        content with a requested digest.  Re-derive before trusting.
+        content with a requested digest.  Re-derive before trusting; a
+        match is recorded on the immutable block, a mismatch never is.
         """
-        return block.digest == compute_block_digest(
+        if block.__dict__.get("_digest_checked"):
+            return True
+        if block.digest != compute_block_digest(
             block.round,
             block.author,
             block.parents,
@@ -403,7 +406,10 @@ class RetrievalManager:
             block.repropose_index,
             block.byz_proofs,
             block.determinations,
-        )
+        ):
+            return False
+        object.__setattr__(block, "_digest_checked", True)
+        return True
 
     def on_response(self, src: int, response: RetrievalResponse) -> List[Tuple[Block, int]]:
         """Hand back the retrieved bodies for the node's accept path.

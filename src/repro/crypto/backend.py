@@ -22,10 +22,11 @@ Beyond single verification the interface offers:
   — verify many (signer, digest, signature) claims at once.  The Schnorr
   backend uses randomized small-exponent batch verification with bisection
   localization (docs/PERFORMANCE.md); others fall back to a loop.
-* a bounded verify-once memo (:mod:`repro.crypto.memo`): claims already
-  accepted are never re-verified, so duplicate echoes, retrieval re-sends
-  and re-broadcast proofs cost a set lookup.  Only positive results are
-  cached; the key is the full (signer, digest, signature) triple.
+* the key deal's verified-claims memo (:mod:`repro.crypto.memo`): a claim
+  any replica of the deal has accepted is not re-verified, so the other
+  ``n - 1`` recipients of a VAL, duplicate echoes, retrieval re-sends and
+  re-broadcast proofs cost a set lookup.  Only positive results are kept;
+  the key is the full (kind, signer, digest, signature) claim.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from ..config import SystemConfig
 from ..errors import CryptoError
 from .hashing import Digest
 from .keys import KeyChain
-from .memo import DEFAULT_CAPACITY, VerifiedMemo
+from .memo import VerifiedMemo
 from .schnorr import (
     SIGNATURE_SIZE,
     SchnorrSignature,
@@ -87,14 +88,14 @@ class SchnorrBackend(CryptoBackend):
 
     Construction registers every dealt public key as a fixed base of the
     (shared) group, so verification exponentiations run off comb tables,
-    and keeps a bounded verify-once memo — see the module docstring.
+    and consults the deal's verified-claims memo — see the module docstring.
     """
 
-    def __init__(self, keychain: KeyChain, memo_capacity: int = DEFAULT_CAPACITY) -> None:
+    def __init__(self, keychain: KeyChain) -> None:
         self.keychain = keychain
         self.group = keychain.group
         self.group.register_fixed_bases(keychain.public_keys.values())
-        self._verified = VerifiedMemo(memo_capacity)
+        self._verified = keychain.verified
 
     def sign(self, message: Digest) -> SchnorrSignature:
         return schnorr_sign(self.group, self.keychain.keypair, message)
@@ -105,7 +106,7 @@ class SchnorrBackend(CryptoBackend):
         pk = self.keychain.public_keys.get(signer)
         if pk is None:
             return False
-        key = (signer, message, signature)
+        key = ("schnorr", signer, message, signature)
         if key in self._verified:
             return True
         ok = schnorr_verify(self.group, pk, message, signature)
@@ -121,7 +122,7 @@ class SchnorrBackend(CryptoBackend):
         non-Schnorr signature object, out-of-range scalars, or a commitment
         outside the order-q subgroup — all caught without a single modexp
         (membership is a Jacobi symbol), so a malformed claim never reaches
-        the batch equation or the verify-once memo.  The commitment check
+        the batch equation or the verified-claims memo.  The commitment check
         mirrors :func:`schnorr_verify_batch`'s precheck: paired non-residue
         commitments would otherwise cancel in the combined equation."""
         pending: list = []
@@ -144,7 +145,7 @@ class SchnorrBackend(CryptoBackend):
             ):
                 rejected.append(i)
                 continue
-            if (signer, message, signature) in self._verified:
+            if ("schnorr", signer, message, signature) in self._verified:
                 continue
             pending.append((i, (pk, message, signature)))
         return pending, rejected
@@ -159,8 +160,7 @@ class SchnorrBackend(CryptoBackend):
         if not schnorr_batch_equation(self.group, [claim for _, claim in pending]):
             return False
         for i, _claim in pending:
-            signer, message, signature = items[i]
-            self._verified.add((signer, message, signature))
+            self._verified.add(("schnorr", *items[i]))
         return True
 
     def invalid_in_batch(self, items: Sequence[VerifyItem]) -> List[int]:
@@ -174,8 +174,7 @@ class SchnorrBackend(CryptoBackend):
         )
         for i, _claim in pending:
             if i not in bad:
-                signer, message, signature = items[i]
-                self._verified.add((signer, message, signature))
+                self._verified.add(("schnorr", *items[i]))
         return sorted(bad)
 
 
@@ -185,14 +184,15 @@ class HmacBackend(CryptoBackend):
     Every replica can derive every key, so this is *not* unforgeable against
     a real attacker — it is unforgeable against the simulated adversaries in
     this repository, which never synthesize MACs for other identities.  The
-    substitution is documented in DESIGN.md §2.
+    substitution is documented in DESIGN.md §2.  ``verified`` is the key
+    deal's verified-claims memo (a backend standing alone keeps its own).
     """
 
     def __init__(
         self,
         replica_id: int,
         system: SystemConfig,
-        memo_capacity: int = DEFAULT_CAPACITY,
+        verified: VerifiedMemo | None = None,
     ) -> None:
         self.replica_id = replica_id
         self._root = hashlib.sha256(
@@ -202,7 +202,7 @@ class HmacBackend(CryptoBackend):
             i: hashlib.sha256(self._root + i.to_bytes(4, "big")).digest()
             for i in range(system.n)
         }
-        self._verified = VerifiedMemo(memo_capacity)
+        self._verified = verified if verified is not None else VerifiedMemo()
 
     def _key_for(self, signer: int) -> bytes:
         try:
@@ -216,7 +216,7 @@ class HmacBackend(CryptoBackend):
     def verify(self, signer: int, message: Digest, signature: object) -> bool:
         if not isinstance(signature, bytes) or signer not in self._keys:
             return False
-        key = (signer, message, signature)
+        key = ("hmac", signer, message, signature)
         if key in self._verified:
             return True
         expected = hmac.new(self._keys[signer], message, hashlib.sha256).digest()
@@ -250,7 +250,8 @@ def make_backend(
             raise CryptoError("schnorr backend requires a KeyChain")
         return SchnorrBackend(keychain)
     if name == "hmac":
-        return HmacBackend(replica_id, system)
+        verified = keychain.verified if keychain is not None else None
+        return HmacBackend(replica_id, system, verified)
     if name == "null":
         return NullBackend()
     raise CryptoError(f"unknown crypto backend {name!r}")

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from ..errors import ThresholdError
 from .hashing import hash_fields, hash_to_int
 from .keys import KeyChain
+from .memo import VerifiedMemo
 from .threshold import PARTIAL_EVAL_SIZE, PartialEval, ThresholdPRF, prf_output_to_int
 
 #: Modeled wire size of a coin share (used by the network size model).
@@ -43,15 +44,20 @@ class CoinShare:
 
 
 class GlobalPerfectCoin(ABC):
-    """Interface every coin implementation satisfies."""
+    """Interface every coin implementation satisfies.  ``verified`` is the
+    key deal's verified-claims memo (:mod:`repro.crypto.memo`; a coin
+    standing alone keeps its own)."""
 
-    def __init__(self, n: int, threshold: int) -> None:
+    def __init__(
+        self, n: int, threshold: int, verified: VerifiedMemo | None = None
+    ) -> None:
         if threshold < 1 or threshold > n:
             raise ThresholdError(f"coin threshold {threshold} invalid for n={n}")
         self.n = n
         self.threshold = threshold
         self._shares: dict[int, dict[int, CoinShare]] = {}
         self._revealed: dict[int, int] = {}
+        self._verified = verified if verified is not None else VerifiedMemo()
 
     @abstractmethod
     def make_share(self, wave: int) -> CoinShare:
@@ -81,8 +87,11 @@ class GlobalPerfectCoin(ABC):
             # Duplicate (wave, replica): the first copy was verified when
             # it arrived; re-sent shares cost a dict lookup, not a proof.
             return None
-        if not self.verify_share(share):
-            return None
+        claim = ("coin", share)
+        if claim not in self._verified:
+            if not self.verify_share(share):
+                return None
+            self._verified.add(claim)
         if bucket is None:
             bucket = self._shares[share.wave] = {}
         bucket[share.replica] = share
@@ -106,13 +115,16 @@ class ThresholdCoin(GlobalPerfectCoin):
     """The real coin: threshold PRF evaluated on the wave number."""
 
     def __init__(self, keychain: KeyChain) -> None:
-        super().__init__(n=len(keychain.public_keys), threshold=keychain.coin_threshold)
+        super().__init__(
+            len(keychain.public_keys), keychain.coin_threshold, keychain.verified
+        )
         self.replica_id = keychain.replica_id
         self.prf = ThresholdPRF(
             group=keychain.group,
             threshold=keychain.coin_threshold,
             share=keychain.coin_share,
             verification_keys=keychain.coin_verification_keys,
+            verified=keychain.verified,
         )
         self.group = keychain.group
 
@@ -147,8 +159,11 @@ class SeededCoin(GlobalPerfectCoin):
     coin).
     """
 
-    def __init__(self, n: int, threshold: int, seed: int, replica_id: int) -> None:
-        super().__init__(n=n, threshold=threshold)
+    def __init__(
+        self, n: int, threshold: int, seed: int, replica_id: int,
+        verified: VerifiedMemo | None = None,
+    ) -> None:
+        super().__init__(n=n, threshold=threshold, verified=verified)
         self.seed = seed
         self.replica_id = replica_id
 
@@ -180,4 +195,5 @@ def make_coin(
         threshold=keychain.coin_threshold,
         seed=seed,
         replica_id=keychain.replica_id,
+        verified=keychain.verified,
     )

@@ -12,12 +12,13 @@ downstream can tell the difference (same shares, same verification keys).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..config import SystemConfig
 from ..errors import ThresholdError
 from .group import SchnorrGroup, default_group
+from .memo import VerifiedMemo
 from .schnorr import SchnorrKeyPair
 from .shamir import ShamirShare, split_secret
 
@@ -40,6 +41,9 @@ class KeyChain:
         ``g^{s_i}`` for each replica — verifies coin partials.
     coin_threshold:
         Number of coin shares required to reveal a wave's leader.
+    verified:
+        The verified-claims memo (:mod:`repro.crypto.memo`) of the deal:
+        one object, carried by every chain of one :meth:`TrustedDealer.deal`.
     """
 
     replica_id: int
@@ -49,6 +53,7 @@ class KeyChain:
     coin_share: ShamirShare | None
     coin_verification_keys: Mapping[int, int]
     coin_threshold: int
+    verified: VerifiedMemo = field(default_factory=VerifiedMemo, compare=False)
 
     def public_key_of(self, replica_id: int) -> int:
         try:
@@ -110,6 +115,7 @@ class TrustedDealer:
         group.register_fixed_bases(public_keys.values())
         group.register_fixed_bases(verification_keys.values())
 
+        verified = VerifiedMemo()
         return [
             KeyChain(
                 replica_id=i,
@@ -119,6 +125,7 @@ class TrustedDealer:
                 coin_share=shares[i],
                 coin_verification_keys=verification_keys,
                 coin_threshold=self.coin_threshold,
+                verified=verified,
             )
             for i in range(self.system.n)
         ]
@@ -135,4 +142,5 @@ class TrustedDealer:
             coin_share=None,
             coin_verification_keys=template.coin_verification_keys,
             coin_threshold=template.coin_threshold,
+            verified=template.verified,
         )

@@ -31,7 +31,7 @@ from .hashing import Digest, hash_to_int
 from .memo import VerifiedMemo
 from .shamir import ShamirShare, lagrange_at_zero
 
-#: Bound on the per-PRF caches (input elements and verified partials).
+#: Bound on the per-PRF cache of input elements.
 _PRF_CACHE_CAPACITY = 4096
 
 #: Modeled wire size of a partial evaluation (element + DLEQ proof).
@@ -119,6 +119,9 @@ class ThresholdPRF:
         pure verifier/combiner, e.g. a metrics observer).
     verification_keys:
         Mapping of replica id to ``g^{s_i}`` for proof verification.
+    verified:
+        The key deal's verified-claims memo (:mod:`repro.crypto.memo`); an
+        instance standing alone keeps its own.
     """
 
     def __init__(
@@ -127,6 +130,7 @@ class ThresholdPRF:
         threshold: int,
         share: ShamirShare | None,
         verification_keys: Mapping[int, int],
+        verified: VerifiedMemo | None = None,
     ) -> None:
         if threshold < 1:
             raise ThresholdError(f"threshold must be >= 1, got {threshold}")
@@ -141,9 +145,7 @@ class ThresholdPRF:
         #: wave shares the same input element; hashing it once per wave
         #: instead of once per share).
         self._input_elements: dict = {}
-        #: verify-once memo over full (index, message, value, proof) claims
-        #: — positive results only (see repro.crypto.memo).
-        self._verified = VerifiedMemo(_PRF_CACHE_CAPACITY)
+        self._verified = verified if verified is not None else VerifiedMemo()
 
     def input_element(self, message: Digest) -> int:
         """The group element ``h = H(m)`` every partial is computed on."""
@@ -167,14 +169,14 @@ class ThresholdPRF:
     def verify_partial(self, message: Digest, partial: PartialEval) -> bool:
         """Check a partial's DLEQ proof against its verification key.
 
-        Memoized per full claim: a partial accepted at intake costs a set
-        lookup when :meth:`combine` re-checks it (or when a peer re-sends
-        it); rejections are always re-derived.
+        Memoized per full claim, for the whole key deal: a partial any
+        replica accepted at intake costs a set lookup at the others and when
+        :meth:`combine` re-checks it; rejections are always re-derived.
         """
         vk = self.verification_keys.get(partial.index)
         if vk is None:
             return False
-        key = (partial.index, message, partial.value, partial.proof)
+        key = ("dleq", partial.index, message, partial.value, partial.proof)
         if key in self._verified:
             return True
         h = self.input_element(message)

@@ -142,10 +142,12 @@ class Block:
             object.__setattr__(self, "_wire_size", size)
         return size
 
-    # Blocks are immutable (the ``_wire_size`` memo is an idempotent cache
-    # of a pure function); simulator snapshots share them across branches
-    # instead of deep-copying — identity of a block never matters, only its
-    # digest, so aliasing between branches is safe and keeps snapshots O(state).
+    # Blocks are immutable (the ``_wire_size`` memo and the positive verdicts
+    # ``_well_formed`` (dag.validation) and ``_digest_checked`` (core.
+    # retrieval) are idempotent caches of pure functions); simulator
+    # snapshots share them across branches instead of deep-copying — identity
+    # of a block never matters, only its digest, so aliasing between
+    # branches is safe and keeps snapshots O(state).
     def __copy__(self) -> "Block":
         return self
 

@@ -13,6 +13,11 @@ protocol shares, which for LightDAG2 are exactly Rule 1 of §V-A:
 
 Parent-slot checks need the parent blocks themselves; callers run retrieval
 first so that all parents are present (§IV-A), then validate.
+
+A *positive* verdict over caller-resolved parents is recorded on the block
+object, keyed by the parameters it was reached under, so replicas handed the
+same object walk its parents once between them; rejections are recomputed
+on every arrival (the sharing rule: :mod:`repro.crypto.memo`).
 """
 
 from __future__ import annotations
@@ -23,6 +28,11 @@ from ..config import SystemConfig
 from ..errors import InvalidBlockError, UnknownBlockError
 from .block import Block
 from .store import DagStore
+
+
+#: One key object per parameter set: a recorded verdict keeps its key alive,
+#: and over TCP every replica holds (and checks) block objects of its own.
+_VERDICT_KEYS: dict = {}
 
 
 def validate_block_structure(
@@ -46,9 +56,28 @@ def validate_block_structure(
     a rejection).  A caller that has already looked the parents up passes
     them as ``parents`` (``block.parents`` order, None where missing).
     """
+    required = system.quorum if min_parents is None else min_parents
+    params = (system.n, required, allow_weak, max_weak)
+    resolved = parents is not None and all(parents)  # no gap in *this* store
+    if not resolved or block.__dict__.get("_well_formed") != params:
+        _check_structure(block, store, params, parents)
+        if resolved:
+            key = _VERDICT_KEYS.setdefault(params, params)
+            object.__setattr__(block, "_well_formed", key)
+    if backend is not None:
+        if not backend.verify(block.author, block.digest, block.signature):
+            raise InvalidBlockError(
+                f"bad signature on block {block.digest.hex()[:8]} "
+                f"claimed by author {block.author}"
+            )
+
+
+def _check_structure(block: Block, store: DagStore, params: tuple, parents) -> None:
+    """The structural rules proper: everything but the signature."""
+    n, required, allow_weak, max_weak = params
     if block.round < 1:
         raise InvalidBlockError(f"block round must be >= 1, got {block.round}")
-    if not 0 <= block.author < system.n:
+    if not 0 <= block.author < n:
         raise InvalidBlockError(f"unknown author {block.author}")
     if block.repropose_index < 0:
         raise InvalidBlockError("negative repropose index")
@@ -85,7 +114,6 @@ def validate_block_structure(
             )
         seen_slots.add(parent.slot)
 
-    required = system.quorum if min_parents is None else min_parents
     if strong < required:
         raise InvalidBlockError(
             f"block {block.digest.hex()[:8]} has {strong} previous-round "
@@ -96,13 +124,6 @@ def validate_block_structure(
             f"block {block.digest.hex()[:8]} carries {weak} weak references, "
             f"cap is {max_weak}"
         )
-
-    if backend is not None:
-        if not backend.verify(block.author, block.digest, block.signature):
-            raise InvalidBlockError(
-                f"bad signature on block {block.digest.hex()[:8]} "
-                f"claimed by author {block.author}"
-            )
 
 
 def has_all_parents(block: Block, store: DagStore) -> bool:

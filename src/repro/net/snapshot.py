@@ -46,11 +46,13 @@ class SimulatorSnapshot:
       ``__dict__`` and is captured whole, a half-drained bucket included.
 
     Two deliberate exclusions keep snapshots cheap without affecting
-    behaviour: the crypto backend's verification memo is shared across
-    branches (it caches only *successful* verifications of immutable
-    signatures — a branch can observe speed, never a different verdict),
-    and observability counters keep accumulating across restores (they are
-    telemetry about the exploration, not simulation state).
+    behaviour: the key deal's one verified-claims memo
+    (:mod:`repro.crypto.memo`, reached from every backend and coin) copies
+    to itself and so is shared across branches as it is across replicas (it
+    holds only *successful* verifications of immutable claims — a branch
+    can observe speed, never a different verdict), and observability
+    counters keep accumulating across restores (they are telemetry about
+    the exploration, not simulation state).
 
     One snapshot may be restored any number of times: every restore
     materializes the captured state afresh, so branches never alias each

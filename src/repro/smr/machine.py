@@ -15,6 +15,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from ..codec.primitives import Reader, Writer
 from ..crypto.hashing import Digest, hash_fields
 
 
@@ -37,8 +38,6 @@ class Command:
 
     def to_bytes(self) -> bytes:
         """Encoding used inside block payload items."""
-        from ..codec.primitives import Writer
-
         w = Writer()
         w.lp_bytes(self.command_id)
         w.lp_str(self.client)
@@ -47,8 +46,6 @@ class Command:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Command":
-        from ..codec.primitives import Reader
-
         r = Reader(data)
         command = cls(
             command_id=r.lp_bytes(), client=r.lp_str(), payload=r.lp_bytes()

@@ -183,11 +183,12 @@ class SmrReplica:
     def on_commit(self, record: CommitRecord) -> None:
         """Apply a committed block's commands in order, exactly once."""
         applied_before = len(self.applied_order)
-        for raw in record.block.payload.items:
-            try:
-                command = Command.from_bytes(raw)
-            except CodecError:
-                continue  # non-command payload (foreign app); skip deterministically
+        batch = record.block.payload
+        if "_commands" not in batch.__dict__:
+            # Decoded at the first commit and kept on the immutable batch, the
+            # same object at every simulated replica (see repro.crypto.memo).
+            object.__setattr__(batch, "_commands", tuple(_decode_commands(batch.items)))
+        for command in batch._commands:
             cid = command.command_id
             if cid in self._applied_ids:
                 continue
@@ -206,6 +207,14 @@ class SmrReplica:
                 position=record.position,
                 commands=len(self.applied_order) - applied_before,
             )
+
+
+def _decode_commands(items):
+    for raw in items:
+        try:
+            yield Command.from_bytes(raw)
+        except CodecError:
+            continue  # non-command payload (foreign app); skip deterministically
 
 
 class SmrCluster:

@@ -126,12 +126,12 @@ class TestRbcGc:
             manager.on_val(block.author, block)
             manager.echo(block)
         assert old.slot in manager._echoed_slots
-        assert old.digest in manager._slot_of_digest
+        assert manager._echoed_digest[old.slot] == old.digest
         manager.gc_below(5)
         assert old.slot not in manager._echoed_slots
-        assert old.digest not in manager._slot_of_digest
+        assert old.slot not in manager._echoed_digest
         assert young.slot in manager._echoed_slots
-        assert young.digest in manager._slot_of_digest
+        assert manager._echoed_digest[young.slot] == young.digest
 
 
 class TestPbcGc:

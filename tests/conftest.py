@@ -11,6 +11,19 @@ from repro.crypto.keys import KeyChain, TrustedDealer
 from repro.net.interfaces import Message, NetworkAPI
 
 
+def count_calls(monkeypatch, owner, name: str, log: list) -> None:
+    """Rebind ``owner.name`` (a module function, a method, or a classmethod
+    called on its class) to a wrapper that appends each call's positional
+    arguments to ``log`` and then makes the call."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        log.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 class FakeNet(NetworkAPI):
     """A NetworkAPI that records effects instead of delivering them.
 

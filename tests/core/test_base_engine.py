@@ -128,6 +128,30 @@ class TestAcceptPath:
         assert node.cbc.votes_in_slot((1, 1)) == [a.digest]
 
 
+class TestCanPropose:
+    def test_short_of_a_quorum_no_slot_is_probed(self, system, node, monkeypatch):
+        """The common advance-timer wake-up: fewer occupied slots in the
+        previous round than a quorum answers False off the count alone."""
+        probes = []
+        monkeypatch.setattr(
+            node.store, "authors_in_round", lambda r: probes.append(r) or set()
+        )
+        for author in (1, 2):  # own block undelivered: two slots < quorum 3
+            node.store.add(signed_block(system, author, 1, genesis_parents()))
+        assert node.store.round_author_count(1) == 2
+        assert not node._can_propose(2)
+        assert probes == []
+
+    def test_a_quorum_of_slots_still_asks_which_parents_are_allowed(
+        self, system, node, monkeypatch
+    ):
+        for author in (1, 2, 3):
+            node.store.add(signed_block(system, author, 1, genesis_parents()))
+        assert node._can_propose(2)
+        monkeypatch.setattr(node, "_parent_allowed", lambda block: block.author != 3)
+        assert not node._can_propose(2)  # three slots, two allowed parents
+
+
 class TestReferenceCounting:
     def test_references_within_depth_one(self, system, node):
         block = signed_block(system, 1, 1, genesis_parents())

@@ -9,6 +9,8 @@ The three guarantees the hot-path overhaul must not bend:
   across signers, messages, or signature bytes.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,7 +154,7 @@ class TestCommitmentMembership:
         # Neither forged claim was cached as verified, so the single-verify
         # path keeps rejecting them — acceptance is not path-dependent.
         for signer, digest, sig in items:
-            assert (signer, digest, sig) not in backend._verified
+            assert ("schnorr", signer, digest, sig) not in backend._verified
             assert not backend.verify(signer, digest, sig)
 
     def test_out_of_range_commitment_rejected_without_arithmetic(self):
@@ -186,7 +188,7 @@ class TestBackendBatch:
         items = self._items(8)
         assert backend.verify_batch(items)
         for signer, digest, sig in items:
-            assert (signer, digest, sig) in backend._verified
+            assert ("schnorr", signer, digest, sig) in backend._verified
 
     def test_verify_batch_false_on_any_forgery(self):
         backend = self._backend()
@@ -195,7 +197,7 @@ class TestBackendBatch:
         items[2] = (signer, digest, SchnorrSignature(R=sig.R, s=(sig.s + 3) % GROUP.q))
         assert not backend.verify_batch(items)
         # The forged claim must not be cached.
-        assert (items[2][0], items[2][1], items[2][2]) not in backend._verified
+        assert ("schnorr", *items[2]) not in backend._verified
 
     def test_invalid_in_batch_matches_individual_sweep(self):
         backend = self._backend()
@@ -224,9 +226,10 @@ class TestVerifyOnceMemoSafety:
         digest = hash_fields("neg")
         sig = schnorr_sign(GROUP, KEYPAIRS[1], digest)
         bad = SchnorrSignature(R=sig.R, s=(sig.s + 1) % GROUP.q)
+        before = len(backend._verified)  # the deal's memo, shared by CHAINS
         for _ in range(3):
             assert not backend.verify(1, digest, bad)
-        assert len(backend._verified) == 0
+        assert len(backend._verified) == before
 
     def test_hit_requires_exact_signer(self):
         backend = SchnorrBackend(CHAINS[0])
@@ -272,11 +275,13 @@ class TestVerifyOnceMemoSafety:
             VerifiedMemo(capacity=0)
 
     def test_eviction_only_costs_a_reverify(self):
-        backend = SchnorrBackend(CHAINS[0], memo_capacity=2)
+        memo = VerifiedMemo(2)
+        backend = SchnorrBackend(dataclasses.replace(CHAINS[0], verified=memo))
         digests = [hash_fields("evict", i) for i in range(4)]
         sigs = [schnorr_sign(GROUP, KEYPAIRS[1], d) for d in digests]
         for d, s in zip(digests, sigs):
             assert backend.verify(1, d, s)
+        assert len(memo) == 2
         # The oldest claims were evicted; they still verify (slow path).
         for d, s in zip(digests, sigs):
             assert backend.verify(1, d, s)
@@ -312,6 +317,7 @@ class TestThresholdVerifyMemo:
         message = coins[0]._coin_input(4)
         assert prf.verify_partial(message, share.payload)
         key = (
+            "dleq",
             share.payload.index,
             message,
             share.payload.value,

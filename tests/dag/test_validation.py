@@ -1,7 +1,10 @@
 """Tests for repro.dag.validation: structural rules (incl. LightDAG2 Rule 1)."""
 
+import dataclasses
+
 import pytest
 
+import repro.dag.validation as validation
 from repro.config import SystemConfig
 from repro.crypto.backend import HmacBackend
 from repro.dag.block import genesis_block, make_block
@@ -9,6 +12,7 @@ from repro.dag.store import DagStore
 from repro.dag.validation import has_all_parents, validate_block_structure
 from repro.errors import InvalidBlockError, UnknownBlockError
 
+from ..conftest import count_calls
 from .helpers import build_round
 
 
@@ -116,6 +120,95 @@ class TestSignatureGate:
         backend = HmacBackend(1, system)
         block = make_block(1, 1, genesis_parents(), signer=backend)
         validate_block_structure(block, store, system, backend=backend)
+
+
+class TestVerdictRidesOnTheBlock:
+    """A positive verdict over caller-resolved parents is kept on the block
+    object, keyed by what it was checked under; nothing else is."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        count_calls(monkeypatch, validation, "_check_structure", calls)
+        return calls
+
+    def replica_view(self, block):
+        """A fresh store holding the block's round-1 parents, and the lookup."""
+        store = DagStore(n=4, strict=False)
+        build_round(store, 1, [0, 1, 2, 3])
+        return store, store.parents_of(block)
+
+    def round2_block(self, authors=(0, 1, 2)):
+        store = DagStore(n=4, strict=False)
+        build_round(store, 1, [0, 1, 2, 3])
+        return make_block(2, 0, [store.block_in_slot(1, a).digest for a in authors])
+
+    def test_parent_walk_runs_once_for_all_replicas(self, system, walks):
+        block = self.round2_block()
+        for _replica in range(4):
+            store, parents = self.replica_view(block)
+            validate_block_structure(block, store, system, parents=parents)
+        assert len(walks) == 1
+
+    def test_store_path_records_no_verdict(self, system, walks):
+        block = self.round2_block()
+        for _replica in range(2):
+            store, _parents = self.replica_view(block)
+            validate_block_structure(block, store, system)
+        assert len(walks) == 2 and "_well_formed" not in block.__dict__
+
+    def test_invalid_block_is_rejected_again_at_each_replica(self, system, walks):
+        block = self.round2_block(authors=(0, 1))  # two parents, quorum is three
+        for _replica in range(3):
+            store, parents = self.replica_view(block)
+            with pytest.raises(InvalidBlockError, match="parents"):
+                validate_block_structure(block, store, system, parents=parents)
+        assert len(walks) == 3 and "_well_formed" not in block.__dict__
+
+    def test_verdict_under_other_parameters_does_not_count(self, system, walks):
+        block = self.round2_block(authors=(0, 1))
+        store, parents = self.replica_view(block)
+        validate_block_structure(block, store, system, min_parents=2, parents=parents)
+        with pytest.raises(InvalidBlockError, match="parents"):
+            validate_block_structure(block, store, system, parents=parents)  # quorum 3
+        assert len(walks) == 2
+        validate_block_structure(block, store, system, min_parents=2, parents=parents)
+        assert len(walks) == 2  # same parameters again: a hit
+        validate_block_structure(
+            block, store, SystemConfig(n=7), min_parents=2, parents=parents
+        )
+        assert len(walks) == 3  # another n: checked afresh
+
+    def test_replaced_block_carries_no_verdict(self, system, walks):
+        block = self.round2_block()
+        store, parents = self.replica_view(block)
+        validate_block_structure(block, store, system, parents=parents)
+        twin = dataclasses.replace(block, repropose_index=-1)
+        assert "_well_formed" in block.__dict__ and "_well_formed" not in twin.__dict__
+        with pytest.raises(InvalidBlockError, match="repropose"):
+            validate_block_structure(twin, store, system, parents=parents)
+
+    def test_a_parent_missing_here_is_still_unknown(self, system, walks):
+        block = self.round2_block()
+        store, parents = self.replica_view(block)
+        validate_block_structure(block, store, system, parents=parents)
+        with pytest.raises(UnknownBlockError):
+            validate_block_structure(
+                block, store, system, parents=[None] + parents[1:]
+            )
+
+    def test_signature_is_still_checked_on_a_structural_hit(self, system, walks):
+        signer, other = HmacBackend(0, system), HmacBackend(3, system)
+        store = DagStore(n=4, strict=False)
+        block = make_block(1, 1, genesis_parents(), signer=signer)  # claims 1
+        parents = store.parents_of(block)
+        validate_block_structure(block, store, system, parents=parents)
+        for backend in (signer, other):
+            with pytest.raises(InvalidBlockError, match="signature"):
+                validate_block_structure(
+                    block, store, system, backend=backend, parents=parents
+                )
+        assert len(walks) == 1
 
 
 class TestHasAllParents:

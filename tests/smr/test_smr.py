@@ -7,6 +7,8 @@ from repro.smr.kv import KvStateMachine
 from repro.smr.machine import Command
 from repro.smr.replica import SmrCluster, SmrReplica
 
+from ..conftest import count_calls
+
 
 def cmd(payload: bytes, nonce=0, client="c") -> Command:
     return Command.create(client=client, payload=payload, nonce=nonce)
@@ -293,3 +295,73 @@ class TestSmrCluster:
         assert results == {b"OK", b"FAIL"}
         final = {r.machine.data["n"] for r in cluster.replicas}
         assert len(final) == 1 and final.pop() in ("10", "20")
+
+
+class TestBatchIsDecodedOncePerCluster:
+    """A committed batch's items are decoded at the first commit and the
+    commands kept on the immutable batch; applying them stays per replica."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls = []
+        count_calls(monkeypatch, Command, "from_bytes", calls)
+        return calls
+
+    def test_one_loadtest_rung_decodes_each_committed_item_once(
+        self, decodes, monkeypatch
+    ):
+        from repro.harness.loadtest import LoadtestConfig, run_loadtest
+        from repro.workload.admission import AdmissionConfig
+        from repro.workload.clients import WorkloadSpec
+
+        commits = []  # (replica, record) of every on_commit call
+        count_calls(monkeypatch, SmrReplica, "on_commit", commits)
+        result = run_loadtest(LoadtestConfig(
+            n=4, batch_size=16, duration=4.0, warmup=1.0, seed=2,
+            workload=WorkloadSpec(mode="open", rate=200.0, seed=2),
+            admission=AdmissionConfig(max_pending=256),
+        ))
+        assert result.completed > 100 and result.verify_failures == 0
+        committed = [
+            item for _replica, record in commits for item in record.block.payload.items
+        ]
+        assert len(decodes) == len(set(decodes)) == len(set(committed))
+        assert len(committed) > 3 * len(set(committed))  # every replica committed
+
+    def test_every_replica_applies_the_shared_commands_itself(self, decodes):
+        from repro.dag.block import TxBatch, make_block
+        from repro.dag.ledger import CommitRecord
+
+        commands = [cmd(b"SET k %d" % i, nonce=i) for i in range(3)]
+        items = (commands[0].to_bytes(), b"\xff\xff", commands[1].to_bytes(),
+                 commands[2].to_bytes(), commands[0].to_bytes())
+        batch = TxBatch(count=len(items), tx_size=8, items=items)
+        block = make_block(1, 0, [], payload=batch)
+        replicas = [SmrReplica(i, KvStateMachine()) for i in range(3)]
+        for replica in replicas:
+            replica.on_commit(CommitRecord(0, block, 1.0, b"L", 0))
+        assert len(decodes) == len(items)  # the foreign item is tried once, too
+        for replica in replicas:
+            assert replica.applied_order == [c.command_id for c in commands]
+            assert replica.machine.data == {"k": "2"}
+        assert len({id(r.machine) for r in replicas}) == 3
+        assert len({id(r.results) for r in replicas}) == 3
+
+    def test_an_equal_batch_object_decodes_for_itself(self, decodes):
+        import dataclasses
+
+        from repro.dag.block import TxBatch
+
+        batch = TxBatch(count=1, tx_size=8, items=(cmd(b"SET a 1").to_bytes(),))
+        _commit_batch(SmrReplica(0, KvStateMachine()), batch)
+        twin = dataclasses.replace(batch)
+        assert twin == batch and "_commands" not in twin.__dict__
+        _commit_batch(SmrReplica(1, KvStateMachine()), twin)
+        assert len(decodes) == 2
+
+
+def _commit_batch(replica, batch):
+    from repro.dag.block import make_block
+    from repro.dag.ledger import CommitRecord
+
+    replica.on_commit(CommitRecord(0, make_block(1, 0, [], payload=batch), 1.0, b"L", 0))
