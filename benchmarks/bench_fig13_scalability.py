@@ -109,9 +109,11 @@ def test_fig13_scale_out_memory_ceiling(axes, results_dir):
         assert result.committed_txs > 0, f"n={n} committed nothing"
         peak_mb = result.extras["peak_mem_mb"]
         assert peak_mb > 0
-        # The GC'd DAG at n=100 measures ~250 MB peak; 4x that is the
-        # regression tripwire (an un-GC'd run blows well past it).
-        assert peak_mb < 1024 * (n / 100), f"n={n} peaked at {peak_mb:.0f} MB"
+        # The GC'd DAG at n=100 peaks at 143 MB with the vote tallies kept
+        # as bitmasks and at 248 MB with a set of voters per tally, so a
+        # 200 MB ceiling trips on the n²-per-round vote state coming back
+        # (and an un-GC'd run blows well past it).
+        assert peak_mb < 200 * (n / 100), f"n={n} peaked at {peak_mb:.0f} MB"
         rows.append(dict(
             n=n,
             committed_txs=result.committed_txs,

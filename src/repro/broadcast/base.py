@@ -18,8 +18,7 @@ retrieval gate) out of the broadcast layer, matching the paper's layering.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
-from typing import Callable, Dict, Iterator, Optional, Set
+from typing import Callable, Dict, FrozenSet, Optional
 
 from ..crypto.hashing import Digest
 from ..dag.block import Block
@@ -28,55 +27,19 @@ from ..obs import NULL_OBS, Observability
 DeliverCallback = Callable[[Block], None]
 
 
-class SetView(AbstractSet):
-    """Read-only, copy-free view over a live ``set``.
-
-    ``echoers_of`` sits on the retrieval-fallback hot path (consulted per
-    retry timer and per accepted block); copying the echoer set each call
-    is Θ(n) garbage per query.  The view supports membership, iteration,
-    length, and the standard set algebra via :class:`collections.abc.Set`,
-    but exposes no mutators — callers cannot corrupt broadcast state.  It
-    is *live*: membership and length reflect later echoes, which is
-    exactly what a retrying retriever wants.  Iteration snapshots the
-    target when it starts, so a caller that holds the view while echoes
-    arrive iterates a consistent point-in-time set rather than raising
-    ``set changed size during iteration``.
-    """
-
-    __slots__ = ("_target",)
-
-    def __init__(self, target: "Set[int] | frozenset") -> None:
-        self._target = target
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._target
-
-    def __iter__(self) -> Iterator:
-        # Iteration is Θ(n) regardless; the tuple snapshot only adds a
-        # constant factor while making held views safe to iterate across
-        # mutations of the underlying echoer set.
-        return iter(tuple(self._target))
-
-    def __len__(self) -> int:
-        return len(self._target)
-
-    @classmethod
-    def _from_iterable(cls, it) -> frozenset:
-        # Set-algebra results (view & other, view | other, ...) are new
-        # collections, not views — materialize them.
-        return frozenset(it)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SetView({set(self._target)!r})"
-
-
-#: Shared empty view for digests with no instance state.
-EMPTY_SET_VIEW = SetView(frozenset())
-
-
 class InstanceState:
     """Per-block broadcast state (slotted: one per block per replica, and
-    every echo reads it)."""
+    every echo reads it).
+
+    The two vote tallies are bitmasks — bit *i* is set once replica *i*'s
+    ECHO (``echoers``) or READY (``readiers``) was counted — so a tally is
+    n bits rather than a set of n ints, a duplicate vote is idempotent
+    (``mask | bit``) and a quorum is ``mask.bit_count()``.  The shift
+    relies on voter ids lying in ``[0, n)``, which every transport already
+    guarantees before a handler runs: the simulator and ``AsyncCluster``
+    hand out the ids themselves, and TCP closes a connection whose hello
+    names any other (``bad_hello``).
+    """
 
     __slots__ = (
         "body", "ready", "delivered", "echoers", "readiers", "sent_ready", "round",
@@ -86,14 +49,16 @@ class InstanceState:
         self.body: Optional[Block] = None
         self.ready = False  # protocol accepted it (ancestors present, valid)
         self.delivered = False
-        self.echoers: Set[int] = set()
-        self.readiers: Set[int] = set()
+        self.echoers = 0
+        self.readiers = 0
         self.sent_ready = False
-        #: DAG round of the block, stamped opportunistically from whichever
-        #: message first reveals it (body, echo, ready); -1 = not yet known.
-        #: Drives :meth:`InstanceTracker.gc_below` — without it the tracker
-        #: retains every instance ever seen, which is what unbounds memory on
-        #: long large-n runs.
+        #: DAG round of the block; -1 = not yet known.  The body's round is
+        #: authoritative (:meth:`InstanceTracker.record_body`); until a body
+        #: is recorded it is the highest round a vote claimed
+        #: (:meth:`InstanceTracker.state_for_vote`).  Drives
+        #: :meth:`InstanceTracker.gc_below` — without it the tracker retains
+        #: every instance ever seen, which is what unbounds memory on long
+        #: large-n runs.
         self.round = -1
 
 
@@ -117,6 +82,23 @@ class InstanceTracker:
         inst = self._instances.get(digest)
         if inst is None:
             inst = self._instances[digest] = InstanceState()
+        return inst
+
+    def state_for_vote(self, digest: Digest, round_: int) -> InstanceState:
+        """The instance an ECHO/READY for ``digest`` is tallied in.
+
+        A vote's round is a claim by its sender: it stamps the instance
+        only while no body is recorded, and only upward, so a Byzantine
+        vote naming an old round can never make :meth:`gc_below` evict a
+        live instance (body, ready flag and votes), and honest votes that
+        arrive after such a lie still correct it."""
+        # Not ``self.state(digest)``: this runs once per vote, and a second
+        # Python call is a fifth of what a vote costs.
+        inst = self._instances.get(digest)
+        if inst is None:
+            inst = self._instances[digest] = InstanceState()
+        if inst.body is None and round_ > inst.round:
+            inst.round = round_
         return inst
 
     def peek(self, digest: Digest) -> Optional[InstanceState]:
@@ -171,13 +153,12 @@ class InstanceTracker:
         inst = self._instances.get(digest)
         return inst is not None and inst.delivered
 
-    def echoers_of(self, digest: Digest) -> AbstractSet:
+    def echoers_of(self, digest: Digest) -> FrozenSet[int]:
         """Replicas that echoed a digest — retrieval fallback targets: they
         are guaranteed (if non-faulty) to hold the body and its ancestors.
 
-        Returns a live read-only :class:`SetView` (no per-call copy):
-        membership/length track echoes as they arrive, and iteration
-        snapshots at its start, so the view is safe to hold across
-        message processing."""
+        A snapshot built from the vote mask at call time: later echoes do
+        not show in a set already returned."""
         inst = self._instances.get(digest)
-        return SetView(inst.echoers) if inst else EMPTY_SET_VIEW
+        mask = inst.echoers if inst else 0
+        return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)

@@ -24,8 +24,7 @@ precisely to patch this.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..crypto.hashing import Digest
 from ..dag.block import Block
@@ -112,28 +111,24 @@ class CbcManager:
 
     def on_echo(self, src: int, echo: BlockEcho) -> bool:
         """Count an echo; returns True if this completed a delivery."""
-        inst = self.tracker.state(echo.digest)
-        inst.round = echo.round
-        echoers = inst.echoers
-        if (
-            self._trace is not None
-            and len(echoers) + 1 == self.quorum
-            and src not in echoers
-        ):
+        inst = self.tracker.state_for_vote(echo.digest, echo.round)
+        before = inst.echoers
+        echoers = inst.echoers = before | (1 << src)
+        count = echoers.bit_count()
+        if self._trace is not None and count == self.quorum and echoers != before:
             self._trace.emit(
                 self.net.now(), "trace.quorum", self.net.node_id,
                 digest=echo.digest.hex()[:8], round=echo.round,
                 author=echo.author, kind="echo", primitive="cbc",
             )
-        echoers.add(src)
-        if inst.delivered or len(echoers) < self.quorum:
+        if inst.delivered or count < self.quorum:
             return False
         return self.tracker.try_deliver(inst, True)
 
     def mark_ready(self, digest: Digest) -> bool:
         """Protocol signal that validation + ancestor gate passed."""
         inst = self.tracker.mark_ready(digest)
-        return self.tracker.try_deliver(inst, len(inst.echoers) >= self.quorum)
+        return self.tracker.try_deliver(inst, inst.echoers.bit_count() >= self.quorum)
 
     def deliver_retrieved(self, digest: Digest) -> bool:
         """Deliver a digest-pinned retrieval response directly (§IV-A).
@@ -173,8 +168,8 @@ class CbcManager:
         """True when the quorum of echoes exists (delivery may still be
         waiting on body or ancestors — the retrieval fallback trigger)."""
         inst = self.tracker.peek(digest)
-        return inst is not None and len(inst.echoers) >= self.quorum
+        return inst is not None and inst.echoers.bit_count() >= self.quorum
 
-    def echoers_of(self, digest: Digest) -> AbstractSet:
-        """Live read-only view of a digest's echoers (no copy)."""
+    def echoers_of(self, digest: Digest) -> FrozenSet[int]:
+        """The replicas whose ECHO for ``digest`` was counted so far."""
         return self.tracker.echoers_of(digest)

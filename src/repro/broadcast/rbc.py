@@ -17,8 +17,7 @@ Three message steps → the 3× latency multiplier that motivates the paper
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..crypto.hashing import Digest
 from ..dag.block import Block
@@ -62,7 +61,7 @@ class RbcManager:
         #: causal tracer (None unless tracing requested): emits the
         #: ready-quorum-crossed span, RBC's delivery predicate.
         self._trace = obs.trace if obs.trace.enabled else None
-        self._echoed_slots: Set[Tuple[int, int]] = set()
+        #: the one digest this replica echoed per slot.
         self._echoed_digest: Dict[Tuple[int, int], Digest] = {}
 
     # -- proposer side ---------------------------------------------------------
@@ -81,9 +80,8 @@ class RbcManager:
     def echo(self, block: Block) -> None:
         """Broadcast an ECHO — at most once per slot, which is where RBC's
         consistency comes from."""
-        if block.slot in self._echoed_slots:
+        if block.slot in self._echoed_digest:
             return
-        self._echoed_slots.add(block.slot)
         self._echoed_digest[block.slot] = block.digest
         self._echoes_ctr.inc()
         self.net.broadcast(
@@ -106,36 +104,30 @@ class RbcManager:
             )
 
     def on_echo(self, src: int, echo: BlockEcho) -> bool:
-        inst = self.tracker.state(echo.digest)
-        inst.round = echo.round
-        echoers = inst.echoers
-        echoers.add(src)
-        if len(echoers) >= self.quorum and not inst.sent_ready:
+        inst = self.tracker.state_for_vote(echo.digest, echo.round)
+        echoers = inst.echoers = inst.echoers | (1 << src)
+        if not inst.sent_ready and echoers.bit_count() >= self.quorum:
             self._send_ready(echo.round, echo.author, echo.digest, inst)
-        if inst.delivered or len(inst.readiers) < self.quorum:
+        if inst.delivered or inst.readiers.bit_count() < self.quorum:
             return False
         return self.tracker.try_deliver(inst, True)
 
     def on_ready(self, src: int, ready: BlockReady) -> bool:
-        inst = self.tracker.state(ready.digest)
-        inst.round = ready.round
-        readiers = inst.readiers
-        if (
-            self._trace is not None
-            and len(readiers) + 1 == self.quorum
-            and src not in readiers
-        ):
+        inst = self.tracker.state_for_vote(ready.digest, ready.round)
+        before = inst.readiers
+        readiers = inst.readiers = before | (1 << src)
+        count = readiers.bit_count()
+        if self._trace is not None and count == self.quorum and readiers != before:
             self._trace.emit(
                 self.net.now(), "trace.quorum", self.net.node_id,
                 digest=ready.digest.hex()[:8], round=ready.round,
                 author=ready.author, kind="ready", primitive="rbc",
             )
-        readiers.add(src)
-        if len(readiers) >= self.amplify_threshold and not inst.sent_ready:
+        if not inst.sent_ready and count >= self.amplify_threshold:
             self._send_ready(
                 ready.round, ready.author, ready.digest, inst, amplified=True
             )
-        if inst.delivered or len(readiers) < self.quorum:
+        if inst.delivered or count < self.quorum:
             return False
         return self.tracker.try_deliver(inst, True)
 
@@ -151,7 +143,7 @@ class RbcManager:
     def mark_ready(self, digest: Digest) -> bool:
         """Protocol signal that validation + ancestor gate passed."""
         inst = self.tracker.mark_ready(digest)
-        return self.tracker.try_deliver(inst, len(inst.readiers) >= self.quorum)
+        return self.tracker.try_deliver(inst, inst.readiers.bit_count() >= self.quorum)
 
     def deliver_retrieved(self, digest: Digest) -> bool:
         """Deliver a digest-pinned retrieval response directly (§IV-A).
@@ -170,13 +162,12 @@ class RbcManager:
     # -- memory ---------------------------------------------------------------
 
     def gc_below(self, horizon: int) -> int:
-        """Drop per-instance state and the per-slot vote maps for rounds
+        """Drop per-instance state and the per-slot vote map for rounds
         below ``horizon`` (the protocol's commit-settled GC watermark)."""
         removed = self.tracker.gc_below(horizon)
-        stale_slots = [s for s in self._echoed_slots if s[0] < horizon]
+        stale_slots = [s for s in self._echoed_digest if s[0] < horizon]
         for slot in stale_slots:
-            self._echoed_slots.discard(slot)
-            self._echoed_digest.pop(slot, None)
+            del self._echoed_digest[slot]
         return removed + len(stale_slots)
 
     # -- introspection ---------------------------------------------------------
@@ -191,8 +182,8 @@ class RbcManager:
     def ready_complete(self, digest: Digest) -> bool:
         """Quorum of READYs present (delivery may still await body/gate)."""
         inst = self.tracker.peek(digest)
-        return inst is not None and len(inst.readiers) >= self.quorum
+        return inst is not None and inst.readiers.bit_count() >= self.quorum
 
-    def echoers_of(self, digest: Digest) -> AbstractSet:
-        """Live read-only view of a digest's echoers (no copy)."""
+    def echoers_of(self, digest: Digest) -> FrozenSet[int]:
+        """The replicas whose ECHO for ``digest`` was counted so far."""
         return self.tracker.echoers_of(digest)

@@ -23,8 +23,7 @@ LightDAG2's Rules 2–4 and Bullshark's leader wait.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from ..broadcast.cbc import CbcManager
 from ..broadcast.messages import (
@@ -428,10 +427,9 @@ class BaseDagNode(Node):
             self._advance_scheduled = True
             self.net.set_timer(0.0, ADVANCE_TAG)
 
-    def _holders_of(self, digest: Digest) -> AbstractSet:
-        """Replicas believed to hold a block body (echoers of its digest):
-        a live read-only view (see ``InstanceTracker.echoers_of``) — never
-        mutate the result."""
+    def _holders_of(self, digest: Digest) -> FrozenSet[int]:
+        """Replicas believed to hold a block body: the echoers of its
+        digest so far (a snapshot, see ``InstanceTracker.echoers_of``)."""
         return (self.cbc or self.rbc).echoers_of(digest)
 
     # -------------------------------------------------------------- accepting

@@ -76,7 +76,6 @@ class SmrReplica:
         self.admission = admission
         self._pending: Deque[Command] = deque()
         self._pending_ids: Set[Digest] = set()
-        self._applied_ids: set = set()
         self.applied_order: List[Digest] = []
         self.results: Dict[Digest, bytes] = {}
         self._nonce = itertools.count()
@@ -116,9 +115,9 @@ class SmrReplica:
         queued command (whose waiters fire with ``result=None``).
         """
         cid = command.command_id
-        if cid in self._applied_ids:
+        if cid in self.results:
             if waiter is not None:
-                waiter(command, self.results.get(cid), now)
+                waiter(command, self.results[cid], now)
             return True
         if cid in self._pending_ids:
             if waiter is not None:
@@ -190,9 +189,8 @@ class SmrReplica:
             object.__setattr__(batch, "_commands", tuple(_decode_commands(batch.items)))
         for command in batch._commands:
             cid = command.command_id
-            if cid in self._applied_ids:
+            if cid in self.results:
                 continue
-            self._applied_ids.add(cid)
             result = self.machine.apply(command)
             self.applied_order.append(cid)
             self.results[cid] = result

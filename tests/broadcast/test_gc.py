@@ -125,13 +125,69 @@ class TestRbcGc:
         for block in (old, young):
             manager.on_val(block.author, block)
             manager.echo(block)
-        assert old.slot in manager._echoed_slots
         assert manager._echoed_digest[old.slot] == old.digest
         manager.gc_below(5)
-        assert old.slot not in manager._echoed_slots
         assert old.slot not in manager._echoed_digest
-        assert young.slot in manager._echoed_slots
         assert manager._echoed_digest[young.slot] == young.digest
+
+
+def cbc_manager(net, on_deliver):
+    return CbcManager(net, quorum=QUORUM, on_deliver=on_deliver)
+
+
+def rbc_manager(net, on_deliver):
+    return RbcManager(net, quorum=QUORUM, amplify_threshold=2, on_deliver=on_deliver)
+
+
+def cast_votes(manager, src, block, round_):
+    """``src``'s ECHO — and READY, where the primitive has one — for
+    ``block``, claiming it is of ``round_``."""
+    named = dict(round=round_, author=block.author, digest=block.digest)
+    manager.on_echo(src, BlockEcho(**named))
+    if isinstance(manager, RbcManager):
+        manager.on_ready(src, BlockReady(**named))
+
+
+@pytest.mark.parametrize("make_manager", [cbc_manager, rbc_manager])
+class TestVoteRoundIsOnlyAClaim:
+    """The round a vote names is its sender's word; the body's is a fact."""
+
+    def test_lying_vote_cannot_evict_a_live_instance(self, make_manager):
+        delivered = []
+        manager = make_manager(FakeNet(node_id=0, n=4), delivered.append)
+        block = block_at(10)
+        manager.on_val(block.author, block)
+        manager.mark_ready(block.digest)
+        cast_votes(manager, 3, block, round_=1)  # Byzantine: true digest, old round
+        assert manager.tracker.peek(block.digest).round == 10
+        assert manager.gc_below(5) == 0
+        for src in range(QUORUM):
+            cast_votes(manager, src, block, round_=block.round)
+        assert delivered == [block]
+
+    def test_honest_votes_correct_a_lie_told_before_the_body(self, make_manager):
+        delivered = []
+        manager = make_manager(FakeNet(node_id=0, n=4), delivered.append)
+        block = block_at(10)
+        cast_votes(manager, 3, block, round_=1)
+        cast_votes(manager, 0, block, round_=block.round)
+        cast_votes(manager, 3, block, round_=1)  # a repeated lie moves nothing
+        assert manager.tracker.peek(block.digest).round == 10
+        assert manager.gc_below(5) == 0
+        manager.on_val(block.author, block)
+        manager.mark_ready(block.digest)
+        for src in (1, 2):
+            cast_votes(manager, src, block, round_=block.round)
+        assert delivered == [block]
+
+    def test_body_overrules_a_vote_that_named_a_later_round(self, make_manager):
+        manager = make_manager(FakeNet(node_id=0, n=4), lambda b: None)
+        block = block_at(3)
+        cast_votes(manager, 3, block, round_=99)
+        manager.on_val(block.author, block)
+        assert manager.tracker.peek(block.digest).round == 3
+        assert manager.gc_below(5) >= 1
+        assert manager.tracker.peek(block.digest) is None
 
 
 class TestPbcGc:

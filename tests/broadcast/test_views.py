@@ -1,73 +1,57 @@
-"""Tests for the copy-free echoer views returned by ``echoers_of``."""
+"""Tests for the echoer snapshots returned by ``echoers_of``."""
 
 import pytest
 
-from repro.broadcast.base import EMPTY_SET_VIEW, InstanceTracker, SetView
+from repro.broadcast.cbc import CbcManager
+from repro.broadcast.messages import BlockEcho
+from repro.broadcast.rbc import RbcManager
 from repro.crypto.hashing import hash_fields
 
+from ..conftest import FakeNet
+
 DIGEST = hash_fields("view-digest")
+ECHO = BlockEcho(round=1, author=0, digest=DIGEST)
 
 
-def tracker_with_echoers(*replicas):
-    tracker = InstanceTracker(on_deliver=lambda block: None)
-    tracker.state(DIGEST).echoers.update(replicas)
-    return tracker
-
-
-class TestSetView:
-    def test_behaves_like_a_set(self):
-        view = SetView({1, 2, 3})
-        assert 2 in view and 9 not in view
-        assert len(view) == 3
-        assert sorted(view) == [1, 2, 3]
-
-    def test_set_algebra_via_abc(self):
-        view = SetView({1, 2, 3})
-        assert view & {2, 3, 4} == {2, 3}
-        assert view | {4} == {1, 2, 3, 4}
-        assert view <= {1, 2, 3, 4}
-
-    def test_no_mutators(self):
-        view = SetView({1})
-        for name in ("add", "discard", "remove", "clear", "update", "pop"):
-            assert not hasattr(view, name)
-
-    def test_live_not_a_copy(self):
-        target = {1}
-        view = SetView(target)
-        target.add(2)
-        assert 2 in view and len(view) == 2
-
-    def test_mutation_during_iteration_is_safe(self):
-        # A held view must not raise "set changed size during iteration"
-        # when echoes arrive mid-loop: iteration snapshots at its start.
-        target = {1, 2, 3}
-        view = SetView(target)
-        seen = []
-        for member in view:
-            target.add(100 + member)  # would break iter(set) directly
-            seen.append(member)
-        assert sorted(seen) == [1, 2, 3]
-        assert 101 in view  # liveness of membership is unchanged
+def managers(n):
+    """A CBC and an RBC manager of an n-replica cluster."""
+    net, f = FakeNet(node_id=0, n=n), (n - 1) // 3
+    return [
+        CbcManager(net, quorum=n - f, on_deliver=lambda block: None),
+        RbcManager(net, quorum=n - f, amplify_threshold=f + 1,
+                   on_deliver=lambda block: None),
+    ]
 
 
 class TestEchoersOf:
-    def test_unknown_digest_is_shared_empty_view(self):
-        tracker = InstanceTracker(on_deliver=lambda block: None)
-        view = tracker.echoers_of(DIGEST)
-        assert view is EMPTY_SET_VIEW
-        assert len(view) == 0
+    @pytest.mark.parametrize("n", [4, 64, 100])
+    def test_equals_the_voters_so_far(self, n):
+        for manager in managers(n):
+            voters = set()
+            for src in (n - 1, 0, n // 2, n - 1, 1):  # one duplicate
+                manager.on_echo(src, ECHO)
+                voters.add(src)
+                assert manager.echoers_of(DIGEST) == voters
 
-    def test_view_reflects_later_echoes(self):
-        tracker = tracker_with_echoers(0, 1)
-        view = tracker.echoers_of(DIGEST)
-        assert set(view) == {0, 1}
-        tracker.state(DIGEST).echoers.add(2)
-        assert set(view) == {0, 1, 2}
+    def test_unknown_digest_is_empty(self):
+        for manager in managers(4):
+            assert manager.echoers_of(DIGEST) == frozenset()
+            assert manager.tracker.peek(DIGEST) is None  # asking created nothing
+
+    def test_returned_set_does_not_change_with_later_echoes(self):
+        for manager in managers(4):
+            manager.on_echo(0, ECHO)
+            manager.on_echo(1, ECHO)
+            snapshot = manager.echoers_of(DIGEST)
+            manager.on_echo(2, ECHO)
+            assert snapshot == {0, 1}
+            assert manager.echoers_of(DIGEST) == {0, 1, 2}
 
     def test_view_is_read_only(self):
-        tracker = tracker_with_echoers(0)
-        view = tracker.echoers_of(DIGEST)
-        with pytest.raises(AttributeError):
-            view.add(7)  # type: ignore[attr-defined]
-        assert set(tracker.state(DIGEST).echoers) == {0}
+        for manager in managers(4):
+            manager.on_echo(0, ECHO)
+            view = manager.echoers_of(DIGEST)
+            assert isinstance(view, frozenset)
+            with pytest.raises(AttributeError):
+                view.add(7)  # type: ignore[attr-defined]
+            assert manager.echoers_of(DIGEST) == {0}

@@ -17,10 +17,13 @@ Two angles:
   and no transient peak far above the steady state.
 """
 
+import sys
 import tracemalloc
+from collections.abc import Collection
 
 import pytest
 
+from repro.broadcast.base import InstanceState
 from repro.config import ProtocolConfig, SystemConfig
 from repro.core.lightdag2 import LightDag2Node
 from repro.crypto.keys import TrustedDealer
@@ -127,3 +130,32 @@ class TestLongRunMemory:
         # GC must not have cost agreement: both runs commit a ledger.
         assert len(swept.nodes[0].ledger) > 0
         assert len(kept.nodes[0].ledger) > 0
+
+
+class TestVoteStateIsDense:
+    """The vote tallies are the one per-replica structure that could grow
+    as n² per round (one entry per voter per block); as bitmasks they are
+    n *bits* per block.  Pin that, so a container cannot come back."""
+
+    def test_instance_holds_no_container_and_votes_fit_two_ints_at_n33(self):
+        n = 33
+        sim = build_sim(n=n, gc_depth=8)
+        run_to_round(sim, 12, until=20.0)
+        node = sim.nodes[0]
+        ceiling = 2 * sys.getsizeof(1 << n)
+        live = 0
+        for name in ("pbc", "cbc"):
+            for inst in getattr(node, name).tracker._instances.values():
+                live += 1
+                for slot in InstanceState.__slots__:
+                    value = getattr(inst, slot)
+                    assert not isinstance(value, Collection), (
+                        f"{name} InstanceState.{slot} is a {type(value).__name__}"
+                    )
+                votes = sys.getsizeof(inst.echoers) + sys.getsizeof(inst.readiers)
+                assert votes <= ceiling, f"{votes} B of vote state in one instance"
+        assert live >= n  # the window was not empty when we looked
+        full = max(
+            inst.echoers.bit_count() for inst in node.cbc.tracker._instances.values()
+        )
+        assert full >= n - (n - 1) // 3  # and quorums of voters were in it
