@@ -9,7 +9,7 @@ the number that bounds how big a Fig. 13 sweep can get.
 import pytest
 
 from repro.config import ProtocolConfig, SystemConfig
-from repro.crypto.keys import TrustedDealer
+from repro.harness.cluster import assemble
 from repro.harness.runner import PROTOCOL_REGISTRY
 from repro.net.latency import FixedLatency
 from repro.net.simulator import Simulation
@@ -17,18 +17,11 @@ from repro.net.simulator import Simulation
 
 def build_sim(protocol_name, n=7, batch=100, seed=1):
     system = SystemConfig(n=n, crypto="hmac", seed=seed)
-    protocol = ProtocolConfig(batch_size=batch)
-    chains = TrustedDealer(
-        system, coin_threshold=protocol.resolve_coin_threshold(system)
-    ).deal()
-    node_cls = PROTOCOL_REGISTRY[protocol_name]
-
-    def factory(i):
-        return lambda net: node_cls(net, system=system, protocol=protocol,
-                                    keychain=chains[i])
-
+    cluster = assemble(
+        system, ProtocolConfig(batch_size=batch), PROTOCOL_REGISTRY[protocol_name]
+    )
     return Simulation(
-        [factory(i) for i in range(n)],
+        cluster.factories,
         latency_model=FixedLatency(0.05),
         bandwidth_bps=100_000_000,
         seed=seed,
@@ -128,9 +121,10 @@ def test_fanout_storm_n64(benchmark):
     """A broadcast storm at fan-out 63: every node re-broadcasts each
     delivery until it has originated 120 broadcasts of its own.  This is
     the O(n²) echo-class delivery shape that dominates large-n sweeps,
-    isolated from protocol logic (~n * rounds * n events).  BENCH_PR10.json
-    holds the historical numbers for this body; the pinned end-to-end
-    equivalent is ``sim_scale_n64`` in ``benchmarks/suite``."""
+    isolated from protocol logic (~n * rounds * n events).
+    docs/history/BENCH_HISTORY.md (PR 10) holds the historical numbers for
+    this body; the pinned end-to-end equivalent is ``sim_scale_n64`` in
+    ``benchmarks/suite``."""
     from dataclasses import dataclass
 
     from repro.net.interfaces import Message, Node

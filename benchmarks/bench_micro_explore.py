@@ -5,7 +5,8 @@ snapshot capture, snapshot restore, and the canonical fingerprint.
 These benches time each in isolation plus the end-to-end DFS rate, so a
 regression in any one (e.g. the pickle fast path losing its per-type
 persistent-id cache) shows up as a named number instead of a slower CI
-explore-smoke job.  Measured figures live in BENCH_PR7.json.
+explore-smoke job.  Figures measured at PR 7 are in
+docs/history/BENCH_HISTORY.md.
 """
 
 import pytest

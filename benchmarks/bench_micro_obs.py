@@ -42,7 +42,7 @@ import gc
 import time
 
 from repro.config import ProtocolConfig, SystemConfig
-from repro.crypto.keys import TrustedDealer
+from repro.harness.cluster import assemble
 from repro.harness.runner import PROTOCOL_REGISTRY
 from repro.net.latency import FixedLatency
 from repro.net.simulator import Simulation
@@ -65,21 +65,14 @@ def build_sim(protocol_name="lightdag1", n=4, batch=50, seed=1,
     simulator's event loop (the engine-hot-loop guard).
     """
     system = SystemConfig(n=n, crypto="hmac", seed=seed)
-    protocol = ProtocolConfig(batch_size=batch)
-    chains = TrustedDealer(
-        system, coin_threshold=protocol.resolve_coin_threshold(system)
-    ).deal()
-    node_cls = PROTOCOL_REGISTRY[protocol_name]
-    kwargs = {} if obs is None else {"obs": obs}
-
-    def factory(i):
-        return lambda net: node_cls(net, system=system, protocol=protocol,
-                                    keychain=chains[i], **kwargs)
-
+    cluster = assemble(
+        system, ProtocolConfig(batch_size=batch), PROTOCOL_REGISTRY[protocol_name],
+        obs=obs,
+    )
     sim_obs = obs if obs is not None else obs_sim
     sim_kwargs = {} if sim_obs is None else {"obs": sim_obs}
     return Simulation(
-        [factory(i) for i in range(n)],
+        cluster.factories,
         latency_model=FixedLatency(0.05),
         bandwidth_bps=100_000_000,
         seed=seed,

@@ -16,11 +16,10 @@ PBC round.  Watch the protocol machinery respond (§V):
 Run:  python examples/byzantine_equivocation.py
 """
 
-from repro.adversary.byzantine import EquivocatingLightDag2Node
+from repro.adversary.schedule import FaultSchedule
 from repro.config import ProtocolConfig, SystemConfig
 from repro.core.lightdag2 import LightDag2Node
-from repro.crypto.keys import TrustedDealer
-from repro.dag.ledger import check_prefix_consistency
+from repro.harness.cluster import assemble
 from repro.net.latency import UniformLatency
 from repro.net.simulator import Simulation
 
@@ -28,21 +27,19 @@ from repro.net.simulator import Simulation
 def main() -> None:
     system = SystemConfig(n=7)  # tolerates f = 2
     protocol = ProtocolConfig(batch_size=100)
-    chains = TrustedDealer(system).deal()
     byzantine = {5: 1, 6: 4}  # replica -> wave its attack starts (staggered)
-
-    def factory(i: int):
-        def make(net):
-            if i in byzantine:
-                return EquivocatingLightDag2Node(
-                    net, system, protocol, chains[i], start_wave=byzantine[i]
-                )
-            return LightDag2Node(net, system, protocol, chains[i])
-
-        return make
+    # The attack is a fault schedule: one equivocate phase per replica.
+    schedule = FaultSchedule.from_spec(
+        ";".join(
+            f"equivocate@0+0:replicas={replica},wave={wave}"
+            for replica, wave in byzantine.items()
+        )
+    )
+    schedule.validate(system, "lightdag2")
+    cluster = assemble(system, protocol, LightDag2Node, schedule=schedule)
 
     sim = Simulation(
-        [factory(i) for i in range(system.n)],
+        cluster.factories,
         latency_model=UniformLatency(0.02, 0.08),
         seed=11,
     )
@@ -56,7 +53,8 @@ def main() -> None:
             f"equivocated {node.equivocations}x, caught={node.caught}"
         )
 
-    honest = [sim.nodes[i] for i in range(system.n) if i not in byzantine]
+    # The recipe's post-run check: prefix consistency over the honest ledgers.
+    honest = cluster.check(sim.nodes)
     print("\nHonest replicas:")
     for node in honest:
         print(
@@ -66,7 +64,6 @@ def main() -> None:
             f"contradiction notices sent={node.contradictions_sent}"
         )
 
-    check_prefix_consistency([node.ledger for node in honest])
     print("\nSafety check: all honest ledgers agree on their common prefix ✓")
 
     caught_everywhere = all(

@@ -20,8 +20,8 @@ from typing import Dict, List
 
 from repro.config import ProtocolConfig, SystemConfig
 from repro.core.lightdag2 import LightDag2Node
-from repro.crypto.keys import TrustedDealer
 from repro.dag.block import TxBatch
+from repro.harness.cluster import assemble
 from repro.net.asyncnet import AsyncCluster
 from repro.net.latency import FixedLatency
 
@@ -64,26 +64,17 @@ class KvReplica:
 async def main_async() -> None:
     system = SystemConfig(n=4)
     protocol = ProtocolConfig(batch_size=16)
-    chains = TrustedDealer(system).deal()
     replicas = [KvReplica(i) for i in range(system.n)]
-
-    def factory(i: int):
-        def make(net):
-            return LightDag2Node(
-                net,
-                system,
-                protocol,
-                chains[i],
-                payload_source=replicas[i].payload_source,
-                on_commit=replicas[i].on_commit,
-            )
-
-        return make
-
-    cluster = AsyncCluster(
-        [factory(i) for i in range(system.n)],
-        latency_model=FixedLatency(0.005),
+    # One recipe builds every cluster in the repository: keys, one node
+    # factory per replica over our two hooks; any runtime takes the factories.
+    assembly = assemble(
+        system,
+        protocol,
+        LightDag2Node,
+        payload_source=lambda i: replicas[i].payload_source,
+        on_commit=lambda i: replicas[i].on_commit,
     )
+    cluster = AsyncCluster(assembly.factories, latency_model=FixedLatency(0.005))
 
     # Concurrent writes landing at different replicas — including two
     # conflicting writes to the same key at replicas 1 and 2.

@@ -15,7 +15,7 @@ import asyncio
 
 from repro.config import ProtocolConfig, SystemConfig
 from repro.core.lightdag2 import LightDag2Node
-from repro.crypto.keys import TrustedDealer
+from repro.harness.cluster import assemble
 from repro.net.tcp import TcpCluster
 from repro.smr.kv import KvStateMachine
 from repro.smr.replica import SmrReplica
@@ -24,17 +24,15 @@ from repro.smr.replica import SmrReplica
 async def main_async() -> None:
     system = SystemConfig(n=4)
     protocol = ProtocolConfig(batch_size=32)
-    chains = TrustedDealer(system).deal()
     replicas = [SmrReplica(i, KvStateMachine()) for i in range(system.n)]
-
-    def factory(i: int):
-        return lambda net: LightDag2Node(
-            net, system, protocol, chains[i],
-            payload_source=replicas[i].payload_source,
-            on_commit=replicas[i].on_commit,
-        )
-
-    cluster = TcpCluster([factory(i) for i in range(system.n)])
+    assembly = assemble(
+        system,
+        protocol,
+        LightDag2Node,
+        payload_source=lambda i: replicas[i].payload_source,
+        on_commit=lambda i: replicas[i].on_commit,
+    )
+    cluster = TcpCluster(assembly.factories)
 
     print("4 replicas over loopback TCP, LightDAG2, binary wire codec\n")
     replicas[0].submit(b"SET balance 100")

@@ -3,10 +3,15 @@
 The asynchronous model (§III-A) lets the adversary "delay messages by an
 arbitrary but finite period".  The simulator consults the adversary on
 every non-local send; the verdict is either an extra delay in seconds
-(0.0 = deliver normally) or ``None`` = drop.  Drops model crashed senders
-and receivers only — dropping an honest-to-honest message forever would
-exceed the paper's adversary, so concrete subclasses stick to finite
-delays unless a crash is involved.
+(0.0 = deliver normally) or ``None`` = drop.  Dropping an honest-to-honest
+message forever exceeds the paper's adversary, who may only delay finitely;
+a partition that *heals* is a finite delay plus message loss, which
+retransmission-free protocols must survive through §IV-A retrieval — what
+the schedule driver's ``partition`` phase exercises.
+
+:class:`Adversary` is the seam the simulator calls.  The one driver in
+``src/`` is :class:`repro.adversary.schedule.ScheduleAdversary`; tests
+subclass :class:`Adversary` for one-off predicates.
 """
 
 from __future__ import annotations
@@ -32,7 +37,3 @@ class Adversary:
     def on_send(self, src: int, dst: int, msg: Message, now: float) -> Optional[float]:
         """Extra delay in seconds for this message, or None to drop it."""
         return 0.0
-
-
-class PassiveAdversary(Adversary):
-    """Explicit no-op adversary (the favorable-situation setting)."""

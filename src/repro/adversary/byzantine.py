@@ -23,8 +23,6 @@ replicas reproduces the paper's one-attack-per-wave schedule.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..core.lightdag2 import LightDag2Node
 from ..core.proofs import ByzantineProof
 from ..dag.block import TxBatch, make_block
@@ -92,11 +90,3 @@ class EquivocatingLightDag2Node(LightDag2Node):
         self.pbc.equivocate(assignments)
         self._broadcast_coin_shares(round_)
 
-
-def stagger_start_waves(byzantine_ids: List[int], waves_apart: int = 2) -> dict:
-    """§VI-A schedule: Byzantine replica ``k`` opens its attack ``k *
-    waves_apart`` waves after the first — "one Byzantine replica each
-    time"."""
-    return {
-        replica: 1 + idx * waves_apart for idx, replica in enumerate(byzantine_ids)
-    }

@@ -1,13 +1,15 @@
-"""Composable, timed fault schedules.
+"""Composable, timed fault schedules: the one way a run is attacked.
 
-The individual adversaries in this package each model one fault class for
-one whole run.  Real executions — and the fuzzer in :mod:`repro.check` —
-need *composition*: a crash at t=2, a partition from t=3 to t=5, heavy
-random delays throughout.  A :class:`FaultSchedule` is an ordered list of
-:class:`FaultPhase` entries; :class:`ScheduleAdversary` drives the
-message-level phases (delays accumulate, any drop wins), while node-level
-phases (``withhold``, ``equivocate``) translate into the same Byzantine
-node-class overrides the harness already uses.
+Every fault this repository can inject — the §VI-A named attacks, the
+fuzzer's cases, a benchmark's scenario — is a :class:`FaultSchedule`: an
+ordered list of :class:`FaultPhase` entries such as a crash at t=2, a
+partition from t=3 to t=5, heavy random delays throughout.
+:class:`ScheduleAdversary` drives the message-level phases (delays
+accumulate, any drop wins), while node-level phases (``withhold``,
+``equivocate``) translate into Byzantine node-class overrides.  The named
+attacks are entries of :data:`ATTACKS`, each a function from the system to
+a spec in the grammar below: ``--adversary crash`` and its ``schedule:``
+spelling are the same run.
 
 Schedules round-trip through a compact text grammar so a failing fuzz case
 is reproducible from its command line alone::
@@ -23,19 +25,30 @@ Examples::
     crash@2+0:victims=3
     withhold@0+0:replicas=3,mode=garbage
     equivocate@0+0:replicas=3,wave=2
+    leader-delay@0+inf:delay=1
 
 ``crash``/``withhold``/``equivocate`` are point events (duration 0): a
 crash-stop never heals, and the behavioural overrides exist for the whole
 run.  The total set of crashed/withholding/equivocating replicas must stay
-within the ``f`` budget — :meth:`FaultSchedule.validate` enforces it.
+within the ``f`` budget — :meth:`FaultSchedule.validate` enforces it.  A
+duration of ``inf`` is a window that never closes: the whole run.
+
+``leader-delay`` is §VI-A's attack on Bullshark ("can be targeted by
+delaying blocks from leaders to disrupt the optimistic path"): its leaders
+are *predefined*, so the adversary knows which VALs to sit on — why that
+hurts is told in :mod:`repro.baselines.bullshark` ("Leader wait").
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
+from ..broadcast.messages import BlockVal
 from ..config import SystemConfig
+from ..crypto.hashing import hash_to_int
 from ..errors import ConfigError
 from ..net.interfaces import Message
 from .base import Adversary
@@ -43,7 +56,7 @@ from .byzantine import EquivocatingLightDag2Node
 from .withhold import withholding_node_class
 
 #: Phase kinds the message-level driver interprets per send.
-MESSAGE_KINDS = ("delay", "partition")
+MESSAGE_KINDS = ("delay", "partition", "leader-delay")
 #: Phase kinds applied once at attach time (crash-stop is permanent).
 POINT_KINDS = ("crash",)
 #: Phase kinds that become Byzantine node-class overrides.
@@ -71,9 +84,12 @@ class FaultPhase:
             raise ConfigError(
                 f"unknown fault kind {self.kind!r}; choose from {ALL_KINDS}"
             )
-        if self.start < 0 or self.duration < 0:
+        # Written so that nan fails both tests: a phase that starts at nan
+        # or lasts nan is never active, which is never what a spec meant.
+        if not 0 <= self.start < math.inf or not self.duration >= 0:
             raise ConfigError(
-                f"fault phase times cannot be negative: {self.to_spec()!r}"
+                "a fault phase needs a finite start >= 0 and a duration in "
+                f"[0, inf], got {self.to_spec()!r}"
             )
 
     @property
@@ -114,7 +130,9 @@ class FaultPhase:
 
 
 def _fmt(x: float) -> str:
-    """Compact, round-trippable float rendering (2 → "2", 2.5 → "2.5")."""
+    """Compact, round-trippable float rendering (2 → "2", inf → "inf")."""
+    if not math.isfinite(x):
+        return repr(x)
     if x == int(x):
         return str(int(x))
     return repr(round(x, 6))
@@ -232,31 +250,25 @@ class FaultSchedule:
         overrides: Dict[int, Callable] = {}
         for phase in self.phases:
             if phase.kind == "withhold":
-                mode = phase.param("mode", "ignore")
-                wh_cls = withholding_node_class(node_cls, mode=mode)
-
-                def wh_build(net, *, _cls=wh_cls, **kwargs):
-                    return _cls(net, **kwargs)
-
-                for replica in phase.replicas():
-                    overrides[replica] = wh_build
+                build = withholding_node_class(
+                    node_cls, mode=phase.param("mode", "ignore")
+                )
             elif phase.kind == "equivocate":
-                start_wave = int(phase.param("wave", 1))
-
-                def eq_build(net, *, _start=start_wave, **kwargs):
-                    return EquivocatingLightDag2Node(
-                        net, start_wave=_start, **kwargs
-                    )
-
-                for replica in phase.replicas():
-                    overrides[replica] = eq_build
+                build = partial(
+                    EquivocatingLightDag2Node,
+                    start_wave=int(phase.param("wave", 1)),
+                )
+            else:
+                continue
+            overrides.update(dict.fromkeys(phase.replicas(), build))
         return overrides
 
 
 class ScheduleAdversary(Adversary):
     """Drive a :class:`FaultSchedule`'s message-level phases.
 
-    Per send: delays from every active ``delay`` phase accumulate; any
+    Per send: delays from every active ``delay`` phase accumulate, an active
+    ``leader-delay`` phase adds its delay to a predefined leader's VAL; any
     active ``partition`` phase whose cut the message crosses drops it.
     ``crash`` phases are applied once at attach time (crash-stop).
     """
@@ -265,10 +277,10 @@ class ScheduleAdversary(Adversary):
         super().__init__(seed)
         self.schedule = FaultSchedule(tuple(phases))
         self._delay_phases = [p for p in phases if p.kind == "delay"]
-        self._partition_phases = [p for p in phases if p.kind == "partition"]
+        self._leader_phases = [p for p in phases if p.kind == "leader-delay"]
         self._crash_phases = [p for p in phases if p.kind == "crash"]
         self._partition_groups = [
-            (p, frozenset(p.replicas())) for p in self._partition_phases
+            (p, frozenset(p.replicas())) for p in phases if p.kind == "partition"
         ]
         self.dropped = 0
 
@@ -277,6 +289,21 @@ class ScheduleAdversary(Adversary):
         for phase in self._crash_phases:
             for victim in phase.replicas():
                 sim.crash(victim, at=phase.start if phase.start > 0 else None)
+
+    def _is_leader_val(self, msg: Message) -> bool:
+        """Whether ``msg`` carries a predefined leader's leader-round block:
+        mirrors ``BullsharkNode.predefined_leader`` — the schedule is public —
+        over the attached cluster's own configuration.  Only VALs count
+        (delaying echoes/readies of an already-spread block buys nothing)."""
+        if not isinstance(msg, BlockVal):
+            return False
+        block = msg.block
+        if block.round < 1 or block.round % 2 == 0:
+            return False  # leader rounds are the odd (wave-first) rounds
+        system = self.sim.nodes[0].system
+        wave = (block.round - 1) // 2 + 1
+        leader = hash_to_int("bullshark-leader", system.seed, wave) % system.n
+        return block.author == leader
 
     def on_send(self, src: int, dst: int, msg: Message, now: float) -> Optional[float]:
         for phase, group in self._partition_groups:
@@ -291,7 +318,45 @@ class ScheduleAdversary(Adversary):
             tail_p = float(phase.param("tailp", 0.0))
             if tail_p and self.rng.random() < tail_p:
                 total += float(phase.param("taild", 1.0))
+        if self._leader_phases and self._is_leader_val(msg):
+            for phase in self._leader_phases:
+                if phase.active(now):
+                    total += float(phase.param("delay", 1.0))
         return total
+
+
+# ------------------------------------------------------------- named attacks
+
+
+def _on_last_f(system: SystemConfig, head: str, tail: str = "") -> str:
+    """``head`` + the ``f`` highest replica indices (the ones every named
+    attack corrupts) + ``tail``; the empty schedule when ``f`` is 0."""
+    faulty = "|".join(map(str, range(system.n - system.f, system.n)))
+    return f"{head}{faulty}{tail}" if faulty else ""
+
+
+#: Adversary name → the fault schedule it stands for, as a function of the
+#: system.  §VI-A names the strongest attack per protocol
+#: (``harness.cluster.WORST_ATTACK``); the rest are generic stress settings.
+ATTACKS: Dict[str, Callable[[SystemConfig], str]] = {
+    "none": lambda s: "",
+    # §VI-A vs Tusk/LightDAG1: f crashed replicas cut the blocks proposed per
+    # round and leave the coin naming an empty leader slot f/n of the time.
+    "crash": lambda s: _on_last_f(s, "crash@0+0:victims="),
+    "leader-delay": lambda s: "leader-delay@0+inf:delay=1",
+    # §VI-A vs LightDAG2: "one Byzantine replica each time" — replica k
+    # opens its attack two waves after replica k-1.
+    "equivocate": lambda s: ";".join(
+        f"equivocate@0+0:replicas={replica},wave={1 + 2 * k}"
+        for k, replica in enumerate(range(s.n - s.f, s.n))
+    ),
+    # Unstructured: every message waits an independent uniform extra delay.
+    "random-sched": lambda s: "delay@0+inf:max=0.2",
+    "withhold": lambda s: _on_last_f(s, "withhold@0+0:replicas="),
+    "withhold-garbage": lambda s: _on_last_f(
+        s, "withhold@0+0:replicas=", ",mode=garbage"
+    ),
+}
 
 
 # ---------------------------------------------------------------- generator

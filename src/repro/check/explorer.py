@@ -69,23 +69,24 @@ from ..adversary.base import Adversary
 from ..adversary.schedule import FaultPhase, FaultSchedule
 from ..config import ProtocolConfig, SystemConfig
 from ..crypto.backend import CryptoBackend
-from ..crypto.keys import KeyChain, TrustedDealer
+from ..crypto.keys import KeyChain
 from ..crypto.memo import VerifiedMemo
 from ..dag.block import Block, TxBatch
-from ..dag.ledger import check_prefix_consistency
 from ..dag.rounds import WaveStructure
 from ..errors import ConfigError, ReproError
+from ..harness.cluster import Assembly, assemble
+from ..harness.runner import PROTOCOL_REGISTRY, node_class
 from ..net.interfaces import Message, NetworkAPI
 from ..net.latency import FixedLatency, LatencyModel
 from ..net.simulator import _DELIVER, Simulation
 from ..net.snapshot import SimulatorSnapshot
-from ..obs import NULL_OBS, Observability
+from ..obs import Observability
 from ..obs.journal import EventJournal
 from ..obs.registry import _SharedSink
 from ..obs.trace import NullTracer, Tracer
 from ..workload.metrics import MetricsCollector
 from ..workload.txgen import Mempool
-from . import InvariantMonitor, deep_audit
+from .mutants import MUTANT_REGISTRY
 
 #: Message classes ordered for canonical action keys.  The tag both names
 #: the kind and fixes the sort position within one destination's pending
@@ -242,7 +243,7 @@ class World:
     """One explorable universe: the simulator plus its harness satellites."""
 
     sim: Simulation
-    monitor: InvariantMonitor
+    cluster: Assembly
     collector: MetricsCollector
     mempools: List[Mempool]
 
@@ -252,16 +253,13 @@ class World:
         # branch it was recorded on, or a violation found on one branch
         # would falsely re-fire against a sibling (and vice versa).
         return self.sim.snapshot(
-            extra_roots=[self.monitor, self.collector, *self.mempools]
+            extra_roots=[self.cluster.monitor, self.collector, *self.mempools]
         )
 
 
 def default_registry() -> Dict[str, type]:
     """Protocols the explorer can hunt: production registry plus the
     deliberately broken mutants (the whole point is finding their bugs)."""
-    from ..harness.runner import PROTOCOL_REGISTRY
-    from .mutants import MUTANT_REGISTRY
-
     merged: Dict[str, type] = dict(PROTOCOL_REGISTRY)
     merged.update(MUTANT_REGISTRY)
     return merged
@@ -274,41 +272,22 @@ def build_world(
 ) -> World:
     """Construct the zero-latency world and bring it to its first
     scheduling decision (start hooks run, local loopbacks drained)."""
-    protocols = registry if registry is not None else default_registry()
-    node_cls = protocols.get(cfg.protocol)
-    if node_cls is None:
-        raise ConfigError(
-            f"unknown protocol {cfg.protocol!r}; "
-            f"choose from {sorted(protocols)}"
-        )
-    obs = obs if obs is not None else NULL_OBS
+    node_cls = node_class(cfg.protocol, registry or default_registry())
     system = SystemConfig(n=cfg.n, crypto="hmac", seed=cfg.seed)
     protocol = ProtocolConfig(batch_size=4, gc_depth=cfg.gc_depth)
-    dealer = TrustedDealer(
-        system, coin_threshold=protocol.resolve_coin_threshold(system)
-    )
-    chains = dealer.deal()
     collector = MetricsCollector(warmup=0.0, measure_until=None)
-    monitor = InvariantMonitor(obs=obs)
     mempools = [Mempool.from_config(protocol, rate=0.0) for _ in range(cfg.n)]
-
-    def factory_for(i: int):
-        def make(net):
-            return node_cls(
-                net,
-                system=system,
-                protocol=protocol,
-                keychain=chains[i],
-                payload_source=mempools[i].take,
-                on_commit=monitor.wrap_commit(i, collector.callback_for(i)),
-                on_deliver=monitor.deliver_hook(i),
-                obs=obs,
-            )
-
-        return make
-
+    cluster = assemble(
+        system,
+        protocol,
+        node_cls,
+        payload_source=lambda i: mempools[i].take,
+        on_commit=collector.callback_for,
+        check_level="full",
+        obs=obs,
+    )
     sim = Simulation(
-        [factory_for(i) for i in range(cfg.n)],
+        cluster.factories,
         latency_model=FixedLatency(0.0),
         bandwidth_bps=None,
         adversary=None,
@@ -316,9 +295,9 @@ def build_world(
         seed=cfg.seed,
         obs=obs,
     )
-    monitor.bind(sim.nodes)
+    cluster.bind(sim.nodes)
     sim.start()
-    world = World(sim=sim, monitor=monitor, collector=collector, mempools=mempools)
+    world = World(sim=sim, cluster=cluster, collector=collector, mempools=mempools)
     _quiesce(sim)
     return world
 
@@ -452,12 +431,8 @@ def _candidates(sim: Simulation, cfg: ExploreConfig):
 
 def _leaf_checks(world: World) -> None:
     """Terminal-state oracles: cross-replica prefix agreement plus the
-    full structural audit."""
-    sim = world.sim
-    check_prefix_consistency([node.ledger for node in sim.nodes])
-    deep_audit(
-        list(sim.nodes), labels=list(range(len(sim.nodes))), now=sim.now
-    )
+    full structural audit (the post-run half of ``check_level="full"``)."""
+    world.cluster.check(world.sim.nodes, now=world.sim.now)
 
 
 # ------------------------------------------------------- canonical state hash

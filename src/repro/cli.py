@@ -31,6 +31,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .adversary.schedule import ATTACKS
 from .analysis.export import results_to_csv, results_to_json
 from .analysis.obs_export import (
     journal_to_chrome_trace,
@@ -39,7 +40,8 @@ from .analysis.obs_export import (
     registry_to_prometheus,
 )
 from .analysis.stats import repeat_experiment
-from .config import ExperimentConfig, ProtocolConfig, SystemConfig
+from .config import CHECK_LEVELS, ExperimentConfig, ProtocolConfig, SystemConfig
+from .harness.cluster import WORST_ATTACK
 from .harness.experiments import (
     batch_size_sweep,
     scalability_sweep,
@@ -47,7 +49,7 @@ from .harness.experiments import (
     unfavorable_curve,
 )
 from .harness.report import format_table, render_series, results_table, series_by_protocol
-from .harness.runner import PROTOCOL_REGISTRY, WORST_ATTACK, run_experiment
+from .harness.runner import PROTOCOL_REGISTRY, run_experiment
 from .harness.steps import measure_commit_steps, table1_rows
 from .obs import (
     BoundedJournal,
@@ -59,12 +61,7 @@ from .obs import (
 from .workload.clients import ARRIVAL_KINDS
 
 
-ADVERSARY_CHOICES = [
-    "none", "crash", "leader-delay", "equivocate", "random-sched",
-    "withhold", "withhold-garbage", "worst",
-]
-
-CHECK_LEVELS = ["off", "prefix", "final", "full"]
+ADVERSARY_CHOICES = [*ATTACKS, "worst"]
 
 
 def _adversary(value: str) -> str:
@@ -120,19 +117,6 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_retrieval_args(parser: argparse.ArgumentParser) -> None:
-    """§IV-A retrieval-hardening knobs (see SystemConfig)."""
-    parser.add_argument("--retry-base", type=float, default=0.5,
-                        help="base retrieval retry delay in seconds "
-                             "(backoff doubles from here)")
-    parser.add_argument("--retry-cap", type=int, default=8,
-                        help="retries per missing block before abandoning")
-    parser.add_argument("--fanout-after", type=int, default=3,
-                        help="single-target retries before f+1 fan-out")
-    parser.add_argument("--max-response-blocks", type=int, default=16,
-                        help="blocks per RetrievalResponse (chunking cap)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The complete argparse tree (exposed for shell-completion tooling)."""
     parser = argparse.ArgumentParser(
@@ -151,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prune DAG/broadcast state this many waves below "
                             "the settled commit frontier (bounds memory on "
                             "long large-n runs; default: keep everything)")
-    run_p.add_argument("--track-memory", action="store_true",
-                       help="record peak Python heap (tracemalloc) as the "
-                            "peak_mem_mb extra")
-    _add_retrieval_args(run_p)
     _add_check_arg(run_p)
     run_p.add_argument("--repeats", type=int, default=1,
                        help="seeds to average over (§VI-A uses 5)")
@@ -184,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "path, and the run's health verdict.",
     )
     _add_run_args(explain_p, replicas=4)
-    _add_retrieval_args(explain_p)
     _add_check_arg(explain_p)
     explain_p.add_argument("--json", metavar="PATH",
                            help="also write the machine-readable report JSON")
@@ -196,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="instrumented run + metrics/journal summary"
     )
     _add_run_args(report_p, replicas=7)
-    _add_retrieval_args(report_p)
     _add_check_arg(report_p)
 
     fuzz_p = sub.add_parser(
@@ -375,10 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _make_config(args) -> ExperimentConfig:
     return ExperimentConfig(
         system=SystemConfig(
-            n=args.replicas, crypto=args.crypto, seed=args.seed,
-            retry_base=args.retry_base, retry_cap=args.retry_cap,
-            fanout_after=args.fanout_after,
-            max_response_blocks=args.max_response_blocks,
+            n=args.replicas, crypto=args.crypto, seed=args.seed
         ),
         protocol=ProtocolConfig(
             batch_size=args.batch,
@@ -391,7 +366,6 @@ def _make_config(args) -> ExperimentConfig:
         seed=args.seed,
         check_level=args.check_level,
         latency_model=getattr(args, "latency_model", "wan4"),
-        track_memory=getattr(args, "track_memory", False),
     )
 
 
@@ -790,22 +764,16 @@ def _cmd_steps(args) -> int:
 
 def _cmd_viz(args) -> int:
     from .analysis.dagviz import dag_to_ascii
-    from .crypto.keys import TrustedDealer
+    from .harness.cluster import assemble
     from .net.latency import UniformLatency
     from .net.simulator import Simulation
 
     system = SystemConfig(n=args.replicas, crypto="hmac", seed=args.seed)
-    protocol = ProtocolConfig(batch_size=10)
-    chains = TrustedDealer(
-        system, coin_threshold=protocol.resolve_coin_threshold(system)
-    ).deal()
-    node_cls = PROTOCOL_REGISTRY[args.protocol]
+    cluster = assemble(
+        system, ProtocolConfig(batch_size=10), PROTOCOL_REGISTRY[args.protocol]
+    )
     sim = Simulation(
-        [
-            (lambda net, i=i: node_cls(net, system=system, protocol=protocol,
-                                       keychain=chains[i]))
-            for i in range(args.replicas)
-        ],
+        cluster.factories,
         latency_model=UniformLatency(0.02, 0.06),
         seed=args.seed,
     )
@@ -840,6 +808,10 @@ def _cmd_protocols(args) -> int:
                               "leaders", "worst_attack"]))
     print("(* = overlapping wave boundary; support = supporters needed, in "
           "the round that many after the leader's)")
+    print("Each attack is a fault schedule; at n=7, --adversary NAME runs "
+          "what --adversary 'schedule:SPEC' runs:")
+    for name in sorted(set(WORST_ATTACK.values())):
+        print(f"  {name:12}  {ATTACKS[name](SystemConfig(n=7))}")
     return 0
 
 

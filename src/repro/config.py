@@ -29,6 +29,10 @@ DEFAULT_TX_SIZE = 128
 #: Link bandwidth used in the paper's testbed (bits/second, §VI-A).
 DEFAULT_BANDWIDTH_BPS = 100_000_000
 
+#: How hard a run is checked, each level including the ones before it
+#: (see :attr:`ExperimentConfig.check_level`).
+CHECK_LEVELS = ("off", "prefix", "final", "full")
+
 
 def quorum_for(n: int, f: int) -> int:
     """Availability quorum ``n - f``: messages a replica can always await."""
@@ -57,31 +61,12 @@ class SystemConfig:
         (size-accounted no-op, for very large simulations).
     seed:
         Master seed for deterministic key generation and coin setup.
-    retry_base:
-        §IV-A retrieval: base retry delay in seconds.  Retry ``k`` of a
-        missing block waits ``retry_base * 2^k`` (exponent capped) plus
-        deterministic jitter.
-    retry_cap:
-        §IV-A retrieval: retries per missing block before the request is
-        abandoned (revivable on fresh evidence) — the bound the
-        no-infinite-retry-loop guarantee rests on.
-    fanout_after:
-        §IV-A retrieval: single-target retries before escalating to an
-        ``f + 1`` fan-out, so at least one honest holder is asked even if
-        every earlier target was Byzantine.
-    max_response_blocks:
-        §IV-A retrieval: responder-side cap on blocks per
-        ``RetrievalResponse``; larger answers are chunked across messages.
     """
 
     n: int
     f: int = -1
     crypto: str = "hmac"
     seed: int = 0
-    retry_base: float = 0.5
-    retry_cap: int = 8
-    fanout_after: int = 3
-    max_response_blocks: int = 16
 
     def __post_init__(self) -> None:
         if self.f < 0:
@@ -95,18 +80,6 @@ class SystemConfig:
             )
         if self.crypto not in ("schnorr", "hmac", "null"):
             raise ConfigError(f"unknown crypto backend {self.crypto!r}")
-        if self.retry_base <= 0:
-            raise ConfigError(f"retry_base must be positive, got {self.retry_base}")
-        if self.retry_cap < 1:
-            raise ConfigError(f"retry_cap must be >= 1, got {self.retry_cap}")
-        if self.fanout_after < 1:
-            raise ConfigError(
-                f"fanout_after must be >= 1, got {self.fanout_after}"
-            )
-        if self.max_response_blocks < 1:
-            raise ConfigError(
-                f"max_response_blocks must be >= 1, got {self.max_response_blocks}"
-            )
 
     @property
     def quorum(self) -> int:
@@ -267,14 +240,9 @@ class ExperimentConfig:
     #: ``"full"`` — all of the above plus the mid-run invariant monitor
     #: on every honest replica's commit/deliver hooks.
     check_level: str = "prefix"
-    #: Record the run's peak Python heap (``tracemalloc``) as the
-    #: ``peak_mem_mb`` extra.  Off by default: the tracemalloc hooks tax
-    #: every allocation, so this is for scalability studies (memory
-    #: ceilings alongside wall-clock), not routine sweeps.
-    track_memory: bool = False
 
     def __post_init__(self) -> None:
-        if self.check_level not in ("off", "prefix", "final", "full"):
+        if self.check_level not in CHECK_LEVELS:
             raise ConfigError(
                 f"check_level must be one of off/prefix/final/full, "
                 f"got {self.check_level!r}"

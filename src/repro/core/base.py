@@ -200,11 +200,7 @@ class BaseDagNode(Node):
             seed=system.seed,
             enabled=protocol.retrieval_enabled,
             obs=self.obs,
-            retry_base=system.retry_base,
-            retry_cap=system.retry_cap,
-            fanout_after=system.fanout_after,
             fanout_width=system.validity_quorum,
-            max_response_blocks=system.max_response_blocks,
         )
         self.payload_source = payload_source or (lambda now: EMPTY_BATCH)
         self.on_commit = on_commit

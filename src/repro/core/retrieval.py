@@ -67,9 +67,6 @@ RETRY_TAG = "retrieval-retry"
 #: Base delay before the first re-request of a still-missing block.
 DEFAULT_RETRY_BASE = 0.5
 
-#: Backwards-compatible alias (pre-backoff name).
-DEFAULT_RETRY_DELAY = DEFAULT_RETRY_BASE
-
 #: Retries per digest before the request is abandoned (not counting the
 #: initial ask).  Abandoned digests can be revived by fresh evidence.
 DEFAULT_RETRY_CAP = 8
@@ -148,12 +145,10 @@ class RetrievalManager:
         max_response_blocks: int = DEFAULT_MAX_RESPONSE_BLOCKS,
         rate_burst: float = DEFAULT_RATE_BURST,
         rate_refill: float = DEFAULT_RATE_REFILL,
-        retry_delay: Optional[float] = None,
     ) -> None:
         self.net = net
         self.store = store
-        # ``retry_delay`` is the pre-backoff name for the same base value.
-        self.retry_base = retry_delay if retry_delay is not None else retry_base
+        self.retry_base = retry_base
         self.retry_cap = retry_cap
         self.fanout_after = fanout_after
         #: f + 1 for the owning system, so a fan-out always hits an honest

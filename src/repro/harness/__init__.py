@@ -1,5 +1,7 @@
 """Experiment harness: one entry point per paper table/figure.
 
+* :mod:`repro.harness.cluster` — the one recipe that assembles a cluster
+  (keys, node factories, faults, checks) for any runtime.
 * :mod:`repro.harness.runner` — build-and-run one configured simulation,
   returning an :class:`~repro.harness.runner.ExperimentResult`.
 * :mod:`repro.harness.experiments` — the sweeps behind Figs. 12-15.

@@ -2,11 +2,13 @@
 
 :func:`run_experiment` is the single entry point the benchmarks, examples
 and integration tests share: given an :class:`~repro.config.ExperimentConfig`
-it deals keys, wires mempools and metrics to one node per replica, installs
-the requested adversary, runs the discrete-event simulation, verifies
-cross-replica ledger safety, and returns the measurements.
+it has :mod:`repro.harness.cluster` assemble the replicas (keys, mempools,
+metrics, the requested adversary, the oracles), runs them on the
+discrete-event simulator, checks the honest ledgers, and returns the
+measurements.
 
-Adversary names (``ExperimentConfig.adversary_name``):
+Adversary names (``ExperimentConfig.adversary_name``), each a fault
+schedule (:data:`repro.adversary.schedule.ATTACKS`):
 
 =================  ============================================================
 ``none``           favorable situation (no interference)
@@ -36,28 +38,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Optional, Tuple, Type
 
 from ..adversary.base import Adversary
-from ..adversary.byzantine import EquivocatingLightDag2Node, stagger_start_waves
-from ..adversary.crash import CrashAdversary
-from ..adversary.delay import BullsharkLeaderDelayAdversary
-from ..adversary.schedule import FaultSchedule
-from ..adversary.scheduler import RandomSchedulingAdversary
-from ..adversary.withhold import withholding_node_class
 from ..baselines.bullshark import BullsharkNode
 from ..baselines.dagrider import DagRiderNode
 from ..baselines.tusk import TuskNode
-from ..check import InvariantMonitor, deep_audit
 from ..config import ExperimentConfig
 from ..core.base import BaseDagNode
 from ..core.lightdag1 import LightDag1NoMergeNode, LightDag1Node
 from ..core.lightdag2 import LightDag2Node
-from ..crypto.keys import TrustedDealer
-from ..dag.ledger import check_prefix_consistency
 from ..errors import ConfigError
 from ..net.latency import make_latency_model
 from ..net.simulator import CpuCost, Simulation
 from ..obs import NULL_OBS, HealthMonitor, Observability
-from ..workload.metrics import MetricsCollector
-from ..workload.txgen import Mempool
+from .cluster import assemble_experiment, fault_schedule
 
 #: Protocol-name → node class.
 PROTOCOL_REGISTRY: Dict[str, Type[BaseDagNode]] = {
@@ -67,16 +59,6 @@ PROTOCOL_REGISTRY: Dict[str, Type[BaseDagNode]] = {
     "dagrider": DagRiderNode,
     "tusk": TuskNode,
     "bullshark": BullsharkNode,
-}
-
-#: The §VI-A strongest attack per protocol (Fig. 15's x-axis).
-WORST_ATTACK: Dict[str, str] = {
-    "lightdag1": "crash",
-    "lightdag1-nomerge": "crash",
-    "lightdag2": "equivocate",
-    "dagrider": "crash",
-    "tusk": "crash",
-    "bullshark": "leader-delay",
 }
 
 
@@ -139,71 +121,33 @@ class ExperimentResult:
         return row
 
 
+def node_class(
+    name: str, protocols: Optional[Dict[str, Type[BaseDagNode]]] = None
+) -> Type[BaseDagNode]:
+    """The class registered under ``name`` (in :data:`PROTOCOL_REGISTRY`
+    unless another registry is given), or a :class:`ConfigError`."""
+    protocols = PROTOCOL_REGISTRY if protocols is None else protocols
+    node_cls = protocols.get(name)
+    if node_cls is None:
+        raise ConfigError(
+            f"unknown protocol {name!r}; choose from {sorted(protocols)}"
+        )
+    return node_cls
+
+
 def build_adversary(
     cfg: ExperimentConfig,
     node_cls: Optional[Type[BaseDagNode]] = None,
 ) -> Tuple[Optional[Adversary], Dict[int, Callable]]:
     """Resolve the adversary name into a message-level adversary and a map
-    of replica-index → Byzantine node-factory override.
-
-    ``node_cls`` is the protocol class the run uses, needed by adversaries
-    that subclass it (withholding, schedules); defaults to the registry
-    entry for ``cfg.protocol_name``.
+    of replica-index → Byzantine node-factory override: name → spec →
+    :class:`~repro.adversary.schedule.FaultSchedule` → its two halves.
+    ``node_cls`` (default: the registry entry for ``cfg.protocol_name``) is
+    the protocol class the withholding override subclasses.
     """
-    name = cfg.adversary_name
-    system = cfg.system
-    if node_cls is None:
-        node_cls = PROTOCOL_REGISTRY.get(cfg.protocol_name)
-    if name.startswith("schedule:"):
-        schedule = FaultSchedule.from_spec(name[len("schedule:"):])
-        schedule.validate(system, cfg.protocol_name)
-        if node_cls is None:
-            raise ConfigError(
-                f"unknown protocol {cfg.protocol_name!r} for fault schedule"
-            )
-        return (
-            schedule.adversary(cfg.seed),
-            schedule.node_overrides(node_cls, system),
-        )
-    if name == "worst":
-        name = WORST_ATTACK[cfg.protocol_name]
-    if name == "none":
-        return None, {}
-    if name == "crash":
-        return CrashAdversary.crash_f(system.n, system.f), {}
-    if name == "leader-delay":
-        return BullsharkLeaderDelayAdversary(system, delay=1.0, seed=cfg.seed), {}
-    if name == "random-sched":
-        return RandomSchedulingAdversary(max_delay=0.2, seed=cfg.seed), {}
-    if name == "equivocate":
-        if cfg.protocol_name != "lightdag2":
-            raise ConfigError("the equivocation attack targets lightdag2 only")
-        byzantine = list(range(system.n - system.f, system.n))
-        starts = stagger_start_waves(byzantine)
-
-        def override_for(replica: int) -> Callable:
-            start = starts[replica]
-
-            def build(net, *, _start=start, **kwargs):
-                return EquivocatingLightDag2Node(net, start_wave=_start, **kwargs)
-
-            return build
-
-        return None, {b: override_for(b) for b in byzantine}
-    if name in ("withhold", "withhold-garbage"):
-        if node_cls is None:
-            raise ConfigError(
-                f"unknown protocol {cfg.protocol_name!r} for withhold attack"
-            )
-        mode = "garbage" if name == "withhold-garbage" else "ignore"
-        wh_cls = withholding_node_class(node_cls, mode=mode)
-        byzantine = list(range(system.n - system.f, system.n))
-
-        def wh_build(net, **kwargs):
-            return wh_cls(net, **kwargs)
-
-        return None, {b: wh_build for b in byzantine}
-    raise ConfigError(f"unknown adversary {name!r}")
+    schedule = fault_schedule(cfg)
+    node_cls = node_cls or node_class(cfg.protocol_name)
+    return schedule.adversary(cfg.seed), schedule.node_overrides(node_cls, cfg.system)
 
 
 def run_experiment(
@@ -233,63 +177,17 @@ def run_experiment(
     (the oracle self-tests merge deliberately broken mutants in).
     """
     system = cfg.system
-    level = check_level if check_level is not None else cfg.check_level
-    if level not in ("off", "prefix", "final", "full"):
-        raise ConfigError(f"unknown check level {level!r}")
-    protocols = PROTOCOL_REGISTRY if registry is None else registry
-    node_cls = protocols.get(cfg.protocol_name)
-    if node_cls is None:
-        raise ConfigError(
-            f"unknown protocol {cfg.protocol_name!r}; "
-            f"choose from {sorted(protocols)}"
-        )
-    dealer = TrustedDealer(
-        system, coin_threshold=cfg.protocol.resolve_coin_threshold(system)
-    )
-    chains = dealer.deal()
+    node_cls = node_class(cfg.protocol_name, registry)
     obs = obs if obs is not None else NULL_OBS
-    collector = MetricsCollector(warmup=cfg.warmup, measure_until=cfg.duration)
-    adversary, byz_overrides = build_adversary(cfg, node_cls)
-    monitor = InvariantMonitor(obs=obs) if level == "full" else None
     watchdog = None
     if health and obs.journal.enabled:
         # Listener installation swaps journal.emit — must happen before
         # node construction, which pre-binds that method for hot paths.
         watchdog = HealthMonitor(system.n)
         watchdog.install(obs.journal)
-
-    mempools = [
-        Mempool.from_config(
-            cfg.protocol, rate=cfg.tx_rate_per_replica,
-            max_backlog=cfg.mempool_cap,
-        )
-        for _ in range(system.n)
-    ]
-    if obs.trace.enabled:
-        for i, mempool in enumerate(mempools):
-            mempool.bind_trace(obs.trace, i)
-    if cfg.mempool_cap and obs.metrics.enabled:
-        for i, mempool in enumerate(mempools):
-            mempool.bind_obs(obs, i)
-
-    def factory_for(i: int):
-        def make(net):
-            kwargs = dict(
-                system=system,
-                protocol=cfg.protocol,
-                keychain=chains[i],
-                payload_source=mempools[i].take,
-                on_commit=collector.callback_for(i),
-                obs=obs,
-            )
-            if i in byz_overrides:
-                return byz_overrides[i](net, **kwargs)
-            if monitor is not None:
-                kwargs["on_commit"] = monitor.wrap_commit(i, kwargs["on_commit"])
-                kwargs["on_deliver"] = monitor.deliver_hook(i)
-            return node_cls(net, **kwargs)
-
-        return make
+    cluster, collector, mempools = assemble_experiment(
+        cfg, node_cls, check_level=check_level, obs=obs
+    )
 
     latency = make_latency_model(cfg.latency_model)
     cpu = None
@@ -305,41 +203,19 @@ def run_experiment(
     bw_scale = getattr(latency, "node_bandwidth_scale", None)
     if bandwidth and bw_scale is not None:
         bandwidth = [bandwidth * bw_scale(i) for i in range(system.n)]
-    peak_mem_mb = None
-    if cfg.track_memory:
-        import tracemalloc
-
-        tracemalloc.start()
     sim = Simulation(
-        [factory_for(i) for i in range(system.n)],
+        cluster.factories,
         latency_model=latency,
         bandwidth_bps=bandwidth,
-        adversary=adversary,
+        adversary=cluster.adversary,
         cpu=cpu,
         seed=cfg.seed,
         obs=obs,
     )
-    if monitor is not None:
-        monitor.bind(sim.nodes)
-    try:
-        with collector_paused():
-            sim.run(until=cfg.duration)
-    finally:
-        if cfg.track_memory:
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            peak_mem_mb = peak / (1024 * 1024)
-
-    honest_ids = [
-        i
-        for i in range(system.n)
-        if i not in byz_overrides and i not in sim.crashed
-    ]
-    honest = [sim.nodes[i] for i in honest_ids]
-    if level != "off":
-        check_prefix_consistency([node.ledger for node in honest])
-    if level in ("final", "full"):
-        deep_audit(honest, labels=honest_ids, obs=obs, now=sim.now)
+    cluster.bind(sim.nodes)
+    with collector_paused():
+        sim.run(until=cfg.duration)
+    honest = cluster.check(sim.nodes, crashed=sim.crashed, now=sim.now)
 
     window = cfg.duration - cfg.warmup
     extras: Dict[str, float] = {}
@@ -347,8 +223,6 @@ def run_experiment(
         if hasattr(node, "reproposals"):
             extras["reproposals"] = extras.get("reproposals", 0) + node.reproposals
     extras["retrieval_requests"] = sum(n.retrieval.requests_sent for n in honest)
-    if peak_mem_mb is not None:
-        extras["peak_mem_mb"] = peak_mem_mb
     if cfg.mempool_cap:
         extras["mempool_dropped"] = sum(m.dropped_total for m in mempools)
 

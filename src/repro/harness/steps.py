@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..config import ProtocolConfig, SystemConfig
-from ..crypto.keys import TrustedDealer
-from ..dag.ledger import check_prefix_consistency
 from ..net.latency import FixedLatency
 from ..net.simulator import Simulation
+from .cluster import assemble
 from .runner import PROTOCOL_REGISTRY
 
 
@@ -77,11 +76,6 @@ def measure_commit_steps(
     """
     system = SystemConfig(n=n, crypto="hmac", seed=seed)
     protocol = ProtocolConfig(batch_size=1)
-    chains = TrustedDealer(
-        system, coin_threshold=protocol.resolve_coin_threshold(system)
-    ).deal()
-    node_cls = PROTOCOL_REGISTRY[protocol_name]
-
     latencies: List[float] = []
 
     def payload_source(now: float):
@@ -94,27 +88,21 @@ def measure_commit_steps(
         if payload.count:
             latencies.append(record.commit_time - payload.mean_submit_time())
 
-    def factory_for(i: int):
-        def make(net):
-            return node_cls(
-                net,
-                system=system,
-                protocol=protocol,
-                keychain=chains[i],
-                payload_source=payload_source,
-                on_commit=on_commit if i == 0 else None,
-            )
-
-        return make
-
+    cluster = assemble(
+        system,
+        protocol,
+        PROTOCOL_REGISTRY[protocol_name],
+        payload_source=lambda i: payload_source,
+        on_commit=lambda i: on_commit if i == 0 else None,
+    )
     sim = Simulation(
-        [factory_for(i) for i in range(n)],
+        cluster.factories,
         latency_model=FixedLatency(1.0),
         bandwidth_bps=None,  # pure step counting — no serialization term
         seed=seed,
     )
     sim.run(until=sim_steps)
-    check_prefix_consistency([node.ledger for node in sim.nodes])
+    cluster.check(sim.nodes)
     if not latencies:
         return StepMeasurement(protocol_name, math.nan, math.nan, 0)
     return StepMeasurement(

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..config import ExperimentConfig
-from ..crypto.keys import TrustedDealer
-from ..dag.ledger import Ledger, check_prefix_consistency
+from ..dag.ledger import Ledger
 from ..errors import ConfigError
-from ..harness.runner import PROTOCOL_REGISTRY
+from ..harness.cluster import Assembly, assemble_experiment
+from ..harness.runner import node_class
 from ..net.asyncnet import AsyncCluster
 from ..net.latency import make_latency_model
 from ..workload.metrics import MetricsCollector
-from ..workload.txgen import Mempool
 
 
 @dataclass
@@ -30,6 +29,7 @@ class AsyncExperiment:
     cluster: AsyncCluster
     collector: MetricsCollector
     config: ExperimentConfig
+    assembly: Assembly
 
     async def run(self) -> None:
         await self.cluster.run(self.config.duration)
@@ -38,7 +38,8 @@ class AsyncExperiment:
         return [node.ledger for node in self.cluster.nodes]
 
     def verify_safety(self) -> None:
-        check_prefix_consistency(self.ledgers())
+        """The post-run checks ``config.check_level`` asks for."""
+        self.assembly.check(self.cluster.nodes)
 
     def summary(self) -> Dict[str, float]:
         window = self.config.duration - self.config.warmup
@@ -51,48 +52,25 @@ class AsyncExperiment:
 
 
 def build_async_experiment(cfg: ExperimentConfig) -> AsyncExperiment:
-    """Assemble an asyncio cluster for a config (favorable situations only —
-    the simulator owns adversarial runs, where reproducibility matters)."""
-    if cfg.adversary_name != "none":
+    """Assemble an asyncio cluster for a config: the same replicas, hooks
+    and checks the simulator harness would build, minus anything that needs
+    the simulator's per-send hook — the simulator owns those runs, where
+    reproducibility matters."""
+    assembly, collector, _ = assemble_experiment(cfg, node_class(cfg.protocol_name))
+    if assembly.adversary is not None:
         raise ConfigError(
-            "the asyncio runtime runs favorable situations only; use the "
-            "simulator harness for adversarial experiments"
+            "the asyncio runtime runs favorable situations and Byzantine "
+            "node classes only; message-level faults (crash, delay, "
+            "partition) need the simulator harness"
         )
-    system = cfg.system
-    node_cls = PROTOCOL_REGISTRY.get(cfg.protocol_name)
-    if node_cls is None:
-        raise ConfigError(f"unknown protocol {cfg.protocol_name!r}")
-    chains = TrustedDealer(
-        system, coin_threshold=cfg.protocol.resolve_coin_threshold(system)
-    ).deal()
-    collector = MetricsCollector(warmup=cfg.warmup, measure_until=cfg.duration)
-    mempools = [
-        Mempool.from_config(cfg.protocol, rate=cfg.tx_rate_per_replica)
-        for _ in range(system.n)
-    ]
-
-    def factory_for(i: int):
-        def make(net):
-            return node_cls(
-                net,
-                system=system,
-                protocol=cfg.protocol,
-                keychain=chains[i],
-                payload_source=mempools[i].take,
-                on_commit=collector.callback_for(i),
-            )
-
-        return make
-
     latency: Optional[object] = None
     if cfg.latency_model != "none":
         latency = make_latency_model(cfg.latency_model)
-    cluster = AsyncCluster(
-        [factory_for(i) for i in range(system.n)],
-        latency_model=latency,
-        seed=cfg.seed,
+    cluster = AsyncCluster(assembly.factories, latency_model=latency, seed=cfg.seed)
+    assembly.bind(cluster.nodes)
+    return AsyncExperiment(
+        cluster=cluster, collector=collector, config=cfg, assembly=assembly
     )
-    return AsyncExperiment(cluster=cluster, collector=collector, config=cfg)
 
 
 def run_async_experiment(cfg: ExperimentConfig) -> Dict[str, float]:

@@ -20,21 +20,21 @@ queue (reject or shed-oldest under overload, per-client fairness caps),
 so a replica facing more offered load than the cluster commits degrades
 by refusing work instead of by growing without bound.
 
-:class:`SmrCluster` assembles a full replicated service over any runtime
-(simulator or asyncio) and exposes the cross-replica invariant checks the
-tests rely on: identical applied sequences and identical state digests.
+:class:`SmrCluster` assembles a full replicated service on the simulator
+(``examples/smr_service.py`` puts :class:`SmrReplica` on the TCP runtime
+itself) and exposes the cross-replica invariant checks the tests rely on:
+identical applied sequences and identical state digests.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Type
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from ..codec.primitives import CodecError
 from ..config import ProtocolConfig, SystemConfig
 from ..crypto.hashing import Digest
-from ..crypto.keys import TrustedDealer
 from ..dag.block import TxBatch
 from ..dag.ledger import CommitRecord, check_prefix_consistency
 from ..errors import ProtocolError
@@ -252,6 +252,7 @@ class SmrCluster:
         next to the client-observed numbers.  ``max_batch`` caps commands
         per proposal (default: the protocol's batch size).
         """
+        from ..harness.cluster import assemble
         from ..harness.runner import PROTOCOL_REGISTRY
         from ..net.latency import UniformLatency
         from ..net.simulator import Simulation
@@ -262,10 +263,6 @@ class SmrCluster:
         protocol = protocol or ProtocolConfig(batch_size=64)
         if max_batch is None:
             max_batch = protocol.batch_size
-        node_cls: Type = PROTOCOL_REGISTRY[protocol_name]
-        chains = TrustedDealer(
-            system, coin_threshold=protocol.resolve_coin_threshold(system)
-        ).deal()
         replicas = [
             SmrReplica(
                 i,
@@ -291,19 +288,16 @@ class SmrCluster:
 
             return tee
 
-        def factory(i: int):
-            return lambda net: node_cls(
-                net,
-                system=system,
-                protocol=protocol,
-                keychain=chains[i],
-                payload_source=replicas[i].payload_source,
-                on_commit=commit_hook(i),
-                obs=obs,
-            )
-
+        cluster = assemble(
+            system,
+            protocol,
+            PROTOCOL_REGISTRY[protocol_name],
+            payload_source=lambda i: replicas[i].payload_source,
+            on_commit=commit_hook,
+            obs=obs,
+        )
         sim = Simulation(
-            [factory(i) for i in range(system.n)],
+            cluster.factories,
             latency_model=latency_model or UniformLatency(0.01, 0.05),
             seed=seed,
             obs=obs,

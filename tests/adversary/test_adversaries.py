@@ -1,11 +1,7 @@
-"""Tests for the adversary package: crash, targeted delay, scheduling."""
+"""Tests for the adversary package: crash, targeted delay, scheduling —
+each fault driven the one way the package drives it, as a schedule spec."""
 
-import pytest
-
-from repro.adversary.byzantine import stagger_start_waves
-from repro.adversary.crash import CrashAdversary
-from repro.adversary.delay import BullsharkLeaderDelayAdversary, TargetedDelayAdversary
-from repro.adversary.scheduler import RandomSchedulingAdversary
+from repro.adversary.schedule import ATTACKS, FaultSchedule
 from repro.baselines.bullshark import BullsharkNode
 from repro.broadcast.messages import BlockEcho, BlockVal
 from repro.config import ProtocolConfig, SystemConfig
@@ -15,6 +11,13 @@ from repro.dag.block import genesis_block, make_block
 from repro.dag.ledger import check_prefix_consistency
 from repro.net.latency import FixedLatency
 from repro.net.simulator import Simulation
+
+from ..conftest import DelayMatching
+
+
+def faults(spec, seed=0):
+    """The message-level driver of a schedule spec."""
+    return FaultSchedule.from_spec(spec).adversary(seed)
 
 
 def build_sim(node_cls, n=4, seed=1, adversary=None):
@@ -36,23 +39,27 @@ def build_sim(node_cls, n=4, seed=1, adversary=None):
 
 class TestCrashAdversary:
     def test_crash_f_helper(self):
-        adversary = CrashAdversary.crash_f(n=7, f=2)
-        assert adversary.victims == (5, 6)
+        spec = ATTACKS["crash"](SystemConfig(n=7))
+        assert FaultSchedule.from_spec(spec).faulty_replicas() == (5, 6)
 
     def test_attach_crashes_victims(self):
-        sim, _ = build_sim(LightDag1Node, adversary=CrashAdversary(victims=[3]))
+        sim, _ = build_sim(LightDag1Node, adversary=faults("crash@0+0:victims=3"))
         assert 3 in sim.crashed
 
     def test_delayed_crash_scheduled(self):
-        sim, _ = build_sim(
-            LightDag1Node, adversary=CrashAdversary(victims=[3], at=1.0)
-        )
+        """A crash at t>0 silences the replica from then on, not before."""
+        sim, _ = build_sim(LightDag1Node, adversary=faults("crash@1+0:victims=3"))
         assert 3 not in sim.crashed
-        sim.run(until=2.0)
+        sim.run(until=0.9)
+        proposed_before = sim.nodes[3].current_round
+        assert proposed_before > 1
+        sim.run(until=3.0)
         assert 3 in sim.crashed
+        assert sim.nodes[3].current_round <= proposed_before + 1
+        assert sim.nodes[0].current_round > proposed_before + 5
 
     def test_system_survives_crash_f(self):
-        sim, _ = build_sim(LightDag1Node, adversary=CrashAdversary(victims=[3]))
+        sim, _ = build_sim(LightDag1Node, adversary=faults("crash@0+0:victims=3"))
         sim.run(until=4.0)
         alive = sim.nodes[:3]
         check_prefix_consistency([n.ledger for n in alive])
@@ -62,7 +69,7 @@ class TestCrashAdversary:
         clean, _ = build_sim(LightDag1Node, seed=2)
         clean.run(until=4.0)
         attacked, _ = build_sim(
-            LightDag1Node, seed=2, adversary=CrashAdversary(victims=[3])
+            LightDag1Node, seed=2, adversary=faults("crash@0+0:victims=3")
         )
         attacked.run(until=4.0)
         assert len(attacked.nodes[0].ledger) < len(clean.nodes[0].ledger)
@@ -70,21 +77,17 @@ class TestCrashAdversary:
 
 class TestTargetedDelay:
     def test_predicate_gates_delay(self):
-        adv = TargetedDelayAdversary(
-            predicate=lambda s, d, m: isinstance(m, BlockVal), delay=2.0
-        )
+        adv = DelayMatching(lambda s, d, m: isinstance(m, BlockVal), delay=2.0)
         block = make_block(1, 0, [genesis_block(a).digest for a in range(4)])
         assert adv.on_send(0, 1, BlockVal(block), 0.0) == 2.0
         assert adv.on_send(0, 1, BlockEcho(1, 0, block.digest), 0.0) == 0.0
         assert adv.delayed_count == 1
 
     def test_bullshark_leader_delay_targets_leader_vals_only(self):
-        system = SystemConfig(n=4, seed=1)
-        adv = BullsharkLeaderDelayAdversary(system, delay=1.0)
-        # Find the wave-1 leader the adversary must target.
-        import repro.crypto.hashing as h
-
-        leader = h.hash_to_int("bullshark-leader", system.seed, 1) % 4
+        adv = faults("leader-delay@0+inf:delay=1")
+        # The leader schedule is the attached cluster's own, public one.
+        sim, _ = build_sim(BullsharkNode, n=4, seed=1, adversary=adv)
+        leader = sim.nodes[0].predefined_leader(1)
         parents = [genesis_block(a).digest for a in range(4)]
         leader_block = make_block(1, leader, parents)
         other_block = make_block(1, (leader + 1) % 4, parents)
@@ -92,14 +95,14 @@ class TestTargetedDelay:
         assert adv.on_send(leader, 2, BlockVal(leader_block), 0.0) == 1.0
         assert adv.on_send(0, 2, BlockVal(other_block), 0.0) == 0.0
         assert adv.on_send(leader, 2, BlockVal(even_round_block), 0.0) == 0.0
+        echo = BlockEcho(1, leader, leader_block.digest)
+        assert adv.on_send(leader, 2, echo, 0.0) == 0.0
 
     def test_bullshark_suffers_under_leader_delay(self):
         clean, system = build_sim(BullsharkNode, seed=2)
         clean.run(until=6.0)
         attacked, _ = build_sim(
-            BullsharkNode,
-            seed=2,
-            adversary=BullsharkLeaderDelayAdversary(system, delay=1.0),
+            BullsharkNode, seed=2, adversary=faults(ATTACKS["leader-delay"](system))
         )
         attacked.run(until=6.0)
         check_prefix_consistency([n.ledger for n in attacked.nodes])
@@ -108,16 +111,17 @@ class TestTargetedDelay:
 
 class TestRandomScheduling:
     def test_delays_within_bounds(self):
-        adv = RandomSchedulingAdversary(max_delay=0.3, seed=1)
+        adv, twin = faults("delay@0+inf:max=0.3", 1), faults("delay@0+inf:max=0.3", 1)
+        other_seed = faults("delay@0+inf:max=0.3", 2)
         block = make_block(1, 0, [genesis_block(a).digest for a in range(4)])
-        for _ in range(100):
-            d = adv.on_send(0, 1, BlockVal(block), 0.0)
-            assert 0.0 <= d <= 0.3
+        drawn = [adv.on_send(0, 1, BlockVal(block), 0.0) for _ in range(100)]
+        assert all(0.0 <= d <= 0.3 for d in drawn)
+        # Seed-deterministic: the same seed redraws the same delays.
+        assert drawn == [twin.on_send(0, 1, BlockVal(block), 0.0) for _ in range(100)]
+        assert drawn != [other_seed.on_send(0, 1, BlockVal(block), 0.0) for _ in range(100)]
 
     def test_tail_delays(self):
-        adv = RandomSchedulingAdversary(
-            max_delay=0.1, tail_probability=1.0, tail_delay=5.0, seed=1
-        )
+        adv = faults("delay@0+inf:max=0.1,tailp=1,taild=5", 1)
         block = make_block(1, 0, [genesis_block(a).digest for a in range(4)])
         assert adv.on_send(0, 1, BlockVal(block), 0.0) >= 5.0
 
@@ -125,7 +129,7 @@ class TestRandomScheduling:
         sim, _ = build_sim(
             LightDag1Node,
             seed=3,
-            adversary=RandomSchedulingAdversary(max_delay=0.25, seed=3),
+            adversary=faults("delay@0+inf:max=0.25", 3),
         )
         sim.run(until=8.0)
         check_prefix_consistency([n.ledger for n in sim.nodes])
@@ -134,5 +138,8 @@ class TestRandomScheduling:
 
 class TestStagger:
     def test_stagger_start_waves(self):
-        assert stagger_start_waves([5, 6], waves_apart=2) == {5: 1, 6: 3}
-        assert stagger_start_waves([], 2) == {}
+        """§VI-A "one Byzantine replica each time": two waves apart."""
+        assert ATTACKS["equivocate"](SystemConfig(n=7)) == (
+            "equivocate@0+0:replicas=5,wave=1;equivocate@0+0:replicas=6,wave=3"
+        )
+        assert ATTACKS["equivocate"](SystemConfig(n=3)) == ""

@@ -214,7 +214,7 @@ class TestMonitorRewind:
         the direct probe."""
         cfg = ExploreConfig(protocol="lightdag1", max_rounds=2)
         world = build_world(cfg, None)
-        monitor = world.monitor
+        monitor = world.cluster.monitor
         snap = world.snapshot()
         before = (
             monitor.commits_checked,

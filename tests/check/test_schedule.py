@@ -1,8 +1,14 @@
 """Fault-schedule grammar, validation, driver, and generator tests."""
 
+import json
+import math
+from pathlib import Path
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.adversary.schedule import (
+    ALL_KINDS,
     FaultPhase,
     FaultSchedule,
     ScheduleAdversary,
@@ -50,6 +56,27 @@ class TestGrammar:
     def test_empty_spec(self):
         assert FaultSchedule.from_spec("").phases == ()
 
+    def test_whole_run_window_round_trips(self):
+        """``+inf`` never closes: parsed, rendered back, active at any time."""
+        spec = "delay@0+inf:max=0.2"
+        phase = parse_phase(spec)
+        assert phase.duration == math.inf and phase.end == math.inf
+        assert phase.active(0.0) and phase.active(1e12)
+        assert phase.to_spec() == spec
+        assert parse_phase("leader-delay@2.5+inf:delay=1").to_spec() == (
+            "leader-delay@2.5+inf:delay=1"
+        )
+
+    @pytest.mark.parametrize("bad", [
+        "crash@nan+0:victims=3",   # never active: nan compares false both ways
+        "delay@0+nan:max=0.2",
+        "delay@inf+1:max=0.2",     # starts after every run has ended
+        "delay@0+-inf:max=0.2",
+    ])
+    def test_non_finite_window_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite start"):
+            parse_phase(bad)
+
     @pytest.mark.parametrize("bad", [
         "delay",                 # no window
         "delay@x+1",             # non-numeric start
@@ -60,6 +87,49 @@ class TestGrammar:
     def test_malformed_rejected(self, bad):
         with pytest.raises(ConfigError):
             parse_phase(bad)
+
+
+# Phases as the parser yields them: times and float parameters on the
+# grammar's millisecond grid, a one-replica list as a bare int.
+_ms = st.integers(0, 10**6).map(lambda k: k / 1000)
+_window = st.one_of(_ms, st.just(math.inf))
+_replicas = st.one_of(
+    st.integers(0, 63),
+    st.lists(st.integers(0, 63), min_size=2, max_size=6, unique=True).map(tuple),
+)
+
+
+def _phase(kind, duration, **params):
+    return st.builds(
+        lambda start, duration, values: FaultPhase(
+            kind, start, duration, tuple(zip(params, values))
+        ),
+        _ms, duration, st.tuples(*params.values()),
+    )
+
+
+_BY_KIND = {
+    "delay": _phase("delay", _window, max=_ms, tailp=_ms, taild=_ms),
+    "partition": _phase("partition", _window, group=_replicas),
+    "leader-delay": _phase("leader-delay", _window, delay=_ms),
+    "crash": _phase("crash", st.just(0.0), victims=_replicas),
+    "withhold": _phase("withhold", st.just(0.0), replicas=_replicas,
+                       mode=st.sampled_from(["ignore", "garbage"])),
+    "equivocate": _phase("equivocate", st.just(0.0), replicas=_replicas,
+                         wave=st.integers(1, 9)),
+    "order": _phase("order", st.just(0.0), path=_replicas),
+}
+_phases = st.one_of(*_BY_KIND.values())
+
+
+class TestRoundTripProperty:
+    def test_strategy_covers_every_kind(self):
+        assert sorted(_BY_KIND) == sorted(ALL_KINDS)
+
+    @given(st.lists(_phases, max_size=4))
+    def test_any_schedule_round_trips(self, phases):
+        schedule = FaultSchedule(tuple(phases))
+        assert FaultSchedule.from_spec(schedule.to_spec()) == schedule
 
 
 class TestValidation:
@@ -120,6 +190,32 @@ class TestScheduleAdversary:
         adv = ScheduleAdversary(phases, seed=0)
         assert adv.on_send(0, 1, _Msg(), now=1.0) == pytest.approx(3.0)
 
+    def test_leader_delay_adds_to_random_delays(self):
+        """Only a predefined leader's VAL in a leader round waits extra, and
+        the extra delay stacks on whatever the delay phases drew."""
+        from repro.baselines.bullshark import BullsharkNode
+        from repro.broadcast.messages import BlockVal
+        from repro.dag.block import genesis_block, make_block
+        from repro.harness.cluster import assemble
+        from repro.net.simulator import Simulation
+        from repro.config import ProtocolConfig
+
+        schedule = FaultSchedule.from_spec(
+            "delay@0+inf:max=0,tailp=1,taild=0.25;leader-delay@1+2:delay=1.5"
+        )
+        system = SystemConfig(n=4, crypto="hmac", seed=5)
+        cluster = assemble(system, ProtocolConfig(), BullsharkNode, schedule=schedule)
+        sim = Simulation(cluster.factories, adversary=cluster.adversary, seed=5)
+        leader = sim.nodes[0].predefined_leader(1)
+        parents = [genesis_block(a).digest for a in range(4)]
+        val = BlockVal(make_block(1, leader, parents))
+        bystander = BlockVal(make_block(1, (leader + 1) % 4, parents))
+        adv = cluster.adversary
+        assert adv.on_send(leader, 0, val, now=0.5) == 0.25   # before the phase
+        assert adv.on_send(leader, 0, val, now=1.5) == 1.75   # inside it
+        assert adv.on_send(leader, 0, bystander, now=1.5) == 0.25
+        assert adv.on_send(leader, 0, val, now=3.0) == 0.25   # after it
+
     def test_no_message_phases_yields_no_adversary(self):
         schedule = FaultSchedule.from_spec("withhold@0+0:replicas=3")
         assert schedule.adversary(seed=0) is None
@@ -152,6 +248,23 @@ class TestGenerator:
         for seed in range(40):
             schedule = random_schedule(seed, system, "tusk", 6.0)
             assert all(p.kind != "equivocate" for p in schedule.phases)
+
+    @pytest.mark.parametrize("protocol", ["lightdag2", "tusk"])
+    def test_draws_are_pinned(self, protocol):
+        """Twenty seeds per protocol, captured before ``leader-delay`` and
+        ``+inf`` joined the grammar: additions to the grammar must not move
+        what the fuzzer draws (a new kind enters its ``kinds`` list only in
+        a change that means to re-seed every fuzz case)."""
+        pins = json.loads(
+            Path(__file__).with_name("random_schedule_pins.json").read_text()
+        )
+        drawn = [
+            random_schedule(
+                seed, SystemConfig(n=7, crypto="hmac", seed=seed), protocol, 8.0
+            ).to_spec()
+            for seed in range(20)
+        ]
+        assert drawn == pins[protocol]
 
     def test_round_trips_through_spec(self):
         system = SystemConfig(n=7, crypto="hmac", seed=0)

@@ -6,6 +6,7 @@ from typing import Any, List, Tuple
 
 import pytest
 
+from repro.adversary.base import Adversary
 from repro.config import ProtocolConfig, SystemConfig
 from repro.crypto.keys import KeyChain, TrustedDealer
 from repro.net.interfaces import Message, NetworkAPI
@@ -22,6 +23,19 @@ def count_calls(monkeypatch, owner, name: str, log: list) -> None:
         return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapper)
+
+
+class DelayMatching(Adversary):
+    """Delay every message ``predicate(src, dst, msg)`` accepts by ``delay``."""
+
+    def __init__(self, predicate, delay: float) -> None:
+        super().__init__()
+        self.predicate, self.delay, self.delayed_count = predicate, delay, 0
+
+    def on_send(self, src, dst, msg, now):
+        hit = self.predicate(src, dst, msg)
+        self.delayed_count += hit
+        return self.delay if hit else 0.0
 
 
 class FakeNet(NetworkAPI):

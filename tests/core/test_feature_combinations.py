@@ -7,13 +7,15 @@ point below the GC horizon; recovery machinery must coexist with pruning).
 
 import pytest
 
-from repro.adversary.delay import TargetedDelayAdversary
+from repro.adversary.schedule import FaultSchedule
 from repro.config import ProtocolConfig, SystemConfig
 from repro.core.lightdag1 import LightDag1Node
 from repro.crypto.keys import TrustedDealer
 from repro.dag.ledger import check_prefix_consistency
 from repro.net.latency import UniformLatency
 from repro.net.simulator import Simulation
+
+from ..conftest import DelayMatching
 
 
 def build_sim(protocol_kwargs, n=4, seed=1, adversary=None, crash=None):
@@ -47,9 +49,7 @@ class TestGcPlusWeakLinks:
         assert node.store.lowest_retained_round() > 1
 
     def test_combined_with_slow_replica(self):
-        slow = TargetedDelayAdversary(
-            predicate=lambda s, d, m: s == 2, delay=0.12, seed=4
-        )
+        slow = DelayMatching(lambda s, d, m: s == 2, delay=0.12)
         sim = build_sim({"gc_depth": 16, "weak_links": True}, seed=4, adversary=slow)
         sim.run(until=10.0)
         check_prefix_consistency([n.ledger for n in sim.nodes])
@@ -66,9 +66,7 @@ class TestGcPlusRecovery:
     def test_gc_node_can_still_serve_recent_retrieval(self):
         """A pruning node keeps enough history (gc_depth + wave margin) to
         answer retrieval for anything a live replica can still need."""
-        from repro.adversary.partition import PartitionAdversary
-
-        adversary = PartitionAdversary(group_a=[3], start=0.5, end=2.5)
+        adversary = FaultSchedule.from_spec("partition@0.5+2:group=3").adversary()
         system = SystemConfig(n=4, crypto="hmac", seed=6)
         protocol = ProtocolConfig(batch_size=5, gc_depth=40)
         chains = TrustedDealer(system).deal()

@@ -12,6 +12,7 @@ from repro.errors import ConfigError
 from repro.net.latency import FixedLatency, UniformLatency
 from repro.net.simulator import Simulation
 
+from ..conftest import DelayMatching
 from ..dag.helpers import grow_chain
 
 
@@ -110,16 +111,13 @@ class TestGcEndToEnd:
         """A replica whose messages crawl still agrees on the prefix — the
         deterministic commit horizon keeps commit sets identical even when
         pruning states differ."""
-        from repro.adversary.delay import TargetedDelayAdversary
         from repro.net.simulator import Simulation
         from repro.crypto.keys import TrustedDealer
 
         system = SystemConfig(n=4, crypto="hmac", seed=2)
         protocol = ProtocolConfig(batch_size=5, gc_depth=12)
         chains = TrustedDealer(system).deal()
-        slow_to_3 = TargetedDelayAdversary(
-            predicate=lambda s, d, m: d == 3, delay=0.4, seed=2
-        )
+        slow_to_3 = DelayMatching(lambda s, d, m: d == 3, delay=0.4)
         sim = Simulation(
             [
                 (lambda net, i=i: LightDag1Node(net, system, protocol, chains[i]))

@@ -9,7 +9,7 @@ retry-budget exhaustion — plus end-to-end runs with the
 
 import pytest
 
-from repro.adversary.partition import PartitionAdversary
+from repro.adversary.schedule import FaultSchedule
 from repro.adversary.withhold import WithholdingResponder, withholding_node_class
 from repro.broadcast.messages import (
     MAX_REQUEST_DIGESTS,
@@ -281,9 +281,10 @@ class TestWithholdingIntegration:
     retrieval responses, every honest replica still delivers the full
     ancestry and commits, and retries per missing block stay bounded."""
 
-    def build_sim(self, n=4, seed=3, retry_cap=6, duration_partition=(0.5, 3.0)):
-        system = SystemConfig(n=n, crypto="hmac", seed=seed, retry_cap=retry_cap,
-                              fanout_after=2)
+    RETRY_CAP = 6
+
+    def build_sim(self, n=4, seed=3):
+        system = SystemConfig(n=n, crypto="hmac", seed=seed)
         protocol = ProtocolConfig(batch_size=5)
         chains = TrustedDealer(
             system, coin_threshold=protocol.resolve_coin_threshold(system)
@@ -292,9 +293,7 @@ class TestWithholdingIntegration:
         # Replica 3 withholds; replica 2 gets partitioned and must catch up
         # through retrieval afterwards.
         classes = [LightDag1Node, LightDag1Node, LightDag1Node, withholder_cls]
-        adversary = PartitionAdversary(
-            group_a=[2], start=duration_partition[0], end=duration_partition[1]
-        )
+        adversary = FaultSchedule.from_spec("partition@0.5+2.5:group=2").adversary()
         sim = Simulation(
             [
                 (lambda net, i=i: classes[i](net, system, protocol, chains[i]))
@@ -304,10 +303,14 @@ class TestWithholdingIntegration:
             adversary=adversary,
             seed=seed,
         )
-        return sim, system
+        # Small retry budgets, so the cap is met within the run.
+        for node in sim.nodes:
+            node.retrieval.retry_cap = self.RETRY_CAP
+            node.retrieval.fanout_after = 2
+        return sim
 
     def test_honest_replicas_recover_and_commit(self):
-        sim, system = self.build_sim()
+        sim = self.build_sim()
         sim.run(until=12.0)
         honest = sim.nodes[:3]
         check_prefix_consistency([node.ledger for node in honest])
@@ -321,7 +324,7 @@ class TestWithholdingIntegration:
         # Bounded recovery: no request cycle exceeded the configured cap —
         # the old behaviour (an infinite fixed-delay retry loop) is gone.
         for node in honest:
-            assert node.retrieval.max_retries_seen <= system.retry_cap
+            assert node.retrieval.max_retries_seen <= self.RETRY_CAP
         # Nothing left leaking: pending/inflight state drained.
         assert straggler.retrieval.pending_count() == 0
         assert straggler.retrieval.inflight_count() == 0

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.adversary.delay import TargetedDelayAdversary
 from repro.config import ProtocolConfig, SystemConfig
 from repro.core.lightdag1 import LightDag1Node
 from repro.core.lightdag2 import LightDag2Node
@@ -11,6 +10,8 @@ from repro.dag.ledger import check_prefix_consistency
 from repro.errors import ConfigError
 from repro.net.latency import FixedLatency, UniformLatency
 from repro.net.simulator import Simulation
+
+from ..conftest import DelayMatching
 
 
 def build_sim(weak_links, n=4, seed=1, latency=None, adversary=None,
@@ -58,14 +59,12 @@ class TestFairness:
     def test_orphans_recovered_under_targeted_slowdown(self):
         """Slow down one replica's block dissemination so its blocks keep
         missing parent selection; weak links must pick them up anyway."""
-        def slowed(seed):
-            return TargetedDelayAdversary(
-                predicate=lambda s, d, m: s == 2, delay=0.12, seed=seed
-            )
+        def slowed():
+            return DelayMatching(lambda s, d, m: s == 2, delay=0.12)
 
-        without = build_sim(weak_links=False, seed=4, adversary=slowed(4))
+        without = build_sim(weak_links=False, seed=4, adversary=slowed())
         without.run(until=8.0)
-        with_links = build_sim(weak_links=True, seed=4, adversary=slowed(4))
+        with_links = build_sim(weak_links=True, seed=4, adversary=slowed())
         with_links.run(until=8.0)
 
         horizon = min(without.nodes[0].current_round,

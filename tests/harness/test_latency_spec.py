@@ -7,7 +7,6 @@ bit-identically, and (c) fail eagerly at config time when it names an
 unknown model or knob.
 """
 
-import dataclasses
 import pickle
 
 import pytest
@@ -81,12 +80,6 @@ class TestSpecThroughJobsPool:
         parallel = run_sweep(configs, jobs=3)
         assert serial.ok and parallel.ok
         assert repr(serial.results) == repr(parallel.results)
-
-    def test_track_memory_survives_the_pool(self):
-        cfg = dataclasses.replace(spec_config(seed=2), track_memory=True)
-        sweep = run_sweep([cfg], jobs=2)
-        assert sweep.ok
-        assert sweep.results[0].extras["peak_mem_mb"] > 0
 
 
 class TestSpecRoundTrip:

@@ -4,12 +4,8 @@ import pytest
 
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
 from repro.errors import ConfigError
-from repro.harness.runner import (
-    PROTOCOL_REGISTRY,
-    WORST_ATTACK,
-    build_adversary,
-    run_experiment,
-)
+from repro.harness.cluster import WORST_ATTACK
+from repro.harness.runner import PROTOCOL_REGISTRY, build_adversary, run_experiment
 
 
 def config(protocol="lightdag2", n=4, adversary="none", **kw):
@@ -46,12 +42,12 @@ class TestBuildAdversary:
 
     def test_crash(self):
         adversary, overrides = build_adversary(config(adversary="crash"))
-        assert adversary.victims == (3,)
+        assert adversary.schedule.to_spec() == "crash@0+0:victims=3"
         assert overrides == {}
 
     def test_leader_delay(self):
         adversary, _ = build_adversary(config("bullshark", adversary="leader-delay"))
-        assert adversary is not None
+        assert adversary.schedule.to_spec() == "leader-delay@0+inf:delay=1"
 
     def test_equivocate_lightdag2_only(self):
         _, overrides = build_adversary(config("lightdag2", adversary="equivocate"))
@@ -60,10 +56,10 @@ class TestBuildAdversary:
             build_adversary(config("tusk", adversary="equivocate"))
 
     def test_worst_resolves_per_protocol(self):
-        adversary, _ = build_adversary(config("tusk", adversary="worst"))
-        from repro.adversary.crash import CrashAdversary
-
-        assert isinstance(adversary, CrashAdversary)
+        worst, _ = build_adversary(config("tusk", adversary="worst"))
+        crash, _ = build_adversary(config("tusk", adversary="crash"))
+        assert worst.schedule == crash.schedule
+        assert worst.schedule.faulty_replicas() == (3,)
 
     def test_unknown_adversary(self):
         with pytest.raises(ConfigError):

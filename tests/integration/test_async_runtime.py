@@ -10,7 +10,10 @@ import pytest
 
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
 from repro.errors import ConfigError
+from repro.harness import cluster as recipe
 from repro.replica.runtime import build_async_experiment, run_async_experiment
+
+from ..conftest import count_calls
 
 
 def config(protocol="lightdag2", n=4, duration=1.5, latency="lan", batch=20):
@@ -51,6 +54,22 @@ class TestAsyncExperiments:
         with pytest.raises(ConfigError, match="favorable"):
             build_async_experiment(cfg)
 
+    @pytest.mark.parametrize(
+        "name", ["leader-delay", "random-sched", "schedule:partition@0+1:group=0"]
+    )
+    def test_every_message_level_fault_rejected(self, name):
+        with pytest.raises(ConfigError, match="simulator"):
+            build_async_experiment(config("bullshark").with_updates(adversary_name=name))
+
+    def test_byzantine_node_classes_run_over_asyncio(self):
+        """Node-level faults need no per-send hook, so any runtime takes them."""
+        cfg = config("lightdag1").with_updates(adversary_name="withhold")
+        experiment = build_async_experiment(cfg)
+        assert experiment.assembly.byzantine == frozenset({3})
+        asyncio.run(experiment.run())
+        experiment.verify_safety()
+        assert all(len(ledger) > 0 for ledger in experiment.ledgers()[:3])
+
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigError):
             build_async_experiment(config().with_updates(protocol_name="raft"))
@@ -59,3 +78,42 @@ class TestAsyncExperiments:
         fast = run_async_experiment(config(latency="lan", duration=1.5))
         slow = run_async_experiment(config(latency="wan4", duration=1.5))
         assert slow["mean_latency_s"] > fast["mean_latency_s"]
+
+
+class TestConfigReachesTheAsyncRuntime:
+    """``check_level`` and ``mempool_cap`` used to be dropped on this path."""
+
+    def checked(self, monkeypatch, level):
+        audits, prefixes = [], []
+        count_calls(monkeypatch, recipe, "deep_audit", audits)
+        count_calls(monkeypatch, recipe, "check_prefix_consistency", prefixes)
+        experiment = build_async_experiment(
+            config(duration=0.8).with_updates(check_level=level)
+        )
+        asyncio.run(experiment.run())
+        experiment.verify_safety()
+        return len(prefixes), len(audits)
+
+    def test_final_runs_the_deep_audit_once(self, monkeypatch):
+        assert self.checked(monkeypatch, "final") == (1, 1)
+
+    def test_prefix_runs_the_prefix_check_only(self, monkeypatch):
+        assert self.checked(monkeypatch, "prefix") == (1, 0)
+
+    def test_off_runs_neither_check(self, monkeypatch):
+        assert self.checked(monkeypatch, "off") == (0, 0)
+
+    def test_full_arms_the_mid_run_monitor(self):
+        experiment = build_async_experiment(
+            config(duration=0.8).with_updates(check_level="full")
+        )
+        asyncio.run(experiment.run())
+        experiment.verify_safety()
+        monitor = experiment.assembly.monitor
+        assert monitor.commits_checked > 0 and monitor.deliveries_checked > 0
+
+    def test_mempool_cap_reaches_every_replica(self):
+        cfg = config().with_updates(tx_rate_per_replica=200.0, mempool_cap=17)
+        experiment = build_async_experiment(cfg)
+        mempools = [node.payload_source.__self__ for node in experiment.cluster.nodes]
+        assert [m.max_backlog for m in mempools] == [17] * 4

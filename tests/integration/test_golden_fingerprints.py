@@ -44,6 +44,24 @@ CASES["lightdag2-fault-schedule"] = dict(
 )
 
 
+# One row per named attack (and ``worst``), captured at the commit before
+# the named attacks became fault-schedule specs: the name must keep meaning
+# the same run.
+for _attack, _protocol in (
+    ("crash", "lightdag1"),
+    ("crash", "tusk"),
+    ("leader-delay", "bullshark"),
+    ("equivocate", "lightdag2"),
+    ("random-sched", "lightdag2"),
+    ("withhold", "lightdag1"),
+    ("withhold-garbage", "lightdag2"),
+    ("worst", "dagrider"),
+):
+    CASES[f"{_protocol}-attack-{_attack}"] = dict(
+        protocol_name=_protocol, seed=11, adversary_name=_attack
+    )
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 

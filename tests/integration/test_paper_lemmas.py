@@ -19,7 +19,7 @@ all replicas — under jitter, crash, and equivocation:
 import pytest
 
 from repro.adversary.byzantine import EquivocatingLightDag2Node
-from repro.adversary.scheduler import RandomSchedulingAdversary
+from repro.adversary.schedule import FaultSchedule
 from repro.config import ProtocolConfig, SystemConfig
 from repro.core.lightdag1 import LightDag1Node
 from repro.core.lightdag2 import LightDag2Node
@@ -40,6 +40,10 @@ class RecordingLightDag1(LightDag1Node):
         super()._commit_leader(commit)
         if commit.kind == "direct":
             self.directly_committed.append((commit.wave, commit.leader))
+
+
+def random_delays(max_delay, seed):
+    return FaultSchedule.from_spec(f"delay@0+inf:max={max_delay}").adversary(seed)
 
 
 def run_cluster(node_classes, seed=1, until=8.0, adversary=None, crashes=()):
@@ -70,7 +74,7 @@ class TestCbcConsistencyAcrossReplicas:
         """§III-B.1 consistency, cross-replica: the union of every honest
         replica's delivered blocks holds at most one block per slot."""
         sim = run_cluster([RecordingLightDag1] * 4, seed=seed,
-                          adversary=RandomSchedulingAdversary(0.15, seed=seed))
+                          adversary=random_delays(0.15, seed))
         slot_digests = {}
         for node in sim.nodes:
             for round_ in range(1, node.store.highest_round() + 1):
@@ -86,7 +90,7 @@ class TestLemma1:
         """Lemma 1: if L and L' are directly committed (by *any* replicas),
         one is an ancestor of the other."""
         sim = run_cluster([RecordingLightDag1] * 4, seed=seed,
-                          adversary=RandomSchedulingAdversary(0.1, seed=seed))
+                          adversary=random_delays(0.1, seed))
         direct = []  # union over replicas
         for node in sim.nodes:
             direct.extend(node.directly_committed)

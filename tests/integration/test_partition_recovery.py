@@ -8,14 +8,20 @@ its ledger catches up as a consistent prefix.
 
 import pytest
 
-from repro.adversary.partition import PartitionAdversary
+from repro.adversary.schedule import FaultSchedule, parse_phase
 from repro.config import ProtocolConfig, SystemConfig
 from repro.core.lightdag1 import LightDag1Node
 from repro.core.lightdag2 import LightDag2Node
 from repro.crypto.keys import TrustedDealer
 from repro.dag.ledger import check_prefix_consistency
+from repro.errors import ConfigError
 from repro.net.latency import FixedLatency
 from repro.net.simulator import Simulation
+
+
+def partition(spec):
+    """The message-level driver of a ``partition@start+duration:group=…``."""
+    return FaultSchedule.from_spec(spec).adversary()
 
 
 def build_sim(node_cls, adversary, n=4, seed=1):
@@ -37,16 +43,19 @@ def build_sim(node_cls, adversary, n=4, seed=1):
 
 class TestPartitionAdversary:
     def test_cut_detection(self):
-        adversary = PartitionAdversary(group_a=[0, 1], start=0.0, end=1.0)
-        assert adversary._crosses_cut(0, 2)
-        assert adversary._crosses_cut(3, 1)
-        assert not adversary._crosses_cut(0, 1)
-        assert not adversary._crosses_cut(2, 3)
+        from repro.broadcast.messages import RetrievalRequest
+
+        adversary = partition("partition@0+1:group=0|1")
+        msg = RetrievalRequest(())
+        assert adversary.on_send(0, 2, msg, 0.5) is None
+        assert adversary.on_send(3, 1, msg, 0.5) is None
+        assert adversary.on_send(0, 1, msg, 0.5) == 0.0
+        assert adversary.on_send(2, 3, msg, 0.5) == 0.0
 
     def test_window_respected(self):
         from repro.broadcast.messages import RetrievalRequest
 
-        adversary = PartitionAdversary(group_a=[0], start=1.0, end=2.0)
+        adversary = partition("partition@1+1:group=0")
         msg = RetrievalRequest(())
         assert adversary.on_send(0, 1, msg, 0.5) == 0.0
         assert adversary.on_send(0, 1, msg, 1.5) is None
@@ -54,14 +63,15 @@ class TestPartitionAdversary:
         assert adversary.dropped == 1
 
     def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            PartitionAdversary(group_a=[0], start=2.0, end=1.0)
+        """A partition that ends before it starts is refused."""
+        with pytest.raises(ConfigError):
+            parse_phase("partition@2+-1:group=0")
 
 
 @pytest.mark.parametrize("node_cls", [LightDag1Node, LightDag2Node])
 class TestIsolatedReplicaRecovery:
     def test_majority_progresses_during_isolation(self, node_cls):
-        adversary = PartitionAdversary(group_a=[3], start=0.5, end=4.0)
+        adversary = partition("partition@0.5+3.5:group=3")
         sim = build_sim(node_cls, adversary)
         sim.run(until=4.0)
         majority = sim.nodes[:3]
@@ -70,7 +80,7 @@ class TestIsolatedReplicaRecovery:
         assert len(sim.nodes[3].ledger) < len(majority[0].ledger)
 
     def test_isolated_replica_catches_up_after_heal(self, node_cls):
-        adversary = PartitionAdversary(group_a=[3], start=0.5, end=4.0)
+        adversary = partition("partition@0.5+3.5:group=3")
         sim = build_sim(node_cls, adversary)
         sim.run(until=12.0)
         check_prefix_consistency([n.ledger for n in sim.nodes])
@@ -83,7 +93,7 @@ class TestIsolatedReplicaRecovery:
     def test_even_split_halts_everyone_safely(self, node_cls):
         """A 2-2 split leaves no side with an n-f quorum: no progress on
         either side, and no safety damage once healed."""
-        adversary = PartitionAdversary(group_a=[0, 1], start=0.2, end=3.0)
+        adversary = partition("partition@0.2+2.8:group=0|1")
         sim = build_sim(node_cls, adversary)
         sim.run(until=3.0)
         committed_during = max(len(n.ledger) for n in sim.nodes)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.adversary.byzantine import EquivocatingLightDag2Node
-from repro.adversary.scheduler import RandomSchedulingAdversary
+from repro.adversary.schedule import FaultSchedule
 from repro.baselines.bullshark import BullsharkNode
 from repro.baselines.dagrider import DagRiderNode
 from repro.baselines.tusk import TuskNode
@@ -57,7 +57,9 @@ def run_protocol(
     sim = Simulation(
         [factory(i) for i in range(n)],
         latency_model=UniformLatency(0.01, 0.06),
-        adversary=RandomSchedulingAdversary(max_delay=max_extra_delay, seed=seed),
+        adversary=FaultSchedule.from_spec(
+            f"delay@0+inf:max={max_extra_delay}"
+        ).adversary(seed),
         seed=seed,
     )
     for victim in crashes:
@@ -151,9 +153,9 @@ def test_commit_metadata_agreement_under_tail_delays(node_cls, seed):
             for i in range(4)
         ],
         latency_model=UniformLatency(0.01, 0.06),
-        adversary=RandomSchedulingAdversary(
-            max_delay=0.2, tail_probability=0.15, tail_delay=1.0, seed=seed
-        ),
+        adversary=FaultSchedule.from_spec(
+            "delay@0+inf:max=0.2,tailp=0.15,taild=1"
+        ).adversary(seed),
         seed=seed,
     )
     sim.run(until=8.0)

@@ -153,7 +153,7 @@ def replay(world, choices):
 
 def protocol_probe(world):
     sim = world.sim
-    monitor = world.monitor
+    monitor = world.cluster.monitor
     return (
         state_fingerprint(sim),
         sim._seq,

@@ -95,7 +95,7 @@ class TestCoreAccounting:
 
 class TestAdversaryAttribution:
     def test_partition_drops_are_counted(self):
-        from repro.adversary.partition import PartitionAdversary
+        from repro.adversary.schedule import FaultSchedule
         from repro.core.lightdag1 import LightDag1Node
         from repro.crypto.keys import TrustedDealer
         from repro.net.latency import FixedLatency
@@ -106,7 +106,7 @@ class TestAdversaryAttribution:
         chains = TrustedDealer(
             system, coin_threshold=protocol.resolve_coin_threshold(system)
         ).deal()
-        adversary = PartitionAdversary(group_a=[3], start=0.0, end=2.0)
+        adversary = FaultSchedule.from_spec("partition@0+2:group=3").adversary()
         obs = Observability(MetricsRegistry(), EventJournal())
         sim = Simulation(
             [
