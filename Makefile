@@ -35,12 +35,14 @@ bench-full:
 
 # Alternating parent/change pairs of one pinned-suite workload (W=all: every
 # workload back to back, one table): the procedure behind every claimed
-# gain (docs/PERFORMANCE.md §7).
+# gain (docs/PERFORMANCE.md §7).  LAYERS=1 adds one traced rep per side
+# and the before/after layer rows.
 W ?= sim_scale_n64
 BASE ?= HEAD~1
 N ?= 10
 pairs:
-	$(PYTHON) benchmarks/pairs.py --workload $(W) --base $(BASE) --pairs $(N)
+	$(PYTHON) benchmarks/pairs.py --workload $(W) --base $(BASE) --pairs $(N) \
+		$(if $(LAYERS),--layers)
 
 examples:
 	$(PYTHON) examples/quickstart.py

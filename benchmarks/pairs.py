@@ -15,6 +15,11 @@ the tree it measures (the same reps-and-medians as ``benchmarks/suite/
 run.py``, plus the fingerprint), so the parent is judged by the parent's
 copy of the suite.  Exit status is 0 when every run passed the suite's
 correctness checks; seconds never decide it.
+
+``--layers`` (``make pairs ... LAYERS=1``) then makes one traced rep per side
+(``benchmarks/suite/run.py --trace 1``, the first seed) and prints where the
+time went before and after: ``calls``, ``self_s`` and ``share`` of every
+layer that ran, and each count metric on which the two sides differ.
 """
 
 from __future__ import annotations
@@ -54,6 +59,43 @@ def measure(tree: Path, workload: str, seed: int, seconds: float) -> Optional[di
             print(proc.stderr[-2000:], file=sys.stderr)
             return None
         return json.loads(out.read_text().splitlines()[-1])
+
+
+def traced_layers(tree: Path, workload: str, seconds: float) -> Optional[Dict[str, float]]:
+    """One traced rep in ``tree``; its per-layer metrics, or None if it failed."""
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/suite/run.py", "--workload", workload,
+         "--seed", str(FIRST_SEED), "--seconds", str(seconds), "--trace", "1"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        print(proc.stderr[-2000:], file=sys.stderr)
+        return None
+    return {name: cell["value"] for name, cell in json.loads(lines[-1])["metrics"].items()}
+
+
+def layer_rows(spec: dict, parent: Dict[str, float], change: Dict[str, float]) -> List[str]:
+    """The before/after layer table and the count metrics that differ."""
+    layers = [m["name"][: -len(".self_s")] for m in spec["per_layer"]
+              if m["name"].endswith(".self_s")]
+    rows = [f"{'layer':16}{'calls':>10} {'-> change':>10}{'self_s':>10} {'-> change':>10}"
+            f"{'share':>8} {'-> change':>9}"]
+    for layer in layers:
+        calls, self_s, share = (f"{layer}.{col}" for col in ("calls", "self_s", "share"))
+        if parent[calls] or change[calls]:
+            rows.append(
+                f"{layer:16}{parent[calls]:10d} {change[calls]:10d}"
+                f"{parent[self_s]:10.3f} {change[self_s]:10.3f}"
+                f"{parent[share]:8.3f} {change[share]:9.3f}"
+            )
+    in_table = {f"{layer}.calls" for layer in layers}
+    counts = [m["name"] for m in spec["per_layer"]
+              if m["unit"] == "count" and m["name"] not in in_table]
+    differing = [name for name in counts if parent[name] != change[name]]
+    rows += [f"{name:38}{parent[name]:12g} -> {change[name]:g}" for name in differing]
+    rows.append(f"{len(counts) - len(differing)} of {len(counts)} count metrics identical")
+    return rows
 
 
 def quartiles(values: List[float]):
@@ -113,6 +155,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None,
                         help="timed seconds per run (default: BENCHMARK.json run_seconds)")
+    parser.add_argument("--layers", action="store_true",
+                        help="then one traced rep per side: the before/after layer rows")
     args = parser.parse_args(argv)
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
@@ -126,6 +170,11 @@ def main(argv=None) -> int:
         results = {
             workload: run_pairs(trees, workload, args.base, args.pairs, seconds)
             for workload in workloads
+        }
+        traced = {
+            workload: {side: traced_layers(tree, workload, seconds)
+                       for side, tree in trees.items()}
+            for workload in (workloads if args.layers else ())
         }
     failed_total = 0
     for workload, (rows, failed) in results.items():
@@ -145,6 +194,15 @@ def main(argv=None) -> int:
         )
         print(f"fingerprints match in {matching} of {len(rows['parent'])} pairs; "
               f"{failed} pairs failed")
+        if workload in traced:
+            sides = traced[workload]
+            if None in sides.values():
+                failed_total += 1
+                print("a traced rep failed its checks")
+            else:
+                print(f"traced rep, seed {FIRST_SEED}: {args.base} (parent) -> "
+                      f"the working tree (change)")
+                print("\n".join(layer_rows(spec, sides["parent"], sides["change"])))
     return 1 if failed_total else 0
 
 

@@ -97,9 +97,9 @@ class RetrievalResponse(SizedMessage):
     """§IV-A block retrieval: the peer ships requested blocks it has.
 
     Responders chunk large answers — no single response carries more than
-    ``max_response_blocks`` bodies (``SystemConfig.max_response_blocks``),
-    bounding the burst a response injects into the bandwidth model and
-    what a Byzantine "helper" can shove at a requester in one message.
+    ``RetrievalManager.max_response_blocks`` bodies (16), bounding the burst
+    a response injects into the bandwidth model and what a Byzantine
+    "helper" can shove at a requester in one message.
     Requesters only accept bodies whose *recomputed* digest matches an
     open request (digest pinning; see ``RetrievalManager.on_response``).
     """

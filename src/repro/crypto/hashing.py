@@ -98,6 +98,22 @@ def hash_fields(*fields: Field) -> Digest:
     return hashlib.sha256(preimage).digest()
 
 
+_CMD_HEAD = b"T" + (4).to_bytes(8, "big") + b"S" + (3).to_bytes(8, "big") + b"cmd"
+
+
+def command_preimage(client: str, nonce: int, payload: bytes) -> bytes:
+    """The bytes ``hash_fields("cmd", client, nonce, payload)`` hashes, built
+    without the per-field type dispatch: one is hashed per client command."""
+    name = client.encode("utf-8")
+    raw = nonce.to_bytes((nonce.bit_length() + 8) // 8, "big", signed=True)
+    return b"".join((
+        _CMD_HEAD,
+        b"S", len(name).to_bytes(8, "big"), name,
+        b"I", len(raw).to_bytes(4, "big"), raw,
+        b"Y", len(payload).to_bytes(8, "big"), payload,
+    ))
+
+
 def hash_to_int(*fields: Field) -> int:
     """Hash fields and interpret the digest as a big-endian integer."""
     return int.from_bytes(hash_fields(*fields), "big")

@@ -16,7 +16,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from ..codec.primitives import Reader, Writer
-from ..crypto.hashing import Digest, hash_fields
+from ..crypto.hashing import Digest, command_preimage, hash_bytes, hash_fields
+
+#: ``uvarint(n)`` for every length that fits one byte.
+_LEN1 = tuple(bytes((n,)) for n in range(128))
 
 
 @dataclass(frozen=True)
@@ -29,20 +32,18 @@ class Command:
 
     @classmethod
     def create(cls, client: str, payload: bytes, nonce: int) -> "Command":
-        """Build a command with a collision-resistant id."""
-        return cls(
-            command_id=hash_fields("cmd", client, nonce, payload),
-            client=client,
-            payload=payload,
-        )
+        """A command whose id is ``hash_fields("cmd", client, nonce, payload)``."""
+        return cls(hash_bytes(command_preimage(client, nonce, payload)), client, payload)
 
     def to_bytes(self) -> bytes:
-        """Encoding used inside block payload items."""
-        w = Writer()
-        w.lp_bytes(self.command_id)
-        w.lp_str(self.client)
-        w.lp_bytes(self.payload)
-        return w.getvalue()
+        """A block payload item: ``lp_bytes(id) lp_str(client) lp_bytes(payload)``."""
+        cid, client, payload = self.command_id, self.client.encode("utf-8"), self.payload
+        if len(cid) < 128 and len(client) < 128 and len(payload) < 128:
+            return b"".join((
+                _LEN1[len(cid)], cid, _LEN1[len(client)], client,
+                _LEN1[len(payload)], payload,
+            ))
+        return Writer().lp_bytes(cid).lp_bytes(client).lp_bytes(payload).getvalue()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Command":

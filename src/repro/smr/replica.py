@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..codec.primitives import CodecError
 from ..config import ProtocolConfig, SystemConfig
@@ -38,6 +38,7 @@ from ..crypto.hashing import Digest
 from ..dag.block import TxBatch
 from ..dag.ledger import CommitRecord, check_prefix_consistency
 from ..errors import ProtocolError
+from ..workload.admission import ADMIT, SHED, make_admission
 from .machine import Command, StateMachine
 
 #: Completion callback: ``waiter(command, result, commit_time)``.  ``result``
@@ -90,8 +91,11 @@ class SmrReplica:
 
     # -- client side -------------------------------------------------------------
 
-    def submit(self, payload: bytes, client: str = "local") -> Digest:
-        """Queue a command for ordering; returns its id for result lookup."""
+    def submit(self, payload: bytes, client: Optional[str] = None) -> Digest:
+        """Queue a command for ordering; returns its id for result lookup.
+        ``client`` defaults to a name of this replica's own, as the nonce is."""
+        if client is None:
+            client = f"local-{self.replica_id}"
         command = Command.create(client=client, payload=payload, nonce=next(self._nonce))
         self.submit_command(command)
         return command.command_id
@@ -123,18 +127,17 @@ class SmrReplica:
             if waiter is not None:
                 self._waiters.setdefault(cid, []).append(waiter)
             return True
-        if self.admission is not None:
-            from ..workload.admission import ADMIT, SHED
-
-            verdict = self.admission.decide(command.client)
+        admission = self.admission
+        if admission is not None:
+            verdict = admission.decide(command.client)
             if verdict == SHED:
                 self._shed_oldest(now)
             elif verdict != ADMIT:
                 return False
         self._pending.append(command)
         self._pending_ids.add(cid)
-        if self.admission is not None:
-            self.admission.note_admitted(command.client)
+        if admission is not None:
+            admission.note_admitted(command.client)
         if waiter is not None:
             self._waiters.setdefault(cid, []).append(waiter)
         return True
@@ -160,51 +163,69 @@ class SmrReplica:
 
     def payload_source(self, now: float) -> TxBatch:
         """Drain pending commands into the next block's payload."""
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return TxBatch(count=0, tx_size=0)
-        take = len(self._pending)
+        take = len(pending)
         if self.max_batch:
             take = min(take, self.max_batch)
-        commands = [self._pending.popleft() for _ in range(take)]
-        for command in commands:
-            self._pending_ids.discard(command.command_id)
-            if self.admission is not None:
-                self.admission.note_drained(command.client)
-        items = tuple(c.to_bytes() for c in commands)
-        return TxBatch(
-            count=len(items),
-            tx_size=max(len(i) for i in items),
-            submit_time_sum=len(items) * now,
+        popleft = pending.popleft
+        commands = tuple([popleft() for _ in range(take)])
+        self._pending_ids.difference_update([c.command_id for c in commands])
+        if self.admission is not None:
+            drained = self.admission.note_drained
+            for command in commands:
+                drained(command.client)
+        items = tuple([c.to_bytes() for c in commands])
+        batch = TxBatch(
+            count=take,
+            tx_size=max(map(len, items)),
+            submit_time_sum=take * now,
             sample=(now,),
             items=items,
         )
+        batch_commands(batch, commands)
+        return batch
 
     def on_commit(self, record: CommitRecord) -> None:
         """Apply a committed block's commands in order, exactly once."""
-        applied_before = len(self.applied_order)
-        batch = record.block.payload
-        if "_commands" not in batch.__dict__:
-            # Decoded at the first commit and kept on the immutable batch, the
-            # same object at every simulated replica (see repro.crypto.memo).
-            object.__setattr__(batch, "_commands", tuple(_decode_commands(batch.items)))
-        for command in batch._commands:
+        results = self.results
+        applied_order = self.applied_order
+        applied_before = len(applied_order)
+        apply = self.machine.apply
+        listeners = self._result_listeners
+        waiters = self._waiters
+        for command in batch_commands(record.block.payload):
             cid = command.command_id
-            if cid in self.results:
+            if cid in results:
                 continue
-            result = self.machine.apply(command)
-            self.applied_order.append(cid)
-            self.results[cid] = result
-            for listener in self._result_listeners:
+            result = apply(command)
+            applied_order.append(cid)
+            results[cid] = result
+            for listener in listeners:
                 listener(command, result)
-            for waiter in self._waiters.pop(cid, ()):
-                waiter(command, result, record.commit_time)
+            if cid in waiters:  # only the submitting replica has any
+                for waiter in waiters.pop(cid):
+                    waiter(command, result, record.commit_time)
         if self._trace is not None:
             self._trace.emit(
                 record.commit_time, "trace.execute", self.replica_id,
                 digest=record.block.digest.hex()[:8],
                 position=record.position,
-                commands=len(self.applied_order) - applied_before,
+                commands=len(applied_order) - applied_before,
             )
+
+
+def batch_commands(batch: TxBatch, built_from=None) -> Tuple[Command, ...]:
+    """The commands of ``batch.items``; the one reader and writer of the memo
+    kept on the immutable batch, the same object at every simulated replica
+    (see repro.crypto.memo).  The proposer passes the commands it encoded the
+    items from; a batch that arrived as bytes is decoded at its first commit.
+    """
+    memo = vars(batch)
+    if "_commands" not in memo:
+        memo["_commands"] = built_from or tuple(_decode_commands(batch.items))
+    return memo["_commands"]
 
 
 def _decode_commands(items):
@@ -257,7 +278,6 @@ class SmrCluster:
         from ..net.latency import UniformLatency
         from ..net.simulator import Simulation
         from ..obs import NULL_OBS
-        from ..workload.admission import make_admission
 
         obs = obs if obs is not None else NULL_OBS
         protocol = protocol or ProtocolConfig(batch_size=64)

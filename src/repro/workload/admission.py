@@ -113,8 +113,8 @@ class AdmissionController:
         Returns one of :data:`ADMIT`, :data:`SHED` (admit, but the caller
         must evict its oldest queued command and report it via
         :meth:`note_shed`), :data:`REJECT_FULL`, :data:`REJECT_CLIENT`.
-        Pure decision — the caller applies it and then records the
-        outcome through ``note_admitted`` / ``note_shed``.
+        A rejection is final and counted here; the caller applies an
+        admission and records it through ``note_admitted`` / ``note_shed``.
         """
         cfg = self.config
         if cfg.per_client_cap and self._per_client.get(client, 0) >= cfg.per_client_cap:

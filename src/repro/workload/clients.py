@@ -43,12 +43,14 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..analysis.stats import percentile
 from ..errors import ConfigError
 from ..smr.machine import Command
-from ..smr.replica import SmrReplica
+
+if TYPE_CHECKING:  # smr.replica imports workload.admission: no cycle at run time
+    from ..smr.replica import SmrReplica
 
 __all__ = [
     "ArrivalProcess",

@@ -6,6 +6,10 @@ what the engine did (``SimulationStats``) and how many random draws it made
 (the simulator RNG's final state).  A refactor that claims to keep seeded
 outputs unchanged passes this file without touching the JSON.
 
+The ``smr-*`` rows are one ``run_loadtest`` call each — clients, admission
+and the replicated KV on top of consensus — reduced to what every replica
+applied, what the clients saw and what the engine did.
+
 The default rows (WAN latency, no adversary) take the simulator's flat
 broadcast row; the lossy-topology and fault-schedule rows take its per-copy
 loop and the adversary hooks.
@@ -22,7 +26,9 @@ from pathlib import Path
 import pytest
 
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
-from repro.harness import runner
+from repro.harness import loadtest, runner
+from repro.workload.admission import AdmissionConfig
+from repro.workload.clients import WorkloadSpec
 
 GOLDEN = Path(__file__).with_name("golden_fingerprints.json")
 
@@ -61,9 +67,35 @@ for _attack, _protocol in (
         protocol_name=_protocol, seed=11, adversary_name=_attack
     )
 
+# The client/execution plane: closed and open loop, every admission policy,
+# both LightDAG variants.  ``workload``/``admission`` are constructor
+# arguments of ``WorkloadSpec``/``AdmissionConfig``; the rest of
+# ``LoadtestConfig`` (n=4, batch 16 unless the row says otherwise).
+SMR_CASES = {
+    "smr-closed-think": dict(
+        seed=3, workload=dict(mode="closed", clients=32, think_s=0.01),
+    ),
+    "smr-open-shed-oldest": dict(
+        seed=4, batch_size=8, workload=dict(mode="open", rate=3000.0),
+        admission=dict(max_pending=32, policy="shed-oldest"),
+    ),
+    "smr-closed-reject-client-cap": dict(
+        seed=5, workload=dict(mode="closed", outstanding=4),
+        admission=dict(max_pending=24, policy="reject", per_client_cap=2),
+    ),
+    "smr-lightdag1-n7-bursty-shared": dict(
+        seed=6, n=7, protocol_name="lightdag1",
+        workload=dict(mode="open", rate=800.0, arrival="bursty", shared_keys=True),
+    ),
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _ledger_sha(node) -> str:
+    return hashlib.sha256(b"".join(node.ledger.digest_sequence())).hexdigest()
 
 
 def fingerprint(case: dict) -> dict:
@@ -87,12 +119,9 @@ def fingerprint(case: dict) -> dict:
         runner.Simulation = live
     (sim,) = sims
     stats = sim.stats
-    ledger = hashlib.sha256()
-    for digest in sim.nodes[0].ledger.digest_sequence():
-        ledger.update(digest)
     return {
         "committed_blocks": len(sim.nodes[0].ledger),
-        "ledger_sha256": ledger.hexdigest(),
+        "ledger_sha256": _ledger_sha(sim.nodes[0]),
         "events": stats.events_processed,
         "sent": stats.messages_sent,
         "delivered": stats.messages_delivered,
@@ -103,15 +132,68 @@ def fingerprint(case: dict) -> dict:
     }
 
 
+def smr_fingerprint(case: dict) -> dict:
+    """Run one load test and reduce cluster, clients and engine to a row."""
+    clusters = []
+
+    class Recorded(loadtest.SmrCluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            clusters.append(self)
+
+    case = {"n": 4, "batch_size": 16, "duration": 5.0, "warmup": 1.0, **case}
+    case["workload"] = WorkloadSpec(seed=case["seed"], **case["workload"])
+    if "admission" in case:
+        case["admission"] = AdmissionConfig(**case["admission"])
+    cfg = loadtest.LoadtestConfig(**case)
+    live, loadtest.SmrCluster = loadtest.SmrCluster, Recorded
+    try:
+        result = loadtest.run_loadtest(cfg)
+    finally:
+        loadtest.SmrCluster = live
+    (cluster,) = clusters
+    stats = cluster.sim.stats
+    applied = hashlib.sha256()
+    for replica in cluster.replicas:
+        applied.update(len(replica.applied_order).to_bytes(8, "big"))
+        applied.update(b"".join(replica.applied_order))
+        applied.update(replica.machine.state_digest())
+    seen = {k: v for k, v in vars(result).items() if k != "config"}
+    return {
+        "committed_blocks": len(cluster.sim.nodes[0].ledger),
+        "ledger_sha256": _ledger_sha(cluster.sim.nodes[0]),
+        "applied": len(cluster.replicas[0].applied_order),
+        "applied_and_state_sha256": applied.hexdigest(),
+        "completed": result.completed,
+        "pushed_back": result.rejected + result.shed,
+        "result_sha256": _sha(repr(sorted(seen.items()))),
+        "events": stats.events_processed,
+        "sent": stats.messages_sent,
+        "bytes": stats.bytes_sent,
+    }
+
+
+def _golden() -> dict:
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted({**CASES, **SMR_CASES})
+    return golden
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_matches_golden_fingerprint(name):
-    golden = json.loads(GOLDEN.read_text())
-    assert sorted(golden) == sorted(CASES)
     row = fingerprint(CASES[name])
     assert row["committed_blocks"] > 0, "a fingerprint of an empty ledger pins nothing"
-    assert row == golden[name]
+    assert row == _golden()[name]
+
+
+@pytest.mark.parametrize("name", sorted(SMR_CASES))
+def test_loadtest_matches_golden_fingerprint(name):
+    row = smr_fingerprint(SMR_CASES[name])
+    assert row["applied"] > 100, "a fingerprint of an idle service pins nothing"
+    assert row == _golden()[name]
 
 
 if __name__ == "__main__":
     rows = {name: fingerprint(case) for name, case in sorted(CASES.items())}
+    rows.update((name, smr_fingerprint(case)) for name, case in sorted(SMR_CASES.items()))
     GOLDEN.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")

@@ -1,8 +1,11 @@
 """Tests for the SMR layer: commands, the KV machine, replication glue."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from repro.codec.primitives import Writer
 from repro.config import SystemConfig
+from repro.crypto.hashing import hash_fields
 from repro.smr.kv import KvStateMachine
 from repro.smr.machine import Command
 from repro.smr.replica import SmrCluster, SmrReplica
@@ -18,10 +21,32 @@ class TestCommand:
     def test_roundtrip(self):
         command = cmd(b"SET a 1")
         assert Command.from_bytes(command.to_bytes()) == command
+        foreign = Command(command_id=b"i" * 200, client="c", payload=b"")
+        assert Command.from_bytes(foreign.to_bytes()) == foreign
 
     def test_unique_ids(self):
         assert cmd(b"x", nonce=1).command_id != cmd(b"x", nonce=2).command_id
         assert cmd(b"x", client="a").command_id != cmd(b"x", client="b").command_id
+
+    # An explicit alphabet (st.text() alone builds hypothesis's unicode table
+    # on first use); "✓" is three bytes, so 80 of them pass the one-byte length.
+    @given(
+        client=st.text("aé✓\x00", max_size=80),
+        nonce=st.integers(0, 2**70),
+        payload=st.binary(max_size=300),
+    )
+    @example(client="client-7", nonce=127, payload=b"x" * 127)
+    @example(client="client-7", nonce=128, payload=b"x" * 128)
+    @example(client="", nonce=-(2**63), payload=b"")
+    def test_id_and_wire_form_are_the_generic_ones(self, client, nonce, payload):
+        """``create`` and ``to_bytes`` build their bytes by hand; they must be
+        the bytes ``hash_fields`` and the codec ``Writer`` would build."""
+        command = Command.create(client=client, payload=payload, nonce=nonce)
+        assert command.command_id == hash_fields("cmd", client, nonce, payload)
+        assert (command.client, command.payload) == (client, payload)
+        written = Writer().lp_bytes(command.command_id).lp_str(client).lp_bytes(payload)
+        assert command.to_bytes() == written.getvalue()
+        assert Command.from_bytes(command.to_bytes()) == command
 
     def test_malformed_bytes_rejected(self):
         from repro.codec.primitives import CodecError
@@ -277,6 +302,28 @@ class TestSmrCluster:
         # Every replica computed the same result for the same command.
         assert all(r.result_of(cid) == b"OK" for r in cluster.replicas)
 
+    def test_same_payload_submitted_at_two_replicas_is_two_commands(self):
+        """Regression: ``submit`` named every replica's client "local" and
+        counted nonces per replica, so the first submission of a payload at
+        replica 0 and at replica 1 were one command id — the second was
+        absorbed by exactly-once dedup and both callers read one result."""
+        cluster = SmrCluster.build(
+            SystemConfig(n=4, crypto="hmac", seed=4),
+            machine_factory=KvStateMachine,
+            seed=4,
+        )
+        cluster.replicas[2].submit(b"SET ctr 0")
+        cluster.run(until=1.0)
+        a = cluster.replicas[0].submit(b"CAS ctr 0 1")
+        b = cluster.replicas[1].submit(b"CAS ctr 0 1")
+        assert a != b
+        cluster.run(until=4.0)
+        cluster.verify_convergence()
+        assert all(len(r.applied_order) == 3 for r in cluster.replicas)
+        # One caller won the swap and the other was told it lost.
+        results = [cluster.replicas[0].result_of(a), cluster.replicas[1].result_of(b)]
+        assert sorted(results) == [b"FAIL", b"OK"]
+
     def test_cas_linearizes_identically(self):
         """Two racing CAS ops on one key: exactly one wins, and it is the
         same winner everywhere."""
@@ -298,8 +345,9 @@ class TestSmrCluster:
 
 
 class TestBatchIsDecodedOncePerCluster:
-    """A committed batch's items are decoded at the first commit and the
-    commands kept on the immutable batch; applying them stays per replica."""
+    """A batch's commands are kept on the immutable batch — by the proposer
+    that encoded them, or at the first commit of a batch that arrived as
+    bytes; applying them stays per replica."""
 
     @pytest.fixture
     def decodes(self, monkeypatch):
@@ -310,7 +358,11 @@ class TestBatchIsDecodedOncePerCluster:
     def test_one_loadtest_rung_decodes_each_committed_item_once(
         self, decodes, monkeypatch
     ):
+        """Rewritten with the lean per-command path: within one process a
+        rung decodes *no* item — every committed batch was built here and
+        carries the commands its items were encoded from."""
         from repro.harness.loadtest import LoadtestConfig, run_loadtest
+        from repro.smr.replica import batch_commands
         from repro.workload.admission import AdmissionConfig
         from repro.workload.clients import WorkloadSpec
 
@@ -322,11 +374,35 @@ class TestBatchIsDecodedOncePerCluster:
             admission=AdmissionConfig(max_pending=256),
         ))
         assert result.completed > 100 and result.verify_failures == 0
-        committed = [
-            item for _replica, record in commits for item in record.block.payload.items
-        ]
-        assert len(decodes) == len(set(decodes)) == len(set(committed))
-        assert len(committed) > 3 * len(set(committed))  # every replica committed
+        assert decodes == []
+        batches = {
+            id(record.block.payload): record.block.payload for _replica, record in commits
+        }
+        committed = [item for batch in batches.values() for item in batch.items]
+        assert len(committed) > 100 and len(commits) > 3 * len(batches)
+        for batch in batches.values():
+            assert batch_commands(batch) == tuple(map(Command.from_bytes, batch.items))
+
+    def test_a_block_off_the_wire_is_decoded_at_its_first_commit(self, decodes):
+        from repro.codec.blocks import decode_block, encode_block
+        from repro.codec.primitives import Reader, Writer
+        from repro.dag.block import make_block
+        from repro.smr.replica import batch_commands
+
+        proposer = SmrReplica(0, KvStateMachine())
+        cids = [proposer.submit(b"SET k %d" % i) for i in range(3)]
+        built = proposer.payload_source(now=1.0)
+        assert [c.command_id for c in batch_commands(built)] == cids and not decodes
+        writer = Writer()
+        encode_block(writer, make_block(1, 0, [], payload=built))
+        received = decode_block(Reader(writer.getvalue())).payload
+        assert received == built and "_commands" not in vars(received)
+        receivers = [SmrReplica(i, KvStateMachine()) for i in (1, 2)]
+        for replica in receivers:
+            _commit_batch(replica, received)
+            assert replica.applied_order == cids
+        assert [args[-1] for args in decodes] == list(built.items)  # once, not per replica
+        assert batch_commands(received) == batch_commands(built)
 
     def test_every_replica_applies_the_shared_commands_itself(self, decodes):
         from repro.dag.block import TxBatch, make_block
