@@ -43,10 +43,9 @@ class TestSigningBackends:
 
     def test_schnorr_verify_cold(self, benchmark):
         # The un-memoized equation check (first sight of a signature).
-        from repro.crypto.group import default_group
         from repro.crypto.schnorr import schnorr_verify
 
-        group = default_group(256)
+        group = CHAINS[0].group  # the deal's view: pk's table lives there
         keypair = CHAINS[0].keypair
         sig = SchnorrBackend(CHAINS[0]).sign(MSG)
         assert benchmark(schnorr_verify, group, keypair.pk, MSG, sig)
@@ -142,6 +141,19 @@ class TestCoin:
 
         assert benchmark(reveal) is not None
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_threshold_combine(self, benchmark, n):
+        # The reveal's arithmetic alone: every partial already in the deal's
+        # verified-claims memo, the point set's integer coefficients cached.
+        chains = TrustedDealer(SystemConfig(n=n, crypto="schnorr", seed=11)).deal()
+        coins = [ThresholdCoin(c) for c in chains]
+        message = coins[0]._coin_input(1)
+        signers = random.Random(n).sample(coins, chains[0].coin_threshold)
+        partials = [coin.make_share(1).payload for coin in signers]
+        prf = coins[0].prf
+        expected = prf.combine(message, partials)  # warms both memos
+        assert benchmark(prf.combine, message, partials) == expected
+
 
 class TestPrimitives:
     def test_hash_fields(self, benchmark):
@@ -157,6 +169,18 @@ class TestPrimitives:
         group = default_group(256)
         base = pow(group.g, 31337, group.p)
         benchmark(group.exp, base, 0xDEADBEEF12345678)
+
+    def test_fixed_base_table_build(self, benchmark):
+        # What a dealt key pays on first use (the width its use count earns).
+        shared = default_group(256)
+        base = pow(shared.g, 31337, shared.p)
+
+        def first_use():
+            group = shared.for_deal()
+            group.register_fixed_base(base)
+            return group.exp_reduced(base, 0xDEADBEEF12345678)
+
+        assert benchmark(first_use) == pow(base, 0xDEADBEEF12345678, shared.p)
 
     def test_group_multi_exp2(self, benchmark):
         # The DLEQ verification shape: g^s * h^(q-c) in one pass.

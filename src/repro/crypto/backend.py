@@ -87,7 +87,7 @@ class SchnorrBackend(CryptoBackend):
     """Real Schnorr signatures over the library group.
 
     Construction registers every dealt public key as a fixed base of the
-    (shared) group, so verification exponentiations run off comb tables,
+    deal's group, so verification exponentiations run off comb tables,
     and consults the deal's verified-claims memo — see the module docstring.
     """
 

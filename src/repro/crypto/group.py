@@ -15,18 +15,19 @@ plain ints so there is no per-element wrapper overhead in hot loops.
 
 Hot-path machinery
 ------------------
-Exponentiation dominates every protocol run (each replica verifies Θ(n²)
-echo-class messages per round), so the group keeps two per-instance caches,
-both derived purely from immutable inputs:
+Exponentiation dominates every run with real signatures (a claim is checked
+once per cluster, :mod:`repro.crypto.memo`, and each check is a few
+exponentiations), so the group keeps two caches, both derived purely from
+immutable inputs:
 
-* **Fixed-base tables** — :meth:`register_fixed_base` marks a base (the
-  generator, a replica public key, a coin verification key) as hot; the
-  first exponentiation with it builds an 8-bit comb table, after which
-  ``base^e`` costs ~32 modular multiplications instead of a full modexp.
-  Table construction is lazy, so registering keys for a replica set that
-  never verifies costs nothing, and the number of *built* tables is
-  capped (further bases silently fall back to ``pow``) so large-n sweeps
-  cannot pin unbounded memory on the process-wide singleton group.
+* **Fixed-base tables** — :meth:`register_fixed_base` marks a base (a
+  replica public key, a coin verification key) as hot; the first
+  exponentiation with it builds a comb table, after which ``base^e`` is a
+  few dozen modular multiplications instead of a full modexp.  Construction
+  is lazy, and the window width is what the base's use count pays for (see
+  ``_WINDOW_BITS``).  Tables follow the sharing rule's lifetime: a key deal
+  registers its keys on its own :meth:`for_deal` view, which shares the
+  generator's table with the process-wide group and is dropped with the deal.
 * **Membership memo** — registered bases are membership-checked once at
   registration; :meth:`is_member` answers for them from a set lookup, and
   for unregistered elements via a binary Jacobi symbol (no modexp at all).
@@ -44,49 +45,45 @@ from ..errors import CryptoError
 from .hashing import hash_to_int
 from .primes import SAFE_PRIMES, SafePrime
 
-#: Comb window width in bits.  8 divides the scalar into byte-sized digits,
-#: so exponent decomposition is plain shifts/masks; each base's table holds
-#: ``ceil(qbits / 8)`` rows of 255 odd entries (~0.5 MiB for 256-bit p).
+#: Comb window widths in bits, by break-even against ``pow`` (121 µs;
+#: docs/PERFORMANCE.md §2).  The generator, used thousands of times per run:
+#: 8 bits (build 3.9 ms, use 17 µs, 544 KiB, pays after 38 uses).  A dealt
+#: key, used a few dozen times: 5 bits (0.78 ms, 29 µs, 109 KiB, after 9).
 _WINDOW_BITS = 8
-
-#: Cap on lazily *built* comb tables per group instance.  Registration is
-#: unbounded (it only memoizes membership), but each built table pins
-#: ~0.5 MiB for the life of the group — and ``default_group`` is a
-#: process-wide singleton, so a large-n sweep (n=61 registers ~120 keys)
-#: could otherwise accumulate tens of MiB that are never evicted.  Bases
-#: past the cap fall back to ``pow`` — a speed trade, never correctness;
-#: lazy construction means the cap is spent on the bases actually used.
-_MAX_BUILT_TABLES = 96
+_KEY_WINDOW_BITS = 5
 
 
 class _FixedBaseTable:
-    """Comb precomputation for one base: ``rows[j][d] = base^(d << 8j)``."""
+    """Comb precomputation for one base: ``rows[j][d] = base^(d << bits*j)``."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "bits")
 
-    def __init__(self, base: int, p: int, qbits: int) -> None:
-        windows = (qbits + _WINDOW_BITS - 1) // _WINDOW_BITS
+    def __init__(self, base: int, p: int, qbits: int, bits: int) -> None:
+        size = 1 << bits
         rows: List[List[int]] = []
         b = base
-        for _ in range(windows):
-            row = [1] * 256
+        for _ in range((qbits + bits - 1) // bits):
+            row = [1] * size
             acc = 1
-            for d in range(1, 256):
+            for d in range(1, size):
                 acc = acc * b % p
                 row[d] = acc
             rows.append(row)
-            # Advance the window base: b^(256) = b^255 * b.
+            # Advance the window base: b^size = b^(size-1) * b.
             b = acc * b % p
         self.rows = rows
+        self.bits = bits
 
     def pow(self, e: int, p: int) -> int:
-        """``base^e mod p`` for ``0 <= e < 2^(8 * len(rows))``."""
+        """``base^e mod p`` for ``0 <= e < 2^(bits * len(rows))``."""
+        bits = self.bits
+        mask = (1 << bits) - 1
         result = 1
         for row in self.rows:
-            d = e & 0xFF
+            d = e & mask
             if d:
                 result = result * row[d] % p
-            e >>= 8
+            e >>= bits
             if not e:
                 break
         return result
@@ -128,9 +125,6 @@ class SchnorrGroup:
         default_factory=dict, compare=False, repr=False
     )
     _members: Set[int] = field(default_factory=set, compare=False, repr=False)
-    # Bases whose comb table has actually been built; bounds memory at
-    # ``_MAX_BUILT_TABLES`` tables regardless of how many are registered.
-    _built: Set[int] = field(default_factory=set, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # The generator is hot in every scheme (signing, verification,
@@ -142,12 +136,17 @@ class SchnorrGroup:
     def from_safe_prime(cls, sp: SafePrime) -> "SchnorrGroup":
         return cls(p=sp.p, q=sp.q, g=sp.g)
 
+    def for_deal(self) -> "SchnorrGroup":
+        """An equal group owning one key deal's tables: it shares the generator's,
+        and the keys registered on it go when the deal does."""
+        return SchnorrGroup(
+            self.p, self.q, self.g, _tables={self.g: self._table_for(self.g)}
+        )
+
     # The group is a value object whose only mutable state is the
     # comb-table / membership caches — pure, positive-only derivations of
-    # ``(p, q, g)``.  ``default_group`` hands out a process-wide singleton,
-    # and simulator snapshots must preserve that: copying the group would
-    # both fork tens of MiB of comb tables per branch and silently break
-    # the "one group per (p, q, g)" identity the caches rely on.
+    # ``(p, q, g)`` — and simulator snapshots must share them: copying the
+    # group would fork a deal's comb tables per branch.
     def __copy__(self) -> "SchnorrGroup":
         return self
 
@@ -177,12 +176,10 @@ class SchnorrGroup:
     def _table_for(self, base: int) -> Optional[_FixedBaseTable]:
         table = self._tables.get(base)
         if table is None and base in self._tables:
-            if len(self._built) >= _MAX_BUILT_TABLES:
-                return None  # over budget: plain pow for this base
+            bits = _WINDOW_BITS if base == self.g else _KEY_WINDOW_BITS
             table = self._tables[base] = _FixedBaseTable(
-                base, self.p, self.q.bit_length()
+                base, self.p, self.q.bit_length(), bits
             )
-            self._built.add(base)
         return table
 
     # -- element operations -------------------------------------------------
@@ -327,8 +324,8 @@ _DEFAULT_CACHE: dict[int, SchnorrGroup] = {}
 def default_group(bits: int = 256) -> SchnorrGroup:
     """The library-wide default group for the given modulus size.
 
-    A process-wide singleton per modulus size — which is what lets every
-    replica of a deterministic deal share one set of fixed-base tables.
+    A process-wide singleton per modulus size; it keeps the generator's
+    table, which every deal's :meth:`~SchnorrGroup.for_deal` view shares.
     """
     if bits not in _DEFAULT_CACHE:
         try:

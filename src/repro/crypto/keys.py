@@ -90,7 +90,7 @@ class TrustedDealer:
 
     def deal(self) -> list[KeyChain]:
         """Generate all key material and return one KeyChain per replica."""
-        group = self.group
+        group = self.group.for_deal()
         rng = random.Random(f"dealer:{self.system.seed}:{self.system.n}")
 
         keypairs = [
@@ -109,9 +109,8 @@ class TrustedDealer:
 
         # Public keys and coin verification keys are the hot verification
         # bases for the whole run; registration earmarks fixed-base comb
-        # tables (built lazily) and memoizes subgroup membership.  The
-        # group is a process-wide singleton and key derivation is
-        # deterministic per seed, so repeated deals are no-ops.
+        # tables (built lazily) and memoizes subgroup membership — on this
+        # deal's view of the group, so both are dropped with the deal.
         group.register_fixed_bases(public_keys.values())
         group.register_fixed_bases(verification_keys.values())
 

@@ -16,7 +16,7 @@ verification requires:
 
 Verification never inverts: with ``g`` and registered public keys backed by
 fixed-base comb tables (:mod:`repro.crypto.group`), both exponentiations
-are ~32 modular multiplications each.
+are a few dozen modular multiplications each.
 
 Batch verification
 ------------------

@@ -10,14 +10,16 @@ fewer reveal nothing.  We implement the classic polynomial scheme:
   ``s_i = P(i + 1)``;
 * any ``t`` points reconstruct ``P(0)`` by Lagrange interpolation.
 
-:func:`lagrange_at_zero` exposes the interpolation coefficients separately
-because the threshold PRF needs them *in the exponent* (combining partial
-evaluations ``h^{s_i}`` rather than the scalar shares themselves).
+:func:`lagrange_at_zero` exposes the interpolation coefficients, and
+:func:`integer_lagrange_at_zero` the same as exact ratios of small integers,
+which the threshold PRF uses *in the exponent* (combining ``h^{s_i}``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import ThresholdError
@@ -60,17 +62,22 @@ def _poly_eval(coeffs: Sequence[int], x: int, modulus: int) -> int:
     return acc
 
 
+def _checked_points(points: Sequence[int]) -> list[int]:
+    pts = list(points)
+    if len(set(pts)) != len(pts):
+        raise ThresholdError(f"duplicate evaluation points: {pts}")
+    if any(x == 0 for x in pts):
+        raise ThresholdError("evaluation point 0 would reveal the secret directly")
+    return pts
+
+
 def lagrange_at_zero(points: Sequence[int], modulus: int) -> dict[int, int]:
     """Lagrange basis coefficients ``λ_j`` at ``x = 0`` for the given points.
 
     Returns a mapping ``x_j -> λ_j`` such that for any degree-``len(points)-1``
     polynomial ``P``, ``P(0) = Σ λ_j · P(x_j) (mod modulus)``.
     """
-    pts = list(points)
-    if len(set(pts)) != len(pts):
-        raise ThresholdError(f"duplicate evaluation points: {pts}")
-    if any(x == 0 for x in pts):
-        raise ThresholdError("evaluation point 0 would reveal the secret directly")
+    pts = _checked_points(points)
     coeffs: dict[int, int] = {}
     for j, xj in enumerate(pts):
         num, den = 1, 1
@@ -81,6 +88,27 @@ def lagrange_at_zero(points: Sequence[int], modulus: int) -> dict[int, int]:
             den = den * (xj - xm) % modulus
         coeffs[xj] = num * pow(den, -1, modulus) % modulus
     return coeffs
+
+
+def integer_lagrange_at_zero(points: Sequence[int]) -> tuple[int, Mapping[int, int]]:
+    """The same coefficients as exact fractions ``λ_j = e_j / L``: returns
+    ``(L, {x_j: e_j})``, ``L > 0`` the lcm of the reduced denominators.  For
+    replica points ``1 .. n`` these integers are small next to the group order
+    (22 bits at n=16, 113 at n=64, against 255).  Memoised per point set, so
+    the mapping is shared: read it, do not change it.
+    """
+    return _integer_lagrange(tuple(sorted(_checked_points(points))))
+
+
+@lru_cache(maxsize=1024)
+def _integer_lagrange(pts: tuple[int, ...]) -> tuple[int, dict[int, int]]:
+    # λ_j = Π_{m≠j} x_m / Π_{m≠j} (x_m − x_j): over one common denominator,
+    # then in lowest terms (``fractions`` would do it, at an 8 ms import).
+    dens = [prod(xm - xj for xm in pts if xm != xj) for xj in pts]
+    common = lcm(*dens)
+    nums = [prod(pts) // xj * (common // den) for xj, den in zip(pts, dens)]
+    shrink = gcd(common, *nums)
+    return common // shrink, {xj: num // shrink for xj, num in zip(pts, nums)}
 
 
 def recover_secret(shares: Iterable[ShamirShare], modulus: int) -> int:

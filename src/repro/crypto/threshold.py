@@ -14,7 +14,8 @@ verification keys ``vk_i = g^{s_i}``.  For an input ``m``:
   Chaum-Pedersen DLEQ proof that ``log_g vk_i == log_h σ_i`` (so a Byzantine
   replica cannot inject a bogus share),
 * any ``t`` verified partials combine by Lagrange interpolation *in the
-  exponent*: ``F(m) = h^s = Π σ_j^{λ_j}``.
+  exponent*: ``F(m) = h^s = Π σ_j^{λ_j} = (Π σ_j^{e_j})^{1/L}`` for the
+  integer form ``λ_j = e_j / L`` of the coefficients.
 
 ``F(m)`` is unpredictable until ``t`` partials exist — exactly the GPC's
 threshold-reveal property (§III-B.2).
@@ -29,7 +30,7 @@ from ..errors import ThresholdError
 from .group import SchnorrGroup
 from .hashing import Digest, hash_to_int
 from .memo import VerifiedMemo
-from .shamir import ShamirShare, lagrange_at_zero
+from .shamir import ShamirShare, integer_lagrange_at_zero
 
 #: Bound on the per-PRF cache of input elements.
 _PRF_CACHE_CAPACITY = 4096
@@ -205,16 +206,18 @@ class ThresholdPRF:
                     f"partial evaluation from replica {partial.index} failed "
                     f"DLEQ verification"
                 )
-        points = [p.index + 1 for p in selected.values()]
-        # Lagrange coefficients come out of lagrange_at_zero already
-        # reduced mod q — no second reduction needed.
-        lam = lagrange_at_zero(points, self.group.q)
-        result = 1
-        for partial in selected.values():
-            result = self.group.mul(
-                result, self.group.exp_reduced(partial.value, lam[partial.index + 1])
-            )
-        return result
+        # λ_i = e_i / L with small integers e_i, L (shamir): two short
+        # multi-exponentiations and one full-width power, not one per partial.
+        denominator, coeff = integer_lagrange_at_zero([i + 1 for i in selected])
+        group = self.group
+        positive, negative = [], []
+        for index, partial in selected.items():
+            e = coeff[index + 1]
+            (positive if e > 0 else negative).append((partial.value, abs(e)))
+        ratio = group.mul(
+            group.multi_exp(positive), group.inv(group.multi_exp(negative))
+        )
+        return group.exp_reduced(ratio, pow(denominator, -1, group.q))
 
 
 def combine_partials(

@@ -80,6 +80,32 @@ class TestThresholdCoin:
         assert coins[0].add_share(extra) == leader
 
 
+# Leaders of waves 1..12 under ``TrustedDealer(SystemConfig(n=16, seed=11))``
+# (captured at 7175ce3, when the reveal was one full-width power per partial).
+PINNED_LEADERS_N16_SEED11 = [10, 5, 12, 8, 15, 4, 11, 9, 3, 12, 11, 1]
+
+
+class TestPinnedLeaders:
+    def test_three_arrival_orders_reveal_the_pinned_leaders(self):
+        """Three replicas, three arrival orders — so three different
+        11-subsets interpolate — and every one reveals the pinned leader."""
+        chains = TrustedDealer(SystemConfig(n=16, seed=11)).deal()
+        assert chains[0].coin_threshold == 11
+        orders = {
+            0: list(range(16)),
+            5: list(range(15, -1, -1)),
+            9: [(7 * i + 3) % 16 for i in range(16)],
+        }
+        assert len({frozenset(order[:11]) for order in orders.values()}) == 3
+        for wave, pinned in enumerate(PINNED_LEADERS_N16_SEED11, start=1):
+            coins = [ThresholdCoin(c) for c in chains]
+            shares = [coin.make_share(wave) for coin in coins]
+            for replica, order in orders.items():
+                results = [coins[replica].add_share(shares[i]) for i in order[:11]]
+                assert results[:10] == [None] * 10
+                assert results[10] == pinned
+
+
 class TestSeededCoin:
     def make_coins(self, n=4, threshold=3, seed=0):
         return [SeededCoin(n=n, threshold=threshold, seed=seed, replica_id=i) for i in range(n)]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import group as group_mod
 from repro.crypto.group import SchnorrGroup, default_group, jacobi_symbol
 from repro.crypto.primes import SAFE_PRIMES
 from repro.errors import CryptoError
@@ -50,20 +51,64 @@ class TestFixedBaseTables:
         x = group.exp(group.g, 42)
         assert group.mul(group.exp(x, 5), group.exp(x, -5)) == 1
 
-    def test_built_table_count_is_bounded(self, monkeypatch):
-        # Past the cap, registered bases fall back to pow — memory stays
-        # bounded no matter how many keys a large-n sweep registers, and
-        # results are still bit-identical.
-        from repro.crypto import group as group_mod
-
-        monkeypatch.setattr(group_mod, "_MAX_BUILT_TABLES", 2)
-        g = SchnorrGroup.from_safe_prime(SAFE_PRIMES[256])
-        bases = [g.exp(g.g, 100 + i) for i in range(4)]
-        g.register_fixed_bases(bases)
+    def test_built_table_count_is_bounded(self):
+        # Bounded memory is "released with the deal": a deal's tables live
+        # on its own view of the group, every registered base gets one (no
+        # budget to run out of, no silent pow fallback), and the group the
+        # view came from holds the generator's table and nothing else.
+        shared = SchnorrGroup.from_safe_prime(SAFE_PRIMES[256])
+        view = shared.for_deal()
+        assert view == shared and view is not shared
+        assert view._tables[view.g] is shared._tables[shared.g] is not None
+        bases = [view.exp(view.g, 100 + i) for i in range(4)]
+        view.register_fixed_bases(bases)
         for base in bases:
-            assert g.has_fixed_base(base)
-            assert g.exp_reduced(base, 0xABCDEF) == pow(base, 0xABCDEF, g.p)
-        assert len(g._built) == 2
+            assert view.exp_reduced(base, 0xABCDEF) == pow(base, 0xABCDEF, view.p)
+            assert view._tables[base] is not None
+            assert not shared.has_fixed_base(base)
+        assert list(shared._tables) == [shared.g]
+
+    def test_later_deals_are_not_starved_and_pin_nothing(self):
+        # Regression: a process-wide budget of 96 built tables was spent by
+        # the first three n=16 deals; every later deal's key exponentiation
+        # was a plain pow for the life of the process, and the first deals'
+        # tables (48 MiB) were never released.
+        import gc
+        import weakref
+
+        from repro.config import SystemConfig
+        from repro.crypto.keys import TrustedDealer
+
+        shared = default_group(256)
+        before = set(shared._tables)
+        views = []
+        for seed in range(11, 17):
+            chains = TrustedDealer(SystemConfig(n=16, seed=seed)).deal()
+            group = chains[0].group
+            keys = [*chains[0].public_keys.values(),
+                    *chains[0].coin_verification_keys.values()]
+            for key in keys:
+                assert group.exp_reduced(key, 12345) == pow(key, 12345, group.p)
+            # (a) every key of every deal — the sixth as the first — took
+            # the table path: its table exists after first use.
+            assert all(group._tables[key] is not None for key in keys)
+            assert group._tables[group.g] is shared._tables[shared.g]
+            views.append(weakref.ref(group))
+            del chains, group
+        gc.collect()
+        # (b) the deals are gone and took their tables with them.
+        assert all(view() is None for view in views)
+        assert set(shared._tables) == before
+
+    def test_registered_exp_matches_pow_at_every_width_in_use(self, group):
+        rng = random.Random(8)
+        key = group.exp(group.g, 0xC0FFEE)
+        group.register_fixed_base(key)
+        for base in (group.g, key):
+            for e in (0, 1, group.q - 1, *(rng.randrange(group.q) for _ in range(20))):
+                assert group.exp_reduced(base, e) == pow(base, e, group.p)
+        assert group._tables[group.g].bits == group_mod._WINDOW_BITS
+        assert group._tables[key].bits == group_mod._KEY_WINDOW_BITS
 
 
 class TestMultiExp:

@@ -3,10 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.crypto import threshold as threshold_mod
 from repro.crypto.group import default_group
 from repro.crypto.hashing import hash_fields
-from repro.crypto.shamir import split_secret
+from repro.crypto.shamir import (
+    integer_lagrange_at_zero,
+    lagrange_at_zero,
+    split_secret,
+)
 from repro.crypto.threshold import (
     DleqProof,
     PartialEval,
@@ -20,7 +26,8 @@ from repro.errors import ThresholdError
 
 @pytest.fixture(scope="module")
 def group():
-    return default_group(256)
+    # A deal's view: the verification keys registered here go with the module.
+    return default_group(256).for_deal()
 
 
 def build_prfs(group, n=4, threshold=3, seed=0):
@@ -30,6 +37,17 @@ def build_prfs(group, n=4, threshold=3, seed=0):
     vks = {s.x - 1: group.exp(group.g, s.y) for s in shares}
     prfs = [ThresholdPRF(group, threshold, shares[i], vks) for i in range(n)]
     return secret, prfs
+
+
+def reference_combine(group, partials):
+    """The textbook form ``Π σ_j^{λ_j}`` with full-width ``λ_j`` mod q, one
+    exponentiation per partial — what :meth:`ThresholdPRF.combine` computed
+    before it moved to integer coefficients."""
+    lam = lagrange_at_zero([p.index + 1 for p in partials], group.q)
+    result = 1
+    for partial in partials:
+        result = result * pow(partial.value, lam[partial.index + 1], group.p) % group.p
+    return result
 
 
 class TestDleq:
@@ -105,6 +123,23 @@ class TestThresholdPRF:
         with pytest.raises(ThresholdError, match="DLEQ"):
             prfs[0].combine(msg, partials)
 
+    def test_bad_partial_raises_before_any_combining_arithmetic(self, group, monkeypatch):
+        _, prfs = build_prfs(group)
+        msg = hash_fields("m")
+        partials = [prf.partial_eval(msg) for prf in prfs[:3]]
+        partials[2] = PartialEval(
+            index=partials[2].index,
+            value=group.mul(partials[2].value, group.g),
+            proof=partials[2].proof,
+        )
+
+        def unreachable(points):
+            raise AssertionError("coefficients requested for unverified partials")
+
+        monkeypatch.setattr(threshold_mod, "integer_lagrange_at_zero", unreachable)
+        with pytest.raises(ThresholdError, match="DLEQ"):
+            prfs[0].combine(msg, partials)
+
     def test_combine_insufficient_raises(self, group):
         _, prfs = build_prfs(group)
         msg = hash_fields("m")
@@ -141,6 +176,68 @@ class TestThresholdPRF:
     def test_invalid_threshold_rejected(self, group):
         with pytest.raises(ThresholdError):
             ThresholdPRF(group, 0, None, {})
+
+
+class TestIntegerCoefficients:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_same_coefficients_same_element(self, group, data):
+        n = data.draw(st.integers(min_value=4, max_value=40), label="n")
+        t = data.draw(st.integers(min_value=1, max_value=n), label="t")
+        seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
+        chosen = data.draw(st.permutations(range(n)), label="order")[:t]
+        secret, prfs = build_prfs(group, n=n, threshold=t, seed=seed)
+
+        points = [i + 1 for i in chosen]
+        denominator, coeff = integer_lagrange_at_zero(points)
+        inverse = pow(denominator, -1, group.q)
+        reference = lagrange_at_zero(points, group.q)
+        assert sorted(coeff) == sorted(points)
+        for x in points:
+            assert coeff[x] * inverse % group.q == reference[x]
+
+        msg = hash_fields("wave", seed)
+        partials = [prfs[i].partial_eval(msg) for i in chosen]
+        combined = prfs[0].combine(msg, partials)
+        assert combined == group.exp(prfs[0].input_element(msg), secret)
+        assert combined == reference_combine(group, partials)
+
+    def test_n64_threshold_43(self, group):
+        # The paper's largest grid point: coefficients reach ~113 bits.
+        secret, prfs = build_prfs(group, n=64, threshold=43, seed=64)
+        msg = hash_fields("wave", 64)
+        chosen = random.Random(43).sample(range(64), 43)
+        partials = [prfs[i].partial_eval(msg) for i in chosen]
+        denominator, coeff = integer_lagrange_at_zero([i + 1 for i in chosen])
+        widest = max(denominator, *map(abs, coeff.values())).bit_length()
+        assert 64 < widest < group.q.bit_length() // 2
+        combined = prfs[7].combine(msg, partials)
+        assert combined == group.exp(prfs[7].input_element(msg), secret)
+        assert combined == reference_combine(group, partials)
+
+    def test_coefficients_outgrowing_the_order_need_nothing_special(self):
+        # A tiny group (p = 23, q = 11): the integer coefficients exceed q and
+        # multi_exp's own reduction keeps the result h^s.
+        from repro.crypto.group import SchnorrGroup
+
+        tiny = SchnorrGroup(p=23, q=11, g=4)
+        rng = random.Random(0)
+        secret = 7
+        shares = split_secret(secret, 6, 8, tiny.q, rng)
+        vks = {s.x - 1: tiny.exp(tiny.g, s.y) for s in shares}
+        prfs = [ThresholdPRF(tiny, 6, share, vks) for share in shares]
+        msg = hash_fields("tiny")
+        partials = [prf.partial_eval(msg) for prf in prfs[2:]]
+        _, coeff = integer_lagrange_at_zero([p.index + 1 for p in partials])
+        assert max(map(abs, coeff.values())) > tiny.q
+        combined = prfs[0].combine(msg, partials)
+        assert combined == tiny.exp(prfs[0].input_element(msg), secret)
+
+    def test_points_are_validated_like_the_modular_form(self):
+        with pytest.raises(ThresholdError, match="duplicate"):
+            integer_lagrange_at_zero([1, 2, 2])
+        with pytest.raises(ThresholdError, match="point 0"):
+            integer_lagrange_at_zero([0, 1, 2])
 
 
 class TestOutputMapping:

@@ -67,6 +67,20 @@ for _attack, _protocol in (
         protocol_name=_protocol, seed=11, adversary_name=_attack
     )
 
+# Real signatures and the threshold coin (``crypto="schnorr"``), one row per
+# LightDAG variant and one whose Byzantine proofs carry real signatures
+# (captured at 7175ce3, when the reveal was one full-width power per partial).
+CASES["lightdag2-schnorr-n7"] = dict(
+    protocol_name="lightdag2", seed=3, crypto="schnorr", duration=4.0
+)
+CASES["lightdag1-schnorr-n4"] = dict(
+    protocol_name="lightdag1", seed=4, n=4, crypto="schnorr", duration=4.0
+)
+CASES["lightdag2-schnorr-n10-equivocate"] = dict(
+    protocol_name="lightdag2", seed=5, n=10, crypto="schnorr", duration=4.0,
+    adversary_name="equivocate",
+)
+
 # The client/execution plane: closed and open loop, every admission policy,
 # both LightDAG variants.  ``workload``/``admission`` are constructor
 # arguments of ``WorkloadSpec``/``AdmissionConfig``; the rest of
@@ -107,10 +121,10 @@ def fingerprint(case: dict) -> dict:
             super().__init__(*args, **kwargs)
             sims.append(self)
 
+    case = {"n": 7, "crypto": "hmac", "duration": 6.0, "warmup": 1.0, **case}
+    system = SystemConfig(n=case.pop("n"), crypto=case.pop("crypto"), seed=case["seed"])
     cfg = ExperimentConfig(
-        system=SystemConfig(n=7, crypto="hmac", seed=case["seed"]),
-        protocol=ProtocolConfig(batch_size=50),
-        **{"duration": 6.0, "warmup": 1.0, **case},
+        system=system, protocol=ProtocolConfig(batch_size=50), **case
     )
     live, runner.Simulation = runner.Simulation, Recorded
     try:
