@@ -276,7 +276,7 @@ def build_world(
     system = SystemConfig(n=cfg.n, crypto="hmac", seed=cfg.seed)
     protocol = ProtocolConfig(batch_size=4, gc_depth=cfg.gc_depth)
     collector = MetricsCollector(warmup=0.0, measure_until=None)
-    mempools = [Mempool.from_config(protocol, rate=0.0) for _ in range(cfg.n)]
+    mempools = [Mempool.from_config(protocol) for _ in range(cfg.n)]
     cluster = assemble(
         system,
         protocol,

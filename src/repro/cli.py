@@ -41,6 +41,7 @@ from .analysis.obs_export import (
 )
 from .analysis.stats import repeat_experiment
 from .config import CHECK_LEVELS, ExperimentConfig, ProtocolConfig, SystemConfig
+from .errors import ConfigError
 from .harness.cluster import WORST_ATTACK
 from .harness.experiments import (
     batch_size_sweep,
@@ -831,9 +832,16 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A value the configuration refuses exits 2 with one line on stderr, as
+    argparse does for a malformed flag."""
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except ConfigError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -119,14 +119,9 @@ class ProtocolConfig:
     coin_threshold:
         GPC reveal threshold, ``"f+1"`` or ``"2f+1"`` (paper: "typically set
         to a value larger than f+1"; default 2f+1).
-    merge_wave_boundary:
-        LightDAG1 only: share round ⟨w,3⟩ with ⟨w+1,1⟩ as in §III-C.  The
-        ablation bench disables it to measure its latency contribution.
     retrieval_enabled:
         Enable the §IV-A block retrieval mechanism.  Disabling it is only
         safe in failure-free synchronous runs (used by one ablation).
-    max_block_txs:
-        Hard cap on transactions a single block may carry (back-pressure).
     gc_depth:
         DAG garbage collection horizon in rounds, or ``None`` (keep
         everything — the paper's prototype behaviour).  When set, a
@@ -141,19 +136,8 @@ class ProtocolConfig:
     tx_size: int = DEFAULT_TX_SIZE
     commit_threshold: str = "f+1"
     coin_threshold: str = "2f+1"
-    merge_wave_boundary: bool = True
     retrieval_enabled: bool = True
-    max_block_txs: int = 100_000
     gc_depth: "int | None" = None
-    #: DAG-Rider-style *weak links*: in addition to its n−f previous-round
-    #: parents, a block may reference delivered blocks from older rounds
-    #: that are not yet in the proposer's own ancestry — so a slow
-    #: replica's orphaned blocks (and their transactions) eventually
-    #: commit instead of being dropped.  Fairness extension; strict-store
-    #: protocols only (LightDAG2's Rule 2 assumes previous-round parents).
-    weak_links: bool = False
-    #: Cap on weak references per block (bandwidth bound).
-    max_weak_refs: int = 8
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -164,17 +148,10 @@ class ProtocolConfig:
             value = getattr(self, name)
             if value not in ("f+1", "2f+1"):
                 raise ConfigError(f"{name} must be 'f+1' or '2f+1', got {value!r}")
-        if self.max_block_txs < self.batch_size:
-            raise ConfigError(
-                f"max_block_txs={self.max_block_txs} smaller than "
-                f"batch_size={self.batch_size}"
-            )
         if self.gc_depth is not None and self.gc_depth < 4:
             raise ConfigError(
                 "gc_depth below 4 rounds would garbage-collect live waves"
             )
-        if self.max_weak_refs < 0:
-            raise ConfigError("max_weak_refs cannot be negative")
 
     def resolve_commit_threshold(self, system: SystemConfig) -> int:
         """Concrete replica count behind :attr:`commit_threshold`."""
@@ -205,8 +182,10 @@ def resolve_threshold(spec: str, system: SystemConfig) -> int:
 class ExperimentConfig:
     """Bundle of everything a single simulated run needs.
 
-    This is the unit the harness sweeps over: a system, protocol knobs, the
-    workload intensity, network parameters, and the run duration.  Fault
+    This is the unit the harness sweeps over: a system, protocol knobs,
+    network parameters, and the run duration.  Every replica proposes full
+    batches (:class:`~repro.workload.txgen.Mempool`); open-loop client
+    traffic is :mod:`repro.harness.loadtest`'s configuration.  Fault
     configuration lives with the adversary objects (``repro.adversary``),
     which are constructed per-run by the harness from ``adversary_name``.
     """
@@ -217,12 +196,6 @@ class ExperimentConfig:
     adversary_name: str = "none"
     duration: float = 20.0
     warmup: float = 2.0
-    tx_rate_per_replica: float = 0.0  # 0 = saturating (always-full batches)
-    #: Mempool backlog cap in transactions (open-loop mode); 0 = unbounded.
-    #: With a cap, arrivals past it are shed and counted (``mempool.dropped``
-    #: metric, ``mempool_dropped`` extra) instead of queued forever — the
-    #: admission-control behaviour of :mod:`repro.workload.admission`.
-    mempool_cap: int = 0
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
     latency_model: str = "wan4"
     #: Per-message CPU cost at the receiver (µs); 0 disables the CPU model.
@@ -255,8 +228,6 @@ class ExperimentConfig:
             raise ConfigError("bandwidth must be positive")
         if self.cpu_fixed_us < 0 or self.cpu_per_byte_ns < 0:
             raise ConfigError("CPU costs cannot be negative")
-        if self.mempool_cap < 0:
-            raise ConfigError("mempool_cap cannot be negative")
 
     def with_updates(self, **kwargs: Any) -> "ExperimentConfig":
         """Return a copy with the given fields replaced (validated again)."""

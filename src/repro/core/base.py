@@ -47,7 +47,7 @@ from ..dag.ledger import CommitRecord, Ledger
 from ..dag.rounds import WaveStructure
 from ..dag.store import DagStore
 from ..dag.validation import validate_block_structure
-from ..errors import ConfigError, InvalidBlockError, UnknownBlockError
+from ..errors import InvalidBlockError, UnknownBlockError
 from ..net.interfaces import Message, NetworkAPI, Node
 from ..obs import NULL_OBS, Observability
 from .commit import Commit, CommitRule
@@ -246,20 +246,6 @@ class BaseDagNode(Node):
         self._quorum = system.quorum
         #: per-wave timestamp of the last coin-share recovery request
         self._coin_requested: Dict[int, float] = {}
-
-        # Weak-link bookkeeping (ProtocolConfig.weak_links): blocks already
-        # inside our own proposals' ancestry ("covered") vs delivered blocks
-        # our chain has never referenced — the weak-reference candidates.
-        # Both sets update incrementally: each block enters `_covered` once.
-        self._covered: Set[Digest] = {
-            self.store.block_in_slot(0, a).digest for a in range(system.n)
-        }
-        self._uncovered: Dict[Digest, Block] = {}
-        if protocol.weak_links and not self.STRICT_STORE:
-            raise ConfigError(
-                "weak links require a strict-store protocol (LightDAG2's "
-                "Rule 2 assumes previous-round parents)"
-            )
 
         # One manager per primitive BROADCAST names (None for the others:
         # constructing one registers its metrics), all delivering here.
@@ -494,8 +480,6 @@ class BaseDagNode(Node):
                 self.store,
                 self.system,
                 min_parents=self._quorum,
-                allow_weak=self.protocol.weak_links,
-                max_weak=self.protocol.max_weak_refs,
                 parents=parents,
             )
         except InvalidBlockError:
@@ -530,8 +514,6 @@ class BaseDagNode(Node):
             )
         if self.on_deliver_hook is not None:
             self.on_deliver_hook(block, now)
-        if self.protocol.weak_links and block.digest not in self._covered:
-            self._uncovered[block.digest] = block
         self.retrieval.drop_pending(block.digest)
         for dep, src, was_retrieved in self.retrieval.satisfied_by(block.digest):
             if self._trace is not None:
@@ -579,9 +561,6 @@ class BaseDagNode(Node):
 
     def _propose(self, round_: int) -> None:
         parents = self._choose_parents(round_)
-        if self.protocol.weak_links:
-            parents.extend(self._pick_weak_refs(round_, parents))
-            self._mark_covered(parents)
         payload = self.payload_source(self.net.now())
         block = self._build_block(round_, parents, payload)
         self._my_latest_block = block
@@ -597,38 +576,6 @@ class BaseDagNode(Node):
             )
         self._broadcast_block(block)
         self._broadcast_coin_shares(round_)
-
-    def _pick_weak_refs(self, round_: int, strong_parents: List[Digest]) -> List[Digest]:
-        """Orphan pickup: reference delivered blocks our chain has never
-        covered, oldest first (DAG-Rider weak links)."""
-        strong_slots = set()
-        for digest in strong_parents:
-            parent = self.store.get_optional(digest)
-            if parent is not None:
-                strong_slots.add(parent.slot)
-        candidates = [
-            block
-            for block in self._uncovered.values()
-            if block.round < round_ - 1 and block.slot not in strong_slots
-        ]
-        candidates.sort(key=lambda b: (b.round, b.author))
-        return [b.digest for b in candidates[: self.protocol.max_weak_refs]]
-
-    def _mark_covered(self, parents: List[Digest]) -> None:
-        """Fold the new parents' ancestry into the covered set (each block
-        is walked exactly once across the node's lifetime)."""
-        stack = [d for d in parents if d not in self._covered]
-        while stack:
-            digest = stack.pop()
-            if digest in self._covered:
-                continue
-            self._covered.add(digest)
-            self._uncovered.pop(digest, None)
-            block = self.store.get_optional(digest)
-            if block is not None:
-                stack.extend(
-                    p for p in block.parents if p not in self._covered
-                )
 
     def _broadcast_coin_shares(self, round_: int) -> None:
         """Ship the GPC share for every wave whose *last* round this is."""
@@ -800,16 +747,6 @@ class BaseDagNode(Node):
         for mapping in (self._known, self._invalid):
             for digest in [d for d, r in mapping.items() if r < horizon]:
                 del mapping[digest]
-        if self.protocol.weak_links:
-            if self._uncovered:
-                stale = [
-                    d for d, b in self._uncovered.items() if b.round < horizon
-                ]
-                for digest in stale:
-                    del self._uncovered[digest]
-            # _covered holds bare digests (rounds unknown): intersect with
-            # the freshly pruned store.  Genesis stays (round 0 is kept).
-            self._covered = {d for d in self._covered if d in self.store}
         # Wave-keyed coin/commit bookkeeping: waves strictly below the
         # settled frontier are decided forever.  The frontier wave itself
         # must survive — the cascade anchors on it and the share recovery

@@ -41,23 +41,19 @@ def validate_block_structure(
     system: SystemConfig,
     backend=None,
     min_parents: Optional[int] = None,
-    allow_weak: bool = False,
-    max_weak: int = 8,
     parents: Optional[Sequence[Optional[Block]]] = None,
 ) -> None:
     """Raise :class:`InvalidBlockError` unless ``block`` is well-formed.
 
-    ``min_parents`` defaults to the availability quorum ``n - f`` and
-    counts only *strong* parents (previous round).  With ``allow_weak``,
-    up to ``max_weak`` additional parents from older rounds are accepted
-    (DAG-Rider weak links); without it, every parent must sit exactly one
-    round back.  Raises :class:`UnknownBlockError` if a parent is missing
-    from the store (callers translate this into a retrieval request, not
-    a rejection).  A caller that has already looked the parents up passes
-    them as ``parents`` (``block.parents`` order, None where missing).
+    ``min_parents`` defaults to the availability quorum ``n - f``, and
+    every parent must sit exactly one round back.  Raises
+    :class:`UnknownBlockError` if a parent is missing from the store
+    (callers translate this into a retrieval request, not a rejection).
+    A caller that has already looked the parents up passes them as
+    ``parents`` (``block.parents`` order, None where missing).
     """
     required = system.quorum if min_parents is None else min_parents
-    params = (system.n, required, allow_weak, max_weak)
+    params = (system.n, required)
     resolved = parents is not None and all(parents)  # no gap in *this* store
     if not resolved or block.__dict__.get("_well_formed") != params:
         _check_structure(block, store, params, parents)
@@ -74,7 +70,7 @@ def validate_block_structure(
 
 def _check_structure(block: Block, store: DagStore, params: tuple, parents) -> None:
     """The structural rules proper: everything but the signature."""
-    n, required, allow_weak, max_weak = params
+    n, required = params
     if block.round < 1:
         raise InvalidBlockError(f"block round must be >= 1, got {block.round}")
     if not 0 <= block.author < n:
@@ -89,19 +85,13 @@ def _check_structure(block: Block, store: DagStore, params: tuple, parents) -> N
         parents = [store.get_optional(digest) for digest in block.parents]
     previous_round = block.round - 1
     seen_slots = set()
-    strong = 0
-    weak = 0
     for parent_digest, parent in zip(block.parents, parents):
         if parent is None:
             raise UnknownBlockError(
                 f"parent {parent_digest.hex()[:8]} of block "
                 f"{block.digest.hex()[:8]} not delivered"
             )
-        if parent.round == previous_round:
-            strong += 1
-        elif allow_weak and 0 <= parent.round < previous_round:
-            weak += 1
-        else:
+        if parent.round != previous_round:
             raise InvalidBlockError(
                 f"parent {parent_digest.hex()[:8]} is in round {parent.round}, "
                 f"block is in round {block.round}"
@@ -114,15 +104,10 @@ def _check_structure(block: Block, store: DagStore, params: tuple, parents) -> N
             )
         seen_slots.add(parent.slot)
 
-    if strong < required:
+    if len(block.parents) < required:
         raise InvalidBlockError(
-            f"block {block.digest.hex()[:8]} has {strong} previous-round "
-            f"parents, needs >= {required}"
-        )
-    if weak > max_weak:
-        raise InvalidBlockError(
-            f"block {block.digest.hex()[:8]} carries {weak} weak references, "
-            f"cap is {max_weak}"
+            f"block {block.digest.hex()[:8]} has {len(block.parents)} "
+            f"previous-round parents, needs >= {required}"
         )
 
 

@@ -29,7 +29,6 @@ from .parallel import (
 from .runner import (
     PROTOCOL_REGISTRY,
     ExperimentResult,
-    build_adversary,
     run_experiment,
 )
 from .steps import measure_commit_steps, table1_rows
@@ -40,7 +39,6 @@ __all__ = [
     "RunFailure",
     "SweepResult",
     "batch_size_sweep",
-    "build_adversary",
     "default_jobs",
     "headline_comparison",
     "run_sweep",

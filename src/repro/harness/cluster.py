@@ -170,27 +170,18 @@ def assemble_experiment(
     node_cls: Type[BaseDagNode],
     check_level: Optional[str] = None,
     obs: Optional[Observability] = None,
-) -> Tuple[Assembly, MetricsCollector, List[Mempool]]:
+) -> Tuple[Assembly, MetricsCollector]:
     """What an :class:`~repro.config.ExperimentConfig` says about a cluster,
     whichever runtime it goes to: the named attack as a schedule, one
-    mempool per replica feeding the payloads, one collector on the commits.
-    ``check_level`` overrides ``cfg.check_level``.
+    saturating mempool per replica feeding the payloads, one collector on
+    the commits.  ``check_level`` overrides ``cfg.check_level``.
     """
     obs = obs if obs is not None else NULL_OBS
     collector = MetricsCollector(warmup=cfg.warmup, measure_until=cfg.duration)
-    mempools = [
-        Mempool.from_config(
-            cfg.protocol, rate=cfg.tx_rate_per_replica,
-            max_backlog=cfg.mempool_cap,
-        )
-        for _ in range(cfg.system.n)
-    ]
+    mempools = [Mempool.from_config(cfg.protocol) for _ in range(cfg.system.n)]
     if obs.trace.enabled:
         for i, mempool in enumerate(mempools):
             mempool.bind_trace(obs.trace, i)
-    if cfg.mempool_cap and obs.metrics.enabled:
-        for i, mempool in enumerate(mempools):
-            mempool.bind_obs(obs, i)
     assembly = assemble(
         cfg.system,
         cfg.protocol,
@@ -202,4 +193,4 @@ def assemble_experiment(
         obs=obs,
         seed=cfg.seed,
     )
-    return assembly, collector, mempools
+    return assembly, collector

@@ -224,7 +224,7 @@ def saturation_sweep(
 ):
     """Offered rate vs end-to-end latency: the client-side knee.
 
-    Unlike :func:`tradeoff_curve` (consensus-side, analytic mempool), this
+    Unlike :func:`tradeoff_curve` (consensus-side, saturating mempool), this
     ramps an *open-loop client population* against the replicated KV — the
     x-axis is the offered rate, and each point reports consensus latency
     and client-observed p50/p99/p999 side by side.  Past the knee the

@@ -236,14 +236,19 @@ class RunFailure:
             f"--protocol {cfg.protocol_name}",
             f"-n {cfg.system.n}",
             f"--batch {cfg.protocol.batch_size}",
-            f"--duration {cfg.duration:g}",
-            f"--warmup {cfg.warmup:g}",
+            f"--duration {cfg.duration!r}",
+            f"--warmup {cfg.warmup!r}",
             f"--seed {cfg.seed}",
             f"--crypto {cfg.system.crypto}",
             f"--check-level {cfg.check_level}",
         ]
         if cfg.adversary_name != "none":
             parts.append(f"--adversary '{cfg.adversary_name}'")
+        # The remaining `repro run` flags, where they differ from its defaults.
+        if cfg.latency_model != "wan4":
+            parts.append(f"--latency-model '{cfg.latency_model}'")
+        if cfg.protocol.gc_depth is not None:
+            parts.append(f"--gc-depth {cfg.protocol.gc_depth}")
         return " ".join(parts)
 
     def describe(self) -> str:

@@ -35,9 +35,8 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple, Type
+from typing import Dict, Iterator, Optional, Type
 
-from ..adversary.base import Adversary
 from ..baselines.bullshark import BullsharkNode
 from ..baselines.dagrider import DagRiderNode
 from ..baselines.tusk import TuskNode
@@ -49,7 +48,7 @@ from ..errors import ConfigError
 from ..net.latency import make_latency_model
 from ..net.simulator import CpuCost, Simulation
 from ..obs import NULL_OBS, HealthMonitor, Observability
-from .cluster import assemble_experiment, fault_schedule
+from .cluster import assemble_experiment
 
 #: Protocol-name → node class.
 PROTOCOL_REGISTRY: Dict[str, Type[BaseDagNode]] = {
@@ -135,21 +134,6 @@ def node_class(
     return node_cls
 
 
-def build_adversary(
-    cfg: ExperimentConfig,
-    node_cls: Optional[Type[BaseDagNode]] = None,
-) -> Tuple[Optional[Adversary], Dict[int, Callable]]:
-    """Resolve the adversary name into a message-level adversary and a map
-    of replica-index → Byzantine node-factory override: name → spec →
-    :class:`~repro.adversary.schedule.FaultSchedule` → its two halves.
-    ``node_cls`` (default: the registry entry for ``cfg.protocol_name``) is
-    the protocol class the withholding override subclasses.
-    """
-    schedule = fault_schedule(cfg)
-    node_cls = node_cls or node_class(cfg.protocol_name)
-    return schedule.adversary(cfg.seed), schedule.node_overrides(node_cls, cfg.system)
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     obs: Optional[Observability] = None,
@@ -185,7 +169,7 @@ def run_experiment(
         # node construction, which pre-binds that method for hot paths.
         watchdog = HealthMonitor(system.n)
         watchdog.install(obs.journal)
-    cluster, collector, mempools = assemble_experiment(
+    cluster, collector = assemble_experiment(
         cfg, node_cls, check_level=check_level, obs=obs
     )
 
@@ -223,8 +207,6 @@ def run_experiment(
         if hasattr(node, "reproposals"):
             extras["reproposals"] = extras.get("reproposals", 0) + node.reproposals
     extras["retrieval_requests"] = sum(n.retrieval.requests_sent for n in honest)
-    if cfg.mempool_cap:
-        extras["mempool_dropped"] = sum(m.dropped_total for m in mempools)
 
     latency_report = None
     if obs.trace.enabled:

@@ -56,7 +56,7 @@ def build_async_experiment(cfg: ExperimentConfig) -> AsyncExperiment:
     and checks the simulator harness would build, minus anything that needs
     the simulator's per-send hook — the simulator owns those runs, where
     reproducibility matters."""
-    assembly, collector, _ = assemble_experiment(cfg, node_class(cfg.protocol_name))
+    assembly, collector = assemble_experiment(cfg, node_class(cfg.protocol_name))
     if assembly.adversary is not None:
         raise ConfigError(
             "the asyncio runtime runs favorable situations and Byzantine "

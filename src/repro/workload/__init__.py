@@ -1,7 +1,7 @@
 """Workload generation and measurement.
 
-* :mod:`repro.workload.txgen` — open-loop transaction arrival modeling and
-  the per-replica mempool that turns arrivals into block payloads.
+* :mod:`repro.workload.txgen` — the saturating per-replica mempool that
+  fills every block proposal of the consensus figures.
 * :mod:`repro.workload.metrics` — commit-side measurement: throughput
   (committed transactions per second) and latency ("the time taken by a
   transaction to be committed from the moment it is proposed", §VI-A).

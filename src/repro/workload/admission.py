@@ -21,8 +21,7 @@ replica consults on every submission:
 
 The controller never touches the queue itself — the replica owns the
 deque; the controller owns the counts and the verdicts.  That keeps it
-reusable (the analytic :class:`~repro.workload.txgen.Mempool` applies the
-same cap) and trivially testable.
+trivially testable.
 """
 
 from __future__ import annotations

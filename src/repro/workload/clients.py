@@ -1,6 +1,6 @@
 """Client populations: the end-to-end traffic plane.
 
-The analytic :class:`~repro.workload.txgen.Mempool` measures the
+The saturating :class:`~repro.workload.txgen.Mempool` measures the
 *consensus* path — transactions are numbers, nobody waits for an answer.
 This module adds the missing half of the paper's systems story: **clients
 that submit real commands and observe real responses**, so a run reports

@@ -1,42 +1,21 @@
-"""Transaction arrival modeling and the replica mempool.
+"""The saturating replica mempool.
 
 The paper's clients submit 128-byte transactions to every replica (§VI-A);
 the batch size (transactions per block) is the swept variable of Figs. 12
-and 14.  Simulating tens of thousands of per-transaction events per second
-would drown the event queue, so the mempool models arrivals *analytically*:
+and 14, where the paper ramps offered load to whatever the system absorbs.
+The mempool models that analytically: there is always a full batch
+available, stamped at proposal time, so latency measures the pure consensus
+path without one simulator event per transaction.
 
-* **Saturating mode** (``rate = 0``): there is always a full batch
-  available, stamped at proposal time.  Latency then measures the pure
-  consensus path — appropriate for the favorable-case figures, where the
-  paper ramps offered load to whatever the system absorbs.
-* **Open-loop mode** (``rate > 0``): transactions accrue continuously at
-  ``rate`` tx/s; a proposal drains the *oldest* ``batch_size`` of them.
-  Arrival windows are tracked as (start, end, count) chunks, so queueing
-  delay — the thing that blows up past saturation (Fig. 14's hockey
-  stick) — is captured exactly, in O(1) per proposal.
-
-Accounting is exact: chunk counts are integers (the float is only the
-*position* of arrivals in time, never how many there are), and the
-conservation law ``accrued_total == taken_total + backlog + dropped_total``
-holds to the last transaction over arbitrarily long runs — property-tested
-in ``tests/workload/test_txgen.py``.
-
-Past saturation an unbounded open-loop queue is a memory leak wearing a
-latency costume.  ``max_backlog`` bounds it: arrivals that would overflow
-are shed at the door (newest-dropped, FIFO preserved) and counted in
-``dropped_total`` — the admission-control behaviour of a real mempool,
-mirrored from :mod:`repro.workload.admission`.
-
-Both modes produce :class:`~repro.dag.block.TxBatch` payloads carrying the
-exact submit-time sum (for mean latency) and a small sample (percentiles).
-For end-to-end client populations (per-command tracking, closed loops) see
-:mod:`repro.workload.clients`.
+Each batch is a :class:`~repro.dag.block.TxBatch` carrying the exact
+submit-time sum (for mean latency) and a one-element sample (percentiles).
+Open-loop traffic — arrivals at an offered rate, a bounded admission queue,
+per-command latency — is the client plane's job:
+:mod:`repro.workload.clients` + :mod:`repro.workload.admission`, driven by
+``repro loadtest``.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from typing import Deque, List, Tuple
 
 from ..config import ProtocolConfig
 from ..dag.block import TxBatch
@@ -44,50 +23,24 @@ from ..errors import ConfigError
 
 
 class Mempool:
-    """Per-replica transaction queue feeding block proposals.
+    """Per-replica source of full batches feeding block proposals.
 
     Parameters
     ----------
     batch_size:
-        Maximum transactions per block (the paper's swept knob).
+        Transactions per block (the paper's swept knob).
     tx_size:
         Bytes per transaction (128 in §VI-A).
-    rate:
-        Offered load in tx/s for this replica; 0 means saturating.
-    max_backlog:
-        Queue-depth cap in transactions; 0 means unbounded.  With a cap,
-        arrivals past the cap are dropped (``dropped_total``) instead of
-        queued — backlog memory and queueing delay both stay bounded no
-        matter how far past saturation the offered rate runs.
     """
 
-    def __init__(
-        self,
-        batch_size: int,
-        tx_size: int,
-        rate: float = 0.0,
-        max_backlog: int = 0,
-    ) -> None:
+    def __init__(self, batch_size: int, tx_size: int) -> None:
         if batch_size < 1:
             raise ConfigError("batch_size must be positive")
-        if rate < 0:
-            raise ConfigError("rate cannot be negative")
-        if max_backlog < 0:
-            raise ConfigError("max_backlog cannot be negative")
         self.batch_size = batch_size
         self.tx_size = tx_size
-        self.rate = rate
-        self.max_backlog = max_backlog
-        self._chunks: Deque[Tuple[float, float, int]] = deque()
-        self._accrued_until = 0.0
-        self._carry = 0.0
-        self._backlog = 0
-        self.accrued_total = 0
         self.taken_total = 0
-        self.dropped_total = 0
         self._trace = None
         self._trace_node = -1
-        self._ctr_dropped = None
 
     def bind_trace(self, trace, node_id: int) -> None:
         """Attach a tracer so drains emit ``trace.batch`` spans — the
@@ -97,113 +50,23 @@ class Mempool:
         self._trace = trace
         self._trace_node = node_id
 
-    def bind_obs(self, obs, node_id: int) -> None:
-        """Attach a metrics registry so shed arrivals are counted as
-        ``mempool.dropped{node=...}`` (the admission-control signal the
-        saturation figures plot)."""
-        if obs is not None and obs.metrics.enabled:
-            self._ctr_dropped = obs.metrics.counter("mempool.dropped", node=node_id)
-
     @classmethod
-    def from_config(
-        cls, protocol: ProtocolConfig, rate: float = 0.0, max_backlog: int = 0
-    ) -> "Mempool":
-        return cls(
-            batch_size=protocol.batch_size,
-            tx_size=protocol.tx_size,
-            rate=rate,
-            max_backlog=max_backlog,
-        )
-
-    # -- arrival accrual ---------------------------------------------------------
-
-    def _accrue(self, now: float) -> None:
-        if now <= self._accrued_until:
-            return
-        span = now - self._accrued_until
-        arrivals = self.rate * span + self._carry
-        count = int(arrivals)
-        self._carry = arrivals - count
-        if count > 0:
-            self.accrued_total += count
-            admitted = count
-            if self.max_backlog:
-                room = self.max_backlog - self._backlog
-                admitted = min(count, max(0, room))
-            dropped = count - admitted
-            if dropped:
-                # The *newest* arrivals are shed: the admitted prefix of
-                # the window keeps FIFO order and honest submit times.
-                self.dropped_total += dropped
-                if self._ctr_dropped is not None:
-                    self._ctr_dropped.inc(dropped)
-            if admitted > 0:
-                split = self._accrued_until + span * (admitted / count)
-                self._chunks.append((self._accrued_until, split, admitted))
-                self._backlog += admitted
-        self._accrued_until = now
-
-    def backlog(self, now: float) -> int:
-        """Transactions currently queued (open-loop mode)."""
-        self._accrue(now)
-        return self._backlog
-
-    # -- draining ------------------------------------------------------------------
+    def from_config(cls, protocol: ProtocolConfig) -> "Mempool":
+        return cls(batch_size=protocol.batch_size, tx_size=protocol.tx_size)
 
     def take(self, now: float) -> TxBatch:
-        """Drain up to ``batch_size`` transactions for a block proposed now."""
-        if self.rate == 0.0:
-            self.taken_total += self.batch_size
-            if self._trace is not None:
-                self._trace.emit(
-                    now, "trace.batch", self._trace_node,
-                    count=self.batch_size, mean_submit=now, oldest=now,
-                )
-            return TxBatch(
-                count=self.batch_size,
-                tx_size=self.tx_size,
-                submit_time_sum=self.batch_size * now,
-                sample=(now,),
-            )
-        self._accrue(now)
-        want = self.batch_size
-        taken = 0
-        submit_sum = 0.0
-        samples: List[float] = []
-        while want > 0 and self._chunks:
-            t0, t1, count = self._chunks[0]
-            if count <= want:
-                # Whole chunk: uniform arrivals → mean submit time = midpoint.
-                self._chunks.popleft()
-                taken += count
-                want -= count
-                submit_sum += count * (t0 + t1) / 2
-                samples.append((t0 + t1) / 2)
-            else:
-                # Partial: take the oldest `want` of `count` — they occupy
-                # the leading fraction of the window.
-                frac = want / count
-                split = t0 + (t1 - t0) * frac
-                submit_sum += want * (t0 + split) / 2
-                samples.append((t0 + split) / 2)
-                self._chunks[0] = (split, t1, count - want)
-                taken += want
-                want = 0
-        self.taken_total += taken
-        self._backlog -= taken
-        if taken == 0:
-            return TxBatch(count=0, tx_size=self.tx_size)
+        """A full batch for a block proposed now."""
+        self.taken_total += self.batch_size
         if self._trace is not None:
             self._trace.emit(
                 now, "trace.batch", self._trace_node,
-                count=taken, mean_submit=submit_sum / taken,
-                oldest=samples[0] if samples else now,
+                count=self.batch_size, mean_submit=now, oldest=now,
             )
         return TxBatch(
-            count=taken,
+            count=self.batch_size,
             tx_size=self.tx_size,
-            submit_time_sum=submit_sum,
-            sample=tuple(samples[:16]),
+            submit_time_sum=self.batch_size * now,
+            sample=(now,),
         )
 
     def payload_source(self):

@@ -1,8 +1,8 @@
-"""Feature-combination tests: GC + weak links + faults together.
+"""Feature-combination tests: GC + faults together.
 
 Individual features are tested in isolation; deployments turn several on
-at once.  These runs exercise the interactions (a weak reference must not
-point below the GC horizon; recovery machinery must coexist with pruning).
+at once.  These runs exercise the interactions (pruning must coexist with
+slow and crashed replicas and with the recovery machinery).
 """
 
 import pytest
@@ -39,23 +39,25 @@ def build_sim(protocol_kwargs, n=4, seed=1, adversary=None, crash=None):
 
 
 class TestGcPlusWeakLinks:
+    """GC where blocks get orphaned: a slow replica, a crashed one."""
+
     def test_combined_run_safe_and_bounded(self):
-        sim = build_sim({"gc_depth": 12, "weak_links": True}, seed=3)
+        sim = build_sim({"gc_depth": 12}, seed=3)
         sim.run(until=10.0)
         check_prefix_consistency([n.ledger for n in sim.nodes])
         node = sim.nodes[0]
         assert len(node.ledger) > 50
-        # Memory actually bounded despite the weak-link bookkeeping.
+        # Memory actually bounded.
         assert node.store.lowest_retained_round() > 1
 
     def test_combined_with_slow_replica(self):
         slow = DelayMatching(lambda s, d, m: s == 2, delay=0.12)
-        sim = build_sim({"gc_depth": 16, "weak_links": True}, seed=4, adversary=slow)
+        sim = build_sim({"gc_depth": 16}, seed=4, adversary=slow)
         sim.run(until=10.0)
         check_prefix_consistency([n.ledger for n in sim.nodes])
 
     def test_combined_with_crash(self):
-        sim = build_sim({"gc_depth": 12, "weak_links": True}, seed=5, crash=3)
+        sim = build_sim({"gc_depth": 12}, seed=5, crash=3)
         sim.run(until=10.0)
         alive = sim.nodes[:3]
         check_prefix_consistency([n.ledger for n in alive])

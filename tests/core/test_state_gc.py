@@ -4,7 +4,7 @@ Two bug families this file pins down:
 
 * **State leaks** — per-wave and per-round bookkeeping
   (``voted_refs``, ``my_blocks``, ``revealed_leaders``, coin-share
-  tracking, weak-link coverage) must be pruned alongside the store when
+  tracking) must be pruned alongside the store when
   ``gc_depth`` is set, or a long-lived replica grows without bound even
   though its DAG is garbage-collected.
 
@@ -36,12 +36,9 @@ def build_sim(
     latency=None,
     adversary=None,
     obs=None,
-    weak_links=False,
 ):
     system = SystemConfig(n=n, crypto="hmac", seed=seed)
-    protocol = ProtocolConfig(
-        batch_size=5, gc_depth=gc_depth, weak_links=weak_links
-    )
+    protocol = ProtocolConfig(batch_size=5, gc_depth=gc_depth)
     chains = TrustedDealer(
         system, coin_threshold=protocol.resolve_coin_threshold(system)
     ).deal()
@@ -91,17 +88,6 @@ class TestBoundedGrowth:
         assert len(node.commit._deferred) <= wave_bound
 
         check_prefix_consistency([n.ledger for n in sim.nodes])
-
-    def test_lightdag1_weak_link_coverage_pruned(self):
-        sim = build_sim(node_cls=LightDag1Node, gc_depth=10, weak_links=True)
-        sim.run(until=12.0)
-        node = sim.nodes[0]
-        assert node.current_round > 100
-        # _covered tracks store members (plus genesis); _uncovered holds
-        # only un-GC'd candidates.
-        assert len(node._covered) <= len(node.store) + 4
-        horizon = node.store.lowest_retained_round()
-        assert all(b.round >= horizon for b in node._uncovered.values())
 
     def test_no_gc_keeps_history(self):
         """Without gc_depth nothing is pruned — the leak fix must not

@@ -200,7 +200,7 @@ class TestSameClusterOnEveryRuntime:
 
     def test_check_skips_byzantine_and_crashed_replicas(self):
         cfg = _config(adversary_name="schedule:withhold@0+0:replicas=3")
-        assembly, _, _ = recipe.assemble_experiment(cfg, LightDag1Node)
+        assembly, _ = recipe.assemble_experiment(cfg, LightDag1Node)
         sim = runner.Simulation(assembly.factories, seed=2)
         sim.run(until=1.0)
         honest = assembly.check(sim.nodes, crashed={0})

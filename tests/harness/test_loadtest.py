@@ -68,9 +68,11 @@ class TestRunLoadtest:
             duration=6.0,
         ))
         assert under.rejected == 0
+        assert under.e2e_tps == pytest.approx(under.offered_rate, rel=0.15)
         assert over.rejected > 0                       # drops are visible
         assert over.max_pending_depth <= 256           # memory bounded
         assert over.e2e_p50_s > 2 * under.e2e_p50_s    # the knee
+        assert over.e2e_tps < over.offered_rate / 2    # capacity, not offer
         # Consensus-side latency stays flat: the pile-up is in the queue.
         assert over.consensus_mean_s < 2 * under.consensus_mean_s
 
@@ -100,6 +102,10 @@ class TestSweep:
         parallel = run_loadtest_sweep(configs, jobs=2)
         assert [r.offered_rate for r in serial] == [100.0, 300.0]
         assert [r.row() for r in serial] == [r.row() for r in parallel]
+        # Below capacity what is offered commits, and latency stays flat.
+        for result in serial:
+            assert result.e2e_tps == pytest.approx(result.offered_rate, rel=0.15)
+        assert serial[1].e2e_p50_s < 2 * serial[0].e2e_p50_s
 
 
 class TestReporting:

@@ -12,11 +12,13 @@ The two load-bearing promises:
 from __future__ import annotations
 
 import dataclasses
+import shlex
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import _make_config, build_parser
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
 from repro.errors import SweepError
 from repro.harness.parallel import (
@@ -128,6 +130,28 @@ class TestRunSweep:
         assert "--protocol no-such-protocol" in command
         assert "--seed 9" in command
         assert "-n 4" in command
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(system=SystemConfig(n=4, seed=3), seed=3),
+        ExperimentConfig(
+            system=SystemConfig(n=7, crypto="schnorr", seed=11),
+            protocol=ProtocolConfig(batch_size=50, gc_depth=8),
+            protocol_name="bullshark",
+            adversary_name="schedule:crash@1+0:victims=6;delay@0+2:delay=0.3",
+            duration=12.25,
+            warmup=0.1,
+            seed=11,
+            check_level="full",
+            latency_model="topology:clusters=3,loss=0.01,jitter_frac=0.1",
+        ),
+    ])
+    def test_replay_command_round_trips(self, cfg):
+        """Everything `repro run` can set survives the replay command."""
+        failure = RunFailure(index=0, config=cfg, error_type="E", error="",
+                             traceback="")
+        argv = shlex.split(failure.replay_command())
+        assert argv[:3] == ["python", "-m", "repro"]
+        assert _make_config(build_parser().parse_args(argv[3:])) == cfg
 
     def test_require_raises_with_failures_attached(self):
         sweep = run_sweep([quick_config(seed=1), poisoned_config()], jobs=1)

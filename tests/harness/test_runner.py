@@ -4,8 +4,9 @@ import pytest
 
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
 from repro.errors import ConfigError
-from repro.harness.cluster import WORST_ATTACK
-from repro.harness.runner import PROTOCOL_REGISTRY, build_adversary, run_experiment
+from repro.core.lightdag2 import LightDag2Node
+from repro.harness.cluster import WORST_ATTACK, fault_schedule
+from repro.harness.runner import PROTOCOL_REGISTRY, run_experiment
 
 
 def config(protocol="lightdag2", n=4, adversary="none", **kw):
@@ -36,34 +37,38 @@ class TestRegistry:
 
 
 class TestBuildAdversary:
+    """A named attack is a fault schedule: its message-level driver and its
+    Byzantine node-class overrides."""
+
     def test_none(self):
-        adversary, overrides = build_adversary(config(adversary="none"))
-        assert adversary is None and overrides == {}
+        schedule = fault_schedule(config(adversary="none"))
+        assert schedule.adversary(1) is None
+        assert schedule.node_overrides(LightDag2Node, SystemConfig(n=4)) == {}
 
     def test_crash(self):
-        adversary, overrides = build_adversary(config(adversary="crash"))
-        assert adversary.schedule.to_spec() == "crash@0+0:victims=3"
-        assert overrides == {}
+        schedule = fault_schedule(config(adversary="crash"))
+        assert schedule.adversary(1).schedule.to_spec() == "crash@0+0:victims=3"
+        assert schedule.node_overrides(LightDag2Node, SystemConfig(n=4)) == {}
 
     def test_leader_delay(self):
-        adversary, _ = build_adversary(config("bullshark", adversary="leader-delay"))
-        assert adversary.schedule.to_spec() == "leader-delay@0+inf:delay=1"
+        schedule = fault_schedule(config("bullshark", adversary="leader-delay"))
+        assert schedule.adversary(1).schedule.to_spec() == "leader-delay@0+inf:delay=1"
 
     def test_equivocate_lightdag2_only(self):
-        _, overrides = build_adversary(config("lightdag2", adversary="equivocate"))
-        assert set(overrides) == {3}
+        schedule = fault_schedule(config("lightdag2", adversary="equivocate"))
+        assert set(schedule.node_overrides(LightDag2Node, SystemConfig(n=4))) == {3}
         with pytest.raises(ConfigError):
-            build_adversary(config("tusk", adversary="equivocate"))
+            fault_schedule(config("tusk", adversary="equivocate"))
 
     def test_worst_resolves_per_protocol(self):
-        worst, _ = build_adversary(config("tusk", adversary="worst"))
-        crash, _ = build_adversary(config("tusk", adversary="crash"))
+        worst = fault_schedule(config("tusk", adversary="worst")).adversary(1)
+        crash = fault_schedule(config("tusk", adversary="crash")).adversary(1)
         assert worst.schedule == crash.schedule
         assert worst.schedule.faulty_replicas() == (3,)
 
     def test_unknown_adversary(self):
         with pytest.raises(ConfigError):
-            build_adversary(config(adversary="gremlins"))
+            fault_schedule(config(adversary="gremlins"))
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOL_REGISTRY))

@@ -81,7 +81,7 @@ class TestAsyncExperiments:
 
 
 class TestConfigReachesTheAsyncRuntime:
-    """``check_level`` and ``mempool_cap`` used to be dropped on this path."""
+    """``check_level`` used to be dropped on this path."""
 
     def checked(self, monkeypatch, level):
         audits, prefixes = [], []
@@ -111,9 +111,3 @@ class TestConfigReachesTheAsyncRuntime:
         experiment.verify_safety()
         monitor = experiment.assembly.monitor
         assert monitor.commits_checked > 0 and monitor.deliveries_checked > 0
-
-    def test_mempool_cap_reaches_every_replica(self):
-        cfg = config().with_updates(tx_rate_per_replica=200.0, mempool_cap=17)
-        experiment = build_async_experiment(cfg)
-        mempools = [node.payload_source.__self__ for node in experiment.cluster.nodes]
-        assert [m.max_backlog for m in mempools] == [17] * 4

@@ -1,62 +1,50 @@
-"""Open-loop offered load (ExperimentConfig.tx_rate_per_replica).
+"""Open-loop offered load, driven through the client plane (run_loadtest).
 
 The saturating mode used by the figure benches measures the consensus
-path; the open-loop mode models real clients at a fixed rate, where
-*queueing* appears: latency stays flat below capacity and grows without
-bound above it — the other half of Fig. 14's hockey stick.
+path; open-loop clients fire at a fixed rate regardless of responses, so
+*queueing* appears: latency stays flat below capacity and grows past it
+— the other half of Fig. 14's hockey stick.
 """
 
 import pytest
 
-from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
-from repro.harness.runner import run_experiment
+from repro.harness.loadtest import LoadtestConfig, run_loadtest
+from repro.workload.admission import AdmissionConfig
+from repro.workload.clients import WorkloadSpec
 
 
-def run_at_rate(rate, protocol="lightdag2", batch=200, duration=12.0, seed=4):
-    cfg = ExperimentConfig(
-        system=SystemConfig(n=4, crypto="hmac", seed=seed),
-        protocol=ProtocolConfig(batch_size=batch),
-        protocol_name=protocol,
+def run_at_rate(rate, batch=16, duration=6.0, seed=4):
+    return run_loadtest(LoadtestConfig(
+        n=4,
+        batch_size=batch,
         duration=duration,
-        warmup=3.0,
-        tx_rate_per_replica=rate,
+        warmup=1.0,
         seed=seed,
-    )
-    return run_experiment(cfg)
+        workload=WorkloadSpec(clients=20, mode="open", rate=rate, seed=seed),
+        admission=AdmissionConfig(max_pending=256),
+    ))
 
 
 class TestOpenLoop:
     def test_throughput_tracks_offered_load_below_capacity(self):
-        result = run_at_rate(rate=500.0)
-        # 4 replicas × 500 tx/s offered; committed throughput ≈ offered.
-        assert result.throughput_tps == pytest.approx(2000, rel=0.15)
+        result = run_at_rate(rate=200.0)
+        assert result.rejected == 0
+        # Below capacity, committed client throughput ≈ offered.
+        assert result.e2e_tps == pytest.approx(200.0, rel=0.15)
 
     def test_latency_flat_below_capacity(self):
-        light = run_at_rate(rate=200.0)
-        moderate = run_at_rate(rate=800.0)
+        light = run_at_rate(rate=50.0)
+        moderate = run_at_rate(rate=200.0)
         # Well under capacity, queueing is negligible: latencies within 2x.
-        assert moderate.mean_latency < 2 * light.mean_latency
+        assert moderate.e2e_mean_s < 2 * light.e2e_mean_s
 
     def test_queueing_blowup_above_capacity(self):
-        """Offered load far above capacity: the backlog grows for the whole
-        run and measured latency reflects it."""
-        below = run_at_rate(rate=500.0, batch=100)
-        above = run_at_rate(rate=20_000.0, batch=100)
-        assert above.mean_latency > 3 * below.mean_latency
-        # Committed throughput caps at roughly batch x round rate, far
-        # below the offered 80k tx/s.
-        assert above.throughput_tps < 40_000
-
-    def test_zero_rate_means_saturating(self):
-        saturating = run_at_rate(rate=0.0)
-        # Saturating mode always fills batches: throughput well above the
-        # small open-loop rate.
-        assert saturating.throughput_tps > 4000
-
-    def test_empty_blocks_when_queue_dry(self):
-        """At a very low rate most blocks carry zero transactions — the
-        protocol must keep advancing regardless (liveness does not depend
-        on payload)."""
-        result = run_at_rate(rate=10.0)
-        assert result.rounds_reached > 30
-        assert result.throughput_tps == pytest.approx(40, rel=0.3)
+        """Offered load far above capacity: the queue fills and measured
+        latency reflects it, while committed throughput caps out."""
+        below = run_at_rate(rate=200.0)
+        above = run_at_rate(rate=4000.0)
+        assert above.e2e_mean_s > 3 * below.e2e_mean_s
+        # Committed throughput caps at roughly batch × round rate, far
+        # below the offered 4000 ops/s.
+        assert above.e2e_tps < above.offered_rate / 2
+        assert above.rejected > 0

@@ -66,6 +66,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig", "99"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--batch", "0"],
+        ["run", "--gc-depth", "2"],
+        ["run", "--adversary", "schedule:bogus@1"],
+        ["run", "--latency-model", "nosuch"],
+        ["loadtest", "--duration", "1"],  # the default warmup is 2 s
+    ])
+    def test_config_error_is_a_usage_error(self, argv, capsys):
+        """A value the configuration refuses exits 2 with one stderr line,
+        as argparse does for a malformed flag — never a traceback."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestCommands:
     def test_protocols(self, capsys):

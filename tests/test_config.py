@@ -1,7 +1,12 @@
 """Tests for repro.config: validation and threshold resolution."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.config import (
     DEFAULT_TX_SIZE,
     ExperimentConfig,
@@ -62,7 +67,6 @@ class TestProtocolConfig:
         assert cfg.tx_size == DEFAULT_TX_SIZE
         assert cfg.commit_threshold == "f+1"
         assert cfg.coin_threshold == "2f+1"
-        assert cfg.merge_wave_boundary
 
     def test_threshold_resolution(self):
         system = SystemConfig(n=7)
@@ -80,10 +84,6 @@ class TestProtocolConfig:
     def test_invalid_batch(self):
         with pytest.raises(ConfigError):
             ProtocolConfig(batch_size=0)
-
-    def test_max_block_txs_floor(self):
-        with pytest.raises(ConfigError):
-            ProtocolConfig(batch_size=100, max_block_txs=50)
 
 
 class TestExperimentConfig:
@@ -113,3 +113,24 @@ class TestExperimentConfig:
     def test_with_updates(self):
         cfg = self.base().with_updates(protocol_name="tusk", seed=9)
         assert cfg.protocol_name == "tusk" and cfg.seed == 9
+
+
+def test_every_config_field_is_read():
+    """An option nothing reads is dead weight every test and benchmark must
+    still carry: each config field is read as an attribute somewhere in
+    the package outside ``config.py``."""
+    package = Path(repro.__file__).parent
+    read = set()
+    for path in package.rglob("*.py"):
+        if path.name == "config.py" and path.parent == package:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (SystemConfig, ProtocolConfig, ExperimentConfig)
+        for f in dataclasses.fields(cls)
+        if f.name not in read
+    ]
+    assert unread == []

@@ -1,7 +1,6 @@
-"""Tests for repro.workload.txgen: the analytic mempool."""
+"""Tests for repro.workload.txgen: the saturating mempool."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.workload.txgen import Mempool
@@ -9,7 +8,7 @@ from repro.workload.txgen import Mempool
 
 class TestSaturatingMode:
     def test_always_full_batches(self):
-        pool = Mempool(batch_size=100, tx_size=128, rate=0.0)
+        pool = Mempool(batch_size=100, tx_size=128)
         batch = pool.take(now=5.0)
         assert batch.count == 100
         assert batch.submit_time_sum == pytest.approx(500.0)
@@ -25,172 +24,14 @@ class TestSaturatingMode:
         assert pool.taken_total == 20
 
 
-class TestOpenLoopMode:
-    def test_accrual_rate(self):
-        pool = Mempool(batch_size=1000, tx_size=128, rate=100.0)
-        batch = pool.take(now=1.0)
-        assert batch.count == 100
-
-    def test_backlog_query(self):
-        pool = Mempool(batch_size=10, tx_size=128, rate=50.0)
-        assert pool.backlog(2.0) == 100
-
-    def test_batch_size_caps_drain(self):
-        pool = Mempool(batch_size=30, tx_size=128, rate=100.0)
-        batch = pool.take(now=1.0)
-        assert batch.count == 30
-        assert pool.backlog(1.0) == 70
-
-    def test_fifo_oldest_first(self):
-        pool = Mempool(batch_size=50, tx_size=128, rate=100.0)
-        first = pool.take(now=1.0)   # txs arrived in [0, 1) -> oldest 50 in [0, 0.5)
-        assert first.mean_submit_time() == pytest.approx(0.25, abs=0.02)
-        second = pool.take(now=1.0)  # the remaining 50 from [0.5, 1.0)
-        assert second.mean_submit_time() == pytest.approx(0.75, abs=0.02)
-
-    def test_empty_queue_empty_batch(self):
-        pool = Mempool(batch_size=10, tx_size=128, rate=1.0)
-        batch = pool.take(now=0.1)  # only 0.1 tx accrued -> floor 0
-        assert batch.count == 0
-
-    def test_fractional_carry_preserved(self):
-        pool = Mempool(batch_size=100, tx_size=128, rate=3.0)
-        total = 0
-        for step in range(1, 101):
-            total += pool.take(now=step / 3.0).count
-        # 100/3 * 3 = 100 arrivals give exactly 100 txs, no drift.
-        assert total == pytest.approx(100, abs=1)
-
-    def test_queueing_delay_grows_when_overloaded(self):
-        """Offered load 2x capacity: latency (now - submit) must grow —
-        the saturation hockey stick of Fig. 14."""
-        pool = Mempool(batch_size=100, tx_size=128, rate=200.0)
-        waits = []
-        for step in range(1, 20):
-            now = float(step)
-            batch = pool.take(now)
-            if batch.count:
-                waits.append(now - batch.mean_submit_time())
-        assert waits[-1] > waits[0]
-
-    def test_time_never_goes_backwards(self):
-        pool = Mempool(batch_size=10, tx_size=128, rate=10.0)
-        pool.take(5.0)
-        batch = pool.take(4.0)  # stale clock: accrual is monotone, no crash
-        assert batch.count >= 0
-
-
 class TestValidation:
     def test_bad_batch_size(self):
         with pytest.raises(ConfigError):
             Mempool(batch_size=0, tx_size=128)
 
-    def test_negative_rate(self):
-        with pytest.raises(ConfigError):
-            Mempool(batch_size=1, tx_size=128, rate=-1)
-
     def test_from_config(self):
         from repro.config import ProtocolConfig
 
-        pool = Mempool.from_config(ProtocolConfig(batch_size=250), rate=10.0)
+        pool = Mempool.from_config(ProtocolConfig(batch_size=250, tx_size=64))
         assert pool.batch_size == 250
-        assert pool.rate == 10.0
-
-
-class TestBoundedBacklog:
-    def test_cap_bounds_backlog_and_counts_drops(self):
-        pool = Mempool(batch_size=10, tx_size=128, rate=1000.0, max_backlog=50)
-        assert pool.backlog(10.0) == 50  # 10k arrived, queue pinned at cap
-        assert pool.accrued_total == 10_000
-        assert pool.dropped_total == 9_950
-
-    def test_backlog_never_exceeds_cap_past_saturation(self):
-        """Satellite regression: open loop past saturation must not accrue
-        chunks without bound — memory and queue depth stay capped."""
-        pool = Mempool(batch_size=10, tx_size=128, rate=500.0, max_backlog=100)
-        for step in range(1, 200):
-            pool.take(now=step * 0.1)
-            assert pool.backlog(step * 0.1) <= 100
-            assert len(pool._chunks) <= 101
-        assert pool.dropped_total > 0
-
-    def test_drain_reopens_admission(self):
-        pool = Mempool(batch_size=40, tx_size=128, rate=100.0, max_backlog=50)
-        assert pool.backlog(1.0) == 50  # 100 arrived, 50 dropped
-        pool.take(now=1.0)              # drains 40, room for 40 again
-        # ~40 fresh arrivals are admitted (one may sit in the fractional
-        # carry); the point is the drain reopened the queue.
-        assert pool.backlog(1.4) in (49, 50)
-
-    def test_admitted_prefix_keeps_fifo_submit_times(self):
-        """When the newest arrivals are shed, the admitted ones occupy the
-        leading fraction of the window — submit times stay honest."""
-        pool = Mempool(batch_size=100, tx_size=128, rate=100.0, max_backlog=50)
-        batch = pool.take(now=1.0)  # 100 arrived in [0,1); only [0,0.5) kept
-        assert batch.count == 50
-        assert batch.mean_submit_time() == pytest.approx(0.25, abs=0.01)
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ConfigError):
-            Mempool(batch_size=1, tx_size=128, rate=1.0, max_backlog=-1)
-
-    def test_dropped_metric_bound(self):
-        from repro.obs import EventJournal, MetricsRegistry, Observability
-
-        obs = Observability(MetricsRegistry(), EventJournal())
-        pool = Mempool(batch_size=10, tx_size=128, rate=1000.0, max_backlog=10)
-        pool.bind_obs(obs, node_id=3)
-        pool.backlog(1.0)
-        assert obs.metrics.counter_total("mempool.dropped") == pool.dropped_total
-
-
-@settings(max_examples=40)
-@given(
-    rate=st.floats(min_value=1.0, max_value=10_000.0),
-    batch=st.integers(min_value=1, max_value=1000),
-    steps=st.integers(min_value=1, max_value=30),
-)
-def test_property_conservation(rate, batch, steps):
-    """No transaction is created or destroyed: counts are integers, so the
-    ledger balances *exactly* — drained + queued = accrued, to the last
-    transaction, over arbitrary take/backlog interleavings."""
-    pool = Mempool(batch_size=batch, tx_size=128, rate=rate)
-    drained = 0
-    for step in range(1, steps + 1):
-        drained += pool.take(now=step * 0.1).count
-    remaining = pool.backlog(steps * 0.1)
-    assert drained == pool.taken_total
-    assert drained + remaining == pool.accrued_total
-    # The analytic arrival count tracks rate*time to within the carry.
-    assert pool.accrued_total == pytest.approx(rate * steps * 0.1, abs=1.0)
-
-
-@settings(max_examples=40)
-@given(
-    rate=st.floats(min_value=1.0, max_value=10_000.0),
-    batch=st.integers(min_value=1, max_value=500),
-    cap=st.integers(min_value=1, max_value=2000),
-    steps=st.integers(min_value=1, max_value=30),
-)
-def test_property_conservation_with_cap(rate, batch, cap, steps):
-    """With a bounded backlog the conservation law gains a drop term and
-    still balances exactly: accrued == taken + backlog + dropped."""
-    pool = Mempool(batch_size=batch, tx_size=128, rate=rate, max_backlog=cap)
-    for step in range(1, steps + 1):
-        pool.take(now=step * 0.1)
-    remaining = pool.backlog(steps * 0.1)
-    assert remaining <= cap
-    assert pool.accrued_total == pool.taken_total + remaining + pool.dropped_total
-
-
-@settings(max_examples=40)
-@given(
-    rate=st.floats(min_value=10.0, max_value=1000.0),
-    batch=st.integers(min_value=1, max_value=200),
-)
-def test_property_submit_times_within_window(rate, batch):
-    """Every batch's mean submit time lies inside the accrual window."""
-    pool = Mempool(batch_size=batch, tx_size=128, rate=rate)
-    result = pool.take(now=2.0)
-    if result.count:
-        assert 0.0 <= result.mean_submit_time() <= 2.0
+        assert pool.tx_size == 64
