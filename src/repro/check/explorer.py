@@ -25,6 +25,10 @@ makes scheduling the *only* source of branching:
   executes it, and recurses over the rest.
 * Timers strictly in the future (coin-sync at 0.5 s, retrieval retry
   backoff) never fire: the horizon is bounded by rounds, not time.
+* Every event — a decision or a loopback — is processed by the production
+  run loop: the chosen record is re-queued at the head and
+  :meth:`Simulation.run` stops after exactly that one event.  The explorer
+  owns no copy of the loop's delivery, CPU-queue or crash logic.
 
 State identity and pruning
 --------------------------
@@ -63,7 +67,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..adversary.base import Adversary
 from ..adversary.schedule import FaultPhase, FaultSchedule
@@ -140,12 +144,8 @@ class ExploreConfig:
     tractability, computed from canonical state only so it composes
     soundly with revisit pruning.
 
-    ``reverse`` flips the DFS child order (the tree and its leaves are
-    identical; only the visit order changes).  Canonical order explores
-    near-synchronous schedules first; reverse order starves the
-    canonically-first pending delivery as long as possible, which is the
-    shape of most safety-violating schedules — use it for bug hunts,
-    default order for enumeration.
+    ``por=False`` turns sleep sets off; it is the unreduced reference the
+    POR soundness test compares against.
     """
 
     protocol: str = "lightdag1"
@@ -154,13 +154,9 @@ class ExploreConfig:
     seed: int = 0
     max_inflight: int = 0
     por: bool = True
-    state_hash: bool = True
     max_states: int = 1_000_000
-    max_depth: int = 0
     time_box_s: Optional[float] = None
     stop_on_violation: bool = True
-    gc_depth: Optional[int] = None
-    reverse: bool = False
 
     def replay_command(self, schedule: str) -> str:
         """The CLI invocation that replays ``schedule`` under this config."""
@@ -173,8 +169,6 @@ class ExploreConfig:
         ]
         if self.max_inflight:
             parts.append(f"--max-inflight {self.max_inflight}")
-        if self.reverse:
-            parts.append("--reverse")
         parts.append(f"--schedule '{schedule}'")
         return " ".join(parts)
 
@@ -197,12 +191,22 @@ class Violation:
         return parts[2] if len(parts) > 3 and "replica" in parts[1] else parts[0]
 
 
+def _violation(
+    path: Tuple[int, ...], exc: ReproError, at_leaf: bool = False
+) -> Violation:
+    return Violation(
+        path=path, error=f"{type(exc).__name__}: {exc}", at_leaf=at_leaf
+    )
+
+
 @dataclass
 class ExploreReport:
-    """Outcome of one exploration (or one shard of it)."""
+    """Outcome of one exploration."""
 
     config: Optional[ExploreConfig] = None
     states_explored: int = 0
+    #: States with a canonical fingerprint not seen before.
+    distinct_states: int = 0
     states_pruned: int = 0
     sleep_skips: int = 0
     transitions: int = 0
@@ -211,28 +215,10 @@ class ExploreReport:
     violations: List[Violation] = field(default_factory=list)
     elapsed: float = 0.0
     complete: bool = True
-    #: Canonical fingerprints of every distinct state expanded; sharded
-    #: runs union these, so ``distinct_states`` is stable across --jobs.
-    fingerprints: Set[bytes] = field(default_factory=set)
-
-    @property
-    def distinct_states(self) -> int:
-        return len(self.fingerprints)
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def merge(self, other: "ExploreReport") -> None:
-        self.states_explored += other.states_explored
-        self.states_pruned += other.states_pruned
-        self.sleep_skips += other.sleep_skips
-        self.transitions += other.transitions
-        self.leaves += other.leaves
-        self.max_depth_seen = max(self.max_depth_seen, other.max_depth_seen)
-        self.violations.extend(other.violations)
-        self.complete = self.complete and other.complete
-        self.fingerprints |= other.fingerprints
 
 
 # ------------------------------------------------------------ world building
@@ -258,7 +244,7 @@ class World:
 
 
 def default_registry() -> Dict[str, type]:
-    """Protocols the explorer can hunt: production registry plus the
+    """Protocols the explorer can search: production registry plus the
     deliberately broken mutants (the whole point is finding their bugs)."""
     merged: Dict[str, type] = dict(PROTOCOL_REGISTRY)
     merged.update(MUTANT_REGISTRY)
@@ -266,15 +252,13 @@ def default_registry() -> Dict[str, type]:
 
 
 def build_world(
-    cfg: ExploreConfig,
-    registry: Optional[Dict[str, type]] = None,
-    obs: Optional[Observability] = None,
+    cfg: ExploreConfig, registry: Optional[Dict[str, type]] = None
 ) -> World:
     """Construct the zero-latency world and bring it to its first
     scheduling decision (start hooks run, local loopbacks drained)."""
     node_cls = node_class(cfg.protocol, registry or default_registry())
     system = SystemConfig(n=cfg.n, crypto="hmac", seed=cfg.seed)
-    protocol = ProtocolConfig(batch_size=4, gc_depth=cfg.gc_depth)
+    protocol = ProtocolConfig(batch_size=4)
     collector = MetricsCollector(warmup=0.0, measure_until=None)
     mempools = [Mempool.from_config(protocol) for _ in range(cfg.n)]
     cluster = assemble(
@@ -284,7 +268,6 @@ def build_world(
         payload_source=lambda i: mempools[i].take,
         on_commit=collector.callback_for,
         check_level="full",
-        obs=obs,
     )
     sim = Simulation(
         cluster.factories,
@@ -293,7 +276,6 @@ def build_world(
         adversary=None,
         cpu=None,
         seed=cfg.seed,
-        obs=obs,
     )
     cluster.bind(sim.nodes)
     sim.start()
@@ -380,9 +362,23 @@ def _scan_queue(sim: Simulation):
     return urgent, actionable
 
 
-def _dispatch(sim: Simulation, ev: tuple) -> None:
-    sim._queue.remove(ev)
-    sim._dispatch(ev[2], (ev[3], ev[4], ev[5]))
+def _one_event(sim: Simulation) -> bool:
+    return True
+
+
+def _step(sim: Simulation, ev: tuple) -> None:
+    """Process exactly ``ev`` through :meth:`Simulation.run`.
+
+    The record is re-queued at the head: the same ``when`` (never later
+    than any pending event) and sequence number -1, below every live one
+    (the simulator numbers events from 0).  ``sim._seq`` is untouched, so
+    the events the handler sends are numbered as if ``ev`` had been
+    popped in its own turn.
+    """
+    queue = sim._queue
+    queue.remove(ev)
+    queue.push((ev[0], -1) + ev[2:])
+    sim.run(stop_when=_one_event)
 
 
 def _quiesce(sim: Simulation) -> None:
@@ -391,13 +387,12 @@ def _quiesce(sim: Simulation) -> None:
         urgent, _ = _scan_queue(sim)
         if not urgent:
             return
-        ev = min(urgent, key=lambda e: (e[0], e[1]))
-        _dispatch(sim, ev)
+        _step(sim, min(urgent, key=lambda e: (e[0], e[1])))
 
 
 def _execute(sim: Simulation, ev: tuple) -> None:
-    """One scheduling decision: dispatch the event, then drain loopbacks."""
-    _dispatch(sim, ev)
+    """One scheduling decision: run the event, then drain loopbacks."""
+    _step(sim, ev)
     _quiesce(sim)
 
 
@@ -424,8 +419,6 @@ def _candidates(sim: Simulation, cfg: ExploreConfig):
     ordered = sorted(by_key.items(), key=lambda item: item[0])
     if cfg.max_inflight and len(ordered) > cfg.max_inflight:
         ordered = ordered[: cfg.max_inflight]
-    if cfg.reverse:
-        ordered.reverse()
     return ordered
 
 
@@ -588,24 +581,19 @@ class _Frame:
         self.digests = digests
 
 
-def _explore_serial(
+def _search(
     world: World,
     cfg: ExploreConfig,
     report: ExploreReport,
-    base_path: Tuple[int, ...] = (),
-    base_sleep: FrozenSet[tuple] = frozenset(),
-    visited: Optional[Dict[bytes, FrozenSet[tuple]]] = None,
-    deadline: Optional[float] = None,
-    progress: Optional[Callable[[ExploreReport], None]] = None,
+    deadline: Optional[float],
+    progress: Optional[Callable[[ExploreReport], None]],
 ) -> None:
-    """DFS from the world's *current* state, accumulating into ``report``.
+    """DFS from the world's initial state, accumulating into ``report``.
 
-    The world is left in an arbitrary explored state on return; callers
-    needing the original state must snapshot before calling.
+    The world is left in an arbitrary explored state on return.
     """
     sim = world.sim
-    if visited is None:
-        visited = {}
+    visited: Dict[bytes, FrozenSet[tuple]] = {}
     frames: List[_Frame] = []
 
     def stop_requested() -> bool:
@@ -616,55 +604,35 @@ def _explore_serial(
         return bool(cfg.stop_on_violation and report.violations)
 
     def enter_state(
-        sleep: FrozenSet[tuple],
-        path: Tuple[int, ...],
-        digests: Optional[List[str]],
+        sleep: FrozenSet[tuple], path: Tuple[int, ...], digests: List[str]
     ) -> None:
         report.states_explored += 1
         report.max_depth_seen = max(report.max_depth_seen, len(path))
         if progress is not None and report.states_explored % 1000 == 0:
             progress(report)
-        fp = recorded = None
-        if cfg.state_hash:
-            fp = _combine_fingerprint(sim, digests)
-            recorded = visited.get(fp)
-            if recorded is not None and recorded <= sleep:
-                report.states_pruned += 1
-                return
-        depth_capped = cfg.max_depth and len(path) >= cfg.max_depth
+        fp = _combine_fingerprint(sim, digests)
+        recorded = visited.get(fp)
+        if recorded is not None and recorded <= sleep:
+            report.states_pruned += 1
+            return
+        if recorded is None:
+            report.distinct_states += 1
         actions = _candidates(sim, cfg)
-        if not actions or depth_capped:
+        if not actions:
             report.leaves += 1
-            if fp is not None:
-                report.fingerprints.add(fp)
-                # A leaf has nothing left to schedule, so any revisit may
-                # prune regardless of its sleep set (empty-set record) —
-                # except under a depth cap, where the same state can be
-                # a leaf on one path and interior on a longer one.
-                if not cfg.max_depth:
-                    visited[fp] = frozenset()
+            # A leaf has nothing left to schedule, so any revisit may
+            # prune regardless of its sleep set (empty-set record).
+            visited[fp] = frozenset()
             try:
                 _leaf_checks(world)
             except ReproError as exc:
-                report.violations.append(
-                    Violation(
-                        path=path,
-                        error=f"{type(exc).__name__}: {exc}",
-                        at_leaf=True,
-                    )
-                )
+                report.violations.append(_violation(path, exc, at_leaf=True))
             return
-        if fp is not None:
-            visited[fp] = sleep if recorded is None else (recorded & sleep)
-            report.fingerprints.add(fp)
+        visited[fp] = sleep if recorded is None else (recorded & sleep)
         snap = world.snapshot() if len(actions) > 1 else None
         frames.append(_Frame(snap, actions, sleep, path, digests))
 
-    enter_state(
-        base_sleep,
-        base_path,
-        [_node_digest(node) for node in sim.nodes] if cfg.state_hash else None,
-    )
+    enter_state(frozenset(), (), [_node_digest(node) for node in sim.nodes])
     while frames:
         if stop_requested():
             report.complete = False
@@ -686,12 +654,7 @@ def _explore_serial(
         try:
             _execute(sim, ev)
         except ReproError as exc:
-            report.violations.append(
-                Violation(
-                    path=frame.path + (choice,),
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            report.violations.append(_violation(frame.path + (choice,), exc))
             frame.done.append(key)
             continue
         if cfg.por:
@@ -703,14 +666,11 @@ def _explore_serial(
         else:
             child_sleep = frozenset()
         frame.done.append(key)
-        if cfg.state_hash:
-            # A transition only mutates its target replica (key[1]) —
-            # everything else flows through the network queue, which is
-            # hashed separately — so only that digest is recomputed.
-            child_digests = list(frame.digests)
-            child_digests[key[1]] = _node_digest(sim.nodes[key[1]])
-        else:
-            child_digests = None
+        # A transition only mutates its target replica (key[1]) —
+        # everything else flows through the network queue, which is
+        # hashed separately — so only that digest is recomputed.
+        child_digests = list(frame.digests)
+        child_digests[key[1]] = _node_digest(sim.nodes[key[1]])
         enter_state(child_sleep, frame.path + (choice,), child_digests)
 
 
@@ -740,18 +700,12 @@ def replay_path(
         try:
             _execute(sim, ev)
         except ReproError as exc:
-            return Violation(
-                path=tuple(taken), error=f"{type(exc).__name__}: {exc}"
-            )
+            return _violation(tuple(taken), exc)
     if not _candidates(sim, cfg):
         try:
             _leaf_checks(world)
         except ReproError as exc:
-            return Violation(
-                path=tuple(taken),
-                error=f"{type(exc).__name__}: {exc}",
-                at_leaf=True,
-            )
+            return _violation(tuple(taken), exc, at_leaf=True)
     return None
 
 
@@ -847,175 +801,18 @@ def _finalize_violations(
 def explore(
     cfg: ExploreConfig,
     registry: Optional[Dict[str, type]] = None,
-    jobs: int = 1,
-    obs: Optional[Observability] = None,
     progress: Optional[Callable[[ExploreReport], None]] = None,
     shrink_budget_s: float = 30.0,
 ) -> ExploreReport:
-    """Exhaustively explore one configuration within its bounds.
-
-    ``jobs > 1`` shards the DFS frontier over the process pool
-    (:func:`repro.harness.parallel.parallel_map`): the parent enumerates
-    choice-prefix subtrees breadth-first, workers exhaust them
-    independently, and fingerprint sets are unioned so
-    ``distinct_states`` is identical at any job count.
-    """
+    """Exhaustively explore one configuration within its bounds."""
     started = time.monotonic()
     deadline = (
         started + cfg.time_box_s if cfg.time_box_s is not None else None
     )
-    if jobs and jobs > 1:
-        report = _explore_sharded(cfg, registry, jobs, deadline, progress)
-    else:
-        report = ExploreReport(config=cfg)
-        world = build_world(cfg, registry, obs=obs)
-        _explore_serial(
-            world, cfg, report, deadline=deadline, progress=progress
-        )
-        _emit_obs(obs, report)
+    report = ExploreReport(config=cfg)
+    _search(build_world(cfg, registry), cfg, report, deadline, progress)
     _finalize_violations(cfg, registry, report, shrink_budget_s)
     report.elapsed = time.monotonic() - started
-    return report
-
-
-def _emit_obs(obs: Optional[Observability], report: ExploreReport) -> None:
-    if obs is None or not obs.enabled:
-        return
-    metrics = obs.metrics
-    metrics.counter("explore.states_explored").inc(report.states_explored)
-    metrics.counter("explore.states_pruned").inc(report.states_pruned)
-    metrics.counter("explore.transitions").inc(report.transitions)
-    metrics.counter("explore.leaves").inc(report.leaves)
-    metrics.counter("explore.violations").inc(len(report.violations))
-    obs.journal.emit(
-        0.0,
-        "explore.summary",
-        states=report.states_explored,
-        pruned=report.states_pruned,
-        leaves=report.leaves,
-        violations=len(report.violations),
-    )
-
-
-# ------------------------------------------------------------------ sharding
-
-
-def _explore_worker(item, registry: Optional[Dict[str, type]]):
-    """Shared-nothing shard unit: exhaust one choice-prefix subtree.
-
-    Runs in a worker process; everything in and out must pickle.  The
-    prefix replays deterministically (canonical candidate order is
-    hash-seed independent), so the shard explores exactly the subtree
-    the parent assigned it.
-    """
-    cfg, prefix, sleep_items, budget_s = item
-    deadline = time.monotonic() + budget_s if budget_s is not None else None
-    report = ExploreReport(config=cfg)
-    world = build_world(cfg, registry)
-    violation = replay_path(world, cfg, list(prefix))
-    if violation is not None:
-        # The prefix itself fails before reaching the subtree root —
-        # possible when stop_on_violation is off and a violating edge
-        # was expanded anyway.  Record and stop; nothing left to explore.
-        report.violations.append(violation)
-        return report
-    _explore_serial(
-        world,
-        cfg,
-        report,
-        base_path=tuple(prefix),
-        base_sleep=frozenset(sleep_items),
-        deadline=deadline,
-    )
-    return report
-
-
-def _explore_sharded(
-    cfg: ExploreConfig,
-    registry: Optional[Dict[str, type]],
-    jobs: int,
-    deadline: Optional[float],
-    progress: Optional[Callable[[ExploreReport], None]],
-) -> ExploreReport:
-    from ..harness.parallel import NOT_RUN, parallel_map
-
-    report = ExploreReport(config=cfg)
-    target = max(jobs * 4, jobs + 1)
-    frontier: List[Tuple[Tuple[int, ...], FrozenSet[tuple]]] = [
-        ((), frozenset())
-    ]
-    # Breadth-first prefix expansion in the parent.  No revisit pruning
-    # here — subtree partitioning must stay exact — but sleep sets are
-    # threaded through so shards skip exactly what a serial run would.
-    while frontier and len(frontier) < target:
-        frontier.sort(key=lambda item: (len(item[0]), item[0]))
-        path, sleep = frontier.pop(0)
-        world = build_world(cfg, registry)
-        violation = replay_path(world, cfg, list(path))
-        if violation is not None:
-            report.violations.append(violation)
-            if cfg.stop_on_violation:
-                report.complete = False
-                return report
-            continue
-        sim = world.sim
-        actions = _candidates(sim, cfg)
-        if not actions or (cfg.max_depth and len(path) >= cfg.max_depth):
-            # Terminal prefix: account for it here, like a serial leaf.
-            report.states_explored += 1
-            report.leaves += 1
-            if cfg.state_hash:
-                report.fingerprints.add(state_fingerprint(sim))
-            try:
-                _leaf_checks(world)
-            except ReproError as exc:
-                report.violations.append(
-                    Violation(
-                        path=path,
-                        error=f"{type(exc).__name__}: {exc}",
-                        at_leaf=True,
-                    )
-                )
-            continue
-        report.states_explored += 1
-        if cfg.state_hash:
-            report.fingerprints.add(state_fingerprint(sim))
-        done: List[tuple] = []
-        for choice, (key, _ev) in enumerate(actions):
-            if cfg.por and key in sleep:
-                report.sleep_skips += 1
-                continue
-            if cfg.por:
-                child_sleep = frozenset(
-                    other
-                    for other in sleep.union(done)
-                    if _independent(other, key)
-                )
-            else:
-                child_sleep = frozenset()
-            done.append(key)
-            report.transitions += 1
-            frontier.append((path + (choice,), child_sleep))
-    time_box = None
-    if deadline is not None:
-        time_box = max(0.0, deadline - time.monotonic())
-    items = [
-        (cfg, path, tuple(sleep), time_box) for path, sleep in sorted(
-            frontier, key=lambda item: (len(item[0]), item[0])
-        )
-    ]
-    results, timed_out = parallel_map(
-        _explore_worker, items, jobs, registry=registry, time_box=time_box
-    )
-    for result in results:
-        if result is NOT_RUN:
-            report.complete = False
-            continue
-        report.merge(result)
-    if timed_out:
-        report.complete = False
-    if progress is not None:
-        progress(report)
     return report
 
 
@@ -1034,203 +831,14 @@ def replay_schedule(
     return violation
 
 
-# ------------------------------------------------------ schedule-grammar hunt
-
-
-@dataclass(frozen=True)
-class HuntConfig:
-    """Bounds for an exhaustive sweep of a discretized fault-schedule
-    grid — bounded model checking over the *timed* small model.
-
-    Pure delivery reordering (the order-DFS's adversary) provably cannot
-    break LightDAG1's commit rule at n=4: the strict store forces a
-    block's full ancestry into a replica's store before the block itself,
-    and every insert re-runs the commit recheck, so wave ``w``'s support
-    evidence is always processed before any wave ``w+1`` commit — waves
-    settle in order whenever the evidence exists locally.  The
-    registry-excluded commit-rule mutants therefore only diverge under
-    *message loss*: a partition window deprives one replica of a leader's
-    support evidence while the others commit on it, and the skip freezes
-    when the victim settles the next wave.  This mode enumerates every
-    cell of a small partition grid — isolated replica x window start x
-    window length x seed — under the full oracle set, in the PR 4
-    ``--schedule`` grammar, so each violation is replayable verbatim via
-    ``repro fuzz --schedule``.
-    """
-
-    protocol: str = "lightdag1"
-    n: int = 4
-    seeds: Tuple[int, ...] = (0, 1, 7, 92)
-    duration: float = 8.0
-    #: Replicas to isolate, one per cell; None = every replica in turn.
-    groups: Optional[Tuple[int, ...]] = None
-    starts: Tuple[float, ...] = (1.0, 2.0, 3.0)
-    lengths: Tuple[float, ...] = (1.5, 3.0)
-    stop_on_violation: bool = True
-    time_box_s: Optional[float] = None
-
-
-@dataclass
-class HuntViolation:
-    """One grid cell that failed an oracle, with its shrunk replay."""
-
-    protocol: str
-    seed: int
-    schedule: str
-    error: str
-    command: str
-
-
-@dataclass
-class HuntReport:
-    """Outcome of one grammar-grid hunt."""
-
-    config: Optional[HuntConfig] = None
-    cells_explored: int = 0
-    cells_pruned: int = 0
-    violations: List[HuntViolation] = field(default_factory=list)
-    elapsed: float = 0.0
-    complete: bool = True
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def hunt_grid(cfg: HuntConfig) -> Tuple[list, int]:
-    """The deduplicated cell list (as fuzz cases) and the pruned count.
-
-    Cells are canonicalized through the schedule grammar parser before
-    deduplication, so two parameterizations that normalize to the same
-    schedule count as one cell (the grid analogue of state-hash pruning).
-    """
-    from .fuzzer import FuzzCase
-
-    groups = cfg.groups if cfg.groups is not None else tuple(range(cfg.n))
-    cases, seen, pruned = [], set(), 0
-    for seed in cfg.seeds:
-        for group in groups:
-            for start in cfg.starts:
-                for length in cfg.lengths:
-                    spec = FaultSchedule.from_spec(
-                        f"partition@{start}+{length}:group={group}"
-                    ).to_spec()
-                    key = (seed, spec)
-                    if key in seen:
-                        pruned += 1
-                        continue
-                    seen.add(key)
-                    cases.append(
-                        FuzzCase(
-                            protocol=cfg.protocol,
-                            seed=seed,
-                            n=cfg.n,
-                            duration=cfg.duration,
-                            schedule=spec,
-                        )
-                    )
-    return cases, pruned
-
-
-def _hunt_worker(case, registry: Optional[Dict[str, type]]):
-    """Shard unit for ``--jobs``: one timed run under full oracles."""
-    from .fuzzer import run_case
-
-    return run_case(case, registry=registry)
-
-
-def hunt(
-    cfg: HuntConfig,
-    registry: Optional[Dict[str, type]] = None,
-    jobs: int = 1,
-    obs: Optional[Observability] = None,
-    progress: Optional[Callable[[HuntReport], None]] = None,
-    shrink_budget_s: float = 30.0,
-) -> HuntReport:
-    """Exhaustively sweep the schedule grid; shrink and report failures.
-
-    Every violation is minimized with the fuzzer's memoized shrinker and
-    emitted with the exact ``repro fuzz --schedule`` replay command.
-    """
-    from .fuzzer import run_case, shrink
-
-    if registry is None:
-        registry = default_registry()
-    started = time.monotonic()
-    deadline = (
-        started + cfg.time_box_s if cfg.time_box_s is not None else None
-    )
-    cases, pruned = hunt_grid(cfg)
-    report = HuntReport(config=cfg, cells_pruned=pruned)
-    failures = []
-    if jobs and jobs > 1:
-        from ..harness.parallel import NOT_RUN, parallel_map
-
-        time_box = None
-        if deadline is not None:
-            time_box = max(0.0, deadline - time.monotonic())
-        results, timed_out = parallel_map(
-            _hunt_worker, cases, jobs, registry=registry, time_box=time_box
-        )
-        for case, error in zip(cases, results):
-            if error is NOT_RUN:
-                report.complete = False
-                continue
-            report.cells_explored += 1
-            if error is not None:
-                failures.append((case, error))
-        if timed_out:
-            report.complete = False
-    else:
-        for case in cases:
-            if deadline is not None and time.monotonic() >= deadline:
-                report.complete = False
-                break
-            error = run_case(case, registry=registry)
-            report.cells_explored += 1
-            if progress is not None and report.cells_explored % 10 == 0:
-                progress(report)
-            if error is not None:
-                failures.append((case, error))
-                if cfg.stop_on_violation:
-                    report.complete = False
-                    break
-    for case, error in failures:
-        minimal, _attempts = shrink(
-            case, registry=registry, budget_s=shrink_budget_s
-        )
-        report.violations.append(
-            HuntViolation(
-                protocol=minimal.protocol,
-                seed=minimal.seed,
-                schedule=minimal.schedule,
-                error=error,
-                command=minimal.command(),
-            )
-        )
-    report.elapsed = time.monotonic() - started
-    if obs is not None and obs.enabled:
-        metrics = obs.metrics
-        metrics.counter("explore.hunt_cells").inc(report.cells_explored)
-        metrics.counter("explore.hunt_violations").inc(len(report.violations))
-    if progress is not None:
-        progress(report)
-    return report
-
-
 __all__ = [
     "ExploreConfig",
     "ExploreReport",
-    "HuntConfig",
-    "HuntReport",
-    "HuntViolation",
     "Violation",
     "World",
     "build_world",
     "default_registry",
     "explore",
-    "hunt",
-    "hunt_grid",
     "path_to_schedule",
     "replay_path",
     "replay_schedule",

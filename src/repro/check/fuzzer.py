@@ -45,13 +45,14 @@ class FuzzCase:
     gc_depth: Optional[int] = None
 
     def command(self) -> str:
-        """The CLI invocation that replays this exact case."""
+        """The CLI invocation that replays this exact case (``repr`` of
+        the duration, so the replay runs the same horizon to the bit)."""
         parts = [
             "python -m repro fuzz",
             f"--protocol {self.protocol}",
             f"--seed-start {self.seed}",
             f"-n {self.n}",
-            f"--duration {self.duration:g}",
+            f"--duration {self.duration!r}",
             f"--schedule '{self.schedule}'",
         ]
         if self.gc_depth is not None:

@@ -9,6 +9,8 @@ Commands
 ``fuzz``       seed-deterministic fault-schedule sweep with invariant
                oracles on; failing cases are shrunk and reported as
                reproducible command lines
+``explore``    exhaustive delivery-order search of a small zero-latency
+               model, oracles armed at every step
 ``loadtest``   end-to-end client traffic against the replicated KV:
                open/closed-loop populations, admission control, and a
                consensus-vs-end-to-end summary; ``--sweep`` ramps the
@@ -215,10 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "zero-latency run (DFS over scheduling decisions with "
                     "sleep-set partial-order reduction and canonical state "
                     "hashing), running the invariant oracles at every step "
-                    "and the deep audit at every leaf; or, with --hunt, "
-                    "exhaustively sweep a discretized fault-schedule grid "
-                    "on the timed model. Violations are shrunk and emitted "
-                    "as replayable --schedule command lines.",
+                    "and the deep audit at every leaf. Violations are "
+                    "shrunk and emitted as replayable --schedule command "
+                    "lines. Timed fault schedules (loss, partitions) are "
+                    "'repro fuzz'.",
     )
     explore_p.add_argument("--protocol", default="lightdag1", metavar="NAME",
                            help="protocol, including registry-excluded "
@@ -233,14 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "per state, canonical order (0 = all)")
     explore_p.add_argument("--no-por", action="store_true",
                            help="disable sleep-set partial-order reduction")
-    explore_p.add_argument("--no-state-hash", action="store_true",
-                           help="disable canonical state caching")
-    explore_p.add_argument("--reverse", action="store_true",
-                           help="visit DFS children in reverse canonical "
-                                "order (starvation-first bug hunting)")
     explore_p.add_argument("--max-states", type=int, default=1_000_000)
-    explore_p.add_argument("--max-depth", type=int, default=0,
-                           help="depth bound on the decision path (0 = none)")
     explore_p.add_argument("--keep-going", action="store_true",
                            help="keep searching after the first violation")
     explore_p.add_argument("--time-box", type=float, default=None,
@@ -248,18 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     explore_p.add_argument("--schedule", metavar="SPEC", default=None,
                            help="replay one 'order' schedule instead of "
                                 "searching")
-    explore_p.add_argument("--hunt", action="store_true",
-                           help="exhaustively sweep the timed "
-                                "fault-schedule grid instead of delivery "
-                                "orders")
-    explore_p.add_argument("--duration", type=float, default=8.0,
-                           help="simulated seconds per --hunt cell")
-    explore_p.add_argument("--hunt-seeds", default="0,1,7,92",
-                           metavar="A,B,..",
-                           help="seeds swept by --hunt")
     explore_p.add_argument("--progress", action="store_true",
                            help="print progress to stderr while searching")
-    _add_jobs_arg(explore_p)
 
     load_p = sub.add_parser(
         "loadtest",
@@ -536,10 +521,8 @@ def _cmd_explore(args) -> int:
     # the mutant registry.
     from .check.explorer import (
         ExploreConfig,
-        HuntConfig,
         default_registry,
         explore,
-        hunt,
         replay_schedule,
     )
 
@@ -549,35 +532,6 @@ def _cmd_explore(args) -> int:
               f"{', '.join(sorted(registry))}", file=sys.stderr)
         return 2
 
-    if args.hunt:
-        def hunt_progress(report) -> None:
-            print(f"  {report.cells_explored} cells, "
-                  f"{len(report.violations)} violation(s)", file=sys.stderr)
-
-        seeds = tuple(
-            int(s) for s in args.hunt_seeds.split(",") if s.strip() != ""
-        )
-        hunt_cfg = HuntConfig(
-            protocol=args.protocol,
-            n=args.replicas,
-            seeds=seeds,
-            duration=args.duration,
-            stop_on_violation=not args.keep_going,
-            time_box_s=args.time_box,
-        )
-        report = hunt(
-            hunt_cfg, registry=registry, jobs=args.jobs,
-            progress=hunt_progress if args.progress else None,
-        )
-        suffix = "" if report.complete else " (stopped early)"
-        print(f"hunt: {report.cells_explored} cells explored, "
-              f"{report.cells_pruned} pruned, {len(report.violations)} "
-              f"violation(s) in {report.elapsed:.1f}s{suffix}")
-        for v in report.violations:
-            print(f"\n{v.protocol} seed={v.seed}: {v.error}")
-            print(f"  reproduce: {v.command}")
-        return 1 if report.violations else 0
-
     cfg = ExploreConfig(
         protocol=args.protocol,
         n=args.replicas,
@@ -585,12 +539,9 @@ def _cmd_explore(args) -> int:
         seed=args.seed,
         max_inflight=args.max_inflight,
         por=not args.no_por,
-        state_hash=not args.no_state_hash,
         max_states=args.max_states,
-        max_depth=args.max_depth,
         time_box_s=args.time_box,
         stop_on_violation=not args.keep_going,
-        reverse=args.reverse,
     )
     if args.schedule is not None:
         violation = replay_schedule(cfg, args.schedule, registry=registry)
@@ -607,7 +558,7 @@ def _cmd_explore(args) -> int:
               f"{report.max_depth_seen}", file=sys.stderr)
 
     report = explore(
-        cfg, registry=registry, jobs=args.jobs,
+        cfg, registry=registry,
         progress=explore_progress if args.progress else None,
     )
     status = "complete" if report.complete else "incomplete"

@@ -7,10 +7,9 @@ This module fans a list of :class:`~repro.config.ExperimentConfig`\\ s out
 over a pool of **shared-nothing workers**: a config goes in (pickled), an
 :class:`~repro.harness.runner.ExperimentResult` comes back, and nothing
 else crosses the process boundary.  The generic layer
-(:func:`parallel_map`) also backs ``repro explore --jobs``: the explorer
-ships choice-prefix subtrees (and hunt-grid cells) to workers the same
-shared-nothing way, which is why its sharded state counts are identical
-at any job count.
+(:func:`parallel_map`) also backs the ``repro fuzz`` case sweep and
+``repro loadtest --sweep``, shipping fuzz cases and loadtest configs to
+workers the same shared-nothing way.
 
 Guarantees:
 

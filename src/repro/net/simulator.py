@@ -696,7 +696,9 @@ class Simulation:
         the event budget is hit, or ``stop_when(sim)`` returns True.
 
         ``stop_when`` is evaluated after each event — use it for
-        "run until every replica committed k blocks" style experiments.
+        "run until every replica committed k blocks" style experiments,
+        or, always true, to run exactly the head event (the explorer's
+        single step).
         ``events_processed``/``messages_delivered`` are accumulated in
         loop locals and flushed to :attr:`stats` before every
         ``stop_when`` probe, on budget exhaustion, and at loop exit —
@@ -808,58 +810,6 @@ class Simulation:
         if obs_on:
             self._obs_flush()
         return stats
-
-    def _dispatch(self, kind: int, payload: tuple) -> None:
-        """Process one event given as ``(kind, (a, b, c))``.
-
-        Compatibility shim over the inlined run-loop logic — tests and
-        tools that single-step events use it; :meth:`run` does not.
-        """
-        a, b, c = payload
-        if kind == _DELIVER:
-            src, dst, msg = a, b, c
-            if dst in self._crashed:
-                if self._obs_on and src != dst:
-                    self._obs_counts(msg.__class__)[2] += 1
-                return
-            if self.cpu is not None and src != dst:
-                cost = self.cpu.cost(msg.wire_size())
-                if self._cpu_free[dst] <= self.now:
-                    self._cpu_free[dst] = self.now + cost
-                else:
-                    if self._obs_on:
-                        self._obs_cpu_waits.append(self._cpu_free[dst] - self.now)
-                        if self.obs.trace.enabled:
-                            self.obs.trace.emit(
-                                self.now, "trace.cpu_wait", dst,
-                                wait=self._cpu_free[dst] - self.now,
-                                msg=msg.__class__.__name__,
-                            )
-                    ready = self._cpu_free[dst] + cost
-                    self._cpu_free[dst] = ready
-                    self._push(ready, _PROCESS, src, dst, msg)
-                    return
-            self.stats.messages_delivered += 1
-            self.nodes[dst].on_message(src, msg)
-        elif kind == _PROCESS:
-            src, dst, msg = a, b, c
-            if dst in self._crashed:
-                if self._obs_on and src != dst:
-                    self._obs_counts(msg.__class__)[2] += 1
-                return
-            self.stats.messages_delivered += 1
-            self.nodes[dst].on_message(src, msg)
-        else:
-            node_id, tag, data = a, b, c
-            if tag == "__crash__":
-                self._crashed.add(node_id)
-                return
-            if node_id < 0:
-                data(self)
-                return
-            if node_id in self._crashed:
-                return
-            self.nodes[node_id].on_timer(tag, data)
 
     @property
     def pending_events(self) -> int:

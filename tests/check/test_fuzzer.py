@@ -7,6 +7,9 @@ found by sweeping; the generator is a pure function of (seed, n,
 protocol, duration), so they stay stable.
 """
 
+import shlex
+from dataclasses import replace
+
 import pytest
 
 from repro.check.fuzzer import (
@@ -19,6 +22,7 @@ from repro.check.fuzzer import (
     shrink,
 )
 from repro.check.mutants import MUTANT_REGISTRY
+from repro.cli import build_parser
 from repro.errors import ConfigError
 from repro.harness.runner import PROTOCOL_REGISTRY
 
@@ -40,11 +44,24 @@ class TestCasePlumbing:
         assert a.schedule  # non-empty generated schedule
 
     def test_command_round_trips_through_cli_grammar(self):
-        case = make_case("lightdag1", 3, n=7, duration=5.0)
-        command = case.command()
-        assert f"--schedule '{case.schedule}'" in command
-        assert "--protocol lightdag1" in command
-        assert "-n 7" in command
+        """Every field of a case survives its printed reproducer, parsed
+        the way ``repro fuzz --schedule`` parses it."""
+        for case in (
+            make_case("lightdag1", 3, n=7, duration=5.0),
+            make_case("lightdag1", 3, duration=6.1234567),  # gc_depth set
+            FuzzCase(protocol="lightdag2", seed=1, n=4, duration=0.1 + 0.2,
+                     schedule="delay@0+inf:max=0.2"),
+        ):
+            argv = shlex.split(case.command())
+            assert argv[:3] == ["python", "-m", "repro"]
+            args = build_parser().parse_args(argv[3:])
+            (protocol,) = args.protocol
+            replayed = FuzzCase(
+                protocol=protocol, seed=args.seed_start, n=args.replicas,
+                duration=args.duration, schedule=args.schedule,
+                gc_depth=args.gc_depth,
+            )
+            assert replayed == case
 
     def test_build_config_enables_full_checks(self):
         case = make_case("lightdag2", 1)
@@ -76,6 +93,11 @@ class TestMutantSelfTest:
         error = run_case(case, registry=REGISTRY)
         assert error is not None
         assert "InvariantViolation" in error
+        assert "commit-metadata-agreement" in error
+        # The kill is the mutant's, not the schedule's: the clean protocol
+        # survives the exact same case.
+        clean = replace(case, protocol="lightdag1")
+        assert run_case(clean, registry=REGISTRY) is None
 
     def test_mutant_shrunk_and_still_failing(self):
         seed, duration = KNOWN_BAD["lightdag1-unsafe-support"]
