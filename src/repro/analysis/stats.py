@@ -198,7 +198,7 @@ def repeat_experiment(
         )
         for k in range(repeats)
     ]
-    runs = run_sweep(seeded, jobs=jobs).require()
+    runs = run_sweep(seeded, jobs=jobs)
     return RepeatedResult(
         config=cfg,
         repeats=repeats,

@@ -134,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="latency model name or spec string, e.g. wan4 or "
                             "topology:clusters=8,loss=0.01,jitter_frac=0.1 "
                             "(see repro.net.latency.LATENCY_MODELS)")
-    run_p.add_argument("--gc-depth", type=int, default=None, metavar="WAVES",
-                       help="prune DAG/broadcast state this many waves below "
+    run_p.add_argument("--gc-depth", type=int, default=None, metavar="ROUNDS",
+                       help="prune DAG/broadcast state this many rounds below "
                             "the settled commit frontier (bounds memory on "
                             "long large-n runs; default: keep everything)")
     _add_check_arg(run_p)
@@ -204,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replay one exact fault schedule instead of "
                              "sweeping (grammar: kind@start+duration[:k=v,..];"
                              "...)")
-    fuzz_p.add_argument("--gc-depth", type=int, default=None,
-                        help="gc_depth for a --schedule replay")
+    fuzz_p.add_argument("--gc-depth", type=int, default=None, metavar="ROUNDS",
+                        help="GC horizon in rounds for a --schedule replay")
     fuzz_p.add_argument("--no-shrink", action="store_true",
                         help="report failures without minimizing them")
     _add_jobs_arg(fuzz_p)

@@ -27,7 +27,7 @@ from .hashing import Digest, hash_bytes, hash_fields
 from .keys import KeyChain, TrustedDealer
 from .schnorr import SchnorrKeyPair, schnorr_sign, schnorr_verify
 from .shamir import ShamirShare, recover_secret, split_secret
-from .threshold import PartialEval, ThresholdPRF, combine_partials
+from .threshold import PartialEval, ThresholdPRF
 
 __all__ = [
     "CoinShare",
@@ -44,7 +44,6 @@ __all__ = [
     "ShamirShare",
     "ThresholdPRF",
     "TrustedDealer",
-    "combine_partials",
     "default_group",
     "hash_bytes",
     "hash_fields",

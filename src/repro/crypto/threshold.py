@@ -220,13 +220,6 @@ class ThresholdPRF:
         return group.exp_reduced(ratio, pow(denominator, -1, group.q))
 
 
-def combine_partials(
-    prf: ThresholdPRF, message: Digest, partials: Iterable[PartialEval]
-) -> int:
-    """Module-level convenience wrapper over :meth:`ThresholdPRF.combine`."""
-    return prf.combine(message, partials)
-
-
 def prf_output_to_int(group: SchnorrGroup, element: int) -> int:
     """Map the PRF output element to a uniform integer (hash of encoding)."""
     return hash_to_int("tprf-out", group.element_to_bytes(element))

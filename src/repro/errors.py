@@ -56,10 +56,6 @@ class EquivocationDetected(DagError):
     """
 
 
-class BroadcastError(ReproError):
-    """A broadcast instance received a message violating its state machine."""
-
-
 class ProtocolError(ReproError):
     """A consensus-protocol invariant was violated at runtime."""
 
@@ -89,16 +85,19 @@ class NetworkError(ReproError):
 
 
 class SweepError(ReproError):
-    """One or more runs of a parallel sweep failed.
+    """One or more runs of a sweep failed.
 
-    Raised by :meth:`repro.harness.parallel.SweepResult.require` when a
-    caller needs every run of a sweep to have succeeded; carries the
-    per-run failures (traceback + replay command) so nothing is lost.
+    Raised by :func:`repro.harness.parallel.run_sweep` once every config
+    has run.  ``failures`` holds the per-run
+    :class:`~repro.harness.parallel.RunFailure`\\ s (traceback + replay
+    command); ``results`` holds the successful results in input order,
+    ``None`` at each failed index, so no neighbour's result is lost.
     """
 
-    def __init__(self, message: str, failures=()):
+    def __init__(self, message: str, failures=(), results=()):
         super().__init__(message)
         self.failures = tuple(failures)
+        self.results = list(results)
 
 
 class SimulationError(ReproError):

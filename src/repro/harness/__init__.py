@@ -22,7 +22,6 @@ from .experiments import (
 )
 from .parallel import (
     RunFailure,
-    SweepResult,
     default_jobs,
     run_sweep,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "ExperimentResult",
     "PROTOCOL_REGISTRY",
     "RunFailure",
-    "SweepResult",
     "batch_size_sweep",
     "default_jobs",
     "headline_comparison",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.stats import aggregate_results
+from ..analysis.stats import aggregate_results, seed_variants
 from ..config import ExperimentConfig, ProtocolConfig, SystemConfig
 from .parallel import run_sweep
 from .runner import ExperimentResult, run_experiment
@@ -34,7 +34,6 @@ __all__ = [
     "peak_throughput",
     "headline_comparison",
     "run_experiment",
-    "saturation_sweep",
 ]
 
 #: The protocols every comparison figure plots.
@@ -87,13 +86,9 @@ def _sweep(
     commands for exactly the runs that failed.
     """
     if not seeds:
-        return run_sweep(configs, jobs=jobs).require()
-    expanded = [
-        cfg.with_updates(seed=s, system=cfg.system.with_updates(seed=s))
-        for cfg in configs
-        for s in seeds
-    ]
-    runs = run_sweep(expanded, jobs=jobs).require()
+        return run_sweep(configs, jobs=jobs)
+    expanded = [variant for cfg in configs for variant in seed_variants(cfg, seeds)]
+    runs = run_sweep(expanded, jobs=jobs)
     width = len(seeds)
     return [
         aggregate_results(runs[i : i + width]) for i in range(0, len(runs), width)
@@ -208,50 +203,6 @@ def unfavorable_curve(
     )
 
 
-def saturation_sweep(
-    rates: Sequence[float],
-    clients: int = 100,
-    n: int = 4,
-    protocol: str = "lightdag2",
-    batch_size: int = 64,
-    duration: float = 12.0,
-    warmup: float = 2.0,
-    max_pending: int = 2048,
-    admission_policy: str = "reject",
-    arrival: str = "poisson",
-    seed: int = 0,
-    jobs: Optional[int] = 1,
-):
-    """Offered rate vs end-to-end latency: the client-side knee.
-
-    Unlike :func:`tradeoff_curve` (consensus-side, saturating mempool), this
-    ramps an *open-loop client population* against the replicated KV — the
-    x-axis is the offered rate, and each point reports consensus latency
-    and client-observed p50/p99/p999 side by side.  Past the knee the
-    bounded admission queue sheds/rejects (visible in the results) instead
-    of growing without bound.  One :class:`~repro.harness.loadtest
-    .LoadtestResult` per rate, fanned over the ``jobs`` pool.
-    """
-    from ..workload.admission import AdmissionConfig
-    from ..workload.clients import WorkloadSpec
-    from .loadtest import LoadtestConfig, run_loadtest_sweep
-
-    base = LoadtestConfig(
-        n=n,
-        protocol_name=protocol,
-        batch_size=batch_size,
-        duration=duration,
-        warmup=min(warmup, duration * 0.25),
-        seed=seed,
-        workload=WorkloadSpec(
-            clients=clients, mode="open", rate=1.0, arrival=arrival, seed=seed
-        ),
-        admission=AdmissionConfig(max_pending=max_pending, policy=admission_policy),
-    )
-    configs = [base.with_rate(rate) for rate in rates]
-    return run_loadtest_sweep(configs, jobs=jobs)
-
-
 def peak_throughput(results: List[ExperimentResult]) -> Dict[str, ExperimentResult]:
     """The saturation point per (protocol, n) — the Fig. 14 headline values
     (e.g. "Tusk and BullShark achieve a peak throughput of 13.0k and 20.5k
@@ -279,7 +230,7 @@ def headline_comparison(
         for protocol in protocols
     ]
     measured: Dict[str, ExperimentResult] = dict(
-        zip(protocols, run_sweep(configs, jobs=jobs).require())
+        zip(protocols, run_sweep(configs, jobs=jobs))
     )
     tusk = measured["tusk"]
     out: Dict[str, Dict[str, float]] = {}

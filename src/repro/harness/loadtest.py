@@ -12,8 +12,8 @@ block drained the command, so it is ≥ consensus latency by construction,
 and the difference explodes exactly at the saturation knee.
 
 Results are plain picklable dataclasses so saturation sweeps fan out over
-the PR 5 process pool unchanged (see
-:func:`repro.harness.experiments.saturation_sweep`).
+the process pool unchanged (:func:`run_loadtest_sweep`, behind
+``repro loadtest --sweep``).
 """
 
 from __future__ import annotations

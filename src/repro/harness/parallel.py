@@ -20,25 +20,17 @@ Guarantees:
   is bit-identical to ``jobs=1`` for the same configs
   (``tests/harness/test_parallel.py`` pins this).
 * **Failure isolation** — a run that raises is captured as a
-  :class:`RunFailure` (traceback + a replay command line) without killing
-  the sweep; if a worker *process* dies outright (OOM, segfault), the
-  unfinished configs are re-run serially in the parent so no result is
-  lost.
-* **Live progress** — pass an :class:`~repro.obs.Observability` and each
-  completed run is journalled (``sweep.run``) and counted
-  (``sweep.runs_completed`` / ``sweep.runs_failed``); a plain callback
-  hook serves CLI progress lines.
-* **Aggregated telemetry** — ``collect_obs=True`` instruments every run
-  inside its worker and merges the per-run metric state and journal
-  counts back into the parent's registry/journal
-  (:meth:`~repro.obs.MetricsRegistry.merge_state`), so ``--jobs N``
-  sweeps report the same aggregate telemetry a serial instrumented loop
-  would instead of dropping it.
+  :class:`RunFailure` (traceback + a replay command line) while its
+  neighbours keep running; once every config has run, :func:`run_sweep`
+  raises one :class:`~repro.errors.SweepError` carrying the failures and
+  every successful result.  If a worker *process* dies outright (OOM,
+  segfault), the unfinished configs are re-run serially in the parent so
+  no result is lost.
 
 ``jobs=1`` bypasses multiprocessing entirely (same process, same thread),
-which keeps ``pdb``, coverage tooling, and full per-run obs
-instrumentation (live journals, tracing) working; across the pool
-boundary only the compact snapshots travel.
+which keeps ``pdb`` and coverage tooling working.  An instrumented run
+(``--trace``, ``--metrics``, ``--journal``) is a single
+``run_experiment(cfg, obs=...)`` call, not a sweep.
 
 The pool uses the ``fork`` start method when the platform offers it: forked
 workers inherit the parent's module state, which lets a *registry* of
@@ -49,25 +41,16 @@ exists the registry must be picklable (module-level classes).
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..config import ExperimentConfig
+from ..config import ExperimentConfig, ProtocolConfig, SystemConfig
 from ..errors import SweepError
-from ..obs import NULL_OBS, BoundedJournal, MetricsRegistry, Observability
 from .runner import ExperimentResult, run_experiment
 
 #: Sentinel for items a time-boxed map never ran (distinct from ``None``).
@@ -122,7 +105,6 @@ def parallel_map(
     *,
     registry: Optional[Dict] = None,
     time_box: Optional[float] = None,
-    on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> Tuple[List[Any], bool]:
     """Ordered ``[worker(item, registry) for item in items]`` over a pool.
 
@@ -130,8 +112,7 @@ def parallel_map(
     that catches its own exceptions and returns a picklable value.
     ``jobs=None`` means :func:`default_jobs`; ``jobs=1`` runs in-process.
     ``time_box`` bounds wall-clock seconds; expired items are left as
-    :data:`NOT_RUN` and the returned flag is True.  ``on_result`` fires in
-    the parent as each result lands (completion order).
+    :data:`NOT_RUN` and the returned flag is True.
 
     A dead worker process (the pool's ``BrokenProcessPool``) does not lose
     work: every unfinished item is re-run serially in the parent.
@@ -153,8 +134,6 @@ def parallel_map(
             if expired():
                 return results, True
             results[i] = worker(item, registry)
-            if on_result is not None:
-                on_result(i, results[i])
         return results, False
 
     global _WORKER_REGISTRY
@@ -191,8 +170,6 @@ def parallel_map(
                         broken = exc
                         continue
                     results[index] = value
-                    if on_result is not None:
-                        on_result(index, value)
                 if broken is not None:
                     break
         finally:
@@ -209,15 +186,26 @@ def parallel_map(
                     timed_out = True
                     break
                 results[i] = worker(item, registry)
-                if on_result is not None:
-                    on_result(i, results[i])
     return results, timed_out
 
 
 # --------------------------------------------------------------- sweep layer
 
 
-@dataclass(frozen=True)
+def _differing_fields(actual: Any, replayed: Any, prefix: str = "") -> List[str]:
+    """``name=repr`` for every (nested) dataclass field where ``actual``
+    differs from ``replayed``."""
+    out: List[str] = []
+    for spec in dataclasses.fields(actual):
+        value, other = getattr(actual, spec.name), getattr(replayed, spec.name)
+        if dataclasses.is_dataclass(value):
+            out += _differing_fields(value, other, f"{prefix}{spec.name}.")
+        elif value != other:
+            out.append(f"{prefix}{spec.name}={value!r}")
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
 class RunFailure:
     """One failed run of a sweep, with everything needed to replay it."""
 
@@ -228,7 +216,12 @@ class RunFailure:
     traceback: str
 
     def replay_command(self) -> str:
-        """A CLI invocation reproducing this run exactly."""
+        """A ``repro run`` invocation of this run.
+
+        Fields ``repro run`` has no flag for follow as a shell comment
+        whenever they differ from what the command would set, so the line
+        never silently stands for a different run.
+        """
         cfg = self.config
         parts = [
             "python -m repro run",
@@ -248,177 +241,70 @@ class RunFailure:
             parts.append(f"--latency-model '{cfg.latency_model}'")
         if cfg.protocol.gc_depth is not None:
             parts.append(f"--gc-depth {cfg.protocol.gc_depth}")
+        # What the command above builds (`repro.cli._make_config`).
+        replayed = ExperimentConfig(
+            system=SystemConfig(
+                n=cfg.system.n, crypto=cfg.system.crypto, seed=cfg.seed
+            ),
+            protocol=ProtocolConfig(
+                batch_size=cfg.protocol.batch_size, gc_depth=cfg.protocol.gc_depth
+            ),
+            protocol_name=cfg.protocol_name,
+            adversary_name=cfg.adversary_name,
+            duration=cfg.duration,
+            warmup=cfg.warmup,
+            seed=cfg.seed,
+            check_level=cfg.check_level,
+            latency_model=cfg.latency_model,
+        )
+        unsettable = _differing_fields(cfg, replayed)
+        if unsettable:
+            parts.append("# not settable by repro run: " + ", ".join(unsettable))
         return " ".join(parts)
-
-    def describe(self) -> str:
-        return f"{self.error_type}: {self.error}\n  replay: {self.replay_command()}"
-
-
-@dataclass
-class SweepResult:
-    """Outcome of :func:`run_sweep`: ordered results plus captured failures."""
-
-    results: List[Optional[ExperimentResult]]
-    failures: List[RunFailure] = field(default_factory=list)
-    jobs: int = 1
-    elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def require(self) -> List[ExperimentResult]:
-        """All results, or :class:`~repro.errors.SweepError` if any failed."""
-        if self.failures:
-            summary = "; ".join(
-                f"run {f.index} ({f.config.protocol_name}, n={f.config.system.n}, "
-                f"seed={f.config.seed}): {f.error_type}: {f.error}"
-                for f in self.failures[:3]
-            )
-            more = len(self.failures) - 3
-            if more > 0:
-                summary += f"; … and {more} more"
-            raise SweepError(
-                f"{len(self.failures)} of {len(self.results)} sweep runs "
-                f"failed: {summary}",
-                failures=self.failures,
-            )
-        return list(self.results)
 
 
 def _experiment_worker(
-    item: Tuple[Any, ...], registry: Optional[Dict]
-) -> Tuple[Any, ...]:
-    """Shared-nothing unit of sweep work: config in, result (or error) out.
-
-    ``item`` is ``(config, check_level)`` or ``(config, check_level,
-    collect_obs)``.  With ``collect_obs`` true the run is instrumented in
-    the worker and a compact, picklable obs snapshot (full metric state +
-    journal event counts) travels back as a third tuple element — the
-    parent folds it into the sweep-level registry via
-    :meth:`~repro.obs.MetricsRegistry.merge_state`, which is what makes
-    ``--jobs N`` sweeps aggregate per-run telemetry instead of dropping
-    it.
-    """
-    cfg, check_level = item[0], item[1]
-    collect = bool(item[2]) if len(item) > 2 else False
+    cfg: ExperimentConfig, registry: Optional[Dict]
+) -> Tuple[bool, Any]:
+    """Shared-nothing unit of sweep work: config in, result (or error) out."""
     try:
-        if not collect:
-            return True, run_experiment(
-                cfg, check_level=check_level, registry=registry
-            )
-        # A 1-slot ring still counts every event incrementally — per-run
-        # journal *counts* cross the pool boundary, not the event bodies.
-        run_obs = Observability(MetricsRegistry(), BoundedJournal(max_events=1))
-        result = run_experiment(
-            cfg, obs=run_obs, check_level=check_level, registry=registry
-        )
-        result.obs = None  # the snapshot below crosses the boundary instead
-        snapshot = {
-            "metrics": run_obs.metrics.dump_state(),
-            "journal_counts": run_obs.journal.counts_by_type(),
-            "journal_events": run_obs.journal.emitted_total,
-        }
-        return True, result, snapshot
+        return True, run_experiment(cfg)
     except Exception as exc:
         return False, (type(exc).__name__, str(exc), traceback.format_exc())
 
 
 def run_sweep(
-    configs: Sequence[ExperimentConfig],
-    jobs: Optional[int] = None,
-    *,
-    check_level: Optional[str] = None,
-    registry: Optional[Dict] = None,
-    obs: Optional[Observability] = None,
-    collect_obs: bool = False,
-    progress: Optional[Callable[[int, int, ExperimentConfig, bool], None]] = None,
-) -> SweepResult:
-    """Run every config (``jobs`` at a time) and collect ordered results.
+    configs: Sequence[ExperimentConfig], jobs: Optional[int] = None
+) -> List[ExperimentResult]:
+    """``[run_experiment(cfg) for cfg in configs]``, ``jobs`` at a time.
 
-    ``check_level`` / ``registry`` are forwarded to every
-    :func:`~repro.harness.runner.run_experiment` call.  ``obs`` instruments
-    the *sweep* (progress journal + completion counters).  With
-    ``collect_obs=True`` each worker additionally instruments its *run*
-    and ships a metrics/journal snapshot back; the parent merges every
-    run's metric state into ``obs.metrics`` (counters add, histograms
-    fold bucket-wise — see :meth:`~repro.obs.MetricsRegistry.merge_state`)
-    and journals one ``sweep.run_obs`` event per run with its journal
-    event counts, so ``--jobs N`` aggregates the same telemetry a serial
-    instrumented loop would.
-    ``progress(done, total, config, ok)`` fires per completed run.
-
-    Failures never kill the sweep: each is captured as a
-    :class:`RunFailure` and the corresponding results slot stays ``None``.
-    Call :meth:`SweepResult.require` to turn failures into a
-    :class:`~repro.errors.SweepError`.
+    A failing run never stops or loses its neighbours: every config runs,
+    and only then, if any failed, :class:`~repro.errors.SweepError` is
+    raised with ``failures`` (one :class:`RunFailure` each) and
+    ``results`` (the successes in place, ``None`` at failed indices).
     """
     configs = list(configs)
-    obs = obs if obs is not None else NULL_OBS
-    n_jobs = default_jobs() if jobs is None or jobs <= 0 else jobs
-    n_jobs = min(n_jobs, len(configs)) if configs else 1
-    started = time.perf_counter()
-    done_count = 0
-
-    completed_c = obs.metrics.counter("sweep.runs_completed")
-    failed_c = obs.metrics.counter("sweep.runs_failed")
-
-    def note(index: int, outcome: Tuple[bool, Any]) -> None:
-        nonlocal done_count
-        done_count += 1
-        ok = outcome[0]
-        cfg = configs[index]
-        if obs.enabled:
-            (completed_c if ok else failed_c).inc()
-            obs.journal.emit(
-                time.perf_counter() - started, "sweep.run", -1,
-                index=index, protocol=cfg.protocol_name, n=cfg.system.n,
-                seed=cfg.seed, ok=ok, done=done_count, total=len(configs),
-            )
-        if progress is not None:
-            progress(done_count, len(configs), cfg, ok)
-
-    outcomes, _ = parallel_map(
-        _experiment_worker,
-        [(cfg, check_level, collect_obs) for cfg in configs],
-        n_jobs,
-        registry=registry,
-        on_result=note,
-    )
-
+    outcomes, _ = parallel_map(_experiment_worker, configs, jobs)
     results: List[Optional[ExperimentResult]] = []
     failures: List[RunFailure] = []
-    merge_metrics = collect_obs and obs.metrics.enabled
-    for index, outcome in enumerate(outcomes):
-        ok, payload = outcome[0], outcome[1]
+    for index, (ok, payload) in enumerate(outcomes):
         if ok:
             results.append(payload)
-            if len(outcome) > 2 and outcome[2] is not None:
-                snapshot = outcome[2]
-                if merge_metrics:
-                    obs.metrics.merge_state(snapshot["metrics"])
-                if obs.journal.enabled:
-                    obs.journal.emit(
-                        time.perf_counter() - started, "sweep.run_obs", -1,
-                        index=index,
-                        journal_events=snapshot["journal_events"],
-                        counts=snapshot["journal_counts"],
-                    )
-        else:
-            results.append(None)
-            error_type, error, tb = payload
-            failures.append(
-                RunFailure(
-                    index=index,
-                    config=configs[index],
-                    error_type=error_type,
-                    error=error,
-                    traceback=tb,
-                )
-            )
-    return SweepResult(
-        results=results,
-        failures=failures,
-        jobs=n_jobs,
-        elapsed=time.perf_counter() - started,
-    )
+            continue
+        results.append(None)
+        failures.append(RunFailure(index, configs[index], *payload))
+    if failures:
+        summary = "".join(
+            f"\n  run {f.index} ({f.config.protocol_name}, n={f.config.system.n}, "
+            f"seed={f.config.seed}): {f.error_type}: {f.error}"
+            f"\n    replay: {f.replay_command()}"
+            for f in failures[:3]
+        )
+        if len(failures) > 3:
+            summary += f"\n  … and {len(failures) - 3} more"
+        raise SweepError(
+            f"{len(failures)} of {len(configs)} sweep runs failed:{summary}",
+            failures=failures,
+            results=results,
+        )
+    return results

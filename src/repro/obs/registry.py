@@ -270,65 +270,6 @@ class MetricsRegistry(_SharedSink):
     def __len__(self) -> int:
         return sum(len(series) for series in self._series.values())
 
-    # -- cross-process aggregation -------------------------------------------
-
-    def dump_state(self) -> List[Dict[str, object]]:
-        """Full, picklable state of every series — unlike :meth:`snapshot`
-        this keeps raw histogram bucket counts so a parent process can
-        fold worker registries back together losslessly (``--jobs N``
-        sweeps ship these across the pool boundary)."""
-        out: List[Dict[str, object]] = []
-        for name, kind, labels, inst in self.series():
-            row: Dict[str, object] = {"name": name, "kind": kind, "labels": labels}
-            if kind == Histogram.KIND:
-                row.update(
-                    buckets=list(inst.buckets),  # type: ignore[attr-defined]
-                    bucket_counts=list(inst.bucket_counts),  # type: ignore[attr-defined]
-                    count=inst.count,  # type: ignore[attr-defined]
-                    total=inst.total,  # type: ignore[attr-defined]
-                    min=inst.min,  # type: ignore[attr-defined]
-                    max=inst.max,  # type: ignore[attr-defined]
-                )
-            else:
-                row["value"] = inst.value  # type: ignore[attr-defined]
-            out.append(row)
-        return out
-
-    def merge_state(self, state: List[Dict[str, object]]) -> None:
-        """Fold a :meth:`dump_state` payload into this registry.
-
-        Counters and histogram counts add; gauges take the max (so the
-        merged value is order-invariant across workers); histogram
-        min/max fold through min/max.
-        """
-        for row in state:
-            name = str(row["name"])
-            kind = str(row["kind"])
-            labels: Dict[str, object] = dict(row["labels"])  # type: ignore[arg-type]
-            if kind == Counter.KIND:
-                self.counter(name, **labels).inc(float(row["value"]))  # type: ignore[arg-type]
-            elif kind == Gauge.KIND:
-                gauge = self.gauge(name, **labels)
-                value = float(row["value"])  # type: ignore[arg-type]
-                if value > gauge.value:
-                    gauge.set(value)
-            elif kind == Histogram.KIND:
-                buckets = tuple(float(b) for b in row["buckets"])  # type: ignore[union-attr]
-                hist = self.histogram(name, buckets=buckets, **labels)
-                if hist.buckets != buckets:
-                    raise ValueError(
-                        f"histogram {name!r} bucket mismatch during merge"
-                    )
-                incoming = list(row["bucket_counts"])  # type: ignore[arg-type]
-                for i, c in enumerate(incoming):
-                    hist.bucket_counts[i] += int(c)
-                hist.count += int(row["count"])  # type: ignore[arg-type]
-                hist.total += float(row["total"])  # type: ignore[arg-type]
-                hist.min = min(hist.min, float(row["min"]))  # type: ignore[arg-type]
-                hist.max = max(hist.max, float(row["max"]))  # type: ignore[arg-type]
-            else:  # pragma: no cover — future instrument kinds
-                raise ValueError(f"unknown instrument kind {kind!r}")
-
 
 class _NullCounter(Counter):
     __slots__ = ()

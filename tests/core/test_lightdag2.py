@@ -11,6 +11,7 @@ from repro.broadcast.messages import (
     BlockEcho,
     BlockVal,
     ByzantineProofMsg,
+    CoinShareMsg,
     ContradictionNotice,
 )
 from repro.config import ProtocolConfig, SystemConfig
@@ -18,6 +19,7 @@ from repro.core.lightdag2 import LightDag2Node
 from repro.codec.messages import decode_message, encode_message
 from repro.core.proofs import MAX_PROOF_DEPTH, ByzantineProof, proof_from_blocks
 from repro.crypto.backend import HmacBackend
+from repro.crypto.coin import make_coin
 from repro.crypto.keys import TrustedDealer
 from repro.dag.block import genesis_block, make_block
 
@@ -423,6 +425,48 @@ class TestReproposeRetry:
         # (original, blacklist) state.
         node.on_message(0, BlockVal(own_r1))
         assert node.reproposals == 1
+
+
+class TestFirstRoundCoinWait:
+    """A wave's first-round block waits for the previous wave's coin, so
+    every LightDAG2 latency includes that reveal (Rule 4's anchor)."""
+
+    @staticmethod
+    def proposed(node, round_):
+        return [
+            m.block for _, m in node.net.sent
+            if isinstance(m, BlockVal) and m.block.round == round_
+            and m.block.author == 0
+        ]
+
+    def test_round4_waits_for_wave1_leader(self, system, chains):
+        node = make_node(system, chains)
+        parents = [b.digest for b in feed_round1(node, system).values()]
+        pump(node)
+        round2 = [signed(system, author, 2, parents) for author in (1, 2, 3)]
+        for block in round2:
+            node.on_message(block.author, BlockVal(block))
+            for voter in (1, 2, 3):
+                node.on_message(voter, BlockEcho(
+                    round=2, author=block.author, digest=block.digest
+                ))
+        pump(node)
+        assert self.proposed(node, 3)
+        for author in (1, 2, 3):
+            block = signed(system, author, 3, [b.digest for b in round2])
+            node.on_message(author, BlockVal(block))
+        pump(node)
+        # n - f deliverable round-3 blocks, yet no round-4 proposal.
+        assert node.store.round_author_count(3) >= system.quorum
+        assert node.next_round == 4 and 1 not in node.revealed_leaders
+        assert not self.proposed(node, 4)
+        for replica in (1, 2, 3):
+            share = make_coin(system.crypto, chains[replica], system.seed).make_share(1)
+            node.on_message(replica, CoinShareMsg(share))
+            pump(node)
+            assert bool(self.proposed(node, 4)) == (1 in node.revealed_leaders)
+        assert 1 in node.revealed_leaders
+        assert node.next_round == 5
 
 
 class TestRule4Determinations:

@@ -78,8 +78,7 @@ class TestSpecThroughJobsPool:
         ]
         serial = run_sweep(configs, jobs=1)
         parallel = run_sweep(configs, jobs=3)
-        assert serial.ok and parallel.ok
-        assert repr(serial.results) == repr(parallel.results)
+        assert repr(serial) == repr(parallel)
 
 
 class TestSpecRoundTrip:

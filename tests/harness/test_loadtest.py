@@ -1,7 +1,6 @@
 """Tests for repro.harness.loadtest: the end-to-end load measurement loop."""
 
 import json
-import math
 
 import pytest
 
@@ -150,15 +149,3 @@ class TestReporting:
         from repro.analysis.loadreport import render_saturation_figure
 
         assert "no finite latency" in render_saturation_figure([])
-
-
-def test_saturation_sweep_wrapper():
-    from repro.harness.experiments import saturation_sweep
-
-    results = saturation_sweep(
-        rates=(150.0,), clients=10, duration=4.0, warmup=1.0,
-        batch_size=16, seed=7, jobs=1,
-    )
-    assert len(results) == 1
-    assert results[0].offered_rate == 150.0
-    assert math.isfinite(results[0].e2e_p50_s)

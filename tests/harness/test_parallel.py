@@ -12,6 +12,7 @@ The two load-bearing promises:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import shlex
 
 import pytest
@@ -24,11 +25,11 @@ from repro.errors import SweepError
 from repro.harness.parallel import (
     NOT_RUN,
     RunFailure,
-    SweepResult,
     default_jobs,
     parallel_map,
     run_sweep,
 )
+from repro.harness.runner import run_experiment
 
 
 def quick_config(seed: int = 0, n: int = 4, protocol: str = "lightdag2",
@@ -81,10 +82,7 @@ class TestParallelMap:
 class TestRunSweep:
     def test_serial_equals_parallel(self):
         configs = [quick_config(seed=s) for s in range(3)]
-        serial = run_sweep(configs, jobs=1)
-        parallel = run_sweep(configs, jobs=3)
-        assert serial.ok and parallel.ok
-        assert serial.results == parallel.results
+        assert run_sweep(configs, jobs=1) == run_sweep(configs, jobs=3)
 
     @settings(deadline=None, max_examples=3)
     @given(
@@ -104,27 +102,29 @@ class TestRunSweep:
         configs = [quick_config(seed=s, protocol=protocol) for s in seeds]
         serial = run_sweep(configs, jobs=1)
         parallel = run_sweep(configs, jobs=4)
-        assert repr(serial.results) == repr(parallel.results)
+        assert repr(serial) == repr(parallel)
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_poisoned_config_does_not_lose_neighbours(self, jobs):
         configs = [quick_config(seed=1), poisoned_config(), quick_config(seed=2)]
-        sweep = run_sweep(configs, jobs=jobs)
-        assert not sweep.ok
-        assert [r is not None for r in sweep.results] == [True, False, True]
+        with pytest.raises(SweepError) as excinfo:
+            run_sweep(configs, jobs=jobs)
+        results = excinfo.value.results
+        assert [r is not None for r in results] == [True, False, True]
         # The healthy results equal what a clean sweep produces.
-        clean = run_sweep([configs[0], configs[2]], jobs=1).require()
-        assert sweep.results[0] == clean[0]
-        assert sweep.results[2] == clean[1]
-        (failure,) = sweep.failures
+        clean = run_sweep([configs[0], configs[2]], jobs=1)
+        assert results[0] == clean[0]
+        assert results[2] == clean[1]
+        (failure,) = excinfo.value.failures
         assert failure.index == 1
         assert failure.error_type == "ConfigError"
         assert "no-such-protocol" in failure.error
         assert "Traceback" in failure.traceback
 
     def test_replay_command_shape(self):
-        sweep = run_sweep([poisoned_config(seed=9)], jobs=1)
-        (failure,) = sweep.failures
+        with pytest.raises(SweepError) as excinfo:
+            run_sweep([poisoned_config(seed=9)], jobs=1)
+        (failure,) = excinfo.value.failures
         command = failure.replay_command()
         assert command.startswith("python -m repro run ")
         assert "--protocol no-such-protocol" in command
@@ -144,101 +144,59 @@ class TestRunSweep:
             check_level="full",
             latency_model="topology:clusters=3,loss=0.01,jitter_frac=0.1",
         ),
+        # Fields `repro run` has no flag for, one per config class.
+        dataclasses.replace(
+            quick_config(seed=6),
+            system=SystemConfig(n=4, crypto="hmac", seed=5),
+            protocol=ProtocolConfig(batch_size=8, tx_size=64),
+            bandwidth_bps=1e6,
+        ),
     ])
     def test_replay_command_round_trips(self, cfg):
-        """Everything `repro run` can set survives the replay command."""
+        """Everything `repro run` can set survives the replay command, and
+        its comment names exactly the fields that do not."""
         failure = RunFailure(index=0, config=cfg, error_type="E", error="",
                              traceback="")
-        argv = shlex.split(failure.replay_command())
+        command, _, note = failure.replay_command().partition(" # ")
+        argv = shlex.split(command)
         assert argv[:3] == ["python", "-m", "repro"]
-        assert _make_config(build_parser().parse_args(argv[3:])) == cfg
+        replayed = _make_config(build_parser().parse_args(argv[3:]))
+        noted = {}
+        if note:
+            prefix = "not settable by repro run: "
+            assert note.startswith(prefix)
+            noted = dict(item.split("=", 1) for item in note[len(prefix):].split(", "))
+        restored = replayed
+        for name in noted:
+            assert noted[name] == repr(_field(cfg, name))
+            assert _field(replayed, name) != _field(cfg, name)
+            restored = _replace_field(restored, name, _field(cfg, name))
+        assert restored == cfg
 
     def test_require_raises_with_failures_attached(self):
-        sweep = run_sweep([quick_config(seed=1), poisoned_config()], jobs=1)
         with pytest.raises(SweepError) as excinfo:
-            sweep.require()
+            run_sweep([quick_config(seed=1), poisoned_config()], jobs=1)
         assert len(excinfo.value.failures) == 1
         assert isinstance(excinfo.value.failures[0], RunFailure)
+        assert "replay: python -m repro run" in str(excinfo.value)
 
     def test_require_passthrough_when_clean(self):
-        sweep = run_sweep([quick_config(seed=1)], jobs=1)
-        assert sweep.require() == sweep.results
-
-    def test_progress_callback(self):
-        seen = []
-        run_sweep(
-            [quick_config(seed=1), quick_config(seed=2)],
-            jobs=1,
-            progress=lambda done, total, cfg, ok: seen.append((done, total, ok)),
-        )
-        assert seen == [(1, 2, True), (2, 2, True)]
-
-    def test_obs_journal_records_runs(self):
-        from repro.obs import Observability
-        from repro.obs.journal import EventJournal
-        from repro.obs.registry import MetricsRegistry
-
-        obs = Observability(MetricsRegistry(), EventJournal())
-        run_sweep([quick_config(seed=1), poisoned_config()], jobs=1, obs=obs)
-        events = [e for e in obs.journal if e.type == "sweep.run"]
-        assert len(events) == 2
-        assert obs.metrics.counter_total("sweep.runs_completed") == 1
-        assert obs.metrics.counter_total("sweep.runs_failed") == 1
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_collect_obs_merges_worker_state(self, jobs):
-        from repro.obs import Observability
-        from repro.obs.journal import EventJournal
-        from repro.obs.registry import MetricsRegistry
-
-        obs = Observability(MetricsRegistry(), EventJournal())
-        configs = [quick_config(seed=1), quick_config(seed=2)]
-        sweep = run_sweep(configs, jobs=jobs, obs=obs, collect_obs=True)
-        assert sweep.ok
-        # Per-run telemetry crossed the pool boundary and was folded in.
-        assert obs.metrics.counter_total("net.messages_sent") > 0
-        assert obs.metrics.counter_total("core.wave_commits") > 0
-        run_obs = [e for e in obs.journal if e.type == "sweep.run_obs"]
-        assert len(run_obs) == 2
-        assert all(e.data["journal_events"] > 0 for e in run_obs)
-
-    def test_collect_obs_merge_is_jobcount_invariant(self):
-        from repro.obs import Observability
-        from repro.obs.journal import EventJournal
-        from repro.obs.registry import MetricsRegistry
-
-        configs = [quick_config(seed=3), quick_config(seed=4)]
-        snapshots = []
-        for jobs in (1, 2):
-            obs = Observability(MetricsRegistry(), EventJournal())
-            run_sweep(configs, jobs=jobs, obs=obs, collect_obs=True)
-            snapshots.append([
-                row for row in obs.metrics.snapshot()
-                if not row["name"].startswith("sweep.")
-            ])
-        assert snapshots[0] == snapshots[1]
-
-    def test_collect_obs_without_parent_obs_is_safe(self):
-        # No parent registry to merge into: must not corrupt NULL_OBS.
-        from repro.obs import NULL_OBS
-
-        sweep = run_sweep([quick_config(seed=1)], jobs=1, collect_obs=True)
-        assert sweep.ok
-        assert len(NULL_OBS.metrics) == 0
-
-    def test_jobs_clamped_to_sweep_size(self):
-        sweep = run_sweep([quick_config(seed=1)], jobs=8)
-        assert sweep.jobs == 1
+        cfg = quick_config(seed=1)
+        assert run_sweep([cfg], jobs=1) == [run_experiment(cfg)]
 
     def test_empty_sweep(self):
-        sweep = run_sweep([], jobs=4)
-        assert sweep.ok and sweep.results == []
+        assert run_sweep([], jobs=4) == []
 
 
-class TestSweepResultShape:
-    def test_defaults(self):
-        empty = SweepResult(results=[])
-        assert empty.ok and empty.require() == []
+def _field(cfg, path):
+    return functools.reduce(getattr, path.split("."), cfg)
+
+
+def _replace_field(obj, path, value):
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _replace_field(getattr(obj, head), rest, value)
+    return dataclasses.replace(obj, **{head: value})
 
 
 # Module-level workers: the pool pickles them by reference.

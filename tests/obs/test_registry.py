@@ -200,57 +200,6 @@ class TestNullHistogramStaysInert:
         assert reg.histogram("other").count == 0
 
 
-class TestDumpMergeState:
-    def test_roundtrip_into_fresh_registry(self):
-        src = MetricsRegistry()
-        src.counter("hits", node=0).inc(7)
-        src.gauge("depth").set(3.0)
-        src.histogram("wait", buckets=(1.0, 2.0)).observe_bulk([0.5, 1.5, 9.0])
-        dst = MetricsRegistry()
-        dst.merge_state(src.dump_state())
-        assert dst.snapshot() == src.snapshot()
-
-    def test_counters_add_gauges_take_max(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(2)
-        a.gauge("g").set(5.0)
-        b.counter("c").inc(3)
-        b.gauge("g").set(9.0)
-        a.merge_state(b.dump_state())
-        assert a.counter("c").value == 5.0
-        assert a.gauge("g").value == 9.0
-        # Merging the smaller gauge back does not regress the max.
-        b.gauge("g").set(1.0)
-        a.merge_state(b.dump_state())
-        assert a.gauge("g").value == 9.0
-
-    def test_histograms_fold_exactly(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", buckets=(1.0, 2.0)).observe_bulk([0.5, 1.5])
-        b.histogram("h", buckets=(1.0, 2.0)).observe_bulk([1.5, 99.0])
-        a.merge_state(b.dump_state())
-        merged = a.histogram("h")
-        assert merged.bucket_counts == [1, 2, 1]
-        assert merged.count == 4
-        assert merged.total == pytest.approx(0.5 + 1.5 + 1.5 + 99.0)
-        assert merged.min == 0.5 and merged.max == 99.0
-
-    def test_bucket_mismatch_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", buckets=(1.0,)).observe(0.5)
-        b.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        with pytest.raises(ValueError, match="bucket mismatch"):
-            a.merge_state(b.dump_state())
-
-    def test_merge_is_commutative_on_disjoint_series(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("only.a").inc()
-        b.counter("only.b").inc(2)
-        a.merge_state(b.dump_state())
-        assert a.counter("only.a").value == 1.0
-        assert a.counter("only.b").value == 2.0
-
-
 class TestNullRegistry:
     def test_disabled(self):
         assert NullRegistry().enabled is False

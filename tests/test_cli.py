@@ -66,6 +66,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig", "99"])
 
+    @pytest.mark.parametrize("command", ["run", "fuzz"])
+    def test_gc_depth_documented_in_rounds(self, command):
+        """``ProtocolConfig.gc_depth`` is a horizon in rounds, not waves."""
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        (action,) = [
+            a for a in sub.choices[command]._actions
+            if "--gc-depth" in a.option_strings
+        ]
+        assert action.metavar == "ROUNDS"
+        assert "round" in action.help and "wave" not in action.help
+
     @pytest.mark.parametrize("argv", [
         ["run", "--batch", "0"],
         ["run", "--gc-depth", "2"],
