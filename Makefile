@@ -1,6 +1,8 @@
 # LightDAG reproduction — developer entry points.
 
 PYTHON ?= python
+# The src layout runs without `make install`, as CI's tier-1 step does.
+export PYTHONPATH := src
 
 .PHONY: install test loc bench bench-full pairs examples table1 figs clean
 
@@ -47,7 +49,6 @@ pairs:
 examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/byzantine_equivocation.py
-	$(PYTHON) examples/kv_store.py
 	$(PYTHON) examples/wan_prototype.py
 	$(PYTHON) examples/smr_service.py
 

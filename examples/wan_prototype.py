@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
-"""The prototype-system mode: LightDAG over asyncio with injected WAN delays.
+"""The prototype-system mode: LightDAG over loopback TCP with injected WAN delays.
 
 The paper evaluates a Golang prototype on a 4-continent deployment; the
 discrete-event simulator reproduces those *measurements*, while this
 example shows the *prototype* side: the identical protocol state machines
-running on real wall-clock time over asyncio channels, with the same
-4-region latency matrix injected per message.  Useful for interactive
-experimentation and as the template for embedding the library in a real
-service.
+running on real wall-clock time, exchanging encoded frames over real
+sockets, with the same 4-region latency matrix injected per frame.
+Useful for interactive experimentation and as the template for embedding
+the library in a real service.
 
 Run:  python examples/wan_prototype.py
 """
 
+from repro import run_async_experiment
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
-from repro.replica.runtime import run_async_experiment
 
 
 def main() -> None:
-    print("LightDAG2 prototype: 7 asyncio replicas, injected 4-region WAN")
+    print("LightDAG2 prototype: 7 TCP replicas, injected 4-region WAN")
     print("latency, 5 wall-clock seconds...\n")
     cfg = ExperimentConfig(
         system=SystemConfig(n=7),
@@ -32,7 +32,7 @@ def main() -> None:
     print(f"throughput : {summary['throughput_tps']:,.0f} tx/s")
     print(f"latency    : {summary['mean_latency_s'] * 1000:.0f} ms mean")
     print(f"committed  : {summary['committed_txs']:,.0f} transactions")
-    print(f"messages   : {summary['messages']:,.0f} delivered")
+    print(f"frames     : {summary['frames_received']:,.0f} received")
     print("\nSafety was verified across all replica ledgers on shutdown.")
     print("Note: these are prototype numbers (Python handler cost included);")
     print("the benchmarks use the discrete-event simulator instead.")

@@ -4,8 +4,8 @@ A full from-scratch Python implementation of *LightDAG: A Low-latency
 DAG-based BFT Consensus through Lightweight Broadcast* (Dai et al.,
 IPDPS 2024), including both protocol variants, the DAG-Rider / Tusk /
 Bullshark baselines, every substrate they stand on (PBC/CBC/RBC broadcast,
-threshold-coin cryptography, a deterministic WAN network simulator, an
-asyncio prototype runtime), and a harness regenerating every table and
+threshold-coin cryptography, a deterministic WAN network simulator, a
+TCP prototype runtime), and a harness regenerating every table and
 figure of the paper's evaluation.
 
 Quick start::
@@ -32,10 +32,10 @@ from .baselines import BullsharkNode, DagRiderNode, TuskNode
 from .harness.runner import (
     PROTOCOL_REGISTRY,
     ExperimentResult,
+    run_async_experiment,
     run_experiment,
 )
 from .net.simulator import Simulation
-from .replica.runtime import run_async_experiment
 from .smr import KvStateMachine, SmrCluster, SmrReplica, StateMachine
 
 __version__ = "1.0.0"

@@ -36,9 +36,9 @@ class InstanceState:
     n bits rather than a set of n ints, a duplicate vote is idempotent
     (``mask | bit``) and a quorum is ``mask.bit_count()``.  The shift
     relies on voter ids lying in ``[0, n)``, which every transport already
-    guarantees before a handler runs: the simulator and ``AsyncCluster``
-    hand out the ids themselves, and TCP closes a connection whose hello
-    names any other (``bad_hello``).
+    guarantees before a handler runs: the simulator hands out the ids
+    itself, and TCP closes a connection whose hello names any other
+    (``bad_hello``).
     """
 
     __slots__ = (

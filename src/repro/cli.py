@@ -43,7 +43,7 @@ from .analysis.obs_export import (
 )
 from .analysis.stats import repeat_experiment
 from .config import CHECK_LEVELS, ExperimentConfig, ProtocolConfig, SystemConfig
-from .errors import ConfigError
+from .errors import ConfigError, SweepError
 from .harness.cluster import WORST_ATTACK
 from .harness.experiments import (
     batch_size_sweep,
@@ -786,13 +786,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
     A value the configuration refuses exits 2 with one line on stderr, as
-    argparse does for a malformed flag."""
+    argparse does for a malformed flag.  A sweep with a failed run exits 1,
+    as a fuzz violation does, after its message (replay lines included)
+    on stderr."""
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    except SweepError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

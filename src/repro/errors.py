@@ -81,17 +81,20 @@ class InvariantViolation(ProtocolError):
 
 
 class NetworkError(ReproError):
-    """Transport-level failure in the asyncio runtime."""
+    """Transport-level failure in the TCP runtime."""
 
 
 class SweepError(ReproError):
     """One or more runs of a sweep failed.
 
-    Raised by :func:`repro.harness.parallel.run_sweep` once every config
-    has run.  ``failures`` holds the per-run
+    Raised once every config has run, by
+    :func:`repro.harness.parallel.run_sweep` and by
+    :func:`repro.harness.loadtest.run_loadtest_sweep`.  ``results`` holds
+    the successful results in input order, ``None`` at each failed index,
+    so no neighbour's result is lost.  ``run_sweep`` also fills
+    ``failures`` with the per-run
     :class:`~repro.harness.parallel.RunFailure`\\ s (traceback + replay
-    command); ``results`` holds the successful results in input order,
-    ``None`` at each failed index, so no neighbour's result is lost.
+    command); a loadtest sweep names its failed rates in the message.
     """
 
     def __init__(self, message: str, failures=(), results=()):

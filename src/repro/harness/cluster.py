@@ -1,6 +1,6 @@
 """One recipe to build, break and check a cluster.
 
-Every place that runs replicas — ``run_experiment``, the asyncio
+Every place that runs replicas — ``run_experiment``, the TCP
 prototype, the SMR service, the explorer, the Table I step counter,
 ``repro viz``, the examples and the micro-benches — puts its cluster
 together here: deal the keys with the protocol's coin threshold, make one
@@ -11,8 +11,8 @@ only module outside :mod:`repro.crypto` that calls the dealer or
 constructs a protocol node, so "which protocol under which attack with
 which checks" cannot differ by accident between tools or runtimes.
 
-What it does *not* own is a runtime.  ``Simulation``, ``AsyncCluster`` and
-``TcpCluster`` each take "one factory per replica", and the caller builds
+What it does *not* own is a runtime.  ``Simulation`` and ``TcpCluster``
+each take "one factory per replica", and the caller builds
 the one it wants from :attr:`Assembly.factories`; there is no ``run()`` here
 and no argument that picks one.  The message-level
 :attr:`Assembly.adversary` is handed over the same way — only the simulator

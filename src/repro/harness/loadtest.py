@@ -225,8 +225,11 @@ def _loadtest_worker(cfg: LoadtestConfig, registry) -> Tuple[bool, Any]:
 def run_loadtest_sweep(
     configs: List[LoadtestConfig], jobs: Optional[int] = None
 ) -> List[LoadtestResult]:
-    """Ordered loadtests over the PR 5 process pool; raises
-    :class:`~repro.errors.SweepError` listing every failed point."""
+    """Ordered loadtests over the process pool.
+
+    Every point runs; if any failed, :class:`~repro.errors.SweepError`
+    lists them and carries ``results`` (the successes in place, ``None``
+    at failed indices)."""
     from .parallel import parallel_map
 
     outcomes, _ = parallel_map(_loadtest_worker, configs, jobs=jobs)
@@ -235,8 +238,10 @@ def run_loadtest_sweep(
         for cfg, (ok, payload) in zip(configs, outcomes)
         if not ok
     ]
+    results = [payload if ok else None for ok, payload in outcomes]
     if failures:
         raise SweepError(
-            f"{len(failures)} loadtest point(s) failed:\n" + "\n".join(failures)
+            f"{len(failures)} loadtest point(s) failed:\n" + "\n".join(failures),
+            results=results,
         )
-    return [payload for _, payload in outcomes]
+    return results

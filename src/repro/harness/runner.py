@@ -5,7 +5,9 @@ and integration tests share: given an :class:`~repro.config.ExperimentConfig`
 it has :mod:`repro.harness.cluster` assemble the replicas (keys, mempools,
 metrics, the requested adversary, the oracles), runs them on the
 discrete-event simulator, checks the honest ledgers, and returns the
-measurements.
+measurements.  :func:`run_async_experiment` is the same recipe over
+loopback TCP in wall-clock time, the config's latency model injected per
+frame.
 
 Adversary names (``ExperimentConfig.adversary_name``), each a fault
 schedule (:data:`repro.adversary.schedule.ATTACKS`):
@@ -32,6 +34,7 @@ mid-run :class:`~repro.check.InvariantMonitor` on every honest replica.
 
 from __future__ import annotations
 
+import asyncio
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -47,6 +50,7 @@ from ..core.lightdag2 import LightDag2Node
 from ..errors import ConfigError
 from ..net.latency import make_latency_model
 from ..net.simulator import CpuCost, Simulation
+from ..net.tcp import TcpCluster
 from ..obs import NULL_OBS, HealthMonitor, Observability
 from .cluster import assemble_experiment
 
@@ -234,3 +238,33 @@ def run_experiment(
         health=watchdog.summary(now=sim.now) if watchdog is not None else None,
         latency_report=latency_report,
     )
+
+
+def run_async_experiment(cfg: ExperimentConfig) -> Dict[str, float]:
+    """:func:`run_experiment`'s replicas, hooks and checks over loopback
+    TCP in wall-clock time, ``cfg.latency_model`` delaying each frame.
+
+    Message-level faults need the simulator's per-send hook and are
+    refused.  The numbers include Python handler cost: prototype numbers.
+    """
+    assembly, collector = assemble_experiment(cfg, node_class(cfg.protocol_name))
+    if assembly.adversary is not None:
+        raise ConfigError(
+            "the TCP runtime runs favorable situations and Byzantine node "
+            "classes only; message-level faults (crash, delay, partition) "
+            "need the simulator harness"
+        )
+    cluster = TcpCluster(
+        assembly.factories,
+        latency_model=make_latency_model(cfg.latency_model),
+        seed=cfg.seed,
+    )
+    assembly.bind(cluster.nodes)
+    asyncio.run(cluster.run(cfg.duration))
+    assembly.check(cluster.nodes)
+    return {
+        "throughput_tps": collector.throughput(cfg.duration - cfg.warmup),
+        "mean_latency_s": collector.mean_latency(),
+        "committed_txs": float(collector.total_committed_txs()),
+        "frames_received": float(cluster.frames_received),
+    }

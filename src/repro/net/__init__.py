@@ -1,4 +1,4 @@
-"""Network substrate: message model, latency models, simulator, asyncio runtime.
+"""Network substrate: message model, latency models, simulator, TCP runtime.
 
 The paper's testbed is 4-continent Alibaba Cloud VMs on 100 Mbps
 peer-to-peer links.  This package reproduces that environment two ways:
@@ -6,15 +6,15 @@ peer-to-peer links.  This package reproduces that environment two ways:
 * :mod:`repro.net.simulator` — a deterministic discrete-event simulator
   with WAN propagation delays and a shared-egress bandwidth model.  All
   benchmark figures are produced here (reproducible, seedable, fast).
-* :mod:`repro.net.asyncnet` — an asyncio runtime that runs the very same
-  protocol ``Node`` objects over real in-process (or TCP) channels — the
-  "prototype system" flavour of §VI.
+* :mod:`repro.net.tcp` — an asyncio runtime that runs the very same
+  protocol ``Node`` objects over real sockets, the same latency models
+  optionally injected per frame — the "prototype system" flavour of §VI.
 
 Protocols never import either runtime; they are written against the
 :class:`repro.net.interfaces.NetworkAPI` abstraction.
 """
 
-from .interfaces import BROADCAST, Message, NetworkAPI, Node
+from .interfaces import Message, NetworkAPI, Node
 from .latency import (
     FactoredLatency,
     FixedLatency,
@@ -30,7 +30,6 @@ from .simulator import Simulation, SimulationStats
 from .snapshot import SimulatorSnapshot
 
 __all__ = [
-    "BROADCAST",
     "FactoredLatency",
     "FixedLatency",
     "LatencyModel",

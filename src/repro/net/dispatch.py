@@ -1,11 +1,11 @@
-"""What the two asyncio runtimes share: handler dispatch and the node facade.
+"""Handler dispatch and the node facade of the real-time runtime.
 
-:class:`~repro.net.asyncnet.AsyncCluster` and
-:class:`~repro.net.tcp.TcpCluster` both turn arrivals (messages, expired
-timers) into ``node.on_message(src, msg)`` / ``node.on_timer(tag, data)``
-calls.  The calls wait in one FIFO and a single event-loop callback makes
-them, so a handler always runs to completion and is never re-entered —
-also not by what it sends to itself.  No task, future or queue per arrival.
+:class:`~repro.net.tcp.TcpCluster` turns arrivals (decoded frames,
+self-sends, expired timers) into ``node.on_message(src, msg)`` /
+``node.on_timer(tag, data)`` calls.  The calls wait in one FIFO and a
+single event-loop callback makes them, so a handler always runs to
+completion and is never re-entered — also not by what it sends to itself.
+No task, future or queue per arrival.
 """
 
 from __future__ import annotations

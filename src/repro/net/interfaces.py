@@ -4,7 +4,7 @@ A consensus protocol in this library is a :class:`Node`: a deterministic
 state machine with three entry points (``on_start``, ``on_message``,
 ``on_timer``) that talks to the outside world only through the
 :class:`NetworkAPI` handed to it at construction.  The same Node runs
-unmodified under the discrete-event simulator and the asyncio runtime.
+unmodified under the discrete-event simulator and the TCP runtime.
 
 This mirrors the sans-I/O style: no sleeps, no sockets, no wall-clock reads
 inside protocol logic — time comes from ``net.now()``, randomness from
@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import Any, Callable
-
-#: Destination sentinel accepted by :meth:`NetworkAPI.send`.
-BROADCAST = -1
 
 
 class Message(ABC):
@@ -91,7 +88,7 @@ class NetworkAPI(ABC):
 
     @abstractmethod
     def send(self, dst: int, msg: Message) -> None:
-        """Send ``msg`` to replica ``dst`` (or everyone for BROADCAST).
+        """Send ``msg`` to replica ``dst`` (see :meth:`broadcast` for everyone).
 
         Sending to oneself is allowed and delivered with zero network cost;
         protocols use it to keep the code path uniform.
@@ -134,5 +131,5 @@ class Node(ABC):
         """Called when a timer set via :meth:`NetworkAPI.set_timer` fires."""
 
 
-#: Factory signature used by both runtimes to build the replica set.
+#: Factory signature both runtimes (simulator, TCP) build the replica set with.
 NodeFactory = Callable[[NetworkAPI], Node]

@@ -28,15 +28,18 @@ There is no write-side drain: handlers are synchronous, so nothing could
 wait for one.  The transport buffers what the socket does not take; a slow
 remote peer needs flow control in the protocol, not in the transport.
 
-Scope: single-host multi-port by default (the test suite binds
-``127.0.0.1``), but nothing in the implementation assumes it — hand
-:class:`TcpCluster` a peer table of remote addresses and it will dial
-them.
+Injected latency: given a :class:`~repro.net.latency.LatencyModel` (the
+simulator's models), each frame to a peer joins the outbox one drawn delay
+late, so a loopback cluster behaves like the WAN the model describes.
+
+Scope: one process; every replica listens on ``host`` (loopback by
+default) at a port of its own and dials its peers there.
 """
 
 from __future__ import annotations
 
 import asyncio
+import random
 from collections import Counter
 from itertools import permutations
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -46,6 +49,7 @@ from ..codec.primitives import CodecError, Writer
 from ..errors import NetworkError
 from .dispatch import ClusterNetworkAPI, Dispatcher
 from .interfaces import Message, Node, NodeFactory
+from .latency import LatencyModel
 
 #: Maximum frame size accepted from a peer (matches codec MAX_LENGTH).
 MAX_FRAME = 64 * 1024 * 1024
@@ -176,6 +180,11 @@ class TcpCluster:
         Bind/dial address (default loopback).
     base_port:
         Replica ``i`` listens on ``base_port + i``; 0 picks free ports.
+    latency_model:
+        Optional injected propagation delay per frame to a peer (None =
+        write it on this loop tick).  Self-delivery is never delayed.
+    seed:
+        Seed for the latency draws.
     """
 
     def __init__(
@@ -183,10 +192,14 @@ class TcpCluster:
         factories: Sequence[NodeFactory],
         host: str = "127.0.0.1",
         base_port: int = 0,
+        latency_model: Optional[LatencyModel] = None,
+        seed: int = 0,
     ) -> None:
         self.n = len(factories)
         self.host = host
         self.base_port = base_port
+        self.latency = latency_model
+        self.rng = random.Random(f"tcp:{seed}")
         self.nodes: List[Node] = [
             factory(ClusterNetworkAPI(self, i)) for i, factory in enumerate(factories)
         ]
@@ -225,12 +238,25 @@ class TcpCluster:
         if transport is None:
             raise NetworkError(f"no connection {src} -> {dst}")
         self.frames_sent += 1
+        if self.latency is not None:
+            delay = self.latency.delay(src, dst, self.rng)
+            self._loop.call_later(delay, self._post_late, transport, _frame_for(msg))
+            return
         frames = self._outbox.get(transport)
         if frames is None:
             if not self._outbox:
                 self._loop.call_soon(self._flush)
             frames = self._outbox[transport] = []
         frames.append(_frame_for(msg))
+
+    def _post_late(self, transport: asyncio.WriteTransport, frame: bytes) -> None:
+        """A delayed frame joins the outbox — or, like a timer that expires
+        after its cluster stopped, is dropped."""
+        if self._dispatch is None:
+            return
+        if not self._outbox:
+            self._loop.call_soon(self._flush)
+        self._outbox.setdefault(transport, []).append(frame)
 
     def _flush(self) -> None:
         """Write what the tick queued: one ``send`` per connection."""
@@ -277,12 +303,3 @@ class TcpCluster:
                 server.close()  # the listening sockets are closed on return
             self._links.clear()
             self._servers.clear()
-
-
-def run_tcp_cluster(
-    factories: Sequence[NodeFactory], duration: float, host: str = "127.0.0.1"
-) -> TcpCluster:
-    """Blocking convenience wrapper: build a TCP cluster and run it."""
-    cluster = TcpCluster(factories, host=host)
-    asyncio.run(cluster.run(duration))
-    return cluster

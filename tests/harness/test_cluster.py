@@ -5,7 +5,7 @@ else may deal keys or subclass the adversary seam), tabular (the attack
 table, ``WORST_ATTACK``, the CLI's choices and the protocol registry must
 agree, and every entry must be a valid schedule at every size), and
 behavioural (one ``ExperimentConfig`` assembles the same cluster for the
-simulator and for asyncio).
+simulator and for the asyncio TCP runtime).
 """
 
 import argparse
@@ -24,7 +24,6 @@ from repro.harness import cluster as recipe
 from repro.harness import runner
 from repro.harness.cluster import WORST_ATTACK, fault_schedule
 from repro.harness.runner import PROTOCOL_REGISTRY
-from repro.replica.runtime import build_async_experiment
 
 from ..conftest import count_calls
 
@@ -163,29 +162,32 @@ def _shape(nodes):
 class TestSameClusterOnEveryRuntime:
     @pytest.mark.parametrize("level", ["prefix", "full"])
     def test_simulator_and_asyncio_assemble_alike(self, monkeypatch, level):
+        """The simulator and the asyncio TCP runtime get the same cluster."""
         cfg = _config(check_level=level)
-        assemblies, sims = [], []
+        assemblies, runtimes = [], []
         count_calls(monkeypatch, recipe, "assemble", assemblies)
 
-        class Recorded(runner.Simulation):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                sims.append(self)
+        def recorded(runtime):
+            class Recorded(runtime):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    runtimes.append(self)
+            return Recorded
 
-        monkeypatch.setattr(runner, "Simulation", Recorded)
+        monkeypatch.setattr(runner, "Simulation", recorded(runner.Simulation))
+        monkeypatch.setattr(runner, "TcpCluster", recorded(runner.TcpCluster))
         runner.run_experiment(cfg)
-        experiment = build_async_experiment(cfg)
+        runner.run_async_experiment(cfg)
 
-        (sim,) = sims
-        assert _shape(sim.nodes) == _shape(experiment.cluster.nodes)
+        (sim, tcp) = runtimes
+        assert _shape(sim.nodes) == _shape(tcp.nodes)
         # f+1 = 2 is not the dealer's default threshold (2f+1 = 3).
         assert sim.nodes[0].coin.threshold == 2
-        assert experiment.assembly.byzantine == frozenset({3})
         assert type(sim.nodes[3]).__name__ == "WithholdingLightDag1Node"
         assert isinstance(sim.nodes[3], LightDag1Node)
         # Both runtimes went through the same call with the same arguments.
-        (for_sim, for_async) = assemblies
-        assert for_sim[:3] == for_async[:3] == (
+        (for_sim, for_tcp) = assemblies
+        assert for_sim[:3] == for_tcp[:3] == (
             cfg.system, cfg.protocol, LightDag1Node
         )
         monitored = [n.on_deliver_hook is not None for n in sim.nodes]

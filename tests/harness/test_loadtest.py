@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SweepError
+from repro.harness import loadtest
 from repro.harness.loadtest import LoadtestConfig, run_loadtest, run_loadtest_sweep
 from repro.workload.admission import AdmissionConfig
 from repro.workload.clients import WorkloadSpec
@@ -105,6 +106,26 @@ class TestSweep:
         for result in serial:
             assert result.e2e_tps == pytest.approx(result.offered_rate, rel=0.15)
         assert serial[1].e2e_p50_s < 2 * serial[0].e2e_p50_s
+
+    def test_a_failed_rung_loses_no_neighbour(self, monkeypatch):
+        real = loadtest.run_loadtest
+
+        def run_loadtest_but_200(cfg):
+            if cfg.workload.rate == 200.0:
+                raise RuntimeError("boom")
+            return real(cfg)
+
+        monkeypatch.setattr(loadtest, "run_loadtest", run_loadtest_but_200)
+        base = _cfg(
+            workload=WorkloadSpec(clients=10, mode="open", rate=1.0, seed=5),
+            duration=2.0, warmup=0.5,
+        )
+        configs = [base.with_rate(r) for r in (100.0, 200.0, 300.0)]
+        with pytest.raises(SweepError, match="rate=200.0: RuntimeError: boom") as err:
+            run_loadtest_sweep(configs, jobs=1)
+        first, failed, last = err.value.results
+        assert failed is None
+        assert (first.offered_rate, last.offered_rate) == (100.0, 300.0)
 
 
 class TestReporting:

@@ -1,8 +1,8 @@
-"""Cross-runtime equivalence: the same protocol code on three transports.
+"""Cross-runtime equivalence: the same protocol code on both runtimes.
 
 The sans-I/O layering's promise is that a Node behaves identically under
-the discrete-event simulator, the asyncio queue runtime, and the TCP
-socket transport.  Wall-clock runtimes aren't deterministic, so "identical"
+the discrete-event simulator and the TCP socket transport, with or
+without injected propagation delay.  Wall-clock runtimes aren't deterministic, so "identical"
 means: same safety invariants, same protocol structure (wave shapes,
 commit rules), and payload integrity end to end.
 """
@@ -16,7 +16,6 @@ from repro.core.lightdag2 import LightDag2Node
 from repro.crypto.keys import TrustedDealer
 from repro.dag.block import TxBatch
 from repro.dag.ledger import check_prefix_consistency
-from repro.net.asyncnet import AsyncCluster
 from repro.net.latency import FixedLatency
 from repro.net.simulator import Simulation
 from repro.net.tcp import TcpCluster
@@ -47,22 +46,16 @@ def run_simulator():
     return sim.nodes
 
 
-def run_asyncio():
-    cluster = AsyncCluster(factories())
-    asyncio.run(cluster.run(1.5))
-    return cluster.nodes
-
-
-def run_tcp():
-    cluster = TcpCluster(factories())
+def run_tcp(latency_model=None):
+    cluster = TcpCluster(factories(), latency_model=latency_model, seed=5)
     asyncio.run(cluster.run(2.0))
     return cluster.nodes
 
 
 RUNTIMES = {
     "simulator": run_simulator,
-    "asyncio": run_asyncio,
     "tcp": run_tcp,
+    "tcp-delayed": lambda: run_tcp(FixedLatency(0.01)),
 }
 
 

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from repro.net.interfaces import BROADCAST, Message, Node
+from repro.net.interfaces import Message, Node
 
 from ..conftest import FakeNet
 
@@ -32,9 +32,6 @@ class TestNetworkApiDefaults:
         net = FakeNet(node_id=1, n=4)
         net.broadcast(Ping(), include_self=False)
         assert sorted(dst for dst, _ in net.sent) == [0, 2, 3]
-
-    def test_broadcast_sentinel_distinct_from_ids(self):
-        assert BROADCAST not in range(1024)
 
 
 class TestNodeDefaults:

@@ -16,12 +16,12 @@ from repro.dag.block import TxBatch
 from repro.dag.ledger import check_prefix_consistency
 from repro.errors import NetworkError
 from repro.net.interfaces import Node
+from repro.net.latency import FixedLatency
 from repro.net.tcp import (
     MAX_FRAME,
     FrameSplitter,
     TcpCluster,
     _encode_frame,
-    run_tcp_cluster,
 )
 
 
@@ -136,7 +136,98 @@ class Burst(Node):
         self.received.append((src, msg.round))
 
 
+class Recorder(Node):
+    """Replica 0 broadcasts one echo, itself included; everyone records
+    what arrives (with the arrival time) and which timers fire."""
+
+    def __init__(self, net):
+        super().__init__(net)
+        self.received = []
+        self.timers = []
+
+    def on_start(self):
+        if self.node_id == 0:
+            self.net.broadcast(BlockEcho(round=1, author=0, digest=bytes(32)))
+
+    def on_message(self, src, msg):
+        self.received.append((src, msg.round, self.net.now()))
+
+    def on_timer(self, tag, data=None):
+        self.timers.append((tag, data))
+
+
+def run(cluster, duration):
+    asyncio.run(cluster.run(duration))
+    return cluster
+
+
 class TestTransport:
+    def test_self_delivery(self):
+        cluster = run(TcpCluster([Recorder for _ in range(3)]), 0.2)
+        assert [src for src, _, _ in cluster.nodes[0].received] == [0]
+        assert all(len(node.received) == 1 for node in cluster.nodes)
+
+    def test_injected_latency_delays_delivery(self):
+        cluster = run(TcpCluster([Recorder for _ in range(3)],
+                                 latency_model=FixedLatency(0.15)), 0.4)
+        (_, _, to_self), = cluster.nodes[0].received
+        assert to_self < 0.1  # self-delivery is never delayed
+        for node in cluster.nodes[1:]:
+            (_, _, arrival), = node.received
+            assert arrival >= 0.15
+        assert cluster.frames_sent == cluster.frames_received == 2
+
+    def test_a_frame_due_after_the_run_is_dropped(self):
+        cluster = TcpCluster([Recorder for _ in range(2)],
+                             latency_model=FixedLatency(0.15))
+        flushes = []
+
+        async def scenario():
+            await cluster.run(0.1)
+            cluster._flush = lambda: flushes.append(1)
+            await asyncio.sleep(0.1)  # the frame to replica 1 falls due
+
+        asyncio.run(scenario())
+        assert cluster.nodes[1].received == [] and flushes == []
+        assert (cluster.frames_sent, cluster.frames_received) == (1, 0)
+
+    def test_latency_draws_are_seeded(self):
+        def draws(seed):
+            cluster = TcpCluster([Recorder for _ in range(2)], seed=seed)
+            return [cluster.rng.random() for _ in range(3)]
+
+        assert draws(4) == draws(4) != draws(5)
+
+    def test_timers_fire(self):
+        class TimerNode(Recorder):
+            def on_start(self):
+                self.net.set_timer(0.05, "tick", 42)
+
+        cluster = run(TcpCluster([TimerNode]), 0.2)
+        assert cluster.nodes[0].timers == [("tick", 42)]
+
+    def test_zero_delay_timer(self):
+        class TimerNode(Recorder):
+            def on_start(self):
+                self.net.set_timer(0.0, "now")
+
+        cluster = run(TcpCluster([TimerNode]), 0.1)
+        assert cluster.nodes[0].timers == [("now", None)]
+
+    def test_invalid_destination_rejected(self):
+        class BadSender(Recorder):
+            def on_start(self):
+                self.net.send(99, BlockEcho(round=1, author=0, digest=bytes(32)))
+
+        with pytest.raises(NetworkError):
+            run(TcpCluster([BadSender]), 0.05)
+
+    def test_clock_monotone(self):
+        cluster = TcpCluster([Recorder for _ in range(2)])
+        assert cluster.now() == 0.0
+        run(cluster, 0.1)
+        assert cluster.now() >= 0.1
+
     def test_coalesced_sends_arrive_in_per_connection_fifo_order(self):
         cluster = TcpCluster([Burst for _ in range(3)])
         writes = []
@@ -159,6 +250,13 @@ class TestTransport:
 
     def test_posting_outside_a_run_is_refused(self):
         cluster = TcpCluster([Burst for _ in range(2)])
+        with pytest.raises(NetworkError):
+            cluster.post(0, 1, BlockEcho(round=1, author=0, digest=bytes(32)))
+        with pytest.raises(NetworkError):
+            cluster.post_timer(0, 0.0, "tag", None)
+
+    def test_posting_after_a_run_is_refused(self):
+        cluster = run(TcpCluster([Burst for _ in range(2)]), 0.05)
         with pytest.raises(NetworkError):
             cluster.post(0, 1, BlockEcho(round=1, author=0, digest=bytes(32)))
         with pytest.raises(NetworkError):
@@ -240,7 +338,7 @@ class TestHostilePeers:
 
 class TestTcpConsensus:
     def test_lightdag2_commits_over_tcp(self):
-        cluster = run_tcp_cluster(build_factories(LightDag2Node), duration=3.0)
+        cluster = run(TcpCluster(build_factories(LightDag2Node)), 3.0)
         ledgers = [node.ledger for node in cluster.nodes]
         check_prefix_consistency(ledgers)
         assert all(len(ledger) > 0 for ledger in ledgers)
@@ -250,13 +348,13 @@ class TestTcpConsensus:
         assert cluster.decode_errors == 0 and not cluster.rejected
 
     def test_lightdag1_commits_over_tcp(self):
-        cluster = run_tcp_cluster(build_factories(LightDag1Node), duration=3.0)
+        cluster = run(TcpCluster(build_factories(LightDag1Node)), 3.0)
         ledgers = [node.ledger for node in cluster.nodes]
         check_prefix_consistency(ledgers)
         assert all(len(ledger) > 0 for ledger in ledgers)
 
     def test_payload_survives_the_wire(self):
-        cluster = run_tcp_cluster(build_factories(LightDag2Node, batch=7), duration=3.0)
+        cluster = run(TcpCluster(build_factories(LightDag2Node, batch=7)), 3.0)
         committed = [r.block.payload.count for r in cluster.nodes[0].ledger
                      if r.block.payload.count]
         assert committed and all(c == 7 for c in committed)

@@ -96,6 +96,49 @@ class TestParser:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+class TestFailedSweeps:
+    """A sweep with a failed run exits 1 with its replay lines on stderr —
+    the same code as a fuzz violation — and never a traceback."""
+
+    @pytest.fixture
+    def second_run_fails(self, monkeypatch):
+        from repro.harness import parallel
+
+        real, calls = parallel.run_experiment, []
+
+        def run_experiment(cfg):
+            calls.append(cfg)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return real(cfg)
+
+        monkeypatch.setattr(parallel, "run_experiment", run_experiment)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "-n", "4", "--batch", "20", "--duration", "3", "--repeats", "2"],
+        ["fig", "12", "--small", "--duration", "3"],
+    ])
+    def test_experiment_sweep(self, second_run_fails, argv, capsys):
+        assert main([*argv, "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: 1 of ")
+        assert "RuntimeError: boom" in err and "replay: python -m repro run " in err
+        assert "Traceback" not in err
+
+    def test_loadtest_sweep(self, monkeypatch, capsys):
+        from repro.harness import loadtest
+
+        def run_loadtest(cfg):
+            raise RuntimeError(f"boom at {cfg.workload.rate}")
+
+        monkeypatch.setattr(loadtest, "run_loadtest", run_loadtest)
+        assert main(["loadtest", "--sweep", "100,200", "--duration", "3",
+                     "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: 2 loadtest point(s) failed")
+        assert "rate=100.0: RuntimeError: boom at 100.0" in err
+
+
 class TestCommands:
     def test_protocols(self, capsys):
         assert main(["protocols"]) == 0

@@ -17,7 +17,6 @@ EXAMPLES = Path(__file__).parent.parent / "examples"
 FAST_EXAMPLES = [
     "quickstart.py",
     "byzantine_equivocation.py",
-    "kv_store.py",
     "wan_prototype.py",
     "smr_service.py",
 ]
