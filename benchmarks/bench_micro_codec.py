@@ -27,6 +27,32 @@ def big_block(txs=400):
     )
 
 
+def metadata_block():
+    """The block a saturated TCP run ships: the mempool sends count, size,
+    timing sum and one sample — no items — so the frame is ~200 bytes
+    whatever the batch size."""
+    return make_block(
+        57, 1, [genesis_block(a).digest for a in range(4)],
+        payload=TxBatch(count=100, tx_size=512, submit_time_sum=1234.5678,
+                        sample=(12.25,)),
+        signer=HmacBackend(1, SYSTEM),
+    )
+
+
+class TestMetadataVal:
+    """Encode and decode of the VAL frame the TCP workload actually sends."""
+
+    def test_encode_metadata_val(self, benchmark):
+        msg = BlockVal(metadata_block())
+        raw = benchmark(encode_message, msg)
+        assert len(raw) < 256
+
+    def test_decode_metadata_val(self, benchmark):
+        msg = BlockVal(metadata_block())
+        raw = encode_message(msg)
+        assert benchmark(decode_message, raw) == msg
+
+
 class TestCodecThroughput:
     def test_encode_block_with_payload(self, benchmark):
         block = big_block()

@@ -25,7 +25,7 @@ from ..crypto.coin import CoinShare
 from ..crypto.hashing import intern_digest
 from ..crypto.threshold import DleqProof, PartialEval
 from ..net.interfaces import Message
-from .blocks import decode_block, encode_block
+from .blocks import block_to_bytes, decode_block
 from .primitives import CodecError, Reader, Writer
 
 _KIND_VAL = 1
@@ -81,7 +81,7 @@ def encode_message(msg: Message) -> bytes:
     w = Writer()
     if isinstance(msg, BlockVal):
         w.byte(_KIND_VAL)
-        encode_block(w, msg.block)
+        w.raw(block_to_bytes(msg.block))
     elif isinstance(msg, BlockEcho):
         w.byte(_KIND_ECHO)
         w.uvarint(msg.round)
@@ -101,7 +101,7 @@ def encode_message(msg: Message) -> bytes:
         w.byte(_KIND_RETR_RESP)
         w.uvarint(len(msg.blocks))
         for block in msg.blocks:
-            encode_block(w, block)
+            w.raw(block_to_bytes(block))
     elif isinstance(msg, CoinShareMsg):
         w.byte(_KIND_COIN)
         _encode_coin_share(w, msg.share)
@@ -111,12 +111,12 @@ def encode_message(msg: Message) -> bytes:
     elif isinstance(msg, ContradictionNotice):
         w.byte(_KIND_CONTRADICTION)
         w.lp_bytes(msg.objected)
-        encode_block(w, msg.conflicting_block)
+        w.raw(block_to_bytes(msg.conflicting_block))
     elif isinstance(msg, ByzantineProofMsg):
         w.byte(_KIND_BYZ_PROOF)
         w.uvarint(msg.culprit)
-        encode_block(w, msg.block_a)
-        encode_block(w, msg.block_b)
+        w.raw(block_to_bytes(msg.block_a))
+        w.raw(block_to_bytes(msg.block_b))
         w.lp_bytes(msg.objected)
     else:
         raise CodecError(f"cannot encode message type {type(msg).__name__}")
@@ -148,7 +148,7 @@ def decode_message(data: bytes) -> Message:
     kind = r.byte()
     msg: Message
     if kind == _KIND_VAL:
-        msg = BlockVal(decode_block(r))
+        msg = BlockVal(r.nested(decode_block))
     elif kind == _KIND_ECHO:
         msg = BlockEcho(
             round=r.uvarint(), author=r.uvarint(),
@@ -172,18 +172,20 @@ def decode_message(data: bytes) -> Message:
         count = r.uvarint()
         if count > MAX_REQUEST_DIGESTS:
             raise CodecError(f"retrieval response claims {count} blocks")
-        msg = RetrievalResponse(tuple(decode_block(r) for _ in range(count)))
+        msg = RetrievalResponse(tuple(r.nested(decode_block) for _ in range(count)))
     elif kind == _KIND_COIN:
         msg = CoinShareMsg(_decode_coin_share(r))
     elif kind == _KIND_COIN_REQ:
         msg = CoinShareRequest(wave=r.uvarint())
     elif kind == _KIND_CONTRADICTION:
-        msg = ContradictionNotice(objected=r.lp_bytes(), conflicting_block=decode_block(r))
+        msg = ContradictionNotice(
+            objected=r.lp_bytes(), conflicting_block=r.nested(decode_block),
+        )
     elif kind == _KIND_BYZ_PROOF:
         msg = ByzantineProofMsg(
             culprit=r.uvarint(),
-            block_a=decode_block(r),
-            block_b=decode_block(r),
+            block_a=r.nested(decode_block),
+            block_b=r.nested(decode_block),
             objected=r.lp_bytes(),
         )
     else:

@@ -211,7 +211,7 @@ class HmacBackend(CryptoBackend):
             raise CryptoError(f"unknown signer {signer}") from None
 
     def sign(self, message: Digest) -> bytes:
-        return hmac.new(self._key_for(self.replica_id), message, hashlib.sha256).digest()
+        return hmac.digest(self._key_for(self.replica_id), message, "sha256")
 
     def verify(self, signer: int, message: Digest, signature: object) -> bool:
         if not isinstance(signature, bytes) or signer not in self._keys:
@@ -219,7 +219,7 @@ class HmacBackend(CryptoBackend):
         key = ("hmac", signer, message, signature)
         if key in self._verified:
             return True
-        expected = hmac.new(self._keys[signer], message, hashlib.sha256).digest()
+        expected = hmac.digest(self._keys[signer], message, "sha256")
         ok = hmac.compare_digest(expected, signature)
         if ok:
             self._verified.add(key)

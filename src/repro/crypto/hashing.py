@@ -114,6 +114,72 @@ def command_preimage(client: str, nonce: int, payload: bytes) -> bytes:
     ))
 
 
+def _field_bytes(field: Field) -> bytes:
+    """One field as :func:`hash_fields` encodes it inside a sequence."""
+    out = bytearray()
+    _encode_fields(out, (field,))
+    return bytes(out[9:])  # drop the one-element sequence header
+
+
+_BLOCK_HEAD = b"T" + (11).to_bytes(8, "big") + _field_bytes("block")
+_DET_HEAD = b"T" + (3).to_bytes(8, "big")
+_EMPTY_SEQ = b"T" + bytes(8)
+_Y32 = b"Y" + (32).to_bytes(8, "big")
+_IS_32 = (32).__eq__
+
+
+def _int_field(value: int) -> bytes:
+    if type(value) is int:  # inline, as in command_preimage
+        raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
+        return b"I" + len(raw).to_bytes(4, "big") + raw
+    return _field_bytes(value)  # the generic path; a bool keeps its own tag
+
+
+def _bytes_field(value: bytes) -> bytes:
+    return b"Y" + len(value).to_bytes(8, "big") + value
+
+
+def _bytes_seq(values) -> bytes:
+    """A sequence of byte strings as :func:`hash_fields` nests it."""
+    if not values:
+        return _EMPTY_SEQ
+    head = b"T" + len(values).to_bytes(8, "big")
+    if all(map(_IS_32, map(len, values))):  # digests: one join, no per-item call
+        return head + _Y32 + _Y32.join(values)
+    return head + b"".join(map(_bytes_field, values))
+
+
+def block_preimage(
+    round_: int,
+    author: int,
+    parents,
+    count: int,
+    tx_size: int,
+    submit_time_repr: str,
+    items,
+    repropose_index: int,
+    proof_digests,
+    determinations,
+) -> bytes:
+    """The bytes ``hash_fields("block", round_, author, tuple(parents), count,
+    tx_size, submit_time_repr, items, repropose_index, tuple(proof_digests),
+    tuple(determinations))`` hashes, built without the per-field type
+    dispatch: every block made or decoded is hashed once.  ``parents``,
+    ``items`` and ``proof_digests`` hold byte strings; each determination
+    is ``(round, author, digest)``."""
+    time_raw = submit_time_repr.encode("utf-8")
+    out = [
+        _BLOCK_HEAD, _int_field(round_), _int_field(author), _bytes_seq(parents),
+        _int_field(count), _int_field(tx_size),
+        b"S", len(time_raw).to_bytes(8, "big"), time_raw,
+        _bytes_seq(items), _int_field(repropose_index), _bytes_seq(proof_digests),
+        b"T", len(determinations).to_bytes(8, "big"),
+    ]
+    for r, a, digest in determinations:
+        out += (_DET_HEAD, _int_field(r), _int_field(a), _bytes_field(digest))
+    return b"".join(out)
+
+
 def hash_to_int(*fields: Field) -> int:
     """Hash fields and interpret the digest as a big-endian integer."""
     return int.from_bytes(hash_fields(*fields), "big")

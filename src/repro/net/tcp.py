@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..codec.messages import decode_message, encoded_wire_bytes
 from ..codec.primitives import CodecError, Writer
-from ..errors import NetworkError
+from ..errors import ConfigError, NetworkError
 from .dispatch import ClusterNetworkAPI, Dispatcher
 from .interfaces import Message, Node, NodeFactory
 from .latency import LatencyModel
@@ -182,7 +182,9 @@ class TcpCluster:
         Replica ``i`` listens on ``base_port + i``; 0 picks free ports.
     latency_model:
         Optional injected propagation delay per frame to a peer (None =
-        write it on this loop tick).  Self-delivery is never delayed.
+        write it on this loop tick).  Self-delivery is never delayed.  A
+        lossy model (``loss``, ``intra_loss``, ``churn``) is refused: only
+        the simulator drops messages.
     seed:
         Seed for the latency draws.
     """
@@ -195,6 +197,11 @@ class TcpCluster:
         latency_model: Optional[LatencyModel] = None,
         seed: int = 0,
     ) -> None:
+        if latency_model is not None and latency_model.lossy:
+            raise ConfigError(
+                "the TCP runtime injects delay only; lossy latency specs "
+                "(loss, intra_loss, churn) need the simulator harness"
+            )
         self.n = len(factories)
         self.host = host
         self.base_port = base_port

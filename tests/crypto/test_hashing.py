@@ -1,12 +1,14 @@
 """Tests for repro.crypto.hashing: canonical field hashing and Merkle roots."""
 
 import enum
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import (
     DIGEST_SIZE,
+    block_preimage,
     hash_bytes,
     hash_fields,
     hash_to_int,
@@ -126,13 +128,77 @@ PINNED = {
          ((1, 2, bytes(32)),)),
         "6261b6e4d1faf139d9a9d7f2aa34a4c7e291cdbd2b51c424c573f8fe3f7b4129",
     ),
+    # The fields of ``_pinned_block()``; its ``make_block`` digest is this one.
+    "make_block": (
+        ("block", 4100, 3, tuple(bytes.fromhex(h) for h in (
+            "f76a908706d870fd99cfb01ceb831fd375eb4414937cbea53b7d357145ca3811",
+            "141d15c6d446286f20024aa75f66da86354f596cc5a0956bbe10946ffacd518e",
+            "3d822d85b258bdb6476a7c3e5669c06f7637532359edd27f410100c6a2775385",
+            "239660d4151465db3e259ee8cb0dd43f0bbd64984273125112e0643be1de454f",
+         )), 16, 512, "1234.5678", (b"SET a 1",), 1,
+         (bytes.fromhex("01024b956405d5c69f805eb6ecff2512a3b18d9021e35d7fbf0e359c9951f16e"),),
+         ((3, 2, b"\x11" * 32),)),
+        "c2255ed0cc777a7cbaf7d0ba64825177d25d74c45fc464b294457399cffdccaf",
+    ),
 }
+
+
+def _pinned_block():
+    from repro.core.proofs import ByzantineProof
+    from repro.dag.block import TxBatch, genesis_block, make_block
+
+    parents = [genesis_block(a).digest for a in range(4)]
+    proof = ByzantineProof(
+        culprit=2, block_a=make_block(1, 2, parents[:1]),
+        block_b=make_block(1, 2, parents[:1], repropose_index=1),
+    )
+    payload = TxBatch(count=16, tx_size=512, submit_time_sum=1234.5678,
+                      sample=(77.125,), items=(b"SET a 1",))
+    return make_block(4100, 3, parents, payload=payload, repropose_index=1,
+                      byz_proofs=(proof,), determinations=((3, 2, b"\x11" * 32),))
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_digests(name):
     fields, digest = PINNED[name]
     assert hash_fields(*fields).hex() == digest
+
+
+def test_make_block_digest_is_pinned():
+    assert _pinned_block().digest.hex() == PINNED["make_block"][1]
+
+
+_INTS = st.one_of(
+    st.integers(0, 5000),  # rounds, authors, counts
+    st.integers(0, 2**64),
+    st.integers(-(2**64), 2**64).map(_MyInt),
+    st.sampled_from([_Colour.RED, 127, 128, 32767, 32768, -1]),  # width steps
+)
+_DIGESTS = st.one_of(st.binary(min_size=32, max_size=32), st.binary(max_size=40))
+
+
+class TestBlockPreimage:
+    """``block_preimage`` is ``hash_fields("block", ...)`` built flat."""
+
+    @settings(max_examples=300)
+    @given(
+        ints=st.tuples(*[_INTS] * 5),
+        parents=st.lists(_DIGESTS, max_size=7),
+        items=st.lists(st.binary(max_size=80), max_size=3),
+        total=st.one_of(st.floats(), st.sampled_from([-0.0, math.inf, math.nan])),
+        proofs=st.lists(_DIGESTS, max_size=3),
+        determinations=st.lists(st.tuples(_INTS, _INTS, _DIGESTS), max_size=3),
+    )
+    def test_matches_hash_fields(self, ints, parents, items, total, proofs, determinations):
+        round_, author, count, tx_size, j = ints
+        fields = (round_, author, parents, count, tx_size, repr(total), items, j,
+                  proofs, determinations)
+        assert hash_bytes(block_preimage(*fields)) == hash_fields(
+            "block", *[tuple(f) if isinstance(f, list) else f for f in fields])
+
+    def test_bool_keeps_its_tag(self):
+        fields = (True, 0, (), 1, 2, "0.0", (), False, (), ((True, 1, b""),))
+        assert hash_bytes(block_preimage(*fields)) == hash_fields("block", *fields)
 
 
 class TestHashToInt:

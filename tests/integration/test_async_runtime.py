@@ -82,6 +82,20 @@ class TestAsyncExperiments:
         with pytest.raises(ConfigError, match="TCP runtime .* simulator"):
             run_async_experiment(cfg)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "topology:clusters=2,loss=0.5",
+            "topology:clusters=2,intra_loss=0.5",
+            "topology:clusters=2,churn=3@0-100",
+        ],
+    )
+    def test_lossy_latency_specs_rejected(self, spec):
+        """TCP only delays frames: a spec that drops them must not run as
+        if it did not (it used to run and commit, losing nothing)."""
+        with pytest.raises(ConfigError, match="TCP runtime .* simulator"):
+            run_async_experiment(config(latency=spec))
+
     def test_byzantine_node_classes_run_over_asyncio(self, built):
         """Node-level faults need no per-send hook, so any runtime takes them."""
         run_async_experiment(

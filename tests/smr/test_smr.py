@@ -384,8 +384,7 @@ class TestBatchIsDecodedOncePerCluster:
             assert batch_commands(batch) == tuple(map(Command.from_bytes, batch.items))
 
     def test_a_block_off_the_wire_is_decoded_at_its_first_commit(self, decodes):
-        from repro.codec.blocks import decode_block, encode_block
-        from repro.codec.primitives import Reader, Writer
+        from repro.codec.blocks import block_from_bytes, block_to_bytes
         from repro.dag.block import make_block
         from repro.smr.replica import batch_commands
 
@@ -393,9 +392,7 @@ class TestBatchIsDecodedOncePerCluster:
         cids = [proposer.submit(b"SET k %d" % i) for i in range(3)]
         built = proposer.payload_source(now=1.0)
         assert [c.command_id for c in batch_commands(built)] == cids and not decodes
-        writer = Writer()
-        encode_block(writer, make_block(1, 0, [], payload=built))
-        received = decode_block(Reader(writer.getvalue())).payload
+        received = block_from_bytes(block_to_bytes(make_block(1, 0, [], payload=built))).payload
         assert received == built and "_commands" not in vars(received)
         receivers = [SmrReplica(i, KvStateMachine()) for i in (1, 2)]
         for replica in receivers:
