@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .errors import ConfigError
+from .net.latency import make_latency_model
 
 #: Transaction size used throughout the paper's evaluation (bytes, §VI-A).
 DEFAULT_TX_SIZE = 128
@@ -228,6 +229,7 @@ class ExperimentConfig:
             raise ConfigError("bandwidth must be positive")
         if self.cpu_fixed_us < 0 or self.cpu_per_byte_ns < 0:
             raise ConfigError("CPU costs cannot be negative")
+        make_latency_model(self.latency_model)
 
     def with_updates(self, **kwargs: Any) -> "ExperimentConfig":
         """Return a copy with the given fields replaced (validated again)."""

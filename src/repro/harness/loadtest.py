@@ -63,6 +63,7 @@ class LoadtestConfig:
             raise ConfigError("duration must be positive")
         if not 0 <= self.warmup < self.duration:
             raise ConfigError("warmup must be in [0, duration)")
+        make_latency_model(self.latency_model)
 
     def with_updates(self, **kwargs: Any) -> "LoadtestConfig":
         return replace(self, **kwargs)
@@ -145,10 +146,7 @@ def run_loadtest(cfg: LoadtestConfig, obs: Optional[Observability] = None) -> Lo
         machine_factory=KvStateMachine,
         protocol=protocol,
         protocol_name=cfg.protocol_name,
-        latency_model=(
-            None if cfg.latency_model == "uniform"
-            else make_latency_model(cfg.latency_model)
-        ),
+        latency_model=make_latency_model(cfg.latency_model),
         seed=cfg.seed,
         obs=obs,
         admission=cfg.admission,

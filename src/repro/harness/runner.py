@@ -177,24 +177,16 @@ def run_experiment(
         cfg, node_cls, check_level=check_level, obs=obs
     )
 
-    latency = make_latency_model(cfg.latency_model)
     cpu = None
     if cfg.cpu_fixed_us > 0 or cfg.cpu_per_byte_ns > 0:
         cpu = CpuCost(
             fixed_s=cfg.cpu_fixed_us * 1e-6,
             per_byte_s=cfg.cpu_per_byte_ns * 1e-9,
         )
-    # Topology models expose per-replica NIC heterogeneity as a scale
-    # factor on the configured egress rate (TopologyLatency's
-    # bandwidth_spread); homogeneous models keep the scalar.
-    bandwidth = cfg.bandwidth_bps
-    bw_scale = getattr(latency, "node_bandwidth_scale", None)
-    if bandwidth and bw_scale is not None:
-        bandwidth = [bandwidth * bw_scale(i) for i in range(system.n)]
     sim = Simulation(
         cluster.factories,
-        latency_model=latency,
-        bandwidth_bps=bandwidth,
+        latency_model=make_latency_model(cfg.latency_model),
+        bandwidth_bps=cfg.bandwidth_bps,
         adversary=cluster.adversary,
         cpu=cpu,
         seed=cfg.seed,

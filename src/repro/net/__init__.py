@@ -24,7 +24,6 @@ from .latency import (
     WanLatency,
     make_latency_model,
     parse_latency_spec,
-    register_latency_model,
 )
 from .simulator import Simulation, SimulationStats
 from .snapshot import SimulatorSnapshot
@@ -44,5 +43,4 @@ __all__ = [
     "WanLatency",
     "make_latency_model",
     "parse_latency_spec",
-    "register_latency_model",
 ]

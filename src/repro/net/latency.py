@@ -2,39 +2,42 @@
 
 The simulator separates *propagation* (distance, modeled here) from
 *serialization* (bandwidth, modeled by the egress queue in the simulator).
-Four models cover every experiment:
+A latency model says how long one message takes on one link.  Four models
+cover every experiment:
 
 * :class:`FixedLatency` — identical delay on every link.  Used by the
   Table I step-count experiments, where one "communication step" must take
   exactly one time unit.
-* :class:`UniformLatency` — i.i.d. uniform delay per message; handy for
-  property tests that need schedule diversity.
+* :class:`UniformLatency` — i.i.d. uniform delay per message (10–50 ms by
+  default); handy for property tests that need schedule diversity.
 * :class:`WanLatency` — the paper's deployment: replicas spread round-robin
   across four continental regions with realistic one-way delays and
   multiplicative jitter.
 * :class:`TopologyLatency` — the scale-out generalization: any number of
-  geo clusters with a deterministically generated delay matrix,
-  per-link heterogeneity, per-node bandwidth scaling, packet loss, and
-  node-churn windows.  This is the model the n=100–1000 sweeps run on.
+  geo clusters with a deterministically generated delay matrix.  This is
+  the model the n=100–1000 sweeps run on.  Its ``loss`` knob drops each
+  inter-cluster message independently — the one fault a latency model
+  carries.
 
 All models draw from the ``random.Random`` instance the simulator passes
 in, keeping runs fully deterministic per seed.
 
 Models are constructed through :func:`make_latency_model`, which accepts
-either a registered name (``"wan4"``) or a *spec string* carrying inline
-keyword arguments (``"topology:clusters=8,loss=0.01"``).  Spec strings are
-plain picklable ``str`` values, so they travel through
-``ExperimentConfig.latency_model`` and the ``--jobs`` process pool
-unchanged.  New models register via :func:`register_latency_model`.
+either a name in :data:`LATENCY_MODELS` (``"wan4"``) or a *spec string*
+carrying inline numeric keyword arguments
+(``"topology:clusters=8,loss=0.01"``).  Spec strings are plain picklable
+``str`` values, so they travel through ``ExperimentConfig.latency_model``
+and the ``--jobs`` process pool unchanged.
 """
 
 from __future__ import annotations
 
-import hashlib
 import inspect
+import math
 import random
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigError
 
@@ -48,54 +51,34 @@ WAN_REGION_DELAYS = (
     (0.065, 0.095, 0.135, 0.001),
 )
 
+#: :class:`TopologyLatency`'s fixed geography: the delay between two
+#: replicas of one cluster, the range each inter-cluster delay is drawn
+#: from, and the seed of that draw (the same planet in every run).
+INTRA_CLUSTER_DELAY = 0.001
+INTER_CLUSTER_RANGE = (0.03, 0.15)
+TOPOLOGY_SEED = "topo:0"
+
 
 class LatencyModel(ABC):
     """Maps a (src, dst) pair to a per-message propagation delay."""
 
     #: True when delivery is *conditional*: :meth:`sample` may return
-    #: ``None`` (link ate the packet, endpoint down).  The simulator only
-    #: consults :meth:`sample` for lossy models, so the common reliable
-    #: path never pays the extra branch.
+    #: ``None`` (the link ate the packet).  The simulator only consults
+    #: :meth:`sample` for lossy models, so the common reliable path never
+    #: pays the extra branch.
     lossy = False
-
-    #: Declared distribution symmetry: ``mean_delay(a, b) == mean_delay(b, a)``.
-    #: Property tests assert it where claimed; per-*message* draws need not
-    #: be symmetric (jitter is per direction).
-    symmetric = True
 
     @abstractmethod
     def delay(self, src: int, dst: int, rng: random.Random) -> float:
         """One-way propagation delay in seconds for this message."""
 
-    def sample(
-        self, src: int, dst: int, rng: random.Random, now: float
-    ) -> Optional[float]:
+    def sample(self, src: int, dst: int, rng: random.Random) -> Optional[float]:
         """Delay for one message, or ``None`` if the link eats it.
 
-        Only consulted when :attr:`lossy` is true.  The drop decision is
-        made at *send* time: messages already in flight when a churn
-        window opens still arrive (the wire does not recall photons).
+        Only consulted when :attr:`lossy` is true; the drop decision is
+        made at send time.
         """
         return self.delay(src, dst, rng)
-
-    def mean_delay(self, src: int, dst: int) -> float:
-        """Expected delay (used by analytic step-latency conversions).
-
-        The generic fallback runs a 64-draw Monte-Carlo probe with a fixed
-        seed; the result is memoized per ``(src, dst)`` so repeated calls
-        (the step-latency tables query every pair) cost a dict hit, not a
-        fresh probe.  Models with a closed form override this exactly.
-        """
-        cache = self.__dict__.get("_mean_delay_cache")
-        if cache is None:
-            cache = self.__dict__["_mean_delay_cache"] = {}
-        key = (src, dst)
-        mean = cache.get(key)
-        if mean is None:
-            probe = random.Random(0)
-            mean = sum(self.delay(src, dst, probe) for _ in range(64)) / 64
-            cache[key] = mean
-        return mean
 
 
 class FactoredLatency(LatencyModel):
@@ -110,7 +93,6 @@ class FactoredLatency(LatencyModel):
     broadcast fan-out: it precomputes a per-source row of base delays once
     and inlines the jitter draw per copy — bit-identical to calling
     :meth:`delay`, draw-for-draw, but without the method-call tower.
-    ``mean_delay`` is exact (symmetric jitter): the base itself.
     """
 
     jitter_frac = 0.0
@@ -130,8 +112,10 @@ class FactoredLatency(LatencyModel):
             return base
         return base * (1.0 + rng.uniform(-jitter, jitter))
 
-    def mean_delay(self, src: int, dst: int) -> float:
-        return self.base_delay(src, dst)
+
+def _check_jitter(jitter_frac: float) -> None:
+    if not 0 <= jitter_frac < 1:
+        raise ConfigError("jitter fraction must be in [0, 1)")
 
 
 class FixedLatency(FactoredLatency):
@@ -156,7 +140,7 @@ class UniformLatency(LatencyModel):
     simulator uses the generic per-copy path for it.
     """
 
-    def __init__(self, low: float = 0.01, high: float = 0.1) -> None:
+    def __init__(self, low: float = 0.01, high: float = 0.05) -> None:
         if not 0 <= low <= high:
             raise ConfigError(f"invalid uniform latency range [{low}, {high}]")
         self.low = low
@@ -164,9 +148,6 @@ class UniformLatency(LatencyModel):
 
     def delay(self, src: int, dst: int, rng: random.Random) -> float:
         return 0.0 if src == dst else rng.uniform(self.low, self.high)
-
-    def mean_delay(self, src: int, dst: int) -> float:
-        return 0.0 if src == dst else (self.low + self.high) / 2
 
 
 class WanLatency(FactoredLatency):
@@ -178,77 +159,17 @@ class WanLatency(FactoredLatency):
     from ``[-jitter_frac, +jitter_frac]`` (no draw when the fraction is 0).
     """
 
-    def __init__(self, jitter_frac: float = 0.1, num_regions: int = 4) -> None:
-        if not 0 <= jitter_frac < 1:
-            raise ConfigError("jitter fraction must be in [0, 1)")
-        if not 1 <= num_regions <= len(WAN_REGION_DELAYS):
-            raise ConfigError(
-                f"num_regions must be in 1..{len(WAN_REGION_DELAYS)}"
-            )
+    def __init__(self, jitter_frac: float = 0.1) -> None:
+        _check_jitter(jitter_frac)
         self.jitter_frac = jitter_frac
-        self.num_regions = num_regions
 
     def region_of(self, replica: int) -> int:
-        return replica % self.num_regions
+        return replica % len(WAN_REGION_DELAYS)
 
     def base_delay(self, src: int, dst: int) -> float:
         if src == dst:
             return 0.0
         return WAN_REGION_DELAYS[self.region_of(src)][self.region_of(dst)]
-
-
-def _unit(*parts) -> float:
-    """Deterministic uniform-in-[0,1) value from a tuple of keys.
-
-    Hash-based (not ``random``-based) so per-link draws are independent of
-    call order and identical across processes and Python hash seeds.
-    """
-    blob = repr(parts).encode("ascii")
-    h = hashlib.blake2b(blob, digest_size=8).digest()
-    return int.from_bytes(h, "big") / 2.0**64
-
-
-def _parse_churn(churn) -> Tuple[Tuple[int, float, float], ...]:
-    """Normalize churn windows to ``((replica, start, stop), ...)``.
-
-    Accepts an iterable of 3-tuples or the spec-string mini-format
-    ``"5@10-20+7@30-40"`` (replica 5 down in [10, 20), replica 7 in
-    [30, 40)) so churn is expressible on the CLI.
-    """
-    if isinstance(churn, str):
-        windows = []
-        for piece in churn.split("+"):
-            piece = piece.strip()
-            if not piece:
-                continue
-            try:
-                replica_part, _, span = piece.partition("@")
-                start_part, _, stop_part = span.partition("-")
-                windows.append(
-                    (int(replica_part), float(start_part), float(stop_part))
-                )
-            except ValueError:
-                raise ConfigError(
-                    f"bad churn window {piece!r} (want 'replica@start-stop')"
-                ) from None
-        churn = windows
-    normalized = []
-    for window in churn:
-        try:
-            replica, start, stop = window
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"churn window {window!r} is not (replica, start, stop)"
-            ) from None
-        replica, start, stop = int(replica), float(start), float(stop)
-        if replica < 0:
-            raise ConfigError(f"churn replica must be >= 0, got {replica}")
-        if not 0 <= start < stop:
-            raise ConfigError(
-                f"churn window [{start}, {stop}) must satisfy 0 <= start < stop"
-            )
-        normalized.append((replica, start, stop))
-    return tuple(sorted(normalized))
 
 
 class TopologyLatency(FactoredLatency):
@@ -259,218 +180,98 @@ class TopologyLatency(FactoredLatency):
     * ``clusters`` geo clusters; replica ``i`` lives in cluster
       ``i % clusters`` (round-robin, like the WAN model).
     * Inter-cluster propagation delays are drawn once, deterministically,
-      from ``topo_seed`` — symmetric, uniform in ``[inter_min, inter_max]``;
-      intra-cluster links take ``intra_delay``.
-    * ``link_spread`` adds per-link heterogeneity: each (src, dst) pair
-      gets a symmetric multiplier in ``1 ± link_spread`` (hash-derived,
-      order- and process-independent).
-    * ``bandwidth_spread`` declares per-node NIC heterogeneity: the
-      harness multiplies the configured bandwidth by
-      :meth:`node_bandwidth_scale` (in ``1 ± bandwidth_spread``).
-    * ``loss`` / ``intra_loss`` drop each inter-/intra-cluster message
-      independently with the given probability; a lost VAL or echo is
-      recovered through the §IV-A retrieval path, exactly like an
-      adversarial drop.
-    * ``churn`` takes deterministic outage windows
-      ``(replica, start, stop)``: while down, every message to or *from*
-      that replica is lost at send time (the replica itself keeps
-      running — this models an unreachable node, not a crash).
-
-    ``mean_delay`` is exact: the base delay (jitter is symmetric; for
-    lossy links it is the mean *conditional on delivery*, which is what
-    the step-latency conversions want).
+      from :data:`TOPOLOGY_SEED` — symmetric, uniform in
+      :data:`INTER_CLUSTER_RANGE`; intra-cluster links take
+      :data:`INTRA_CLUSTER_DELAY`.
+    * ``loss`` drops each inter-cluster message independently with that
+      probability; a lost VAL or echo is recovered through the §IV-A
+      retrieval path, exactly like an adversarial drop.
     """
 
     def __init__(
-        self,
-        clusters: int = 4,
-        intra_delay: float = 0.001,
-        inter_min: float = 0.03,
-        inter_max: float = 0.15,
-        jitter_frac: float = 0.1,
-        link_spread: float = 0.0,
-        loss: float = 0.0,
-        intra_loss: float = 0.0,
-        bandwidth_spread: float = 0.0,
-        churn=(),
-        topo_seed: int = 0,
+        self, clusters: int = 4, jitter_frac: float = 0.1, loss: float = 0.0
     ) -> None:
-        if clusters < 1:
-            raise ConfigError(f"clusters must be >= 1, got {clusters}")
-        if intra_delay < 0:
-            raise ConfigError("intra_delay cannot be negative")
-        if not 0 <= inter_min <= inter_max:
-            raise ConfigError(
-                f"invalid inter-cluster delay range [{inter_min}, {inter_max}]"
-            )
-        if not 0 <= jitter_frac < 1:
-            raise ConfigError("jitter fraction must be in [0, 1)")
-        if not 0 <= link_spread < 1:
-            raise ConfigError("link_spread must be in [0, 1)")
-        if not 0 <= bandwidth_spread < 1:
-            raise ConfigError("bandwidth_spread must be in [0, 1)")
-        for name, p in (("loss", loss), ("intra_loss", intra_loss)):
-            if not 0 <= p < 1:
-                raise ConfigError(f"{name} probability must be in [0, 1)")
+        if type(clusters) is not int or clusters < 1:
+            raise ConfigError(f"clusters must be an integer >= 1, got {clusters}")
+        _check_jitter(jitter_frac)
+        if not 0 <= loss < 1:
+            raise ConfigError("loss probability must be in [0, 1)")
         self.clusters = clusters
-        self.intra_delay = intra_delay
         self.jitter_frac = jitter_frac
-        self.link_spread = link_spread
         self.loss = loss
-        self.intra_loss = intra_loss
-        self.bandwidth_spread = bandwidth_spread
-        self.churn = _parse_churn(churn)
-        self.topo_seed = topo_seed
+        self.lossy = loss > 0
         # The cluster delay matrix: one deterministic draw per unordered
-        # cluster pair, so the same topo_seed is the same planet every run.
-        gen = random.Random(f"topo:{topo_seed}")
-        matrix = [[intra_delay] * clusters for _ in range(clusters)]
+        # cluster pair.
+        gen = random.Random(TOPOLOGY_SEED)
+        matrix = [[INTRA_CLUSTER_DELAY] * clusters for _ in range(clusters)]
         for a in range(clusters):
             for b in range(a + 1, clusters):
-                d = gen.uniform(inter_min, inter_max)
-                matrix[a][b] = matrix[b][a] = d
+                matrix[a][b] = matrix[b][a] = gen.uniform(*INTER_CLUSTER_RANGE)
         self._matrix = tuple(tuple(row) for row in matrix)
-        self._link_cache: Dict[Tuple[int, int], float] = {}
-        self._down: Dict[int, Tuple[Tuple[float, float], ...]] = {}
-        for replica, start, stop in self.churn:
-            self._down.setdefault(replica, ())
-            self._down[replica] = self._down[replica] + ((start, stop),)
-
-    @property
-    def lossy(self) -> bool:  # type: ignore[override]
-        return bool(self.loss or self.intra_loss or self.churn)
 
     def cluster_of(self, replica: int) -> int:
         return replica % self.clusters
 
-    def _link_factor(self, src: int, dst: int) -> float:
-        """Symmetric per-link heterogeneity multiplier in ``1 ± link_spread``."""
-        spread = self.link_spread
-        if spread == 0.0:
-            return 1.0
-        key = (src, dst) if src <= dst else (dst, src)
-        factor = self._link_cache.get(key)
-        if factor is None:
-            u = _unit("link", self.topo_seed, key[0], key[1])
-            factor = 1.0 + spread * (2.0 * u - 1.0)
-            self._link_cache[key] = factor
-        return factor
-
     def base_delay(self, src: int, dst: int) -> float:
         if src == dst:
             return 0.0
-        base = self._matrix[self.cluster_of(src)][self.cluster_of(dst)]
-        if self.link_spread:
-            base *= self._link_factor(src, dst)
-        return base
+        return self._matrix[self.cluster_of(src)][self.cluster_of(dst)]
 
-    def node_bandwidth_scale(self, replica: int) -> float:
-        """NIC-rate multiplier for one replica, in ``1 ± bandwidth_spread``."""
-        spread = self.bandwidth_spread
-        if spread == 0.0:
-            return 1.0
-        u = _unit("bw", self.topo_seed, replica)
-        return 1.0 + spread * (2.0 * u - 1.0)
-
-    def down_at(self, replica: int, now: float) -> bool:
-        """True while ``replica`` is inside one of its churn windows."""
-        for start, stop in self._down.get(replica, ()):
-            if start <= now < stop:
-                return True
-        return False
-
-    def sample(
-        self, src: int, dst: int, rng: random.Random, now: float
-    ) -> Optional[float]:
+    def sample(self, src: int, dst: int, rng: random.Random) -> Optional[float]:
         if src == dst:
             return 0.0
-        if self._down and (self.down_at(src, now) or self.down_at(dst, now)):
-            return None
-        p = (
-            self.intra_loss
-            if self.cluster_of(src) == self.cluster_of(dst)
-            else self.loss
-        )
-        if p and rng.random() < p:
+        if (
+            self.loss
+            and self.cluster_of(src) != self.cluster_of(dst)
+            and rng.random() < self.loss
+        ):
             return None
         return self.delay(src, dst, rng)
 
 
 # ------------------------------------------------------------------ factory
 
-#: Registered model name -> factory.  :func:`register_latency_model` adds
-#: entries; :func:`make_latency_model` resolves and validates against the
-#: factory's signature so a typo'd knob fails at config time, not deep
-#: inside a sweep worker.
-LATENCY_MODELS: Dict[str, Callable[..., LatencyModel]] = {}
+#: Model name -> factory.  :func:`make_latency_model` checks a spec's knobs
+#: against the factory's signature, so a typo'd knob fails at config time,
+#: not deep inside a sweep worker.
+LATENCY_MODELS: Dict[str, Callable[..., LatencyModel]] = {
+    "fixed": FixedLatency,
+    "uniform": UniformLatency,
+    "wan4": WanLatency,
+    "topology": TopologyLatency,
+    # Fixed 1 ms — the LAN deployment of the paper's Table I runs.
+    "lan": partial(FixedLatency, delay_s=0.001),
+}
 
 
-def register_latency_model(
-    name: str, factory: Optional[Callable[..., LatencyModel]] = None
-):
-    """Register ``factory`` under ``name``; usable as a decorator."""
-
-    def _register(f: Callable[..., LatencyModel]):
-        if name in LATENCY_MODELS:
-            raise ConfigError(f"latency model {name!r} already registered")
-        LATENCY_MODELS[name] = f
-        return f
-
-    return _register(factory) if factory is not None else _register
-
-
-def _coerce(text: str):
-    low = text.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
+def _number(part: str, spec: str) -> Union[int, float]:
+    """The value of a ``key=value`` fragment: an int or finite float literal."""
+    text = part.partition("=")[2].strip()
     try:
         return int(text)
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         pass
-    return text
+    else:
+        if math.isfinite(value):
+            return value
+    raise ConfigError(
+        f"bad latency spec fragment {part!r} in {spec!r} (want a finite number)"
+    )
 
 
-def parse_latency_spec(spec: str) -> Tuple[str, Dict[str, object]]:
-    """Split ``"name"`` or ``"name:k=v,k=v"`` into (name, kwargs).
-
-    Values are coerced to bool/int/float when they parse as one, else kept
-    as strings (the churn mini-format rides through as a string).
-    """
-    name, _, tail = spec.partition(":")
-    name = name.strip()
-    if not name:
-        raise ConfigError(f"empty latency model name in spec {spec!r}")
-    kwargs: Dict[str, object] = {}
-    if tail:
-        for part in tail.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            if not sep or not key.strip():
-                raise ConfigError(
-                    f"bad latency spec fragment {part!r} in {spec!r} "
-                    "(want key=value)"
-                )
-            kwargs[key.strip()] = _coerce(value.strip())
-    return name, kwargs
-
-
-def _check_kwargs(name: str, factory: Callable, kwargs: Dict[str, object]) -> None:
-    try:
-        params = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return
-    if any(p.kind == p.VAR_KEYWORD for p in params.values()):
-        return
-    accepted = [p for p in params if p != "self"]
-    unknown = sorted(set(kwargs) - set(accepted))
+def _check_knobs(name: str, knobs: Iterable[str]) -> None:
+    """Reject an unknown model name, or a knob its factory does not take."""
+    factory = LATENCY_MODELS.get(name)
+    if factory is None:
+        raise ConfigError(
+            f"unknown latency model {name!r} (known: {sorted(LATENCY_MODELS)})"
+        )
+    accepted = list(inspect.signature(factory).parameters)
+    unknown = sorted(set(knobs) - set(accepted))
     if unknown:
         raise ConfigError(
             f"latency model {name!r} does not accept {unknown}; "
@@ -478,33 +279,41 @@ def _check_kwargs(name: str, factory: Callable, kwargs: Dict[str, object]) -> No
         )
 
 
+def parse_latency_spec(spec: str) -> Tuple[str, Dict[str, Union[int, float]]]:
+    """Split ``"name"`` or ``"name:k=v,k=v"`` into (name, kwargs).
+
+    The name must be in :data:`LATENCY_MODELS`, every key one of its
+    factory's knobs, and every value an int or a finite float literal.
+    """
+    name, _, tail = spec.partition(":")
+    name = name.strip()
+    if not name:
+        raise ConfigError(f"empty latency model name in spec {spec!r}")
+    fragments: Dict[str, str] = {}
+    for part in tail.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, sep, _ = part.partition("=")
+        if not sep or not key.strip():
+            raise ConfigError(
+                f"bad latency spec fragment {part!r} in {spec!r} "
+                "(want key=value)"
+            )
+        fragments[key.strip()] = part
+    _check_knobs(name, fragments)
+    return name, {key: _number(part, spec) for key, part in fragments.items()}
+
+
 def make_latency_model(name: str, **kwargs) -> LatencyModel:
     """Factory matching :attr:`ExperimentConfig.latency_model` specs.
 
-    ``name`` is either a registered model name (``"fixed"``, ``"uniform"``,
+    ``name`` is either a model name (``"fixed"``, ``"uniform"``,
     ``"wan4"``, ``"lan"``, ``"topology"``) or a spec string with inline
     keyword arguments, e.g. ``"topology:clusters=8,loss=0.01"``.  Explicit
-    ``**kwargs`` override inline ones.  Unknown names and unknown knobs
-    raise :class:`ConfigError` eagerly.
+    ``**kwargs`` override inline ones.  Unknown names, unknown knobs and
+    non-numeric values raise :class:`ConfigError` eagerly.
     """
     base, inline = parse_latency_spec(name)
-    factory = LATENCY_MODELS.get(base)
-    if factory is None:
-        raise ConfigError(
-            f"unknown latency model {base!r} (known: {sorted(LATENCY_MODELS)})"
-        )
-    merged = {**inline, **kwargs}
-    _check_kwargs(base, factory, merged)
-    return factory(**merged)
-
-
-register_latency_model("fixed", FixedLatency)
-register_latency_model("uniform", UniformLatency)
-register_latency_model("wan4", WanLatency)
-register_latency_model("topology", TopologyLatency)
-
-
-@register_latency_model("lan")
-def _lan(delay_s: float = 0.001) -> FixedLatency:
-    """Fixed 1 ms — the LAN deployment of the paper's Table I runs."""
-    return FixedLatency(delay_s=delay_s)
+    _check_knobs(base, kwargs)
+    return LATENCY_MODELS[base](**{**inline, **kwargs})

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..errors import SimulationError
 from ..obs import NULL_OBS, Observability
@@ -91,9 +91,7 @@ class SimulationStats:
     A slotted plain class, not a dataclass: the send path bumps three of
     these counters per wire copy, and slotted attribute stores are the
     cheapest instance mutation CPython offers.  ``per_node_bytes`` is a
-    list indexed by sender id (the simulator sizes it to the replica set
-    at construction); a bare ``SimulationStats()`` grows it on demand in
-    :meth:`record_send`.
+    list indexed by sender id, sized to the replica set at construction.
     """
 
     __slots__ = (
@@ -101,31 +99,14 @@ class SimulationStats:
         "messages_dropped", "bytes_sent", "final_time", "per_node_bytes",
     )
 
-    def __init__(
-        self,
-        events_processed: int = 0,
-        messages_sent: int = 0,
-        messages_delivered: int = 0,
-        messages_dropped: int = 0,
-        bytes_sent: int = 0,
-        final_time: float = 0.0,
-        per_node_bytes: Optional[List[int]] = None,
-    ) -> None:
-        self.events_processed = events_processed
-        self.messages_sent = messages_sent
-        self.messages_delivered = messages_delivered
-        self.messages_dropped = messages_dropped
-        self.bytes_sent = bytes_sent
-        self.final_time = final_time
-        self.per_node_bytes = per_node_bytes if per_node_bytes is not None else []
-
-    def record_send(self, src: int, size: int) -> None:
-        self.messages_sent += 1
-        self.bytes_sent += size
-        per_node = self.per_node_bytes
-        if src >= len(per_node):
-            per_node.extend([0] * (src + 1 - len(per_node)))
-        per_node[src] += size
+    def __init__(self, replicas: int) -> None:
+        self.events_processed = 0
+        self.messages_sent = 0
+        self.messages_delivered = 0
+        self.messages_dropped = 0
+        self.bytes_sent = 0
+        self.final_time = 0.0
+        self.per_node_bytes = [0] * replicas
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -233,32 +214,16 @@ class Simulation:
         self,
         factories: Sequence[NodeFactory],
         latency_model: LatencyModel | None = None,
-        bandwidth_bps: "float | Sequence[float] | None" = None,
+        bandwidth_bps: float | None = None,
         adversary: Optional["AdversaryProtocol"] = None,
         cpu: CpuCost | None = None,
         seed: int = 0,
         obs: Observability | None = None,
     ) -> None:
         self.latency = latency_model or FixedLatency()
-        self.bandwidth_bps = bandwidth_bps
-        if bandwidth_bps is None:
-            self._node_bw: Optional[List[float]] = None
-        else:
-            # Scalar = homogeneous NICs (the paper's testbed); a sequence
-            # gives each replica its own egress rate (TopologyLatency's
-            # bandwidth_spread — the harness builds the list).
-            try:
-                rates = [float(b) for b in bandwidth_bps]  # type: ignore[union-attr]
-            except TypeError:
-                rates = [float(bandwidth_bps)] * len(factories)
-            if len(rates) != len(factories):
-                raise SimulationError(
-                    f"bandwidth_bps has {len(rates)} entries for "
-                    f"{len(factories)} replicas"
-                )
-            if any(rate <= 0 for rate in rates):
-                raise SimulationError("per-node bandwidth must be positive")
-            self._node_bw = rates
+        if bandwidth_bps is not None and bandwidth_bps <= 0:
+            raise SimulationError("bandwidth must be positive")
+        self._bw = None if bandwidth_bps is None else float(bandwidth_bps)
         self.adversary = adversary
         self.cpu = cpu
         self.rng = random.Random(f"sim:{seed}")
@@ -274,7 +239,7 @@ class Simulation:
         self._flat_jitter = (
             float(getattr(self.latency, "jitter_frac", 0.0)) if flat_ok else 0.0
         )
-        self.stats = SimulationStats(per_node_bytes=[0] * len(factories))
+        self.stats = SimulationStats(len(factories))
         self.obs = obs if obs is not None else NULL_OBS
         self._obs_on = self.obs.enabled
         #: message-type name -> (sent, bytes, delivered, dropped) counters;
@@ -444,9 +409,9 @@ class Simulation:
         else:
             extra_delay = 0.0
 
-        if self._node_bw is not None:
+        if self._bw is not None:
             start = max(self.now, self._egress_free[src])
-            finish = start + size * 8.0 / self._node_bw[src]
+            finish = start + size * 8.0 / self._bw
             self._egress_free[src] = finish
             if self._obs_on:
                 if start > self.now:
@@ -456,7 +421,7 @@ class Simulation:
         else:
             finish = self.now
         if self._lossy:
-            d = self.latency.sample(src, dst, self.rng, self.now)
+            d = self.latency.sample(src, dst, self.rng)
             if d is None:
                 stats.messages_dropped += 1
                 if self._obs_on:
@@ -502,7 +467,7 @@ class Simulation:
             stats.bytes_sent += copies * size
             stats.per_node_bytes[src] += copies * size
         adversary = self.adversary
-        node_bw = self._node_bw
+        bw = self._bw
         egress = self._egress_free
         rng = self.rng
         obs_on = self._obs_on
@@ -512,8 +477,8 @@ class Simulation:
             row = rows.get(src)
             if row is None:
                 row = rows[src] = self.latency.base_row(src, n)
-            if node_bw is not None:
-                ser = size * 8.0 / node_bw[src]
+            if bw is not None:
+                ser = size * 8.0 / bw
                 free = egress[src]
             else:
                 ser = 0.0
@@ -529,7 +494,7 @@ class Simulation:
                         push((now, seq, _DELIVER, src, dst, msg))
                         seq += 1
                     continue
-                if node_bw is not None:
+                if bw is not None:
                     start = free if free > now else now
                     finish = start + ser
                     free = finish
@@ -547,11 +512,11 @@ class Simulation:
                 else:
                     push((arrival, seq, _DELIVER, src, dst, msg))
                 seq += 1
-            if node_bw is not None:
+            if bw is not None:
                 egress[src] = free
             self._seq = seq
             queue.later_count += appended
-            if obs_on and node_bw is not None and copies > 0:
+            if obs_on and bw is not None and copies > 0:
                 # Egress waits staged as one arithmetic progression per
                 # broadcast: the NIC drains FIFO, so the k-th wire copy
                 # starts at max(free0, now) + k*ser.  One tuple append
@@ -573,7 +538,7 @@ class Simulation:
         latency = self.latency
         latency_delay = latency.delay
         latency_sample = latency.sample if self._lossy else None
-        ser = size * 8.0 / node_bw[src] if node_bw is not None else 0.0
+        ser = size * 8.0 / bw if bw is not None else 0.0
         if obs_on:
             obs_waits_append = self._obs_egress_waits.append
             obs_zero = 0
@@ -603,7 +568,7 @@ class Simulation:
                     )
             else:
                 extra_delay = 0.0
-            if node_bw is not None:
+            if bw is not None:
                 free = egress[src]
                 start = free if free > now else now
                 finish = start + ser
@@ -616,7 +581,7 @@ class Simulation:
             else:
                 finish = now
             if latency_sample is not None:
-                d = latency_sample(src, dst, rng, now)
+                d = latency_sample(src, dst, rng)
                 if d is None:
                     self.stats.messages_dropped += 1
                     if obs_on:

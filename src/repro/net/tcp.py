@@ -183,8 +183,8 @@ class TcpCluster:
     latency_model:
         Optional injected propagation delay per frame to a peer (None =
         write it on this loop tick).  Self-delivery is never delayed.  A
-        lossy model (``loss``, ``intra_loss``, ``churn``) is refused: only
-        the simulator drops messages.
+        lossy model (``topology:loss=...``) is refused: only the simulator
+        drops messages.
     seed:
         Seed for the latency draws.
     """
@@ -199,8 +199,8 @@ class TcpCluster:
     ) -> None:
         if latency_model is not None and latency_model.lossy:
             raise ConfigError(
-                "the TCP runtime injects delay only; lossy latency specs "
-                "(loss, intra_loss, churn) need the simulator harness"
+                "the TCP runtime injects delay only; a lossy latency spec "
+                "(loss) needs the simulator harness"
             )
         self.n = len(factories)
         self.host = host

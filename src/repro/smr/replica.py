@@ -318,7 +318,7 @@ class SmrCluster:
         )
         sim = Simulation(
             cluster.factories,
-            latency_model=latency_model or UniformLatency(0.01, 0.05),
+            latency_model=latency_model or UniformLatency(),
             seed=seed,
             obs=obs,
         )

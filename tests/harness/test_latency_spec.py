@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
 from repro.errors import ConfigError
+from repro.harness.loadtest import LoadtestConfig
 from repro.harness.parallel import run_sweep
 from repro.harness.runner import run_experiment
 from repro.net.latency import make_latency_model
@@ -53,27 +54,30 @@ class TestSpecThroughRunner:
         again = run_experiment(spec_config(seed=3))
         assert repr(by_spec) == repr(again)
 
-    def test_topology_bandwidth_spread_changes_schedule(self):
-        """bandwidth_spread flows through the harness into per-node NIC
-        rates — heterogeneous NICs must actually change the run."""
-        uniform = run_experiment(spec_config(seed=1))
-        spread = run_experiment(
-            spec_config(seed=1, spec="topology:clusters=4,jitter_frac=0.05,"
-                                     "bandwidth_spread=0.5")
-        )
-        assert repr(uniform) != repr(spread)
+
+class TestSpecAtConfigTime:
+    """A bad spec is refused when the config is built, before any run — so
+    a sweep never starts a worker on it."""
+
+    def test_experiment_config_rejects_unknown_knob(self):
+        with pytest.raises(ConfigError, match="does not accept"):
+            spec_config(spec="topology:warp=9")
+
+    def test_loadtest_config_rejects_unknown_knob(self):
+        with pytest.raises(ConfigError, match="does not accept"):
+            LoadtestConfig(latency_model="topology:warp=9")
 
 
 class TestSpecThroughJobsPool:
     def test_config_pickles_with_spec(self):
-        cfg = spec_config(spec="topology:clusters=8,loss=0.01,churn=1@5-9")
+        cfg = spec_config(spec="topology:clusters=8,loss=0.01")
         clone = pickle.loads(pickle.dumps(cfg))
         assert clone.latency_model == cfg.latency_model
         assert clone == cfg
 
     def test_serial_equals_parallel_on_topology_spec(self):
         configs = [
-            spec_config(seed=s, spec="topology:clusters=4,link_spread=0.2")
+            spec_config(seed=s, spec="topology:clusters=3,jitter_frac=0.2")
             for s in range(3)
         ]
         serial = run_sweep(configs, jobs=1)
@@ -83,12 +87,7 @@ class TestSpecThroughJobsPool:
 
 class TestSpecRoundTrip:
     def test_model_attributes_match_spec(self):
-        model = make_latency_model(
-            "topology:clusters=8,loss=0.01,intra_loss=0.001,"
-            "bandwidth_spread=0.3,churn=2@10-20"
-        )
+        model = make_latency_model("topology:clusters=8,loss=0.01,jitter_frac=0.2")
         assert model.clusters == 8
         assert model.loss == 0.01
-        assert model.intra_loss == 0.001
-        assert model.bandwidth_spread == 0.3
-        assert model.churn == ((2, 10.0, 20.0),)
+        assert model.jitter_frac == 0.2

@@ -32,6 +32,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _cfg(warmup=5.0)  # == duration
 
+    def test_uniform_spec_is_the_default_model(self):
+        """``uniform`` names one model everywhere: a spec that spells the
+        default's low bound runs exactly like the loadtest default."""
+        default = run_loadtest(_cfg(duration=2.0, warmup=0.5))
+        spelled = run_loadtest(
+            _cfg(duration=2.0, warmup=0.5, latency_model="uniform:low=0.01")
+        )
+        assert default.completed > 0
+        assert spelled.row() == default.row()
+
     def test_with_rate_replaces_workload_rate(self):
         cfg = _cfg(workload=WorkloadSpec(mode="open", rate=100.0))
         assert cfg.with_rate(250.0).workload.rate == 250.0

@@ -69,9 +69,6 @@ class PerCopy(LatencyModel):
     def delay(self, src, dst, rng):
         return self.inner.delay(src, dst, rng)
 
-    def mean_delay(self, src, dst):
-        return self.inner.mean_delay(src, dst)
-
 
 def run_storm(latency, bandwidth=None, n=N_STORM, stops=(3.0,), crash_at=None):
     sim = Simulation(
@@ -108,7 +105,7 @@ def trace(sim):
 
 
 def topology():
-    return TopologyLatency(clusters=8, jitter_frac=0.1, link_spread=0.2)
+    return TopologyLatency(clusters=8, jitter_frac=0.1)
 
 
 class TestFlatRowMatchesPerCopy:
@@ -196,77 +193,13 @@ class TestStopsInsideABucket:
         assert heard and max(heard) <= 0.3007  # alive first, then deaf
 
 
-class Quiet(Node):
-    """Records deliveries; never initiates traffic of its own."""
-
-    def __init__(self, net):
-        super().__init__(net)
-        self.received = []
-
-    def on_start(self):
-        pass
-
-    def on_message(self, src, msg):
-        self.received.append((self.net.now(), src, msg.origin, msg.round))
-
-    def on_timer(self, tag, data=None):
-        pass
-
-
 class TestPerNodeBandwidth:
-    def test_slow_nic_delays_arrivals(self):
-        """Replica 0 gets a 10x slower NIC than replica 1; its copy of
-        the same-size message must land strictly later."""
-        sim = Simulation(
-            [Quiet for _ in range(3)],
-            latency_model=UniformLatency(0.01, 0.01),
-            bandwidth_bps=[1_000_000, 10_000_000, 10_000_000],
-            seed=2,
-        )
-        sim.start()
-        sim.nodes[0].net.send(2, Gossip(origin=0, round=0))
-        sim.nodes[1].net.send(2, Gossip(origin=1, round=0))
-        sim.run(until=1.0)
-        arrivals = {origin: when for when, _, origin, _ in sim.nodes[2].received}
-        serialization_slow = Gossip(0, 0).wire_size() * 8 / 1_000_000
-        serialization_fast = Gossip(0, 0).wire_size() * 8 / 10_000_000
-        assert arrivals[0] == pytest.approx(serialization_slow + 0.01)
-        assert arrivals[1] == pytest.approx(serialization_fast + 0.01)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(SimulationError, match="entries for"):
-            Simulation(
-                [Storm, Storm],
-                latency_model=UniformLatency(),
-                bandwidth_bps=[1_000_000],
-            )
+    """Every replica's egress NIC runs at the one configured rate."""
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(SimulationError, match="positive"):
             Simulation(
                 [Storm, Storm],
                 latency_model=UniformLatency(),
-                bandwidth_bps=[1_000_000, 0.0],
+                bandwidth_bps=0.0,
             )
-
-
-class TestChurnThroughSimulator:
-    def test_down_replica_receives_nothing_inside_window(self):
-        latency = TopologyLatency(
-            clusters=4, jitter_frac=0.0, churn=((1, 0.0, 0.9),)
-        )
-        sim = Simulation(
-            [Storm for _ in range(6)],
-            latency_model=latency,
-            seed=4,
-        )
-        sim.start()
-        sim.run(until=0.8)  # all ROUNDS broadcasts happen before t=0.8
-        # Self-deliveries are not wire copies, so replica 1 still hears
-        # itself — but nothing crosses the wire in either direction.
-        assert {src for _, src, _, _ in sim.nodes[1].received} == {1}
-        for i, node in enumerate(sim.nodes):
-            if i == 1:
-                continue
-            froms = {src for _, src, _, _ in node.received}
-            assert froms == {0, 2, 3, 4, 5}  # everyone but the down replica

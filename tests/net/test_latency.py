@@ -1,11 +1,14 @@
-"""Tests for repro.net.latency: the propagation models."""
+"""Tests for repro.net.latency: the propagation models and the spec grammar."""
 
+import inspect
 import random
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigError
 from repro.net.latency import (
+    LATENCY_MODELS,
     WAN_REGION_DELAYS,
     FixedLatency,
     UniformLatency,
@@ -29,7 +32,7 @@ class TestFixed:
         assert FixedLatency(0.07).delay(2, 2, rng) == 0.0
 
     def test_mean(self):
-        assert FixedLatency(0.05).mean_delay(0, 1) == 0.05
+        assert FixedLatency(0.05).base_delay(0, 1) == 0.05
 
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
@@ -46,8 +49,10 @@ class TestUniform:
     def test_self_send_free(self, rng):
         assert UniformLatency(0.01, 0.05).delay(1, 1, rng) == 0.0
 
-    def test_mean(self):
-        assert UniformLatency(0.02, 0.04).mean_delay(0, 1) == pytest.approx(0.03)
+    def test_mean(self, rng):
+        model = UniformLatency(0.02, 0.04)
+        draws = [model.delay(0, 1, rng) for _ in range(4000)]
+        assert sum(draws) / len(draws) == pytest.approx(0.03, rel=0.02)
 
     def test_invalid_range(self):
         with pytest.raises(ConfigError):
@@ -95,13 +100,11 @@ class TestWan:
 
     def test_mean_ignores_jitter(self):
         model = WanLatency(jitter_frac=0.1)
-        assert model.mean_delay(0, 1) == WAN_REGION_DELAYS[0][1]
+        assert model.base_delay(0, 1) == WAN_REGION_DELAYS[0][1]
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
             WanLatency(jitter_frac=1.5)
-        with pytest.raises(ConfigError):
-            WanLatency(num_regions=9)
 
 
 class TestFactory:
@@ -120,3 +123,66 @@ class TestFactory:
     def test_unknown(self):
         with pytest.raises(ConfigError):
             make_latency_model("carrier-pigeon")
+
+
+#: Every knob the spec grammar accepts, per model.  A new knob is a change
+#: to this table, made on purpose — as tests/cli_surface.json is for flags.
+GRAMMAR = {
+    "fixed": {"delay_s"},
+    "uniform": {"low", "high"},
+    "wan4": {"jitter_frac"},
+    "topology": {"clusters", "jitter_frac", "loss"},
+    "lan": {"delay_s"},
+}
+
+
+class TestGrammar:
+    def test_accepted_knobs_are_pinned(self):
+        assert {
+            name: set(inspect.signature(factory).parameters)
+            for name, factory in LATENCY_MODELS.items()
+        } == GRAMMAR
+        assert sum(len(knobs) for knobs in GRAMMAR.values()) == 8
+
+    @pytest.mark.parametrize("spec", [
+        "topology:intra_delay=0.002",
+        "topology:inter_min=0.01",
+        "topology:inter_max=0.2",
+        "topology:topo_seed=3",
+        "topology:link_spread=0.2",
+        "topology:bandwidth_spread=0.3",
+        "topology:intra_loss=0.1",
+        "topology:churn=3@0-100",
+        "wan4:num_regions=2",
+    ])
+    def test_removed_knob_lists_the_accepted_ones(self, spec):
+        name = spec.partition(":")[0]
+        with pytest.raises(ConfigError, match="accepted knobs") as info:
+            make_latency_model(spec)
+        assert all(knob in str(info.value) for knob in GRAMMAR[name])
+
+
+#: Specs whose values are not what their knob takes.
+MALFORMED_SPECS = [
+    "topology:clusters=abc",
+    "uniform:low=x",
+    "wan4:jitter_frac=abc",
+    "fixed:delay_s=true",
+    "fixed:delay_s=inf",
+    "topology:loss=nan",
+    "topology:clusters=2.5",
+]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_SPECS)
+def test_malformed_spec_is_a_config_error(spec, capsys):
+    """Refused by the factory, naming the offending knob, and by the CLI
+    with exit 2 and one error line — never a traceback or a coercion."""
+    knob = spec.partition(":")[2].partition("=")[0]
+    with pytest.raises(ConfigError, match=knob):
+        make_latency_model(spec)
+    argv = ["run", "-n", "4", "--duration", "2", "--warmup", "1",
+            "--latency-model", spec]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ") and err.count("\n") == 1
