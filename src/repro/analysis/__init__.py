@@ -3,17 +3,14 @@
 * :mod:`repro.analysis.stats` — multi-seed repetition (§VI-A: "each group
   of experiments is repeated five times to reduce experimental errors")
   with mean/stdev/CI aggregation.
-* :mod:`repro.analysis.export` — JSON and CSV persistence of experiment
-  results, for plotting outside this repository.
 * :mod:`repro.analysis.dagviz` — render a replica's DAG as ASCII art or
   Graphviz DOT (committed blocks, leaders, equivocations highlighted).
-* :mod:`repro.analysis.obs_export` — exporters for instrumented runs:
-  JSONL journal dump, Prometheus text snapshot, Chrome ``trace_event``
-  JSON (opens in Perfetto / ``about:tracing``).
+* :mod:`repro.analysis.obs_export` — the run directory of an
+  instrumented run: ``run.json``, the JSONL journal and a Chrome
+  ``trace_event`` JSON (opens in Perfetto / ``about:tracing``).
 """
 
 from .dagviz import dag_to_ascii, dag_to_dot
-from .export import results_to_csv, results_to_json
 from .loadreport import (
     format_load_summary,
     format_sweep_table,
@@ -25,7 +22,7 @@ from .obs_export import (
     journal_to_jsonl,
     load_journal_jsonl,
     registry_summary_rows,
-    registry_to_prometheus,
+    write_run_dir,
 )
 from .stats import Aggregate, RepeatedResult, percentile, repeat_experiment
 
@@ -43,8 +40,6 @@ __all__ = [
     "percentile",
     "render_saturation_figure",
     "registry_summary_rows",
-    "registry_to_prometheus",
     "repeat_experiment",
-    "results_to_csv",
-    "results_to_json",
+    "write_run_dir",
 ]

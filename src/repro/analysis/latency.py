@@ -37,16 +37,15 @@ recorded on ``trace.body``) picking, at each hop, the parent that was
 delivered *last* at the observing replica — the longest blocking chain
 that gated this block's acceptance.
 
-The CLI front end is ``repro explain`` (see :mod:`repro.cli`); the
-harness attaches :func:`explain_report`'s JSON to traced sweep results.
+The CLI front end is ``repro explain DIR`` (see :mod:`repro.cli`): it
+derives :func:`explain_report` from the ``journal.jsonl`` that ``repro run
+--out DIR`` recorded.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .stats import percentile
 
@@ -343,10 +342,6 @@ def explain_report(
     return report
 
 
-def write_report(report: Dict[str, object], path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
 def _ms(value: Optional[float]) -> str:
     return f"{value * 1e3:8.2f}" if value is not None else "       -"
 
@@ -362,7 +357,7 @@ def format_report(report: Dict[str, object]) -> str:
     )
     if not blocks:
         lines.append("no committed blocks with full timelines — "
-                     "was the run traced (--trace/--journal) and long enough?")
+                     "was the run traced and long enough?")
         return "\n".join(lines)
     lines.append(
         f"end-to-end commit latency: mean {_ms(e2e.get('mean')).strip()} ms, "

@@ -1,14 +1,12 @@
 """Exporters for the :mod:`repro.obs` instrumentation layer.
 
-Three output formats, one source of truth (the registry + journal of an
-instrumented run):
+One source of truth (the registry + journal of an instrumented run), one
+artifact: :func:`write_run_dir` leaves a directory that ``repro explain
+DIR`` reads back.
 
 * :func:`journal_to_jsonl` — one JSON object per line, in event order.
   ``grep``-able, ``jq``-able, and the determinism witness (same seed →
   byte-identical dump).
-* :func:`registry_to_prometheus` — a Prometheus text-format snapshot
-  (``# TYPE`` headers, labeled series, cumulative histogram buckets), so
-  run telemetry can be diffed or fed to any Prometheus-speaking tool.
 * :func:`journal_to_chrome_trace` — Chrome ``trace_event`` JSON that opens
   directly in ``about:tracing`` / `Perfetto <https://ui.perfetto.dev>`_.
   Replicas become processes; per-author lanes carry **dissemination**
@@ -17,18 +15,22 @@ instrumented run):
   visible per block.  Cross-replica *flow* arrows link each proposal to
   its remote deliveries, and lifecycle (``trace.*``) / watchdog
   (``health.*``) events land as categorized instants.
-
-:func:`registry_summary_rows` backs the ``repro report`` CLI table.
+* :func:`registry_summary_rows` — the metric table ``repro explain``
+  prints, from the registry snapshot stored in ``run.json``.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import subprocess
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from ..obs import EventJournal, Histogram, MetricsRegistry
+from ..config import ExperimentConfig
+from ..errors import ConfigError
+from ..obs import BoundedJournal, EventJournal, Observability
+from .latency import explain_report, format_report
 
 PathLike = Optional[Union[str, Path]]
 
@@ -58,59 +60,6 @@ def load_journal_jsonl(path: Union[str, Path]) -> List[dict]:
         for line in Path(path).read_text().splitlines()
         if line.strip()
     ]
-
-
-# -- Prometheus text snapshot ------------------------------------------------
-
-
-def _prom_name(name: str) -> str:
-    return "repro_" + name.replace(".", "_").replace("-", "_")
-
-
-def _prom_labels(labels: Dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-    return "{" + inner + "}"
-
-
-def _prom_number(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if value == math.inf:
-        return "+Inf"
-    if value == -math.inf:
-        return "-Inf"
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
-def registry_to_prometheus(registry: MetricsRegistry, path: PathLike = None) -> str:
-    """Render the registry in the Prometheus exposition text format."""
-    lines: List[str] = []
-    seen_types: set = set()
-    for name, kind, labels, inst in registry.series():
-        pname = _prom_name(name)
-        if pname not in seen_types:
-            seen_types.add(pname)
-            lines.append(f"# TYPE {pname} {kind}")
-        if isinstance(inst, Histogram):
-            cumulative = 0
-            for upper, count in zip(inst.buckets, inst.bucket_counts):
-                cumulative += count
-                bucket_labels = dict(labels, le=_prom_number(upper))
-                lines.append(
-                    f"{pname}_bucket{_prom_labels(bucket_labels)} {cumulative}"
-                )
-            lines.append(
-                f"{pname}_bucket{_prom_labels(dict(labels, le='+Inf'))} {inst.count}"
-            )
-            lines.append(f"{pname}_sum{_prom_labels(labels)} {_prom_number(inst.total)}")
-            lines.append(f"{pname}_count{_prom_labels(labels)} {inst.count}")
-        else:
-            lines.append(f"{pname}{_prom_labels(labels)} {_prom_number(inst.value)}")
-    return _maybe_write("\n".join(lines) + ("\n" if lines else ""), path)
 
 
 # -- Chrome trace_event JSON -------------------------------------------------
@@ -269,31 +218,137 @@ def journal_to_chrome_trace(journal: EventJournal, path: PathLike = None) -> str
     return _maybe_write(json.dumps(trace, indent=1, sort_keys=True), path)
 
 
-# -- summary table (repro report) -------------------------------------------
+# -- the run directory (repro run --out DIR) ---------------------------------
+
+#: The files of one run directory.  A ``--repeats`` run writes only
+#: :data:`RUN_JSON`; an instrumented single-seed run writes all three.
+RUN_JSON, JOURNAL_JSONL, TRACE_JSON = "run.json", "journal.jsonl", "trace.json"
 
 
-def registry_summary_rows(registry: MetricsRegistry) -> List[Dict[str, object]]:
-    """One table row per series: name, labels, and a value summary."""
-    rows: List[Dict[str, object]] = []
-    for name, kind, labels, inst in registry.series():
-        label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-        if isinstance(inst, Histogram):
-            if not inst.count:
-                continue
-            rows.append({
-                "metric": name, "labels": label_text, "kind": kind,
-                "count": inst.count,
-                "value": round(inst.total, 6),
-                "mean": round(inst.mean, 6),
-                "p95": round(inst.quantile(0.95), 6),
-                "max": round(inst.max, 6),
-            })
+def _git_commit() -> Optional[str]:
+    """``git rev-parse HEAD`` of the tree this package runs from, or None."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+            capture_output=True, text=True, timeout=10, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip()
+
+
+def write_run_dir(
+    out: Union[str, Path],
+    cfg: ExperimentConfig,
+    results: Iterable,
+    argv: Sequence[str],
+    obs: Optional[Observability] = None,
+    health: Optional[Dict[str, object]] = None,
+) -> None:
+    """Write one run's artifact into the existing directory ``out``.
+
+    ``run.json`` holds the config, seed, argv, git commit and the
+    results' ``row()`` dicts (each ``ExperimentResult`` or
+    ``RepeatedResult``).
+    With ``obs`` (one instrumented seed) it also holds the registry
+    snapshot, per-type journal counts and the health verdict, and the
+    journal and its Chrome trace land beside it.  A streaming
+    :class:`~repro.obs.BoundedJournal` has already written
+    ``journal.jsonl`` in full, so only its ring reaches the trace.
+    """
+    out = Path(out)
+    run: Dict[str, object] = {
+        "config": asdict(cfg),
+        "seed": cfg.seed,
+        "argv": list(argv),
+        "git_commit": _git_commit(),
+        "results": [result.row() for result in results],
+    }
+    if obs is not None:
+        journal = obs.journal
+        run.update(
+            metrics=obs.metrics.snapshot(),
+            journal_counts=journal.counts_by_type(),
+            health=health,
+        )
+        if isinstance(journal, BoundedJournal) and journal.spill_path:
+            journal.close()
         else:
-            value = float(inst.value)
-            rows.append({
-                "metric": name, "labels": label_text, "kind": kind,
-                "count": "",
-                "value": int(value) if value.is_integer() else round(value, 6),
-                "mean": "", "p95": "", "max": "",
-            })
+            journal_to_jsonl(journal, out / JOURNAL_JSONL)
+        journal_to_chrome_trace(journal, out / TRACE_JSON)
+    (out / RUN_JSON).write_text(json.dumps(run, indent=2, sort_keys=True) + "\n")
+
+
+def format_run_dir(path: Union[str, Path]) -> str:
+    """What ``repro explain DIR`` prints, derived from the directory alone:
+    the result table, the stage decomposition and critical path of
+    ``journal.jsonl``, the health verdict, and the metric and journal-count
+    tables of ``run.json``.  Anything but a single-seed run directory is a
+    :class:`~repro.errors.ConfigError`."""
+    from ..harness.report import RESULT_COLUMNS, format_table
+
+    root = Path(path)
+    try:
+        run = json.loads((root / RUN_JSON).read_text())
+        config = run["config"]
+        report = explain_report(
+            load_journal_jsonl(root / JOURNAL_JSONL),
+            protocol=config["protocol_name"], n=config["system"]["n"],
+        )
+        report["health"] = run["health"]
+        sections = [
+            format_table(run["results"], RESULT_COLUMNS),
+            format_report(report),
+            format_table(registry_summary_rows(run["metrics"]), [
+                "metric", "labels", "kind", "count", "value", "mean", "p95",
+                "max",
+            ]),
+        ]
+        counts = sorted(run["journal_counts"].items())
+        total = sum(count for _, count in counts)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{root} is not a single-seed 'repro run --out' "
+                          f"directory ({type(exc).__name__}: {exc})") from None
+    if counts:
+        sections.append(format_table(
+            [{"event": type_, "count": count} for type_, count in counts],
+            ["event", "count"],
+        ))
+    sections.append(f"{total} journal events, {len(run['metrics'])} metric series")
+    return "\n\n".join(sections)
+
+
+# -- metric summary table (repro explain) -----------------------------------
+
+
+def registry_summary_rows(snapshot: Iterable[dict]) -> List[Dict[str, object]]:
+    """One table row per series of a ``MetricsRegistry.snapshot()``: name,
+    labels, and a value summary.  Empty histograms are skipped."""
+    rows: List[Dict[str, object]] = []
+    for series in snapshot:
+        row: Dict[str, object] = {
+            "metric": series["name"],
+            "labels": ",".join(
+                f"{k}={v}" for k, v in sorted(series["labels"].items())
+            ),
+            "kind": series["kind"],
+        }
+        if series["kind"] == "histogram":
+            if not series["count"]:
+                continue
+            row.update(
+                count=series["count"],
+                value=round(series["sum"], 6),
+                mean=round(series["mean"], 6),
+                p95=round(series["p95"], 6),
+                max=round(series["max"], 6),
+            )
+        else:
+            value = float(series["value"])
+            row.update(
+                count="",
+                value=int(value) if value.is_integer() else round(value, 6),
+                mean="", p95="", max="",
+            )
+        rows.append(row)
     return rows

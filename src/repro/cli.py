@@ -2,10 +2,11 @@
 
 Commands
 --------
-``run``        one experiment (protocol, n, batch, adversary, …)
-``explain``    traced run + per-stage commit-latency decomposition,
-               causal critical path, and liveness/health verdict
-``report``     instrumented run + full metrics/journal summary tables
+``run``        one experiment (protocol, n, batch, adversary, …);
+               ``--out DIR`` instruments it and writes the run directory
+``explain``    read a run directory: per-stage commit-latency
+               decomposition, causal critical path, health verdict,
+               metric and journal-count tables
 ``fuzz``       seed-deterministic fault-schedule sweep with invariant
                oracles on; failing cases are shrunk and reported as
                reproducible command lines
@@ -21,25 +22,25 @@ Commands
 ``viz``        run a short simulation and print the DAG as ASCII art
 ``protocols``  list available protocols and their worst-case attack
 
-Every command prints a plain-text table; ``run`` can additionally persist
-JSON/CSV via ``--json``/``--csv``, and — when instrumented — a Chrome
-trace (``--trace``, opens in Perfetto), a Prometheus text snapshot
-(``--metrics``) and a JSONL event journal (``--journal``).
+Every command prints a plain-text table.  ``run --out DIR`` also leaves
+one artifact: ``DIR/run.json`` (config, argv, git commit, result rows,
+metrics, journal counts, health), ``DIR/journal.jsonl`` and a Chrome trace
+``DIR/trace.json`` (Perfetto); with ``--repeats``, ``run.json`` only.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .adversary.schedule import ATTACKS
-from .analysis.export import results_to_csv, results_to_json
 from .analysis.obs_export import (
-    journal_to_chrome_trace,
-    journal_to_jsonl,
-    registry_summary_rows,
-    registry_to_prometheus,
+    JOURNAL_JSONL,
+    RUN_JSON,
+    format_run_dir,
+    write_run_dir,
 )
 from .analysis.stats import repeat_experiment
 from .config import CHECK_LEVELS, ExperimentConfig, ProtocolConfig, SystemConfig
@@ -102,15 +103,6 @@ def _add_run_args(
                         choices=["schnorr", "hmac", "null"])
 
 
-def _add_check_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--check-level", default="prefix", choices=CHECK_LEVELS,
-        help="how hard to check the run: off, prefix (ledger digest "
-             "prefixes, default), final (+post-run deep audit), "
-             "full (+mid-run invariant monitor)",
-    )
-
-
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "-j", "--jobs", type=int, default=None, metavar="N",
@@ -138,47 +130,39 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prune DAG/broadcast state this many rounds below "
                             "the settled commit frontier (bounds memory on "
                             "long large-n runs; default: keep everything)")
-    _add_check_arg(run_p)
+    run_p.add_argument(
+        "--check-level", default="prefix", choices=CHECK_LEVELS,
+        help="how hard to check the run: off, prefix (ledger digest "
+             "prefixes, default), final (+post-run deep audit), "
+             "full (+mid-run invariant monitor)",
+    )
     run_p.add_argument("--repeats", type=int, default=1,
                        help="seeds to average over (§VI-A uses 5)")
     _add_jobs_arg(run_p)
-    run_p.add_argument("--json", metavar="PATH", help="write results JSON")
-    run_p.add_argument("--csv", metavar="PATH", help="write results CSV")
-    run_p.add_argument("--trace", metavar="PATH",
-                       help="write a Chrome trace_event JSON (Perfetto)")
-    run_p.add_argument("--metrics", metavar="PATH",
-                       help="write a Prometheus text metrics snapshot")
-    run_p.add_argument("--journal", metavar="PATH",
-                       help="write the structured event journal as JSONL")
+    run_p.add_argument("--out", metavar="DIR",
+                       help="instrument the run (metrics, journal, lifecycle "
+                            "tracing, health watchdog) and write run.json, "
+                            "journal.jsonl and trace.json into DIR; with "
+                            "--repeats > 1 only run.json")
     run_p.add_argument("--journal-max-events", type=int, default=None,
                        metavar="N",
-                       help="bound journal memory to a ring of the newest N "
-                            "events; with --journal the full log streams to "
-                            "the file as it is emitted (long-run mode). "
-                            "--trace then covers only the ring.")
+                       help="with --out: bound journal memory to a ring of "
+                            "the newest N events while the full log streams "
+                            "to DIR/journal.jsonl (long-run mode); "
+                            "trace.json then covers only the ring")
 
     explain_p = sub.add_parser(
         "explain",
-        help="traced run + commit-latency decomposition and health verdict",
-        description="Run one experiment with lifecycle tracing and the "
-                    "liveness watchdog on, then print where each committed "
-                    "block's latency went (broadcast / quorum / gating / "
-                    "coin / ordering), the slowest block's causal critical "
-                    "path, and the run's health verdict.",
+        help="read a run directory: latency decomposition, health, metrics",
+        description="Read the directory 'repro run --out DIR' wrote and "
+                    "print the result, where each committed block's latency "
+                    "went (broadcast / quorum / gating / coin / ordering), "
+                    "the slowest block's causal critical path, the run's "
+                    "health verdict, and its metric and journal-count "
+                    "tables.",
     )
-    _add_run_args(explain_p, replicas=4)
-    _add_check_arg(explain_p)
-    explain_p.add_argument("--json", metavar="PATH",
-                           help="also write the machine-readable report JSON")
-    explain_p.add_argument("--trace", metavar="PATH",
-                           help="also write the Chrome trace_event JSON "
-                                "(Perfetto; includes lifecycle flows)")
-
-    report_p = sub.add_parser(
-        "report", help="instrumented run + metrics/journal summary"
-    )
-    _add_run_args(report_p, replicas=7)
-    _add_check_arg(report_p)
+    explain_p.add_argument("dir", metavar="DIR",
+                           help="a directory written by 'repro run --out'")
 
     fuzz_p = sub.add_parser(
         "fuzz",
@@ -343,7 +327,7 @@ def _make_config(args) -> ExperimentConfig:
         ),
         protocol=ProtocolConfig(
             batch_size=args.batch,
-            gc_depth=getattr(args, "gc_depth", None),
+            gc_depth=args.gc_depth,
         ),
         protocol_name=args.protocol,
         adversary_name=args.adversary,
@@ -351,103 +335,44 @@ def _make_config(args) -> ExperimentConfig:
         warmup=args.warmup,
         seed=args.seed,
         check_level=args.check_level,
-        latency_model=getattr(args, "latency_model", "wan4"),
+        latency_model=args.latency_model,
     )
-
-
-def _export_obs(obs: Observability, args) -> None:
-    if args.trace:
-        journal_to_chrome_trace(obs.journal, args.trace)
-        print(f"wrote {args.trace} (open in Perfetto / about:tracing)")
-    if args.metrics:
-        registry_to_prometheus(obs.metrics, args.metrics)
-        print(f"wrote {args.metrics}")
-    if args.journal:
-        journal = obs.journal
-        if isinstance(journal, BoundedJournal) and journal.spill_path:
-            # Streaming mode: every event already went to the file as it
-            # was emitted; re-exporting the ring would truncate the log.
-            journal.close()
-            print(f"wrote {args.journal} (streamed, "
-                  f"{journal.emitted_total} events)")
-        else:
-            journal_to_jsonl(journal, args.journal)
-            print(f"wrote {args.journal}")
 
 
 def _cmd_run(args) -> int:
     cfg = _make_config(args)
-    want_obs = bool(args.trace or args.metrics or args.journal)
+    out = Path(args.out) if args.out else None
+    if out is None and args.journal_max_events is not None:
+        raise ConfigError("--journal-max-events bounds the journal of "
+                          "--out DIR; give --out")
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     if args.repeats > 1:
-        if want_obs:
-            print("note: --trace/--metrics/--journal need a single run; "
-                  "ignoring them with --repeats > 1", file=sys.stderr)
         repeated = repeat_experiment(cfg, repeats=args.repeats, jobs=args.jobs)
         print(format_table([repeated.row()], list(repeated.row())))
-        results = list(repeated.runs)
+        if out is not None:
+            write_run_dir(out, cfg, [*repeated.runs, repeated], args.argv)
+            print(f"wrote {out / RUN_JSON}")
+        return 0
+    if out is None:
+        print(results_table([run_experiment(cfg)]))
+        return 0
+    if args.journal_max_events is not None:
+        journal = BoundedJournal(
+            args.journal_max_events, spill_path=str(out / JOURNAL_JSONL)
+        )
     else:
-        obs = None
-        if want_obs:
-            if args.journal_max_events is not None:
-                journal = BoundedJournal(
-                    args.journal_max_events, spill_path=args.journal or None
-                )
-            else:
-                journal = EventJournal()
-            obs = Observability(MetricsRegistry(), journal)
-        result = run_experiment(cfg, obs=obs)
-        print(results_table([result]))
-        results = [result]
-        if obs is not None:
-            _export_obs(obs, args)
-    if args.json:
-        results_to_json(results, args.json)
-        print(f"wrote {args.json}")
-    if args.csv:
-        results_to_csv(results, args.csv)
-        print(f"wrote {args.csv}")
+        journal = EventJournal()
+    obs = Observability(MetricsRegistry(), journal, trace=Tracer(journal))
+    result = run_experiment(cfg, obs=obs, health=True)
+    print(results_table([result]))
+    write_run_dir(out, cfg, [result], args.argv, obs=obs, health=result.health)
+    print(f"wrote {out}/ (read it with: repro explain {out})")
     return 0
 
 
 def _cmd_explain(args) -> int:
-    from .analysis.latency import format_report, write_report
-
-    cfg = _make_config(args)
-    journal = EventJournal()
-    obs = Observability(MetricsRegistry(), journal, trace=Tracer(journal))
-    result = run_experiment(cfg, obs=obs, health=True)
-    report = result.latency_report or {}
-    print(results_table([result]))
-    print()
-    print(format_report(report))
-    if args.json:
-        write_report(report, args.json)
-        print(f"\nwrote {args.json}")
-    if args.trace:
-        journal_to_chrome_trace(journal, args.trace)
-        print(f"wrote {args.trace} (open in Perfetto / about:tracing)")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    cfg = _make_config(args)
-    obs = Observability(MetricsRegistry(), EventJournal())
-    result = run_experiment(cfg, obs=obs)
-    print(results_table([result]))
-    print()
-    rows = registry_summary_rows(obs.metrics)
-    print(format_table(
-        rows, ["metric", "labels", "kind", "count", "value", "mean", "p95", "max"]
-    ))
-    print()
-    journal_rows = [
-        {"event": type_, "count": count}
-        for type_, count in sorted(obs.journal.counts_by_type().items())
-    ]
-    if journal_rows:
-        print(format_table(journal_rows, ["event", "count"]))
-    print(f"\n{len(obs.journal)} journal events, "
-          f"{len(obs.metrics)} metric series")
+    print(format_run_dir(args.dir))
     return 0
 
 
@@ -770,7 +695,6 @@ def _cmd_protocols(args) -> int:
 _HANDLERS = {
     "run": _cmd_run,
     "explain": _cmd_explain,
-    "report": _cmd_report,
     "fuzz": _cmd_fuzz,
     "explore": _cmd_explore,
     "loadtest": _cmd_loadtest,
@@ -790,6 +714,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     as a fuzz violation does, after its message (replay lines included)
     on stderr."""
     args = build_parser().parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:

@@ -13,7 +13,7 @@ desynchronize the stream parser silently.
 from __future__ import annotations
 
 import struct
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import Callable, List, Tuple, TypeVar
 
 from ..errors import ReproError
 
@@ -126,17 +126,9 @@ class Writer:
         self._parts.append(uvarint_bytes(value))
         return self
 
-    def svarint(self, value: int) -> "Writer":
-        """Zigzag-encoded signed varint."""
-        zigzag = (value << 1) if value >= 0 else ((-value) << 1) - 1
-        return self.uvarint(zigzag)
-
     def lp_bytes(self, value: bytes) -> "Writer":
         self._parts += (length_prefix(len(value)), value)
         return self
-
-    def lp_str(self, value: str) -> "Writer":
-        return self.lp_bytes(value.encode("utf-8"))
 
     def bigint(self, value: int) -> "Writer":
         """Length-prefixed big-endian unsigned integer (0 encodes as empty)."""
@@ -147,19 +139,10 @@ class Writer:
         self._parts.append(_DOUBLE.pack(value))
         return self
 
-    def boolean(self, value: bool) -> "Writer":
-        return self.byte(1 if value else 0)
-
     def raw(self, value: bytes) -> "Writer":
         """Append bytes encoded elsewhere (a block from :mod:`.blocks`)."""
         self._parts.append(value)
         return self
-
-    def optional_bytes(self, value: Optional[bytes]) -> "Writer":
-        if value is None:
-            return self.byte(0)
-        self.byte(1)
-        return self.lp_bytes(value)
 
 
 class Reader:
@@ -220,10 +203,6 @@ class Reader:
             raise
         return value
 
-    def svarint(self) -> int:
-        raw = self.uvarint()
-        return (raw >> 1) ^ -(raw & 1)
-
     def lp_bytes(self) -> bytes:
         length = self.uvarint()
         value, self._pos = _read_string(self._data, self._pos, length)
@@ -241,17 +220,3 @@ class Reader:
 
     def double(self) -> float:
         return _DOUBLE.unpack(self._take(8))[0]
-
-    def boolean(self) -> bool:
-        value = self.byte()
-        if value not in (0, 1):
-            raise CodecError(f"invalid boolean byte {value}")
-        return bool(value)
-
-    def optional_bytes(self) -> Optional[bytes]:
-        present = self.byte()
-        if present == 0:
-            return None
-        if present != 1:
-            raise CodecError(f"invalid optional tag {present}")
-        return self.lp_bytes()

@@ -171,9 +171,14 @@ class RetrievalManager:
         self._ctr_rate_limited = metrics.counter("retrieval.rate_limited")
         self._ctr_oversized = metrics.counter("retrieval.oversized_requests")
         self._ctr_garbage = metrics.counter("retrieval.garbage_responses")
-        self._gauge_pending = metrics.gauge("retrieval.pending")
-        self._gauge_inflight = metrics.gauge("retrieval.inflight")
-        self._gauge_backoff = metrics.gauge("retrieval.backoff_level")
+        # Gauges are per replica: a shared one would export whichever
+        # replica wrote last.
+        replica = net.node_id
+        self._gauge_pending = metrics.gauge("retrieval.pending", replica=replica)
+        self._gauge_inflight = metrics.gauge("retrieval.inflight", replica=replica)
+        self._gauge_backoff = metrics.gauge(
+            "retrieval.backoff_level", replica=replica
+        )
         self.rng = random.Random(f"retrieval:{net.node_id}:{seed}")
         #: blocks waiting for parents, keyed by their digest
         self._pending: Dict[Digest, _Pending] = {}

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..config import ProtocolConfig, SystemConfig
 from ..errors import ConfigError, SweepError
 from ..net.latency import make_latency_model
-from ..obs import MetricsRegistry, NullJournal, Observability
+from ..obs import Observability
 from ..smr.kv import KvStateMachine
 from ..smr.replica import SmrCluster
 from ..workload.admission import AdmissionConfig
@@ -100,7 +100,6 @@ class LoadtestResult:
     verify_failures: int
     max_pending_depth: int
     admission: Dict[str, int] = field(default_factory=dict)
-    obs_counters: Dict[str, float] = field(default_factory=dict)
 
     def row(self) -> Dict[str, object]:
         """Flat dict for tables / JSON export."""
@@ -134,10 +133,6 @@ def run_loadtest(cfg: LoadtestConfig, obs: Optional[Observability] = None) -> Lo
     (the run always ends with the convergence audit) and asserts that no
     closed-loop read-your-writes verification failed.
     """
-    if obs is None:
-        # Metrics on (admission/drop counters are part of the contract),
-        # journal off (long overload runs would hoard events).
-        obs = Observability(MetricsRegistry(), NullJournal())
     system = SystemConfig(n=cfg.n, crypto=cfg.crypto, seed=cfg.seed)
     protocol = ProtocolConfig(batch_size=cfg.batch_size)
     collector = MetricsCollector(warmup=cfg.warmup, measure_until=cfg.duration)
@@ -173,14 +168,6 @@ def run_loadtest(cfg: LoadtestConfig, obs: Optional[Observability] = None) -> Lo
             admission_totals[key] = admission_totals.get(key, 0) + value
         max_depth = max(max_depth, ctl.max_depth)
 
-    counters = {}
-    if obs.metrics.enabled:
-        counters = {
-            "smr.admitted": obs.metrics.counter_total("smr.admitted"),
-            "smr.rejected": obs.metrics.counter_total("smr.rejected"),
-            "smr.shed": obs.metrics.counter_total("smr.shed"),
-        }
-
     offered = cfg.workload.rate if cfg.workload.mode == "open" else stats.e2e_tps()
     return LoadtestResult(
         config=cfg,
@@ -203,7 +190,6 @@ def run_loadtest(cfg: LoadtestConfig, obs: Optional[Observability] = None) -> Lo
         verify_failures=stats.verify_failures,
         max_pending_depth=max_depth,
         admission=admission_totals,
-        obs_counters=counters,
     )
 
 

@@ -29,8 +29,8 @@ Guarantees:
 
 ``jobs=1`` bypasses multiprocessing entirely (same process, same thread),
 which keeps ``pdb`` and coverage tooling working.  An instrumented run
-(``--trace``, ``--metrics``, ``--journal``) is a single
-``run_experiment(cfg, obs=...)`` call, not a sweep.
+(``repro run --out DIR``) is a single ``run_experiment(cfg, obs=...)``
+call, not a sweep.
 
 The pool uses the ``fork`` start method when the platform offers it: forked
 workers inherit the parent's module state, which lets a *registry* of

@@ -30,12 +30,14 @@ def format_table(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -
     return "\n".join(lines)
 
 
+#: The standard result columns of any sweep (of ``ExperimentResult.row()``).
+RESULT_COLUMNS = ("protocol", "n", "batch", "adversary", "tps", "latency_s",
+                  "p95_s", "rounds")
+
+
 def results_table(results: Iterable[ExperimentResult]) -> str:
     """Standard result columns for any sweep."""
-    rows = [r.row() for r in results]
-    return format_table(
-        rows, ["protocol", "n", "batch", "adversary", "tps", "latency_s", "p95_s", "rounds"]
-    )
+    return format_table([r.row() for r in results], RESULT_COLUMNS)
 
 
 def series_by_protocol(

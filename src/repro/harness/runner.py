@@ -104,8 +104,6 @@ class ExperimentResult:
     obs: Optional[Observability] = None
     #: run-end health verdict (``run_experiment(..., health=True)``)
     health: Optional[Dict[str, object]] = None
-    #: per-stage commit-latency decomposition (attached for traced runs)
-    latency_report: Optional[Dict[str, object]] = None
 
     def row(self) -> Dict[str, object]:
         """Flat dict for tabular reports."""
@@ -151,9 +149,8 @@ def run_experiment(
     registry and journal are threaded through the simulator, every node,
     and all broadcast/retrieval managers, and come back attached to the
     result (``result.obs``) for export via :mod:`repro.analysis.obs_export`.
-    When its tracer is enabled, the per-stage commit-latency decomposition
-    of :mod:`repro.analysis.latency` is attached as
-    ``result.latency_report``.
+    With its tracer enabled, the journal is what
+    :func:`repro.analysis.latency.explain_report` decomposes.
 
     ``health=True`` (requires an enabled journal) installs the
     :class:`~repro.obs.health.HealthMonitor` watchdog: ``health.*``
@@ -204,16 +201,6 @@ def run_experiment(
             extras["reproposals"] = extras.get("reproposals", 0) + node.reproposals
     extras["retrieval_requests"] = sum(n.retrieval.requests_sent for n in honest)
 
-    latency_report = None
-    if obs.trace.enabled:
-        from ..analysis.latency import explain_report
-
-        latency_report = explain_report(
-            obs.journal, protocol=cfg.protocol_name, n=system.n
-        )
-        if watchdog is not None:
-            latency_report["health"] = watchdog.summary(now=sim.now)
-
     return ExperimentResult(
         config=cfg,
         throughput_tps=collector.throughput(window),
@@ -228,7 +215,6 @@ def run_experiment(
         extras=extras,
         obs=obs if obs.enabled else None,
         health=watchdog.summary(now=sim.now) if watchdog is not None else None,
-        latency_report=latency_report,
     )
 
 

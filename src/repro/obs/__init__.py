@@ -20,8 +20,9 @@ no-ops, so the tier-1 suite and the benchmark figures pay (apart from a
 single ``enabled`` branch on hot paths) nothing.  ``benchmarks/
 bench_micro_obs.py`` guards the overhead in both modes.
 
-Exporters live in :mod:`repro.analysis.obs_export`; the CLI exposes them
-as ``repro run --trace/--metrics/--journal`` and ``repro report``.
+Exporters live in :mod:`repro.analysis.obs_export`.  On the CLI, ``repro
+run --out DIR`` records one instrumented run as a directory (``run.json``,
+``journal.jsonl``, ``trace.json``) and ``repro explain DIR`` reads it.
 """
 
 from __future__ import annotations

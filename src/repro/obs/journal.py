@@ -19,8 +19,9 @@ Two capacity modes:
   short runs and tests.
 * :class:`BoundedJournal` — a ``deque(maxlen=...)`` ring that keeps only
   the newest events in memory, optionally spilling every event to a
-  JSONL file as it is emitted.  Long ``n >= 100`` runs with ``--journal``
-  use this so memory stays flat while nothing is lost on disk.
+  JSONL file as it is emitted.  Long ``n >= 100`` runs with ``--out`` and
+  ``--journal-max-events`` use this so memory stays flat while nothing is
+  lost on disk.
 
 Listeners (:meth:`EventJournal.add_listener`) let online consumers — the
 health watchdog — observe every event as it is emitted.  The hook is

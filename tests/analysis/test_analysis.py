@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.analysis.dagviz import dag_to_ascii, dag_to_dot
-from repro.analysis.export import load_results_json, results_to_csv, results_to_json
+from repro.analysis.obs_export import write_run_dir
 from repro.analysis.stats import Aggregate, aggregate_results, repeat_experiment
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
 from repro.dag.store import DagStore
@@ -119,26 +119,17 @@ class TestExport:
         return [run_experiment(small_config(seed=s)) for s in (1, 2)]
 
     def test_json_roundtrip(self, results, tmp_path):
-        path = tmp_path / "out.json"
-        results_to_json(results, path)
-        loaded = load_results_json(path)
-        assert len(loaded) == 2
-        assert loaded[0]["protocol"] == "lightdag2"
+        write_run_dir(tmp_path, results[0].config, results, argv=["run"])
+        loaded = json.loads((tmp_path / "run.json").read_text())
+        assert len(loaded["results"]) == 2
+        assert loaded["results"][0]["protocol"] == "lightdag2"
+        assert loaded["config"]["system"]["seed"] == results[0].config.seed
+        assert "metrics" not in loaded  # no Observability: rows only
 
-    def test_json_string_valid(self, results):
-        parsed = json.loads(results_to_json(results))
-        assert all("tps" in row for row in parsed)
-
-    def test_csv_header_and_rows(self, results, tmp_path):
-        path = tmp_path / "out.csv"
-        text = results_to_csv(results, path)
-        lines = text.strip().splitlines()
-        assert len(lines) == 3
-        assert "protocol" in lines[0]
-        assert path.read_text() == text
-
-    def test_empty_csv(self):
-        assert results_to_csv([]) == ""
+    def test_json_string_valid(self, results, tmp_path):
+        write_run_dir(tmp_path, results[0].config, results, argv=["run"])
+        parsed = json.loads((tmp_path / "run.json").read_text())
+        assert all("tps" in row for row in parsed["results"])
 
 
 class TestDagViz:

@@ -21,14 +21,6 @@ class TestRoundTrips:
         r = Reader(w.getvalue())
         assert [r.uvarint() for _ in values] == values
 
-    def test_svarint_signs(self):
-        values = [0, 1, -1, 63, -64, 2**40, -(2**40)]
-        w = Writer()
-        for v in values:
-            w.svarint(v)
-        r = Reader(w.getvalue())
-        assert [r.svarint() for _ in values] == values
-
     def test_lp_bytes(self):
         data = Writer().lp_bytes(b"").lp_bytes(b"hello").getvalue()
         r = Reader(data)
@@ -36,7 +28,7 @@ class TestRoundTrips:
         assert r.lp_bytes() == b"hello"
 
     def test_lp_str_unicode(self):
-        data = Writer().lp_str("héllo ✓").getvalue()
+        data = Writer().lp_bytes("héllo ✓".encode("utf-8")).getvalue()
         assert Reader(data).lp_str() == "héllo ✓"
 
     def test_bigint(self):
@@ -54,17 +46,6 @@ class TestRoundTrips:
             w.double(v)
         r = Reader(w.getvalue())
         assert [r.double() for _ in values] == values
-
-    def test_boolean(self):
-        data = Writer().boolean(True).boolean(False).getvalue()
-        r = Reader(data)
-        assert (r.boolean(), r.boolean()) == (True, False)
-
-    def test_optional_bytes(self):
-        data = Writer().optional_bytes(None).optional_bytes(b"x").getvalue()
-        r = Reader(data)
-        assert r.optional_bytes() is None
-        assert r.optional_bytes() == b"x"
 
 
 class TestStrictness:
@@ -88,14 +69,6 @@ class TestStrictness:
         with pytest.raises(CodecError, match="length"):
             Reader(data).lp_bytes()
 
-    def test_invalid_boolean(self):
-        with pytest.raises(CodecError):
-            Reader(b"\x02").boolean()
-
-    def test_invalid_optional_tag(self):
-        with pytest.raises(CodecError):
-            Reader(b"\x07").optional_bytes()
-
     def test_negative_writer_inputs(self):
         with pytest.raises(CodecError):
             Writer().uvarint(-1)
@@ -110,11 +83,6 @@ class TestStrictness:
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_property_uvarint_roundtrip(value):
     assert Reader(Writer().uvarint(value).getvalue()).uvarint() == value
-
-
-@given(st.integers(min_value=-(2**62), max_value=2**62))
-def test_property_svarint_roundtrip(value):
-    assert Reader(Writer().svarint(value).getvalue()).svarint() == value
 
 
 @given(st.binary(max_size=512))
@@ -163,8 +131,7 @@ class OldReader(Reader):
             shift += 7
 
 
-READS = ("byte", "uvarint", "svarint", "lp_bytes", "lp_str", "bigint", "double",
-         "boolean", "optional_bytes")
+READS = ("byte", "uvarint", "lp_bytes", "lp_str", "bigint", "double")
 
 
 def _valid_stream(draw):
@@ -174,20 +141,14 @@ def _valid_stream(draw):
     for op in ops:
         if op in ("uvarint", "bigint"):
             getattr(w, op)(draw(st.integers(0, 2**64 - 1)))
-        elif op == "svarint":
-            w.svarint(draw(st.integers(-(2**62), 2**62)))
         elif op == "byte":
             w.byte(draw(st.integers(0, 255)))
         elif op == "lp_str":
             # An explicit alphabet: st.text() alone builds hypothesis's unicode
             # table on first use (seconds on a fresh checkout: too_slow).
-            w.lp_str(draw(st.text("aé✓\x00", max_size=8)))
+            w.lp_bytes(draw(st.text("aé✓\x00", max_size=8)).encode("utf-8"))
         elif op == "double":
             w.double(draw(st.floats(allow_nan=False)))
-        elif op == "boolean":
-            w.boolean(draw(st.booleans()))
-        elif op == "optional_bytes":
-            w.optional_bytes(draw(st.none() | st.binary(max_size=8)))
         else:
             w.lp_bytes(draw(st.binary(max_size=8)))
     data = bytearray(w.getvalue())

@@ -91,8 +91,8 @@ class TestRunLoadtest:
             workload=WorkloadSpec(clients=20, mode="open", rate=4000.0, seed=4),
             admission=AdmissionConfig(max_pending=64),
         ))
-        assert result.obs_counters["smr.admitted"] > 0
-        assert result.obs_counters["smr.rejected"] == result.rejected
+        assert result.admission["admitted"] > 0
+        assert result.admission["rejected"] == result.rejected
         assert result.admission["max_depth"] >= result.max_pending_depth
 
     def test_unbounded_admission_still_runs(self):

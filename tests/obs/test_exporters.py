@@ -1,4 +1,4 @@
-"""Tests for repro.analysis.obs_export: JSONL, Prometheus, Chrome trace."""
+"""Tests for repro.analysis.obs_export: JSONL, Chrome trace, summary rows."""
 
 import json
 
@@ -9,7 +9,6 @@ from repro.analysis.obs_export import (
     journal_to_jsonl,
     load_journal_jsonl,
     registry_summary_rows,
-    registry_to_prometheus,
 )
 from repro.obs import EventJournal, MetricsRegistry
 
@@ -54,36 +53,6 @@ class TestJsonl:
         assert journal_to_jsonl(EventJournal()) == ""
 
 
-class TestPrometheus:
-    def test_type_headers_and_series(self, registry):
-        text = registry_to_prometheus(registry)
-        assert "# TYPE repro_net_messages_sent counter" in text
-        assert 'repro_net_messages_sent{type="BlockVal"} 12' in text
-        assert 'repro_net_messages_sent{type="BlockEcho"} 30' in text
-        assert 'repro_broadcast_steps{primitive="cbc"} 2' in text
-        # Dots in metric names are sanitized for Prometheus.
-        assert "." not in text.split("{")[0]
-
-    def test_histogram_cumulative_buckets(self, registry):
-        lines = registry_to_prometheus(registry).splitlines()
-        buckets = [l for l in lines if "egress_wait_seconds_bucket" in l]
-        assert buckets[0].endswith(" 1")  # le=0.001
-        assert buckets[1].endswith(" 2")  # le=0.01, cumulative
-        assert 'le="+Inf"} 3' in buckets[2]
-        assert any(l.startswith("repro_net_egress_wait_seconds_count") and
-                   l.endswith(" 3") for l in lines)
-        assert any(l.startswith("repro_net_egress_wait_seconds_sum")
-                   for l in lines)
-
-    def test_deterministic_and_written(self, registry, tmp_path):
-        path = tmp_path / "m.prom"
-        assert registry_to_prometheus(registry, path) == path.read_text()
-        assert registry_to_prometheus(registry) == registry_to_prometheus(registry)
-
-    def test_empty_registry(self):
-        assert registry_to_prometheus(MetricsRegistry()) == ""
-
-
 class TestChromeTrace:
     def test_valid_json_with_spans(self, journal, tmp_path):
         path = tmp_path / "t.json"
@@ -119,7 +88,7 @@ class TestChromeTrace:
 
 class TestSummaryRows:
     def test_rows_cover_all_kinds(self, registry):
-        rows = registry_summary_rows(registry)
+        rows = registry_summary_rows(registry.snapshot())
         by_metric = {(r["metric"], r["labels"]): r for r in rows}
         assert by_metric[("net.messages_sent", "type=BlockVal")]["value"] == 12
         hist = by_metric[("net.egress_wait_seconds", "")]
@@ -128,4 +97,4 @@ class TestSummaryRows:
     def test_empty_histograms_skipped(self):
         reg = MetricsRegistry()
         reg.histogram("quiet")
-        assert registry_summary_rows(reg) == []
+        assert registry_summary_rows(reg.snapshot()) == []

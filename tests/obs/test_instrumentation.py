@@ -175,3 +175,29 @@ class TestRetrievalAccounting:
                                        duration=6.0)
         requests = obs.metrics.counter_total("retrieval.requests")
         assert requests == pytest.approx(result.extras["retrieval_requests"])
+
+    def test_retrieval_gauges_are_per_replica(self):
+        """Each replica's retrieval manager owns its gauges.  A gauge
+        shared by all of them exported whichever replica wrote last: 0
+        here, while replica 3 ends the run with a block parked and its
+        parent requested."""
+        cfg = ExperimentConfig(
+            system=SystemConfig(n=7, crypto="hmac", seed=1),
+            protocol=ProtocolConfig(batch_size=20),
+            protocol_name="lightdag2",
+            adversary_name="schedule:delay@0+10:max=0.3",
+            duration=3.0,
+            warmup=1.0,
+            seed=1,
+        )
+        obs = Observability(MetricsRegistry(), EventJournal())
+        run_experiment(cfg, obs=obs)
+        for name in ("retrieval.pending", "retrieval.inflight"):
+            values = [obs.metrics.gauge(name, replica=r).value for r in range(7)]
+            assert values == [0, 0, 0, 1, 0, 0, 0], name
+        gauges = [
+            row for row in obs.metrics.snapshot()
+            if row["name"].startswith("retrieval.") and row["kind"] == "gauge"
+        ]
+        assert len(gauges) == 3 * 7
+        assert all(list(row["labels"]) == ["replica"] for row in gauges)

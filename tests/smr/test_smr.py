@@ -44,7 +44,8 @@ class TestCommand:
         command = Command.create(client=client, payload=payload, nonce=nonce)
         assert command.command_id == hash_fields("cmd", client, nonce, payload)
         assert (command.client, command.payload) == (client, payload)
-        written = Writer().lp_bytes(command.command_id).lp_str(client).lp_bytes(payload)
+        written = Writer().lp_bytes(command.command_id)
+        written.lp_bytes(client.encode("utf-8")).lp_bytes(payload)
         assert command.to_bytes() == written.getvalue()
         assert Command.from_bytes(command.to_bytes()) == command
 

@@ -1,12 +1,18 @@
 """Tests for the CLI (invoked in-process through main())."""
 
 import argparse
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.latency import explain_report, format_report
+from repro.analysis.obs_export import load_journal_jsonl
 from repro.cli import build_parser, main
+from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
+from repro.harness.runner import run_experiment
+from repro.obs import EventJournal, MetricsRegistry, Observability, Tracer
 
 
 def cli_surface() -> dict:
@@ -32,9 +38,9 @@ def cli_surface() -> dict:
 
 class TestParser:
     def test_surface_is_the_pinned_one(self):
-        """``cli_surface.json`` was captured before run/explain/report/
-        loadtest started sharing one options block: no flag may appear,
-        vanish, or change spelling, default, choices or type."""
+        """``cli_surface.json`` pins every sub-command's options: no flag
+        may appear, vanish, or change spelling, default, choices or type
+        unless the file is regenerated on purpose."""
         pinned = json.loads(
             Path(__file__).with_name("cli_surface.json").read_text()
         )
@@ -47,7 +53,7 @@ class TestParser:
         pinned = json.loads(
             Path(__file__).with_name("cli_surface.json").read_text()
         )
-        for command in ("run", "explain", "report", "loadtest"):
+        for command in ("run", "explain", "loadtest"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--help"])
             text = capsys.readouterr().out
@@ -85,6 +91,7 @@ class TestParser:
         ["run", "--gc-depth", "2"],
         ["run", "--adversary", "schedule:bogus@1"],
         ["run", "--latency-model", "nosuch"],
+        ["run", "--journal-max-events", "64"],  # bounds --out's journal
         ["loadtest", "--duration", "1"],  # the default warmup is 2 s
     ])
     def test_config_error_is_a_usage_error(self, argv, capsys):
@@ -157,13 +164,14 @@ class TestCommands:
         assert "tusk" in capsys.readouterr().out
 
     def test_run_exports(self, capsys, tmp_path):
-        json_path = tmp_path / "r.json"
-        csv_path = tmp_path / "r.csv"
-        assert main(["run", "-n", "4", "--batch", "20", "--duration", "3",
-                     "--json", str(json_path), "--csv", str(csv_path)]) == 0
-        rows = json.loads(json_path.read_text())
-        assert rows[0]["protocol"] == "lightdag2"
-        assert csv_path.read_text().startswith("adversary")
+        argv = ["run", "-n", "4", "--batch", "20", "--duration", "3",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert run["results"][0]["protocol"] == "lightdag2"
+        assert run["config"]["system"]["n"] == 4 and run["seed"] == 0
+        assert run["argv"] == argv
+        assert "git_commit" in run
 
     def test_run_repeats(self, capsys):
         assert main(["run", "-n", "4", "--batch", "20", "--duration", "3",
@@ -172,65 +180,125 @@ class TestCommands:
         assert "tps_mean" in out and "tps_ci95" in out
 
     def test_run_obs_exports(self, capsys, tmp_path):
-        trace = tmp_path / "t.json"
-        prom = tmp_path / "m.prom"
-        journal = tmp_path / "j.jsonl"
         assert main(["run", "--protocol", "lightdag1", "-n", "4",
                      "--batch", "20", "--duration", "3",
-                     "--trace", str(trace), "--metrics", str(prom),
-                     "--journal", str(journal)]) == 0
-        parsed = json.loads(trace.read_text())
+                     "--out", str(tmp_path)]) == 0
+        parsed = json.loads((tmp_path / "trace.json").read_text())
         assert any(e["ph"] == "X" for e in parsed["traceEvents"])
-        assert "# TYPE repro_net_messages_sent counter" in prom.read_text()
-        first = json.loads(journal.read_text().splitlines()[0])
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert any(m["name"] == "net.messages_sent" and m["kind"] == "counter"
+                   for m in run["metrics"])
+        events = load_journal_jsonl(tmp_path / "journal.jsonl")
+        assert sum(run["journal_counts"].values()) == len(events)
+        first = next(e for e in events if not e["type"].startswith("trace."))
         assert first["type"] == "block.propose"
+        assert run["health"]["verdict"] == "healthy"
 
     def test_run_obs_ignored_with_repeats(self, capsys, tmp_path):
-        trace = tmp_path / "t.json"
+        """Several seeds record no telemetry: run.json holds each seed's
+        row and the aggregate, and nothing else is written."""
         assert main(["run", "-n", "4", "--batch", "20", "--duration", "3",
-                     "--repeats", "2", "--trace", str(trace)]) == 0
-        assert not trace.exists()
-        assert "ignoring" in capsys.readouterr().err
+                     "--repeats", "2", "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert [row["protocol"] for row in run["results"]] == ["lightdag2"] * 3
+        assert "tps_mean" in run["results"][-1]
+        assert "metrics" not in run
 
     def test_run_bounded_journal_streams(self, capsys, tmp_path):
-        journal = tmp_path / "j.jsonl"
         assert main(["run", "--protocol", "lightdag1", "-n", "4",
                      "--batch", "20", "--duration", "3",
-                     "--journal", str(journal),
+                     "--out", str(tmp_path),
                      "--journal-max-events", "16"]) == 0
-        assert "streamed" in capsys.readouterr().out
-        lines = journal.read_text().splitlines()
+        events = load_journal_jsonl(tmp_path / "journal.jsonl")
         # Far more events streamed to disk than the 16-slot ring holds.
-        assert len(lines) > 16
-        assert json.loads(lines[0])["type"] == "block.propose"
+        assert len(events) > 16
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert sum(run["journal_counts"].values()) == len(events)
+        # explain decomposes the whole streamed log, not the ring.
+        blocks = explain_report(events)["blocks"]
+        assert blocks > 0 and explain_report(events[-16:])["blocks"] == 0
+        capsys.readouterr()
+        assert main(["explain", str(tmp_path)]) == 0
+        assert f"{blocks} committed block timeline(s)" in capsys.readouterr().out
 
     def test_explain_prints_breakdown(self, capsys, tmp_path):
-        report_path = tmp_path / "explain.json"
-        assert main(["explain", "-n", "4", "--batch", "20",
-                     "--duration", "3", "--warmup", "1",
-                     "--json", str(report_path)]) == 0
+        assert main(["run", "-n", "4", "--batch", "20", "--duration", "3",
+                     "--warmup", "1", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["explain", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "end-to-end commit latency" in out
         assert "broadcast" in out and "ordering" in out
         assert "reconciles with end-to-end mean" in out
         assert "health: healthy" in out
-        report = json.loads(report_path.read_text())
+        report = explain_report(load_journal_jsonl(tmp_path / "journal.jsonl"))
         assert report["blocks"] > 0
         assert report["reconciliation_max_abs_error"] < 1e-9
 
     def test_explain_trace_export_has_flows(self, capsys, tmp_path):
-        trace = tmp_path / "t.json"
-        assert main(["explain", "-n", "4", "--batch", "20",
-                     "--duration", "3", "--trace", str(trace)]) == 0
-        parsed = json.loads(trace.read_text())
+        assert main(["run", "-n", "4", "--batch", "20", "--duration", "3",
+                     "--out", str(tmp_path)]) == 0
+        parsed = json.loads((tmp_path / "trace.json").read_text())
         phases = {e["ph"] for e in parsed["traceEvents"]}
         assert {"s", "f"} <= phases  # Perfetto flow arrows present
         cats = {e.get("cat") for e in parsed["traceEvents"]}
         assert "lifecycle" in cats
 
-    def test_report(self, capsys):
-        assert main(["report", "--protocol", "lightdag2", "-n", "4",
-                     "--batch", "20", "--duration", "3"]) == 0
+    def test_explain_reads_what_run_recorded(self, capsys, tmp_path):
+        """The report explain derives from DIR/journal.jsonl is the one
+        the same run's in-memory journal gives."""
+        assert main(["run", "-n", "4", "--batch", "20", "--duration", "4",
+                     "--warmup", "1", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["explain", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        cfg = ExperimentConfig(
+            system=SystemConfig(n=4, crypto="hmac", seed=0),
+            protocol=ProtocolConfig(batch_size=20),
+            duration=4.0,
+            warmup=1.0,
+        )
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert dataclasses.asdict(cfg) == run["config"]
+        journal = EventJournal()
+        obs = Observability(MetricsRegistry(), journal, trace=Tracer(journal))
+        result = run_experiment(cfg, obs=obs, health=True)
+        report = explain_report(journal, protocol="lightdag2", n=4)
+        assert report == explain_report(
+            load_journal_jsonl(tmp_path / "journal.jsonl"),
+            protocol="lightdag2", n=4,
+        )
+        report["health"] = result.health
+        assert format_report(report) in out
+
+    @pytest.mark.parametrize("files", [
+        {},
+        {"run.json": "{not json"},
+        {"run.json": "{}", "journal.jsonl": ""},
+        {"run.json": '{"config": {}}', "journal.jsonl": '{"t": 0}\n'},
+    ])
+    def test_explain_bad_dir_is_a_usage_error(self, files, capsys, tmp_path):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main(["explain", str(tmp_path / "missing")]) == 2
+        assert main(["explain", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("repro: error: ") == 2 and "Traceback" not in err
+
+    def test_explain_needs_a_single_seed(self, capsys, tmp_path):
+        assert main(["run", "-n", "4", "--batch", "20", "--duration", "3",
+                     "--repeats", "2", "--out", str(tmp_path)]) == 0
+        assert main(["explain", str(tmp_path)]) == 2
+        assert "single-seed" in capsys.readouterr().err
+
+    def test_report(self, capsys, tmp_path):
+        """The metric and journal-count tables ride along in explain."""
+        assert main(["run", "--protocol", "lightdag2", "-n", "4",
+                     "--batch", "20", "--duration", "3",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["explain", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "broadcast.steps" in out
         assert "wave.commit" in out
