@@ -9,23 +9,21 @@ figures plot); end-to-end latency is client submit→committed result,
 which additionally pays the admission-queue wait.  Their divergence *is*
 the saturation signal.
 
-The saturation figure is ASCII (this environment has no plotting
-dependency) plus a JSON export carrying every number the chart rounds
-away; both go wherever ``repro loadtest --sweep`` points them.
+The sweep table and the saturation figure (ASCII: the package has no
+plotting dependency) read ``LoadtestResult.row()`` dicts: ``repro
+loadtest`` renders the live rows, ``repro explain DIR`` the ones
+``--out DIR`` recorded in ``run.json``, so both print the same text.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Dict, List, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "format_load_summary",
-    "loadtest_rows",
     "format_sweep_table",
     "render_saturation_figure",
-    "loadtest_results_to_json",
 ]
 
 
@@ -97,26 +95,30 @@ def format_load_summary(result) -> str:
     return "\n".join(lines)
 
 
-def loadtest_rows(results: Sequence) -> List[Dict[str, object]]:
-    return [r.row() for r in results]
-
-
-def format_sweep_table(results: Sequence) -> str:
-    """Fixed-width offered-rate table (one loadtest per row)."""
+def format_sweep_table(rows: Sequence[Mapping[str, object]]) -> str:
+    """Fixed-width offered-rate table (one ``LoadtestResult.row()`` per
+    line, rates to 0.1 tx/s and latencies to 0.1 ms), then the saturation
+    figure when there are two or more rate points: what ``repro loadtest
+    --sweep`` prints and ``repro explain`` prints again."""
     from ..harness.report import format_table
 
-    return format_table(
-        loadtest_rows(results),
-        [
-            "offered_tps", "e2e_tps", "consensus_tps",
-            "consensus_s", "e2e_p50_s", "e2e_p99_s", "e2e_p999_s",
-            "rejected", "shed", "max_depth",
-        ],
-    )
+    columns = ["offered_tps", "e2e_tps", "consensus_tps", "consensus_s",
+               "e2e_p50_s", "e2e_p99_s", "e2e_p999_s", "rejected", "shed",
+               "max_depth"]
+    shown = [
+        {col: round(row[col], 1 if col.endswith("_tps") else 4)
+         if isinstance(row[col], float) and math.isfinite(row[col])
+         else row[col] for col in columns}
+        for row in rows
+    ]
+    sections = [format_table(shown, columns)]
+    if len(rows) > 1:
+        sections.append(render_saturation_figure(rows))
+    return "\n\n".join(sections)
 
 
 def render_saturation_figure(
-    results: Sequence, width: int = 60, height: int = 16
+    rows: Sequence[Mapping[str, object]], width: int = 60, height: int = 16
 ) -> str:
     """ASCII chart: offered rate (x) vs latency (y, log scale).
 
@@ -128,13 +130,14 @@ def render_saturation_figure(
     instead of unbounded latency/memory.
     """
     points = []
-    for r in results:
+    for row in rows:
         series = {
-            "c": r.consensus_mean_s,
-            "*": r.e2e_p50_s,
-            "#": r.e2e_p99_s,
+            "c": row["consensus_s"],
+            "*": row["e2e_p50_s"],
+            "#": row["e2e_p99_s"],
         }
-        points.append((r.offered_rate, series, (r.rejected + r.shed) > 0))
+        dropped = (row["rejected"] + row["shed"]) > 0
+        points.append((row["offered_tps"], series, dropped))
     points.sort(key=lambda p: p[0])
     values = [
         v for _, series, _ in points for v in series.values()
@@ -184,76 +187,3 @@ def render_saturation_figure(
     if any(d == "!" for d in drops):
         lines.append(" " * 12 + "! = admission control dropped work (bounded queue)")
     return "\n".join(lines)
-
-
-def loadtest_results_to_json(results: Sequence, indent: int = 2) -> str:
-    """Sweep points with full config context, ready for external plotting."""
-    payload = []
-    for r in results:
-        cfg = r.config
-        wl = cfg.workload
-        payload.append(
-            {
-                "config": {
-                    "protocol": cfg.protocol_name,
-                    "n": cfg.n,
-                    "batch_size": cfg.batch_size,
-                    "latency_model": cfg.latency_model,
-                    "duration_s": cfg.duration,
-                    "warmup_s": cfg.warmup,
-                    "seed": cfg.seed,
-                    "mode": wl.mode,
-                    "clients": wl.clients,
-                    "arrival": wl.arrival,
-                    "rate_tps": wl.rate,
-                    "outstanding": wl.outstanding,
-                    "think_s": wl.think_s,
-                    "keys": wl.keys,
-                    "zipf": wl.zipf,
-                    "mix": list(wl.mix),
-                    "shared_keys": wl.shared_keys,
-                    "admission": {
-                        "max_pending": cfg.admission.max_pending,
-                        "policy": cfg.admission.policy,
-                        "per_client_cap": cfg.admission.per_client_cap,
-                    },
-                },
-                "offered_tps": r.offered_rate,
-                "consensus": {
-                    "tps": r.consensus_tps,
-                    "mean_s": r.consensus_mean_s,
-                    "p50_s": r.consensus_p50_s,
-                    "p95_s": r.consensus_p95_s,
-                },
-                "e2e": {
-                    "tps": r.e2e_tps,
-                    "mean_s": r.e2e_mean_s,
-                    "p50_s": r.e2e_p50_s,
-                    "p99_s": r.e2e_p99_s,
-                    "p999_s": r.e2e_p999_s,
-                },
-                "traffic": {
-                    "submitted": r.submitted,
-                    "completed": r.completed,
-                    "rejected": r.rejected,
-                    "shed": r.shed,
-                    "retries": r.retries,
-                    "verified": r.verified,
-                    "verify_failures": r.verify_failures,
-                    "max_pending_depth": r.max_pending_depth,
-                },
-                "admission_totals": r.admission,
-            }
-        )
-
-    def _scrub(obj):
-        # NaN is not valid JSON; emit null for empty-sample statistics.
-        if isinstance(obj, float) and not math.isfinite(obj):
-            return None
-        if isinstance(obj, dict):
-            return {k: _scrub(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [_scrub(v) for v in obj]
-        return obj
-
-    return json.dumps(_scrub(payload), indent=indent)

@@ -1,8 +1,8 @@
 """Exporters for the :mod:`repro.obs` instrumentation layer.
 
-One source of truth (the registry + journal of an instrumented run), one
-artifact: :func:`write_run_dir` leaves a directory that ``repro explain
-DIR`` reads back.
+One artifact per run command: :func:`write_run_dir` leaves the directory
+``repro run --out DIR`` and ``repro loadtest --out DIR`` write, and
+:func:`format_run_dir` is what ``repro explain DIR`` prints from it.
 
 * :func:`journal_to_jsonl` — one JSON object per line, in event order.
   ``grep``-able, ``jq``-able, and the determinism witness (same seed →
@@ -22,12 +22,12 @@ DIR`` reads back.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from ..config import ExperimentConfig
 from ..errors import ConfigError
 from ..obs import BoundedJournal, EventJournal, Observability
 from .latency import explain_report, format_report
@@ -218,10 +218,11 @@ def journal_to_chrome_trace(journal: EventJournal, path: PathLike = None) -> str
     return _maybe_write(json.dumps(trace, indent=1, sort_keys=True), path)
 
 
-# -- the run directory (repro run --out DIR) ---------------------------------
+# -- the run directory (repro run/loadtest --out DIR) ------------------------
 
-#: The files of one run directory.  A ``--repeats`` run writes only
-#: :data:`RUN_JSON`; an instrumented single-seed run writes all three.
+#: The files of one run directory.  ``repro loadtest`` and a ``--repeats``
+#: run write only :data:`RUN_JSON`; an instrumented single-seed run writes
+#: all three.
 RUN_JSON, JOURNAL_JSONL, TRACE_JSON = "run.json", "journal.jsonl", "trace.json"
 
 
@@ -237,24 +238,36 @@ def _git_commit() -> Optional[str]:
     return done.stdout.strip()
 
 
+def _finite(value: object) -> object:
+    """``value`` with every non-finite float replaced by ``None``: strict
+    JSON (``jq``, most parsers) has no ``NaN`` or ``Infinity``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def write_run_dir(
     out: Union[str, Path],
-    cfg: ExperimentConfig,
-    results: Iterable,
+    cfg: Any,
+    rows: Iterable[Dict[str, object]],
     argv: Sequence[str],
     obs: Optional[Observability] = None,
     health: Optional[Dict[str, object]] = None,
 ) -> None:
     """Write one run's artifact into the existing directory ``out``.
 
-    ``run.json`` holds the config, seed, argv, git commit and the
-    results' ``row()`` dicts (each ``ExperimentResult`` or
-    ``RepeatedResult``).
+    ``run.json`` holds the config dataclass (an ``ExperimentConfig`` or a
+    ``LoadtestConfig``), seed, argv, git commit and the result ``rows``.
     With ``obs`` (one instrumented seed) it also holds the registry
     snapshot, per-type journal counts and the health verdict, and the
     journal and its Chrome trace land beside it.  A streaming
     :class:`~repro.obs.BoundedJournal` has already written
     ``journal.jsonl`` in full, so only its ring reaches the trace.
+    Non-finite floats (an empty histogram's mean) are written as ``null``.
     """
     out = Path(out)
     run: Dict[str, object] = {
@@ -262,7 +275,7 @@ def write_run_dir(
         "seed": cfg.seed,
         "argv": list(argv),
         "git_commit": _git_commit(),
-        "results": [result.row() for result in results],
+        "results": list(rows),
     }
     if obs is not None:
         journal = obs.journal
@@ -276,45 +289,61 @@ def write_run_dir(
         else:
             journal_to_jsonl(journal, out / JOURNAL_JSONL)
         journal_to_chrome_trace(journal, out / TRACE_JSON)
-    (out / RUN_JSON).write_text(json.dumps(run, indent=2, sort_keys=True) + "\n")
+    else:  # a reused directory keeps no other run's journal or trace
+        for name in (JOURNAL_JSONL, TRACE_JSON):
+            (out / name).unlink(missing_ok=True)
+    text = json.dumps(_finite(run), indent=2, sort_keys=True, allow_nan=False)
+    (out / RUN_JSON).write_text(text + "\n")
 
 
 def format_run_dir(path: Union[str, Path]) -> str:
     """What ``repro explain DIR`` prints, derived from the directory alone:
-    the result table, the stage decomposition and critical path of
-    ``journal.jsonl``, the health verdict, and the metric and journal-count
-    tables of ``run.json``.  Anything but a single-seed run directory is a
-    :class:`~repro.errors.ConfigError`."""
-    from ..harness.report import RESULT_COLUMNS, format_table
+    the result table of ``run.json`` (with the saturation figure of a
+    loadtest sweep) and, when ``run.json`` holds an instrumented seed's
+    metrics, the stage decomposition and critical path of ``journal.jsonl``, the health
+    verdict, and the metric and journal-count tables.  A missing or
+    malformed ``run.json`` is a :class:`~repro.errors.ConfigError`."""
+    from ..harness.report import format_result_rows, format_table
+    from .loadreport import format_sweep_table
 
     root = Path(path)
     try:
         run = json.loads((root / RUN_JSON).read_text())
         config = run["config"]
-        report = explain_report(
-            load_journal_jsonl(root / JOURNAL_JSONL),
-            protocol=config["protocol_name"], n=config["system"]["n"],
-        )
-        report["health"] = run["health"]
-        sections = [
-            format_table(run["results"], RESULT_COLUMNS),
-            format_report(report),
-            format_table(registry_summary_rows(run["metrics"]), [
-                "metric", "labels", "kind", "count", "value", "mean", "p95",
-                "max",
-            ]),
+        # A null stands for the NaN the live table prints.
+        rows = [
+            {key: math.nan if value is None else value
+             for key, value in row.items()}
+            for row in run["results"]
         ]
-        counts = sorted(run["journal_counts"].items())
-        total = sum(count for _, count in counts)
+        sections = [format_sweep_table(rows) if "workload" in config
+                    else format_result_rows(rows)]
+        if "metrics" in run:  # one instrumented seed: its journal is here
+            report = explain_report(
+                load_journal_jsonl(root / JOURNAL_JSONL),
+                protocol=config["protocol_name"], n=config["system"]["n"],
+            )
+            report["health"] = run["health"]
+            counts = sorted(run["journal_counts"].items())
+            sections += [
+                format_report(report),
+                format_table(registry_summary_rows(run["metrics"]), [
+                    "metric", "labels", "kind", "count", "value", "mean",
+                    "p95", "max",
+                ]),
+            ]
+            if counts:
+                sections.append(format_table(
+                    [{"event": type_, "count": count} for type_, count in counts],
+                    ["event", "count"],
+                ))
+            sections.append(
+                f"{sum(count for _, count in counts)} journal events, "
+                f"{len(run['metrics'])} metric series"
+            )
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"{root} is not a single-seed 'repro run --out' "
+        raise ConfigError(f"{root} is not a 'repro run/loadtest --out' "
                           f"directory ({type(exc).__name__}: {exc})") from None
-    if counts:
-        sections.append(format_table(
-            [{"event": type_, "count": count} for type_, count in counts],
-            ["event", "count"],
-        ))
-    sections.append(f"{total} journal events, {len(run['metrics'])} metric series")
     return "\n\n".join(sections)
 
 

@@ -8,10 +8,11 @@ Two layers live here:
   :class:`Aggregate` (mean/stdev/CI/quantiles over a sample list).
 * **Repetition** — a single simulated run is deterministic per seed, so
   "experimental error" in this reproduction means *seed sensitivity*
-  (coin outcomes, jitter draws).  :func:`repeat_experiment` runs a config
-  across several seeds and aggregates mean, sample standard deviation,
-  and a normal-approximation 95% confidence interval — the error bars a
-  figure would carry.
+  (coin outcomes, jitter draws).  :func:`seed_variants` re-seeds a config
+  and :func:`aggregate_results` collapses the per-seed runs into mean,
+  sample standard deviation and a normal-approximation 95% confidence
+  half-width — the error bars a figure would carry.  The figure sweeps
+  and ``repro run --repeats`` share this one path.
 """
 
 from __future__ import annotations
@@ -80,29 +81,6 @@ class Aggregate:
         return self.quantile(0.95)
 
 
-@dataclass(frozen=True)
-class RepeatedResult:
-    """Aggregated metrics over the repetition set."""
-
-    config: ExperimentConfig
-    repeats: int
-    throughput: Aggregate
-    latency: Aggregate
-    runs: tuple
-
-    def row(self) -> Dict[str, object]:
-        return {
-            "protocol": self.config.protocol_name,
-            "n": self.config.system.n,
-            "batch": self.config.protocol.batch_size,
-            "repeats": self.repeats,
-            "tps_mean": round(self.throughput.mean, 1),
-            "tps_ci95": round(self.throughput.ci95_half_width, 1),
-            "latency_mean_s": round(self.latency.mean, 4),
-            "latency_ci95_s": round(self.latency.ci95_half_width, 4),
-        }
-
-
 def seed_variants(cfg: ExperimentConfig, seeds: Sequence[int]) -> List[ExperimentConfig]:
     """``cfg`` re-seeded once per entry of ``seeds`` (both RNG roots moved)."""
     return [
@@ -117,34 +95,16 @@ def aggregate_results(runs: Sequence["ExperimentResult"]) -> "ExperimentResult":
     Float metrics become means; counters become rounded means (so a mean
     over seeds still reads as "txs per run", not a sum that grows with the
     seed count).  Spread lands in ``extras``: ``tps_stddev`` /
-    ``latency_stddev`` (sample stddev) and ``seed_count``, which is what
-    EXPERIMENTS.md renders as error bars.  The carried config is the first
-    run's, so ``result.config.seed`` names the first seed of the set.
+    ``latency_stddev`` (sample stddev), ``tps_ci95`` / ``latency_ci95``
+    (95% half-widths) and ``seed_count``, which is what EXPERIMENTS.md
+    renders as error bars.  The carried config is the first run's, so
+    ``result.config.seed`` names the first seed of the set.
     """
     from ..harness.runner import ExperimentResult
 
     runs = list(runs)
     if not runs:
         raise ValueError("aggregate_results needs at least one run")
-    if len(runs) == 1:
-        only = runs[0]
-        extras = dict(only.extras)
-        extras.setdefault("tps_stddev", 0.0)
-        extras.setdefault("latency_stddev", 0.0)
-        extras.setdefault("seed_count", 1.0)
-        return ExperimentResult(
-            config=only.config,
-            throughput_tps=only.throughput_tps,
-            mean_latency=only.mean_latency,
-            p50_latency=only.p50_latency,
-            p95_latency=only.p95_latency,
-            committed_txs=only.committed_txs,
-            rounds_reached=only.rounds_reached,
-            events=only.events,
-            messages_sent=only.messages_sent,
-            bytes_sent=only.bytes_sent,
-            extras=extras,
-        )
     count = len(runs)
     tps = Aggregate.of([r.throughput_tps for r in runs])
     latency = Aggregate.of([r.mean_latency for r in runs])
@@ -161,6 +121,8 @@ def aggregate_results(runs: Sequence["ExperimentResult"]) -> "ExperimentResult":
         extras[key] = fmean([r.extras[key] for r in runs])
     extras["tps_stddev"] = tps.stdev
     extras["latency_stddev"] = latency.stdev
+    extras["tps_ci95"] = tps.ci95_half_width
+    extras["latency_ci95"] = latency.ci95_half_width
     extras["seed_count"] = float(count)
     return ExperimentResult(
         config=runs[0].config,
@@ -177,32 +139,17 @@ def aggregate_results(runs: Sequence["ExperimentResult"]) -> "ExperimentResult":
     )
 
 
-def repeat_experiment(
-    cfg: ExperimentConfig, repeats: int = 5, jobs: "int | None" = 1
-) -> RepeatedResult:
-    """Run ``cfg`` under ``repeats`` distinct seeds and aggregate.
-
-    Seeds are derived as ``cfg.seed, cfg.seed+1, …`` so a repetition set is
-    itself reproducible.  ``jobs`` fans the repetitions out over the
-    parallel harness (``jobs=1``, the default, stays in-process); results
-    are identical either way because each run is seed-deterministic.
-    """
-    from ..harness.parallel import run_sweep
-
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    seeded = [
-        cfg.with_updates(
-            seed=cfg.seed + k,
-            system=cfg.system.with_updates(seed=cfg.system.seed + k),
-        )
-        for k in range(repeats)
-    ]
-    runs = run_sweep(seeded, jobs=jobs)
-    return RepeatedResult(
-        config=cfg,
-        repeats=repeats,
-        throughput=Aggregate.of([r.throughput_tps for r in runs]),
-        latency=Aggregate.of([r.mean_latency for r in runs]),
-        runs=tuple(runs),
-    )
+def aggregate_row(result: "ExperimentResult") -> Dict[str, object]:
+    """The table row of an :func:`aggregate_results` result: the means
+    with their 95% half-widths (``repro run --repeats``)."""
+    cfg = result.config
+    return {
+        "protocol": cfg.protocol_name,
+        "n": cfg.system.n,
+        "batch": cfg.protocol.batch_size,
+        "repeats": int(result.extras["seed_count"]),
+        "tps_mean": round(result.throughput_tps, 1),
+        "tps_ci95": round(result.extras["tps_ci95"], 1),
+        "latency_mean_s": round(result.mean_latency, 4),
+        "latency_ci95_s": round(result.extras["latency_ci95"], 4),
+    }

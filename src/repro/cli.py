@@ -4,9 +4,10 @@ Commands
 --------
 ``run``        one experiment (protocol, n, batch, adversary, …);
                ``--out DIR`` instruments it and writes the run directory
-``explain``    read a run directory: per-stage commit-latency
-               decomposition, causal critical path, health verdict,
-               metric and journal-count tables
+``explain``    read a run directory: the result table (and a loadtest
+               sweep's saturation figure); if instrumented, the per-stage
+               commit-latency decomposition, causal critical path,
+               health verdict, metric and journal-count tables
 ``fuzz``       seed-deterministic fault-schedule sweep with invariant
                oracles on; failing cases are shrunk and reported as
                reproducible command lines
@@ -15,17 +16,19 @@ Commands
 ``loadtest``   end-to-end client traffic against the replicated KV:
                open/closed-loop populations, admission control, and a
                consensus-vs-end-to-end summary; ``--sweep`` ramps the
-               offered rate and renders the saturation knee
+               offered rate and renders the saturation knee;
+               ``--out DIR`` writes the run directory
 ``table1``     regenerate Table I (paper vs measured communication steps)
 ``fig``        regenerate a figure sweep (12, 13, 14 or 15)
 ``steps``      measure one protocol's commit latency in steps
 ``viz``        run a short simulation and print the DAG as ASCII art
 ``protocols``  list available protocols and their worst-case attack
 
-Every command prints a plain-text table.  ``run --out DIR`` also leaves
-one artifact: ``DIR/run.json`` (config, argv, git commit, result rows,
-metrics, journal counts, health), ``DIR/journal.jsonl`` and a Chrome trace
-``DIR/trace.json`` (Perfetto); with ``--repeats``, ``run.json`` only.
+Every command prints a plain-text table.  ``run --out DIR`` and
+``loadtest --out DIR`` also leave one artifact, ``DIR/run.json`` (config,
+seed, argv, git commit, result rows; strict JSON).  An instrumented
+single-seed ``run`` adds metrics, journal counts and health to it, plus
+``DIR/journal.jsonl`` and a Chrome trace ``DIR/trace.json`` (Perfetto).
 """
 
 from __future__ import annotations
@@ -36,13 +39,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from .adversary.schedule import ATTACKS
-from .analysis.obs_export import (
-    JOURNAL_JSONL,
-    RUN_JSON,
-    format_run_dir,
-    write_run_dir,
-)
-from .analysis.stats import repeat_experiment
+from .analysis.obs_export import JOURNAL_JSONL, format_run_dir, write_run_dir
+from .analysis.stats import aggregate_results, aggregate_row, seed_variants
 from .config import CHECK_LEVELS, ExperimentConfig, ProtocolConfig, SystemConfig
 from .errors import ConfigError, SweepError
 from .harness.cluster import WORST_ATTACK
@@ -52,7 +50,13 @@ from .harness.experiments import (
     tradeoff_curve,
     unfavorable_curve,
 )
-from .harness.report import format_table, render_series, results_table, series_by_protocol
+from .harness.parallel import run_sweep
+from .harness.report import (
+    format_result_rows,
+    format_table,
+    render_series,
+    series_by_protocol,
+)
 from .harness.runner import PROTOCOL_REGISTRY, run_experiment
 from .harness.steps import measure_commit_steps, table1_rows
 from .obs import (
@@ -143,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instrument the run (metrics, journal, lifecycle "
                             "tracing, health watchdog) and write run.json, "
                             "journal.jsonl and trace.json into DIR; with "
-                            "--repeats > 1 only run.json")
+                            "--repeats > 1 only run.json (every seed's row "
+                            "and the aggregate)")
     run_p.add_argument("--journal-max-events", type=int, default=None,
                        metavar="N",
                        help="with --out: bound journal memory to a ring of "
@@ -153,16 +158,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain_p = sub.add_parser(
         "explain",
-        help="read a run directory: latency decomposition, health, metrics",
-        description="Read the directory 'repro run --out DIR' wrote and "
-                    "print the result, where each committed block's latency "
-                    "went (broadcast / quorum / gating / coin / ordering), "
-                    "the slowest block's causal critical path, the run's "
-                    "health verdict, and its metric and journal-count "
-                    "tables.",
+        help="read a run directory: results, latency decomposition, health",
+        description="Read the directory 'repro run --out DIR' or 'repro "
+                    "loadtest --out DIR' wrote and print its result table "
+                    "(and a loadtest sweep's saturation figure).  When "
+                    "the run was instrumented, also print where each "
+                    "committed block's latency went (broadcast / quorum / "
+                    "gating / coin / ordering), the slowest block's causal "
+                    "critical path, the run's health verdict, and its "
+                    "metric and journal-count tables.",
     )
     explain_p.add_argument("dir", metavar="DIR",
-                           help="a directory written by 'repro run --out'")
+                           help="a directory written by 'repro run --out' "
+                                "or 'repro loadtest --out'")
 
     fuzz_p = sub.add_parser(
         "fuzz",
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "TPS/latency next to client-observed end-to-end "
                     "TPS/latency. With --sweep, ramp the offered rate "
                     "across the given points and render the saturation "
-                    "knee (ASCII figure + JSON).",
+                    "knee (ASCII figure, for two or more rates).",
     )
     _add_run_args(
         load_p, replicas=4, batch=64, adversary=False,
@@ -286,11 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     load_p.add_argument("--sweep", default=None, metavar="R1,R2,..",
                         help="offered rates to sweep instead of one run")
     _add_jobs_arg(load_p)
-    load_p.add_argument("--json", metavar="PATH",
-                        help="write results JSON (single run or sweep)")
-    load_p.add_argument("--figure", metavar="PATH",
-                        help="write the ASCII saturation figure "
-                             "(sweep only; also printed)")
+    load_p.add_argument("--out", metavar="DIR",
+                        help="write run.json (config, seed, argv, git commit, "
+                             "one row per rate point) into DIR; read it back "
+                             "with 'repro explain DIR'")
 
     sub.add_parser("table1", help="Table I: paper vs measured step counts")
 
@@ -339,35 +346,48 @@ def _make_config(args) -> ExperimentConfig:
     )
 
 
+def _out_dir(value: Optional[str]) -> Optional[Path]:
+    """``--out``'s directory, created now so that a path naming a file
+    fails before any simulation runs."""
+    if value is None:
+        return None
+    out = Path(value)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {value} is not a usable directory "
+                          f"({exc.strerror or exc})") from None
+    return out
+
+
 def _cmd_run(args) -> int:
     cfg = _make_config(args)
-    out = Path(args.out) if args.out else None
-    if out is None and args.journal_max_events is not None:
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
+    if args.out is None and args.journal_max_events is not None:
         raise ConfigError("--journal-max-events bounds the journal of "
                           "--out DIR; give --out")
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
+    obs = health = None
     if args.repeats > 1:
-        repeated = repeat_experiment(cfg, repeats=args.repeats, jobs=args.jobs)
-        print(format_table([repeated.row()], list(repeated.row())))
-        if out is not None:
-            write_run_dir(out, cfg, [*repeated.runs, repeated], args.argv)
-            print(f"wrote {out / RUN_JSON}")
-        return 0
-    if out is None:
-        print(results_table([run_experiment(cfg)]))
-        return 0
-    if args.journal_max_events is not None:
-        journal = BoundedJournal(
-            args.journal_max_events, spill_path=str(out / JOURNAL_JSONL)
-        )
+        seeds = range(cfg.seed, cfg.seed + args.repeats)
+        runs = run_sweep(seed_variants(cfg, seeds), jobs=args.jobs)
+        rows = [*(r.row() for r in runs), aggregate_row(aggregate_results(runs))]
     else:
-        journal = EventJournal()
-    obs = Observability(MetricsRegistry(), journal, trace=Tracer(journal))
-    result = run_experiment(cfg, obs=obs, health=True)
-    print(results_table([result]))
-    write_run_dir(out, cfg, [result], args.argv, obs=obs, health=result.health)
-    print(f"wrote {out}/ (read it with: repro explain {out})")
+        if out is not None:
+            if args.journal_max_events is not None:
+                journal = BoundedJournal(
+                    args.journal_max_events, spill_path=str(out / JOURNAL_JSONL)
+                )
+            else:
+                journal = EventJournal()
+            obs = Observability(MetricsRegistry(), journal, trace=Tracer(journal))
+        result = run_experiment(cfg, obs=obs, health=True)
+        rows, health = [result.row()], result.health
+    print(format_result_rows(rows))
+    if out is not None:
+        write_run_dir(out, cfg, rows, args.argv, obs=obs, health=health)
+        print(f"wrote {out}/ (read it with: repro explain {out})")
     return 0
 
 
@@ -503,12 +523,7 @@ def _cmd_explore(args) -> int:
 def _cmd_loadtest(args) -> int:
     # Lazy import: the loadtest stack (clients, admission, report) is only
     # needed by this command.
-    from .analysis.loadreport import (
-        format_load_summary,
-        format_sweep_table,
-        loadtest_results_to_json,
-        render_saturation_figure,
-    )
+    from .analysis.loadreport import format_load_summary, format_sweep_table
     from .harness.loadtest import LoadtestConfig, run_loadtest, run_loadtest_sweep
     from .workload.admission import AdmissionConfig
     from .workload.clients import WorkloadSpec
@@ -516,9 +531,8 @@ def _cmd_loadtest(args) -> int:
     try:
         mix = tuple(float(w) for w in args.mix.split(","))
     except ValueError:
-        print(f"--mix must be 4 comma-separated numbers, got {args.mix!r}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"--mix must be 4 comma-separated numbers, "
+                          f"got {args.mix!r}") from None
     workload = WorkloadSpec(
         clients=args.clients,
         mode=args.mode,
@@ -553,42 +567,30 @@ def _cmd_loadtest(args) -> int:
         ),
     )
 
-    if args.sweep is None:
-        result = run_loadtest(cfg)
-        print(format_load_summary(result))
-        if result.verify_failures:
-            print(f"ERROR: {result.verify_failures} read-your-writes "
-                  f"verification failure(s)", file=sys.stderr)
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(loadtest_results_to_json([result]))
-            print(f"wrote {args.json}")
-        return 1 if result.verify_failures else 0
+    rates = None
+    if args.sweep is not None:
+        try:
+            rates = [float(r) for r in args.sweep.split(",") if r.strip() != ""]
+        except ValueError:
+            raise ConfigError(f"--sweep must be comma-separated rates, "
+                              f"got {args.sweep!r}") from None
+        if not rates:
+            raise ConfigError("--sweep needs at least one rate")
+    out = _out_dir(args.out)
 
-    try:
-        rates = [float(r) for r in args.sweep.split(",") if r.strip() != ""]
-    except ValueError:
-        print(f"--sweep must be comma-separated rates, got {args.sweep!r}",
-              file=sys.stderr)
-        return 2
-    if not rates:
-        print("--sweep needs at least one rate", file=sys.stderr)
-        return 2
-    results = run_loadtest_sweep(
-        [cfg.with_rate(rate) for rate in rates], jobs=args.jobs
-    )
-    print(format_sweep_table(results))
-    print()
-    figure = render_saturation_figure(results)
-    print(figure)
-    if args.figure:
-        with open(args.figure, "w", encoding="utf-8") as fh:
-            fh.write(figure + "\n")
-        print(f"wrote {args.figure}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(loadtest_results_to_json(results))
-        print(f"wrote {args.json}")
+    if rates is None:
+        results = [run_loadtest(cfg)]
+        print(format_load_summary(results[0]))
+    else:
+        results = run_loadtest_sweep(
+            [cfg.with_rate(rate) for rate in rates], jobs=args.jobs
+        )
+    rows = [r.row() for r in results]
+    if rates is not None:
+        print(format_sweep_table(rows))
+    if out is not None:
+        write_run_dir(out, cfg, rows, args.argv)
+        print(f"wrote {out}/ (read it with: repro explain {out})")
     failures = sum(r.verify_failures for r in results)
     if failures:
         print(f"ERROR: {failures} read-your-writes verification failure(s)",

@@ -18,7 +18,6 @@ the process pool unchanged (:func:`run_loadtest_sweep`, behind
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -102,26 +101,32 @@ class LoadtestResult:
     admission: Dict[str, int] = field(default_factory=dict)
 
     def row(self) -> Dict[str, object]:
-        """Flat dict for tables / JSON export."""
-        def r(x: float, digits: int = 4) -> float:
-            return round(x, digits) if math.isfinite(x) else x
-
+        """Every measurement, unrounded, as one flat dict: the ``run.json``
+        row of ``repro loadtest --out`` and the sweep table's input."""
         return {
             "protocol": self.config.protocol_name,
             "n": self.config.n,
             "mode": self.config.workload.mode,
             "clients": self.config.workload.clients,
-            "offered_tps": r(self.offered_rate, 1),
-            "consensus_tps": r(self.consensus_tps, 1),
-            "consensus_s": r(self.consensus_mean_s),
-            "e2e_tps": r(self.e2e_tps, 1),
-            "e2e_p50_s": r(self.e2e_p50_s),
-            "e2e_p99_s": r(self.e2e_p99_s),
-            "e2e_p999_s": r(self.e2e_p999_s),
+            "offered_tps": self.offered_rate,
+            "consensus_tps": self.consensus_tps,
+            "consensus_s": self.consensus_mean_s,
+            "consensus_p50_s": self.consensus_p50_s,
+            "consensus_p95_s": self.consensus_p95_s,
+            "e2e_tps": self.e2e_tps,
+            "e2e_mean_s": self.e2e_mean_s,
+            "e2e_p50_s": self.e2e_p50_s,
+            "e2e_p99_s": self.e2e_p99_s,
+            "e2e_p999_s": self.e2e_p999_s,
+            "submitted": self.submitted,
+            "completed": self.completed,
             "rejected": self.rejected,
             "shed": self.shed,
-            "max_depth": self.max_pending_depth,
+            "retries": self.retries,
+            "verified": self.verified,
             "verify_failures": self.verify_failures,
+            "max_depth": self.max_pending_depth,
+            "admission": dict(self.admission),
         }
 
 

@@ -34,10 +34,26 @@ def format_table(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -
 RESULT_COLUMNS = ("protocol", "n", "batch", "adversary", "tps", "latency_s",
                   "p95_s", "rounds")
 
+#: The columns of an aggregate over seeds (``analysis.stats.aggregate_row``).
+AGGREGATE_COLUMNS = ("protocol", "n", "batch", "repeats", "tps_mean",
+                     "tps_ci95", "latency_mean_s", "latency_ci95_s")
+
+
+def format_result_rows(rows: Sequence[Mapping[str, object]]) -> str:
+    """``repro run``'s result table from row dicts: one line per seed under
+    :data:`RESULT_COLUMNS`, then the aggregate over seeds of a
+    ``--repeats`` run, if any, under :data:`AGGREGATE_COLUMNS`."""
+    aggregates = [row for row in rows if "repeats" in row]
+    tables = [format_table([row for row in rows if "repeats" not in row],
+                           RESULT_COLUMNS)]
+    if aggregates:
+        tables.append(format_table(aggregates, AGGREGATE_COLUMNS))
+    return "\n\n".join(tables)
+
 
 def results_table(results: Iterable[ExperimentResult]) -> str:
     """Standard result columns for any sweep."""
-    return format_table([r.row() for r in results], RESULT_COLUMNS)
+    return format_result_rows([r.row() for r in results])
 
 
 def series_by_protocol(

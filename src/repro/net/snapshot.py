@@ -6,7 +6,6 @@ model-checking explorer (:mod:`repro.check.explorer`) is the consumer.
 
 from __future__ import annotations
 
-import copy
 import io
 import pickle
 from typing import TYPE_CHECKING, List, Optional, Sequence
@@ -34,8 +33,8 @@ class SimulatorSnapshot:
       ``monitor.wrap_commit`` and ``tracker._on_deliver`` (a node's bound
       method) at construction time, and those references must stay valid
       across every restore.
-    * **Pins** — objects deep-copied *by identity* (the memo maps them to
-      themselves): the roots, each node's network facade, and the
+    * **Pins** — objects captured *by identity* (restore hands back the
+      live object itself): the roots, each node's network facade, and the
       immutable environment (configs, wave geometry, latency model, crypto
       backend).  A bound method found in captured state re-binds to the
       pinned live object, not to a stale private copy.
@@ -64,15 +63,14 @@ class SimulatorSnapshot:
     into a live-object table — the C pickler walks the mutable state an
     order of magnitude faster than ``copy.deepcopy``, which profiling
     shows is where a model-checking run otherwise spends ~90% of its
-    time.  State that refuses to pickle falls back to the original
-    deepcopy-with-memo path; both produce bit-identical restores (the
-    snapshot property suite exercises whichever path is active).
+    time.  State that refuses to pickle is a
+    :class:`~repro.errors.SimulationError` naming its type.
     """
 
     #: Per-node attributes pinned by identity (immutable environment).
     _NODE_PINS = ("obs", "system", "protocol", "backend", "wave")
 
-    __slots__ = ("_roots", "_pins", "_table", "_table_ids", "_state", "_blob")
+    __slots__ = ("_roots", "_table", "_table_ids", "_blob")
 
     def __init__(
         self, sim: Simulation, extra_roots: Sequence[object] = ()
@@ -105,33 +103,26 @@ class SimulatorSnapshot:
             for name in self._NODE_PINS:
                 pin(getattr(node, name, None))
         self._roots = roots
-        self._pins = pins
         self._table: List[object] = list(pins.values())
         self._table_ids: dict = {
             id(obj): i for i, obj in enumerate(self._table)
         }
-        self._state: Optional[list] = None
-        self._blob: Optional[bytes] = None
+        buf = io.BytesIO()
         try:
-            buf = io.BytesIO()
             _SnapshotPickler(buf, self).dump(
                 [root.__dict__ for root in roots]
             )
-            self._blob = buf.getvalue()
-        except (pickle.PicklingError, TypeError, AttributeError):
-            # One shared memo across all roots so aliasing *between* roots
-            # (e.g. a monitor holding the node list) is preserved exactly.
-            memo = dict(pins)
-            self._state = [
-                copy.deepcopy(root.__dict__, memo) for root in roots
-            ]
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise SimulationError(
+                f"snapshot state does not pickle ({type(exc).__name__}: {exc})"
+            ) from exc
+        self._blob = buf.getvalue()
 
     def _persistent_id(self, obj: object) -> Optional[int]:
         """Swap shared identities out of the pickled graph.
 
         Pinned objects, callables (closures and bound methods capture only
-        roots or immutable values — exactly the contract the deepcopy path
-        relies on, which treats functions as atoms), and frozen values
+        roots or immutable values, so they are atoms), and frozen values
         whose ``__deepcopy__`` returns ``self`` are stored as indexes into
         the live-object table and resolved back by identity on restore.
 
@@ -157,12 +148,7 @@ class SimulatorSnapshot:
 
     def restore(self) -> None:
         """Rewind every root to the captured state, in place."""
-        if self._blob is not None:
-            unpickler = _SnapshotUnpickler(io.BytesIO(self._blob), self)
-            fresh = unpickler.load()
-        else:
-            memo = dict(self._pins)
-            fresh = [copy.deepcopy(state, memo) for state in self._state]
+        fresh = _SnapshotUnpickler(io.BytesIO(self._blob), self).load()
         for root, state in zip(self._roots, fresh):
             root.__dict__.clear()
             root.__dict__.update(state)

@@ -6,9 +6,15 @@ import pytest
 
 from repro.analysis.dagviz import dag_to_ascii, dag_to_dot
 from repro.analysis.obs_export import write_run_dir
-from repro.analysis.stats import Aggregate, aggregate_results, repeat_experiment
+from repro.analysis.stats import (
+    Aggregate,
+    aggregate_results,
+    aggregate_row,
+    seed_variants,
+)
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
 from repro.dag.store import DagStore
+from repro.harness.parallel import run_sweep
 
 
 def small_config(**kw):
@@ -57,34 +63,41 @@ class TestAggregate:
         assert reexported is percentile
 
 
+def repeat(repeats, jobs=1):
+    """``repro run --repeats``'s path: one run per seed variant."""
+    cfg = small_config()
+    seeds = range(cfg.seed, cfg.seed + repeats)
+    return run_sweep(seed_variants(cfg, seeds), jobs=jobs)
+
+
 class TestRepeatExperiment:
     def test_aggregates_over_seeds(self):
-        repeated = repeat_experiment(small_config(), repeats=3)
-        assert repeated.repeats == 3
-        assert len(repeated.runs) == 3
-        assert repeated.throughput.mean > 0
+        runs = repeat(3)
+        agg = aggregate_results(runs)
+        assert agg.extras["seed_count"] == 3.0
+        assert [r.config.seed for r in runs] == [0, 1, 2]
+        assert [r.config.system.seed for r in runs] == [0, 1, 2]
+        assert agg.throughput_tps > 0
         # Distinct seeds must actually produce distinct runs.
-        assert len(set(repeated.throughput.samples)) > 1
+        assert len({r.throughput_tps for r in runs}) > 1
 
     def test_reproducible(self):
-        a = repeat_experiment(small_config(), repeats=2)
-        b = repeat_experiment(small_config(), repeats=2)
-        assert a.throughput.samples == b.throughput.samples
+        a, b = repeat(2), repeat(2)
+        assert [r.throughput_tps for r in a] == [r.throughput_tps for r in b]
 
     def test_row_shape(self):
-        row = repeat_experiment(small_config(), repeats=2).row()
+        row = aggregate_row(aggregate_results(repeat(2)))
         assert row["repeats"] == 2
         assert "tps_ci95" in row and "latency_ci95_s" in row
 
     def test_invalid_repeats(self):
         with pytest.raises(ValueError):
-            repeat_experiment(small_config(), repeats=0)
+            aggregate_results(repeat(0))
 
     def test_jobs_equivalence(self):
-        a = repeat_experiment(small_config(), repeats=2, jobs=1)
-        b = repeat_experiment(small_config(), repeats=2, jobs=2)
-        assert a.throughput.samples == b.throughput.samples
-        assert a.latency.samples == b.latency.samples
+        a, b = repeat(2, jobs=1), repeat(2, jobs=2)
+        assert [r.throughput_tps for r in a] == [r.throughput_tps for r in b]
+        assert [r.mean_latency for r in a] == [r.mean_latency for r in b]
 
 
 class TestAggregateResults:
@@ -93,22 +106,26 @@ class TestAggregateResults:
             aggregate_results([])
 
     def test_single_run_gets_zero_spread(self):
-        repeated = repeat_experiment(small_config(), repeats=1)
-        agg = aggregate_results(repeated.runs)
+        (run,) = repeat(1)
+        agg = aggregate_results([run])
         assert agg.extras["seed_count"] == 1.0
         assert agg.extras["tps_stddev"] == 0.0
-        assert agg.throughput_tps == repeated.runs[0].throughput_tps
+        assert agg.extras["tps_ci95"] == 0.0
+        assert agg.throughput_tps == run.throughput_tps
 
     def test_mean_and_stddev(self):
-        repeated = repeat_experiment(small_config(), repeats=3)
-        agg = aggregate_results(repeated.runs)
-        tps = [r.throughput_tps for r in repeated.runs]
-        assert agg.throughput_tps == pytest.approx(sum(tps) / 3)
-        assert agg.extras["tps_stddev"] == pytest.approx(repeated.throughput.stdev)
+        runs = repeat(3)
+        agg = aggregate_results(runs)
+        tps = Aggregate.of([r.throughput_tps for r in runs])
+        latency = Aggregate.of([r.mean_latency for r in runs])
+        assert agg.throughput_tps == pytest.approx(tps.mean)
+        assert agg.extras["tps_stddev"] == pytest.approx(tps.stdev)
+        assert agg.extras["tps_ci95"] == pytest.approx(tps.ci95_half_width)
+        assert agg.extras["latency_ci95"] == pytest.approx(latency.ci95_half_width)
         assert agg.extras["seed_count"] == 3.0
-        assert agg.config == repeated.runs[0].config
+        assert agg.config == runs[0].config
         # Counters aggregate to per-run means, not sums.
-        assert agg.committed_txs <= max(r.committed_txs for r in repeated.runs)
+        assert agg.committed_txs <= max(r.committed_txs for r in runs)
 
 
 class TestExport:
@@ -119,7 +136,8 @@ class TestExport:
         return [run_experiment(small_config(seed=s)) for s in (1, 2)]
 
     def test_json_roundtrip(self, results, tmp_path):
-        write_run_dir(tmp_path, results[0].config, results, argv=["run"])
+        rows = [r.row() for r in results]
+        write_run_dir(tmp_path, results[0].config, rows, argv=["run"])
         loaded = json.loads((tmp_path / "run.json").read_text())
         assert len(loaded["results"]) == 2
         assert loaded["results"][0]["protocol"] == "lightdag2"
@@ -127,7 +145,8 @@ class TestExport:
         assert "metrics" not in loaded  # no Observability: rows only
 
     def test_json_string_valid(self, results, tmp_path):
-        write_run_dir(tmp_path, results[0].config, results, argv=["run"])
+        rows = [r.row() for r in results]
+        write_run_dir(tmp_path, results[0].config, rows, argv=["run"])
         parsed = json.loads((tmp_path / "run.json").read_text())
         assert all("tps" in row for row in parsed["results"])
 

@@ -1,6 +1,7 @@
 """Tests for repro.harness.loadtest: the end-to-end load measurement loop."""
 
 import json
+import math
 
 import pytest
 
@@ -150,16 +151,23 @@ class TestReporting:
         assert "End-to-end latency:" in text
         assert "p999" in text
 
-    def test_json_round_trips_without_nan(self):
-        from repro.analysis.loadreport import loadtest_results_to_json
+    def test_json_round_trips_without_nan(self, tmp_path):
+        from repro.analysis.obs_export import write_run_dir
+
+        def load_strict(cfg, results):
+            write_run_dir(tmp_path, cfg, [r.row() for r in results], ["loadtest"])
+            return json.loads((tmp_path / "run.json").read_text(),
+                              parse_constant=pytest.fail)
 
         result = run_loadtest(_cfg())
-        payload = json.loads(loadtest_results_to_json([result]))
-        assert payload[0]["e2e"]["p99_s"] == pytest.approx(result.e2e_p99_s)
-        assert payload[0]["config"]["protocol"] == "lightdag2"
+        payload = load_strict(result.config, [result])
+        assert payload["results"][0]["e2e_p99_s"] == pytest.approx(result.e2e_p99_s)
+        assert payload["config"]["protocol_name"] == "lightdag2"
         # NaN (empty-sample stats) must serialize as null, not break JSON.
-        empty = run_loadtest(_cfg(duration=0.5, warmup=0.0))
-        json.loads(loadtest_results_to_json([empty]))
+        # 0.2 s ends before the first commit, so every latency is empty.
+        empty = run_loadtest(_cfg(duration=0.2, warmup=0.0))
+        assert math.isnan(empty.e2e_p99_s)
+        assert load_strict(empty.config, [empty])["results"][0]["e2e_p99_s"] is None
 
     def test_figure_marks_dropping_points(self):
         from repro.analysis.loadreport import render_saturation_figure
@@ -172,7 +180,7 @@ class TestReporting:
             ))
             for r in (100.0, 4000.0)
         ]
-        figure = render_saturation_figure(results)
+        figure = render_saturation_figure([r.row() for r in results])
         assert "#" in figure and "*" in figure and "c" in figure
         assert "!" in figure  # the overloaded point dropped work
 

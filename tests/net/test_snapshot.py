@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from repro.check.explorer import (
     build_world,
     state_fingerprint,
 )
+from repro.errors import SimulationError
 from repro.net.eventqueue import BUCKETS_PER_SECOND
 from repro.net.interfaces import Message, Node
 from repro.net.latency import UniformLatency
@@ -112,6 +114,13 @@ class TestTimedSnapshot:
         sim.run(until=0.3)
 
         assert timed_probe(sim) == timed_probe(control)
+
+    def test_unpicklable_state_is_an_error_naming_its_type(self):
+        sim = make_timed_sim()
+        sim.run(until=0.1)
+        sim.nodes[0].pending = (i for i in range(3))
+        with pytest.raises(SimulationError, match="generator"):
+            sim.snapshot()
 
     def test_restore_is_repeatable(self):
         sim = make_timed_sim()

@@ -92,6 +92,8 @@ class TestParser:
         ["run", "--adversary", "schedule:bogus@1"],
         ["run", "--latency-model", "nosuch"],
         ["run", "--journal-max-events", "64"],  # bounds --out's journal
+        ["run", "--repeats", "0"],
+        ["run", "--repeats", "-1"],
         ["loadtest", "--duration", "1"],  # the default warmup is 2 s
     ])
     def test_config_error_is_a_usage_error(self, argv, capsys):
@@ -100,6 +102,26 @@ class TestParser:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "loadtest"])
+def test_out_naming_a_file_is_a_usage_error(command, monkeypatch, capsys, tmp_path):
+    """``--out`` is checked before any simulation runs."""
+    from repro import cli
+    from repro.harness import loadtest
+
+    def no_simulation(cfg, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(cli, "run_experiment", no_simulation)
+    monkeypatch.setattr(loadtest, "run_loadtest", no_simulation)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile, afile / "sub"):
+        assert main([command, "--duration", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: --out ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -167,11 +189,33 @@ class TestCommands:
         argv = ["run", "-n", "4", "--batch", "20", "--duration", "3",
                 "--out", str(tmp_path)]
         assert main(argv) == 0
-        run = json.loads((tmp_path / "run.json").read_text())
+        # Strict JSON: an empty histogram's NaN statistics are null.
+        run = json.loads((tmp_path / "run.json").read_text(),
+                         parse_constant=pytest.fail)
+        assert any(m.get("mean", 0) is None for m in run["metrics"])
         assert run["results"][0]["protocol"] == "lightdag2"
         assert run["config"]["system"]["n"] == 4 and run["seed"] == 0
         assert run["argv"] == argv
         assert "git_commit" in run
+
+    @pytest.mark.parametrize("rates", [[200.0, 400.0], [300.0]])
+    def test_loadtest_out_is_explainable(self, rates, capsys, tmp_path):
+        """explain prints the sweep table the command printed, and the
+        saturation figure exactly when the command printed one."""
+        assert main(["loadtest", "--duration", "3", "--warmup", "1",
+                     "--sweep", ",".join(map(str, rates)), "--jobs", "1",
+                     "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out
+        run = json.loads((tmp_path / "run.json").read_text(),
+                         parse_constant=pytest.fail)
+        assert run["config"]["workload"]["mode"] == "open"
+        assert [row["offered_tps"] for row in run["results"]] == rates
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+        assert main(["explain", str(tmp_path)]) == 0
+        explained = capsys.readouterr().out
+        assert "e2e_p99_s" in explained
+        assert ("c=consensus mean" in explained) == (len(rates) > 1)
+        assert printed.startswith(explained)
 
     def test_run_repeats(self, capsys):
         assert main(["run", "-n", "4", "--batch", "20", "--duration", "3",
@@ -286,11 +330,38 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.count("repro: error: ") == 2 and "Traceback" not in err
 
-    def test_explain_needs_a_single_seed(self, capsys, tmp_path):
+    def test_explain_prints_every_seed(self, capsys, tmp_path):
+        """A --repeats directory explains as the command printed it: each
+        seed's row, then the aggregate."""
         assert main(["run", "-n", "4", "--batch", "20", "--duration", "3",
                      "--repeats", "2", "--out", str(tmp_path)]) == 0
-        assert main(["explain", str(tmp_path)]) == 2
-        assert "single-seed" in capsys.readouterr().err
+        printed = capsys.readouterr().out
+        assert main(["explain", str(tmp_path)]) == 0
+        explained = capsys.readouterr().out
+        assert printed.startswith(explained)
+        assert explained.count("lightdag2") == 3 and "tps_ci95" in explained
+
+    @pytest.mark.parametrize("second", [
+        ["run", "-n", "4", "--batch", "20", "--duration", "3", "--repeats", "2"],
+        ["loadtest", "--duration", "3", "--warmup", "1"],
+    ], ids=["run-repeats", "loadtest"])
+    def test_reused_out_dir_explains_the_new_run(self, second, capsys, tmp_path):
+        """An uninstrumented run into a directory an instrumented run wrote
+        leaves no stale journal or trace, and explain reads the new run."""
+        assert main(["run", "-n", "4", "--batch", "20", "--duration", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "journal.jsonl").exists()
+        capsys.readouterr()
+        assert main([*second, "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+        assert main(["explain", str(tmp_path)]) == 0
+        explained = capsys.readouterr().out
+        assert "health" not in explained and "journal events" not in explained
+        if second[0] == "run":
+            assert printed.startswith(explained)
+        else:
+            assert "e2e_p99_s" in explained
 
     def test_report(self, capsys, tmp_path):
         """The metric and journal-count tables ride along in explain."""
