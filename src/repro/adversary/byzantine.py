@@ -79,7 +79,6 @@ class EquivocatingLightDag2Node(LightDag2Node):
             self.node_id,
             parents,
             twin_payload,
-            determinations=block_a.determinations,
             signer=self.backend,
         )
         self.my_blocks[block_b.digest] = block_b

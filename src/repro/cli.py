@@ -57,7 +57,7 @@ from .harness.report import (
     render_series,
     series_by_protocol,
 )
-from .harness.runner import PROTOCOL_REGISTRY, run_experiment
+from .harness.runner import PROTOCOL_REGISTRY, node_class, run_experiment
 from .harness.steps import measure_commit_steps, table1_rows
 from .obs import (
     BoundedJournal,
@@ -404,17 +404,12 @@ def _cmd_fuzz(args) -> int:
 
     registry = {**PROTOCOL_REGISTRY, **MUTANT_REGISTRY}
     for name in args.protocol or []:
-        if name not in registry:
-            print(f"unknown protocol {name!r}; choose from "
-                  f"{', '.join(sorted(registry))}", file=sys.stderr)
-            return 2
+        node_class(name, registry)
 
     if args.schedule is not None:
         protocols = args.protocol or ["lightdag2"]
         if len(protocols) != 1:
-            print("--schedule replays exactly one case; give one --protocol",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("--schedule replays exactly one case; give one --protocol")
         case = FuzzCase(
             protocol=protocols[0], seed=args.seed_start, n=args.replicas,
             duration=args.duration, schedule=args.schedule,
@@ -472,10 +467,7 @@ def _cmd_explore(args) -> int:
     )
 
     registry = default_registry()
-    if args.protocol not in registry:
-        print(f"unknown protocol {args.protocol!r}; choose from "
-              f"{', '.join(sorted(registry))}", file=sys.stderr)
-        return 2
+    node_class(args.protocol, registry)
 
     cfg = ExploreConfig(
         protocol=args.protocol,

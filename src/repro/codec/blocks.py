@@ -1,9 +1,9 @@
 """Codec for blocks and their nested structures.
 
-Encodes :class:`~repro.dag.block.Block` (with payload, signature, embedded
-Byzantine proofs and Rule-4 determinations) and verifies on decode that
-the transported digest matches a recomputation — a peer cannot ship a
-block whose identity disagrees with its content.
+Encodes :class:`~repro.dag.block.Block` (with payload, signature and
+embedded Byzantine proofs) and verifies on decode that the transported
+digest matches a recomputation — a peer cannot ship a block whose identity
+disagrees with its content.
 
 Nearly every frame carries a block, so each direction is one pass in one
 function: :func:`block_to_bytes` collects the block's pieces and joins them
@@ -16,7 +16,6 @@ varints and length prefixes inline.  The layout is the
              uvarint len(sample); double t...; uvarint len(items); lp_bytes item...
     uvarint repropose_index, len(byz_proofs)
     proof...: uvarint culprit; block_a; block_b
-    uvarint len(determinations); (uvarint round, author; lp_bytes digest)...
     signature: byte 0 | byte 1, lp_bytes MAC | byte 2, bigint R, bigint s
 
 A malformed block raises :class:`CodecError` in every case a
@@ -70,11 +69,6 @@ def _block_parts(out: List[bytes], block: Block) -> None:
         out.append(uvarint_bytes(proof.culprit))
         _block_parts(out, proof.block_a)
         _block_parts(out, proof.block_b)
-    out.append(uvarint_bytes(len(block.determinations)))
-    for round_, author, digest in block.determinations:
-        out += (
-            uvarint_bytes(round_), uvarint_bytes(author), length_prefix(len(digest)), digest,
-        )
     signature = block.signature
     if signature is None:
         out.append(ONE_BYTE[_SIG_NONE])
@@ -89,8 +83,7 @@ def _block_parts(out: List[bytes], block: Block) -> None:
 
 
 def block_to_bytes(block: Block) -> bytes:
-    """The wire bytes of a full block (parents, payload, proofs,
-    determinations, signature)."""
+    """The wire bytes of a full block (parents, payload, proofs, signature)."""
     out: List[bytes] = []
     _block_parts(out, block)
     return b"".join(out)
@@ -174,13 +167,6 @@ def _block_at(data: bytes, pos: int, depth: int) -> Tuple[Block, int]:
         block_a, pos = _block_at(data, pos, depth + 1)
         block_b, pos = _block_at(data, pos, depth + 1)
         proofs.append(ByzantineProof(culprit=culprit, block_a=block_a, block_b=block_b))
-    count, pos = read_uvarint(data, pos)
-    determinations = []
-    for _ in range(count):
-        d_round, pos = read_uvarint(data, pos)
-        d_author, pos = read_uvarint(data, pos)
-        digest, pos = read_lp_bytes(data, pos)
-        determinations.append((d_round, d_author, intern_digest(digest)))
 
     tag = data[pos]
     pos += 1
@@ -199,9 +185,8 @@ def _block_at(data: bytes, pos: int, depth: int) -> Tuple[Block, int]:
 
     parents = tuple(parents)
     proofs = tuple(proofs)
-    determinations = tuple(determinations)
     digest = intern_digest(compute_block_digest(
-        round_, author, parents, payload, repropose_index, proofs, determinations,
+        round_, author, parents, payload, repropose_index, proofs,
     ))
     block = Block(
         round=round_,
@@ -210,7 +195,6 @@ def _block_at(data: bytes, pos: int, depth: int) -> Tuple[Block, int]:
         payload=payload,
         repropose_index=repropose_index,
         byz_proofs=proofs,
-        determinations=determinations,
         digest=digest,
         signature=signature,
     )

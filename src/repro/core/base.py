@@ -311,7 +311,7 @@ class BaseDagNode(Node):
         """A message of no class ``HANDLERS`` lists (ignored)."""
 
     def _build_block(self, round_: int, parents: List[Digest], payload: TxBatch) -> Block:
-        """Assemble the outgoing block (LightDAG2 adds proofs/determinations)."""
+        """Assemble the outgoing block (LightDAG2 adds Byzantine proofs)."""
         return make_block(round_, self.node_id, parents, payload, signer=self.backend)
 
     # -------------------------------------------------------------- lifecycle

@@ -3,8 +3,8 @@
 A LightDAG2 wave is three rounds — Plain Broadcast, Consistent Broadcast,
 Plain Broadcast (paper rounds ⟨w,0..2⟩; we use 1-based ``e ∈ {1,2,3}``).
 PBC permits Byzantine equivocation, so a slot may hold several blocks
-(``B^j`` with repropose/arrival index ``j``); the four rules of §V contain
-the damage:
+(``B^j`` with repropose/arrival index ``j``); the rules of §V contain the
+damage:
 
 * **Rule 1** — a block references ≥ n−f previous-round blocks, at most one
   per slot (enforced by :func:`~repro.dag.validation.validate_block_structure`).
@@ -16,9 +16,10 @@ the damage:
   blacklists its culprit everywhere: never reference the culprit again,
   embed the proof in the next own block, refuse votes for blocks that
   still reference the culprit (forwarding the proof to their proposers).
-* **Rule 4** — first-round blocks record slot *determinations*: the
-  anchor-candidate determination for the newest non-empty leader slot plus
-  explicit picks for equivocated parent slots.
+* **Rule 4** — first-round blocks name the unique block of the newest
+  non-empty leader slot, so they wait for the previous wave's coin.  The
+  wait is kept; the slot annotations themselves are not carried (see
+  below).
 
 Commit rule: the wave's leader *slot* (round ⟨w,1⟩) is named by the GPC
 revealed from shares riding with round-⟨w,3⟩ blocks; a candidate block in
@@ -31,11 +32,11 @@ references are hash-concrete, so a candidate's ancestor closure is already
 replica-independent; our commit path orders the *digest closure*
 deterministically — if both blocks of an equivocated slot are referenced,
 both commit, adjacently, in (round, author, j) order — which preserves
-Theorem 6's ledger-prefix safety without needing determinations to
-disambiguate.  Rule 4 metadata is still produced and validated (it is part
-of the wire format and the overhead measurements), and Rule 2 still makes
-contradictory references un-deliverable in CBC rounds, which is what
-bounds how much equivocated data can ever reach the ledger.
+Theorem 6's ledger-prefix safety without Rule 4 annotations to
+disambiguate.  Nothing would read them, so blocks do not carry them: not in
+the digest, the codec or the size model.  Rule 2 still makes contradictory
+references un-deliverable in CBC rounds, which is what bounds how much
+equivocated data can ever reach the ledger.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from ..broadcast.messages import ByzantineProofMsg, ContradictionNotice
 from ..crypto.hashing import Digest
 from ..dag.block import Block, TxBatch, make_block
 from .base import BaseDagNode
-from .commit import references_within
 from .proofs import MAX_PROOF_DEPTH, ByzantineProof
 
 
@@ -308,8 +308,9 @@ class LightDag2Node(BaseDagNode):
         return block.is_genesis or block.author not in self.blacklist
 
     def _can_propose_extra(self, round_: int) -> bool:
-        """First-round blocks wait for the previous wave's coin so the
-        Rule-4 anchor (the newest leader slot) is known."""
+        """First-round blocks wait for the previous wave's coin: Rule 4
+        has them name the newest leader slot's block, so this is the
+        timing the rule imposes even though blocks carry no annotation."""
         if self.round_kind(round_) == 1:
             wave = self.wave_of(round_)
             if wave > 1 and (wave - 1) not in self.revealed_leaders:
@@ -317,58 +318,15 @@ class LightDag2Node(BaseDagNode):
         return True
 
     def _build_block(self, round_: int, parents: List[Digest], payload: TxBatch) -> Block:
-        e = self.round_kind(round_)
-        determinations = self._rule4_determinations(parents) if e == 1 else ()
         block = make_block(
             round_,
             self.node_id,
             parents,
             payload,
             byz_proofs=self._drain_proof_embeds(),
-            determinations=determinations,
             signer=self.backend,
         )
         self.my_blocks[block.digest] = block
-        if e == self.CBC_E:
+        if self.round_kind(round_) == self.CBC_E:
             self._max_cbc_wave = max(self._max_cbc_wave, self.wave_of(round_))
         return block
-
-    def _rule4_determinations(
-        self, parents: List[Digest]
-    ) -> Tuple[Tuple[int, int, Digest], ...]:
-        """Rule 4 metadata for a first-round block.
-
-        Two parts: (a) the anchor determination — the unique candidate of
-        the newest non-empty leader slot, derived from round-⟨w,3⟩ blocks
-        as the rule prescribes; (b) explicit picks for every equivocated
-        slot among our direct parents (our parent choice *is* the pick;
-        recording it makes it visible on the wire).
-        """
-        determinations: List[Tuple[int, int, Digest]] = []
-        anchor = self._anchor_determination()
-        if anchor is not None:
-            determinations.append(anchor)
-        for parent_digest in parents:
-            parent = self.store.get_optional(parent_digest)
-            if parent is None or parent.is_genesis:
-                continue
-            if self.store.slot_is_equivocated(*parent.slot):
-                determinations.append((parent.round, parent.author, parent_digest))
-        return tuple(determinations)
-
-    def _anchor_determination(self) -> Optional[Tuple[int, int, Digest]]:
-        """Find the newest non-empty leader slot and its unique block, by
-        scanning which candidate the round-⟨w,3⟩ blocks reference."""
-        for wave in sorted(self.revealed_leaders, reverse=True):
-            leader = self.revealed_leaders[wave]
-            leader_round = self.wave.first_round(wave)
-            candidates = self.store.blocks_in_slot(leader_round, leader)
-            if not candidates:
-                continue
-            for third in self.store.blocks_in_round(leader_round + 2):
-                for candidate in candidates:
-                    if references_within(self.store, third, candidate.digest, 2):
-                        return (leader_round, leader, candidate.digest)
-            # Non-empty locally but unreferenced by any third-round block we
-            # hold: treat as empty and fall through to an older wave.
-        return None

@@ -405,7 +405,6 @@ class RetrievalManager:
             block.payload,
             block.repropose_index,
             block.byz_proofs,
-            block.determinations,
         ):
             return False
         object.__setattr__(block, "_digest_checked", True)

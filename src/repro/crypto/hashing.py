@@ -121,8 +121,7 @@ def _field_bytes(field: Field) -> bytes:
     return bytes(out[9:])  # drop the one-element sequence header
 
 
-_BLOCK_HEAD = b"T" + (11).to_bytes(8, "big") + _field_bytes("block")
-_DET_HEAD = b"T" + (3).to_bytes(8, "big")
+_BLOCK_HEAD = b"T" + (10).to_bytes(8, "big") + _field_bytes("block")
 _EMPTY_SEQ = b"T" + bytes(8)
 _Y32 = b"Y" + (32).to_bytes(8, "big")
 _IS_32 = (32).__eq__
@@ -159,25 +158,19 @@ def block_preimage(
     items,
     repropose_index: int,
     proof_digests,
-    determinations,
 ) -> bytes:
     """The bytes ``hash_fields("block", round_, author, tuple(parents), count,
-    tx_size, submit_time_repr, items, repropose_index, tuple(proof_digests),
-    tuple(determinations))`` hashes, built without the per-field type
-    dispatch: every block made or decoded is hashed once.  ``parents``,
-    ``items`` and ``proof_digests`` hold byte strings; each determination
-    is ``(round, author, digest)``."""
+    tx_size, submit_time_repr, items, repropose_index, tuple(proof_digests))``
+    hashes, built without the per-field type dispatch: every block made or
+    decoded is hashed once.  ``parents``, ``items`` and ``proof_digests``
+    hold byte strings."""
     time_raw = submit_time_repr.encode("utf-8")
-    out = [
+    return b"".join((
         _BLOCK_HEAD, _int_field(round_), _int_field(author), _bytes_seq(parents),
         _int_field(count), _int_field(tx_size),
         b"S", len(time_raw).to_bytes(8, "big"), time_raw,
         _bytes_seq(items), _int_field(repropose_index), _bytes_seq(proof_digests),
-        b"T", len(determinations).to_bytes(8, "big"),
-    ]
-    for r, a, digest in determinations:
-        out += (_DET_HEAD, _int_field(r), _int_field(a), _bytes_field(digest))
-    return b"".join(out)
+    ))
 
 
 def hash_to_int(*fields: Field) -> int:

@@ -7,11 +7,12 @@ bytes, only the *count*, the *byte size*, and enough timing information to
 compute commit latency exactly (sum of submit times) plus a bounded sample
 for percentile estimates.
 
-LightDAG2-specific fields (``repropose_index``, ``byz_proofs``,
-``determinations``) default to empty so LightDAG1 and the baselines pay
-nothing for them; they participate in the block hash, which is what makes
-an original block and its reproposal distinct blocks in the same slot
-(the ``j`` superscript of §III-D).
+LightDAG2-specific fields (``repropose_index``, ``byz_proofs``) default to
+empty so LightDAG1 and the baselines pay nothing for them; they participate
+in the block hash, which is what makes an original block and its
+reproposal distinct blocks in the same slot (the ``j`` superscript of
+§III-D).  The slot annotations of the paper's Rule 4 are not carried: the
+commit path would never read them (DESIGN.md "Known paper ambiguities").
 """
 
 from __future__ import annotations
@@ -106,8 +107,6 @@ class Block:
     #: LightDAG2 Rule 2/3: embedded Byzantine proofs (objects exposing a
     #: ``digest`` attribute; see :class:`repro.core.proofs.ByzantineProof`).
     byz_proofs: Tuple[object, ...] = ()
-    #: LightDAG2 Rule 4: explicit slot determinations ((round, author, digest)).
-    determinations: Tuple[Tuple[int, int, Digest], ...] = ()
     #: Filled in by make_block; identity of the block.
     digest: Digest = b""
     #: Author's signature over the digest (backend-specific object).
@@ -140,7 +139,6 @@ class Block:
                 num_txs=self.payload.count,
                 tx_size=self.payload.tx_size,
                 num_proofs=len(self.byz_proofs),
-                num_determinations=len(self.determinations),
             )
             object.__setattr__(self, "_wire_size", size)
         return size
@@ -171,7 +169,6 @@ def compute_block_digest(
     payload: TxBatch,
     repropose_index: int,
     byz_proofs: Sequence[Digest],
-    determinations: Sequence[Tuple[int, int, Digest]],
 ) -> Digest:
     """Canonical injective hash of all consensus-relevant block fields: the
     digest of ``hash_fields("block", ...)`` over them, its preimage built
@@ -186,7 +183,7 @@ def compute_block_digest(
     return hash_bytes(block_preimage(
         round_, author, parents, payload.count, payload.tx_size,
         repr(payload.submit_time_sum), payload.items, repropose_index,
-        [p.digest for p in byz_proofs], determinations,
+        [p.digest for p in byz_proofs],
     ))
 
 
@@ -197,12 +194,11 @@ def make_block(
     payload: TxBatch = EMPTY_BATCH,
     repropose_index: int = 0,
     byz_proofs: Sequence[Digest] = (),
-    determinations: Sequence[Tuple[int, int, Digest]] = (),
     signer=None,
 ) -> Block:
     """Create a block, compute its digest, and optionally sign it."""
     digest = compute_block_digest(
-        round_, author, parents, payload, repropose_index, byz_proofs, determinations
+        round_, author, parents, payload, repropose_index, byz_proofs
     )
     signature = signer.sign(digest) if signer is not None else None
     return Block(
@@ -212,7 +208,6 @@ def make_block(
         payload=payload,
         repropose_index=repropose_index,
         byz_proofs=tuple(byz_proofs),
-        determinations=tuple(determinations),
         digest=digest,
         signature=signature,
     )

@@ -23,17 +23,13 @@ def block_wire_size(
     num_txs: int,
     tx_size: int,
     num_proofs: int = 0,
-    num_determinations: int = 0,
 ) -> int:
     """Bytes a block occupies: header + parent refs + payload + extras.
 
     ``num_proofs`` counts embedded Byzantine proofs (LightDAG2 Rule 2/3,
-    each two conflicting block headers ≈ 2 × (header + digest + signature));
-    ``num_determinations`` counts Rule-4 slot determinations (slot id +
-    digest each).
+    each two conflicting block headers ≈ 2 × (header + digest + signature)).
     """
     proofs = num_proofs * 2 * (HEADER_OVERHEAD + DIGEST_SIZE + SIGNATURE_SIZE)
-    determinations = num_determinations * (2 * INT_SIZE + DIGEST_SIZE)
     return (
         HEADER_OVERHEAD
         + SIGNATURE_SIZE
@@ -41,5 +37,4 @@ def block_wire_size(
         + num_parents * DIGEST_SIZE
         + num_txs * tx_size
         + proofs
-        + determinations
     )

@@ -121,7 +121,6 @@ class BoundedJournal(EventJournal):
         super().__init__()
         if max_events < 1:
             raise ValueError("max_events must be positive")
-        self.max_events = max_events
         self.events = deque(maxlen=max_events)  # type: ignore[assignment]
         self.emitted_total = 0
         self._counts: Dict[str, int] = {}

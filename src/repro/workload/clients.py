@@ -194,8 +194,6 @@ class ZipfKeys:
             raise ConfigError("n_keys must be positive")
         if skew < 0:
             raise ConfigError("skew cannot be negative")
-        self.n_keys = n_keys
-        self.skew = skew
         cdf: List[float] = []
         total = 0.0
         for k in range(n_keys):

@@ -35,7 +35,7 @@ CHAIN_COUNTS = {
     ("bullshark", 2): (248, 248, 0, 1, 247, 0),
 }
 BRANCHY_COUNTS = {
-    ("lightdag1", 1): (3072, 2134, 790, 1, 3071, 1428),
+    ("lightdag1", 1): (3070, 2134, 790, 1, 3069, 1426),
 }
 
 

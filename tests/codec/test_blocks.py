@@ -81,11 +81,6 @@ def ref_encode_block(w, block):
         w.uvarint(proof.culprit)
         ref_encode_block(w, proof.block_a)
         ref_encode_block(w, proof.block_b)
-    w.uvarint(len(block.determinations))
-    for round_, author, digest in block.determinations:
-        w.uvarint(round_)
-        w.uvarint(author)
-        w.lp_bytes(digest)
     ref_encode_signature(w, block.signature)
 
 
@@ -96,19 +91,14 @@ def ref_decode_block(r, depth=0):
     payload = ref_decode_batch(r)
     repropose_index = r.uvarint()
     proofs = tuple(ref_decode_proof(r, depth + 1) for _ in range(r.uvarint()))
-    determinations = tuple(
-        (r.uvarint(), r.uvarint(), intern_digest(r.lp_bytes()))
-        for _ in range(r.uvarint())
-    )
     signature = ref_decode_signature(r)
     digest = compute_block_digest(
-        round_, author, parents, payload, repropose_index, proofs, determinations,
+        round_, author, parents, payload, repropose_index, proofs,
     )
     return Block(
         round=round_, author=author, parents=parents, payload=payload,
         repropose_index=repropose_index, byz_proofs=proofs,
-        determinations=determinations, digest=intern_digest(digest),
-        signature=signature,
+        digest=intern_digest(digest), signature=signature,
     )
 
 
@@ -168,10 +158,7 @@ BLOCKS = {
     "hmac_items": _block(round_=300, items=(b"SET a 1", b"x" * 130)),
     "schnorr": _block(author=1, signer="schnorr"),
     "unsigned_empty": make_block(1, 3, ()),
-    "proofs_determinations": _block(
-        author=1, round_=4, byz_proofs=(PROOF,),
-        determinations=((3, 2, b"\x11" * 32), (200, 1, b"\x12" * 32)),
-    ),
+    "proofs": _block(author=1, round_=4, byz_proofs=(PROOF,)),
 }
 WIRE = {name: block_to_bytes(block) for name, block in BLOCKS.items()}
 

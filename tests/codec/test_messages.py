@@ -75,12 +75,11 @@ class TestBlockCodec:
         block = sample_block(signer=None)
         assert block_from_bytes(block_to_bytes(block)).signature is None
 
-    def test_roundtrip_with_proofs_and_determinations(self):
+    def test_roundtrip_with_proofs(self):
         proof = proof_pair()
         block = make_block(
             4, 1, [genesis_block(a).digest for a in range(4)],
             byz_proofs=(proof,),
-            determinations=((3, 2, b"\x11" * 32),),
             signer=HmacBackend(1, SYSTEM),
         )
         decoded = block_from_bytes(block_to_bytes(block))
@@ -222,8 +221,7 @@ def wire_samples():
     messages = [
         BlockVal(make_block(
             4, 1, [genesis_block(a).digest for a in range(4)],
-            byz_proofs=(proof,), determinations=((3, 2, b"\x11" * 32),),
-            signer=HmacBackend(1, SYSTEM),
+            byz_proofs=(proof,), signer=HmacBackend(1, SYSTEM),
         )),
         BlockEcho(round=5, author=2, digest=b"\x22" * 32),
         BlockReady(round=5, author=2, digest=b"\x22" * 32),

@@ -429,7 +429,9 @@ class TestReproposeRetry:
 
 class TestFirstRoundCoinWait:
     """A wave's first-round block waits for the previous wave's coin, so
-    every LightDAG2 latency includes that reveal (Rule 4's anchor)."""
+    every LightDAG2 latency includes that reveal.  Rule 4 imposes the wait:
+    first-round blocks name the newest leader slot's block, although
+    blocks do not carry that annotation."""
 
     @staticmethod
     def proposed(node, round_):
@@ -468,21 +470,3 @@ class TestFirstRoundCoinWait:
         assert 1 in node.revealed_leaders
         assert node.next_round == 5
 
-
-class TestRule4Determinations:
-    def test_first_round_block_records_equivocated_parents(self, system, chains):
-        node = make_node(system, chains)
-        # No equivocations: determinations may contain only the anchor (none
-        # yet, since no coin revealed) — i.e. empty.
-        blocks = feed_round1(node, system)
-        dets = node._rule4_determinations([blocks[(a, 0)].digest for a in (1, 2, 3)])
-        assert dets == ()
-
-    def test_equivocated_parent_slot_determined(self, system, chains):
-        node = make_node(system, chains)
-        blocks = feed_round1(node, system, equivocator=3)
-        chosen = blocks[(3, 0)]
-        dets = node._rule4_determinations(
-            [blocks[(1, 0)].digest, blocks[(2, 0)].digest, chosen.digest]
-        )
-        assert (1, 3, chosen.digest) in dets

@@ -131,14 +131,13 @@ PINNED = {
     # The fields of ``_pinned_block()``; its ``make_block`` digest is this one.
     "make_block": (
         ("block", 4100, 3, tuple(bytes.fromhex(h) for h in (
-            "f76a908706d870fd99cfb01ceb831fd375eb4414937cbea53b7d357145ca3811",
-            "141d15c6d446286f20024aa75f66da86354f596cc5a0956bbe10946ffacd518e",
-            "3d822d85b258bdb6476a7c3e5669c06f7637532359edd27f410100c6a2775385",
-            "239660d4151465db3e259ee8cb0dd43f0bbd64984273125112e0643be1de454f",
+            "6274f8b5ffa103bcd22fb1fbaf725ffa332b6343f0152909cbf57a6b3e8774cc",
+            "a4a34387a520badf7d5c88263a10c89fa55faa89b7a013adbc34589659eead4d",
+            "a55d6a426e349af5f60bb479ba3ceb24a3f992c4e8aefeb5dfaf62f983e13836",
+            "b7b99a9c52f2d2bd5df1f3bc2644300d91d97a39f9ed2add81c344c3097f7477",
          )), 16, 512, "1234.5678", (b"SET a 1",), 1,
-         (bytes.fromhex("01024b956405d5c69f805eb6ecff2512a3b18d9021e35d7fbf0e359c9951f16e"),),
-         ((3, 2, b"\x11" * 32),)),
-        "c2255ed0cc777a7cbaf7d0ba64825177d25d74c45fc464b294457399cffdccaf",
+         (bytes.fromhex("fc7e44ef1ced25129c947795821619375004bc6511f7190c979846cd70ba6e41"),)),
+        "35633f30524d8bb42064a9162b28102eccf5eefaa78fc182f59fdba2de206999",
     ),
 }
 
@@ -155,7 +154,7 @@ def _pinned_block():
     payload = TxBatch(count=16, tx_size=512, submit_time_sum=1234.5678,
                       sample=(77.125,), items=(b"SET a 1",))
     return make_block(4100, 3, parents, payload=payload, repropose_index=1,
-                      byz_proofs=(proof,), determinations=((3, 2, b"\x11" * 32),))
+                      byz_proofs=(proof,))
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -187,17 +186,15 @@ class TestBlockPreimage:
         items=st.lists(st.binary(max_size=80), max_size=3),
         total=st.one_of(st.floats(), st.sampled_from([-0.0, math.inf, math.nan])),
         proofs=st.lists(_DIGESTS, max_size=3),
-        determinations=st.lists(st.tuples(_INTS, _INTS, _DIGESTS), max_size=3),
     )
-    def test_matches_hash_fields(self, ints, parents, items, total, proofs, determinations):
+    def test_matches_hash_fields(self, ints, parents, items, total, proofs):
         round_, author, count, tx_size, j = ints
-        fields = (round_, author, parents, count, tx_size, repr(total), items, j,
-                  proofs, determinations)
+        fields = (round_, author, parents, count, tx_size, repr(total), items, j, proofs)
         assert hash_bytes(block_preimage(*fields)) == hash_fields(
             "block", *[tuple(f) if isinstance(f, list) else f for f in fields])
 
     def test_bool_keeps_its_tag(self):
-        fields = (True, 0, (), 1, 2, "0.0", (), False, (), ((True, 1, b""),))
+        fields = (True, 0, (), 1, 2, "0.0", (), False, ())
         assert hash_bytes(block_preimage(*fields)) == hash_fields("block", *fields)
 
 

@@ -85,11 +85,6 @@ class TestBlockIdentity:
         assert a.digest != b.digest
         assert a.slot == b.slot  # same slot, different block — equivocation shape
 
-    def test_determinations_change_digest(self):
-        a = make_block(4, 0, [])
-        b = make_block(4, 0, [], determinations=((3, 1, b"\x00" * 32),))
-        assert a.digest != b.digest
-
 
 class TestSigning:
     def test_signed_block_verifies(self):

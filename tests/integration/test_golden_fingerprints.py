@@ -17,6 +17,9 @@ loop and the adversary hooks.
 Regenerate (only when a change means to alter simulated behaviour)::
 
     PYTHONPATH=src python tests/integration/test_golden_fingerprints.py
+
+It prints, row by row, the fields that differ from the committed file
+before it overwrites it.
 """
 
 import hashlib
@@ -207,7 +210,21 @@ def test_loadtest_matches_golden_fingerprint(name):
     assert row == _golden()[name]
 
 
+def _moved(old: dict, new: dict) -> str:
+    """The fields of one row that differ, as ``field old -> new`` (hashes
+    cut to 12 hex digits)."""
+    def short(value):
+        return value[:12] if isinstance(value, str) else value
+    return ", ".join(
+        f"{key} {short(old.get(key))} -> {short(value)}"
+        for key, value in sorted(new.items()) if old.get(key) != value
+    ) or "unchanged"
+
+
 if __name__ == "__main__":
     rows = {name: fingerprint(case) for name, case in sorted(CASES.items())}
     rows.update((name, smr_fingerprint(case)) for name, case in sorted(SMR_CASES.items()))
+    committed = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name, row in sorted(rows.items()):
+        print(f"{name}: {_moved(committed.get(name, {}), row)}")
     GOLDEN.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")

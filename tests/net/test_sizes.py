@@ -19,11 +19,6 @@ class TestBlockWireSize:
         b = sizes.block_wire_size(3, 0, 128, num_proofs=1)
         assert b > a
 
-    def test_determination_cost(self):
-        a = sizes.block_wire_size(3, 0, 128)
-        b = sizes.block_wire_size(3, 0, 128, num_determinations=2)
-        assert b - a == 2 * (2 * sizes.INT_SIZE + sizes.DIGEST_SIZE)
-
     def test_header_floor(self):
         assert sizes.block_wire_size(0, 0, 0) >= sizes.HEADER_OVERHEAD
 

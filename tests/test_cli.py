@@ -95,6 +95,10 @@ class TestParser:
         ["run", "--repeats", "0"],
         ["run", "--repeats", "-1"],
         ["loadtest", "--duration", "1"],  # the default warmup is 2 s
+        ["fuzz", "--protocol", "nope"],
+        ["explore", "--protocol", "nope"],
+        ["fuzz", "--schedule", "S",
+         "--protocol", "lightdag1", "--protocol", "lightdag2"],
     ])
     def test_config_error_is_a_usage_error(self, argv, capsys):
         """A value the configuration refuses exits 2 with one stderr line,
