@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from ..core.lightdag2 import LightDag2Node
 from ..core.proofs import ByzantineProof
-from ..dag.block import TxBatch, make_block
+from ..dag.block import TxBatch
 
 
 class EquivocatingLightDag2Node(LightDag2Node):
@@ -74,18 +74,11 @@ class EquivocatingLightDag2Node(LightDag2Node):
             submit_time_sum=payload.submit_time_sum + 1e-9,
             sample=payload.sample,
         )
-        block_b = make_block(
-            round_,
-            self.node_id,
-            parents,
-            twin_payload,
-            signer=self.backend,
-        )
+        block_b = self._make_block(round_, parents, twin_payload)
         self.my_blocks[block_b.digest] = block_b
         half = self.net.n // 2
         assignments = {
             dst: (block_a if dst < half else block_b) for dst in range(self.net.n)
         }
         self.pbc.equivocate(assignments)
-        self._broadcast_coin_shares(round_)
 

@@ -70,7 +70,6 @@ _PROPOSE, _DELIVER, _COMMIT = "block.propose", "block.deliver", "block.commit"
 #: Event types rendered as instants on the acting replica's main lane.
 _INSTANT_TYPES = {
     "coin.reveal": "coin",
-    "coin.recover_request": "coin",
     "wave.commit": "commit",
     "retrieval.request": "retrieval",
     "stall.rebroadcast": "recovery",

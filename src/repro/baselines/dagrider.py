@@ -1,7 +1,7 @@
 """DAG-Rider baseline ([8], Keidar et al., PODC 2021).
 
 Wave = **four RBC rounds**.  The wave's leader block (round ⟨w,1⟩, named by
-the GPC revealed from shares riding with round-⟨w,4⟩ blocks) commits
+the GPC revealed from shares riding in round-⟨w,4⟩ blocks) commits
 directly when ``2f + 1`` round-⟨w,4⟩ blocks reference it (three parent
 hops — the "strong path" condition).  Missed leaders commit through the
 same Algorithm-1-style cascade as LightDAG.

@@ -28,7 +28,6 @@ from .messages import (
     BlockEcho,
     BlockReady,
     BlockVal,
-    CoinShareMsg,
     ContradictionNotice,
     RetrievalRequest,
     RetrievalResponse,
@@ -41,7 +40,6 @@ __all__ = [
     "BlockReady",
     "BlockVal",
     "CbcManager",
-    "CoinShareMsg",
     "ContradictionNotice",
     "PbcManager",
     "RbcManager",

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..crypto.coin import CoinShare
 from ..crypto.hashing import Digest
 from ..dag.block import Block
 from ..net import sizes
@@ -29,8 +28,6 @@ _VOTE_SIZE = (
     + sizes.DIGEST_SIZE
     + sizes.SIGNATURE_SIZE
 )
-_COIN_SHARE_MSG_SIZE = sizes.HEADER_OVERHEAD + sizes.COIN_SHARE_SIZE
-_COIN_REQ_SIZE = sizes.HEADER_OVERHEAD + sizes.INT_SIZE
 
 
 @dataclass(frozen=True)
@@ -108,45 +105,6 @@ class RetrievalResponse(SizedMessage):
 
     def _compute_wire_size(self) -> int:
         return sizes.HEADER_OVERHEAD + sum(b.wire_size() for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class CoinShareMsg(Message):
-    """A GPC partial for a wave, broadcast with the wave's last-round block.
-
-    The paper embeds the partial threshold signature *inside* the block; we
-    ship it as a companion message sent at the same instant — identical
-    timing and (because blocks already budget ``COIN_SHARE_SIZE`` bytes) no
-    bandwidth is double-charged beyond this small header.
-    """
-
-    share: CoinShare
-
-    def wire_size(self) -> int:
-        return _COIN_SHARE_MSG_SIZE
-
-    @property
-    def wave(self) -> int:
-        return self.share.wave
-
-
-@dataclass(frozen=True)
-class CoinShareRequest(Message):
-    """Ask peers to (re)send their GPC share for a wave.
-
-    Shares normally ride with each wave's last-round blocks; a replica that
-    was partitioned or crashed-slow misses them, and without the coin it
-    can never place the wave's leader — its commit cascade would defer
-    forever.  Peers answer with a fresh :class:`CoinShareMsg` (shares are
-    deterministic per (replica, wave), so "resending" is recomputing).
-    This plays the role block retrieval plays for share recovery in the
-    paper's embedded-share design (see DESIGN.md §3).
-    """
-
-    wave: int
-
-    def wire_size(self) -> int:
-        return _COIN_REQ_SIZE
 
 
 @dataclass(frozen=True)

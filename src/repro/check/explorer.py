@@ -23,8 +23,8 @@ makes scheduling the *only* source of branching:
 * Every remote delivery, and every zero-delay local timer (the round
   ADVANCE tick), is a *scheduling decision*: the explorer picks one,
   executes it, and recurses over the rest.
-* Timers strictly in the future (coin-sync at 0.5 s, retrieval retry
-  backoff) never fire: the horizon is bounded by rounds, not time.
+* Timers strictly in the future (the stall check at 0.5 s, retrieval
+  retry backoff) never fire: the horizon is bounded by rounds, not time.
 * Every event — a decision or a loopback — is processed by the production
   run loop: the chosen record is re-queued at the head and
   :meth:`Simulation.run` stops after exactly that one event.  The explorer
@@ -101,8 +101,6 @@ _KIND_TAGS = {
     "BlockReady": "3r",
     "RetrievalRequest": "4q",
     "RetrievalResponse": "5p",
-    "CoinShareMsg": "6c",
-    "CoinShareRequest": "7w",
 }
 
 #: Object types that are environment or telemetry, never protocol state;
@@ -347,7 +345,7 @@ def _scan_queue(sim: Simulation):
 
     Local loopbacks (src == dst deliveries) are urgent — not schedulable
     by a network adversary.  Anything strictly in the future (retry
-    backoff, coin-sync) is outside the zero-time horizon and ignored.
+    backoff, the stall check) is outside the zero-time horizon and ignored.
     """
     urgent = []
     actionable = []

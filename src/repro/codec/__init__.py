@@ -14,9 +14,7 @@ Layout conventions (:mod:`repro.codec.primitives`):
 * IEEE-754 doubles for timestamps,
 * a one-byte tag for every union (message kind, signature kind, coin
   payload kind).
+
+The package imports none of its modules: :mod:`repro.crypto.coin` encodes
+coin shares with :mod:`.primitives`, below the blocks that carry them.
 """
-
-from .messages import decode_message, encode_message
-from .primitives import Reader, Writer
-
-__all__ = ["Reader", "Writer", "decode_message", "encode_message"]

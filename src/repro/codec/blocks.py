@@ -16,12 +16,17 @@ varints and length prefixes inline.  The layout is the
              uvarint len(sample); double t...; uvarint len(items); lp_bytes item...
     uvarint repropose_index, len(byz_proofs)
     proof...: uvarint culprit; block_a; block_b
+    coin share, only if the block has one: byte 3, crypto.coin.share_bytes
     signature: byte 0 | byte 1, lp_bytes MAC | byte 2, bigint R, bigint s
+
+The share's marker is a tag no signature uses, so a block without a share
+spends no byte on it.
 
 A malformed block raises :class:`CodecError` in every case a
 :class:`~repro.codec.primitives.Reader` would: truncation, an overlong
-varint, a length over :data:`MAX_LENGTH`, an unknown signature tag, proofs
-nested deeper than :data:`~repro.core.proofs.MAX_PROOF_DEPTH`.
+varint, a length over :data:`MAX_LENGTH`, an unknown signature or coin
+payload tag, proofs nested deeper than
+:data:`~repro.core.proofs.MAX_PROOF_DEPTH`.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import struct
 from typing import List, Tuple
 
 from ..core.proofs import MAX_PROOF_DEPTH, ByzantineProof
+from ..crypto.coin import read_share, share_bytes
 from ..crypto.hashing import intern_digest
 from ..crypto.schnorr import SchnorrSignature
 from ..dag.block import Block, TxBatch, compute_block_digest
@@ -41,6 +47,7 @@ from .primitives import (
 _SIG_NONE = 0
 _SIG_BYTES = 1
 _SIG_SCHNORR = 2
+_COIN_SHARE = 3
 
 _DOUBLE = struct.Struct("!d")
 
@@ -69,6 +76,8 @@ def _block_parts(out: List[bytes], block: Block) -> None:
         out.append(uvarint_bytes(proof.culprit))
         _block_parts(out, proof.block_a)
         _block_parts(out, proof.block_b)
+    if block.coin_share is not None:
+        out += (ONE_BYTE[_COIN_SHARE], share_bytes(block.coin_share))
     signature = block.signature
     if signature is None:
         out.append(ONE_BYTE[_SIG_NONE])
@@ -170,6 +179,11 @@ def _block_at(data: bytes, pos: int, depth: int) -> Tuple[Block, int]:
 
     tag = data[pos]
     pos += 1
+    coin_share = None
+    if tag == _COIN_SHARE:
+        coin_share, pos = read_share(data, pos)
+        tag = data[pos]
+        pos += 1
     if tag == _SIG_NONE:
         signature: object = None
     elif tag == _SIG_BYTES:
@@ -183,21 +197,18 @@ def _block_at(data: bytes, pos: int, depth: int) -> Tuple[Block, int]:
     else:
         raise CodecError(f"unknown signature tag {tag}")
 
-    parents = tuple(parents)
-    proofs = tuple(proofs)
-    digest = intern_digest(compute_block_digest(
-        round_, author, parents, payload, repropose_index, proofs,
-    ))
     block = Block(
         round=round_,
         author=author,
-        parents=parents,
+        parents=tuple(parents),
         payload=payload,
         repropose_index=repropose_index,
-        byz_proofs=proofs,
-        digest=digest,
+        byz_proofs=tuple(proofs),
+        coin_share=coin_share,
         signature=signature,
     )
+    # Identity is derived from the decoded fields, never taken on trust.
+    object.__setattr__(block, "digest", intern_digest(compute_block_digest(block)))
     return block, pos
 
 

@@ -15,15 +15,11 @@ from ..broadcast.messages import (
     BlockReady,
     BlockVal,
     ByzantineProofMsg,
-    CoinShareMsg,
-    CoinShareRequest,
     ContradictionNotice,
     RetrievalRequest,
     RetrievalResponse,
 )
-from ..crypto.coin import CoinShare
 from ..crypto.hashing import intern_digest
-from ..crypto.threshold import DleqProof, PartialEval
 from ..net.interfaces import Message
 from .blocks import block_to_bytes, decode_block
 from .primitives import CodecError, Reader, Writer
@@ -33,47 +29,9 @@ _KIND_ECHO = 2
 _KIND_READY = 3
 _KIND_RETR_REQ = 4
 _KIND_RETR_RESP = 5
-_KIND_COIN = 6
+# 6 and 9 are unused: coin shares ride inside blocks.
 _KIND_CONTRADICTION = 7
 _KIND_BYZ_PROOF = 8
-_KIND_COIN_REQ = 9
-
-_COIN_TOKEN = 0
-_COIN_PARTIAL = 1
-
-
-def _encode_coin_share(w: Writer, share: CoinShare) -> None:
-    w.uvarint(share.wave)
-    w.uvarint(share.replica)
-    payload = share.payload
-    if isinstance(payload, bytes):
-        w.byte(_COIN_TOKEN)
-        w.lp_bytes(payload)
-    elif isinstance(payload, PartialEval):
-        w.byte(_COIN_PARTIAL)
-        w.uvarint(payload.index)
-        w.bigint(payload.value)
-        w.bigint(payload.proof.c)
-        w.bigint(payload.proof.s)
-    else:
-        raise CodecError(f"unknown coin payload {type(payload).__name__}")
-
-
-def _decode_coin_share(r: Reader) -> CoinShare:
-    wave = r.uvarint()
-    replica = r.uvarint()
-    tag = r.byte()
-    if tag == _COIN_TOKEN:
-        payload: object = r.lp_bytes()
-    elif tag == _COIN_PARTIAL:
-        payload = PartialEval(
-            index=r.uvarint(),
-            value=r.bigint(),
-            proof=DleqProof(c=r.bigint(), s=r.bigint()),
-        )
-    else:
-        raise CodecError(f"unknown coin payload tag {tag}")
-    return CoinShare(wave=wave, replica=replica, payload=payload)
 
 
 def encode_message(msg: Message) -> bytes:
@@ -102,12 +60,6 @@ def encode_message(msg: Message) -> bytes:
         w.uvarint(len(msg.blocks))
         for block in msg.blocks:
             w.raw(block_to_bytes(block))
-    elif isinstance(msg, CoinShareMsg):
-        w.byte(_KIND_COIN)
-        _encode_coin_share(w, msg.share)
-    elif isinstance(msg, CoinShareRequest):
-        w.byte(_KIND_COIN_REQ)
-        w.uvarint(msg.wave)
     elif isinstance(msg, ContradictionNotice):
         w.byte(_KIND_CONTRADICTION)
         w.lp_bytes(msg.objected)
@@ -173,10 +125,6 @@ def decode_message(data: bytes) -> Message:
         if count > MAX_REQUEST_DIGESTS:
             raise CodecError(f"retrieval response claims {count} blocks")
         msg = RetrievalResponse(tuple(r.nested(decode_block) for _ in range(count)))
-    elif kind == _KIND_COIN:
-        msg = CoinShareMsg(_decode_coin_share(r))
-    elif kind == _KIND_COIN_REQ:
-        msg = CoinShareRequest(wave=r.uvarint())
     elif kind == _KIND_CONTRADICTION:
         msg = ContradictionNotice(
             objected=r.lp_bytes(), conflicting_block=r.nested(decode_block),

@@ -8,7 +8,7 @@ Bullshark — is an instance of the same skeleton (§II-B):
 2. broadcast each block with some broadcast primitive (the paper's whole
    point is *which* primitive);
 3. learn each wave's leader slot — from Global-Perfect-Coin shares carried
-   in the wave's last round, or from a predefined schedule;
+   in the wave's last-round blocks, or from a predefined schedule;
 4. hand every delivery and every known leader to the one commit rule
    (:mod:`repro.core.commit`: direct commit, Algorithm 1's cascade, commit
    scope) and append what it returns to the ledger.
@@ -23,15 +23,13 @@ LightDAG2's Rules 2–4 and Bullshark's leader wait.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
 from ..broadcast.cbc import CbcManager
 from ..broadcast.messages import (
     BlockEcho,
     BlockReady,
     BlockVal,
-    CoinShareMsg,
-    CoinShareRequest,
     RetrievalRequest,
     RetrievalResponse,
 )
@@ -39,7 +37,7 @@ from ..broadcast.pbc import PbcManager
 from ..broadcast.rbc import RbcManager
 from ..config import ProtocolConfig, SystemConfig, resolve_threshold
 from ..crypto.backend import CryptoBackend, make_backend
-from ..crypto.coin import GlobalPerfectCoin, make_coin
+from ..crypto.coin import CoinShare, GlobalPerfectCoin, make_coin
 from ..crypto.hashing import Digest, short_hex
 from ..crypto.keys import KeyChain
 from ..dag.block import Block, EMPTY_BATCH, TxBatch, make_block
@@ -61,20 +59,20 @@ CommitCallback = Callable[[CommitRecord], None]
 #: Timer tag for the deferred-proposal tick (see ``_schedule_advance``).
 ADVANCE_TAG = "__advance__"
 
-#: Timer tag for the periodic recovery check (coin shares, stalls).
-COIN_SYNC_TAG = "__coin_sync__"
+#: Timer tag for the periodic stall check.
+STALL_CHECK_TAG = "__stall_check__"
 
-#: Period of the recovery check (seconds).
-COIN_SYNC_PERIOD = 0.5
+#: Period of the stall check (seconds).
+STALL_CHECK_PERIOD = 0.5
 
 #: Silence (no delivery/proposal progress) before a stall re-broadcast,
 #: once at least one block has ever been delivered.
-STALL_AFTER = 2 * COIN_SYNC_PERIOD
+STALL_AFTER = 2 * STALL_CHECK_PERIOD
 
 #: More patient threshold before the *first* delivery: a slow first wave
 #: (high-latency models, large-n CPU queues) is startup, not a stall, and
-#: must not trigger re-broadcast storms at every sync tick.
-STALL_STARTUP_GRACE = 8 * COIN_SYNC_PERIOD
+#: must not trigger re-broadcast storms at every check.
+STALL_STARTUP_GRACE = 8 * STALL_CHECK_PERIOD
 
 
 class BaseDagNode(Node):
@@ -96,9 +94,9 @@ class BaseDagNode(Node):
         Supporters a direct commit needs: ``"f+1"``, ``"2f+1"``, ``"n-f"``,
         or ``"config"`` for ``ProtocolConfig.commit_threshold``.
     LEADER_SOURCE:
-        ``"coin"`` (GPC shares ride with each wave's last round) or
-        ``"predefined"`` (:meth:`predefined_leader`; no shares sent or
-        recovered).
+        ``"coin"`` (each block of a wave's last round carries its author's
+        GPC share) or ``"predefined"`` (:meth:`predefined_leader`; blocks
+        carry no share).
     STRICT_STORE:
         Whether a second block in a slot is a fatal violation (True for
         every CBC/RBC protocol; LightDAG2 sets False).
@@ -126,8 +124,6 @@ class BaseDagNode(Node):
         BlockVal: "_on_val",
         BlockEcho: "_on_echo",
         BlockReady: "_on_ready",
-        CoinShareMsg: "_on_coin_share",
-        CoinShareRequest: "_on_coin_share_request",
         RetrievalRequest: "_on_retrieval_request",
         RetrievalResponse: "_on_retrieval_response",
     }
@@ -179,7 +175,6 @@ class BaseDagNode(Node):
         self._ctr_delivered = metrics.counter("core.blocks_delivered")
         self._ctr_committed = metrics.counter("core.blocks_committed")
         self._ctr_coin_reveals = metrics.counter("core.coin_reveals")
-        self._ctr_coin_requests = metrics.counter("core.coin_share_requests")
         self._ctr_stall_rebroadcasts = metrics.counter("core.stall_rebroadcasts")
         self._ctr_commit_kind = {
             "direct": metrics.counter("core.wave_commits", kind="direct"),
@@ -237,15 +232,7 @@ class BaseDagNode(Node):
         self._known: Dict[Digest, int] = {}
         self._invalid: Dict[Digest, int] = {}
         self._advance_scheduled = False
-        self._sent_share_waves: Set[int] = set()
-        #: Highest wave whose coin share we legitimately broadcast; rounds
-        #: never skip, so every wave up to here has been sent.  Lets the
-        #: share-request responder keep answering for waves whose
-        #: ``_sent_share_waves`` entry was garbage-collected.
-        self._max_share_wave = 0
         self._quorum = system.quorum
-        #: per-wave timestamp of the last coin-share recovery request
-        self._coin_requested: Dict[int, float] = {}
 
         # One manager per primitive BROADCAST names (None for the others:
         # constructing one registers its metrics), all delivering here.
@@ -312,14 +299,33 @@ class BaseDagNode(Node):
 
     def _build_block(self, round_: int, parents: List[Digest], payload: TxBatch) -> Block:
         """Assemble the outgoing block (LightDAG2 adds Byzantine proofs)."""
-        return make_block(round_, self.node_id, parents, payload, signer=self.backend)
+        return self._make_block(round_, parents, payload)
+
+    def _make_block(
+        self, round_: int, parents: List[Digest], payload: TxBatch, **fields
+    ) -> Block:
+        """Sign a block of ours; in a wave's last round it carries our coin
+        share for that wave (:meth:`_share_wave`).  Every block this
+        replica authors is made here."""
+        wave_num = self._share_wave(round_)
+        share = None if wave_num is None else self.coin.make_share(wave_num)
+        return make_block(
+            round_, self.node_id, parents, payload,
+            coin_share=share, signer=self.backend, **fields,
+        )
+
+    def _share_wave(self, round_: int) -> Optional[int]:
+        """The wave whose coin share a block of ``round_`` must carry: the
+        one ending at ``round_``, under a coin; None if no share is due."""
+        if self.LEADER_SOURCE != "coin":
+            return None
+        return self.wave.wave_of_last_round(round_)
 
     # -------------------------------------------------------------- lifecycle
 
     def on_start(self) -> None:
-        self._coin_requested.clear()
         self._stall_clock = None  # disarmed until our first own proposal
-        self.net.set_timer(COIN_SYNC_PERIOD, COIN_SYNC_TAG)
+        self.net.set_timer(STALL_CHECK_PERIOD, STALL_CHECK_TAG)
         self._try_advance()
 
     def on_message(self, src: int, msg: Message) -> None:
@@ -355,16 +361,6 @@ class BaseDagNode(Node):
         if manager is self.rbc:  # only RBC rounds have a READY step
             manager.on_ready(src, msg)
 
-    def _on_coin_share_request(self, src: int, msg: CoinShareRequest) -> None:
-        # Shares are deterministic per (replica, wave): recompute and
-        # answer.  Only waves we have legitimately reached are served —
-        # revealing a future wave's share early would hand the
-        # adversary coin foreknowledge.  (Past waves stay servable even
-        # after their _sent_share_waves entry is pruned — a straggler
-        # may still need them.)
-        if msg.wave <= self._max_share_wave:
-            self.net.send(src, CoinShareMsg(self.coin.make_share(msg.wave)))
-
     def _on_retrieval_request(self, src: int, msg: RetrievalRequest) -> None:
         self.retrieval.on_request(src, msg)
 
@@ -394,11 +390,9 @@ class BaseDagNode(Node):
         elif tag == ADVANCE_TAG:
             self._advance_scheduled = False
             self._try_advance()
-        elif tag == COIN_SYNC_TAG:
-            if self.LEADER_SOURCE == "coin":
-                self._recover_coin_shares()
+        elif tag == STALL_CHECK_TAG:
             self._recover_from_stall()
-            self.net.set_timer(COIN_SYNC_PERIOD, COIN_SYNC_TAG)
+            self.net.set_timer(STALL_CHECK_PERIOD, STALL_CHECK_TAG)
 
     def _schedule_advance(self) -> None:
         """Defer proposing to a zero-delay timer so every delivery arriving
@@ -417,7 +411,12 @@ class BaseDagNode(Node):
     # -------------------------------------------------------------- accepting
 
     def _on_block_body(self, src: int, block: Block, retrieved: bool = False) -> None:
-        """Entry point for every block body (VAL or digest-pinned retrieval)."""
+        """Entry point for every block body (VAL or digest-pinned retrieval).
+
+        An authenticated body is also how coin shares arrive: one that
+        carries the wrong share, or none where one is due, is rejected
+        like a bad signature; a valid share goes to the coin.  A replica
+        that missed a share gets it back with the block, by retrieval."""
         if block.digest in self._invalid:
             return
         if block.digest in self._known:
@@ -443,6 +442,9 @@ class BaseDagNode(Node):
         if not self.backend.verify(block.author, block.digest, block.signature):
             self._invalid[block.digest] = block.round
             return
+        if not self._carries_due_share(block):
+            self._invalid[block.digest] = block.round
+            return
         self._known[block.digest] = block.round
         if self._trace is not None:
             # Carry the parent digests so the analysis layer can walk a
@@ -454,9 +456,24 @@ class BaseDagNode(Node):
                 retrieved=retrieved,
                 parents=[short_hex(p) for p in block.parents],
             )
+        if block.coin_share is not None:
+            self._add_coin_share(block.coin_share)
         self._inspect_body(block)
         self._manager_for_round(block.round).on_val(src, block)
         self._try_accept(block, src, retrieved=retrieved)
+
+    def _carries_due_share(self, block: Block) -> bool:
+        """Does ``block`` carry exactly the share its round calls for: its
+        author's valid share for the wave ending there, else none?"""
+        share = block.coin_share
+        wave_num = self._share_wave(block.round)
+        if share is None:
+            return wave_num is None
+        return (
+            share.wave == wave_num
+            and share.replica == block.author
+            and self.coin.check_share(share)
+        )
 
     def _inspect_body(self, block: Block) -> None:
         """Hook run on every authenticated body before acceptance —
@@ -575,33 +592,24 @@ class BaseDagNode(Node):
                 digest=short_hex(block.digest), txs=payload.count,
             )
         self._broadcast_block(block)
-        self._broadcast_coin_shares(round_)
-
-    def _broadcast_coin_shares(self, round_: int) -> None:
-        """Ship the GPC share for every wave whose *last* round this is."""
-        if self.LEADER_SOURCE != "coin":
-            return
-        for wave_num, e in self.wave.waves_containing(round_):
-            if e == self.WAVE_LENGTH and wave_num not in self._sent_share_waves:
-                self._sent_share_waves.add(wave_num)
-                self._max_share_wave = max(self._max_share_wave, wave_num)
-                self.net.broadcast(CoinShareMsg(self.coin.make_share(wave_num)))
 
     # -------------------------------------------------------------- the coin
 
-    def _on_coin_share(self, src: int, msg: CoinShareMsg) -> None:
-        if msg.wave in self.revealed_leaders:
+    def _add_coin_share(self, share: CoinShare) -> None:
+        """Count a verified share carried by an authenticated body."""
+        wave_num = share.wave
+        if wave_num in self.revealed_leaders:
             return
-        leader = self.coin.add_share(msg.share)
+        leader = self.coin.add_share(share)
         if leader is not None:
-            self.revealed_leaders[msg.wave] = leader
+            self.revealed_leaders[wave_num] = leader
             self._ctr_coin_reveals.inc()
             if self._obs_emit is not None:
                 self._obs_emit(
                     self.net.now(), "coin.reveal", self.node_id,
-                    wave=msg.wave, leader=leader,
+                    wave=wave_num, leader=leader,
                 )
-            self._apply_commits(self.commit.leader_known(msg.wave))
+            self._apply_commits(self.commit.leader_known(wave_num))
             self._schedule_advance()
 
     def _predefine_leaders(self, through_round: int) -> None:
@@ -614,34 +622,6 @@ class BaseDagNode(Node):
             self.revealed_leaders[wave_num] = self.predefined_leader(wave_num)
             wave_num += 1
         self._predefined_waves = wave_num - 1
-
-    def _recover_coin_shares(self) -> None:
-        """Coin-share recovery: if blocks prove a wave completed at other
-        replicas but we never revealed its coin (missed shares — partition,
-        crash window, dropped messages), ask peers to resend theirs.
-
-        Without this, a straggler's commit cascade defers forever on the
-        missing reveal (the paper avoids the problem by embedding shares in
-        blocks, which retrieval then recovers — see DESIGN.md §3)."""
-        horizon = self.store.highest_round()
-        now = self.net.now()
-        wave_num = self.commit.last_settled_wave + 1
-        requested = 0
-        while self.wave.last_round(wave_num) <= horizon and requested < 8:
-            if wave_num not in self.revealed_leaders:
-                last = self._coin_requested.get(wave_num, -1e9)
-                if now - last >= 2 * COIN_SYNC_PERIOD:
-                    self._coin_requested[wave_num] = now
-                    self._ctr_coin_requests.inc()
-                    if self._obs_emit is not None:
-                        self._obs_emit(
-                            now, "coin.recover_request", self.node_id, wave=wave_num
-                        )
-                    self.net.broadcast(
-                        CoinShareRequest(wave_num), include_self=False
-                    )
-                    requested += 1
-            wave_num += 1
 
     def _recover_from_stall(self) -> None:
         """Stall recovery: if nothing has progressed for a while, some of
@@ -747,17 +727,10 @@ class BaseDagNode(Node):
         for mapping in (self._known, self._invalid):
             for digest in [d for d, r in mapping.items() if r < horizon]:
                 del mapping[digest]
-        # Wave-keyed coin/commit bookkeeping: waves strictly below the
-        # settled frontier are decided forever.  The frontier wave itself
-        # must survive — the cascade anchors on it and the share recovery
-        # starts at last_settled_wave + 1.
+        # Wave-keyed commit bookkeeping: waves strictly below the settled
+        # frontier are decided forever.  The frontier wave itself must
+        # survive — the cascade anchors on it.
         self.commit.forget_settled()
-        floor_wave = self.commit.last_settled_wave
-        for wave_num in [w for w in self._coin_requested if w < floor_wave]:
-            del self._coin_requested[wave_num]
-        self._sent_share_waves = {
-            w for w in self._sent_share_waves if w >= floor_wave
-        }
 
     # -------------------------------------------------------------- metrics
 

@@ -6,7 +6,7 @@ protocols that replaces RBC with CBC" (§III-C):
 * a wave is **three CBC rounds**, with the third round shared with the
   next wave (⟨w,3⟩ = ⟨w+1,1⟩ — the :attr:`WAVE_OVERLAP` flag);
 * the wave's leader block (round ⟨w,1⟩, slot named by the GPC whose shares
-  ride with round-⟨w,3⟩ blocks) commits **directly** when ``f + 1`` blocks
+  ride in round-⟨w,3⟩ blocks) commits **directly** when ``f + 1`` blocks
   of round ⟨w,2⟩ directly reference it;
 * missed waves commit **indirectly** through Algorithm 1's cascade;
 * CBC's missing totality is patched by the §IV-A retrieval mechanism — a

@@ -22,7 +22,7 @@ damage:
   below).
 
 Commit rule: the wave's leader *slot* (round ⟨w,1⟩) is named by the GPC
-revealed from shares riding with round-⟨w,3⟩ blocks; a candidate block in
+revealed from shares riding in round-⟨w,3⟩ blocks; a candidate block in
 it commits directly when **n − f** distinct-author round-⟨w,3⟩ blocks
 reference it (two parent hops).  Best latency = 1 (PBC) + 2 (CBC) + 1
 (PBC) = 4 steps, Table I.
@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..broadcast.messages import ByzantineProofMsg, ContradictionNotice
 from ..crypto.hashing import Digest
-from ..dag.block import Block, TxBatch, make_block
+from ..dag.block import Block, TxBatch
 from .base import BaseDagNode
 from .proofs import MAX_PROOF_DEPTH, ByzantineProof
 
@@ -242,14 +242,12 @@ class LightDag2Node(BaseDagNode):
         self._reproposed_for[original.digest] = snapshot
         self._repropose_counter[round_] = self._repropose_counter.get(round_, 0) + 1
         j = self._repropose_counter[round_]
-        block = make_block(
+        block = self._make_block(
             round_,
-            self.node_id,
             parents,
             original.payload,
             repropose_index=j,
             byz_proofs=self._drain_proof_embeds(),
-            signer=self.backend,
         )
         self.my_blocks[block.digest] = block
         self.reproposals += 1
@@ -310,21 +308,21 @@ class LightDag2Node(BaseDagNode):
     def _can_propose_extra(self, round_: int) -> bool:
         """First-round blocks wait for the previous wave's coin: Rule 4
         has them name the newest leader slot's block, so this is the
-        timing the rule imposes even though blocks carry no annotation."""
+        timing the rule imposes even though blocks carry no annotation.
+
+        The coin is asked, not ``revealed_leaders``: GC drops settled
+        waves from that table, and a replica whose commit frontier passed
+        the wave before it could propose (later rounds came by retrieval)
+        would otherwise wait for it forever."""
         if self.round_kind(round_) == 1:
             wave = self.wave_of(round_)
-            if wave > 1 and (wave - 1) not in self.revealed_leaders:
+            if wave > 1 and self.coin.leader_of(wave - 1) is None:
                 return False
         return True
 
     def _build_block(self, round_: int, parents: List[Digest], payload: TxBatch) -> Block:
-        block = make_block(
-            round_,
-            self.node_id,
-            parents,
-            payload,
-            byz_proofs=self._drain_proof_embeds(),
-            signer=self.backend,
+        block = self._make_block(
+            round_, parents, payload, byz_proofs=self._drain_proof_embeds()
         )
         self.my_blocks[block.digest] = block
         if self.round_kind(round_) == self.CBC_E:

@@ -398,14 +398,7 @@ class RetrievalManager:
         """
         if block.__dict__.get("_digest_checked"):
             return True
-        if block.digest != compute_block_digest(
-            block.round,
-            block.author,
-            block.parents,
-            block.payload,
-            block.repropose_index,
-            block.byz_proofs,
-        ):
+        if block.digest != compute_block_digest(block):
             return False
         object.__setattr__(block, "_digest_checked", True)
         return True

@@ -23,12 +23,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Tuple
 
+from ..codec.primitives import CodecError, Writer, read_lp_bytes, read_uvarint
 from ..errors import ThresholdError
 from .hashing import hash_fields, hash_to_int
 from .keys import KeyChain
 from .memo import VerifiedMemo
-from .threshold import PARTIAL_EVAL_SIZE, PartialEval, ThresholdPRF, prf_output_to_int
+from .threshold import (
+    PARTIAL_EVAL_SIZE, DleqProof, PartialEval, ThresholdPRF, prf_output_to_int,
+)
 
 #: Modeled wire size of a coin share (used by the network size model).
 COIN_SHARE_SIZE = PARTIAL_EVAL_SIZE
@@ -41,6 +45,53 @@ class CoinShare:
     wave: int
     replica: int
     payload: object  # PartialEval for ThresholdCoin, token bytes for SeededCoin
+
+
+_TOKEN = 0
+_PARTIAL = 1
+
+
+def share_bytes(share: CoinShare) -> bytes:
+    """The one encoding of a share: a block carrying it ships these bytes
+    and hashes them into its digest.
+
+    ``uvarint wave, replica; byte 0, lp_bytes token | byte 1, uvarint
+    index, bigint value, c, s`` in the :mod:`~repro.codec.primitives`
+    layout."""
+    w = Writer().uvarint(share.wave).uvarint(share.replica)
+    payload = share.payload
+    if isinstance(payload, bytes):
+        w.byte(_TOKEN).lp_bytes(payload)
+    elif isinstance(payload, PartialEval):
+        w.byte(_PARTIAL).uvarint(payload.index).bigint(payload.value)
+        w.bigint(payload.proof.c).bigint(payload.proof.s)
+    else:
+        raise CodecError(f"unknown coin payload {type(payload).__name__}")
+    return w.getvalue()
+
+
+def read_share(data: bytes, pos: int) -> Tuple[CoinShare, int]:
+    """The share :func:`share_bytes` wrote at ``data[pos:]`` and the offset
+    just past it; :class:`~repro.codec.primitives.CodecError` if malformed."""
+    wave, pos = read_uvarint(data, pos)
+    replica, pos = read_uvarint(data, pos)
+    if pos >= len(data):
+        raise CodecError("truncated input: wanted 1 bytes, have 0")
+    tag = data[pos]
+    pos += 1
+    if tag == _TOKEN:
+        payload, pos = read_lp_bytes(data, pos)
+    elif tag == _PARTIAL:
+        index, pos = read_uvarint(data, pos)
+        ints = []
+        for _ in range(3):
+            raw, pos = read_lp_bytes(data, pos)
+            ints.append(int.from_bytes(raw, "big"))
+        value, c, s = ints
+        payload = PartialEval(index=index, value=value, proof=DleqProof(c=c, s=s))
+    else:
+        raise CodecError(f"unknown coin payload tag {tag}")
+    return CoinShare(wave=wave, replica=replica, payload=payload), pos
 
 
 class GlobalPerfectCoin(ABC):
@@ -73,6 +124,17 @@ class GlobalPerfectCoin(ABC):
 
     # -- shared accumulation logic -------------------------------------------
 
+    def check_share(self, share: CoinShare) -> bool:
+        """:meth:`verify_share` behind the key deal's memo: a share is
+        proved once however many replicas (and blocks) present it."""
+        claim = ("coin", share)
+        if claim in self._verified:
+            return True
+        if not self.verify_share(share):
+            return False
+        self._verified.add(claim)
+        return True
+
     def add_share(self, share: CoinShare) -> int | None:
         """Accumulate a share; return the leader index once revealed.
 
@@ -87,11 +149,8 @@ class GlobalPerfectCoin(ABC):
             # Duplicate (wave, replica): the first copy was verified when
             # it arrived; re-sent shares cost a dict lookup, not a proof.
             return None
-        claim = ("coin", share)
-        if claim not in self._verified:
-            if not self.verify_share(share):
-                return None
-            self._verified.add(claim)
+        if not self.check_share(share):
+            return None
         if bucket is None:
             bucket = self._shares[share.wave] = {}
         bucket[share.replica] = share

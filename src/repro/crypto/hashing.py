@@ -122,6 +122,8 @@ def _field_bytes(field: Field) -> bytes:
 
 
 _BLOCK_HEAD = b"T" + (10).to_bytes(8, "big") + _field_bytes("block")
+#: The head of a block carrying a coin share, its 11th field.
+_SHARE_BLOCK_HEAD = b"T" + (11).to_bytes(8, "big") + _field_bytes("block")
 _EMPTY_SEQ = b"T" + bytes(8)
 _Y32 = b"Y" + (32).to_bytes(8, "big")
 _IS_32 = (32).__eq__
@@ -158,19 +160,24 @@ def block_preimage(
     items,
     repropose_index: int,
     proof_digests,
+    share: bytes | None = None,
 ) -> bytes:
     """The bytes ``hash_fields("block", round_, author, tuple(parents), count,
     tx_size, submit_time_repr, items, repropose_index, tuple(proof_digests))``
-    hashes, built without the per-field type dispatch: every block made or
-    decoded is hashed once.  ``parents``, ``items`` and ``proof_digests``
-    hold byte strings."""
+    hashes, with ``share`` as an 11th field when given, built without the
+    per-field type dispatch: every block made or decoded is hashed once.
+    ``parents``, ``items`` and ``proof_digests`` hold byte strings."""
     time_raw = submit_time_repr.encode("utf-8")
-    return b"".join((
+    parts = [
         _BLOCK_HEAD, _int_field(round_), _int_field(author), _bytes_seq(parents),
         _int_field(count), _int_field(tx_size),
         b"S", len(time_raw).to_bytes(8, "big"), time_raw,
         _bytes_seq(items), _int_field(repropose_index), _bytes_seq(proof_digests),
-    ))
+    ]
+    if share is not None:
+        parts[0] = _SHARE_BLOCK_HEAD
+        parts.append(_bytes_field(share))
+    return b"".join(parts)
 
 
 def hash_to_int(*fields: Field) -> int:

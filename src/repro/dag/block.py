@@ -13,13 +13,16 @@ in the block hash, which is what makes an original block and its
 reproposal distinct blocks in the same slot (the ``j`` superscript of
 §III-D).  The slot annotations of the paper's Rule 4 are not carried: the
 commit path would never read them (DESIGN.md "Known paper ambiguities").
+A block in a wave's last round under a coin protocol carries its author's
+GPC share for that wave (``coin_share``), hashed and signed with the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
+from ..crypto.coin import CoinShare, share_bytes
 from ..crypto.hashing import Digest, block_preimage, hash_bytes
 # Kept importable from here: benchmarks/suite/test_suite.py checks that the
 # suite's tracer reaches ``hash_fields`` through this by-name import.
@@ -107,6 +110,9 @@ class Block:
     #: LightDAG2 Rule 2/3: embedded Byzantine proofs (objects exposing a
     #: ``digest`` attribute; see :class:`repro.core.proofs.ByzantineProof`).
     byz_proofs: Tuple[object, ...] = ()
+    #: The author's GPC share for the wave whose last round this is (coin
+    #: protocols only; None everywhere else).
+    coin_share: Optional[CoinShare] = None
     #: Filled in by make_block; identity of the block.
     digest: Digest = b""
     #: Author's signature over the digest (backend-specific object).
@@ -162,17 +168,12 @@ class Block:
         )
 
 
-def compute_block_digest(
-    round_: int,
-    author: int,
-    parents: Sequence[Digest],
-    payload: TxBatch,
-    repropose_index: int,
-    byz_proofs: Sequence[Digest],
-) -> Digest:
-    """Canonical injective hash of all consensus-relevant block fields: the
-    digest of ``hash_fields("block", ...)`` over them, its preimage built
-    flat by :func:`~repro.crypto.hashing.block_preimage`.
+def compute_block_digest(block: Block) -> Digest:
+    """The digest ``block``'s fields hash to (its own ``digest`` unread):
+    the one derivation :func:`make_block`, the codec and retrieval's digest
+    pinning share.  Canonical and injective: ``hash_fields("block", ...)``
+    over the fields, the share as an 11th only when present, its preimage
+    built flat by :func:`~repro.crypto.hashing.block_preimage`.
 
     The payload contributes its count/size and timing summary; carrying the
     actual bytes would only slow the simulator without changing behaviour.
@@ -180,10 +181,13 @@ def compute_block_digest(
     created at different times hash differently (bit-exact determinism per
     seed).
     """
+    payload = block.payload
+    share = block.coin_share
     return hash_bytes(block_preimage(
-        round_, author, parents, payload.count, payload.tx_size,
-        repr(payload.submit_time_sum), payload.items, repropose_index,
-        [p.digest for p in byz_proofs],
+        block.round, block.author, block.parents, payload.count, payload.tx_size,
+        repr(payload.submit_time_sum), payload.items, block.repropose_index,
+        [p.digest for p in block.byz_proofs],
+        None if share is None else share_bytes(share),
     ))
 
 
@@ -194,23 +198,26 @@ def make_block(
     payload: TxBatch = EMPTY_BATCH,
     repropose_index: int = 0,
     byz_proofs: Sequence[Digest] = (),
+    coin_share: Optional[CoinShare] = None,
     signer=None,
 ) -> Block:
     """Create a block, compute its digest, and optionally sign it."""
-    digest = compute_block_digest(
-        round_, author, parents, payload, repropose_index, byz_proofs
-    )
-    signature = signer.sign(digest) if signer is not None else None
-    return Block(
+    block = Block(
         round=round_,
         author=author,
         parents=tuple(parents),
         payload=payload,
         repropose_index=repropose_index,
         byz_proofs=tuple(byz_proofs),
-        digest=digest,
-        signature=signature,
+        coin_share=coin_share,
     )
+    # Sealed before anyone else holds a reference: the one place a new
+    # block's identity is written (the codec's decoder is the other).
+    digest = compute_block_digest(block)
+    object.__setattr__(block, "digest", digest)
+    if signer is not None:
+        object.__setattr__(block, "signature", signer.sign(digest))
+    return block
 
 
 def genesis_block(author: int) -> Block:

@@ -81,11 +81,12 @@ class WaveStructure:
         return None
 
     def wave_of_last_round(self, round_: int) -> int | None:
-        """The wave whose *last* round is ``round_``, if any."""
-        for wave, e in self.waves_containing(round_):
-            if e == self.length:
-                return wave
-        return None
+        """The wave whose *last* round is ``round_``, if any (asked of
+        every block body received, so computed, not searched)."""
+        offset = round_ - self.length  # rounds past wave 1's last
+        if offset < 0 or offset % self.stride:
+            return None
+        return offset // self.stride + 1
 
     def position_in_wave(self, round_: int, wave: int) -> int:
         """``e`` such that ``round_of(wave, e) == round_`` (raises if none)."""

@@ -8,7 +8,7 @@ payload at proposal time, and read the **minimum committed-transaction
 latency** — which is exactly the leader-block best case, because the
 leader is the youngest block in its own commit batch.
 
-The coin shares ride with the wave's last-round VALs, so the measured
+The coin shares ride in the wave's last-round VALs, so the measured
 figures are Table I's *bracketed* values (count only the first step of the
 reveal round): LightDAG1 → 5, Tusk → 7, DAG-Rider → 10; LightDAG2 → 4 and
 Bullshark → 6 (no brackets apply).  The unbracketed and worst-case values

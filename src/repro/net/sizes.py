@@ -33,7 +33,12 @@ def block_wire_size(
     return (
         HEADER_OVERHEAD
         + SIGNATURE_SIZE
-        + COIN_SHARE_SIZE  # blocks in coin rounds carry a share; charged always
+        # Only a coin protocol's last-round blocks carry a share, but every
+        # block is charged for one: a flat charge keeps the model's byte
+        # counts independent of the round and the leader source.  Billing
+        # only the carrying blocks is an open calibration question
+        # (DESIGN.md, "Known paper ambiguities").
+        + COIN_SHARE_SIZE
         + num_parents * DIGEST_SIZE
         + num_txs * tx_size
         + proofs

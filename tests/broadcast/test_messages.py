@@ -5,7 +5,6 @@ from repro.broadcast.messages import (
     BlockReady,
     BlockVal,
     ByzantineProofMsg,
-    CoinShareMsg,
     ContradictionNotice,
     RetrievalRequest,
     RetrievalResponse,
@@ -47,10 +46,18 @@ class TestWireSizes:
         assert resp.wire_size() == sizes.HEADER_OVERHEAD + 2 * block.wire_size()
 
     def test_coin_share_size(self):
-        share = CoinShare(wave=3, replica=1, payload=b"token")
-        msg = CoinShareMsg(share)
-        assert msg.wire_size() == sizes.HEADER_OVERHEAD + sizes.COIN_SHARE_SIZE
-        assert msg.wave == 3
+        """Every block is charged for a share, whether or not it carries
+        one, so a share adds no modeled bytes."""
+        share = CoinShare(wave=1, replica=0, payload=b"token")
+        plain = sample_block()
+        carrying = make_block(1, 0, plain.parents, plain.payload, coin_share=share)
+        assert carrying.wire_size() == plain.wire_size() == sizes.block_wire_size(
+            num_parents=4, num_txs=5, tx_size=128,
+        )
+        assert plain.wire_size() - sizes.COIN_SHARE_SIZE == (
+            sizes.HEADER_OVERHEAD + sizes.SIGNATURE_SIZE
+            + 4 * sizes.DIGEST_SIZE + 5 * 128
+        )
 
     def test_contradiction_carries_full_block(self):
         block = sample_block()

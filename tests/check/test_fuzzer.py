@@ -28,11 +28,12 @@ from repro.harness.runner import PROTOCOL_REGISTRY
 
 REGISTRY = {**PROTOCOL_REGISTRY, **MUTANT_REGISTRY}
 
-#: (protocol, seed, duration) cells known to trip the oracles — found by
-#: sweeping seeds 0-99 against each mutant.
+#: (protocol, seed, duration) cells known to trip the oracles: the first
+#: killing seed of a sweep over seeds 0-1099 against each mutant.  Which
+#: seeds kill depends on the trajectory; CI asserts the whole sweep kills.
 KNOWN_BAD = {
-    "lightdag1-unsafe-support": (7, 8.0),
-    "lightdag1-no-cascade": (92, 10.0),
+    "lightdag1-unsafe-support": (283, 8.0),
+    "lightdag1-no-cascade": (172, 10.0),
 }
 
 

@@ -3,6 +3,8 @@ it replaced, kept here as the reference: same bytes out, the same block
 back, and :class:`CodecError` in exactly the same cases — on valid blocks,
 every truncation of them and every single-byte mutation of them."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,9 +13,11 @@ from repro.codec.primitives import CodecError, Reader, Writer
 from repro.config import SystemConfig
 from repro.core.proofs import MAX_PROOF_DEPTH, ByzantineProof
 from repro.crypto.backend import HmacBackend, SchnorrBackend
+from repro.crypto.coin import CoinShare, SeededCoin, ThresholdCoin
 from repro.crypto.hashing import intern_digest
 from repro.crypto.keys import TrustedDealer
 from repro.crypto.schnorr import SchnorrSignature
+from repro.crypto.threshold import DleqProof, PartialEval
 from repro.dag.block import Block, TxBatch, compute_block_digest, genesis_block, make_block
 
 # -- the reference: the field-by-field codec the one-pass one replaced -------
@@ -33,8 +37,7 @@ def ref_encode_signature(w, signature):
         raise CodecError(f"unknown signature type {type(signature).__name__}")
 
 
-def ref_decode_signature(r):
-    tag = r.byte()
+def ref_decode_signature(r, tag):
     if tag == 0:
         return None
     if tag == 1:
@@ -42,6 +45,37 @@ def ref_decode_signature(r):
     if tag == 2:
         return SchnorrSignature(R=r.bigint(), s=r.bigint())
     raise CodecError(f"unknown signature tag {tag}")
+
+
+def ref_encode_share(w, share):
+    w.uvarint(share.wave)
+    w.uvarint(share.replica)
+    payload = share.payload
+    if isinstance(payload, bytes):
+        w.byte(0)
+        w.lp_bytes(payload)
+    else:
+        w.byte(1)
+        w.uvarint(payload.index)
+        w.bigint(payload.value)
+        w.bigint(payload.proof.c)
+        w.bigint(payload.proof.s)
+
+
+def ref_decode_share(r):
+    wave = r.uvarint()
+    replica = r.uvarint()
+    tag = r.byte()
+    if tag == 0:
+        payload = r.lp_bytes()
+    elif tag == 1:
+        payload = PartialEval(
+            index=r.uvarint(), value=r.bigint(),
+            proof=DleqProof(c=r.bigint(), s=r.bigint()),
+        )
+    else:
+        raise CodecError(f"unknown coin payload tag {tag}")
+    return CoinShare(wave=wave, replica=replica, payload=payload)
 
 
 def ref_encode_batch(w, batch):
@@ -81,6 +115,9 @@ def ref_encode_block(w, block):
         w.uvarint(proof.culprit)
         ref_encode_block(w, proof.block_a)
         ref_encode_block(w, proof.block_b)
+    if block.coin_share is not None:
+        w.byte(3)
+        ref_encode_share(w, block.coin_share)
     ref_encode_signature(w, block.signature)
 
 
@@ -91,15 +128,18 @@ def ref_decode_block(r, depth=0):
     payload = ref_decode_batch(r)
     repropose_index = r.uvarint()
     proofs = tuple(ref_decode_proof(r, depth + 1) for _ in range(r.uvarint()))
-    signature = ref_decode_signature(r)
-    digest = compute_block_digest(
-        round_, author, parents, payload, repropose_index, proofs,
-    )
-    return Block(
+    share = None
+    tag = r.byte()
+    if tag == 3:
+        share = ref_decode_share(r)
+        tag = r.byte()
+    signature = ref_decode_signature(r, tag)
+    block = Block(
         round=round_, author=author, parents=parents, payload=payload,
-        repropose_index=repropose_index, byz_proofs=proofs,
-        digest=intern_digest(digest), signature=signature,
+        repropose_index=repropose_index, byz_proofs=proofs, coin_share=share,
+        signature=signature,
     )
+    return replace(block, digest=intern_digest(compute_block_digest(block)))
 
 
 def ref_decode_proof(r, depth):
@@ -159,6 +199,14 @@ BLOCKS = {
     "schnorr": _block(author=1, signer="schnorr"),
     "unsigned_empty": make_block(1, 3, ()),
     "proofs": _block(author=1, round_=4, byz_proofs=(PROOF,)),
+    "coin_token": _block(
+        author=2, round_=3,
+        coin_share=SeededCoin(n=4, threshold=3, seed=0, replica_id=2).make_share(1),
+    ),
+    "coin_partial": _block(
+        author=1, round_=3, signer=None,
+        coin_share=ThresholdCoin(CHAINS[1]).make_share(1),
+    ),
 }
 WIRE = {name: block_to_bytes(block) for name, block in BLOCKS.items()}
 

@@ -8,8 +8,6 @@ from repro.broadcast.messages import (
     BlockReady,
     BlockVal,
     ByzantineProofMsg,
-    CoinShareMsg,
-    CoinShareRequest,
     ContradictionNotice,
     RetrievalRequest,
     RetrievalResponse,
@@ -20,7 +18,7 @@ from repro.codec.primitives import CodecError
 from repro.config import SystemConfig
 from repro.core.proofs import MAX_PROOF_DEPTH, ByzantineProof
 from repro.crypto.backend import HmacBackend, SchnorrBackend
-from repro.crypto.coin import CoinShare, SeededCoin, ThresholdCoin
+from repro.crypto.coin import SeededCoin, ThresholdCoin, share_bytes
 from repro.crypto.keys import TrustedDealer
 from repro.dag.block import TxBatch, genesis_block, make_block
 from repro.errors import NetworkError
@@ -43,6 +41,16 @@ def sample_block(author=0, round_=1, j=0, txs=3, items=(), signer="hmac"):
     return make_block(
         round_, author, [genesis_block(a).digest for a in range(4)],
         payload=payload, repropose_index=j, signer=backend,
+    )
+
+
+def share_block(share, signer="hmac"):
+    """A wave-7 last-round block of ``share``'s replica (LightDAG1 ends wave
+    7 at round 15) carrying the share."""
+    backend = HmacBackend(share.replica, SYSTEM) if signer == "hmac" else None
+    return make_block(
+        15, share.replica, [genesis_block(a).digest for a in range(4)],
+        coin_share=share, signer=backend,
     )
 
 
@@ -129,16 +137,35 @@ class TestMessageCodec:
         self.roundtrip(RetrievalResponse((sample_block(), sample_block(author=1))))
 
     def test_coin_share_token(self):
-        coin = SeededCoin(n=4, threshold=3, seed=0, replica_id=1)
-        self.roundtrip(CoinShareMsg(coin.make_share(7)))
+        share = SeededCoin(n=4, threshold=3, seed=0, replica_id=1).make_share(7)
+        decoded = self.roundtrip(BlockVal(share_block(share)))
+        assert decoded.block.coin_share == share
 
     def test_coin_share_partial(self):
         chains = TrustedDealer(SystemConfig(n=4, crypto="schnorr")).deal()
-        coin = ThresholdCoin(chains[1])
-        msg = CoinShareMsg(coin.make_share(7))
-        decoded = self.roundtrip(msg)
+        share = ThresholdCoin(chains[1]).make_share(7)
+        decoded = self.roundtrip(BlockVal(share_block(share)))
         # The decoded partial must still verify.
-        assert ThresholdCoin(chains[0]).verify_share(decoded.share)
+        assert ThresholdCoin(chains[0]).verify_share(decoded.block.coin_share)
+
+    def test_truncated_coin_share_rejected(self):
+        share = SeededCoin(n=4, threshold=3, seed=0, replica_id=1).make_share(7)
+        raw = encode_message(BlockVal(share_block(share, signer=None)))
+        # The frame ends in the share, then the one-byte "no signature" tag.
+        assert raw.endswith(share_bytes(share) + b"\x00")
+        with pytest.raises(CodecError):
+            decode_message(raw[:-2])
+
+    def test_unknown_coin_payload_tag_rejected(self):
+        share = SeededCoin(n=4, threshold=3, seed=0, replica_id=1).make_share(7)
+        raw = encode_message(BlockVal(share_block(share)))
+        encoded = share_bytes(share)
+        at = raw.rfind(encoded)
+        # uvarint wave, uvarint replica, then the payload tag.
+        tag_at = at + 2
+        forged = raw[:tag_at] + bytes([7]) + raw[tag_at + 1:]
+        with pytest.raises(CodecError, match="coin payload tag 7"):
+            decode_message(forged)
 
     def test_contradiction_notice(self):
         self.roundtrip(
@@ -215,7 +242,8 @@ def test_property_block_roundtrip(round_, author, txs, j, ts):
 
 
 def wire_samples():
-    """One valid encoding of each of the nine wire kinds (two coin shares)."""
+    """One valid encoding of each of the seven wire kinds (and VAL frames
+    carrying both coin share payloads)."""
     schnorr = TrustedDealer(SystemConfig(n=4, crypto="schnorr")).deal()
     proof = proof_pair()
     messages = [
@@ -227,9 +255,10 @@ def wire_samples():
         BlockReady(round=5, author=2, digest=b"\x22" * 32),
         RetrievalRequest((b"\x01" * 32, b"\x02" * 32)),
         RetrievalResponse((sample_block(items=(b"SET a 1",)), sample_block(author=1))),
-        CoinShareMsg(SeededCoin(n=4, threshold=3, seed=0, replica_id=1).make_share(7)),
-        CoinShareMsg(ThresholdCoin(schnorr[1]).make_share(7)),
-        CoinShareRequest(wave=7),
+        BlockVal(share_block(
+            SeededCoin(n=4, threshold=3, seed=0, replica_id=1).make_share(7)
+        )),
+        BlockVal(share_block(ThresholdCoin(schnorr[1]).make_share(7))),
         ContradictionNotice(objected=b"\x33" * 32, conflicting_block=sample_block()),
         ByzantineProofMsg(
             culprit=2, block_a=proof.block_a, block_b=proof.block_b,
@@ -261,7 +290,7 @@ def mutated_frames(draw):
 
 
 def test_wire_samples_cover_every_kind():
-    assert sorted({raw[0] for raw in WIRE_SAMPLES}) == list(range(1, 10))
+    assert sorted({raw[0] for raw in WIRE_SAMPLES}) == [1, 2, 3, 4, 5, 7, 8]
     for raw in WIRE_SAMPLES:
         assert encode_message(decode_message(raw)) == raw
 

@@ -5,15 +5,24 @@ accept path, dedupe, signature gating, and reference counting.  Whole-
 protocol behaviour is covered by the simulator-driven tests.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.broadcast.messages import BlockVal, CoinShareMsg, RetrievalRequest
+from repro.broadcast.messages import (
+    BlockVal,
+    RetrievalRequest,
+    RetrievalResponse,
+)
 from repro.config import ProtocolConfig, SystemConfig
 from repro.core.commit import references_within
 from repro.core.lightdag1 import LightDag1Node
 from repro.crypto.backend import HmacBackend
+from repro.crypto.coin import make_coin
 from repro.crypto.keys import TrustedDealer
-from repro.dag.block import TxBatch, genesis_block, make_block
+from repro.dag.block import genesis_block, make_block
+from repro.net.latency import FixedLatency
+from repro.net.simulator import Simulation
 
 from ..conftest import FakeNet
 
@@ -36,9 +45,12 @@ def node(system, chains):
     return n
 
 
-def signed_block(system, author, round_, parents, j=0):
+def signed_block(system, author, round_, parents, j=0, coin_share=None):
     backend = HmacBackend(author, system)
-    return make_block(round_, author, parents, repropose_index=j, signer=backend)
+    return make_block(
+        round_, author, parents, repropose_index=j, coin_share=coin_share,
+        signer=backend,
+    )
 
 
 def genesis_parents():
@@ -66,7 +78,8 @@ class TestStartup:
         net = FakeNet(node_id=0, n=4)
         node = LightDag1Node(net, system, ProtocolConfig(batch_size=5), chains[0])
         node.on_start()
-        assert not any(isinstance(m, CoinShareMsg) for _, m in net.sent)
+        vals = [m for _, m in net.sent if isinstance(m, BlockVal)]
+        assert vals and all(m.block.coin_share is None for m in vals)
 
 
 class TestAcceptPath:
@@ -177,23 +190,116 @@ class TestReferenceCounting:
         assert references_within(node.store, block, genesis_block(0).digest, 1)
 
 
-class TestCoinPlumbing:
-    def test_share_for_unrevealed_wave_accumulates(self, system, chains, node):
-        # Build shares from other replicas' coins for wave 1.
-        from repro.crypto.coin import make_coin
+def coins(system, chains):
+    return [make_coin("hmac", chain, system.seed) for chain in chains]
 
-        coins = [make_coin("hmac", chains[i], system.seed) for i in range(4)]
-        node.on_message(1, CoinShareMsg(coins[1].make_share(1)))
-        node.on_message(2, CoinShareMsg(coins[2].make_share(1)))
-        assert 1 not in node.revealed_leaders  # threshold is 2f+1 = 3
-        node.on_message(3, CoinShareMsg(coins[3].make_share(1)))
-        assert 1 in node.revealed_leaders
+
+#: A bad share where one is due (LightDAG1 ends wave w at round 2w + 1),
+#: made from the author's coin and another replica's.
+DUE_SHARE_FAULTS = {
+    "missing": lambda coin, other, wave: None,
+    "wrong_wave": lambda coin, other, wave: coin.make_share(wave + 1),
+    "wrong_author": lambda coin, other, wave: other.make_share(wave),
+    "forged": lambda coin, other, wave: replace(coin.make_share(wave), payload=bytes(32)),
+}
+
+
+class TestCoinPlumbing:
+    """Shares ride in last-round blocks (LightDAG1's wave 1 ends at round
+    3).  Parents are unknown here, so each block parks in retrieval, but
+    its share counts as soon as the body is authenticated."""
+
+    def test_share_for_unrevealed_wave_accumulates(self, system, chains, node):
+        coin = coins(system, chains)
+        for author in (1, 2, 3):
+            block = signed_block(
+                system, author, 3, genesis_parents(),
+                coin_share=coin[author].make_share(1),
+            )
+            node.on_message(author, BlockVal(block))
+            # the threshold is 2f+1 = 3
+            assert (1 in node.revealed_leaders) == (author == 3)
 
     def test_duplicate_share_ignored(self, system, chains, node):
-        from repro.crypto.coin import make_coin
-
-        coin1 = make_coin("hmac", chains[1], system.seed)
-        share = coin1.make_share(1)
-        node.on_message(1, CoinShareMsg(share))
-        node.on_message(1, CoinShareMsg(share))
+        share = coins(system, chains)[1].make_share(1)
+        block = signed_block(system, 1, 3, genesis_parents(), coin_share=share)
+        twin = signed_block(system, 1, 3, genesis_parents(), j=1, coin_share=share)
+        node.on_message(1, BlockVal(block))
+        node.on_message(2, BlockVal(block))
+        node.on_message(1, BlockVal(twin))  # an equivocation repeats the share
+        assert node.coin.pending_share_count(1) == 1
         assert 1 not in node.revealed_leaders
+
+    def test_retrieved_block_brings_its_share(self, system, chains, node):
+        """A replica that missed the last-round VALs gets their shares back
+        with the bodies, by retrieval: there is no other recovery path."""
+        coin = coins(system, chains)
+        last = [
+            signed_block(system, a, 3, genesis_parents(), coin_share=coin[a].make_share(1))
+            for a in (1, 2, 3)
+        ]
+        node.on_message(1, BlockVal(signed_block(system, 1, 4, [b.digest for b in last])))
+        assert node.coin.pending_share_count(1) == 0
+        node.on_message(2, RetrievalResponse(tuple(last)))
+        assert 1 in node.revealed_leaders
+
+    @pytest.mark.parametrize("fault", sorted(DUE_SHARE_FAULTS))
+    def test_bad_share_where_one_is_due_is_rejected(self, system, chains, node, fault):
+        coin = coins(system, chains)
+        share = DUE_SHARE_FAULTS[fault](coin[1], coin[2], 1)
+        block = signed_block(system, 1, 3, genesis_parents(), coin_share=share)
+        node.on_message(1, BlockVal(block))
+        assert block.digest in node._invalid
+        assert block.digest not in node._known
+        assert node.coin.pending_share_count(1) == node.coin.pending_share_count(2) == 0
+
+    def test_share_where_none_is_due_is_rejected(self, system, chains, node):
+        share = coins(system, chains)[1].make_share(1)
+        block = signed_block(system, 1, 2, genesis_parents(), coin_share=share)
+        node.on_message(1, BlockVal(block))
+        assert block.digest in node._invalid
+        assert node.coin.pending_share_count(1) == 0
+
+    @pytest.mark.parametrize("fault", sorted(DUE_SHARE_FAULTS) + ["extra"])
+    def test_every_coin_still_reveals_with_one_hostile_author(self, system, chains, fault):
+        """n = 4 and replica 3 puts bad shares in its blocks: those blocks
+        are rejected, and the three honest shares reveal every wave."""
+
+        class Hostile(LightDag1Node):
+            def _make_block(self, round_, parents, payload, **fields):
+                wave = self._share_wave(round_)
+                if fault == "extra":
+                    share = None if wave else self.coin.make_share(1)
+                elif wave is None:
+                    share = None
+                else:
+                    other = make_coin("hmac", chains[0], system.seed)
+                    share = DUE_SHARE_FAULTS[fault](self.coin, other, wave)
+                return make_block(
+                    round_, self.node_id, parents, payload, coin_share=share,
+                    signer=self.backend, **fields,
+                )
+
+        protocol = ProtocolConfig(batch_size=5)
+        sim = Simulation(
+            [
+                lambda net, i=i: (Hostile if i == 3 else LightDag1Node)(
+                    net, system, protocol, chains[i]
+                )
+                for i in range(4)
+            ],
+            latency_model=FixedLatency(0.05),
+            seed=1,
+        )
+        sim.run(until=4.0)
+        for node in sim.nodes[:3]:
+            waves = (node.store.highest_round() - 1) // 2
+            assert waves >= 10
+            assert all(node.coin.leader_of(w) is not None for w in range(1, waves + 1))
+            assert node.committed_blocks > 0
+            last_rounds = {2 * w + 1 for w in range(1, waves + 1)}
+            bad_rounds = [
+                r for r in range(1, 2 * waves + 2)
+                if (r in last_rounds) == (fault != "extra")
+            ]
+            assert all(node.store.block_in_slot(r, 3) is None for r in bad_rounds)

@@ -1,6 +1,6 @@
 """``BaseDagNode.on_message`` dispatches on the message class.
 
-The table replaced a seven-arm ``isinstance`` ladder; that ladder is kept
+The table replaced an ``isinstance`` ladder; that ladder is kept
 here, as the oracle, and every message type must end where it sent it.
 """
 
@@ -13,8 +13,6 @@ from repro.broadcast.messages import (
     BlockReady,
     BlockVal,
     ByzantineProofMsg,
-    CoinShareMsg,
-    CoinShareRequest,
     ContradictionNotice,
     RetrievalRequest,
     RetrievalResponse,
@@ -24,7 +22,6 @@ from repro.config import ProtocolConfig, SystemConfig
 from repro.core.lightdag1 import LightDag1Node
 from repro.core.lightdag2 import LightDag2Node
 from repro.crypto.backend import HmacBackend
-from repro.crypto.coin import make_coin
 from repro.crypto.keys import TrustedDealer
 from repro.dag.block import genesis_block, make_block
 from repro.net.interfaces import Message
@@ -36,7 +33,7 @@ CHAINS = TrustedDealer(SYSTEM).deal()
 
 #: Node methods and collaborator methods a message can end in.
 NODE_TERMINALS = (
-    "_on_block_body", "_on_coin_share", "_on_contradiction", "_on_proof_msg",
+    "_on_block_body", "_on_contradiction", "_on_proof_msg",
     "_on_other_message",
 )
 
@@ -53,10 +50,6 @@ def old_ladder(node, msg):
     elif isinstance(msg, BlockReady):
         manager = node._manager_for_round(msg.round)
         return "on_ready" if manager is node.rbc else None
-    elif isinstance(msg, CoinShareMsg):
-        return "_on_coin_share"
-    elif isinstance(msg, CoinShareRequest):
-        return "send_share" if msg.wave <= node._max_share_wave else None
     elif isinstance(msg, RetrievalRequest):
         return "on_request"
     elif isinstance(msg, RetrievalResponse):
@@ -89,8 +82,6 @@ def spied(cls):
             manager.on_ready = recorder("on_ready")
     node.retrieval.on_request = recorder("on_request")
     node.retrieval.on_response = recorder("on_response", result=[])
-    node.net.send = recorder("send_share")
-    node._max_share_wave = 2
     return node, calls
 
 
@@ -98,7 +89,6 @@ def sample_messages():
     parents = [genesis_block(a).digest for a in range(4)]
     block = make_block(1, 1, parents, signer=HmacBackend(1, SYSTEM))
     twin = make_block(1, 1, parents, repropose_index=1, signer=HmacBackend(1, SYSTEM))
-    coin_share = make_coin(SYSTEM.crypto, CHAINS[1], SYSTEM.seed).make_share(1)
     votes = [
         cls(round=round_, author=1, digest=block.digest)
         for cls in (BlockEcho, BlockReady)
@@ -107,9 +97,6 @@ def sample_messages():
     return [
         BlockVal(block),
         *votes,
-        CoinShareMsg(coin_share),
-        CoinShareRequest(wave=1),
-        CoinShareRequest(wave=9),
         RetrievalRequest(digests=(block.digest,)),
         RetrievalResponse(blocks=(block,)),
         ContradictionNotice(objected=block.digest, conflicting_block=twin),

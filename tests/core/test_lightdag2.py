@@ -11,7 +11,6 @@ from repro.broadcast.messages import (
     BlockEcho,
     BlockVal,
     ByzantineProofMsg,
-    CoinShareMsg,
     ContradictionNotice,
 )
 from repro.config import ProtocolConfig, SystemConfig
@@ -47,8 +46,8 @@ def make_node(system, chains, node_id=0):
 def pump(node):
     """Fire queued zero-delay advance timers (FakeNet doesn't).
 
-    Only the advance tick is replayed: the periodic coin-sync timer
-    re-arms itself on every fire and would loop forever here.
+    Only the advance tick is replayed: the periodic stall check re-arms
+    itself on every fire and would loop forever here.
     """
     from repro.core.base import ADVANCE_TAG
 
@@ -441,7 +440,10 @@ class TestFirstRoundCoinWait:
             and m.block.author == 0
         ]
 
-    def test_round4_waits_for_wave1_leader(self, system, chains):
+    def test_round4_waits_for_wave1_leader(self, system):
+        # A coin that needs all n shares: n - f delivered round-3 blocks
+        # carry one share too few, which pulls the wait apart from Rule 1's.
+        chains = TrustedDealer(system, coin_threshold=system.n).deal()
         node = make_node(system, chains)
         parents = [b.digest for b in feed_round1(node, system).values()]
         pump(node)
@@ -453,20 +455,54 @@ class TestFirstRoundCoinWait:
                     round=2, author=block.author, digest=block.digest
                 ))
         pump(node)
-        assert self.proposed(node, 3)
+        own = self.proposed(node, 3)[0]
+        assert own.coin_share == node.coin.make_share(1)
         for author in (1, 2, 3):
-            block = signed(system, author, 3, [b.digest for b in round2])
+            share = make_coin(system.crypto, chains[author], system.seed).make_share(1)
+            block = make_block(
+                3, author, [b.digest for b in round2], coin_share=share,
+                signer=HmacBackend(author, system),
+            )
             node.on_message(author, BlockVal(block))
         pump(node)
         # n - f deliverable round-3 blocks, yet no round-4 proposal.
         assert node.store.round_author_count(3) >= system.quorum
         assert node.next_round == 4 and 1 not in node.revealed_leaders
         assert not self.proposed(node, 4)
-        for replica in (1, 2, 3):
-            share = make_coin(system.crypto, chains[replica], system.seed).make_share(1)
-            node.on_message(replica, CoinShareMsg(share))
-            pump(node)
-            assert bool(self.proposed(node, 4)) == (1 in node.revealed_leaders)
+        # Our own round-3 block brings the last share.
+        node.on_message(0, BlockVal(own))
+        pump(node)
         assert 1 in node.revealed_leaders
+        assert self.proposed(node, 4)
         assert node.next_round == 5
+
+    def test_round4_does_not_wait_for_a_coin_gc_forgot(self, system, chains):
+        """The wait asks the coin, not ``revealed_leaders``: GC drops a
+        settled wave from that table (``CommitRule.forget_settled``).  A
+        replica whose commit frontier passed wave 1 before its round-3
+        parents delivered must still propose round 4, or it never proposes
+        again — and at the fault bound the system stalls with it."""
+        node = make_node(system, chains)
+        parents = [b.digest for b in feed_round1(node, system).values()]
+        pump(node)
+        round2 = [signed(system, author, 2, parents) for author in (1, 2, 3)]
+        for block in round2:
+            node.on_message(block.author, BlockVal(block))  # no echoes yet
+        for author in (1, 2, 3):
+            share = make_coin(system.crypto, chains[author], system.seed).make_share(1)
+            node.on_message(author, BlockVal(make_block(
+                3, author, [b.digest for b in round2], coin_share=share,
+                signer=HmacBackend(author, system),
+            )))
+        # Parked on round 2, yet their shares revealed the coin.
+        assert 1 in node.revealed_leaders and node.next_round == 3
+        del node.revealed_leaders[1]  # what GC does once wave 1 is settled
+        for block in round2:
+            for voter in (1, 2, 3):
+                node.on_message(voter, BlockEcho(
+                    round=2, author=block.author, digest=block.digest
+                ))
+        pump(node)
+        assert node.store.round_author_count(3) >= system.quorum
+        assert self.proposed(node, 4)
 

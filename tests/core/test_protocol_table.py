@@ -25,9 +25,9 @@ EVERY_CLASS = sorted({**PROTOCOL_REGISTRY, **MUTANT_REGISTRY}.items())
 #: in repro.core.commit and are not node methods at all.
 WIRING = {
     "_manager_for_round", "_broadcast_block", "_holders_of", "_on_deliver",
-    "_apply_commits", "_commit_leader", "_maybe_prune", "_broadcast_coin_shares",
-    "_recover_coin_shares", "_recover_from_stall", "_predefine_leaders",
-    "on_message",
+    "_apply_commits", "_commit_leader", "_maybe_prune", "_make_block",
+    "_share_wave", "_carries_due_share", "_add_coin_share", "_recover_from_stall",
+    "_predefine_leaders", "on_message",
 }
 
 
@@ -73,18 +73,18 @@ def test_managers_follow_the_broadcast_attribute(name, cls):
 
 
 def test_predefined_leaders_send_and_recover_no_coin_shares():
-    from repro.broadcast.messages import BlockVal, CoinShareMsg, CoinShareRequest
-    from repro.core.base import COIN_SYNC_TAG
+    from repro.broadcast.messages import BlockVal
+    from repro.core.base import STALL_CHECK_TAG
 
     system = SystemConfig(n=4, crypto="hmac", seed=0)
     net = FakeNet(0, 4)
     node = BullsharkNode(net, system, ProtocolConfig(), TrustedDealer(system).deal()[0])
+    assert all(node._share_wave(r) is None for r in range(1, 20))
     node.on_start()
     net.advance(10.0)
-    node.on_timer(COIN_SYNC_TAG)
-    assert not any(
-        isinstance(m, (CoinShareMsg, CoinShareRequest)) for _, m in net.sent
-    )
-    # ... but the stall re-broadcast that shares the timer still runs.
+    node.on_timer(STALL_CHECK_TAG)
+    # The stall check re-broadcasts the round-1 proposal; no block of a
+    # predefined-leader protocol carries a share.
     vals = [m for _, m in net.sent if isinstance(m, BlockVal)]
     assert len(vals) == 8  # round-1 proposal + its re-broadcast, 4 copies each
+    assert all(m.block.coin_share is None for m in vals)

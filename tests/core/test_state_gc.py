@@ -3,18 +3,15 @@
 Two bug families this file pins down:
 
 * **State leaks** — per-wave and per-round bookkeeping
-  (``voted_refs``, ``my_blocks``, ``revealed_leaders``, coin-share
-  tracking) must be pruned alongside the store when
-  ``gc_depth`` is set, or a long-lived replica grows without bound even
-  though its DAG is garbage-collected.
+  (``voted_refs``, ``my_blocks``, ``revealed_leaders``) must be pruned
+  alongside the store when ``gc_depth`` is set, or a long-lived replica
+  grows without bound even though its DAG is garbage-collected.
 
 * **Stall-clock arming** — the stall rebroadcast must not treat
   simulation start as "the last delivery": it arms at the first own
   proposal, uses a startup grace period before anything was delivered,
   and fires at most once per window.
 """
-
-import pytest
 
 from repro.adversary.schedule import FaultSchedule, ScheduleAdversary
 from repro.config import ProtocolConfig, SystemConfig
@@ -83,8 +80,6 @@ class TestBoundedGrowth:
         wave_bound = retained_rounds  # ≥ rounds/3 waves, generous
         assert len(node.revealed_leaders) <= wave_bound
         assert len(node.commit.committed_leader_waves) <= wave_bound
-        assert len(node._sent_share_waves) <= wave_bound
-        assert len(node._coin_requested) <= wave_bound
         assert len(node.commit._deferred) <= wave_bound
 
         check_prefix_consistency([n.ledger for n in sim.nodes])
@@ -97,31 +92,6 @@ class TestBoundedGrowth:
         node = sim.nodes[0]
         assert node.store.lowest_retained_round() == 1
         assert len(node.my_blocks) >= node.current_round - 2
-
-    def test_straggler_can_fetch_pruned_wave_shares(self):
-        """`_sent_share_waves` pruning must not break coin-share serving:
-        the `_max_share_wave` guard still answers requests for waves whose
-        sent-set entry was garbage-collected."""
-        from repro.broadcast.messages import CoinShareMsg, CoinShareRequest
-
-        sim = build_sim(node_cls=LightDag2Node, gc_depth=10)
-        sim.run(until=8.0)
-        node = sim.nodes[0]
-        pruned_wave = 1
-        assert pruned_wave not in node._sent_share_waves  # GC removed it
-        assert node._max_share_wave > pruned_wave
-
-        sent = []
-        node.net.send = lambda dst, msg: sent.append((dst, msg))
-        node.on_message(1, CoinShareRequest(pruned_wave))
-        assert len(sent) == 1
-        dst, msg = sent[0]
-        assert dst == 1 and isinstance(msg, CoinShareMsg)
-
-        # Future waves stay unserved (no coin foreknowledge).
-        sent.clear()
-        node.on_message(1, CoinShareRequest(node._max_share_wave + 5))
-        assert sent == []
 
 
 class TestStallClock:

@@ -186,12 +186,17 @@ class TestBlockPreimage:
         items=st.lists(st.binary(max_size=80), max_size=3),
         total=st.one_of(st.floats(), st.sampled_from([-0.0, math.inf, math.nan])),
         proofs=st.lists(_DIGESTS, max_size=3),
+        share=st.one_of(st.none(), st.binary(max_size=300)),
     )
-    def test_matches_hash_fields(self, ints, parents, items, total, proofs):
+    def test_matches_hash_fields(self, ints, parents, items, total, proofs, share):
+        """Ten fields without a coin share, eleven with one."""
         round_, author, count, tx_size, j = ints
         fields = (round_, author, parents, count, tx_size, repr(total), items, j, proofs)
-        assert hash_bytes(block_preimage(*fields)) == hash_fields(
-            "block", *[tuple(f) if isinstance(f, list) else f for f in fields])
+        expected = [tuple(f) if isinstance(f, list) else f for f in fields]
+        if share is not None:
+            expected.append(share)
+        assert hash_bytes(block_preimage(*fields, share)) == hash_fields(
+            "block", *expected)
 
     def test_bool_keeps_its_tag(self):
         fields = (True, 0, (), 1, 2, "0.0", (), False, ())

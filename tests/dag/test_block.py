@@ -6,8 +6,12 @@ import pickle
 import pytest
 
 from repro.check.explorer import _Canonicalizer
+from repro.codec.blocks import block_from_bytes, block_to_bytes
 from repro.config import SystemConfig
+from repro.core.proofs import ByzantineProof
+from repro.core.retrieval import RetrievalManager
 from repro.crypto.backend import HmacBackend
+from repro.crypto.coin import SeededCoin
 from repro.dag.block import (
     EMPTY_BATCH,
     GENESIS_ROUND,
@@ -15,6 +19,9 @@ from repro.dag.block import (
     genesis_block,
     make_block,
 )
+from repro.dag.store import DagStore
+
+from ..conftest import FakeNet
 
 
 class TestTxBatch:
@@ -84,6 +91,74 @@ class TestBlockIdentity:
         b = make_block(1, 0, [], repropose_index=1)
         assert a.digest != b.digest
         assert a.slot == b.slot  # same slot, different block — equivocation shape
+
+
+class TestOneDigestDerivation:
+    """``make_block``, the codec and retrieval's digest pinning derive a
+    digest through one function.  If they ever disagreed on a field, every
+    honest retrieval response for such blocks would be dropped as garbage,
+    silently."""
+
+    @staticmethod
+    def full_block():
+        """A block with every optional field set."""
+        system = SystemConfig(n=4, crypto="hmac", seed=0)
+        parents = [genesis_block(a).digest for a in range(4)]
+        proof = ByzantineProof(
+            culprit=2, block_a=make_block(1, 2, parents),
+            block_b=make_block(1, 2, parents, repropose_index=1),
+        )
+        payload = TxBatch(
+            count=2, tx_size=64, submit_time_sum=3.5, sample=(1.5, 2.0),
+            items=(b"SET a 1", b"SET b 2"),
+        )
+        share = SeededCoin(n=4, threshold=3, seed=0, replica_id=1).make_share(1)
+        return make_block(
+            3, 1, parents[:3], payload, repropose_index=2, byz_proofs=(proof,),
+            coin_share=share, signer=HmacBackend(1, system),
+        )
+
+    @staticmethod
+    def pinned(block):
+        return RetrievalManager(FakeNet(0, 4), DagStore(n=4))._digest_pinned(block)
+
+    def test_full_block_roundtrips_and_pins(self):
+        block = self.full_block()
+        decoded = block_from_bytes(block_to_bytes(block))
+        assert decoded == block and decoded.digest == block.digest
+        assert self.pinned(block) and self.pinned(decoded)
+
+    def test_changing_any_one_field_fails_pinning(self):
+        block = self.full_block()
+        payload = block.payload
+        share = block.coin_share
+        changed = {
+            "round": 4,
+            "author": 2,
+            "parents": block.parents[:2],
+            "repropose_index": 3,
+            "byz_proofs": (),
+            "coin_share": dataclasses.replace(share, wave=2),
+            "payload.count": dataclasses.replace(payload, count=3),
+            "payload.tx_size": dataclasses.replace(payload, tx_size=65),
+            "payload.submit_time_sum": dataclasses.replace(payload, submit_time_sum=3.25),
+            "payload.items": dataclasses.replace(payload, items=(b"SET a 1",)),
+        }
+        for name, value in changed.items():
+            field = name.split(".")[0]
+            forged = dataclasses.replace(block, **{field: value})
+            assert forged.digest == block.digest
+            assert not self.pinned(forged), name
+        # Every consensus field is covered (the payload's ``sample`` is a
+        # latency-measurement aid, never identity).
+        identity = {f.name for f in dataclasses.fields(block) if f.init} - {
+            "digest", "signature",
+        }
+        assert {name.split(".")[0] for name in changed} == identity
+        assert {name for name in changed if name.startswith("payload.")} == {
+            f"payload.{f.name}" for f in dataclasses.fields(payload)
+        } - {"payload.sample"}
+        assert not self.pinned(dataclasses.replace(block, coin_share=None))
 
 
 class TestSigning:

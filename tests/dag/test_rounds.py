@@ -131,3 +131,17 @@ def test_property_every_round_has_a_wave(length, overlap, round_):
     assert 1 <= len(memberships) <= 2
     for w, e in memberships:
         assert wave.round_of(w, e) == round_
+
+
+@given(
+    length=st.integers(min_value=2, max_value=6),
+    overlap=st.booleans(),
+    round_=st.integers(min_value=-3, max_value=200),
+)
+def test_property_last_round_arithmetic_matches_membership(length, overlap, round_):
+    """``wave_of_last_round`` computes what ``waves_containing`` lists."""
+    if overlap and length < 3:
+        return
+    wave = WaveStructure(length, overlap=overlap)
+    listed = [w for w, e in wave.waves_containing(round_) if e == length]
+    assert wave.wave_of_last_round(round_) == (listed[0] if listed else None)

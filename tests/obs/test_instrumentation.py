@@ -178,9 +178,9 @@ class TestRetrievalAccounting:
 
     def test_retrieval_gauges_are_per_replica(self):
         """Each replica's retrieval manager owns its gauges.  A gauge
-        shared by all of them exported whichever replica wrote last: 0
-        here, while replica 5 ends the run with a block parked and its
-        parent requested."""
+        shared by all of them exported whichever replica wrote last, the
+        same value for all seven, while replicas 2 and 6 end the run with a
+        block parked and its parent requested."""
         cfg = ExperimentConfig(
             system=SystemConfig(n=7, crypto="hmac", seed=10),
             protocol=ProtocolConfig(batch_size=20),
@@ -194,7 +194,7 @@ class TestRetrievalAccounting:
         run_experiment(cfg, obs=obs)
         for name in ("retrieval.pending", "retrieval.inflight"):
             values = [obs.metrics.gauge(name, replica=r).value for r in range(7)]
-            assert values == [0, 0, 0, 0, 0, 1, 0], name
+            assert values == [0, 0, 1, 0, 0, 0, 1], name
         gauges = [
             row for row in obs.metrics.snapshot()
             if row["name"].startswith("retrieval.") and row["kind"] == "gauge"
