@@ -22,8 +22,8 @@ grammar — and §VI-A's named attacks are entries of
   not an adversary feature.  ``delay@0+inf:max=0.2``.
 * **Retrieval withholding** (vs. the §IV-A recovery path) — replicas that
   broadcast and vote honestly but ignore (or garbage-answer) retrieval
-  requests, forcing requesters through the full backoff/fan-out
-  escalation: ``withhold`` phases over
+  requests, forcing requesters to re-ask other peers on their recovery
+  tick: ``withhold`` phases over
   :class:`~repro.adversary.withhold.WithholdingResponder`.
 
 Message-level phases are driven by

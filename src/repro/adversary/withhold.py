@@ -15,10 +15,10 @@ vote, but sabotages retrieval —
 
 Because the withholder is otherwise live, honest replicas keep choosing
 it as a first-choice responder; recovery then depends entirely on the
-requester's backoff/fan-out escalation reaching an honest holder — which
-is exactly what the hardened :class:`~repro.core.retrieval.RetrievalManager`
-must guarantee (and what ``tests/core/test_retrieval_adversarial.py``
-asserts end to end).
+requester's re-asks on its recovery tick, which rotate over every other
+replica and so reach an honest holder within ``n - 1`` ticks — what
+:class:`~repro.core.retrieval.RetrievalManager` must guarantee (and what
+``tests/core/test_retrieval_adversarial.py`` asserts end to end).
 
 It is a *behavioural* adversary: like the equivocator, it is installed as
 an alternative node class for the corrupted replica indices (the harness

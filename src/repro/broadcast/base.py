@@ -18,7 +18,7 @@ retrieval gate) out of the broadcast layer, matching the paper's layering.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Optional
+from typing import Callable, Dict, Optional
 
 from ..crypto.hashing import Digest
 from ..dag.block import Block
@@ -152,13 +152,3 @@ class InstanceTracker:
     def is_delivered(self, digest: Digest) -> bool:
         inst = self._instances.get(digest)
         return inst is not None and inst.delivered
-
-    def echoers_of(self, digest: Digest) -> FrozenSet[int]:
-        """Replicas that echoed a digest — retrieval fallback targets: they
-        are guaranteed (if non-faulty) to hold the body and its ancestors.
-
-        A snapshot built from the vote mask at call time: later echoes do
-        not show in a set already returned."""
-        inst = self._instances.get(digest)
-        mask = inst.echoers if inst else 0
-        return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)

@@ -24,7 +24,7 @@ precisely to patch this.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..crypto.hashing import Digest
 from ..dag.block import Block
@@ -169,7 +169,3 @@ class CbcManager:
         waiting on body or ancestors — the retrieval fallback trigger)."""
         inst = self.tracker.peek(digest)
         return inst is not None and inst.echoers.bit_count() >= self.quorum
-
-    def echoers_of(self, digest: Digest) -> FrozenSet[int]:
-        """The replicas whose ECHO for ``digest`` was counted so far."""
-        return self.tracker.echoers_of(digest)

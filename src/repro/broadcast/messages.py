@@ -78,8 +78,9 @@ MAX_REQUEST_DIGESTS = 128
 class RetrievalRequest(Message):
     """§IV-A block retrieval: ask a peer for missing block bodies.
 
-    Honest senders keep ``digests`` small (one incomplete block's missing
-    parents); responders clamp anything above :data:`MAX_REQUEST_DIGESTS`.
+    A first ask carries one incomplete block's missing parents; a
+    recovery-tick re-ask batches every stale digest, chunked at
+    :data:`MAX_REQUEST_DIGESTS`.  Responders clamp anything above that.
     """
 
     digests: Tuple[Digest, ...]

@@ -17,7 +17,7 @@ Three message steps → the 3× latency multiplier that motivates the paper
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..crypto.hashing import Digest
 from ..dag.block import Block
@@ -183,7 +183,3 @@ class RbcManager:
         """Quorum of READYs present (delivery may still await body/gate)."""
         inst = self.tracker.peek(digest)
         return inst is not None and inst.readiers.bit_count() >= self.quorum
-
-    def echoers_of(self, digest: Digest) -> FrozenSet[int]:
-        """The replicas whose ECHO for ``digest`` was counted so far."""
-        return self.tracker.echoers_of(digest)

@@ -123,24 +123,18 @@ def audit_retrieval(node, label: str) -> List[str]:
     store = node.store
     pending = state["pending"]
     dependents = state["dependents"]
-    inflight = state["inflight"]
-    requested = state["requested"]
-    abandoned = state["abandoned"]
 
-    if not inflight <= requested:
-        extra = [short_hex(d) for d in inflight - requested]
-        violations.append(f"{label}: in-flight requests not ⊆ requested: {extra}")
-    for digest in requested:
+    for digest in state["asked"]:
         if digest in store:
             violations.append(
-                f"{label}: digest {short_hex(digest)} still requested but "
+                f"{label}: digest {short_hex(digest)} still asked for but "
                 f"already delivered to the store"
             )
-    if abandoned & inflight:
-        violations.append(
-            f"{label}: digests both abandoned and in-flight: "
-            f"{[short_hex(d) for d in abandoned & inflight]}"
-        )
+        if not dependents.get(digest):
+            violations.append(
+                f"{label}: digest {short_hex(digest)} asked for but no "
+                f"parked block needs it"
+            )
 
     union_missing = set()
     for digest, (block, missing) in pending.items():

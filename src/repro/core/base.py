@@ -23,7 +23,7 @@ LightDAG2's Rules 2–4 and Bullshark's leader wait.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..broadcast.cbc import CbcManager
 from ..broadcast.messages import (
@@ -49,7 +49,7 @@ from ..errors import InvalidBlockError, UnknownBlockError
 from ..net.interfaces import Message, NetworkAPI, Node
 from ..obs import NULL_OBS, Observability
 from .commit import Commit, CommitRule
-from .retrieval import RETRY_TAG, RetrievalManager
+from .retrieval import RetrievalManager
 
 #: Signature of the payload hook: ``payload_source(now) -> TxBatch``.
 PayloadSource = Callable[[float], TxBatch]
@@ -59,10 +59,11 @@ CommitCallback = Callable[[CommitRecord], None]
 #: Timer tag for the deferred-proposal tick (see ``_schedule_advance``).
 ADVANCE_TAG = "__advance__"
 
-#: Timer tag for the periodic stall check.
+#: Timer tag for the periodic recovery tick: stale retrieval re-asks and
+#: the stall check.
 STALL_CHECK_TAG = "__stall_check__"
 
-#: Period of the stall check (seconds).
+#: Period of the recovery tick (seconds).
 STALL_CHECK_PERIOD = 0.5
 
 #: Silence (no delivery/proposal progress) before a stall re-broadcast,
@@ -190,12 +191,7 @@ class BaseDagNode(Node):
         if self._trace is not None:
             self.ledger.bind_trace(self._trace, net.node_id)
         self.retrieval = RetrievalManager(
-            net,
-            self.store,
-            seed=system.seed,
-            enabled=protocol.retrieval_enabled,
-            obs=self.obs,
-            fanout_width=system.validity_quorum,
+            net, self.store, enabled=protocol.retrieval_enabled, obs=self.obs
         )
         self.payload_source = payload_source or (lambda now: EMPTY_BATCH)
         self.on_commit = on_commit
@@ -385,12 +381,13 @@ class BaseDagNode(Node):
             self._on_block_body(origin, block, retrieved=True)
 
     def on_timer(self, tag: str, data=None) -> None:
-        if tag == RETRY_TAG:
-            self.retrieval.on_retry_timer(data, self._holders_of(data))
-        elif tag == ADVANCE_TAG:
+        if tag == ADVANCE_TAG:
             self._advance_scheduled = False
             self._try_advance()
         elif tag == STALL_CHECK_TAG:
+            # The one recovery tick: re-ask stale retrievals, then
+            # re-broadcast our latest block if we have stalled.
+            self.retrieval.on_retry_timer()
             self._recover_from_stall()
             self.net.set_timer(STALL_CHECK_PERIOD, STALL_CHECK_TAG)
 
@@ -402,11 +399,6 @@ class BaseDagNode(Node):
         if not self._advance_scheduled:
             self._advance_scheduled = True
             self.net.set_timer(0.0, ADVANCE_TAG)
-
-    def _holders_of(self, digest: Digest) -> FrozenSet[int]:
-        """Replicas believed to hold a block body: the echoers of its
-        digest so far (a snapshot, see ``InstanceTracker.echoers_of``)."""
-        return (self.cbc or self.rbc).echoers_of(digest)
 
     # -------------------------------------------------------------- accepting
 
@@ -430,8 +422,8 @@ class BaseDagNode(Node):
                 else:
                     # Duplicate VAL = a peer's stall-recovery re-broadcast;
                     # refresh our endorsement so lost echoes are replaced,
-                    # and treat it as fresh evidence for any abandoned
-                    # parent retrievals of this still-parked block.
+                    # and re-ask the missing parents of this still-parked
+                    # block from its sender now.
                     manager.refresh_vote(block)
                     if self.retrieval.is_pending(block.digest):
                         self.retrieval.revive(block.digest)

@@ -10,33 +10,31 @@ ancestors it never delivered.  Retrieval patches the hole:
     block retrieval process continues until p_i has delivered all the
     ancestors of B.  Then, p_i participates in the CBC process of B."
 
-This manager tracks *pending* blocks (received, parents missing), issues
-requests, answers peers' requests from the local store, and — because the
-first-choice responder may be faulty — recovers through a bounded retry
-schedule:
+This manager tracks *pending* blocks (received, parents missing), asks for
+their missing parents, answers peers' requests from the local store, and
+keeps asking until every parent is delivered:
 
-* **Exponential backoff with deterministic jitter** — retry ``k`` waits
-  ``retry_base * 2^k`` seconds (exponent capped), scaled by a seeded-RNG
-  jitter factor, so a faulty responder cannot lock a replica into a fixed
-  0.5 s hammering loop and two replicas never synchronize their retries.
-* **Fan-out escalation** — after ``fanout_after`` single-target retries
-  the request is fanned out to ``fanout_width`` (``f + 1``) candidates at
-  once, so at least one honest holder is hit even if every previous
-  target was Byzantine (§V's "unfavorable" recovery argument).
-* **A retry cap** — after ``retry_cap`` retries the digest is *abandoned*:
-  all timers stop and its state is released.  Abandonment is not final —
-  fresh evidence that the block exists (a new dependent, or the dependent
-  re-broadcast by its live proposer) re-opens the request with a fresh
-  budget (:meth:`revive`).
+* **One ask per digest, then the recovery tick.**  A parked block's
+  missing parents are asked of the replica that sent it (if non-faulty it
+  holds every ancestor).  The owning node's periodic recovery tick calls
+  :meth:`on_retry_timer`: every digest asked before the previous tick and
+  still missing goes out again, in one request, to the next peer of a
+  fixed rotation that skips this replica.  A digest missing for ``n - 1``
+  ticks has been asked of every other replica, so of every honest holder,
+  whatever the first-choice responder does.  There is no per-digest timer
+  and no randomness.
+* **Fresh evidence re-asks at once** — a parked block re-broadcast by its
+  proposer (stall recovery) re-asks its still-missing parents from its
+  sender (:meth:`revive`), without restamping the open asks.
 * **Responder-side hardening** — oversized requests are clamped, answers
   are chunked to ``max_response_blocks`` blocks per message, and repeat
   requesters are rate-limited by a per-peer token bucket.
 * **Digest pinning is verified** — a response body is only accepted if it
-  hashes to a digest we actually requested; a garbage or unsolicited body
+  hashes to a digest we actually asked for; a garbage or unsolicited body
   is dropped before it touches the accept path.
 
-All state (``_pending`` / ``_dependents`` / ``_inflight`` / ``_requested``)
-is pruned on delivery, on abandonment, and on round GC
+All state (``_pending`` / ``_dependents`` / ``_asked``) is pruned on
+delivery, when the last block needing a digest is dropped, and on round GC
 (:meth:`gc_below`), so a long-running replica's retrieval footprint is
 bounded by its live horizon.  The owning node funnels every received block
 body through :meth:`note_pending` / :meth:`satisfied_by` and re-enters its
@@ -45,9 +43,7 @@ accept path for whatever becomes complete.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from collections.abc import Set as AbstractSet
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..crypto.hashing import Digest
@@ -61,31 +57,16 @@ from ..broadcast.messages import (
     RetrievalResponse,
 )
 
-#: Timer tag used for retrieval retries (owned by the node's timer space).
-RETRY_TAG = "retrieval-retry"
-
-#: Base delay before the first re-request of a still-missing block.
-DEFAULT_RETRY_BASE = 0.5
-
-#: Retries per digest before the request is abandoned (not counting the
-#: initial ask).  Abandoned digests can be revived by fresh evidence.
-DEFAULT_RETRY_CAP = 8
-
-#: Single-target retries before escalating to an f+1 fan-out.
-DEFAULT_FANOUT_AFTER = 3
-
 #: Blocks per RetrievalResponse message (larger answers are chunked).
 DEFAULT_MAX_RESPONSE_BLOCKS = 16
 
-#: Backoff exponent cap: delays stop doubling at base * 2**CAP.
-BACKOFF_EXP_CAP = 4
-
 #: Responder-side token bucket: burst capacity and refill rate (tokens/s).
+#: One token buys one request, i.e. up to ``MAX_REQUEST_DIGESTS`` lookups.
 #: Sized for the legitimate worst case — a healed straggler unwinding many
-#: rounds of ancestry has hundreds of digests in flight and its retry
-#:+fan-out traffic is bursty — while still bounding what a request-flooding
-#: peer can extract (a flooder costs at most ``refill`` lookups/s steady
-#: state instead of saturating the responder's CPU and uplink).
+#: rounds of ancestry has hundreds of digests open — while still bounding
+#: what a request-flooding peer can extract: at most ``refill`` requests/s
+#: steady state, so ``refill * MAX_REQUEST_DIGESTS`` lookups/s, instead of
+#: saturating the responder's CPU and uplink.
 DEFAULT_RATE_BURST = 256.0
 DEFAULT_RATE_REFILL = 128.0
 
@@ -101,61 +82,32 @@ class _Pending:
     retrieved: bool = False
 
 
-@dataclass
-class _Request:
-    """Retry state for one in-flight missing digest."""
-
-    #: replicas the latest request went to (single target, or the fan-out set)
-    targets: Tuple[int, ...]
-    #: retries performed so far (0 = only the initial request is out)
-    retries: int = 0
-    #: whether a retry timer is currently armed for this digest
-    timer_armed: bool = False
-    #: whether this request has escalated to fan-out
-    fanned_out: bool = False
-
-
 class RetrievalManager:
     """Per-replica retrieval state machine."""
 
     #: Explorer fingerprint exclusions (see ``BaseDagNode.FINGERPRINT_SKIP``):
-    #: the environment (``store`` is fingerprinted once via the owning
-    #: node), the jitter RNG (its draws only shape retry *timers*, which the
-    #: explorer's zero-time model never fires — two interleavings reaching
-    #: the same protocol state may differ in RNG position), and reporting
-    #: counters that mirror history rather than influence behaviour.
+    #: the environment (``store`` is fingerprinted once via the owning node)
+    #: and reporting counters that mirror history rather than influence
+    #: behaviour.
     FINGERPRINT_SKIP = frozenset({
-        "net", "obs", "store", "rng",
+        "net", "obs", "store",
         "requests_sent", "responses_sent", "blocks_served",
-        "fanout_escalations", "abandoned_count", "rate_limited_count",
-        "oversized_requests", "garbage_rejected", "max_retries_seen",
+        "abandoned_count", "rate_limited_count",
+        "oversized_requests", "garbage_rejected",
     })
 
     def __init__(
         self,
         net: NetworkAPI,
         store: DagStore,
-        seed: int = 0,
-        retry_base: float = DEFAULT_RETRY_BASE,
         enabled: bool = True,
         obs: Optional[Observability] = None,
-        retry_cap: int = DEFAULT_RETRY_CAP,
-        fanout_after: int = DEFAULT_FANOUT_AFTER,
-        fanout_width: Optional[int] = None,
         max_response_blocks: int = DEFAULT_MAX_RESPONSE_BLOCKS,
         rate_burst: float = DEFAULT_RATE_BURST,
         rate_refill: float = DEFAULT_RATE_REFILL,
     ) -> None:
         self.net = net
         self.store = store
-        self.retry_base = retry_base
-        self.retry_cap = retry_cap
-        self.fanout_after = fanout_after
-        #: f + 1 for the owning system, so a fan-out always hits an honest
-        #: replica; derived from n when the owner does not pass it.
-        self.fanout_width = (
-            fanout_width if fanout_width is not None else (net.n - 1) // 3 + 1
-        )
         self.max_response_blocks = max_response_blocks
         self.rate_burst = rate_burst
         self.rate_refill = rate_refill
@@ -166,7 +118,6 @@ class RetrievalManager:
         self._ctr_retries = metrics.counter("retrieval.retries")
         self._ctr_responses = metrics.counter("retrieval.responses")
         self._ctr_served = metrics.counter("retrieval.blocks_served")
-        self._ctr_fanout = metrics.counter("retrieval.fanout_escalations")
         self._ctr_abandoned = metrics.counter("retrieval.abandoned")
         self._ctr_rate_limited = metrics.counter("retrieval.rate_limited")
         self._ctr_oversized = metrics.counter("retrieval.oversized_requests")
@@ -176,36 +127,29 @@ class RetrievalManager:
         replica = net.node_id
         self._gauge_pending = metrics.gauge("retrieval.pending", replica=replica)
         self._gauge_inflight = metrics.gauge("retrieval.inflight", replica=replica)
-        self._gauge_backoff = metrics.gauge(
-            "retrieval.backoff_level", replica=replica
-        )
-        self.rng = random.Random(f"retrieval:{net.node_id}:{seed}")
         #: blocks waiting for parents, keyed by their digest
         self._pending: Dict[Digest, _Pending] = {}
         #: reverse index: missing parent digest -> dependent block digests
         self._dependents: Dict[Digest, Set[Digest]] = {}
-        #: retry state per digest with an in-flight request
-        self._inflight: Dict[Digest, _Request] = {}
-        #: digests with an open request — responses are only honored for
-        #: these (an unsolicited "gift" block is not digest-authenticated);
-        #: pruned on delivery and on abandonment.
-        self._requested: Set[Digest] = set()
-        #: digests whose retry budget ran out (kept until their dependents
-        #: resolve, so :meth:`revive` can re-open them)
-        self._abandoned: Set[Digest] = set()
+        #: open asks: digest -> time of its latest request.  Responses are
+        #: only honored for these (an unsolicited "gift" block is not
+        #: digest-authenticated).
+        self._asked: Dict[Digest, float] = {}
+        #: time of the previous recovery tick (none yet)
+        self._last_tick = float("-inf")
+        #: the rotation's latest re-ask target; the next one follows it
+        self._rotation = net.node_id
         #: responder-side token buckets: src -> (tokens, last_refill_time)
         self._rate: Dict[int, Tuple[float, float]] = {}
         #: statistics for the ablation bench / tests
         self.requests_sent = 0
         self.responses_sent = 0
         self.blocks_served = 0
-        self.fanout_escalations = 0
+        #: asks released because no parked block needed them any more
         self.abandoned_count = 0
         self.rate_limited_count = 0
         self.oversized_requests = 0
         self.garbage_rejected = 0
-        #: deepest retry level any single request cycle reached
-        self.max_retries_seen = 0
 
     # -- registering incomplete blocks -----------------------------------------
 
@@ -236,10 +180,10 @@ class RetrievalManager:
         self._gauge_pending.set(len(self._pending))
         # Sorted, not set-order: ``missing`` is a set of digests, and bytes
         # hashing varies with PYTHONHASHSEED — iterating it here would leak
-        # the hash seed into request contents and RNG draw order, breaking
-        # the bit-identical-replay guarantee across processes (the explorer
+        # the hash seed into request contents, breaking the
+        # bit-identical-replay guarantee across processes (the explorer
         # shards subtrees to worker processes and replays prefixes there).
-        self._request(sorted(entry.missing), src)
+        self._ask([d for d in sorted(entry.missing) if d not in self._asked], src)
         return True
 
     def is_pending(self, digest: Digest) -> bool:
@@ -257,94 +201,78 @@ class RetrievalManager:
                 digest: frozenset(deps)
                 for digest, deps in self._dependents.items()
             },
-            "inflight": frozenset(self._inflight),
-            "requested": frozenset(self._requested),
-            "abandoned": frozenset(self._abandoned),
+            "asked": frozenset(self._asked),
         }
 
     def pending_count(self) -> int:
         return len(self._pending)
 
     def inflight_count(self) -> int:
-        return len(self._inflight)
+        return len(self._asked)
 
     def revive(self, pending_digest: Digest) -> None:
-        """Re-open abandoned/missing requests for a parked block's parents.
+        """Re-ask a parked block's still-missing parents from its sender now.
 
-        Called on fresh evidence that the pending block is live — typically
-        its proposer re-broadcasting it (stall recovery).  Each still-missing
-        parent without an in-flight request gets a brand-new retry budget.
+        Called on fresh evidence that the pending block is live — its
+        proposer re-broadcasting it (stall recovery).  The asks keep their
+        stamps, so the tick's rotation runs on whatever the sender does.
         """
         entry = self._pending.get(pending_digest)
-        if entry is None:
-            return
-        # Sorted for the same cross-process determinism reason as in
-        # :meth:`note_pending` — request digest order must not depend on
-        # set iteration order.
-        stale = [
-            d
-            for d in sorted(entry.missing)
-            if d not in self.store and d not in self._inflight
-        ]
-        if stale:
-            for d in stale:
-                self._abandoned.discard(d)
-            self._request(stale, entry.src)
+        if entry is not None:
+            # Sorted for the same cross-process determinism reason as in
+            # :meth:`note_pending`.
+            self._ask(sorted(entry.missing), entry.src)
 
     # -- issuing requests --------------------------------------------------------
 
-    def _backoff_delay(self, retries: int) -> float:
-        """Exponential backoff with deterministic (seeded) jitter.
+    def _ask(self, digests: Sequence[Digest], dst: int, retry: bool = False) -> None:
+        """Ask ``dst`` for ``digests`` now, at most ``MAX_REQUEST_DIGESTS``
+        per request.
 
-        ``base * 2^retries`` up to ``base * 2^BACKOFF_EXP_CAP``, scaled by a
-        jitter factor in [1.0, 1.5) drawn from the per-replica seeded RNG —
-        deterministic per run, yet desynchronized across replicas.
+        Only a tick re-ask (``retry``) restamps its digests; any other ask
+        stamps just the digests not yet open.  Otherwise a peer re-sending
+        a parked block's VAL every period (:meth:`revive`) would keep its
+        parents forever young, and the rotation would never move them on
+        to another replica.
         """
-        exp = min(retries, BACKOFF_EXP_CAP)
-        return self.retry_base * (2**exp) * (1.0 + 0.5 * self.rng.random())
-
-    def _arm_timer(self, digest: Digest, state: _Request) -> None:
-        """Arm the retry timer for a digest unless one is already pending —
-        re-arming per request call would pile stale timers into the queue."""
-        if state.timer_armed:
+        if not self.enabled or not digests:
             return
-        state.timer_armed = True
-        self.net.set_timer(self._backoff_delay(state.retries), RETRY_TAG, digest)
-
-    def _emit_request(
-        self, digests: Sequence[Digest], dsts: Sequence[int], retry: bool
-    ) -> None:
-        msg = RetrievalRequest(digests=tuple(digests))
-        for dst in dsts:
+        now = self.net.now()
+        for d in digests:
+            if retry:
+                self._asked[d] = now
+            else:
+                self._asked.setdefault(d, now)
+        self._gauge_inflight.set(len(self._asked))
+        for start in range(0, len(digests), MAX_REQUEST_DIGESTS):
+            chunk = tuple(digests[start : start + MAX_REQUEST_DIGESTS])
             self.requests_sent += 1
             self._ctr_requests.inc()
-            self.net.send(dst, msg)
-        if retry:
-            self._ctr_retries.inc()
-        if self.obs.enabled:
-            self.obs.journal.emit(
-                self.net.now(), "retrieval.request", self.net.node_id,
-                dst=list(dsts), blocks=len(digests), retry=retry,
-            )
+            if retry:
+                self._ctr_retries.inc()
+            self.net.send(dst, RetrievalRequest(digests=chunk))
+            if self.obs.enabled:
+                self.obs.journal.emit(
+                    now, "retrieval.request", self.net.node_id,
+                    dst=dst, blocks=len(chunk), retry=retry,
+                )
 
-    def _request(self, digests: List[Digest], dst: int) -> None:
-        """Open a request cycle for every digest not already in flight."""
-        if not self.enabled:
+    def on_retry_timer(self) -> None:
+        """The recovery tick's retrieval half: re-ask every stale digest.
+
+        A digest is stale when it was last asked no later than the previous
+        tick, i.e. at least one tick period ago.  All of them go to one
+        peer, the next of a rotation over every replica but this one.
+        """
+        stale = sorted(d for d, at in self._asked.items() if at <= self._last_tick)
+        self._last_tick = self.net.now()
+        if not stale:
             return
-        to_ask = []
-        for d in digests:
-            if d in self._inflight or d in self.store:
-                continue
-            self._inflight[d] = _Request(targets=(dst,))
-            self._requested.add(d)
-            self._abandoned.discard(d)
-            to_ask.append(d)
-        if not to_ask:
-            return
-        self._gauge_inflight.set(len(self._inflight))
-        self._emit_request(to_ask, (dst,), retry=False)
-        for d in to_ask:
-            self._arm_timer(d, self._inflight[d])
+        n, me = self.net.n, self.net.node_id
+        self._rotation = (self._rotation + 1) % n
+        if self._rotation == me:
+            self._rotation = (self._rotation + 1) % n
+        self._ask(stale, self._rotation, retry=True)
 
     # -- responder side ----------------------------------------------------------
 
@@ -406,16 +334,16 @@ class RetrievalManager:
     def on_response(self, src: int, response: RetrievalResponse) -> List[Tuple[Block, int]]:
         """Hand back the retrieved bodies for the node's accept path.
 
-        Only digests with an open request are honored, and each body is
+        Only digests with an open ask are honored, and each body is
         checked to hash to its claimed digest (digest pinning) — garbage
         and unsolicited bodies are dropped here, before the accept path.
-        The in-flight state is *not* cleared yet: that happens on actual
-        delivery (:meth:`satisfied_by`), so a body that fails downstream
-        validation still gets its remaining retries.
+        The ask is *not* closed yet: that happens on actual delivery
+        (:meth:`satisfied_by`), so a body that fails downstream validation
+        is still asked again on the next tick.
         """
         out: List[Tuple[Block, int]] = []
         for block in response.blocks:
-            if block.digest not in self._requested:
+            if block.digest not in self._asked:
                 continue  # unsolicited block: not digest-pinned, ignore
             if not self._digest_pinned(block):
                 self.garbage_rejected += 1
@@ -424,103 +352,21 @@ class RetrievalManager:
             out.append((block, src))
         return out
 
-    def on_retry_timer(self, digest: Digest, candidates: AbstractSet) -> None:
-        """Retry a still-missing block against different replicas.
-
-        ``candidates`` are replicas known to hold the block (echoers); if
-        empty, any replica other than the previous targets is tried — an
-        honest one that delivered the dependent's ancestry will answer.
-        Retry ``fanout_after`` escalates from one target to a
-        ``fanout_width`` fan-out; retry ``retry_cap`` abandons the digest.
-        """
-        state = self._inflight.get(digest)
-        if state is None:
-            return  # delivered, abandoned, or dropped: stale timer
-        state.timer_armed = False
-        if digest in self.store:
-            self._forget_request(digest)
-            return
-        if not self._dependents.get(digest):
-            # No pending block needs it anymore (all dropped).
-            self._forget_request(digest)
-            return
-        if state.retries >= self.retry_cap:
-            self._abandon(digest)
-            return
-        state.retries += 1
-        if state.retries > self.max_retries_seen:
-            self.max_retries_seen = state.retries
-        self._gauge_backoff.set(
-            max(s.retries for s in self._inflight.values())
-        )
-        fanout = state.retries >= self.fanout_after
-        targets = self._pick_targets(state, candidates, fanout)
-        state.targets = tuple(targets)
-        if fanout and not state.fanned_out:
-            state.fanned_out = True
-            self.fanout_escalations += 1
-            self._ctr_fanout.inc()
-            if self.obs.enabled:
-                self.obs.journal.emit(
-                    self.net.now(), "retrieval.fanout", self.net.node_id,
-                    retries=state.retries, width=len(targets),
-                )
-        self._emit_request((digest,), targets, retry=True)
-        self._arm_timer(digest, state)
-
-    def _pick_targets(
-        self, state: _Request, candidates: AbstractSet, fanout: bool
-    ) -> List[int]:
-        """Choose the next responder(s), avoiding self and the last targets."""
-        me = self.net.node_id
-        avoid = set(state.targets) | {me}
-        pool = sorted(c for c in candidates if c not in avoid)
-        if not pool:
-            pool = [i for i in range(self.net.n) if i not in avoid]
-        if not pool:
-            # Everyone has been tried in this very round; previous targets
-            # are all that is left.
-            pool = sorted(set(state.targets) - {me}) or [me]
-        if not fanout:
-            return [self.rng.choice(pool)]
-        if len(pool) <= self.fanout_width:
-            return pool
-        return sorted(self.rng.sample(pool, self.fanout_width))
-
-    def _abandon(self, digest: Digest) -> None:
-        """Retry budget exhausted: stop all timers and release the request.
-
-        The dependents stay parked (a late delivery through any path still
-        completes them), and :meth:`revive` / a new dependent re-opens the
-        request with a fresh budget.
-        """
-        self._inflight.pop(digest, None)
-        self._requested.discard(digest)
-        self._abandoned.add(digest)
-        self.abandoned_count += 1
-        self._ctr_abandoned.inc()
-        self._gauge_inflight.set(len(self._inflight))
-        if self.obs.enabled:
-            self.obs.journal.emit(
-                self.net.now(), "retrieval.abandon", self.net.node_id,
-                dependents=len(self._dependents.get(digest, ())),
-            )
-
-    def _forget_request(self, digest: Digest) -> None:
-        """Release all request-side state for a digest (delivered or moot)."""
-        if self._inflight.pop(digest, None) is not None:
-            self._gauge_inflight.set(len(self._inflight))
-        self._requested.discard(digest)
-        self._abandoned.discard(digest)
+    def _close_ask(self, digest: Digest) -> bool:
+        """Close the ask for a digest (delivered or moot); True if one was open."""
+        if self._asked.pop(digest, None) is None:
+            return False
+        self._gauge_inflight.set(len(self._asked))
+        return True
 
     # -- progress on deliveries ------------------------------------------------
 
     def satisfied_by(self, delivered: Digest) -> List[Tuple[Block, int, bool]]:
         """Called when any block is delivered; returns ``(block, src,
         retrieved)`` triples whose parent sets just became complete (ready
-        for re-acceptance).  All request state for ``delivered`` is pruned
-        here — this is the normal GC point for ``_requested``."""
-        self._forget_request(delivered)
+        for re-acceptance).  The delivered digest's ask is closed here —
+        late duplicate responses for it are ignored from now on."""
+        self._close_ask(delivered)
         deps = self._dependents.pop(delivered, None)
         if not deps:
             return []
@@ -541,8 +387,8 @@ class RetrievalManager:
 
     def drop_pending(self, digest: Digest) -> None:
         """Forget a pending block (it was delivered through another path or
-        proved invalid).  Parents left without any dependent have their
-        request state cancelled too — nothing needs them anymore."""
+        proved invalid).  Parents left without any dependent have their ask
+        closed too — nothing needs them anymore — and count as abandoned."""
         entry = self._pending.pop(digest, None)
         if entry is None:
             return
@@ -553,13 +399,15 @@ class RetrievalManager:
                 deps.discard(digest)
                 if not deps:
                     del self._dependents[parent]
-                    self._forget_request(parent)
+                    if self._close_ask(parent):
+                        self.abandoned_count += 1
+                        self._ctr_abandoned.inc()
 
     def gc_below(self, horizon: int) -> int:
         """Round GC: drop pending blocks below ``horizon`` (their rounds are
         being pruned from the store — they can never be accepted) along
-        with any request state their missing parents held.  Returns the
-        number of pending blocks dropped."""
+        with any ask their missing parents held.  Returns the number of
+        pending blocks dropped."""
         stale = [
             d for d, entry in self._pending.items() if entry.block.round < horizon
         ]

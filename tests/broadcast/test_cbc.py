@@ -120,7 +120,7 @@ class TestDeliveryPredicate:
         block = sample_block()
         manager.on_echo(2, echo_for(block))
         manager.on_echo(3, echo_for(block))
-        assert manager.echoers_of(block.digest) == {2, 3}
+        assert manager.tracker.peek(block.digest).echoers == 0b1100
 
 
 class TestConsistencyMechanics:

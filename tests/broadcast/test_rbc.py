@@ -147,5 +147,5 @@ class TestDelivery:
         manager.on_val(1, block)
         assert manager.body_of(block.digest) is block
         manager.on_echo(2, echo_for(block))
-        assert manager.echoers_of(block.digest) == {2}
+        assert manager.tracker.peek(block.digest).echoers == 0b100
         assert not manager.is_delivered(block.digest)

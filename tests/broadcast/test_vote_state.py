@@ -96,9 +96,9 @@ class SetTally:
         inst = self.instances.get(digest)
         return inst is not None and inst.delivered
 
-    def echoers_of(self, digest) -> frozenset:
+    def echo_mask(self, digest) -> int:
         inst = self.instances.get(digest)
-        return frozenset(inst.echoers) if inst else frozenset()
+        return sum(1 << voter for voter in inst.echoers) if inst else 0
 
 
 class SetCbc(SetTally):
@@ -187,6 +187,10 @@ class Subject:
     def __getattr__(self, name):
         return getattr(self.manager, name)
 
+    def echo_mask(self, digest) -> int:
+        inst = self.manager.tracker.peek(digest)
+        return inst.echoers if inst else 0
+
     @property
     def delivered(self):
         return [block.digest for block in self._delivered]
@@ -232,7 +236,7 @@ def window(target):
     return (
         target.delivered, target.readies_sent, target.amplified, target.quorums,
         [
-            (target.echoers_of(d), target.complete(d), target.is_delivered(d))
+            (target.echo_mask(d), target.complete(d), target.is_delivered(d))
             for d in DIGESTS
         ],
     )

@@ -115,9 +115,18 @@ class TestRetrievalOracle:
         sim = run_sim()
         node = sim.nodes[0]
         stored = node.ledger.record_at(0).block.digest
-        node.retrieval._requested.add(stored)
+        node.retrieval._asked[stored] = 0.0
         found = audit_retrieval(node, "replica 0")
         assert any("already delivered" in v for v in found)
+
+    def test_ask_without_dependent_caught(self):
+        """An open ask that no parked block needs would be re-asked on
+        every tick forever."""
+        sim = run_sim()
+        node = sim.nodes[0]
+        node.retrieval._asked[b"\x03" * 32] = 0.0
+        found = audit_retrieval(node, "replica 0")
+        assert any("no parked block needs it" in v for v in found)
 
     def test_orphan_dependents_caught(self):
         sim = run_sim()

@@ -15,6 +15,7 @@ from repro.broadcast.messages import (
     RetrievalResponse,
 )
 from repro.config import ProtocolConfig, SystemConfig
+from repro.core.base import STALL_CHECK_PERIOD, STALL_CHECK_TAG
 from repro.core.commit import references_within
 from repro.core.lightdag1 import LightDag1Node
 from repro.crypto.backend import HmacBackend
@@ -132,6 +133,53 @@ class TestAcceptPath:
         assert len(requests) == 1
         assert parent.digest in requests[0].digests
         assert node.retrieval.is_pending(child.digest)
+
+    def test_duplicate_val_of_a_parked_block_reasks_at_once(self, system, node):
+        """A stall re-broadcast of a parked block re-asks its sender for
+        the missing parents without waiting for the recovery tick."""
+        parent = signed_block(system, 1, 1, genesis_parents())
+        child = signed_block(system, 1, 2, [parent.digest] + genesis_parents()[:2])
+        node.on_message(1, BlockVal(child))
+        node.net.clear()
+        node.on_message(1, BlockVal(child))
+        requests = [
+            (dst, m) for dst, m in node.net.sent if isinstance(m, RetrievalRequest)
+        ]
+        assert requests == [(1, RetrievalRequest((parent.digest,)))]
+
+    def test_recovery_tick_reasks_stale_parents(self, system, node):
+        parent = signed_block(system, 1, 1, genesis_parents())
+        child = signed_block(system, 1, 2, [parent.digest] + genesis_parents()[:2])
+        node.on_message(1, BlockVal(child))
+        node.on_timer(STALL_CHECK_TAG)  # the ask is younger than a period
+        node.net.advance(STALL_CHECK_PERIOD)
+        node.net.clear()
+        node.on_timer(STALL_CHECK_TAG)
+        requests = [m for _, m in node.net.sent if isinstance(m, RetrievalRequest)]
+        assert requests == [RetrievalRequest((parent.digest,))]
+
+    def test_repeated_vals_do_not_hold_back_the_rotation(self, system, node):
+        """A sender that ignores requests and re-sends the parked block's
+        VAL more often than the tick cannot keep the ask young: every tick
+        still re-asks the parent, each time of the next replica."""
+        parent = signed_block(system, 1, 1, genesis_parents())
+        child = signed_block(system, 1, 2, [parent.digest] + genesis_parents()[:2])
+        node.on_message(1, BlockVal(child))
+        node.on_timer(STALL_CHECK_TAG)
+        step = STALL_CHECK_PERIOD / 10
+        tick_targets = []
+        for k in range(1, 31):  # six ticks, a VAL every 0.8 periods
+            node.net.advance(step)
+            if k % 8 == 0:
+                node.on_message(1, BlockVal(child))
+            if k % 10 == 0:
+                node.net.clear()
+                node.on_timer(STALL_CHECK_TAG)
+                (dst, msg), = [(dst, m) for dst, m in node.net.sent
+                               if isinstance(m, RetrievalRequest)]
+                assert msg.digests == (parent.digest,)
+                tick_targets.append(dst)
+        assert set(tick_targets[:3]) == {1, 2, 3}  # every peer within n - 1 ticks
 
     def test_one_vote_per_slot(self, system, node):
         a = signed_block(system, 1, 1, genesis_parents(), j=0)

@@ -24,7 +24,7 @@ EVERY_CLASS = sorted({**PROTOCOL_REGISTRY, **MUTANT_REGISTRY}.items())
 #: Defined once, in BaseDagNode (wiring) — the commit rule's methods live
 #: in repro.core.commit and are not node methods at all.
 WIRING = {
-    "_manager_for_round", "_broadcast_block", "_holders_of", "_on_deliver",
+    "_manager_for_round", "_broadcast_block", "_on_deliver",
     "_apply_commits", "_commit_leader", "_maybe_prune", "_make_block",
     "_share_wave", "_carries_due_share", "_add_coin_share", "_recover_from_stall",
     "_predefine_leaders", "on_message",

@@ -2,8 +2,8 @@
 
 Covers the failure modes the paper's §V "unfavorable" analysis leans on
 retrieval to absorb: a withholding first-choice responder, garbage and
-unsolicited response bodies, oversized requests, request flooding, and
-retry-budget exhaustion — plus end-to-end runs with the
+unsolicited response bodies, oversized requests and request flooding —
+plus end-to-end runs with the
 :class:`~repro.adversary.withhold.WithholdingResponder` adversary.
 """
 
@@ -18,7 +18,7 @@ from repro.broadcast.messages import (
 )
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
 from repro.core.lightdag1 import LightDag1Node
-from repro.core.retrieval import RETRY_TAG, RetrievalManager
+from repro.core.retrieval import RetrievalManager
 from repro.crypto.keys import TrustedDealer
 from repro.dag.block import Block, genesis_block, make_block
 from repro.dag.ledger import check_prefix_consistency
@@ -39,117 +39,58 @@ def chain_blocks():
 def make_manager(net=None, store=None, **kwargs):
     net = net or FakeNet(node_id=0, n=4)
     store = store or DagStore(n=4)
-    kwargs.setdefault("retry_base", 0.5)
     return net, store, RetrievalManager(net, store, **kwargs)
 
 
-def drain_retry(net, manager, digest, candidates=frozenset(), rounds=1):
-    """Fire the armed retry timer ``rounds`` times, like the node would."""
-    for _ in range(rounds):
-        manager.on_retry_timer(digest, set(candidates))
+def ticks(net, manager, count):
+    """``count`` recovery ticks, half a second apart; the requests each sent."""
+    sent = []
+    for _ in range(count):
+        net.advance(0.5)
+        net.clear()
+        manager.on_retry_timer()
+        sent.append([(dst, m) for dst, m in net.sent if isinstance(m, RetrievalRequest)])
+    return sent
 
 
 class TestWithholdingFirstResponder:
-    """The first-choice responder never answers: backoff, fan-out, cap."""
+    """The first-choice responder never answers: the tick keeps asking."""
 
-    def test_backoff_delays_grow_exponentially(self):
+    def test_ask_stays_open_until_the_body_arrives(self):
         net, _, manager = make_manager()
         a, b = chain_blocks()
         manager.note_pending(b, src=2, missing=[a.digest])
-        for _ in range(5):
-            manager.on_retry_timer(a.digest, set())
-        delays = [
-            at - 0.0 for at, tag, data in net.timers
-            if tag == RETRY_TAG and data == a.digest
-        ]
-        assert len(delays) == 6  # initial + 5 retries
-        # retry k waits base * 2^min(k, cap), scaled by jitter in [1.0, 1.5)
-        for k, delay in enumerate(delays):
-            expected = 0.5 * 2 ** min(k, 4)
-            assert expected <= delay < 1.5 * expected
-
-    def test_backoff_exponent_is_capped(self):
-        net, _, manager = make_manager(retry_cap=20)
-        a, b = chain_blocks()
-        manager.note_pending(b, src=2, missing=[a.digest])
-        for _ in range(10):
-            manager.on_retry_timer(a.digest, set())
-        last = [at for at, tag, d in net.timers if tag == RETRY_TAG][-1]
-        assert last < 0.5 * 2**4 * 1.5 + 1e-9
-
-    def test_fanout_escalation_after_k_single_target_retries(self):
-        net, _, manager = make_manager(fanout_after=2, fanout_width=2)
-        a, b = chain_blocks()
-        manager.note_pending(b, src=2, missing=[a.digest])
-        net.clear()
-        manager.on_retry_timer(a.digest, set())  # retry 1: single target
-        assert len(net.sent) == 1
-        net.clear()
-        manager.on_retry_timer(a.digest, set())  # retry 2: fan-out
-        assert len(net.sent) == 2
-        assert manager.fanout_escalations == 1
-        dsts = {dst for dst, _ in net.sent}
-        assert 0 not in dsts  # never ask ourselves
-
-    def test_fanout_prefers_known_holders(self):
-        net, _, manager = make_manager(fanout_after=1, fanout_width=2)
-        a, b = chain_blocks()
-        manager.note_pending(b, src=2, missing=[a.digest])
-        net.clear()
-        manager.on_retry_timer(a.digest, candidates={1, 3})
-        dsts = sorted(dst for dst, _ in net.sent)
-        assert dsts == [1, 3]  # the echoers, not random replicas
-
-    def test_retry_cap_exhaustion_abandons_the_request(self):
-        net, _, manager = make_manager(retry_cap=3)
-        a, b = chain_blocks()
-        manager.note_pending(b, src=2, missing=[a.digest])
-        drain_retry(net, manager, a.digest, rounds=3)
-        net.clear()
-        # Retry budget spent: the next timer abandons instead of sending.
-        manager.on_retry_timer(a.digest, set())
-        assert net.sent == []
-        assert manager.abandoned_count == 1
-        assert manager.inflight_count() == 0
-        assert manager.max_retries_seen == 3
-        # Stale timers for the abandoned digest are inert.
-        manager.on_retry_timer(a.digest, set())
-        assert net.sent == []
-        # The dependent stays parked: a late delivery still completes it.
-        assert manager.is_pending(b.digest)
+        manager.on_retry_timer()
+        # No cap: every tick re-asks, for as long as b is parked.
+        assert all(len(sent) == 1 for sent in ticks(net, manager, 20))
+        assert manager.inflight_count() == 1
+        assert manager.abandoned_count == 0
 
     def test_abandoned_response_is_no_longer_honored(self):
-        net, _, manager = make_manager(retry_cap=1)
+        """An ask no parked block needs any more (here: both dependents
+        fell below the GC horizon) is released as abandoned: no tick
+        re-asks it, and a late body for it is unsolicited."""
+        net, _, manager = make_manager()
         a, b = chain_blocks()
+        c = make_block(2, 1, [a.digest])
         manager.note_pending(b, src=2, missing=[a.digest])
-        drain_retry(net, manager, a.digest, rounds=2)  # retry, then abandon
-        assert manager.on_response(2, RetrievalResponse((a,))) == []
-
-    def test_revive_reopens_abandoned_request_with_fresh_budget(self):
-        net, _, manager = make_manager(retry_cap=1)
-        a, b = chain_blocks()
-        manager.note_pending(b, src=2, missing=[a.digest])
-        drain_retry(net, manager, a.digest, rounds=2)
-        assert manager.inflight_count() == 0
-        net.clear()
-        manager.revive(b.digest)
-        assert manager.inflight_count() == 1
-        (dst, msg), = net.sent
-        assert isinstance(msg, RetrievalRequest)
-        assert msg.digests == (a.digest,)
-        # And the revived request's bodies are honored again.
-        assert manager.on_response(dst, RetrievalResponse((a,))) == [(a, dst)]
+        manager.note_pending(c, src=2, missing=[a.digest])
+        assert manager.gc_below(3) == 2
+        assert manager.abandoned_count == 1  # one ask, two dependents
+        assert ticks(net, manager, 2) == [[], []]
+        assert manager.on_response(1, RetrievalResponse((a,))) == []
 
     def test_new_dependent_reopens_abandoned_request(self):
-        net, _, manager = make_manager(retry_cap=1)
+        net, _, manager = make_manager()
         a, b = chain_blocks()
         manager.note_pending(b, src=2, missing=[a.digest])
-        drain_retry(net, manager, a.digest, rounds=2)
+        manager.drop_pending(b.digest)
+        assert manager.abandoned_count == 1
         net.clear()
         c = make_block(2, 1, [a.digest])
         assert manager.note_pending(c, src=1, missing=[a.digest]) is True
         assert manager.inflight_count() == 1
-        assert len(net.sent) == 1
+        assert net.sent == [(1, RetrievalRequest((a.digest,)))]
 
 
 class TestGarbageResponses:
@@ -229,7 +170,7 @@ class TestStateGc:
         assert manager.gc_below(5) == 1
         assert not manager.is_pending(b.digest)
         assert manager.inflight_count() == 0
-        assert a.digest not in manager._requested
+        assert a.digest not in manager._asked
 
     def test_gc_below_keeps_live_rounds(self):
         _, _, manager = make_manager()
@@ -277,24 +218,33 @@ class TestWithholdingResponderNode:
 
 
 class TestWithholdingIntegration:
-    """Acceptance: with a Byzantine first-choice responder withholding all
-    retrieval responses, every honest replica still delivers the full
-    ancestry and commits, and retries per missing block stay bounded."""
+    """Acceptance: with f Byzantine replicas withholding (or garbling) every
+    retrieval response, a partitioned honest replica still delivers the
+    full ancestry through the recovery tick, and every honest replica
+    keeps pace with the others."""
 
-    RETRY_CAP = 6
+    N = 7
+    WITHHOLDERS = (5, 6)  # f = 2 of 7
+    STRAGGLER = 4
 
-    def build_sim(self, n=4, seed=3):
+    def build_sim(self, mode, seed=3):
+        n = self.N
         system = SystemConfig(n=n, crypto="hmac", seed=seed)
         protocol = ProtocolConfig(batch_size=5)
         chains = TrustedDealer(
             system, coin_threshold=protocol.resolve_coin_threshold(system)
         ).deal()
-        withholder_cls = withholding_node_class(LightDag1Node, mode="ignore")
-        # Replica 3 withholds; replica 2 gets partitioned and must catch up
-        # through retrieval afterwards.
-        classes = [LightDag1Node, LightDag1Node, LightDag1Node, withholder_cls]
-        adversary = FaultSchedule.from_spec("partition@0.5+2.5:group=2").adversary()
-        sim = Simulation(
+        withholder_cls = withholding_node_class(LightDag1Node, mode=mode)
+        classes = [
+            withholder_cls if i in self.WITHHOLDERS else LightDag1Node
+            for i in range(n)
+        ]
+        # The straggler gets partitioned and must catch up through
+        # retrieval afterwards.
+        adversary = FaultSchedule.from_spec(
+            f"partition@0.5+2.5:group={self.STRAGGLER}"
+        ).adversary()
+        return Simulation(
             [
                 (lambda net, i=i: classes[i](net, system, protocol, chains[i]))
                 for i in range(n)
@@ -303,31 +253,34 @@ class TestWithholdingIntegration:
             adversary=adversary,
             seed=seed,
         )
-        # Small retry budgets, so the cap is met within the run.
-        for node in sim.nodes:
-            node.retrieval.retry_cap = self.RETRY_CAP
-            node.retrieval.fanout_after = 2
-        return sim
 
-    def test_honest_replicas_recover_and_commit(self):
-        sim = self.build_sim()
+    def check_keeps_pace(self, mode):
+        sim = self.build_sim(mode)
         sim.run(until=12.0)
-        honest = sim.nodes[:3]
+        honest = [
+            node for i, node in enumerate(sim.nodes) if i not in self.WITHHOLDERS
+        ]
         check_prefix_consistency([node.ledger for node in honest])
-        straggler, reference = sim.nodes[2], sim.nodes[0]
-        # The straggler delivered the full ancestry and committed.
-        assert len(straggler.ledger) > 0.7 * len(reference.ledger)
-        assert len(reference.ledger) > 50
-        assert straggler.retrieval.requests_sent > 0
-        # The withholder was actually exercised as a (first-choice) responder.
-        assert sim.nodes[3].withheld_requests > 0
-        # Bounded recovery: no request cycle exceeded the configured cap —
-        # the old behaviour (an infinite fixed-delay retry loop) is gone.
+        straggler = sim.nodes[self.STRAGGLER]
+        top = max(node.current_round for node in honest)
+        assert top > 50
         for node in honest:
-            assert node.retrieval.max_retries_seen <= self.RETRY_CAP
+            assert node.current_round >= top - 2
+            assert len(node.ledger) > 0.9 * max(len(h.ledger) for h in honest)
+        assert straggler.retrieval.requests_sent > 0
+        # The withholders were actually asked.
+        assert sum(sim.nodes[i].withheld_requests for i in self.WITHHOLDERS) > 0
         # Nothing left leaking: pending/inflight state drained.
         assert straggler.retrieval.pending_count() == 0
         assert straggler.retrieval.inflight_count() == 0
+        return straggler
+
+    def test_honest_replicas_recover_and_commit(self):
+        self.check_keeps_pace("ignore")
+
+    def test_honest_replicas_recover_from_garbage_answers(self):
+        straggler = self.check_keeps_pace("garbage")
+        assert straggler.retrieval.garbage_rejected > 0
 
     @pytest.mark.parametrize("adversary", ["withhold", "withhold-garbage"])
     def test_run_experiment_with_withholding_adversary(self, adversary):

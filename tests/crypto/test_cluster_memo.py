@@ -241,7 +241,7 @@ class TestDealsShareNothing:
 
 class TestDigestPinningVerdict:
     def manager(self):
-        return RetrievalManager(FakeNet(node_id=0, n=N), DagStore(n=N), retry_base=0.5)
+        return RetrievalManager(FakeNet(node_id=0, n=N), DagStore(n=N))
 
     def test_rehash_runs_once_per_block_object(self, monkeypatch):
         calls = []

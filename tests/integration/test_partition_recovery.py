@@ -9,12 +9,13 @@ its ledger catches up as a consistent prefix.
 import pytest
 
 from repro.adversary.schedule import FaultSchedule, parse_phase
-from repro.config import ProtocolConfig, SystemConfig
+from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
 from repro.core.lightdag1 import LightDag1Node
 from repro.core.lightdag2 import LightDag2Node
 from repro.crypto.keys import TrustedDealer
 from repro.dag.ledger import check_prefix_consistency
 from repro.errors import ConfigError
+from repro.harness import runner
 from repro.net.latency import FixedLatency
 from repro.net.simulator import Simulation
 
@@ -100,3 +101,38 @@ class TestIsolatedReplicaRecovery:
         sim.run(until=8.0)
         check_prefix_consistency([n.ledger for n in sim.nodes])
         assert all(len(n.ledger) > committed_during for n in sim.nodes)
+
+
+@pytest.mark.parametrize("gc_depth", [
+    None,
+    pytest.param(8, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2")),
+])
+def test_replica_cut_off_past_the_gc_horizon_catches_up(gc_depth, monkeypatch):
+    """Replica 3 of 4 misses one second of rounds.  Without GC it catches
+    up through retrieval; with ``gc_depth=8`` its peers have pruned what it
+    missed, no retrieval can bring that back, and it stays at the round it
+    was cut off in (37 of 59) until catch-up below the horizon exists."""
+    sims = []
+
+    class Recorded(runner.Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(runner, "Simulation", Recorded)
+    runner.run_experiment(ExperimentConfig(
+        system=SystemConfig(n=4, crypto="hmac", seed=3),
+        protocol=ProtocolConfig(batch_size=50, gc_depth=gc_depth),
+        protocol_name="lightdag2",
+        latency_model="wan4",
+        adversary_name="schedule:partition@4+1:group=3",
+        check_level="prefix",
+        duration=7.0,
+        warmup=2.0,
+        seed=3,
+    ))
+    (sim,) = sims
+    laggard = sim.nodes[3]
+    top = max(node.current_round for node in sim.nodes[:3])
+    assert top > 50
+    assert laggard.current_round >= top - 2

@@ -199,5 +199,5 @@ class TestRetrievalAccounting:
             row for row in obs.metrics.snapshot()
             if row["name"].startswith("retrieval.") and row["kind"] == "gauge"
         ]
-        assert len(gauges) == 3 * 7
+        assert len(gauges) == 2 * 7
         assert all(list(row["labels"]) == ["replica"] for row in gauges)
