@@ -24,6 +24,13 @@ leader-sequence agreement   Lemma 1 / Theorem 2: one leader sequence
 commit-metadata agreement   same position ⇒ same block, same leader index,
                             same committing leader (Theorems 2 and 6)
 ==========================  ==================================================
+
+The ledger oracles read what the ledger stores — each position's header
+fields (digest, round, author, parents, signature) and commit metadata
+(:class:`~repro.dag.ledger.LedgerEntry`) — never the committed block, whose
+body is freed once the store prunes it.  A parent that is not in the
+ledger is looked up in the store, which may have pruned it too (see
+:func:`audit_ledger`).
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ def audit_ledger(node, label: str) -> List[str]:
                 f"{label}: ledger positions not dense — record {idx} "
                 f"claims position {rec.position}"
             )
-        positions[rec.block.digest] = idx
+        positions[rec.digest] = idx
         if rec.leader_index < last_leader_index:
             violations.append(
                 f"{label}: leader_index decreases at position {idx} "
@@ -64,11 +71,9 @@ def audit_ledger(node, label: str) -> List[str]:
                 f"{label}: two via_leader digests under leader index "
                 f"{rec.leader_index}"
             )
-        if not node.backend.verify(
-            rec.block.author, rec.block.digest, rec.block.signature
-        ):
+        if not node.backend.verify(rec.author, rec.digest, rec.signature):
             violations.append(
-                f"{label}: committed block {short_hex(rec.block.digest)} "
+                f"{label}: committed block {short_hex(rec.digest)} "
                 f"at position {idx} has an invalid signature"
             )
 
@@ -88,8 +93,8 @@ def audit_ledger(node, label: str) -> List[str]:
             continue
         floor: Optional[int] = None
         if gc_depth is not None:
-            floor = records[leader_pos].block.round - gc_depth
-        for parent_digest in rec.block.parents:
+            floor = records[leader_pos].round - gc_depth
+        for parent_digest in rec.parents:
             parent_pos = positions.get(parent_digest)
             if parent_pos is not None:
                 if parent_pos >= idx:

@@ -2,25 +2,39 @@
 
 Commitment assigns every block a position in a totally ordered sequence —
 the object the safety property speaks about ("two non-faulty replicas
-commit blocks B and B' at the same position ⇒ B = B'", §II-A).  The ledger
-records that sequence together with enough metadata for the metrics layer
-(commit time, the leader that triggered the commit) and for the test
-harness's cross-replica prefix checks.
+commit blocks B and B' at the same position ⇒ B = B'", §II-A).  That
+property is stated over positions and the block identities at them, so the
+ledger keeps one :class:`LedgerEntry` per position and never the
+:class:`~repro.dag.block.Block`: the commit metadata (position, commit
+time, the leader that triggered the commit and its index), the header
+fields the post-run oracles read (digest, round, author, parents,
+signature) and the payload's transaction count.
+
+Keeping headers rather than blocks is what lets a committed block's body —
+payload batch, coin share, proofs, memoized encodings — be freed once
+:meth:`~repro.dag.store.DagStore.prune_below` drops it; a ledger that held
+every block grew by the whole block per position for the entire run.  The
+block itself reaches the ``on_commit`` hooks (the metrics layer, the
+replicated state machine, the online monitor) as the :class:`CommitRecord`
+that :meth:`Ledger.append` returns, once, at commit time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, NamedTuple, Optional, Set
 
 from ..crypto.hashing import Digest, short_hex
 from ..errors import ProtocolError
 from .block import Block
 
 
-@dataclass(frozen=True)
-class CommitRecord:
-    """One committed block with its position and provenance."""
+class CommitRecord(NamedTuple):
+    """One committed block with its position and provenance, as the commit
+    hooks see it.  The ledger keeps a :class:`LedgerEntry` instead.
+
+    A named tuple, not a dataclass: every append builds one next to its
+    entry, and a tuple is the cheapest immutable record to build.
+    """
 
     position: int
     block: Block
@@ -33,11 +47,40 @@ class CommitRecord:
     leader_index: int
 
 
+class LedgerEntry:
+    """What the ledger keeps of one committed block (read-only by contract).
+
+    Slotted, and holding only references the block's header already owns,
+    so a position costs one small object plus the parents tuple.
+    """
+
+    __slots__ = (
+        "position", "commit_time", "via_leader", "leader_index",
+        "digest", "round", "author", "parents", "signature", "count",
+    )
+
+    def __init__(
+        self, position: int, block: Block, commit_time: float,
+        via_leader: Digest, leader_index: int,
+    ) -> None:
+        self.position = position
+        self.commit_time = commit_time
+        self.via_leader = via_leader
+        self.leader_index = leader_index
+        self.digest = block.digest
+        self.round = block.round
+        self.author = block.author
+        self.parents = block.parents
+        self.signature = block.signature
+        #: Transactions in the block's payload.
+        self.count = block.payload.count
+
+
 class Ledger:
     """Append-only committed sequence with O(1) membership checks."""
 
     def __init__(self) -> None:
-        self._records: List[CommitRecord] = []
+        self._records: List[LedgerEntry] = []
         self._committed: Set[Digest] = set()
         self._leader_count = 0
         self._trace = None
@@ -62,35 +105,41 @@ class Ledger:
     def append(
         self, block: Block, commit_time: float, via_leader: Digest, leader_index: int
     ) -> CommitRecord:
-        """Commit one block at the next position."""
+        """Commit one block at the next position.
+
+        Keeps a :class:`LedgerEntry`; returns the :class:`CommitRecord`,
+        block included, for the caller's commit hooks.
+        """
         if block.digest in self._committed:
             raise ProtocolError(
                 f"block {block.digest.hex()[:8]} committed twice"
             )
-        record = CommitRecord(
-            position=len(self._records),
-            block=block,
-            commit_time=commit_time,
-            via_leader=via_leader,
-            leader_index=leader_index,
+        position = len(self._records)
+        self._records.append(
+            LedgerEntry(position, block, commit_time, via_leader, leader_index)
         )
-        self._records.append(record)
         self._committed.add(block.digest)
         if self._trace is not None:
             self._trace.emit(
                 commit_time, "trace.ordered", self._trace_node,
                 digest=short_hex(block.digest), round=block.round,
-                author=block.author, position=record.position,
+                author=block.author, position=position,
                 leader_index=leader_index,
             )
-        return record
+        return CommitRecord(
+            position=position,
+            block=block,
+            commit_time=commit_time,
+            via_leader=via_leader,
+            leader_index=leader_index,
+        )
 
     # -- queries ---------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def __iter__(self) -> Iterator[CommitRecord]:
+    def __iter__(self) -> Iterator[LedgerEntry]:
         return iter(self._records)
 
     def __contains__(self, digest: Digest) -> bool:
@@ -105,18 +154,18 @@ class Ledger:
     def leader_count(self) -> int:
         return self._leader_count
 
-    def record_at(self, position: int) -> CommitRecord:
+    def record_at(self, position: int) -> LedgerEntry:
         return self._records[position]
 
-    def last(self) -> Optional[CommitRecord]:
+    def last(self) -> Optional[LedgerEntry]:
         return self._records[-1] if self._records else None
 
     def digest_sequence(self) -> List[Digest]:
         """The ordered digest list — what cross-replica safety compares."""
-        return [r.block.digest for r in self._records]
+        return [r.digest for r in self._records]
 
     def total_transactions(self) -> int:
-        return sum(r.block.payload.count for r in self._records)
+        return sum(r.count for r in self._records)
 
 
 def check_prefix_consistency(ledgers: List[Ledger]) -> None:

@@ -20,6 +20,7 @@ from repro.core.lightdag1 import LightDag1Node
 from repro.core.lightdag2 import LightDag2Node
 from repro.core.proofs import proof_from_blocks
 from repro.crypto.backend import HmacBackend
+from repro.crypto.hashing import short_hex
 from repro.crypto.keys import TrustedDealer
 from repro.dag.block import TxBatch, make_block
 from repro.errors import InvariantViolation
@@ -61,48 +62,107 @@ class TestCleanRunsPass:
         assert deep_audit(sim.nodes) == []
 
 
+def clean_node(gc_depth=None):
+    """Replica 0 after a clean run whose ledger audits clean."""
+    sim = run_sim(duration=6.0 if gc_depth else 4.0, gc_depth=gc_depth)
+    node = sim.nodes[0]
+    assert audit_ledger(node, "replica 0") == []
+    return node
+
+
 class TestLedgerOracle:
-    def test_invalid_signature_caught(self):
-        sim = run_sim()
-        node = sim.nodes[0]
-        rec = node.ledger.record_at(0)
-        forged = make_block(
-            rec.block.round, rec.block.author, list(rec.block.parents),
-            rec.block.payload,
-        )  # unsigned
-        object.__setattr__(rec, "block", forged)
+    """One hand-corrupted ledger entry per violation :func:`audit_ledger`
+    can report; the ledger stores headers, so the forgeries edit those."""
+
+    def test_non_dense_positions_caught(self):
+        node = clean_node()
+        node.ledger.record_at(1).position = 5
         found = audit_ledger(node, "replica 0")
-        assert any("invalid signature" in v for v in found)
+        assert any("not dense" in v for v in found)
+
+    def test_decreasing_leader_index_caught(self):
+        node = clean_node()
+        last = node.ledger.last()
+        assert last.leader_index > 0
+        last.leader_index = 0
+        found = audit_ledger(node, "replica 0")
+        assert any("leader_index decreases" in v for v in found)
+
+    def test_two_via_leaders_for_one_index_caught(self):
+        node = clean_node()
+        rec = next(r for r in node.ledger if r.via_leader != r.digest)
+        other = next(
+            r.via_leader for r in node.ledger if r.leader_index != rec.leader_index
+        )
+        rec.via_leader = other  # committed, but under another index
+        found = audit_ledger(node, "replica 0")
+        assert any(
+            f"two via_leader digests under leader index {rec.leader_index}" in v
+            for v in found
+        )
+
+    def test_via_leader_not_in_ledger_caught(self):
+        node = clean_node()
+        node.ledger.record_at(1).via_leader = b"\x07" * 32
+        found = audit_ledger(node, "replica 0")
+        assert any(
+            "position 1 committed via leader" in v and "not in the ledger" in v
+            for v in found
+        )
+
+    def test_invalid_signature_caught(self):
+        node = clean_node()
+        # A genuine signature, but over another block.
+        node.ledger.record_at(0).signature = node.ledger.record_at(1).signature
+        found = audit_ledger(node, "replica 0")
+        assert any("at position 0 has an invalid signature" in v for v in found)
+
+    def test_parent_committed_later_caught(self):
+        node = clean_node()
+        later = node.ledger.record_at(5).digest
+        node.ledger.record_at(0).parents = (later,)
+        found = audit_ledger(node, "replica 0")
+        assert any(
+            "position 0 references a parent committed later (position 5)" in v
+            for v in found
+        )
 
     def test_uncommitted_parent_caught(self):
-        sim = run_sim()
-        node = sim.nodes[0]
-        # Re-point a committed block's record at a block referencing a
-        # parent that was never committed (a fresh signed block).
+        node = clean_node()
+        # A parent that was never committed (a fresh signed block).
         stranger = make_block(
             1, 0, genesis_parents(), TxBatch(1, 64),
             repropose_index=7, signer=node.backend,
         )
-        # A non-leader record: its via_leader stays resolvable after the
-        # block swap, so the audit reaches the ancestry check.
-        rec = next(
-            r for r in node.ledger if r.via_leader != r.block.digest
-        )
-        bad = make_block(
-            rec.block.round, rec.block.author, [stranger.digest],
-            rec.block.payload, repropose_index=9, signer=node.backend,
-        )
-        object.__setattr__(rec, "block", bad)
+        node.ledger.record_at(2).parents = (stranger.digest,)
         found = audit_ledger(node, "replica 0")
-        assert any("uncommitted parent" in v for v in found)
+        assert any(
+            f"references uncommitted parent {short_hex(stranger.digest)}" in v
+            for v in found
+        )
 
-    def test_non_dense_positions_caught(self):
-        sim = run_sim()
-        node = sim.nodes[0]
-        rec = node.ledger.record_at(1)
-        object.__setattr__(rec, "position", 5)
+    def test_uncommitted_parent_inside_gc_window_caught(self):
+        node = clean_node(gc_depth=10)
+        assert node.store.lowest_retained_round() > 1  # GC actually ran
+        # The newest delivered block is uncommitted and far above every
+        # committed leader's GC floor.
+        fresh = max(
+            (
+                block
+                for r in range(node.store.lowest_retained_round(),
+                               node.store.highest_round() + 1)
+                for block in node.store.blocks_in_round(r)
+                if block.digest not in node.ledger
+            ),
+            key=lambda block: block.round,
+        )
+        node.ledger.record_at(len(node.ledger) - 2).parents = (fresh.digest,)
         found = audit_ledger(node, "replica 0")
-        assert any("not dense" in v for v in found)
+        assert any(
+            f"uncommitted parent {short_hex(fresh.digest)} at round "
+            f"{fresh.round}, inside the leader's GC window" in v
+            for v in found
+        )
 
 
 class TestRetrievalOracle:
@@ -114,7 +174,7 @@ class TestRetrievalOracle:
     def test_requested_but_stored_caught(self):
         sim = run_sim()
         node = sim.nodes[0]
-        stored = node.ledger.record_at(0).block.digest
+        stored = node.ledger.record_at(0).digest
         node.retrieval._asked[stored] = 0.0
         found = audit_retrieval(node, "replica 0")
         assert any("already delivered" in v for v in found)
@@ -197,7 +257,7 @@ class TestCrossReplicaOracle:
         while len(shorter.ledger) < len(longer.ledger):
             rec = longer.ledger.record_at(len(shorter.ledger))
             shorter.ledger.append(
-                rec.block, rec.commit_time, rec.via_leader,
+                longer.store.get(rec.digest), rec.commit_time, rec.via_leader,
                 shorter.ledger.begin_leader(),
             )
         a.ledger.append(fork_a, 9.0, fork_a.digest, a.ledger.begin_leader())
@@ -210,8 +270,7 @@ class TestCrossReplicaOracle:
         a, b = sim.nodes[0], sim.nodes[1]
         shared = min(len(a.ledger), len(b.ledger))
         assert shared > 2
-        rec = b.ledger.record_at(1)
-        object.__setattr__(rec, "via_leader", b"\x07" * 32)
+        b.ledger.record_at(1).via_leader = b"\x07" * 32
         found = audit_cross_replica([a, b], ["replica 0", "replica 1"])
         assert any("commit-metadata disagreement" in v for v in found)
 

@@ -99,13 +99,14 @@ class TestEquivocationEndToEnd:
         node = honest(sim, byz)[0]
         exposure_round = None
         for record in node.ledger:
-            if record.block.byz_proofs:
-                exposure_round = record.block.round
+            # No gc_depth: the store still holds every committed body.
+            if node.store.get(record.digest).byz_proofs:
+                exposure_round = record.round
                 break
         assert exposure_round is not None
         late_culprit_blocks = [
             r for r in node.ledger
-            if r.block.author == 3 and r.block.round > exposure_round + 3
+            if r.author == 3 and r.round > exposure_round + 3
         ]
         assert late_culprit_blocks == []
 
@@ -129,7 +130,7 @@ class TestEquivocationEndToEnd:
         node = honest(sim, byz)[0]
         slots = {}
         for record in node.ledger:
-            slots.setdefault(record.block.slot, []).append(record.block.digest)
+            slots.setdefault((record.round, record.author), []).append(record.digest)
         multi = {s: d for s, d in slots.items() if len(d) > 1}
         # Two committed blocks in a slot are legitimate in exactly two
         # places: the equivocator's PBC slots, and CBC slots where an honest

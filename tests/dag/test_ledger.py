@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.dag.block import TxBatch, make_block
-from repro.dag.ledger import Ledger, check_prefix_consistency
+from repro.dag.block import Block, TxBatch, make_block
+from repro.dag.ledger import CommitRecord, Ledger, LedgerEntry, check_prefix_consistency
 from repro.errors import ProtocolError
 
 
@@ -43,10 +43,30 @@ class TestAppend:
     def test_record_metadata(self):
         ledger = Ledger()
         k = ledger.begin_leader()
-        record = ledger.append(block_at(2, 3), 5.5, b"LEAD", k)
+        block = block_at(2, 3)
+        record = ledger.append(block, 5.5, b"LEAD", k)
+        assert isinstance(record, CommitRecord) and record.block is block
         assert record.commit_time == 5.5
         assert record.via_leader == b"LEAD"
         assert record.leader_index == k
+
+    def test_entry_keeps_the_header_not_the_block(self):
+        ledger = Ledger()
+        k = ledger.begin_leader()
+        block = make_block(3, 2, [b"p" * 32, b"q" * 32], payload=TxBatch(7, 128))
+        ledger.append(block, 4.0, b"LEAD", k)
+        entry = ledger.record_at(0)
+        assert isinstance(entry, LedgerEntry)
+        assert not hasattr(entry, "__dict__")
+        assert (entry.position, entry.commit_time, entry.via_leader,
+                entry.leader_index) == (0, 4.0, b"LEAD", k)
+        assert (entry.digest, entry.round, entry.author, entry.parents,
+                entry.signature, entry.count) == (
+            block.digest, 3, 2, block.parents, block.signature, 7)
+        assert not any(
+            isinstance(getattr(entry, name), (Block, TxBatch))
+            for name in LedgerEntry.__slots__
+        )
 
 
 class TestQueries:
@@ -64,8 +84,9 @@ class TestQueries:
         assert ledger.last() is None
         ledger.append(block_at(1, 0), 1.0, b"L", k)
         rec = ledger.append(block_at(1, 1), 2.0, b"L", k)
-        assert ledger.last() is rec
-        assert ledger.record_at(0).block.author == 0
+        assert ledger.last().digest == rec.block.digest
+        assert ledger.last().commit_time == 2.0
+        assert ledger.record_at(0).author == 0
 
     def test_total_transactions(self):
         ledger = Ledger()

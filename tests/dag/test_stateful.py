@@ -8,13 +8,15 @@ structural invariants after every step:
 * per-round author counts equal the distinct slots filled;
 * committed positions are unique, dense, and monotone in commit time;
 * commit batches partition the DAG (no block committed twice);
-* pruning never touches retained rounds or committed bookkeeping.
+* pruning never touches retained rounds or committed bookkeeping;
+* the ledger keeps every committed block's header fields and payload
+  count after the store has pruned the block.
 """
 
 import hypothesis.strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.dag.block import genesis_block, make_block
+from repro.dag.block import TxBatch, genesis_block, make_block
 from repro.dag.ledger import Ledger
 from repro.dag.store import DagStore
 from repro.dag.traversal import uncommitted_ancestors
@@ -30,6 +32,8 @@ class DagMachine(RuleBasedStateMachine):
         self.top_round = 0
         self.block_count = N  # genesis
         self.pruned_below = 1
+        #: digest -> (round, author, parents, tx count) of every commit
+        self.committed_headers = {}
 
     # -- growth rules -----------------------------------------------------------
 
@@ -43,7 +47,7 @@ class DagMachine(RuleBasedStateMachine):
         if len(parents) < 3:
             return
         for author in sorted(authors):
-            block = make_block(round_, author, parents)
+            block = make_block(round_, author, parents, payload=TxBatch(author, 8))
             self.store.add(block)
             self.block_count += 1
         self.top_round = round_
@@ -78,6 +82,9 @@ class DagMachine(RuleBasedStateMachine):
             if block.round < self.pruned_below:
                 continue
             self.ledger.append(block, float(self.top_round), leader.digest, k)
+            self.committed_headers[block.digest] = (
+                block.round, block.author, block.parents, block.payload.count
+            )
 
     # -- gc rule -------------------------------------------------------------------
 
@@ -112,6 +119,16 @@ class DagMachine(RuleBasedStateMachine):
         assert positions == list(range(len(self.ledger)))
         digests = self.ledger.digest_sequence()
         assert len(digests) == len(set(digests))
+
+    @invariant()
+    def ledger_keeps_headers_not_blocks(self):
+        for record in self.ledger:
+            assert self.committed_headers[record.digest] == (
+                record.round, record.author, record.parents, record.count
+            )
+        assert self.ledger.total_transactions() == sum(
+            header[3] for header in self.committed_headers.values()
+        )
 
     @invariant()
     def commit_times_monotone(self):

@@ -80,11 +80,7 @@ class TestEveryRuntime:
 
     def test_payload_counts_preserved(self, runtime):
         nodes = RUNTIMES[runtime]()
-        counts = {
-            r.block.payload.count
-            for r in nodes[0].ledger
-            if r.block.payload.count
-        }
+        counts = {r.count for r in nodes[0].ledger if r.count}
         assert counts == {8}, runtime
 
 

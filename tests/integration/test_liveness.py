@@ -73,7 +73,7 @@ class TestSteadyProgress:
         sim.run(until=8.0)
         node = sim.nodes[0]
         horizon = node.wave.first_round(max(node.commit.committed_leader_waves))
-        committed_slots = {r.block.slot for r in node.ledger}
+        committed_slots = {(r.round, r.author) for r in node.ledger}
         for round_ in range(1, horizon):
             for author in range(4):
                 assert (round_, author) in committed_slots, (round_, author)

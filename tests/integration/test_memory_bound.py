@@ -4,48 +4,74 @@ A replica that runs forever must hold O(window) protocol state, not
 O(history): with ``gc_depth`` set, the DAG store, broadcast-instance
 trackers, dedup maps, and per-round bookkeeping are all swept below the
 commit-horizon watermark.  The only thing allowed to grow with the run
-is the committed ledger itself (append-only by design — it *is* the
-output of consensus).
+is the committed ledger — the output of consensus — and it grows by one
+header-sized :class:`~repro.dag.ledger.LedgerEntry` per position: a
+committed block's body is freed once the store prunes it.
 
-Two angles:
+Three angles:
 
 * **Object counts** — deterministic bounds on every round-keyed
-  container after 60+ rounds at n=33 (fan-out 32, so the vectorized
-  delivery-batch engine is exercised while we measure).
+  container after 60+ rounds at n=33 (fan-out 32).
 * **tracemalloc** — heap growth between round 32 and round 64 must be
   linear-in-ledger only: a small per-round allowance, no acceleration,
   and no transient peak far above the steady state.
+* **Release** — committed blocks below every replica's store horizon are
+  garbage (weak references die), in the simulator; over real TCP, where
+  each replica decodes its own copy of every block, the heap retained per
+  committed position is pinned.
 """
 
+import asyncio
+import gc
 import sys
 import tracemalloc
+import weakref
 from collections.abc import Collection
 
 import pytest
 
 from repro.broadcast.base import InstanceState
+from repro.check import deep_audit
 from repro.config import ProtocolConfig, SystemConfig
 from repro.core.lightdag2 import LightDag2Node
 from repro.crypto.keys import TrustedDealer
+from repro.dag.block import Block, TxBatch
+from repro.dag.ledger import check_prefix_consistency
 from repro.net.latency import FixedLatency
 from repro.net.simulator import Simulation
+from repro.net.tcp import TcpCluster
+from repro.workload.txgen import Mempool
 
 #: Per-round heap allowance (KiB).  The committed ledger at n=33 and
-#: batch_size=5 measures ~260 KiB/round of CommitRecords and retained
-#: blocks; 768 KiB leaves 3x headroom without masking a real leak
-#: (un-GC'd broadcast state at this scale accrues several MiB/round).
-LEDGER_ALLOWANCE_KIB = 768
+#: batch_size=5 measures ~314 KiB/round (Python 3.11): per replica and
+#: position one LedgerEntry (112 B), its position int and list slot, and
+#: its share of the committed-digest set (~100 B amortized), plus the
+#: committed blocks' parent tuples, which every replica's entries share.
+#: 640 KiB leaves 2x headroom without masking a real leak (un-GC'd
+#: broadcast state at this scale accrues several MiB/round).
+LEDGER_ALLOWANCE_KIB = 640
+
+#: Heap retained per committed position over loopback TCP, summed over
+#: 4 replicas (Python 3.11, batch 100, positions 600 to 1200): 3708 B
+#: when the ledger kept every committed block, 1595 B with header
+#: entries.  The bound is half the block-keeping figure.
+TCP_BYTES_PER_POSITION = 3708 // 2
 
 
-def build_sim(n, gc_depth, seed=1):
-    system = SystemConfig(n=n, crypto="null", seed=seed)
+def build_sim(n, gc_depth, seed=1, crypto="null", on_commit=None, payloads=False):
+    system = SystemConfig(n=n, crypto=crypto, seed=seed)
     protocol = ProtocolConfig(batch_size=5, gc_depth=gc_depth)
     chains = TrustedDealer(
         system, coin_threshold=protocol.resolve_coin_threshold(system)
     ).deal()
     return Simulation(
         [
-            (lambda net, i=i: LightDag2Node(net, system, protocol, chains[i]))
+            (lambda net, i=i: LightDag2Node(
+                net, system, protocol, chains[i], on_commit=on_commit,
+                payload_source=(
+                    Mempool.from_config(protocol).take if payloads else None
+                ),
+            ))
             for i in range(n)
         ],
         latency_model=FixedLatency(0.01),
@@ -63,9 +89,8 @@ def run_to_round(sim, target, until):
 
 class TestLongRunMemory:
     def test_heap_flat_after_gc_watermark_at_n33(self):
-        """60+ rounds at n=33 (vectorized-batch regime): heap growth in
-        the second half is ledger-only, and every round-keyed container
-        ends O(window)."""
+        """60+ rounds at n=33: heap growth in the second half is
+        ledger-only, and every round-keyed container ends O(window)."""
         n, gc_depth = 33, 8
         sim = build_sim(n=n, gc_depth=gc_depth)
         tracemalloc.start()
@@ -130,6 +155,109 @@ class TestLongRunMemory:
         # GC must not have cost agreement: both runs commit a ledger.
         assert len(swept.nodes[0].ledger) > 0
         assert len(kept.nodes[0].ledger) > 0
+
+
+def reachable_from(root):
+    """Every object reachable from ``root`` without passing through a
+    class (a class reaches its module's globals)."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return out
+
+
+class TestCommittedBodiesReleased:
+    def test_blocks_below_every_horizon_are_garbage(self):
+        """The ledger keeps headers: once every replica's store has pruned
+        a committed block, nothing holds the block any more."""
+        seen, txs = {}, {}
+
+        def on_commit(record):
+            block = record.block
+            if block.digest not in seen:
+                seen[block.digest] = (block.round, weakref.ref(block))
+                txs[block.digest] = block.payload.count
+
+        sim = build_sim(n=7, gc_depth=8, seed=3, crypto="hmac",
+                        on_commit=on_commit, payloads=True)
+        run_to_round(sim, 40, until=100.0)
+        horizon = min(node.store.lowest_retained_round() for node in sim.nodes)
+        assert horizon > 8  # every replica pruned
+        gc.collect()
+        below = [ref for round_, ref in seen.values() if round_ < horizon]
+        assert len(below) >= 7 * (horizon - 2)
+        assert all(ref() is None for ref in below)
+        ledger = sim.nodes[0].ledger
+        assert not [
+            obj for obj in reachable_from(ledger)
+            if isinstance(obj, (Block, TxBatch))
+        ]
+
+        # What the ledger answers from its headers is unchanged.
+        sequence = ledger.digest_sequence()
+        assert sequence == [r.digest for r in ledger]
+        assert ledger.total_transactions() == sum(txs[d] for d in sequence) > 0
+        check_prefix_consistency([node.ledger for node in sim.nodes])
+        assert deep_audit(sim.nodes) == []
+
+    def test_tcp_heap_per_committed_position(self):
+        """Over TCP every replica decodes its own copy of each block, so a
+        ledger that kept blocks retained n bodies per position."""
+        system = SystemConfig(n=4, crypto="hmac", seed=1)
+        protocol = ProtocolConfig(batch_size=100, gc_depth=8)
+        chains = TrustedDealer(
+            system, coin_threshold=protocol.resolve_coin_threshold(system)
+        ).deal()
+        mempools = [Mempool.from_config(protocol) for _ in range(system.n)]
+        low, high = 600, 1200
+        heap = {}
+        stop = []
+
+        def on_commit(record):
+            if record.position + 1 in (low, high):
+                gc.collect()  # retained, not yet-uncollected, heap
+                heap[record.position + 1] = tracemalloc.get_traced_memory()[0]
+                if record.position + 1 == high:
+                    stop[0]()
+
+        def factory(i):
+            return lambda net: LightDag2Node(
+                net, system, protocol, chains[i],
+                payload_source=mempools[i].take,
+                on_commit=on_commit if i == 0 else None,
+            )
+
+        cluster = TcpCluster([factory(i) for i in range(system.n)])
+
+        async def drive():
+            done = asyncio.Event()
+            stop.append(done.set)
+            run = asyncio.ensure_future(cluster.run(60.0))
+            waiter = asyncio.ensure_future(done.wait())
+            await asyncio.wait({run, waiter}, return_when=asyncio.FIRST_COMPLETED)
+            waiter.cancel()
+            run.cancel()
+            try:
+                await run
+            except asyncio.CancelledError:
+                pass
+
+        tracemalloc.start()
+        try:
+            asyncio.run(drive())
+        finally:
+            tracemalloc.stop()
+        assert set(heap) == {low, high}, "the run stopped before 1200 positions"
+        check_prefix_consistency([node.ledger for node in cluster.nodes])
+        per_position = (heap[high] - heap[low]) / (high - low)
+        assert per_position <= TCP_BYTES_PER_POSITION, (
+            f"{per_position:.0f} B retained per committed position"
+        )
 
 
 class TestVoteStateIsDense:

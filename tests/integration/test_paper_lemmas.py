@@ -177,10 +177,10 @@ class TestAncestorCompleteness:
         sim = run_cluster([node_cls] * 4, seed=13)
         for node in sim.nodes:
             position_of = {
-                record.block.digest: record.position for record in node.ledger
+                record.digest: record.position for record in node.ledger
             }
             for record in node.ledger:
-                for parent_digest in record.block.parents:
+                for parent_digest in record.parents:
                     parent = node.store.get_optional(parent_digest)
                     if parent is None or parent.is_genesis:
                         continue

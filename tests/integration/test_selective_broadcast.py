@@ -91,7 +91,7 @@ class TestSelectiveBroadcast:
         # And the withheld author's committed blocks are present everywhere.
         reference = sim.nodes[3]
         byz_committed = [
-            r.block.digest for r in reference.ledger if r.block.author == 0
+            r.digest for r in reference.ledger if r.author == 0
         ]
         assert byz_committed, "the selective broadcaster's blocks never committed"
         for node in sim.nodes[1:]:

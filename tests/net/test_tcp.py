@@ -355,6 +355,5 @@ class TestTcpConsensus:
 
     def test_payload_survives_the_wire(self):
         cluster = run(TcpCluster(build_factories(LightDag2Node, batch=7)), 3.0)
-        committed = [r.block.payload.count for r in cluster.nodes[0].ledger
-                     if r.block.payload.count]
+        committed = [r.count for r in cluster.nodes[0].ledger if r.count]
         assert committed and all(c == 7 for c in committed)
