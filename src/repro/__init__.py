@@ -21,6 +21,13 @@ Quick start::
     result = run_experiment(cfg)
     print(result.throughput_tps, result.mean_latency)
 
+The names below are the public entry points.  Importing this package loads
+the whole simulation path (every protocol, the simulator, the cluster
+recipe and its checks, the SMR layer) and nothing else; the TCP runtime
+is imported by :func:`run_async_experiment` when it starts.  Subpackages
+re-export nothing: import any other name from the module that defines it,
+e.g. ``from repro.dag.block import Block``.
+
 See README.md for the architecture overview, DESIGN.md for the system
 inventory, and EXPERIMENTS.md for paper-vs-measured results.
 """
@@ -28,7 +35,9 @@ inventory, and EXPERIMENTS.md for paper-vs-measured results.
 from .config import ExperimentConfig, ProtocolConfig, SystemConfig
 from .core.lightdag1 import LightDag1Node
 from .core.lightdag2 import LightDag2Node
-from .baselines import BullsharkNode, DagRiderNode, TuskNode
+from .baselines.bullshark import BullsharkNode
+from .baselines.dagrider import DagRiderNode
+from .baselines.tusk import TuskNode
 from .harness.runner import (
     PROTOCOL_REGISTRY,
     ExperimentResult,
@@ -36,7 +45,9 @@ from .harness.runner import (
     run_experiment,
 )
 from .net.simulator import Simulation
-from .smr import KvStateMachine, SmrCluster, SmrReplica, StateMachine
+from .smr.kv import KvStateMachine
+from .smr.machine import StateMachine
+from .smr.replica import SmrCluster, SmrReplica
 
 __version__ = "1.0.0"
 

@@ -31,24 +31,3 @@ Message-level phases are driven by
 simulator's ``on_send`` hook; behavioural (Byzantine) phases are
 alternative Node classes installed for the corrupted replica indices.
 """
-
-from .base import Adversary
-from .byzantine import EquivocatingLightDag2Node
-from .schedule import (
-    FaultPhase,
-    FaultSchedule,
-    ScheduleAdversary,
-    random_schedule,
-)
-from .withhold import WithholdingResponder, withholding_node_class
-
-__all__ = [
-    "Adversary",
-    "EquivocatingLightDag2Node",
-    "FaultPhase",
-    "FaultSchedule",
-    "ScheduleAdversary",
-    "WithholdingResponder",
-    "random_schedule",
-    "withholding_node_class",
-]

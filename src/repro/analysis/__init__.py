@@ -12,33 +12,3 @@
   JSONL journal and a Chrome ``trace_event`` JSON (opens in Perfetto /
   ``about:tracing``).
 """
-
-from .dagviz import dag_to_ascii, dag_to_dot
-from .loadreport import (
-    format_load_summary,
-    format_sweep_table,
-    render_saturation_figure,
-)
-from .obs_export import (
-    journal_to_chrome_trace,
-    journal_to_jsonl,
-    load_journal_jsonl,
-    registry_summary_rows,
-    write_run_dir,
-)
-from .stats import Aggregate, percentile
-
-__all__ = [
-    "Aggregate",
-    "dag_to_ascii",
-    "dag_to_dot",
-    "format_load_summary",
-    "format_sweep_table",
-    "journal_to_chrome_trace",
-    "journal_to_jsonl",
-    "load_journal_jsonl",
-    "percentile",
-    "render_saturation_figure",
-    "registry_summary_rows",
-    "write_run_dir",
-]

@@ -15,9 +15,3 @@ ensure a fair and consistent comparison", §VI-A):
   referencing slow leaders, which is exactly the surface the Fig. 15
   leader-delay attack exploits.  Best latency 6 steps.
 """
-
-from .bullshark import BullsharkNode
-from .dagrider import DagRiderNode
-from .tusk import TuskNode
-
-__all__ = ["BullsharkNode", "DagRiderNode", "TuskNode"]

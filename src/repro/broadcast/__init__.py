@@ -22,27 +22,3 @@ delegate policy questions — "may I echo this block?" (LightDAG2's Rule 2/3
 live here as a vote policy) and "are its ancestors present?" (the §IV-A
 retrieval gate) — back to the owning protocol through callbacks.
 """
-
-from .cbc import CbcManager
-from .messages import (
-    BlockEcho,
-    BlockReady,
-    BlockVal,
-    ContradictionNotice,
-    RetrievalRequest,
-    RetrievalResponse,
-)
-from .pbc import PbcManager
-from .rbc import RbcManager
-
-__all__ = [
-    "BlockEcho",
-    "BlockReady",
-    "BlockVal",
-    "CbcManager",
-    "ContradictionNotice",
-    "PbcManager",
-    "RbcManager",
-    "RetrievalRequest",
-    "RetrievalResponse",
-]

@@ -12,20 +12,3 @@
   Rules 1–4, Byzantine proofs and equivocator exclusion.
 * :mod:`repro.core.proofs` — Byzantine-proof objects (Rule 2/3 evidence).
 """
-
-from .base import BaseDagNode
-from .commit import Commit, CommitRule
-from .lightdag1 import LightDag1Node
-from .lightdag2 import LightDag2Node
-from .proofs import ByzantineProof
-from .retrieval import RetrievalManager
-
-__all__ = [
-    "BaseDagNode",
-    "ByzantineProof",
-    "Commit",
-    "CommitRule",
-    "LightDag1Node",
-    "LightDag2Node",
-    "RetrievalManager",
-]

@@ -19,37 +19,3 @@ The default 256-bit group is **simulation-grade, not production security**;
 it preserves the semantics (unforgeability within a run, threshold reveal)
 while keeping pure-Python modular exponentiation cheap.
 """
-
-from .backend import CryptoBackend, HmacBackend, NullBackend, SchnorrBackend, make_backend
-from .coin import CoinShare, GlobalPerfectCoin
-from .group import SchnorrGroup, default_group
-from .hashing import Digest, hash_bytes, hash_fields
-from .keys import KeyChain, TrustedDealer
-from .schnorr import SchnorrKeyPair, schnorr_sign, schnorr_verify
-from .shamir import ShamirShare, recover_secret, split_secret
-from .threshold import PartialEval, ThresholdPRF
-
-__all__ = [
-    "CoinShare",
-    "CryptoBackend",
-    "Digest",
-    "GlobalPerfectCoin",
-    "HmacBackend",
-    "KeyChain",
-    "NullBackend",
-    "PartialEval",
-    "SchnorrBackend",
-    "SchnorrGroup",
-    "SchnorrKeyPair",
-    "ShamirShare",
-    "ThresholdPRF",
-    "TrustedDealer",
-    "default_group",
-    "hash_bytes",
-    "hash_fields",
-    "make_backend",
-    "recover_secret",
-    "schnorr_sign",
-    "schnorr_verify",
-    "split_secret",
-]

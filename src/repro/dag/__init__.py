@@ -14,26 +14,3 @@ The store supports both the strict one-block-per-slot regime (CBC/RBC
 consistency) and the permissive multi-block regime LightDAG2 needs for
 PBC equivocation.
 """
-
-from .block import Block, GENESIS_ROUND, TxBatch, genesis_block, make_block
-from .ledger import CommitRecord, Ledger
-from .rounds import WaveStructure
-from .store import DagStore
-from .traversal import ancestors_of, is_ancestor, uncommitted_ancestors
-from .validation import validate_block_structure
-
-__all__ = [
-    "Block",
-    "CommitRecord",
-    "DagStore",
-    "GENESIS_ROUND",
-    "Ledger",
-    "TxBatch",
-    "WaveStructure",
-    "ancestors_of",
-    "genesis_block",
-    "is_ancestor",
-    "make_block",
-    "uncommitted_ancestors",
-    "validate_block_structure",
-]

@@ -11,40 +11,3 @@
 * :mod:`repro.harness.report` — plain-text table rendering for benches and
   EXPERIMENTS.md.
 """
-
-from .experiments import (
-    batch_size_sweep,
-    headline_comparison,
-    peak_throughput,
-    scalability_sweep,
-    tradeoff_curve,
-    unfavorable_curve,
-)
-from .parallel import (
-    RunFailure,
-    default_jobs,
-    run_sweep,
-)
-from .runner import (
-    PROTOCOL_REGISTRY,
-    ExperimentResult,
-    run_experiment,
-)
-from .steps import measure_commit_steps, table1_rows
-
-__all__ = [
-    "ExperimentResult",
-    "PROTOCOL_REGISTRY",
-    "RunFailure",
-    "batch_size_sweep",
-    "default_jobs",
-    "headline_comparison",
-    "run_sweep",
-    "measure_commit_steps",
-    "peak_throughput",
-    "run_experiment",
-    "scalability_sweep",
-    "table1_rows",
-    "tradeoff_curve",
-    "unfavorable_curve",
-]

@@ -34,7 +34,6 @@ mid-run :class:`~repro.check.InvariantMonitor` on every honest replica.
 
 from __future__ import annotations
 
-import asyncio
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -50,7 +49,6 @@ from ..core.lightdag2 import LightDag2Node
 from ..errors import ConfigError
 from ..net.latency import make_latency_model
 from ..net.simulator import CpuCost, Simulation
-from ..net.tcp import TcpCluster
 from ..obs import NULL_OBS, HealthMonitor, Observability
 from .cluster import assemble_experiment
 
@@ -224,7 +222,14 @@ def run_async_experiment(cfg: ExperimentConfig) -> Dict[str, float]:
 
     Message-level faults need the simulator's per-send hook and are
     refused.  The numbers include Python handler cost: prototype numbers.
+
+    The TCP runtime (and with it asyncio and ssl) is imported here, by the
+    one function that starts it, so a simulated run never loads it.
     """
+    import asyncio
+
+    from ..net.tcp import TcpCluster
+
     assembly, collector = assemble_experiment(cfg, node_class(cfg.protocol_name))
     if assembly.adversary is not None:
         raise ConfigError(

@@ -13,34 +13,3 @@ peer-to-peer links.  This package reproduces that environment two ways:
 Protocols never import either runtime; they are written against the
 :class:`repro.net.interfaces.NetworkAPI` abstraction.
 """
-
-from .interfaces import Message, NetworkAPI, Node
-from .latency import (
-    FactoredLatency,
-    FixedLatency,
-    LatencyModel,
-    TopologyLatency,
-    UniformLatency,
-    WanLatency,
-    make_latency_model,
-    parse_latency_spec,
-)
-from .simulator import Simulation, SimulationStats
-from .snapshot import SimulatorSnapshot
-
-__all__ = [
-    "FactoredLatency",
-    "FixedLatency",
-    "LatencyModel",
-    "Message",
-    "NetworkAPI",
-    "Node",
-    "Simulation",
-    "SimulationStats",
-    "SimulatorSnapshot",
-    "TopologyLatency",
-    "UniformLatency",
-    "WanLatency",
-    "make_latency_model",
-    "parse_latency_spec",
-]

@@ -16,9 +16,3 @@ transactions, replicas apply them to identical state):
 * :class:`~repro.smr.kv.KvStateMachine` — the reference application: a
   string key-value store with SET/GET/DEL/CAS.
 """
-
-from .kv import KvStateMachine
-from .machine import Command, StateMachine
-from .replica import SmrCluster, SmrReplica
-
-__all__ = ["Command", "KvStateMachine", "SmrCluster", "SmrReplica", "StateMachine"]

@@ -12,38 +12,3 @@
 * :mod:`repro.workload.admission` — mempool admission control and
   backpressure: bounded queues, reject/shed policies, per-client caps.
 """
-
-from .admission import AdmissionConfig, AdmissionController, make_admission
-from .clients import (
-    ARRIVAL_KINDS,
-    BurstyArrivals,
-    ClientPopulation,
-    ClientStats,
-    DiurnalArrivals,
-    OpMix,
-    PoissonArrivals,
-    WorkloadSpec,
-    ZipfKeys,
-    make_arrivals,
-)
-from .metrics import LatencyStats, MetricsCollector
-from .txgen import Mempool
-
-__all__ = [
-    "ARRIVAL_KINDS",
-    "AdmissionConfig",
-    "AdmissionController",
-    "BurstyArrivals",
-    "ClientPopulation",
-    "ClientStats",
-    "DiurnalArrivals",
-    "LatencyStats",
-    "Mempool",
-    "MetricsCollector",
-    "OpMix",
-    "PoissonArrivals",
-    "WorkloadSpec",
-    "ZipfKeys",
-    "make_admission",
-    "make_arrivals",
-]

@@ -24,6 +24,7 @@ from repro.harness import cluster as recipe
 from repro.harness import runner
 from repro.harness.cluster import WORST_ATTACK, fault_schedule
 from repro.harness.runner import PROTOCOL_REGISTRY
+from repro.net import tcp as tcp_runtime
 
 from ..conftest import count_calls
 
@@ -175,7 +176,7 @@ class TestSameClusterOnEveryRuntime:
             return Recorded
 
         monkeypatch.setattr(runner, "Simulation", recorded(runner.Simulation))
-        monkeypatch.setattr(runner, "TcpCluster", recorded(runner.TcpCluster))
+        monkeypatch.setattr(tcp_runtime, "TcpCluster", recorded(tcp_runtime.TcpCluster))
         runner.run_experiment(cfg)
         runner.run_async_experiment(cfg)
 

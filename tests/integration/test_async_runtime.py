@@ -12,6 +12,7 @@ from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
 from repro.errors import ConfigError
 from repro.harness import cluster as recipe
 from repro.harness import runner
+from repro.net import tcp
 
 from ..conftest import count_calls
 
@@ -38,13 +39,13 @@ def built(monkeypatch):
         seen["assembly"], collector = assemble(*args, **kwargs)
         return seen["assembly"], collector
 
-    class RecordedCluster(runner.TcpCluster):
+    class RecordedCluster(tcp.TcpCluster):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             seen["cluster"] = self
 
     monkeypatch.setattr(runner, "assemble_experiment", recorded_assembly)
-    monkeypatch.setattr(runner, "TcpCluster", RecordedCluster)
+    monkeypatch.setattr(tcp, "TcpCluster", RecordedCluster)
     return seen
 
 
