@@ -4,15 +4,34 @@
 commands enter through :meth:`submit` / :meth:`submit_command`; the replica
 batches them into block payloads (the node's ``payload_source`` hook), and
 the node's ``on_commit`` hook feeds committed blocks back in ledger order,
-where commands are applied **exactly once** (dedup by command id —
-consensus may commit the same payload twice through a LightDAG2
-reproposal, and clients may retry).
+where commands are applied **exactly once** — consensus may commit the
+same payload twice through a LightDAG2 reproposal, and clients may retry.
+
+Exactly-once is kept per client, by session window, not by remembering
+every command ever applied.  Each replica keeps one :class:`Session` per
+client: the highest ``floor`` any applied command of that client carried,
+and ``done`` — the result of every applied nonce at or above it.  The
+session rule, the same at every replica because it reads only the ordered
+commands:
+
+* a committed command is a *duplicate*, and skipped, if its nonce is below
+  the session's floor or already in ``done``;
+* applying a command raises the session's floor to the command's floor and
+  drops the ``done`` entries below it — the client has said it will never
+  ask for them again.
+
+So ``done`` holds the client's unsettled window, not its history.  A plain
+"highest applied nonce" watermark would not do: a closed-loop client with
+several commands outstanding retries a shed command after a later nonce of
+its own has committed.  :meth:`submit` stamps ``floor = 0`` and so keeps
+every result of a local client, for tests and examples.
 
 The client-facing surface is completion-based: a submission may register a
 *waiter* that fires exactly once with the committed result and commit
 time.  Retries (same ``command_id``) are idempotent at every stage: a
-command already queued is not queued twice, and a command already applied
-resolves the new waiter immediately from the result cache.
+command already queued is not queued twice, a command applied inside the
+window resolves the new waiter immediately from ``done``, and a command
+below the floor is refused.
 
 Backpressure lives here too: an optional
 :class:`~repro.workload.admission.AdmissionController` bounds the pending
@@ -40,6 +59,18 @@ from ..dag.ledger import CommitRecord, check_prefix_consistency
 from ..errors import ProtocolError
 from ..workload.admission import ADMIT, SHED, make_admission
 from .machine import Command, StateMachine
+
+class Session:
+    """One client's exactly-once window at one replica: every nonce below
+    ``floor`` is settled, and ``done`` maps each applied nonce at or above
+    it to its result."""
+
+    __slots__ = ("floor", "done")
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self.done: Dict[int, bytes] = {}
+
 
 #: Completion callback: ``waiter(command, result, commit_time)``.  ``result``
 #: is None when the command was shed by admission control before ordering.
@@ -78,7 +109,8 @@ class SmrReplica:
         self._pending: Deque[Command] = deque()
         self._pending_ids: Set[Digest] = set()
         self.applied_order: List[Digest] = []
-        self.results: Dict[Digest, bytes] = {}
+        #: client name -> its exactly-once window (the module docstring).
+        self.sessions: Dict[str, Session] = {}
         self._nonce = itertools.count()
         self._result_listeners: List[Callable[[Command, bytes], None]] = []
         self._waiters: Dict[Digest, List[Waiter]] = {}
@@ -91,14 +123,15 @@ class SmrReplica:
 
     # -- client side -------------------------------------------------------------
 
-    def submit(self, payload: bytes, client: Optional[str] = None) -> Digest:
-        """Queue a command for ordering; returns its id for result lookup.
-        ``client`` defaults to a name of this replica's own, as the nonce is."""
+    def submit(self, payload: bytes, client: Optional[str] = None) -> Command:
+        """Queue a command for ordering; returns it for :meth:`result_of`.
+        ``client`` defaults to a name of this replica's own, as the nonce is.
+        The command's floor is 0, so its result is never forgotten."""
         if client is None:
             client = f"local-{self.replica_id}"
         command = Command.create(client=client, payload=payload, nonce=next(self._nonce))
         self.submit_command(command)
-        return command.command_id
+        return command
 
     def submit_command(
         self,
@@ -109,20 +142,26 @@ class SmrReplica:
         """Queue a pre-built command; returns True if it was admitted.
 
         Idempotent under retries (clients re-submit the same
-        ``command_id``): a command already applied resolves ``waiter``
-        immediately from the result cache; one already pending only
-        registers the extra waiter.  Either way every registered waiter
-        fires exactly once.
+        ``command_id``): a command applied inside its client's window
+        resolves ``waiter`` immediately from ``done``; one already pending
+        only registers the extra waiter.  Either way every registered
+        waiter fires exactly once.  A command below its client's floor is
+        settled and refused (returns False, ``waiter`` dropped unfired).
 
         With admission control the submission may be refused (returns
         False, ``waiter`` is dropped unfired) or may shed the oldest
         queued command (whose waiters fire with ``result=None``).
         """
+        session = self.sessions.get(command.client)
+        if session is not None:
+            nonce = command.nonce
+            if nonce < session.floor:
+                return False
+            if nonce in session.done:
+                if waiter is not None:
+                    waiter(command, session.done[nonce], now)
+                return True
         cid = command.command_id
-        if cid in self.results:
-            if waiter is not None:
-                waiter(command, self.results[cid], now)
-            return True
         if cid in self._pending_ids:
             if waiter is not None:
                 self._waiters.setdefault(cid, []).append(waiter)
@@ -153,8 +192,11 @@ class SmrReplica:
         """Commands queued awaiting proposal (the admission queue depth)."""
         return len(self._pending)
 
-    def result_of(self, command_id: Digest) -> Optional[bytes]:
-        return self.results.get(command_id)
+    def result_of(self, command: Command) -> Optional[bytes]:
+        """``command``'s result while it is inside its client's window;
+        None if it is not applied yet, or settled and forgotten."""
+        session = self.sessions.get(command.client)
+        return None if session is None else session.done.get(command.nonce)
 
     def on_result(self, listener: Callable[[Command, bytes], None]) -> None:
         self._result_listeners.append(listener)
@@ -188,20 +230,29 @@ class SmrReplica:
         return batch
 
     def on_commit(self, record: CommitRecord) -> None:
-        """Apply a committed block's commands in order, exactly once."""
-        results = self.results
+        """Apply a committed block's commands in order, exactly once: the
+        session rule of the module docstring."""
+        sessions = self.sessions
         applied_order = self.applied_order
         applied_before = len(applied_order)
         apply = self.machine.apply
         listeners = self._result_listeners
         waiters = self._waiters
         for command in batch_commands(record.block.payload):
-            cid = command.command_id
-            if cid in results:
+            session = sessions.get(command.client)
+            if session is None:
+                session = sessions[command.client] = Session()
+            nonce, floor, done = command.nonce, session.floor, session.done
+            if nonce < floor or nonce in done:
                 continue
             result = apply(command)
+            cid = command.command_id
             applied_order.append(cid)
-            results[cid] = result
+            done[nonce] = result
+            raised = command.floor
+            if raised > floor:  # a new dict, not pops: the window stays compact
+                session.floor = raised
+                session.done = {k: v for k, v in done.items() if k >= raised}
             for listener in listeners:
                 listener(command, result)
             if cid in waiters:  # only the submitting replica has any

@@ -27,10 +27,16 @@ Three pieces compose a workload:
 
 Every command is tracked from submission to the waiter callback the SMR
 replica fires at commit, yielding exact end-to-end latency samples
-(p50/p99/p999) and completion throughput.  Closed-loop clients with one
-outstanding command additionally *verify* read-your-writes against a
-local model of their (private) keyspace — the regression that catches an
-untagged GET confusing a stored ``"NIL"`` with a missing key.
+(p50/p99/p999) and completion throughput.  Each client stamps every
+command with its session floor — the lowest nonce it still has in flight
+or queued for retry — which is what lets the replicas forget settled
+commands (:mod:`repro.smr.replica`).  An open-loop op that is rejected or
+shed is settled at once, and one left unanswered for :data:`GIVE_UP_S` is
+given up; a closed-loop one stays unsettled until its retry completes.
+Closed-loop clients with one outstanding command additionally *verify*
+read-your-writes against a local model of their (private) keyspace — the
+regression that catches an untagged GET confusing a stored ``"NIL"`` with
+a missing key.
 
 Everything is deterministic: one seeded :class:`random.Random` drives the
 whole population, and all timing flows through the simulator's
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -64,6 +71,16 @@ __all__ = [
     "ClientStats",
     "ClientPopulation",
 ]
+
+
+#: How long an open-loop client waits for an answer before it gives the
+#: op up and settles it.  Consensus can leave a command unanswered for
+#: good: the DAG orders only blocks in a committed leader's causal history,
+#: and a block no later round references is never ordered.  Without a
+#: horizon one such op pins its client's floor, and every replica's window
+#: for that client grows with the rest of the run.  Over twice the slowest
+#: answer of the overloaded 1750 tx/s rung of the pinned loadtest (1.7 s).
+GIVE_UP_S = 4.0
 
 
 # --------------------------------------------------------------- arrivals
@@ -320,8 +337,8 @@ class ClientStats:
     """Client-observed outcomes of one run.
 
     ``latencies`` holds the end-to-end (submit → committed result) delay
-    of every operation completing inside the measurement window; the
-    aggregate getters are exact over those samples.
+    of every operation completing inside the measurement window, as
+    unboxed doubles; the aggregate getters are exact over those samples.
     """
 
     warmup: float = 0.0
@@ -334,7 +351,7 @@ class ClientStats:
     verified: int = 0
     verify_failures: int = 0
     measured_completed: int = 0
-    latencies: List[float] = field(default_factory=list)
+    latencies: array = field(default_factory=lambda: array("d"))
 
     def record_submit(self) -> None:
         self.submitted += 1
@@ -380,9 +397,11 @@ class ClientStats:
 
 
 class _ClientState:
-    """Mutable per-client bookkeeping (closed loop + verification)."""
+    """Mutable per-client bookkeeping (session window, closed loop,
+    verification)."""
 
-    __slots__ = ("client_id", "name", "replica", "nonce", "expected", "inflight")
+    __slots__ = ("client_id", "name", "replica", "nonce", "expected", "inflight",
+                 "unsettled")
 
     def __init__(self, client_id: int, replica: SmrReplica) -> None:
         self.client_id = client_id
@@ -392,6 +411,20 @@ class _ClientState:
         #: local model of the private keyspace: key -> expected value
         self.expected: Dict[str, str] = {}
         self.inflight = 0
+        #: nonce -> submit time of every op in flight or queued for retry,
+        #: in nonce order (dict insertion order): the first key is the floor.
+        #: Settling pops a nonce; one already given up is absent.
+        self.unsettled: Dict[int, float] = {}
+
+    def give_up_before(self, horizon: float) -> int:
+        """Settle every op submitted before ``horizon``; returns the new
+        floor.  Only called while some op was submitted at or after it."""
+        unsettled = self.unsettled
+        while True:
+            oldest = next(iter(unsettled))
+            if unsettled[oldest] >= horizon:
+                return oldest
+            del unsettled[oldest]
 
 
 class _Op:
@@ -445,6 +478,8 @@ class ClientPopulation:
             private=not spec.shared_keys,
         )
         self._arrivals = spec.arrivals() if spec.mode == "open" else None
+        # A closed-loop client retries until it has its answer.
+        self._give_up_s = GIVE_UP_S if spec.mode == "open" else math.inf
 
     # -- wiring ------------------------------------------------------------------
 
@@ -502,8 +537,14 @@ class ClientPopulation:
             payload = f"CAS {key} {expected_str} {value}"
             expect = b"FAIL" if current is None else b"OK"
         client.nonce += 1
+        nonce = client.nonce
+        unsettled = client.unsettled
+        unsettled[nonce] = now
+        floor = next(iter(unsettled))
+        if unsettled[floor] < now - self._give_up_s:
+            floor = client.give_up_before(now - self._give_up_s)
         command = Command.create(
-            client=client.name, payload=payload.encode(), nonce=client.nonce
+            client=client.name, payload=payload.encode(), nonce=nonce, floor=floor
         )
         return _Op(command, now, verb, key, value, expect)
 
@@ -547,6 +588,8 @@ class ClientPopulation:
             # command (same id — the exactly-once path) after a backoff.
             backoff = self.spec.retry_backoff_s * (0.5 + self.rng.random())
             sim.call_at(now + backoff, lambda s: self._submit(client, s, op=op))
+        else:
+            client.unsettled.pop(op.command.nonce, None)
 
     def _on_done(self, client: _ClientState, op: _Op, result, commit_time, sim) -> None:
         client.inflight -= 1
@@ -558,7 +601,10 @@ class ClientPopulation:
                 target = max(sim.now, op.submit_time) + backoff
                 if target < self.duration:
                     sim.call_at(target, lambda s: self._submit(client, s, op=op))
+            else:
+                client.unsettled.pop(op.command.nonce, None)
             return
+        client.unsettled.pop(op.command.nonce, None)
         when = commit_time if commit_time is not None else sim.now
         self.stats.record_completion(op.submit_time, when)
         if self.verify:

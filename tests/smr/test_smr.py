@@ -21,7 +21,8 @@ class TestCommand:
     def test_roundtrip(self):
         command = cmd(b"SET a 1")
         assert Command.from_bytes(command.to_bytes()) == command
-        foreign = Command(command_id=b"i" * 200, client="c", payload=b"")
+        foreign = Command(command_id=b"i" * 200, client="c", nonce=300, floor=200,
+                          payload=b"")
         assert Command.from_bytes(foreign.to_bytes()) == foreign
 
     def test_unique_ids(self):
@@ -32,20 +33,25 @@ class TestCommand:
     # on first use); "✓" is three bytes, so 80 of them pass the one-byte length.
     @given(
         client=st.text("aé✓\x00", max_size=80),
-        nonce=st.integers(0, 2**70),
+        nonce=st.integers(0, 2**64 - 1),
+        below=st.integers(0, 2**64 - 1),
         payload=st.binary(max_size=300),
     )
-    @example(client="client-7", nonce=127, payload=b"x" * 127)
-    @example(client="client-7", nonce=128, payload=b"x" * 128)
-    @example(client="", nonce=-(2**63), payload=b"")
-    def test_id_and_wire_form_are_the_generic_ones(self, client, nonce, payload):
+    @example(client="client-7", nonce=127, below=0, payload=b"x" * 127)
+    @example(client="client-7", nonce=128, below=1, payload=b"x" * 128)
+    @example(client="", nonce=2**64 - 1, below=2**64 - 1, payload=b"")
+    def test_id_and_wire_form_are_the_generic_ones(self, client, nonce, below, payload):
         """``create`` and ``to_bytes`` build their bytes by hand; they must be
         the bytes ``hash_fields`` and the codec ``Writer`` would build."""
-        command = Command.create(client=client, payload=payload, nonce=nonce)
+        floor = max(0, nonce - below)
+        command = Command.create(client=client, payload=payload, nonce=nonce, floor=floor)
         assert command.command_id == hash_fields("cmd", client, nonce, payload)
-        assert (command.client, command.payload) == (client, payload)
+        assert (command.client, command.nonce, command.floor, command.payload) == (
+            client, nonce, floor, payload
+        )
         written = Writer().lp_bytes(command.command_id)
-        written.lp_bytes(client.encode("utf-8")).lp_bytes(payload)
+        written.lp_bytes(client.encode("utf-8")).uvarint(nonce).uvarint(floor)
+        written.lp_bytes(payload)
         assert command.to_bytes() == written.getvalue()
         assert Command.from_bytes(command.to_bytes()) == command
 
@@ -124,7 +130,7 @@ class TestSmrReplicaUnit:
         for i, block in enumerate((block_a, block_b)):
             replica.on_commit(CommitRecord(i, block, 1.0, b"L", 0))
         assert replica.machine.applied_count == 1
-        assert replica.result_of(command.command_id) == b"OK"
+        assert replica.result_of(command) == b"OK"
 
     def test_payload_source_drains(self):
         replica = SmrReplica(0, KvStateMachine())
@@ -297,11 +303,11 @@ class TestSmrCluster:
             machine_factory=KvStateMachine,
             seed=2,
         )
-        cid = cluster.replicas[0].submit(b"SET k v")
+        command = cluster.replicas[0].submit(b"SET k v")
         cluster.run(until=3.0)
-        assert cluster.replicas[0].result_of(cid) == b"OK"
+        assert cluster.replicas[0].result_of(command) == b"OK"
         # Every replica computed the same result for the same command.
-        assert all(r.result_of(cid) == b"OK" for r in cluster.replicas)
+        assert all(r.result_of(command) == b"OK" for r in cluster.replicas)
 
     def test_same_payload_submitted_at_two_replicas_is_two_commands(self):
         """Regression: ``submit`` named every replica's client "local" and
@@ -390,7 +396,7 @@ class TestBatchIsDecodedOncePerCluster:
         from repro.smr.replica import batch_commands
 
         proposer = SmrReplica(0, KvStateMachine())
-        cids = [proposer.submit(b"SET k %d" % i) for i in range(3)]
+        cids = [proposer.submit(b"SET k %d" % i).command_id for i in range(3)]
         built = proposer.payload_source(now=1.0)
         assert [c.command_id for c in batch_commands(built)] == cids and not decodes
         received = block_from_bytes(block_to_bytes(make_block(1, 0, [], payload=built))).payload
@@ -419,7 +425,7 @@ class TestBatchIsDecodedOncePerCluster:
             assert replica.applied_order == [c.command_id for c in commands]
             assert replica.machine.data == {"k": "2"}
         assert len({id(r.machine) for r in replicas}) == 3
-        assert len({id(r.results) for r in replicas}) == 3
+        assert len({id(r.sessions) for r in replicas}) == 3
 
     def test_an_equal_batch_object_decodes_for_itself(self, decodes):
         import dataclasses
