@@ -276,11 +276,23 @@ class ScheduleAdversary(Adversary):
     def __init__(self, phases: Sequence[FaultPhase], seed: int = 0) -> None:
         super().__init__(seed)
         self.schedule = FaultSchedule(tuple(phases))
-        self._delay_phases = [p for p in phases if p.kind == "delay"]
-        self._leader_phases = [p for p in phases if p.kind == "leader-delay"]
+        # Each message-level phase resolved once into plain floats, so a
+        # send scans tuples instead of calling ``active``/``param``.
+        self._delays = [
+            (
+                p.start, p.end, float(p.param("max", 0.2)),
+                float(p.param("tailp", 0.0)), float(p.param("taild", 1.0)),
+            )
+            for p in phases if p.kind == "delay"
+        ]
+        self._leader_delays = [
+            (p.start, p.end, float(p.param("delay", 1.0)))
+            for p in phases if p.kind == "leader-delay"
+        ]
         self._crash_phases = [p for p in phases if p.kind == "crash"]
-        self._partition_groups = [
-            (p, frozenset(p.replicas())) for p in phases if p.kind == "partition"
+        self._partitions = [
+            (p.start, p.end, frozenset(p.replicas()))
+            for p in phases if p.kind == "partition"
         ]
         self.dropped = 0
 
@@ -306,22 +318,21 @@ class ScheduleAdversary(Adversary):
         return block.author == leader
 
     def on_send(self, src: int, dst: int, msg: Message, now: float) -> Optional[float]:
-        for phase, group in self._partition_groups:
-            if phase.active(now) and (src in group) != (dst in group):
+        for start, end, group in self._partitions:
+            if start <= now < end and (src in group) != (dst in group):
                 self.dropped += 1
                 return None
         total = 0.0
-        for phase in self._delay_phases:
-            if not phase.active(now):
+        for start, end, max_delay, tail_p, tail_delay in self._delays:
+            if not start <= now < end:
                 continue
-            total += self.rng.uniform(0.0, float(phase.param("max", 0.2)))
-            tail_p = float(phase.param("tailp", 0.0))
+            total += self.rng.uniform(0.0, max_delay)
             if tail_p and self.rng.random() < tail_p:
-                total += float(phase.param("taild", 1.0))
-        if self._leader_phases and self._is_leader_val(msg):
-            for phase in self._leader_phases:
-                if phase.active(now):
-                    total += float(phase.param("delay", 1.0))
+                total += tail_delay
+        if self._leader_delays and self._is_leader_val(msg):
+            for start, end, delay in self._leader_delays:
+                if start <= now < end:
+                    total += delay
         return total
 
 

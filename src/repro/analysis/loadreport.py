@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
+from ..workload.clients import GIVE_UP_S
+
 __all__ = [
     "format_load_summary",
     "format_sweep_table",
@@ -84,6 +86,8 @@ def format_load_summary(result) -> str:
         f" Submitted: {result.submitted:,}   Completed: {result.completed:,}"
         f"   Rejected: {result.rejected:,}   Shed: {result.shed:,}"
         f"   Retries: {result.retries:,}",
+        f" Unanswered (admitted, no answer after {GIVE_UP_S:g} s):"
+        f" {result.unanswered:,}   In flight at end: {result.in_flight:,}",
         f" Peak admission queue depth: {result.max_pending_depth:,}",
     ]
     if result.verified:

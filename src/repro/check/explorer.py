@@ -66,6 +66,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -454,6 +455,8 @@ def _classify(cls: type) -> str:
         return "S"
     if issubclass(cls, dict):
         return "D"
+    if issubclass(cls, array):
+        return "A"
     return "O"
 
 
@@ -502,6 +505,10 @@ class _Canonicalizer:
         if kind == "D":
             pairs = [(repr(self.canon(k)), self.canon(v)) for k, v in obj.items()]
             return ("D",) + tuple(sorted(pairs, key=lambda kv: kv[0]))
+        if kind == "A":
+            # An array has no __dict__ or __slots__: encode it by value, or
+            # every array would read as the same empty object.
+            return ("A", obj.typecode, tuple(obj))
         return self._canon_object(obj)
 
     def _canon_object(self, obj) -> tuple:

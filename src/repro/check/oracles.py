@@ -25,10 +25,11 @@ commit-metadata agreement   same position ⇒ same block, same leader index,
                             same committing leader (Theorems 2 and 6)
 ==========================  ==================================================
 
-The ledger oracles read what the ledger stores — each position's header
-fields (digest, round, author, parents, signature) and commit metadata
-(:class:`~repro.dag.ledger.LedgerEntry`) — never the committed block, whose
-body is freed once the store prunes it.  A parent that is not in the
+The ledger oracles read what the ledger stores — the columns of each
+position's header fields (digest, round, author, parents, signature) and
+commit metadata (:class:`~repro.dag.ledger.LedgerColumns`) — never the
+committed block, whose body is freed once the store prunes it, and never
+every position as an entry object at once.  A parent that is not in the
 ledger is looked up in the store, which may have pruned it too (see
 :func:`audit_ledger`).
 """
@@ -46,34 +47,46 @@ from ..obs import NULL_OBS, Observability
 
 
 def audit_ledger(node, label: str) -> List[str]:
-    """Ledger shape + signatures + ancestry closure for one node."""
+    """Ledger shape + signatures + ancestry closure for one node.
+
+    Reads the ledger's columns (:class:`~repro.dag.ledger.LedgerColumns`)
+    position by position; no :class:`~repro.dag.ledger.LedgerEntry` is
+    built, so the audit does not hold a second copy of the ledger.
+    """
     violations: List[str] = []
-    records = list(node.ledger)
-    positions = {}
+    cols = node.ledger.columns
+    # A position is an index into every column, so the columns must agree
+    # on how many positions there are.
+    length = len(cols.digest)
+    for name, column in zip(cols._fields, cols):
+        if len(column) != length:
+            violations.append(
+                f"{label}: ledger positions not dense — column {name} has "
+                f"{len(column)} entries for {length} digests"
+            )
+    positions = {digest: idx for idx, digest in enumerate(cols.digest)}
     last_leader_index = -1
     via_by_index = {}
-    for idx, rec in enumerate(records):
-        if rec.position != idx:
-            violations.append(
-                f"{label}: ledger positions not dense — record {idx} "
-                f"claims position {rec.position}"
-            )
-        positions[rec.digest] = idx
-        if rec.leader_index < last_leader_index:
+    verify = node.backend.verify
+    for idx, (leader_index, via_leader, author, digest, signature) in enumerate(
+        zip(cols.leader_index, cols.via_leader, cols.author, cols.digest,
+            cols.signature)
+    ):
+        if leader_index < last_leader_index:
             violations.append(
                 f"{label}: leader_index decreases at position {idx} "
-                f"({last_leader_index} -> {rec.leader_index})"
+                f"({last_leader_index} -> {leader_index})"
             )
-        last_leader_index = max(last_leader_index, rec.leader_index)
-        seen_via = via_by_index.setdefault(rec.leader_index, rec.via_leader)
-        if seen_via != rec.via_leader:
+        last_leader_index = max(last_leader_index, leader_index)
+        seen_via = via_by_index.setdefault(leader_index, via_leader)
+        if seen_via != via_leader:
             violations.append(
                 f"{label}: two via_leader digests under leader index "
-                f"{rec.leader_index}"
+                f"{leader_index}"
             )
-        if not node.backend.verify(rec.author, rec.digest, rec.signature):
+        if not verify(author, digest, signature):
             violations.append(
-                f"{label}: committed block {short_hex(rec.digest)} "
+                f"{label}: committed block {short_hex(digest)} "
                 f"at position {idx} has an invalid signature"
             )
 
@@ -83,18 +96,18 @@ def audit_ledger(node, label: str) -> List[str]:
     # and the (pruned) store are exempt only when GC is configured — the
     # conservative reading that avoids false positives after pruning.
     gc_depth = node.protocol.gc_depth
-    for idx, rec in enumerate(records):
-        leader_pos = positions.get(rec.via_leader)
+    for idx, (via_leader, parents) in enumerate(zip(cols.via_leader, cols.parents)):
+        leader_pos = positions.get(via_leader)
         if leader_pos is None:
             violations.append(
                 f"{label}: position {idx} committed via leader "
-                f"{short_hex(rec.via_leader)} which is not in the ledger"
+                f"{short_hex(via_leader)} which is not in the ledger"
             )
             continue
         floor: Optional[int] = None
         if gc_depth is not None:
-            floor = records[leader_pos].round - gc_depth
-        for parent_digest in rec.parents:
+            floor = cols.round[leader_pos] - gc_depth
+        for parent_digest in parents:
             parent_pos = positions.get(parent_digest)
             if parent_pos is not None:
                 if parent_pos >= idx:
@@ -262,47 +275,62 @@ def audit_cross_replica(nodes: Sequence, labels: Sequence[str]) -> List[str]:
     except ProtocolError as exc:
         violations.append(str(exc))
 
-    all_records = [list(node.ledger) for node in nodes]
-    ref = max(range(len(all_records)), key=lambda i: len(all_records[i]))
-    ref_records = all_records[ref]
-    for i, records in enumerate(all_records):
+    # Per-position commit metadata against the longest ledger, column by
+    # column; one divergence point per pair is enough signal.
+    columns = [node.ledger.columns for node in nodes]
+    ref = max(range(len(columns)), key=lambda i: len(columns[i].digest))
+    ref_cols = columns[ref]
+    for i, cols in enumerate(columns):
         if i == ref:
             continue
-        for pos, (mine, theirs) in enumerate(zip(records, ref_records)):
-            if (
-                mine.leader_index != theirs.leader_index
-                or mine.via_leader != theirs.via_leader
-            ):
-                violations.append(
-                    f"commit-metadata disagreement at position {pos} between "
-                    f"{labels[i]} and {labels[ref]}: leader_index "
-                    f"{mine.leader_index} vs {theirs.leader_index}, "
-                    f"via_leader {short_hex(mine.via_leader)} vs "
-                    f"{short_hex(theirs.via_leader)}"
-                )
-                break  # one divergence point per pair is enough signal
+        diverged = [
+            pos
+            for pos in (
+                _first_difference(cols.leader_index, ref_cols.leader_index),
+                _first_difference(cols.via_leader, ref_cols.via_leader),
+            )
+            if pos is not None
+        ]
+        if diverged:
+            pos = min(diverged)
+            violations.append(
+                f"commit-metadata disagreement at position {pos} between "
+                f"{labels[i]} and {labels[ref]}: leader_index "
+                f"{cols.leader_index[pos]} vs {ref_cols.leader_index[pos]}, "
+                f"via_leader {short_hex(cols.via_leader[pos])} vs "
+                f"{short_hex(ref_cols.via_leader[pos])}"
+            )
 
     # Committed-leader sequence agreement (Lemma 1 / Theorem 2): the k-th
     # committed leader is the same block everywhere, prefix-wise.
-    leader_seqs = []
-    for records in all_records:
-        seq: List = []
-        for rec in records:
-            if rec.leader_index == len(seq):
-                seq.append(rec.via_leader)
-        leader_seqs.append(seq)
+    leader_seqs = [_leader_sequence(cols) for cols in columns]
     ref_seq = max(leader_seqs, key=len)
     for i, seq in enumerate(leader_seqs):
         if seq != ref_seq[: len(seq)]:
-            diverge = next(
-                (k for k, (a, b) in enumerate(zip(seq, ref_seq)) if a != b),
-                min(len(seq), len(ref_seq)),
-            )
+            diverge = _first_difference(seq, ref_seq)
             violations.append(
                 f"{labels[i]}: committed-leader sequence diverges at leader "
                 f"index {diverge}"
             )
     return violations
+
+
+def _first_difference(mine: Sequence, theirs: Sequence) -> Optional[int]:
+    """First index where two columns differ over their common length."""
+    shared = min(len(mine), len(theirs))
+    if mine[:shared] == theirs[:shared]:
+        return None
+    return next(pos for pos, (a, b) in enumerate(zip(mine, theirs)) if a != b)
+
+
+def _leader_sequence(cols) -> List:
+    """The committed leaders in leader-index order: each index's first
+    ``via_leader``."""
+    seq: List = []
+    for leader_index, via_leader in zip(cols.leader_index, cols.via_leader):
+        if leader_index == len(seq):
+            seq.append(via_leader)
+    return seq
 
 
 # ---------------------------------------------------------------- composition

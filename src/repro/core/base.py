@@ -680,7 +680,16 @@ class BaseDagNode(Node):
             )
 
     def _maybe_prune(self) -> None:
-        """Physically drop history far below the settled frontier."""
+        """Physically drop history far below the settled frontier.
+
+        The horizon ``H = first_round(s) - gc_depth - WAVE_LENGTH`` (``s``
+        the settled wave) lies below every commit scope still to come: the
+        rule never commits a wave ``<= s`` again (direct commits skip them,
+        and a cascade walks down only to the last committed wave, which is
+        at least ``s``), so every later leader has round ``>= first_round(s)
+        + stride`` and its walk's floor ``leader.round - gc_depth`` is above
+        ``H``.  That is what lets the ledger shed committed digests below
+        ``H`` (:meth:`~repro.dag.ledger.Ledger.shed_below`)."""
         gc_depth = self.protocol.gc_depth
         settled = self.commit.last_settled_wave
         if gc_depth is None or settled < 1:
@@ -723,6 +732,8 @@ class BaseDagNode(Node):
         # frontier are decided forever.  The frontier wave itself must
         # survive — the cascade anchors on it.
         self.commit.forget_settled()
+        # Committed digests below the horizon: no later scope walk asks.
+        self.ledger.shed_below(horizon)
 
     # -------------------------------------------------------------- metrics
 

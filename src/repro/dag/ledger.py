@@ -4,24 +4,37 @@ Commitment assigns every block a position in a totally ordered sequence —
 the object the safety property speaks about ("two non-faulty replicas
 commit blocks B and B' at the same position ⇒ B = B'", §II-A).  That
 property is stated over positions and the block identities at them, so the
-ledger keeps one :class:`LedgerEntry` per position and never the
-:class:`~repro.dag.block.Block`: the commit metadata (position, commit
-time, the leader that triggered the commit and its index), the header
-fields the post-run oracles read (digest, round, author, parents,
-signature) and the payload's transaction count.
+ledger keeps, per position, only what the post-run oracles read: the commit
+metadata (commit time, the leader that triggered the commit and its index),
+the header fields (digest, round, author, parents, signature) and the
+payload's transaction count — never the :class:`~repro.dag.block.Block`.
 
-Keeping headers rather than blocks is what lets a committed block's body —
-payload batch, coin share, proofs, memoized encodings — be freed once
-:meth:`~repro.dag.store.DagStore.prune_below` drops it; a ledger that held
-every block grew by the whole block per position for the entire run.  The
+Storage is columnar (:class:`LedgerColumns`): the position is the index,
+the numbers sit unboxed in :mod:`array` columns, and the digests, parent
+tuples, signatures and leader digests are lists of references to objects
+the block already owns (digests and parent tuples are shared across
+replicas in the simulator, so copying them into a byte buffer would cost
+memory, not save it).  A :class:`LedgerEntry` is built on read — by
+iteration, :meth:`Ledger.record_at` and :meth:`Ledger.last` — and the
+oracles read the columns directly, never every entry at once.
+
+Keeping headers rather than blocks is what lets a committed block's body be
+freed once :meth:`~repro.dag.store.DagStore.prune_below` drops it.  The
 block itself reaches the ``on_commit`` hooks (the metrics layer, the
 replicated state machine, the online monitor) as the :class:`CommitRecord`
 that :meth:`Ledger.append` returns, once, at commit time.
+
+The committed-digest set (the commit rule's and the double-commit check's
+membership test) forgets what garbage collection has settled:
+:meth:`Ledger.shed_below` drops the digests of positions below the node's
+GC horizon, after which :meth:`Ledger.append` refuses any block below that
+horizon.  Nothing is shed unless ``gc_depth`` is set.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Set
+from array import array
+from typing import Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from ..crypto.hashing import Digest, short_hex
 from ..errors import ProtocolError
@@ -30,10 +43,10 @@ from .block import Block
 
 class CommitRecord(NamedTuple):
     """One committed block with its position and provenance, as the commit
-    hooks see it.  The ledger keeps a :class:`LedgerEntry` instead.
+    hooks see it.  The ledger keeps its columns instead.
 
-    A named tuple, not a dataclass: every append builds one next to its
-    entry, and a tuple is the cheapest immutable record to build.
+    A named tuple, not a dataclass: every append builds one, and a tuple is
+    the cheapest immutable record to build.
     """
 
     position: int
@@ -47,42 +60,54 @@ class CommitRecord(NamedTuple):
     leader_index: int
 
 
-class LedgerEntry:
-    """What the ledger keeps of one committed block (read-only by contract).
+class LedgerEntry(NamedTuple):
+    """One position of the ledger, built on read from the columns."""
 
-    Slotted, and holding only references the block's header already owns,
-    so a position costs one small object plus the parents tuple.
+    position: int
+    commit_time: float
+    via_leader: Digest
+    leader_index: int
+    digest: Digest
+    round: int
+    author: int
+    parents: Tuple[Digest, ...]
+    signature: bytes
+    #: Transactions in the block's payload.
+    count: int
+
+
+class LedgerColumns(NamedTuple):
+    """The ledger's storage: one column per field, indexed by position.
+
+    Live views — the oracles read them and must not mutate them.
     """
 
-    __slots__ = (
-        "position", "commit_time", "via_leader", "leader_index",
-        "digest", "round", "author", "parents", "signature", "count",
-    )
-
-    def __init__(
-        self, position: int, block: Block, commit_time: float,
-        via_leader: Digest, leader_index: int,
-    ) -> None:
-        self.position = position
-        self.commit_time = commit_time
-        self.via_leader = via_leader
-        self.leader_index = leader_index
-        self.digest = block.digest
-        self.round = block.round
-        self.author = block.author
-        self.parents = block.parents
-        self.signature = block.signature
-        #: Transactions in the block's payload.
-        self.count = block.payload.count
+    commit_time: array  # 'd'
+    round: array  # 'i'
+    author: array  # 'i'
+    count: array  # 'i'
+    leader_index: array  # 'i'
+    digest: List[Digest]
+    parents: List[Tuple[Digest, ...]]
+    signature: List[bytes]
+    via_leader: List[Digest]
 
 
 class Ledger:
-    """Append-only committed sequence with O(1) membership checks."""
+    """Append-only committed sequence with O(1) membership checks above
+    the shed horizon."""
 
     def __init__(self) -> None:
-        self._records: List[LedgerEntry] = []
+        self.columns = LedgerColumns(
+            array("d"), array("i"), array("i"), array("i"), array("i"),
+            [], [], [], [],
+        )
         self._committed: Set[Digest] = set()
         self._leader_count = 0
+        #: Blocks below this round are refused: their digests may be shed.
+        self._shed_horizon = 0
+        #: Every position before this one has had its digest shed.
+        self._shed_cursor = 0
         self._trace = None
         self._trace_node = -1
 
@@ -107,65 +132,113 @@ class Ledger:
     ) -> CommitRecord:
         """Commit one block at the next position.
 
-        Keeps a :class:`LedgerEntry`; returns the :class:`CommitRecord`,
-        block included, for the caller's commit hooks.
+        Fills one row of the columns; returns the :class:`CommitRecord`,
+        block included, for the caller's commit hooks.  Refuses a block
+        already committed and any block below the shed horizon (whose
+        digest the ledger may no longer remember).
         """
-        if block.digest in self._committed:
+        digest = block.digest
+        if digest in self._committed:
+            raise ProtocolError(f"block {digest.hex()[:8]} committed twice")
+        if block.round < self._shed_horizon:
             raise ProtocolError(
-                f"block {block.digest.hex()[:8]} committed twice"
+                f"block {digest.hex()[:8]} at round {block.round} is below "
+                f"the ledger's shed horizon {self._shed_horizon}"
             )
-        position = len(self._records)
-        self._records.append(
-            LedgerEntry(position, block, commit_time, via_leader, leader_index)
-        )
-        self._committed.add(block.digest)
+        cols = self.columns
+        position = len(cols.digest)
+        cols.commit_time.append(commit_time)
+        cols.round.append(block.round)
+        cols.author.append(block.author)
+        cols.count.append(block.payload.count)
+        cols.leader_index.append(leader_index)
+        cols.digest.append(digest)
+        cols.parents.append(block.parents)
+        cols.signature.append(block.signature)
+        cols.via_leader.append(via_leader)
+        self._committed.add(digest)
         if self._trace is not None:
             self._trace.emit(
                 commit_time, "trace.ordered", self._trace_node,
-                digest=short_hex(block.digest), round=block.round,
+                digest=short_hex(digest), round=block.round,
                 author=block.author, position=position,
                 leader_index=leader_index,
             )
-        return CommitRecord(
-            position=position,
-            block=block,
-            commit_time=commit_time,
-            via_leader=via_leader,
-            leader_index=leader_index,
-        )
+        return CommitRecord(position, block, commit_time, via_leader, leader_index)
+
+    # -- garbage collection ----------------------------------------------------
+
+    def shed_below(self, horizon: int) -> None:
+        """Forget the committed digests of positions whose round is below
+        ``horizon``, and refuse such blocks from now on.
+
+        The set is shed in place (the commit rule holds the same object).
+        Safe because no commit scope reaches below the node's GC horizon:
+        every later leader's walk stops at ``leader.round - gc_depth``,
+        which lies above it (see ``BaseDagNode._maybe_prune``).
+        """
+        if horizon <= self._shed_horizon:
+            return
+        self._shed_horizon = horizon
+        rounds, digests, committed = self.columns.round, self.columns.digest, self._committed
+        cursor, end = self._shed_cursor, len(digests)
+        # Positions are only roughly round-ordered, so the cursor stops at
+        # the first one still above the horizon and the rest of the tail is
+        # swept too; the next call re-reads that tail from the cursor.
+        while cursor < end and rounds[cursor] < horizon:
+            committed.discard(digests[cursor])
+            cursor += 1
+        self._shed_cursor = cursor
+        for position in range(cursor, end):
+            if rounds[position] < horizon:
+                committed.discard(digests[position])
 
     # -- queries ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.columns.digest)
 
     def __iter__(self) -> Iterator[LedgerEntry]:
-        return iter(self._records)
+        return map(self.record_at, range(len(self)))
 
     def __contains__(self, digest: Digest) -> bool:
+        """Membership among committed digests not yet shed (every one, when
+        nothing was shed)."""
         return digest in self._committed
 
     @property
     def committed_digests(self) -> Set[Digest]:
-        """Live view of all committed digests (do not mutate)."""
+        """Live view of the committed digests not yet shed (do not mutate)."""
         return self._committed
+
+    @property
+    def shed_horizon(self) -> int:
+        """Round below which digests may be shed and appends are refused."""
+        return self._shed_horizon
 
     @property
     def leader_count(self) -> int:
         return self._leader_count
 
     def record_at(self, position: int) -> LedgerEntry:
-        return self._records[position]
+        cols = self.columns
+        return LedgerEntry(
+            position, cols.commit_time[position], cols.via_leader[position],
+            cols.leader_index[position], cols.digest[position],
+            cols.round[position], cols.author[position],
+            cols.parents[position], cols.signature[position],
+            cols.count[position],
+        )
 
     def last(self) -> Optional[LedgerEntry]:
-        return self._records[-1] if self._records else None
+        return self.record_at(len(self) - 1) if len(self) else None
 
     def digest_sequence(self) -> List[Digest]:
         """The ordered digest list — what cross-replica safety compares."""
-        return [r.digest for r in self._records]
+        return list(self.columns.digest)
 
     def total_transactions(self) -> int:
-        return sum(r.count for r in self._records)
+        return sum(self.columns.count)
 
 
 def check_prefix_consistency(ledgers: List[Ledger]) -> None:
@@ -181,7 +254,7 @@ def check_prefix_consistency(ledgers: List[Ledger]) -> None:
     the longest one (O(R·L)): if two ledgers each match the longest on
     their whole length, they match each other on their common prefix.
     """
-    sequences = [ledger.digest_sequence() for ledger in ledgers]
+    sequences = [ledger.columns.digest for ledger in ledgers]
     if len(sequences) < 2:
         return
     ref = max(range(len(sequences)), key=lambda i: len(sequences[i]))

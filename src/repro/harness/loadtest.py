@@ -98,6 +98,11 @@ class LoadtestResult:
     verified: int
     verify_failures: int
     max_pending_depth: int
+    #: admitted, first submitted at least ``GIVE_UP_S`` before the run
+    #: ended, and never answered
+    unanswered: int
+    #: admitted and not answered, submitted in the run's last ``GIVE_UP_S``
+    in_flight: int
     admission: Dict[str, int] = field(default_factory=dict)
 
     def row(self) -> Dict[str, object]:
@@ -125,6 +130,8 @@ class LoadtestResult:
             "retries": self.retries,
             "verified": self.verified,
             "verify_failures": self.verify_failures,
+            "unanswered": self.unanswered,
+            "in_flight": self.in_flight,
             "max_depth": self.max_pending_depth,
             "admission": dict(self.admission),
         }
@@ -161,6 +168,7 @@ def run_loadtest(cfg: LoadtestConfig, obs: Optional[Observability] = None) -> Lo
     cluster.verify_convergence()
 
     stats = population.stats
+    unanswered, in_flight = population.awaiting_at(cfg.duration)
     window = cfg.duration - cfg.warmup
     admission_totals: Dict[str, int] = {}
     max_depth = 0
@@ -194,6 +202,8 @@ def run_loadtest(cfg: LoadtestConfig, obs: Optional[Observability] = None) -> Lo
         verified=stats.verified,
         verify_failures=stats.verify_failures,
         max_pending_depth=max_depth,
+        unanswered=unanswered,
+        in_flight=in_flight,
         admission=admission_totals,
     )
 

@@ -50,7 +50,7 @@ import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..analysis.stats import percentile
 from ..errors import ConfigError
@@ -480,6 +480,8 @@ class ClientPopulation:
         self._arrivals = spec.arrivals() if spec.mode == "open" else None
         # A closed-loop client retries until it has its answer.
         self._give_up_s = GIVE_UP_S if spec.mode == "open" else math.inf
+        #: ops admitted by a replica and not answered yet
+        self._awaiting: Set[_Op] = set()
 
     # -- wiring ------------------------------------------------------------------
 
@@ -501,6 +503,16 @@ class ClientPopulation:
             self._submit(client, sim)
 
         return fire
+
+    def awaiting_at(self, end: float) -> Tuple[int, int]:
+        """``(unanswered, in_flight)`` at time ``end``: the admitted ops
+        with no answer, split by whether they were first submitted at
+        least :data:`GIVE_UP_S` before ``end`` (unanswered) or later (still
+        in flight).  In open loop every submitted op is completed,
+        rejected, shed or one of these two."""
+        horizon = end - GIVE_UP_S
+        unanswered = sum(1 for op in self._awaiting if op.submit_time <= horizon)
+        return unanswered, len(self._awaiting) - unanswered
 
     # -- open loop ---------------------------------------------------------------
 
@@ -581,6 +593,7 @@ class ClientPopulation:
         admitted = client.replica.submit_command(op.command, now=now, waiter=waiter)
         if admitted:
             client.inflight += 1
+            self._awaiting.add(op)
             return
         self.stats.rejected += 1
         if retry_on_pushback:
@@ -593,6 +606,7 @@ class ClientPopulation:
 
     def _on_done(self, client: _ClientState, op: _Op, result, commit_time, sim) -> None:
         client.inflight -= 1
+        self._awaiting.discard(op)
         if result is None:
             # Shed by admission control before ordering.
             self.stats.shed += 1

@@ -225,6 +225,22 @@ class TestFingerprint:
         _execute(a.sim, actions[0][1])
         assert state_fingerprint(a.sim) != state_fingerprint(b.sim)
 
+    def test_ledger_columns_are_part_of_the_fingerprint(self):
+        """The ledger stores commit times in an ``array``: two replicas
+        that differ only there must not share a state digest."""
+        from repro.check.explorer import _node_digest
+
+        cfg = ExploreConfig(protocol="lightdag1", max_rounds=2)
+        a = build_world(cfg, None).sim.nodes[0]
+        b = build_world(cfg, None).sim.nodes[0]
+        for node, commit_time in ((a, 1.0), (b, 1.5)):
+            block = node.store.blocks_in_round(0)[0]
+            node.ledger.append(block, commit_time, block.digest, 0)
+        assert a.ledger.digest_sequence() == b.ledger.digest_sequence()
+        assert _node_digest(a) != _node_digest(b)
+        b.ledger.columns.commit_time[0] = 1.0
+        assert _node_digest(a) == _node_digest(b)
+
     def test_unknown_protocol_is_a_config_error(self):
         with pytest.raises(ConfigError):
             build_world(ExploreConfig(protocol="nope"), None)

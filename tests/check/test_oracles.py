@@ -71,39 +71,47 @@ def clean_node(gc_depth=None):
 
 
 class TestLedgerOracle:
-    """One hand-corrupted ledger entry per violation :func:`audit_ledger`
-    can report; the ledger stores headers, so the forgeries edit those."""
+    """One hand-forged ledger column per violation :func:`audit_ledger`
+    can report; the ledger stores header columns, so the forgeries edit
+    those in place."""
 
     def test_non_dense_positions_caught(self):
         node = clean_node()
-        node.ledger.record_at(1).position = 5
+        node.ledger.columns.round.pop()  # one column a position short
         found = audit_ledger(node, "replica 0")
-        assert any("not dense" in v for v in found)
+        assert any(
+            "not dense" in v and "column round" in v for v in found
+        )
 
     def test_decreasing_leader_index_caught(self):
         node = clean_node()
-        last = node.ledger.last()
-        assert last.leader_index > 0
-        last.leader_index = 0
+        cols = node.ledger.columns
+        assert cols.leader_index[-1] > 0
+        cols.leader_index[-1] = 0
         found = audit_ledger(node, "replica 0")
         assert any("leader_index decreases" in v for v in found)
 
     def test_two_via_leaders_for_one_index_caught(self):
         node = clean_node()
-        rec = next(r for r in node.ledger if r.via_leader != r.digest)
-        other = next(
-            r.via_leader for r in node.ledger if r.leader_index != rec.leader_index
+        cols = node.ledger.columns
+        idx = next(
+            i for i, (via, digest) in enumerate(zip(cols.via_leader, cols.digest))
+            if via != digest
         )
-        rec.via_leader = other  # committed, but under another index
+        index = cols.leader_index[idx]
+        other = next(
+            via for k, via in zip(cols.leader_index, cols.via_leader) if k != index
+        )
+        cols.via_leader[idx] = other  # committed, but under another index
         found = audit_ledger(node, "replica 0")
         assert any(
-            f"two via_leader digests under leader index {rec.leader_index}" in v
+            f"two via_leader digests under leader index {index}" in v
             for v in found
         )
 
     def test_via_leader_not_in_ledger_caught(self):
         node = clean_node()
-        node.ledger.record_at(1).via_leader = b"\x07" * 32
+        node.ledger.columns.via_leader[1] = b"\x07" * 32
         found = audit_ledger(node, "replica 0")
         assert any(
             "position 1 committed via leader" in v and "not in the ledger" in v
@@ -113,14 +121,15 @@ class TestLedgerOracle:
     def test_invalid_signature_caught(self):
         node = clean_node()
         # A genuine signature, but over another block.
-        node.ledger.record_at(0).signature = node.ledger.record_at(1).signature
+        signatures = node.ledger.columns.signature
+        signatures[0] = signatures[1]
         found = audit_ledger(node, "replica 0")
         assert any("at position 0 has an invalid signature" in v for v in found)
 
     def test_parent_committed_later_caught(self):
         node = clean_node()
-        later = node.ledger.record_at(5).digest
-        node.ledger.record_at(0).parents = (later,)
+        cols = node.ledger.columns
+        cols.parents[0] = (cols.digest[5],)
         found = audit_ledger(node, "replica 0")
         assert any(
             "position 0 references a parent committed later (position 5)" in v
@@ -134,7 +143,7 @@ class TestLedgerOracle:
             1, 0, genesis_parents(), TxBatch(1, 64),
             repropose_index=7, signer=node.backend,
         )
-        node.ledger.record_at(2).parents = (stranger.digest,)
+        node.ledger.columns.parents[2] = (stranger.digest,)
         found = audit_ledger(node, "replica 0")
         assert any(
             f"references uncommitted parent {short_hex(stranger.digest)}" in v
@@ -156,13 +165,26 @@ class TestLedgerOracle:
             ),
             key=lambda block: block.round,
         )
-        node.ledger.record_at(len(node.ledger) - 2).parents = (fresh.digest,)
+        node.ledger.columns.parents[len(node.ledger) - 2] = (fresh.digest,)
         found = audit_ledger(node, "replica 0")
         assert any(
             f"uncommitted parent {short_hex(fresh.digest)} at round "
             f"{fresh.round}, inside the leader's GC window" in v
             for v in found
         )
+
+    def test_shed_digests_do_not_reach_the_audit(self):
+        """Under GC the ledger forgets committed digests below its shed
+        horizon; the audit reads the digest column, so it still finds
+        every committed parent."""
+        node = clean_node(gc_depth=10)
+        ledger = node.ledger
+        assert ledger.shed_horizon > 1
+        shed = [
+            d for d, r in zip(ledger.columns.digest, ledger.columns.round)
+            if r < ledger.shed_horizon
+        ]
+        assert shed and not any(d in ledger for d in shed)
 
 
 class TestRetrievalOracle:
@@ -265,14 +287,62 @@ class TestCrossReplicaOracle:
         found = audit_cross_replica([a, b], ["replica 0", "replica 1"])
         assert any("diverge" in v for v in found)
 
+    def test_digest_disagreement_caught(self):
+        sim = run_sim()
+        a, b = sim.nodes[0], sim.nodes[1]
+        assert min(len(a.ledger), len(b.ledger)) > 2
+        # Same commit metadata, another block at position 1.
+        digests = b.ledger.columns.digest
+        digests[1] = digests[2]
+        found = audit_cross_replica([a, b], ["replica 0", "replica 1"])
+        assert any(
+            "safety violation: ledgers 0 and 1 diverge at position 1" in v
+            for v in found
+        )
+
     def test_metadata_disagreement_caught(self):
         sim = run_sim()
         a, b = sim.nodes[0], sim.nodes[1]
         shared = min(len(a.ledger), len(b.ledger))
         assert shared > 2
-        b.ledger.record_at(1).via_leader = b"\x07" * 32
+        b.ledger.columns.via_leader[1] = b"\x07" * 32
         found = audit_cross_replica([a, b], ["replica 0", "replica 1"])
-        assert any("commit-metadata disagreement" in v for v in found)
+        assert any(
+            "commit-metadata disagreement at position 1" in v for v in found
+        )
+
+    def test_leader_index_disagreement_caught(self):
+        sim = run_sim()
+        a, b = sim.nodes[0], sim.nodes[1]
+        cols = b.ledger.columns
+        # The last position of the first leader claims the second index.
+        pos = next(
+            p for p in range(len(cols.leader_index) - 1)
+            if cols.leader_index[p + 1] != cols.leader_index[p]
+        )
+        assert pos < min(len(a.ledger), len(b.ledger))
+        cols.leader_index[pos] += 1
+        found = audit_cross_replica([a, b], ["replica 0", "replica 1"])
+        assert any(
+            f"commit-metadata disagreement at position {pos}" in v for v in found
+        )
+
+    def test_leader_sequence_divergence_caught(self):
+        sim = run_sim()
+        a, b = sim.nodes[0], sim.nodes[1]
+        cols = b.ledger.columns
+        # Replace leader 1 everywhere it appears in b's via_leader column.
+        first = cols.leader_index.index(1)
+        leader = cols.via_leader[first]
+        forged = b"\x07" * 32
+        for pos, via in enumerate(cols.via_leader):
+            if via == leader:
+                cols.via_leader[pos] = forged
+        found = audit_cross_replica([a, b], ["replica 0", "replica 1"])
+        assert any(
+            "committed-leader sequence diverges at leader index 1" in v
+            for v in found
+        )
 
 
 class TestDeepAuditComposition:

@@ -63,10 +63,73 @@ class TestAppend:
         assert (entry.digest, entry.round, entry.author, entry.parents,
                 entry.signature, entry.count) == (
             block.digest, 3, 2, block.parents, block.signature, 7)
-        assert not any(
-            isinstance(getattr(entry, name), (Block, TxBatch))
-            for name in LedgerEntry.__slots__
-        )
+        assert not any(isinstance(value, (Block, TxBatch)) for value in entry)
+
+    def test_columns_hold_numbers_unboxed_and_headers_by_reference(self):
+        ledger = Ledger()
+        k = ledger.begin_leader()
+        block = make_block(3, 2, [b"p" * 32], payload=TxBatch(7, 128))
+        ledger.append(block, 4.0, b"LEAD", k)
+        cols = ledger.columns
+        assert [cols.commit_time.typecode, cols.round.typecode,
+                cols.author.typecode, cols.count.typecode,
+                cols.leader_index.typecode] == ["d", "i", "i", "i", "i"]
+        assert cols.digest[0] is block.digest
+        assert cols.parents[0] is block.parents
+        assert cols.signature[0] is block.signature
+
+    def test_positions_are_dense_by_construction(self):
+        """The position is the column index: ``append`` takes none, so a
+        gap or a repeat cannot be written."""
+        ledger = Ledger()
+        k = ledger.begin_leader()
+        records = [ledger.append(block_at(1, a), 1.0, b"L", k) for a in range(4)]
+        assert [r.position for r in records] == [0, 1, 2, 3]
+        assert [e.position for e in ledger] == [0, 1, 2, 3]
+        assert {len(column) for column in ledger.columns} == {4}
+
+
+class TestShedding:
+    def make_ledger(self, rounds):
+        ledger = Ledger()
+        k = ledger.begin_leader()
+        blocks = [block_at(r, a) for a, r in enumerate(rounds)]
+        for block in blocks:
+            ledger.append(block, 1.0, b"L", k)
+        return ledger, blocks
+
+    def test_sheds_digests_below_the_horizon_in_place(self):
+        # Positions are only roughly round-ordered.
+        ledger, blocks = self.make_ledger([1, 2, 4, 3, 5, 2, 6])
+        view = ledger.committed_digests
+        ledger.shed_below(4)
+        assert ledger.committed_digests is view
+        assert {b.round for b in blocks if b.digest in view} == {4, 5, 6}
+        # Only the set forgets: the columns keep every position.
+        assert ledger.digest_sequence() == [b.digest for b in blocks]
+        ledger.shed_below(6)
+        assert [b.round for b in blocks if b.digest in ledger] == [6]
+
+    def test_append_refuses_below_the_shed_horizon(self):
+        ledger, blocks = self.make_ledger([1, 2, 5])
+        ledger.shed_below(4)
+        assert ledger.shed_horizon == 4
+        # A double commit of a shed block is refused, not re-appended.
+        with pytest.raises(ProtocolError, match="below the ledger's shed horizon 4"):
+            ledger.append(blocks[0], 2.0, b"L", 0)
+        with pytest.raises(ProtocolError, match="shed horizon"):
+            ledger.append(block_at(3, 9), 2.0, b"L", 0)
+        with pytest.raises(ProtocolError, match="committed twice"):
+            ledger.append(blocks[2], 2.0, b"L", 0)
+        ledger.append(block_at(4, 9), 2.0, b"L", 0)
+        assert len(ledger) == 4
+
+    def test_a_lower_horizon_is_a_no_op(self):
+        ledger, blocks = self.make_ledger([1, 2, 3])
+        ledger.shed_below(3)
+        ledger.shed_below(2)
+        assert ledger.shed_horizon == 3
+        assert [b.digest in ledger for b in blocks] == [False, False, True]
 
 
 class TestQueries:

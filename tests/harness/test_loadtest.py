@@ -87,6 +87,27 @@ class TestRunLoadtest:
         # Consensus-side latency stays flat: the pile-up is in the queue.
         assert over.consensus_mean_s < 2 * under.consensus_mean_s
 
+    def test_open_loop_accounts_for_every_submitted_command(self):
+        """Every open-loop op ends completed, rejected, shed, unanswered
+        (admitted, submitted at least GIVE_UP_S before the end, never
+        answered) or still in flight; some blocks are never ordered, so
+        some admitted commands are never answered."""
+        result = run_loadtest(LoadtestConfig(
+            n=4, batch_size=16, duration=8.0, warmup=2.0, seed=11,
+            workload=WorkloadSpec(
+                clients=64, mode="open", rate=1250.0, arrival="poisson", seed=11
+            ),
+        ))
+        assert result.submitted == (
+            result.completed + result.rejected + result.shed
+            + result.unanswered + result.in_flight
+        )
+        assert result.unanswered > 0
+        row = result.row()
+        assert (row["unanswered"], row["in_flight"]) == (
+            result.unanswered, result.in_flight
+        )
+
     def test_admission_obs_counters_populated(self):
         result = run_loadtest(_cfg(
             workload=WorkloadSpec(clients=20, mode="open", rate=4000.0, seed=4),
@@ -150,6 +171,7 @@ class TestReporting:
         assert "End-to-end TPS:" in text
         assert "End-to-end latency:" in text
         assert "p999" in text
+        assert f"Unanswered (admitted, no answer after 4 s): {result.unanswered}" in text
 
     def test_json_round_trips_without_nan(self, tmp_path):
         from repro.analysis.obs_export import write_run_dir

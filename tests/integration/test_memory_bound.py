@@ -5,8 +5,9 @@ O(history): with ``gc_depth`` set, the DAG store, broadcast-instance
 trackers, dedup maps, and per-round bookkeeping are all swept below the
 commit-horizon watermark.  The only thing allowed to grow with the run
 is the committed ledger — the output of consensus — and it grows by one
-header-sized :class:`~repro.dag.ledger.LedgerEntry` per position: a
-committed block's body is freed once the store prunes it.
+row of header columns per position (:mod:`repro.dag.ledger`): a
+committed block's body is freed once the store prunes it, and its digest
+leaves the committed-digest set once it is below the GC horizon.
 
 Three angles:
 
@@ -43,19 +44,22 @@ from repro.net.tcp import TcpCluster
 from repro.workload.txgen import Mempool
 
 #: Per-round heap allowance (KiB).  The committed ledger at n=33 and
-#: batch_size=5 measures ~314 KiB/round (Python 3.11): per replica and
-#: position one LedgerEntry (112 B), its position int and list slot, and
-#: its share of the committed-digest set (~100 B amortized), plus the
-#: committed blocks' parent tuples, which every replica's entries share.
-#: 640 KiB leaves 2x headroom without masking a real leak (un-GC'd
-#: broadcast state at this scale accrues several MiB/round).
-LEDGER_ALLOWANCE_KIB = 640
+#: batch_size=5 measures ~113 KiB/round (Python 3.11): per replica and
+#: position a row of the columns — five 4- or 8-byte array cells and four
+#: list slots, ~60 B — plus the committed blocks' parent tuples, which
+#: every replica's columns share.  The committed-digest set is shed below
+#: the GC horizon, so it no longer grows.  It was ~314 KiB/round when each
+#: position was a 112 B entry object with its own position int and the
+#: set kept every digest.  160 KiB is under half of that: it fails if
+#: either comes back.
+LEDGER_ALLOWANCE_KIB = 160
 
 #: Heap retained per committed position over loopback TCP, summed over
 #: 4 replicas (Python 3.11, batch 100, positions 600 to 1200): 3708 B
-#: when the ledger kept every committed block, 1595 B with header
-#: entries.  The bound is half the block-keeping figure.
-TCP_BYTES_PER_POSITION = 3708 // 2
+#: when the ledger kept every committed block, 1595 B with one entry
+#: object per position, 1204 B with columns and a shed digest set.  The
+#: bound is the columnar figure plus a fifth.
+TCP_BYTES_PER_POSITION = 1445
 
 
 def build_sim(n, gc_depth, seed=1, crypto="null", on_commit=None, payloads=False):
@@ -155,6 +159,15 @@ class TestLongRunMemory:
         # GC must not have cost agreement: both runs commit a ledger.
         assert len(swept.nodes[0].ledger) > 0
         assert len(kept.nodes[0].ledger) > 0
+
+        # The committed-digest set forgets positions below the GC horizon;
+        # without gc_depth it keeps every one.
+        kept_ledger, swept_ledger = kept.nodes[0].ledger, swept.nodes[0].ledger
+        assert kept_ledger.shed_horizon == 0
+        assert len(kept_ledger.committed_digests) == len(kept_ledger)
+        store_low = swept.nodes[0].store.lowest_retained_round()
+        assert 1 < swept_ledger.shed_horizon <= store_low
+        assert len(swept_ledger.committed_digests) < len(swept_ledger) / 2
 
 
 def reachable_from(root):
