@@ -26,6 +26,13 @@ Examples::
     withhold@0+0:replicas=3,mode=garbage
     equivocate@0+0:replicas=3,wave=2
     leader-delay@0+inf:delay=1
+    loss@0+inf:p=0.01,clusters=4
+
+``loss`` drops each copy with probability ``p``; with ``clusters=K`` only
+copies whose endpoints differ mod ``K`` (the ``topology`` latency model's
+clusters).  It is the only link loss: a latency model never drops, and a
+``topology`` spec's ``loss=`` spells this phase
+(:func:`repro.net.latency.loss_phase_spec`).
 
 ``crash``/``withhold``/``equivocate`` are point events (duration 0): a
 crash-stop never heals, and the behavioural overrides exist for the whole
@@ -56,7 +63,7 @@ from .byzantine import EquivocatingLightDag2Node
 from .withhold import withholding_node_class
 
 #: Phase kinds the message-level driver interprets per send.
-MESSAGE_KINDS = ("delay", "partition", "leader-delay")
+MESSAGE_KINDS = ("delay", "partition", "loss", "leader-delay")
 #: Phase kinds applied once at attach time (crash-stop is permanent).
 POINT_KINDS = ("crash",)
 #: Phase kinds that become Byzantine node-class overrides.
@@ -225,6 +232,14 @@ class FaultSchedule:
                     raise ConfigError(
                         f"partition group {group} invalid for n={system.n}"
                     )
+            if phase.kind == "loss":
+                p, clusters = phase.param("p"), phase.param("clusters", 1)
+                if not (isinstance(p, (int, float)) and 0 <= p < 1
+                        and type(clusters) is int and clusters >= 1):
+                    raise ConfigError(
+                        "a loss phase needs p in [0, 1) and an integer "
+                        f"clusters >= 1, got {phase.to_spec()!r}"
+                    )
             if phase.kind == "equivocate" and protocol_name != "lightdag2":
                 raise ConfigError(
                     "the equivocation fault targets lightdag2 only "
@@ -267,9 +282,11 @@ class FaultSchedule:
 class ScheduleAdversary(Adversary):
     """Drive a :class:`FaultSchedule`'s message-level phases.
 
-    Per send: delays from every active ``delay`` phase accumulate, an active
-    ``leader-delay`` phase adds its delay to a predefined leader's VAL; any
-    active ``partition`` phase whose cut the message crosses drops it.
+    Per send: any active ``partition`` phase whose cut the message crosses
+    drops it, then each active ``loss`` phase whose clusters it crosses
+    drops it with its probability; a copy that survives gets the delays of
+    every active ``delay`` phase, and an active ``leader-delay`` phase adds
+    its delay to a predefined leader's VAL.
     ``crash`` phases are applied once at attach time (crash-stop).
     """
 
@@ -293,6 +310,11 @@ class ScheduleAdversary(Adversary):
         self._partitions = [
             (p.start, p.end, frozenset(p.replicas()))
             for p in phases if p.kind == "partition"
+        ]
+        # No ``clusters``: every replica its own cluster (i % inf == i).
+        self._losses = [
+            (p.start, p.end, float(p.param("p")), p.param("clusters", math.inf))
+            for p in phases if p.kind == "loss"
         ]
         self.dropped = 0
 
@@ -320,6 +342,11 @@ class ScheduleAdversary(Adversary):
     def on_send(self, src: int, dst: int, msg: Message, now: float) -> Optional[float]:
         for start, end, group in self._partitions:
             if start <= now < end and (src in group) != (dst in group):
+                self.dropped += 1
+                return None
+        for start, end, p, clusters in self._losses:
+            if (start <= now < end and src % clusters != dst % clusters
+                    and self.rng.random() < p):
                 self.dropped += 1
                 return None
         total = 0.0

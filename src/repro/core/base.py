@@ -413,20 +413,20 @@ class BaseDagNode(Node):
             return
         if block.digest in self._known:
             manager = self._manager_for_round(block.round)
-            if not manager.is_delivered(block.digest):
-                if retrieved:
+            if retrieved:
+                if not manager.is_delivered(block.digest):
                     # A body we saw as a VAL but could not deliver (echo
                     # quorum missing at us) arriving again as a retrieval
                     # response is digest-pinned: deliverable directly (§IV-A).
                     self._try_accept(block, src, retrieved=True)
-                else:
-                    # Duplicate VAL = a peer's stall-recovery re-broadcast;
-                    # refresh our endorsement so lost echoes are replaced,
-                    # and re-ask the missing parents of this still-parked
-                    # block from its sender now.
-                    manager.refresh_vote(block)
-                    if self.retrieval.is_pending(block.digest):
-                        self.retrieval.revive(block.digest)
+            else:
+                # Duplicate VAL = a peer's stall-recovery re-broadcast;
+                # refresh our endorsement so lost echoes are replaced (also
+                # when delivered here: a healed cut's other side may need
+                # exactly ours), and re-ask a parked block's parents now.
+                manager.refresh_vote(block)
+                if self.retrieval.is_pending(block.digest):
+                    self.retrieval.revive(block.digest)
             return
         if not 0 <= block.author < self.system.n or block.round < 1:
             self._invalid[block.digest] = block.round

@@ -16,7 +16,8 @@ each take "one factory per replica", and the caller builds
 the one it wants from :attr:`Assembly.factories`; there is no ``run()`` here
 and no argument that picks one.  The message-level
 :attr:`Assembly.adversary` is handed over the same way — only the simulator
-has an ``on_send`` hook to give it to.  The check levels are those of
+has an ``on_send`` hook to give it to; a lossy latency spec's loss is one
+of its phases (:func:`fault_schedule`).  The check levels are those of
 :attr:`repro.config.ExperimentConfig.check_level`.
 """
 
@@ -35,6 +36,7 @@ from ..core.base import BaseDagNode
 from ..crypto.keys import TrustedDealer
 from ..dag.ledger import check_prefix_consistency
 from ..errors import ConfigError
+from ..net.latency import loss_phase_spec
 from ..obs import NULL_OBS, Observability
 from ..workload.metrics import MetricsCollector
 from ..workload.txgen import Mempool
@@ -150,7 +152,8 @@ def assemble(
 def fault_schedule(cfg: ExperimentConfig) -> FaultSchedule:
     """``cfg.adversary_name`` as a validated schedule: an
     :data:`~repro.adversary.schedule.ATTACKS` entry, ``worst`` (the
-    protocol's :data:`WORST_ATTACK`), or ``schedule:SPEC`` outright."""
+    protocol's :data:`WORST_ATTACK`), or ``schedule:SPEC`` outright —
+    plus the ``loss`` phase a lossy ``cfg.latency_model`` spells."""
     name = cfg.adversary_name
     if name == "worst":
         name = WORST_ATTACK[cfg.protocol_name]
@@ -160,7 +163,8 @@ def fault_schedule(cfg: ExperimentConfig) -> FaultSchedule:
         spec = ATTACKS[name](cfg.system)
     else:
         raise ConfigError(f"unknown adversary {name!r}")
-    schedule = FaultSchedule.from_spec(spec)
+    loss = loss_phase_spec(cfg.latency_model)
+    schedule = FaultSchedule.from_spec(";".join(filter(None, (spec, loss))))
     schedule.validate(cfg.system, cfg.protocol_name)
     return schedule
 

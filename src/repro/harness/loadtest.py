@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..adversary.schedule import FaultSchedule
 from ..config import ProtocolConfig, SystemConfig
 from ..errors import ConfigError, SweepError
-from ..net.latency import make_latency_model
+from ..net.latency import loss_phase_spec, make_latency_model
 from ..obs import Observability
 from ..smr.kv import KvStateMachine
 from ..smr.replica import SmrCluster
@@ -154,6 +155,7 @@ def run_loadtest(cfg: LoadtestConfig, obs: Optional[Observability] = None) -> Lo
         protocol=protocol,
         protocol_name=cfg.protocol_name,
         latency_model=make_latency_model(cfg.latency_model),
+        schedule=FaultSchedule.from_spec(loss_phase_spec(cfg.latency_model)),
         seed=cfg.seed,
         obs=obs,
         admission=cfg.admission,

@@ -234,8 +234,8 @@ def run_async_experiment(cfg: ExperimentConfig) -> Dict[str, float]:
     if assembly.adversary is not None:
         raise ConfigError(
             "the TCP runtime runs favorable situations and Byzantine node "
-            "classes only; message-level faults (crash, delay, partition) "
-            "need the simulator harness"
+            "classes only; message-level faults (crash, delay, partition, "
+            "loss) need the simulator harness"
         )
     cluster = TcpCluster(
         assembly.factories,

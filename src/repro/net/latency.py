@@ -15,9 +15,11 @@ cover every experiment:
   multiplicative jitter.
 * :class:`TopologyLatency` — the scale-out generalization: any number of
   geo clusters with a deterministically generated delay matrix.  This is
-  the model the n=100–1000 sweeps run on.  Its ``loss`` knob drops each
-  inter-cluster message independently — the one fault a latency model
-  carries.
+  the model the n=100–1000 sweeps run on.
+
+A latency model only delays.  Link loss is a fault, the schedule's
+``loss`` phase; a ``topology`` spec's ``loss=`` knob spells one
+(:func:`loss_phase_spec`) and never reaches the model.
 
 All models draw from the ``random.Random`` instance the simulator passes
 in, keeping runs fully deterministic per seed.
@@ -25,7 +27,7 @@ in, keeping runs fully deterministic per seed.
 Models are constructed through :func:`make_latency_model`, which accepts
 either a name in :data:`LATENCY_MODELS` (``"wan4"``) or a *spec string*
 carrying inline numeric keyword arguments
-(``"topology:clusters=8,loss=0.01"``).  Spec strings are plain picklable
+(``"topology:clusters=8,jitter_frac=0.2"``).  Spec strings are plain picklable
 ``str`` values, so they travel through ``ExperimentConfig.latency_model``
 and the ``--jobs`` process pool unchanged.
 """
@@ -37,7 +39,7 @@ import math
 import random
 from abc import ABC, abstractmethod
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Tuple, Union
 
 from ..errors import ConfigError
 
@@ -57,28 +59,15 @@ WAN_REGION_DELAYS = (
 INTRA_CLUSTER_DELAY = 0.001
 INTER_CLUSTER_RANGE = (0.03, 0.15)
 TOPOLOGY_SEED = "topo:0"
+DEFAULT_CLUSTERS = 4
 
 
 class LatencyModel(ABC):
     """Maps a (src, dst) pair to a per-message propagation delay."""
 
-    #: True when delivery is *conditional*: :meth:`sample` may return
-    #: ``None`` (the link ate the packet).  The simulator only consults
-    #: :meth:`sample` for lossy models, so the common reliable path never
-    #: pays the extra branch.
-    lossy = False
-
     @abstractmethod
     def delay(self, src: int, dst: int, rng: random.Random) -> float:
         """One-way propagation delay in seconds for this message."""
-
-    def sample(self, src: int, dst: int, rng: random.Random) -> Optional[float]:
-        """Delay for one message, or ``None`` if the link eats it.
-
-        Only consulted when :attr:`lossy` is true; the drop decision is
-        made at send time.
-        """
-        return self.delay(src, dst, rng)
 
 
 class FactoredLatency(LatencyModel):
@@ -183,23 +172,16 @@ class TopologyLatency(FactoredLatency):
       from :data:`TOPOLOGY_SEED` — symmetric, uniform in
       :data:`INTER_CLUSTER_RANGE`; intra-cluster links take
       :data:`INTRA_CLUSTER_DELAY`.
-    * ``loss`` drops each inter-cluster message independently with that
-      probability; a lost VAL or echo is recovered through the §IV-A
-      retrieval path, exactly like an adversarial drop.
     """
 
     def __init__(
-        self, clusters: int = 4, jitter_frac: float = 0.1, loss: float = 0.0
+        self, clusters: int = DEFAULT_CLUSTERS, jitter_frac: float = 0.1
     ) -> None:
         if type(clusters) is not int or clusters < 1:
             raise ConfigError(f"clusters must be an integer >= 1, got {clusters}")
         _check_jitter(jitter_frac)
-        if not 0 <= loss < 1:
-            raise ConfigError("loss probability must be in [0, 1)")
         self.clusters = clusters
         self.jitter_frac = jitter_frac
-        self.loss = loss
-        self.lossy = loss > 0
         # The cluster delay matrix: one deterministic draw per unordered
         # cluster pair.
         gen = random.Random(TOPOLOGY_SEED)
@@ -217,17 +199,6 @@ class TopologyLatency(FactoredLatency):
             return 0.0
         return self._matrix[self.cluster_of(src)][self.cluster_of(dst)]
 
-    def sample(self, src: int, dst: int, rng: random.Random) -> Optional[float]:
-        if src == dst:
-            return 0.0
-        if (
-            self.loss
-            and self.cluster_of(src) != self.cluster_of(dst)
-            and rng.random() < self.loss
-        ):
-            return None
-        return self.delay(src, dst, rng)
-
 
 # ------------------------------------------------------------------ factory
 
@@ -242,6 +213,9 @@ LATENCY_MODELS: Dict[str, Callable[..., LatencyModel]] = {
     # Fixed 1 ms — the LAN deployment of the paper's Table I runs.
     "lan": partial(FixedLatency, delay_s=0.001),
 }
+
+#: Spec knobs that spell a fault phase, not a model argument.
+FAULT_KNOBS: Dict[str, Tuple[str, ...]] = {"topology": ("loss",)}
 
 
 def _number(part: str, spec: str) -> Union[int, float]:
@@ -270,7 +244,7 @@ def _check_knobs(name: str, knobs: Iterable[str]) -> None:
         raise ConfigError(
             f"unknown latency model {name!r} (known: {sorted(LATENCY_MODELS)})"
         )
-    accepted = list(inspect.signature(factory).parameters)
+    accepted = [*inspect.signature(factory).parameters, *FAULT_KNOBS.get(name, ())]
     unknown = sorted(set(knobs) - set(accepted))
     if unknown:
         raise ConfigError(
@@ -305,15 +279,30 @@ def parse_latency_spec(spec: str) -> Tuple[str, Dict[str, Union[int, float]]]:
     return name, {key: _number(part, spec) for key, part in fragments.items()}
 
 
+def loss_phase_spec(spec: str) -> str:
+    """The fault phase ``topology:clusters=K,loss=P`` spells —
+    ``loss@0+inf:p=P,clusters=K``, every inter-cluster copy for the whole
+    run — or ``""`` when the spec has no loss."""
+    knobs = parse_latency_spec(spec)[1]
+    loss = knobs.get("loss", 0)
+    if not 0 <= loss < 1:
+        raise ConfigError("loss probability must be in [0, 1)")
+    clusters = knobs.get("clusters", DEFAULT_CLUSTERS)
+    return f"loss@0+inf:p={loss!r},clusters={clusters}" if loss else ""
+
+
 def make_latency_model(name: str, **kwargs) -> LatencyModel:
     """Factory matching :attr:`ExperimentConfig.latency_model` specs.
 
     ``name`` is either a model name (``"fixed"``, ``"uniform"``,
     ``"wan4"``, ``"lan"``, ``"topology"``) or a spec string with inline
-    keyword arguments, e.g. ``"topology:clusters=8,loss=0.01"``.  Explicit
-    ``**kwargs`` override inline ones.  Unknown names, unknown knobs and
-    non-numeric values raise :class:`ConfigError` eagerly.
+    keyword arguments, e.g. ``"topology:clusters=8,jitter_frac=0.2"``.
+    Explicit ``**kwargs`` override inline ones.  Unknown names, unknown
+    knobs and non-numeric values raise :class:`ConfigError` eagerly; a
+    ``loss`` knob is checked and left to the harness (:func:`loss_phase_spec`).
     """
     base, inline = parse_latency_spec(name)
     _check_knobs(base, kwargs)
+    loss_phase_spec(name)
+    inline.pop("loss", None)
     return LATENCY_MODELS[base](**{**inline, **kwargs})

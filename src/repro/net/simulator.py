@@ -13,7 +13,8 @@ figure.  Design points:
   according to the latency model.  This is what produces the saturation
   plateaus of Fig. 12/14 and the throughput convergence of Fig. 13a.
 * **Adversary hooks** — an :class:`~repro.adversary.base.Adversary` may
-  delay or drop any message and crash replicas; Byzantine *behaviour*
+  delay or drop any message and crash replicas; nothing else drops one
+  (link loss is the fault schedule's ``loss`` phase).  Byzantine *behaviour*
   (equivocation and the like) is expressed as alternative Node
   implementations, matching the paper's threat model where the adversary
   controls up to ``f`` replicas and the message schedule.
@@ -33,8 +34,8 @@ event loop dominates; everything else is protocol logic):
   crash check, stats accounting, and NIC serialization constant hoisted
   out of the per-copy loop (everything in these protocols is a
   broadcast).  It has two loops and picks between them from what it can
-  observe: a factored latency model on reliable links with no adversary
-  gets its base-delay row inlined; anything else samples per copy.
+  observe: a factored latency model with no adversary gets its base-delay
+  row inlined; anything else asks for each copy's delay.
 * **Hoisted run loop** — :meth:`Simulation.run` binds the queue, node
   table, crash set, and the CPU/obs mode flags to locals once, and
   accumulates ``events_processed``/``messages_delivered`` in local ints
@@ -228,17 +229,13 @@ class Simulation:
         self.cpu = cpu
         self.rng = random.Random(f"sim:{seed}")
         self.now = 0.0
-        self._lossy = bool(getattr(self.latency, "lossy", False))
-        flat_ok = isinstance(self.latency, FactoredLatency) and not self._lossy
+        flat_ok = isinstance(self.latency, FactoredLatency)
         #: src -> per-destination base-delay row (lazily built) for the
         #: broadcast fan-out's inlined loop; None when the model is not
-        #: factored or links are lossy (loss is decided per copy).  A pure
-        #: function of the pinned latency model, so snapshot/restore may
-        #: capture it freely.
+        #: factored.  A pure function of the pinned latency model, so
+        #: snapshot/restore may capture it freely.
         self._flat_rows: Optional[dict] = {} if flat_ok else None
-        self._flat_jitter = (
-            float(getattr(self.latency, "jitter_frac", 0.0)) if flat_ok else 0.0
-        )
+        self._flat_jitter = float(self.latency.jitter_frac) if flat_ok else 0.0
         self.stats = SimulationStats(len(factories))
         self.obs = obs if obs is not None else NULL_OBS
         self._obs_on = self.obs.enabled
@@ -389,23 +386,12 @@ class Simulation:
         # per-type sent/bytes staging lives in _SimNetworkAPI.send/broadcast
         # (one op per fan-out, not per copy); drops stay here.
         if self.adversary is not None:
-            verdict = self.adversary.on_send(src, dst, msg, self.now)
-            if verdict is None:
-                stats.messages_dropped += 1
-                if self._obs_on:
-                    self._obs_counts(msg.__class__)[3] += 1
-                    self.obs.journal.emit(
-                        self.now, "adversary.drop", src,
-                        dst=dst, msg=type(msg).__name__,
-                    )
+            extra_delay = self.adversary.on_send(src, dst, msg, self.now)
+            if extra_delay is None:
+                self._adversary_dropped(src, dst, msg)
                 return
-            extra_delay = verdict
             if extra_delay > 0.0 and self._obs_on:
-                self._h_adv_delay.observe(extra_delay)
-                self.obs.journal.emit(
-                    self.now, "adversary.delay", src,
-                    dst=dst, msg=type(msg).__name__, delay_s=extra_delay,
-                )
+                self._adversary_delayed(src, dst, msg, extra_delay)
         else:
             extra_delay = 0.0
 
@@ -420,15 +406,7 @@ class Simulation:
                     self._obs_egress_zero += 1
         else:
             finish = self.now
-        if self._lossy:
-            d = self.latency.sample(src, dst, self.rng)
-            if d is None:
-                stats.messages_dropped += 1
-                if self._obs_on:
-                    self._obs_counts(msg.__class__)[3] += 1
-                return
-        else:
-            d = self.latency.delay(src, dst, self.rng)
+        d = self.latency.delay(src, dst, self.rng)
         self._push(finish + d + extra_delay, _DELIVER, src, dst, msg)
 
     def _enqueue_broadcast(
@@ -441,11 +419,10 @@ class Simulation:
         order, but with the crash check, stats accounting, and the NIC
         serialization term hoisted out of the per-copy loop.
 
-        With a :class:`~repro.net.latency.FactoredLatency` model on
-        reliable links and no adversary, the per-copy latency call is
-        inlined against a precomputed base-delay row: one uniform draw
-        and three float ops per copy instead of a four-call tower through
-        ``latency.delay``.  Bit-identical to the per-copy loop below by
+        With a :class:`~repro.net.latency.FactoredLatency` model and no
+        adversary, the per-copy latency call is inlined against a
+        precomputed base-delay row: one uniform draw and three float ops
+        per copy instead of a four-call tower through ``latency.delay``.  Bit-identical to the per-copy loop below by
         construction — CPython's ``Random.uniform(a, b)`` is
         ``a + (b - a) * random()``, the exact expression inlined here
         (``tests/net/test_engine.py`` diffs the two).
@@ -473,7 +450,7 @@ class Simulation:
         obs_on = self._obs_on
         rows = self._flat_rows
         if adversary is None and rows is not None:
-            # ---- flat row (factored latency, reliable links) ----
+            # ---- flat row (factored latency, no adversary) ----
             row = rows.get(src)
             if row is None:
                 row = rows[src] = self.latency.base_row(src, n)
@@ -534,10 +511,8 @@ class Simulation:
                 else:
                     self._obs_egress_zero += copies
             return
-        # ---- per copy: adversary, lossy links, or a non-factored model ----
-        latency = self.latency
-        latency_delay = latency.delay
-        latency_sample = latency.sample if self._lossy else None
+        # ---- per copy: an adversary, or a non-factored model ----
+        latency_delay = self.latency.delay
         ser = size * 8.0 / bw if bw is not None else 0.0
         if obs_on:
             obs_waits_append = self._obs_egress_waits.append
@@ -549,23 +524,12 @@ class Simulation:
                     seq += 1
                 continue
             if adversary is not None:
-                verdict = adversary.on_send(src, dst, msg, now)
-                if verdict is None:
-                    self.stats.messages_dropped += 1
-                    if obs_on:
-                        self._obs_counts(msg.__class__)[3] += 1
-                        self.obs.journal.emit(
-                            now, "adversary.drop", src,
-                            dst=dst, msg=type(msg).__name__,
-                        )
+                extra_delay = adversary.on_send(src, dst, msg, now)
+                if extra_delay is None:
+                    self._adversary_dropped(src, dst, msg)
                     continue
-                extra_delay = verdict
                 if extra_delay > 0.0 and obs_on:
-                    self._h_adv_delay.observe(extra_delay)
-                    self.obs.journal.emit(
-                        now, "adversary.delay", src,
-                        dst=dst, msg=type(msg).__name__, delay_s=extra_delay,
-                    )
+                    self._adversary_delayed(src, dst, msg, extra_delay)
             else:
                 extra_delay = 0.0
             if bw is not None:
@@ -580,16 +544,7 @@ class Simulation:
                         obs_zero += 1
             else:
                 finish = now
-            if latency_sample is not None:
-                d = latency_sample(src, dst, rng)
-                if d is None:
-                    self.stats.messages_dropped += 1
-                    if obs_on:
-                        self._obs_counts(msg.__class__)[3] += 1
-                    continue
-            else:
-                d = latency_delay(src, dst, rng)
-            arrival = finish + d + extra_delay
+            arrival = finish + latency_delay(src, dst, rng) + extra_delay
             bucket = later_get(int(arrival * BUCKETS_PER_SECOND))
             if bucket is not None:
                 bucket.append((arrival, seq, _DELIVER, src, dst, msg))
@@ -601,6 +556,23 @@ class Simulation:
         queue.later_count += appended
         if obs_on and obs_zero:
             self._obs_egress_zero += obs_zero
+
+    def _adversary_dropped(self, src: int, dst: int, msg: Message) -> None:
+        """Count (and, with obs on, attribute) one copy the adversary drops."""
+        self.stats.messages_dropped += 1
+        if self._obs_on:
+            self._obs_counts(msg.__class__)[3] += 1
+            self.obs.journal.emit(
+                self.now, "adversary.drop", src, dst=dst, msg=type(msg).__name__
+            )
+
+    def _adversary_delayed(self, src: int, dst: int, msg: Message, delay: float) -> None:
+        """Attribute one copy's extra adversary delay (obs on only)."""
+        self._h_adv_delay.observe(delay)
+        self.obs.journal.emit(
+            self.now, "adversary.delay", src,
+            dst=dst, msg=type(msg).__name__, delay_s=delay,
+        )
 
     def _enqueue_timer(self, node_id: int, delay: float, tag: str, data: Any) -> None:
         if delay < 0:

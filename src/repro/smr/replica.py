@@ -308,6 +308,7 @@ class SmrCluster:
         protocol: Optional[ProtocolConfig] = None,
         protocol_name: str = "lightdag2",
         latency_model=None,
+        schedule=None,
         seed: int = 0,
         obs=None,
         admission=None,
@@ -322,8 +323,10 @@ class SmrCluster:
         into every commit hook — it sees the same records the application
         does, giving the consensus-side TPS/latency a load test reports
         next to the client-observed numbers.  ``max_batch`` caps commands
-        per proposal (default: the protocol's batch size).
+        per proposal (default: the protocol's batch size).  ``schedule``,
+        validated, is the fault schedule the cluster runs under.
         """
+        from ..adversary.schedule import FaultSchedule
         from ..harness.cluster import assemble
         from ..harness.runner import PROTOCOL_REGISTRY
         from ..net.latency import UniformLatency
@@ -366,10 +369,13 @@ class SmrCluster:
             payload_source=lambda i: replicas[i].payload_source,
             on_commit=commit_hook,
             obs=obs,
+            schedule=schedule if schedule is not None else FaultSchedule(),
+            seed=seed,
         )
         sim = Simulation(
             cluster.factories,
             latency_model=latency_model or UniformLatency(),
+            adversary=cluster.adversary,
             seed=seed,
             obs=obs,
         )

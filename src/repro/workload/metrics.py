@@ -23,8 +23,9 @@ details keep the numbers honest:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..analysis.stats import percentile  # noqa: F401 — canonical home; re-exported
 from ..dag.ledger import CommitRecord
@@ -32,16 +33,17 @@ from ..dag.ledger import CommitRecord
 
 @dataclass
 class LatencyStats:
-    """Aggregate latency over some set of committed transactions."""
+    """Aggregate latency over some set of committed transactions; the
+    sampled latencies are unboxed doubles, so quantiles stay exact."""
 
     tx_count: int = 0
     latency_sum: float = 0.0
-    samples: List[float] = field(default_factory=list)
+    samples: array = field(default_factory=lambda: array("d"))
 
-    def add(self, count: int, latency_sum: float, sample_latencies: List[float]) -> None:
+    def add(self, count: int, latency_sum: float, latencies: Iterable[float]) -> None:
         self.tx_count += count
         self.latency_sum += latency_sum
-        self.samples.extend(sample_latencies)
+        self.samples.extend(latencies)
 
     @property
     def mean(self) -> float:
@@ -102,7 +104,7 @@ class MetricsCollector:
         metrics.latency.add(
             payload.count,
             latency_sum,
-            [now - t for t in payload.sample],
+            (now - t for t in payload.sample),
         )
         if metrics.first_commit_time is None:
             metrics.first_commit_time = now
@@ -126,9 +128,7 @@ class MetricsCollector:
         return total / total_txs
 
     def latency_quantile(self, q: float) -> float:
-        samples: List[float] = []
-        for m in self.nodes.values():
-            samples.extend(m.latency.samples)
+        samples = (s for m in self.nodes.values() for s in m.latency.samples)
         return percentile(sorted(samples), q)
 
     def total_committed_txs(self) -> int:

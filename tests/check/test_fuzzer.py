@@ -33,7 +33,7 @@ REGISTRY = {**PROTOCOL_REGISTRY, **MUTANT_REGISTRY}
 #: seeds kill depends on the trajectory; CI asserts the whole sweep kills.
 KNOWN_BAD = {
     "lightdag1-unsafe-support": (283, 8.0),
-    "lightdag1-no-cascade": (92, 10.0),
+    "lightdag1-no-cascade": (172, 10.0),
 }
 
 

@@ -56,6 +56,14 @@ class TestGrammar:
     def test_empty_spec(self):
         assert FaultSchedule.from_spec("").phases == ()
 
+    def test_loss_round_trips(self):
+        for spec in ("loss@0+inf:p=0.01,clusters=4", "loss@1.5+2:p=0.25"):
+            schedule = FaultSchedule.from_spec(spec)
+            assert schedule.to_spec() == spec
+            assert FaultSchedule.from_spec(schedule.to_spec()) == schedule
+        phase = parse_phase("loss@0+inf:p=0.01,clusters=4")
+        assert phase.param("p") == 0.01 and phase.param("clusters") == 4
+
     def test_whole_run_window_round_trips(self):
         """``+inf`` never closes: parsed, rendered back, active at any time."""
         spec = "delay@0+inf:max=0.2"
@@ -112,6 +120,7 @@ _BY_KIND = {
     "delay": _phase("delay", _window, max=_ms, tailp=_ms, taild=_ms),
     "partition": _phase("partition", _window, group=_replicas),
     "leader-delay": _phase("leader-delay", _window, delay=_ms),
+    "loss": _phase("loss", _window, p=_ms, clusters=st.integers(1, 16)),
     "crash": _phase("crash", st.just(0.0), victims=_replicas),
     "withhold": _phase("withhold", st.just(0.0), replicas=_replicas,
                        mode=st.sampled_from(["ignore", "garbage"])),
@@ -165,6 +174,23 @@ class TestValidation:
         with pytest.raises(ConfigError):
             schedule.validate(self.system(), "lightdag1")
 
+    @pytest.mark.parametrize("spec", [
+        "loss@0+inf:p=0", "loss@0+inf:p=0.5", "loss@1+2:p=0.99,clusters=1",
+        "loss@0+inf:p=0.01,clusters=4",
+    ])
+    def test_loss_accepted(self, spec):
+        FaultSchedule.from_spec(spec).validate(self.system(), "lightdag1")
+
+    @pytest.mark.parametrize("spec", [
+        "loss@0+inf:p=1", "loss@0+inf:p=-0.1", "loss@0+inf:p=nan",
+        "loss@0+inf:p=x",
+        "loss@0+inf:clusters=2",  # p is required
+        "loss@0+inf:p=0.1,clusters=0", "loss@0+inf:p=0.1,clusters=2.5",
+    ])
+    def test_loss_probability_and_clusters_checked(self, spec):
+        with pytest.raises(ConfigError, match="loss phase needs p in"):
+            FaultSchedule.from_spec(spec).validate(self.system(), "lightdag1")
+
 
 class TestScheduleAdversary:
     def test_partition_drops_only_cross_cut_in_window(self):
@@ -215,6 +241,56 @@ class TestScheduleAdversary:
         assert adv.on_send(leader, 0, val, now=1.5) == 1.75   # inside it
         assert adv.on_send(leader, 0, bystander, now=1.5) == 0.25
         assert adv.on_send(leader, 0, val, now=3.0) == 0.25   # after it
+
+    def test_loss_spares_intra_cluster_copies(self):
+        """With ``clusters=K`` a copy is at risk only when its endpoints sit
+        in different clusters (replica ``i`` in cluster ``i % K``), and an
+        inter-cluster copy is lost at the phase's rate."""
+        phases = FaultSchedule.from_spec("loss@0+inf:p=0.3,clusters=4").phases
+        adv = ScheduleAdversary(phases, seed=1)
+        intra = [(s, d) for s in range(16) for d in range(16)
+                 if s != d and s % 4 == d % 4]
+        inter = [(s, d) for s in range(16) for d in range(16) if s % 4 != d % 4]
+        for _ in range(20):
+            assert all(adv.on_send(s, d, _Msg(), now=1.0) == 0.0
+                       for s, d in intra)
+        assert adv.dropped == 0
+        trials = 20 * len(inter)  # 3 840 copies
+        lost = sum(
+            adv.on_send(s, d, _Msg(), now=1.0) is None
+            for _ in range(20) for s, d in inter
+        )
+        assert lost == adv.dropped
+        # binomial(3840, 0.3): sd ≈ 28, so ±5 sd is ±0.037 on the rate.
+        assert abs(lost / trials - 0.3) < 0.037
+
+    def test_loss_without_clusters_hits_every_copy_in_window(self):
+        phases = FaultSchedule.from_spec("loss@1+2:p=0.5").phases
+        adv = ScheduleAdversary(phases, seed=2)
+        assert all(adv.on_send(0, 4, _Msg(), now=0.5) == 0.0 for _ in range(50))
+        assert all(adv.on_send(0, 4, _Msg(), now=3.0) == 0.0 for _ in range(50))
+        lost = sum(adv.on_send(0, 4, _Msg(), now=2.0) is None for _ in range(400))
+        assert 150 < lost < 250
+
+    def test_partition_drop_draws_no_loss(self):
+        """Partitions are checked first and loss before the delay draws: a
+        copy the cut drops consumes no randomness, a lost copy draws no
+        delay."""
+        phases = FaultSchedule.from_spec(
+            "partition@0+1:group=0;loss@0+inf:p=0.5;delay@0+inf:max=0.2"
+        ).phases
+        adv = ScheduleAdversary(phases, seed=4)
+        state = adv.rng.getstate()
+        assert adv.on_send(0, 1, _Msg(), now=0.5) is None
+        assert adv.rng.getstate() == state
+        # After the heal: one loss draw, then (if kept) one delay draw.
+        outcomes = [adv.on_send(0, 1, _Msg(), now=2.0) for _ in range(200)]
+        replay = ScheduleAdversary(phases, seed=4).rng
+        for verdict in outcomes:
+            if replay.random() < 0.5:
+                assert verdict is None
+            else:
+                assert verdict == replay.uniform(0.0, 0.2)
 
     def test_no_message_phases_yields_no_adversary(self):
         schedule = FaultSchedule.from_spec("withhold@0+0:replicas=3")

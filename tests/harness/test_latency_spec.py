@@ -2,7 +2,8 @@
 
 ``ExperimentConfig.latency_model`` is a plain string, so a spec like
 ``"topology:clusters=8,loss=0.01"`` must (a) build the right model inside
-``run_experiment``, (b) survive pickling into the ``--jobs`` process pool
+``run_experiment`` and add the ``loss`` fault phase its ``loss=`` knob
+spells, (b) survive pickling into the ``--jobs`` process pool
 bit-identically, and (c) fail eagerly at config time when it names an
 unknown model or knob.
 """
@@ -13,6 +14,7 @@ import pytest
 
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
 from repro.errors import ConfigError
+from repro.harness.cluster import fault_schedule
 from repro.harness.loadtest import LoadtestConfig
 from repro.harness.parallel import run_sweep
 from repro.harness.runner import run_experiment
@@ -87,7 +89,12 @@ class TestSpecThroughJobsPool:
 
 class TestSpecRoundTrip:
     def test_model_attributes_match_spec(self):
-        model = make_latency_model("topology:clusters=8,loss=0.01,jitter_frac=0.2")
+        spec = "topology:clusters=8,loss=0.01,jitter_frac=0.2"
+        model = make_latency_model(spec)
         assert model.clusters == 8
-        assert model.loss == 0.01
         assert model.jitter_frac == 0.2
+        # The loss is the schedule's, appended to the named attack's phases.
+        schedule = fault_schedule(spec_config(spec=spec, adversary_name="crash"))
+        assert schedule.to_spec() == (
+            "crash@0+0:victims=3;loss@0+inf:p=0.01,clusters=8"
+        )

@@ -50,6 +50,23 @@ class TestConfig:
 
 
 class TestRunLoadtest:
+    def test_lossy_topology_drops_copies_and_converges(self, monkeypatch):
+        """A topology spec's ``loss=`` reaches the SMR cluster as a ``loss``
+        fault phase: copies are lost (by the schedule's adversary, the only
+        thing that drops one) and the replicas still converge."""
+        clusters = []
+
+        class Recorded(loadtest.SmrCluster):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                clusters.append(self)
+
+        monkeypatch.setattr(loadtest, "SmrCluster", Recorded)
+        result = run_loadtest(_cfg(latency_model="topology:clusters=2,loss=0.05"))
+        (sim,) = (cluster.sim for cluster in clusters)
+        assert sim.stats.messages_dropped == sim.adversary.dropped > 0
+        assert result.completed > 0 and result.verify_failures == 0
+
     def test_closed_loop_end_to_end(self):
         result = run_loadtest(_cfg())
         assert result.completed > 0

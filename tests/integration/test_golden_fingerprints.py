@@ -12,7 +12,10 @@ applied, what the clients saw and what the engine did.
 
 The default rows (WAN latency, no adversary) take the simulator's flat
 broadcast row; the lossy-topology and fault-schedule rows take its per-copy
-loop and the adversary hooks.
+loop and the adversary hooks.  The lossy-topology row's ``loss=`` knob runs
+as the fault phase ``loss@0+inf:p=0.02,clusters=3``: its drops are the
+schedule adversary's, drawn from the adversary's RNG before the NIC, so
+the simulator RNG (``rng_state_sha256``) draws latencies only.
 
 Regenerate (only when a change means to alter simulated behaviour)::
 

@@ -8,8 +8,11 @@ its ledger catches up as a consistent prefix.
 
 import pytest
 
+from repro.adversary.base import Adversary
 from repro.adversary.schedule import FaultSchedule, parse_phase
+from repro.broadcast.messages import BlockEcho
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
+from repro.core.base import STALL_AFTER
 from repro.core.lightdag1 import LightDag1Node
 from repro.core.lightdag2 import LightDag2Node
 from repro.crypto.keys import TrustedDealer
@@ -101,6 +104,47 @@ class TestIsolatedReplicaRecovery:
         sim.run(until=8.0)
         check_prefix_consistency([n.ledger for n in sim.nodes])
         assert all(len(n.ledger) > committed_during for n in sim.nodes)
+
+
+class EchoCut(Adversary):
+    """A cut of one CBC round's echoes between side ``{0}`` and ``{1, 2}``,
+    healed at ``heal``: replica 0's echo for its own block of that round
+    never crosses, nor do the echoes of ``{1, 2}`` for replica 1's block.  With
+    replica 3 crashed every quorum needs all three live echoes, so replica
+    0 delivers blocks 0 and 2 and replicas 1 and 2 deliver blocks 1 and 2:
+    two of the three each side needs to advance.  Whatever the digests,
+    the echoes still missing belong to replicas that delivered the block."""
+
+    def __init__(self, round_, heal):
+        super().__init__()
+        self.round = round_
+        self.heal = heal
+
+    def on_send(self, src, dst, msg, now):
+        if now >= self.heal or not isinstance(msg, BlockEcho):
+            return 0.0
+        if msg.round != self.round or (src == 0) == (dst == 0):
+            return 0.0
+        return None if msg.author == (0 if src == 0 else 1) else 0.0
+
+
+@pytest.mark.parametrize("node_cls", [LightDag1Node, LightDag2Node])
+def test_cut_inside_a_cbc_round_heals_within_a_few_stall_periods(node_cls):
+    """After the heal the authors re-broadcast their stalled blocks (stall
+    recovery).  A replica that already delivered such a block must still
+    echo it again: the copies it sent during the cut were lost, and the
+    other side can complete its quorum only with them."""
+    round_, heal = 2, 3.0  # a CBC round of both protocols (LightDAG2: pbc/cbc/pbc)
+    sim = build_sim(node_cls, EchoCut(round_, heal))
+    sim.crash(3)
+    sim.run(until=heal)
+    live = sim.nodes[:3]
+    assert all(node.current_round == round_ for node in live)  # stalled
+    sim.run(until=heal + 4 * STALL_AFTER)
+    for node in live:
+        assert node.store.authors_in_round(round_) == {0, 1, 2}  # delivered
+        assert node.current_round > round_ + 1
+    check_prefix_consistency([n.ledger for n in live])
 
 
 @pytest.mark.parametrize("gc_depth", [

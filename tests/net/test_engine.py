@@ -1,8 +1,8 @@
 """The broadcast fan-out's two loops must be one behaviour.
 
 ``Simulation._enqueue_broadcast`` inlines a factored latency model's
-base-delay row when links are reliable and no adversary is attached, and
-samples ``latency.delay()`` per copy otherwise.  The choice is the code's,
+base-delay row when no adversary is attached, and calls
+``latency.delay()`` per copy otherwise.  The choice is the code's,
 not the caller's, so the reference here is test-local: :class:`PerCopy`
 hides the model's factored structure and thereby forces the per-copy loop.
 
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.adversary.schedule import FaultSchedule
 from repro.errors import SimulationError
 from repro.net.interfaces import Message, Node
 from repro.net.latency import (
@@ -70,11 +71,15 @@ class PerCopy(LatencyModel):
         return self.inner.delay(src, dst, rng)
 
 
-def run_storm(latency, bandwidth=None, n=N_STORM, stops=(3.0,), crash_at=None):
+def run_storm(
+    latency, bandwidth=None, n=N_STORM, stops=(3.0,), crash_at=None,
+    adversary=None,
+):
     sim = Simulation(
         [Storm for _ in range(n)],
         latency_model=latency,
         bandwidth_bps=bandwidth,
+        adversary=adversary,
         seed=11,
     )
     if crash_at is not None:
@@ -135,11 +140,13 @@ class TestFlatRowMatchesPerCopy:
         assert trace(split) == trace(run_storm(WanLatency()))
 
     def test_lossy_model_forces_per_copy_sampling(self):
-        """Loss decisions are per copy, so lossy models get no flat rows
-        — and drops actually happen."""
-        sim = run_storm(TopologyLatency(clusters=4, loss=0.3))
-        assert sim._flat_rows is None
-        assert sim.stats.messages_dropped > 0
+        """Loss is a ``loss`` phase of the fault schedule, decided per copy
+        by its adversary: the fan-out takes the per-copy loop (no flat row
+        is ever built) — and drops actually happen."""
+        schedule = FaultSchedule.from_spec("loss@0+inf:p=0.3,clusters=4")
+        sim = run_storm(topology(), adversary=schedule.adversary(seed=11))
+        assert sim._flat_rows == {}
+        assert sim.stats.messages_dropped == sim.adversary.dropped > 0
         # Conservation: every wire copy is delivered or dropped; the
         # N * ROUNDS self-deliveries are never wire copies.
         assert (

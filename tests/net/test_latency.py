@@ -8,6 +8,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.net.latency import (
+    FAULT_KNOBS,
     LATENCY_MODELS,
     WAN_REGION_DELAYS,
     FixedLatency,
@@ -138,10 +139,14 @@ GRAMMAR = {
 
 class TestGrammar:
     def test_accepted_knobs_are_pinned(self):
+        """Seven knobs are a model's; ``topology``'s ``loss`` is a fault
+        knob the model never sees (it spells a ``loss`` schedule phase)."""
         assert {
             name: set(inspect.signature(factory).parameters)
+            | set(FAULT_KNOBS.get(name, ()))
             for name, factory in LATENCY_MODELS.items()
         } == GRAMMAR
+        assert FAULT_KNOBS == {"topology": ("loss",)}
         assert sum(len(knobs) for knobs in GRAMMAR.values()) == 8
 
     @pytest.mark.parametrize("spec", [

@@ -3,7 +3,8 @@
 Three concerns:
 
 * :class:`TopologyLatency` — the scale-out model: deterministic cluster
-  matrix and inter-cluster loss.
+  matrix; its spec's ``loss=`` knob is spelling for an inter-cluster
+  ``loss`` fault phase, which the schedule's adversary decides.
 * The factory layer — ``LATENCY_MODELS`` / ``parse_latency_spec`` /
   ``make_latency_model`` — including eager rejection of unknown knobs,
   so a typo'd spec fails at config time rather than inside a sweep worker.
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary.schedule import FaultSchedule
 from repro.errors import ConfigError
 from repro.net.latency import (
     INTER_CLUSTER_RANGE,
@@ -27,6 +29,7 @@ from repro.net.latency import (
     TopologyLatency,
     UniformLatency,
     WanLatency,
+    loss_phase_spec,
     make_latency_model,
     parse_latency_spec,
 )
@@ -69,30 +72,45 @@ class TestTopologyMatrix:
             TopologyLatency(clusters=2.5)
         with pytest.raises(ConfigError):
             TopologyLatency(jitter_frac=1.0)
-        with pytest.raises(ConfigError):
-            TopologyLatency(loss=1.0)
+        with pytest.raises(ConfigError, match="loss probability"):
+            make_latency_model("topology:loss=1.0")
+
+
+def _loss_adversary(spec):
+    """The adversary of the fault phase ``spec``'s ``loss=`` spells."""
+    return FaultSchedule.from_spec(loss_phase_spec(spec)).adversary(seed=7)
 
 
 class TestTopologyLossAndChurn:
     def test_not_lossy_by_default(self):
-        assert TopologyLatency().lossy is False
+        assert loss_phase_spec("topology:clusters=4") == ""
+        assert not hasattr(TopologyLatency(), "loss")
 
     def test_loss_makes_model_lossy(self):
-        assert TopologyLatency(loss=0.01).lossy is True
+        """``loss=`` spells a whole-run phase over the spec's clusters (the
+        model's default count when the spec names none)."""
+        assert loss_phase_spec("topology:loss=0.01") == (
+            "loss@0+inf:p=0.01,clusters=4"
+        )
+        assert loss_phase_spec("topology:clusters=8,loss=0.25") == (
+            "loss@0+inf:p=0.25,clusters=8"
+        )
 
-    def test_loss_rate_roughly_honored(self, rng):
-        model = TopologyLatency(clusters=4, loss=0.5)
+    def test_loss_rate_roughly_honored(self):
+        adversary = _loss_adversary("topology:clusters=4,loss=0.5")
         drops = sum(
-            model.sample(0, 1, rng) is None for _ in range(2000)
+            adversary.on_send(0, 1, None, now=1.0) is None for _ in range(2000)
         )
         assert 850 <= drops <= 1150  # binomial(2000, .5) well within 5 sigma
 
-    def test_intra_loss_separate_from_inter(self, rng):
+    def test_intra_loss_separate_from_inter(self):
         """``loss`` is inter-cluster only: a link inside a cluster never
         drops, however lossy the links between clusters are."""
-        model = TopologyLatency(clusters=4, loss=0.5)
+        adversary = _loss_adversary("topology:clusters=4,loss=0.5")
         # 0 -> 4 shares cluster 0: never dropped.
-        assert all(model.sample(0, 4, rng) is not None for _ in range(200))
+        assert all(
+            adversary.on_send(0, 4, None, now=1.0) == 0.0 for _ in range(200)
+        )
 
 
 class TestSpecParsing:
@@ -118,10 +136,11 @@ class TestFactoryRegistry:
             assert name in LATENCY_MODELS
 
     def test_spec_string_builds_configured_model(self):
-        model = make_latency_model("topology:clusters=8,loss=0.01")
+        spec = "topology:clusters=8,loss=0.01"
+        model = make_latency_model(spec)
         assert isinstance(model, TopologyLatency)
         assert model.clusters == 8
-        assert model.loss == 0.01
+        assert loss_phase_spec(spec) == "loss@0+inf:p=0.01,clusters=8"
 
     def test_explicit_kwargs_override_inline(self):
         model = make_latency_model("topology:clusters=8", clusters=16)
@@ -145,7 +164,7 @@ def _all_models():
         FixedLatency(0.05),
         UniformLatency(0.01, 0.1),
         WanLatency(jitter_frac=0.1),
-        TopologyLatency(clusters=4, jitter_frac=0.1, loss=0.2),
+        TopologyLatency(clusters=4, jitter_frac=0.1),
         TopologyLatency(clusters=7, jitter_frac=0.0),
     ]
 
@@ -159,8 +178,6 @@ def test_property_self_send_is_free(replica, seed):
     rng = random.Random(seed)
     for model in _all_models():
         assert model.delay(replica, replica, rng) == 0.0
-        if model.lossy:
-            assert model.sample(replica, replica, rng) == 0.0
 
 
 @settings(max_examples=50, deadline=None)

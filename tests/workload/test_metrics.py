@@ -1,6 +1,7 @@
 """Tests for repro.workload.metrics: throughput/latency accounting."""
 
 import math
+from array import array
 
 import pytest
 
@@ -55,6 +56,17 @@ class TestLatencyStats:
         stats = LatencyStats()
         stats.add(1, 1.0, [1.0, 2.0, 3.0])
         assert stats.quantile(0.5) == 2.0
+
+    def test_samples_are_unboxed_and_exact(self):
+        """Samples are stored as C doubles, which hold a Python float
+        exactly: every quantile equals the one over a plain list."""
+        values = [0.1 * k + 1e-9 * (k % 7) for k in range(1, 200)]
+        stats = LatencyStats()
+        stats.add(len(values), sum(values), iter(values))
+        assert isinstance(stats.samples, array) and stats.samples.typecode == "d"
+        assert list(stats.samples) == values
+        for q in (0.0, 0.05, 0.5, 0.95, 0.99, 1.0):
+            assert stats.quantile(q) == percentile(sorted(values), q)
 
 
 class TestCollector:
