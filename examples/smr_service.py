@@ -18,12 +18,12 @@ from repro.core.lightdag2 import LightDag2Node
 from repro.harness.cluster import assemble
 from repro.net.tcp import TcpCluster
 from repro.smr.kv import KvStateMachine
-from repro.smr.replica import SmrReplica
+from repro.smr.replica import SERVICE_GC_DEPTH, SmrReplica
 
 
 async def main_async() -> None:
     system = SystemConfig(n=4)
-    protocol = ProtocolConfig(batch_size=32)
+    protocol = ProtocolConfig(batch_size=32, gc_depth=SERVICE_GC_DEPTH)
     replicas = [SmrReplica(i, KvStateMachine()) for i in range(system.n)]
     assembly = assemble(
         system,

@@ -27,7 +27,7 @@ from ..errors import ConfigError, SweepError
 from ..net.latency import loss_phase_spec, make_latency_model
 from ..obs import Observability
 from ..smr.kv import KvStateMachine
-from ..smr.replica import SmrCluster
+from ..smr.replica import SERVICE_GC_DEPTH, SmrCluster
 from ..workload.admission import AdmissionConfig
 from ..workload.clients import ClientPopulation, WorkloadSpec
 from ..workload.metrics import MetricsCollector
@@ -147,7 +147,7 @@ def run_loadtest(cfg: LoadtestConfig, obs: Optional[Observability] = None) -> Lo
     closed-loop read-your-writes verification failed.
     """
     system = SystemConfig(n=cfg.n, crypto=cfg.crypto, seed=cfg.seed)
-    protocol = ProtocolConfig(batch_size=cfg.batch_size)
+    protocol = ProtocolConfig(batch_size=cfg.batch_size, gc_depth=SERVICE_GC_DEPTH)
     collector = MetricsCollector(warmup=cfg.warmup, measure_until=cfg.duration)
     cluster = SmrCluster.build(
         system,

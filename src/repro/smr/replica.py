@@ -41,13 +41,26 @@ by refusing work instead of by growing without bound.
 
 :class:`SmrCluster` assembles a full replicated service on the simulator
 (``examples/smr_service.py`` puts :class:`SmrReplica` on the TCP runtime
-itself) and exposes the cross-replica invariant checks the tests rely on:
-identical applied sequences and identical state digests.
+itself) and exposes the cross-replica invariant check the tests rely on,
+:meth:`SmrCluster.verify_convergence`.
+
+The service keeps a window, not its history.  It runs consensus under
+:data:`SERVICE_GC_DEPTH`: a block is applied when it commits, so nothing
+here reads a body below the store's horizon.  And a replica keeps no list
+of the commands it applied.  The applied sequence is a deterministic
+function of the ordered ledger, so each replica keeps a *checkpoint* per
+ledger position instead: how many commands it had applied after that
+position, and a chained digest, ``chain = sha256(chain ‖ ids applied at
+the position)`` — one hash per position, not one entry per command.  Two
+replicas that executed the same ledger prefix the same way hold the same
+checkpoint at its end.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+from array import array
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
@@ -59,6 +72,15 @@ from ..dag.ledger import CommitRecord, check_prefix_consistency
 from ..errors import ProtocolError
 from ..workload.admission import ADMIT, SHED, make_admission
 from .machine import Command, StateMachine
+
+#: The GC window of every replicated service (``SmrCluster.build``'s default
+#: protocol, ``run_loadtest``, ``examples/smr_service.py``): the depth every
+#: other garbage-collected workload uses.
+SERVICE_GC_DEPTH = 8
+
+#: The chained digest before the first ledger position.
+GENESIS_CHAIN = bytes(32)
+
 
 class Session:
     """One client's exactly-once window at one replica: every nonce below
@@ -108,7 +130,12 @@ class SmrReplica:
         self.admission = admission
         self._pending: Deque[Command] = deque()
         self._pending_ids: Set[Digest] = set()
-        self.applied_order: List[Digest] = []
+        #: commands applied so far, and the chained digest of their ids
+        self.applied_count = 0
+        self.chain = GENESIS_CHAIN
+        # Checkpoints as columns: entry k is the one after k ledger positions.
+        self._counts = array("Q", [0])
+        self._chains = bytearray(GENESIS_CHAIN)
         #: client name -> its exactly-once window (the module docstring).
         self.sessions: Dict[str, Session] = {}
         self._nonce = itertools.count()
@@ -199,7 +226,24 @@ class SmrReplica:
         return None if session is None else session.done.get(command.nonce)
 
     def on_result(self, listener: Callable[[Command, bytes], None]) -> None:
+        """Call ``listener(command, result)`` for every command this replica
+        applies, in the order it applies them."""
         self._result_listeners.append(listener)
+
+    def positions_executed(self) -> int:
+        """Ledger positions whose commands this replica has applied."""
+        return len(self._counts) - 1
+
+    def checkpoint(self, positions: int) -> Tuple[int, bytes]:
+        """``(applied_count, chain)`` after the first ``positions`` ledger
+        positions; ``(0, GENESIS_CHAIN)`` for none."""
+        if not 0 <= positions < len(self._counts):
+            raise IndexError(
+                f"replica {self.replica_id} executed {len(self._counts) - 1} "
+                f"positions, not {positions}"
+            )
+        start = 32 * positions
+        return self._counts[positions], bytes(self._chains[start:start + 32])
 
     # -- protocol hooks -----------------------------------------------------------
 
@@ -231,13 +275,13 @@ class SmrReplica:
 
     def on_commit(self, record: CommitRecord) -> None:
         """Apply a committed block's commands in order, exactly once: the
-        session rule of the module docstring."""
+        session rule of the module docstring.  Then record the position's
+        checkpoint."""
         sessions = self.sessions
-        applied_order = self.applied_order
-        applied_before = len(applied_order)
         apply = self.machine.apply
         listeners = self._result_listeners
         waiters = self._waiters
+        applied = []
         for command in batch_commands(record.block.payload):
             session = sessions.get(command.client)
             if session is None:
@@ -247,7 +291,7 @@ class SmrReplica:
                 continue
             result = apply(command)
             cid = command.command_id
-            applied_order.append(cid)
+            applied.append(cid)
             done[nonce] = result
             raised = command.floor
             if raised > floor:  # a new dict, not pops: the window stays compact
@@ -258,13 +302,23 @@ class SmrReplica:
             if cid in waiters:  # only the submitting replica has any
                 for waiter in waiters.pop(cid):
                     waiter(command, result, record.commit_time)
+        self._checkpoint(applied)
         if self._trace is not None:
             self._trace.emit(
                 record.commit_time, "trace.execute", self.replica_id,
                 digest=record.block.digest.hex()[:8],
                 position=record.position,
-                commands=len(applied_order) - applied_before,
+                commands=len(applied),
             )
+
+    def _checkpoint(self, applied: List[Digest]) -> None:
+        """Close one ledger position: chain the ids applied at it."""
+        self.applied_count += len(applied)
+        chain = hashlib.sha256(self.chain)
+        chain.update(b"".join(applied))
+        self.chain = chain.digest()
+        self._counts.append(self.applied_count)
+        self._chains += self.chain
 
 
 def batch_commands(batch: TxBatch, built_from=None) -> Tuple[Command, ...]:
@@ -334,7 +388,7 @@ class SmrCluster:
         from ..obs import NULL_OBS
 
         obs = obs if obs is not None else NULL_OBS
-        protocol = protocol or ProtocolConfig(batch_size=64)
+        protocol = protocol or ProtocolConfig(batch_size=64, gc_depth=SERVICE_GC_DEPTH)
         if max_batch is None:
             max_batch = protocol.batch_size
         replicas = [
@@ -387,22 +441,38 @@ class SmrCluster:
     # -- invariants ----------------------------------------------------------------
 
     def verify_convergence(self) -> None:
-        """Every pair of replicas agrees on the applied prefix and, where
-        both applied equally much, on the exact state digest."""
+        """Every pair of replicas executed their common ledger prefix alike
+        and, where both applied equally much, holds the same state.
+
+        The ledgers come first (:func:`check_prefix_consistency`).  Then,
+        for each pair, the checkpoints at the shorter of the two executed
+        prefixes must match: the same number of commands applied, and the
+        same chained digest of their ids; a replica behind another is judged
+        on the positions both executed.  Where the two applied counts are
+        equal, neither applied anything past that position, so the state
+        digests must match.
+        """
         check_prefix_consistency([node.ledger for node in self.sim.nodes])
-        orders = [replica.applied_order for replica in self.replicas]
-        for a in range(len(orders)):
-            for b in range(a + 1, len(orders)):
-                common = min(len(orders[a]), len(orders[b]))
-                if orders[a][:common] != orders[b][:common]:
+        replicas = self.replicas
+        for a in range(len(replicas)):
+            for b in range(a + 1, len(replicas)):
+                ra, rb = replicas[a], replicas[b]
+                common = min(ra.positions_executed(), rb.positions_executed())
+                (count_a, chain_a), (count_b, chain_b) = (
+                    ra.checkpoint(common), rb.checkpoint(common)
+                )
+                if count_a != count_b:
+                    raise ProtocolError(
+                        f"replicas {a} and {b} applied {count_a} and {count_b} "
+                        f"commands over the first {common} ledger positions"
+                    )
+                if chain_a != chain_b:
                     raise ProtocolError(
                         f"replicas {a} and {b} applied different command "
-                        f"prefixes"
+                        f"sequences over the first {common} ledger positions"
                     )
-                if len(orders[a]) == len(orders[b]):
-                    da = self.replicas[a].machine.state_digest()
-                    db = self.replicas[b].machine.state_digest()
-                    if da != db:
+                if ra.applied_count == rb.applied_count:
+                    if ra.machine.state_digest() != rb.machine.state_digest():
                         raise ProtocolError(
                             f"replicas {a} and {b} applied the same commands "
                             f"but diverged in state"

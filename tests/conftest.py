@@ -25,6 +25,14 @@ def count_calls(monkeypatch, owner, name: str, log: list) -> None:
     monkeypatch.setattr(owner, name, wrapper)
 
 
+def applied_ids(replica) -> list:
+    """The ids of the commands ``replica`` applies from now on, in order,
+    collected through its result listener."""
+    ids: list = []
+    replica.on_result(lambda command, result: ids.append(command.command_id))
+    return ids
+
+
 class DelayMatching(Adversary):
     """Delay every message ``predicate(src, dst, msg)`` accepts by ``delay``."""
 

@@ -154,12 +154,17 @@ def fingerprint(case: dict) -> dict:
 
 def smr_fingerprint(case: dict) -> dict:
     """Run one load test and reduce cluster, clients and engine to a row."""
-    clusters = []
+    clusters, orders = [], []  # orders: each replica's applied command ids
 
     class Recorded(loadtest.SmrCluster):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             clusters.append(self)
+            for replica in self.replicas:
+                order = []
+                replica.on_result(lambda command, result, order=order:
+                                  order.append(command.command_id))
+                orders.append(order)
 
     case = {"n": 4, "batch_size": 16, "duration": 5.0, "warmup": 1.0, **case}
     case["workload"] = WorkloadSpec(seed=case["seed"], **case["workload"])
@@ -174,15 +179,15 @@ def smr_fingerprint(case: dict) -> dict:
     (cluster,) = clusters
     stats = cluster.sim.stats
     applied = hashlib.sha256()
-    for replica in cluster.replicas:
-        applied.update(len(replica.applied_order).to_bytes(8, "big"))
-        applied.update(b"".join(replica.applied_order))
+    for replica, order in zip(cluster.replicas, orders):
+        applied.update(len(order).to_bytes(8, "big"))
+        applied.update(b"".join(order))
         applied.update(replica.machine.state_digest())
     seen = {k: v for k, v in vars(result).items() if k != "config"}
     return {
         "committed_blocks": len(cluster.sim.nodes[0].ledger),
         "ledger_sha256": _ledger_sha(cluster.sim.nodes[0]),
-        "applied": len(cluster.replicas[0].applied_order),
+        "applied": len(orders[0]),
         "applied_and_state_sha256": applied.hexdigest(),
         "completed": result.completed,
         "pushed_back": result.rejected + result.shed,

@@ -8,6 +8,7 @@ plane, and that the exactly-once state no longer grows with the run.
 
 import gc
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -15,13 +16,14 @@ from repro.codec.primitives import CodecError, Writer
 from repro.config import ProtocolConfig, SystemConfig
 from repro.dag.block import TxBatch, make_block
 from repro.dag.ledger import CommitRecord
+from repro.harness import loadtest
 from repro.smr.kv import KvStateMachine
 from repro.smr.machine import Command
-from repro.smr.replica import SmrCluster, SmrReplica, batch_commands
+from repro.smr.replica import SERVICE_GC_DEPTH, SmrCluster, SmrReplica, batch_commands
 from repro.workload.admission import AdmissionConfig
 from repro.workload.clients import GIVE_UP_S, ClientPopulation, WorkloadSpec
 
-from ..conftest import count_calls
+from ..conftest import applied_ids, count_calls
 
 
 def cmd(payload: bytes, nonce: int, floor: int = 0, client: str = "c") -> Command:
@@ -37,11 +39,12 @@ def commit(replica, items, position=0):
     replica.on_commit(CommitRecord(position, block, 1.0 + position, b"L", 0))
 
 
-def build_cluster(seed, batch=16, admission=None, gc_depth=None):
+def build_cluster(seed, batch=16, admission=None):
+    """An n=4 replicated KV under the service's GC window."""
     return SmrCluster.build(
         SystemConfig(n=4, crypto="hmac", seed=seed),
         machine_factory=KvStateMachine,
-        protocol=ProtocolConfig(batch_size=batch, gc_depth=gc_depth),
+        protocol=ProtocolConfig(batch_size=batch, gc_depth=SERVICE_GC_DEPTH),
         seed=seed,
         admission=admission,
     )
@@ -82,13 +85,14 @@ class TestSessionRule:
         """What a "highest applied nonce" watermark gets wrong: the earlier
         nonce is inside the window, so it is applied, once."""
         replica = SmrReplica(0, KvStateMachine())
+        order = applied_ids(replica)
         early, late = cmd(b"SET k early", 1, 1), cmd(b"SET k late", 2, 1)
         commit(replica, [late])
         commit(replica, [early], position=1)
         commit(replica, [late, early], position=2)  # replays of both
         assert replica.machine.applied_count == 2
         assert replica.machine.data == {"k": "early"}
-        assert replica.applied_order == [late.command_id, early.command_id]
+        assert order == [late.command_id, early.command_id]
 
     def test_a_floor_above_the_nonce_is_skipped_like_garbage(self):
         bad = (
@@ -103,8 +107,9 @@ class TestSessionRule:
         items = (good[0], bad, b"\xff\xff", good[1])
         replicas = [SmrReplica(i, KvStateMachine()) for i in range(3)]
         for replica in replicas:
+            order = applied_ids(replica)
             commit(replica, items)
-            assert replica.applied_order == [c.command_id for c in good]
+            assert order == [c.command_id for c in good]
             assert "evil" not in replica.sessions
         assert len({r.machine.state_digest() for r in replicas}) == 1
 
@@ -116,6 +121,7 @@ class TestReplayedBlocks:
         cluster = build_cluster(seed=8)
         applied = []
         cluster.replicas[0].on_result(lambda command, result: applied.append(command))
+        orders = [applied_ids(r) for r in cluster.replicas]
         population = ClientPopulation(
             WorkloadSpec(clients=16, mode="open", rate=400.0, seed=8),
             cluster, duration=4.0, warmup=1.0,
@@ -129,13 +135,13 @@ class TestReplayedBlocks:
             if all(c.nonce < r.sessions[c.client].floor for r in replicas)
         ]
         assert len(settled) > len(applied) * 0.8 > 1000
-        before = [(len(r.applied_order), r.machine.state_digest()) for r in replicas]
+        before = [(len(o), r.machine.state_digest()) for o, r in zip(orders, replicas)]
         assert len(set(before)) == 1
         position = len(cluster.sim.nodes[0].ledger)
         for replica in replicas:
             commit(replica, settled[:64], position=position)
             commit(replica, settled[-64:], position=position + 1)
-        assert [(len(r.applied_order), r.machine.state_digest()) for r in replicas] == before
+        assert [(len(o), r.machine.state_digest()) for o, r in zip(orders, replicas)] == before
         cluster.verify_convergence()
 
 
@@ -157,6 +163,7 @@ class TestClientPlane:
 
         for replica, seen in zip(cluster.replicas, latest):
             replica.on_result(track(seen))
+        orders = [applied_ids(r) for r in cluster.replicas]
         rate, duration = 600.0, 10.0
         population = ClientPopulation(
             WorkloadSpec(clients=16, mode="open", rate=rate, seed=9),
@@ -165,14 +172,14 @@ class TestClientPlane:
         population.install()
         cluster.run(until=duration)
         cluster.verify_convergence()
-        for replica, seen in zip(cluster.replicas, latest):
+        for replica, seen, order in zip(cluster.replicas, latest, orders):
             assert set(replica.sessions) == set(seen)
             for client, session in replica.sessions.items():
                 top = seen[client]
                 assert session.floor == top.floor
                 assert set(session.done) <= set(range(top.floor, top.nonce + 1))
             remembered = sum(len(s.done) for s in replica.sessions.values())
-            applied = len(replica.applied_order)
+            applied = len(order)
             # Each client's window spans at most what it submitted in the
             # last GIVE_UP_S, so all of them together hold at most about
             # rate * GIVE_UP_S results, against rate * duration applied.
@@ -189,6 +196,7 @@ class TestClientPlane:
         cluster = build_cluster(
             seed=10, admission=AdmissionConfig(max_pending=4, policy="shed-oldest")
         )
+        orders = [applied_ids(r) for r in cluster.replicas]
         population = ClientPopulation(
             WorkloadSpec(clients=16, mode="closed", outstanding=4, seed=10),
             cluster, duration=5.0, warmup=1.0,
@@ -217,8 +225,7 @@ class TestClientPlane:
                 top[command.client] = max(top.get(command.client, -1), command.nonce)
         late_shed = [cid for cid in late if cid in shed]
         assert late_shed, "no shed command was retried after a later nonce committed"
-        for replica in cluster.replicas:
-            order = replica.applied_order
+        for order in orders:
             assert len(order) == len(set(order))
             assert all(order.count(cid) == 1 for cid in late_shed)
         assert set(late_shed) <= set(answered)
@@ -226,16 +233,55 @@ class TestClientPlane:
 
 #: Heap retained per applied command — all four replicas, the clients and
 #: the consensus layer — on an n=4 open-loop rung (1500 tx/s, batch 32,
-#: 32 clients over 8 private keys each, gc_depth 8; Python 3.11): 498 B
-#: when every replica kept every command's result, 185 B with session
-#: windows.  The rest is the ledger's headers and ``applied_order``.  The
-#: bound is half the first figure.
-BYTES_PER_APPLIED_COMMAND = 498 // 2
+#: 32 clients over 8 private keys each, the service GC window; Python
+#: 3.11): 498 B when every replica kept every command's result, 185 B with
+#: session windows, 151 B with the columnar ledger, 60 B once each replica
+#: keeps one checkpoint per ledger position instead of the id of every
+#: command it applied.  The rest is mostly the ledger's headers.  The bound
+#: is twice the last figure.
+BYTES_PER_APPLIED_COMMAND = 120
+
+
+class TestCommittedBatchesReleased:
+    def test_batches_below_every_horizon_are_garbage_after_a_rung(self, monkeypatch):
+        """The service runs under its GC window and applies a block when it
+        commits: once every replica's store has pruned a committed block,
+        nothing holds its batch any more."""
+        clusters, batches = [], {}
+
+        class Recorded(loadtest.SmrCluster):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                clusters.append(self)
+
+        real_on_commit = SmrReplica.on_commit
+
+        def on_commit(replica, record):
+            block = record.block
+            if block.digest not in batches:
+                batches[block.digest] = (block.round, weakref.ref(block.payload))
+            real_on_commit(replica, record)
+
+        monkeypatch.setattr(loadtest, "SmrCluster", Recorded)
+        monkeypatch.setattr(SmrReplica, "on_commit", on_commit)
+        result = loadtest.run_loadtest(loadtest.LoadtestConfig(
+            n=4, batch_size=16, duration=5.0, warmup=1.0, seed=6,
+            workload=WorkloadSpec(mode="open", rate=400.0, seed=6),
+        ))
+        assert result.completed > 1000 and result.verify_failures == 0
+        (cluster,) = clusters
+        horizon = min(node.store.lowest_retained_round() for node in cluster.sim.nodes)
+        assert horizon > SERVICE_GC_DEPTH  # every replica pruned
+        gc.collect()
+        below = [ref for round_, ref in batches.values() if round_ < horizon]
+        assert len(below) >= 4 * (horizon - 2)
+        assert [ref for ref in below if ref() is not None] == []
+        cluster.verify_convergence()
 
 
 class TestRetainedHeap:
     def test_heap_retained_per_applied_command(self):
-        cluster = build_cluster(seed=5, batch=32, gc_depth=8)
+        cluster = build_cluster(seed=5, batch=32)
         population = ClientPopulation(
             WorkloadSpec(clients=32, mode="open", rate=1500.0, keys=8, seed=5),
             cluster, duration=10.0, warmup=1.0,

@@ -10,7 +10,7 @@ from repro.smr.kv import KvStateMachine
 from repro.smr.machine import Command
 from repro.smr.replica import SmrCluster, SmrReplica
 
-from ..conftest import count_calls
+from ..conftest import applied_ids, count_calls
 
 
 def cmd(payload: bytes, nonce=0, client="c") -> Command:
@@ -319,6 +319,7 @@ class TestSmrCluster:
             machine_factory=KvStateMachine,
             seed=4,
         )
+        orders = [applied_ids(r) for r in cluster.replicas]
         cluster.replicas[2].submit(b"SET ctr 0")
         cluster.run(until=1.0)
         a = cluster.replicas[0].submit(b"CAS ctr 0 1")
@@ -326,7 +327,7 @@ class TestSmrCluster:
         assert a != b
         cluster.run(until=4.0)
         cluster.verify_convergence()
-        assert all(len(r.applied_order) == 3 for r in cluster.replicas)
+        assert all(len(order) == 3 for order in orders)
         # One caller won the swap and the other was told it lost.
         results = [cluster.replicas[0].result_of(a), cluster.replicas[1].result_of(b)]
         assert sorted(results) == [b"FAIL", b"OK"]
@@ -403,8 +404,9 @@ class TestBatchIsDecodedOncePerCluster:
         assert received == built and "_commands" not in vars(received)
         receivers = [SmrReplica(i, KvStateMachine()) for i in (1, 2)]
         for replica in receivers:
+            order = applied_ids(replica)
             _commit_batch(replica, received)
-            assert replica.applied_order == cids
+            assert order == cids
         assert [args[-1] for args in decodes] == list(built.items)  # once, not per replica
         assert batch_commands(received) == batch_commands(built)
 
@@ -418,11 +420,12 @@ class TestBatchIsDecodedOncePerCluster:
         batch = TxBatch(count=len(items), tx_size=8, items=items)
         block = make_block(1, 0, [], payload=batch)
         replicas = [SmrReplica(i, KvStateMachine()) for i in range(3)]
+        orders = [applied_ids(replica) for replica in replicas]
         for replica in replicas:
             replica.on_commit(CommitRecord(0, block, 1.0, b"L", 0))
         assert len(decodes) == len(items)  # the foreign item is tried once, too
-        for replica in replicas:
-            assert replica.applied_order == [c.command_id for c in commands]
+        for replica, order in zip(replicas, orders):
+            assert order == [c.command_id for c in commands]
             assert replica.machine.data == {"k": "2"}
         assert len({id(r.machine) for r in replicas}) == 3
         assert len({id(r.sessions) for r in replicas}) == 3
