@@ -79,8 +79,8 @@ def test_broadcast_fanout(benchmark):
     """The broadcast fast path: each delivery triggers a full n−1 fan-out.
 
     This is the shape of real protocol traffic (every block/vote/echo is a
-    broadcast), and the case the batched ``_enqueue_broadcast`` path exists
-    for: one crashed check and one stats update per broadcast instead of
+    broadcast), and the case ``Simulation._fan_out``'s one pass exists
+    for: one crash check and one stats update per broadcast instead of
     per copy.
     """
     from dataclasses import dataclass

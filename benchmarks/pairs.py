@@ -8,7 +8,12 @@ a scratch directory, then for seeds 11, 12, ... measure the workload once in
 that export and once in this working tree — whichever went second last time goes
 first now, so slow drift of the host hits both sides alike — and report, per
 end-to-end metric of ``BENCHMARK.json``, both medians and quartiles and in
-how many pairs the change was ahead.
+how many pairs the change was ahead.  Next to ``host_wall_s`` each side's
+``child_cpu_s`` is printed: the CPU seconds (user + system, from
+``getrusage(RUSAGE_CHILDREN)``) its whole suite run spent, with the number
+of timed reps it made (the suite times reps until ``--seconds`` are
+measured, so only runs with equal reps compare).  Wall time that moves
+while CPU time does not is the host, not the code.
 
 Each measurement is the suite's own ``python -m benchmarks.suite run`` of
 the tree it measures (the same reps-and-medians as ``benchmarks/suite/
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -35,6 +41,9 @@ from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIRST_SEED = 11
+#: Not a BENCHMARK.json metric: whole-run CPU of one suite run, for reading
+#: ``host_wall_s`` against host drift.
+CHILD_CPU = {"name": "child_cpu_s", "unit": "s", "better": "lower"}
 
 
 def export(rev: str, into: Path) -> None:
@@ -46,19 +55,30 @@ def export(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
 
 
+def child_cpu_s() -> float:
+    """User + system CPU seconds of every child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def measure(tree: Path, workload: str, seed: int, seconds: float) -> Optional[dict]:
-    """One suite run in ``tree``; its trajectory row, or None if it failed."""
+    """One suite run in ``tree``; its trajectory row plus ``child_cpu_s``,
+    or None if it failed."""
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "row.jsonl"
+        cpu0 = child_cpu_s()
         proc = subprocess.run(
             [sys.executable, "-m", "benchmarks.suite", "run", "--workload", workload,
              "--seed", str(seed), "--seconds", str(seconds), "--out", str(out)],
             cwd=tree, capture_output=True, text=True,
         )
+        cpu = child_cpu_s() - cpu0
         if proc.returncode != 0 or not out.exists():
             print(proc.stderr[-2000:], file=sys.stderr)
             return None
-        return json.loads(out.read_text().splitlines()[-1])
+        row = json.loads(out.read_text().splitlines()[-1])
+        row[CHILD_CPU["name"]] = cpu
+        return row
 
 
 def traced_layers(tree: Path, workload: str, seconds: float) -> Optional[Dict[str, float]]:
@@ -128,7 +148,8 @@ def run_pairs(trees: Dict[str, Path], workload: str, base: str, pairs: int,
     print(f"{workload}: {pairs} pairs, {base} (parent) against "
           f"the working tree (change), {seconds:g} s per run")
     print(f"{'seed':>4}  {'first':6}  {'parent wall_s':>13}  {'change wall_s':>13}  "
-          f"{'delta':>7}  fingerprint", flush=True)
+          f"{'delta':>7}  {'parent cpu_s/reps':>17}  {'change cpu_s/reps':>17}  "
+          f"fingerprint", flush=True)
     for pair in range(pairs):
         seed = FIRST_SEED + pair
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -141,8 +162,11 @@ def run_pairs(trees: Dict[str, Path], workload: str, base: str, pairs: int,
             rows[side].append(row)
         p = got["parent"]["end_to_end"]["host_wall_s"]["median"]
         c = got["change"]["end_to_end"]["host_wall_s"]["median"]
+        cpu = [f"{got[side][CHILD_CPU['name']]:.2f}/{got[side]['reps']}"
+               for side in ("parent", "change")]
         same = got["parent"]["fingerprint"] == got["change"]["fingerprint"]
         print(f"{seed:4}  {order[0]:6}  {p:13.3f}  {c:13.3f}  {(c - p) / p:+7.1%}  "
+              f"{cpu[0]:>17}  {cpu[1]:>17}  "
               f"{'same' if same else 'DIFFERENT'}", flush=True)
     return rows, failed
 
@@ -188,6 +212,12 @@ def main(argv=None) -> int:
                     [row["end_to_end"][name]["median"] for row in rows["parent"]],
                     [row["end_to_end"][name]["median"] for row in rows["change"]],
                 ))
+            name = CHILD_CPU["name"]
+            equal = [(p[name], c[name]) for p, c in zip(rows["parent"], rows["change"])
+                     if p["reps"] == c["reps"]]
+            if equal:
+                print(summarize(CHILD_CPU, *map(list, zip(*equal)))
+                      + " (pairs with equal reps)")
         matching = sum(
             p["fingerprint"] == c["fingerprint"]
             for p, c in zip(rows["parent"], rows["change"])

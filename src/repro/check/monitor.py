@@ -45,10 +45,9 @@ class InvariantMonitor:
         self._nodes: Optional[List] = None
         #: per-node next expected ledger position
         self._next_position: Dict[int, int] = {}
-        #: per-node highest leader_index seen
-        self._last_leader_index: Dict[int, int] = {}
-        #: per-(node, leader_index) committing leader digest
-        self._via_of: Dict[Tuple[int, int], Digest] = {}
+        #: per-node (leader_index, via_leader) of the last commit: indices
+        #: are monotone, so one entry per node checks both rules
+        self._last_leader: Dict[int, Tuple[int, Digest]] = {}
         #: global position map — first writer wins, everyone must agree
         self._positions: Dict[int, Tuple[Digest, int, Digest, int]] = {}
         self.commits_checked = 0
@@ -101,22 +100,21 @@ class InvariantMonitor:
             )
         self._next_position[node_id] = expected + 1
 
-        last = self._last_leader_index.get(node_id, -1)
+        last, seen_via = self._last_leader.get(
+            node_id, (-1, record.via_leader)
+        )
         if record.leader_index < last:
             self._fail(
                 node_id, now, "leader-index-monotone",
                 f"leader_index {record.leader_index} after {last}",
             )
-        self._last_leader_index[node_id] = record.leader_index
-
-        via_key = (node_id, record.leader_index)
-        seen_via = self._via_of.setdefault(via_key, record.via_leader)
-        if seen_via != record.via_leader:
+        if record.leader_index == last and seen_via != record.via_leader:
             self._fail(
                 node_id, now, "via-leader-consistent",
                 f"leader index {record.leader_index} used by two leaders "
                 f"{short_hex(seen_via)} and {short_hex(record.via_leader)}",
             )
+        self._last_leader[node_id] = (record.leader_index, record.via_leader)
 
         if self._nodes is not None:
             block = record.block

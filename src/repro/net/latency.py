@@ -78,10 +78,11 @@ class FactoredLatency(LatencyModel):
     ``base_delay(src, dst) * (1.0 + rng.uniform(-jitter_frac, +jitter_frac))``
 
     with **no RNG draw at all** when the base is zero (self-sends) or the
-    jitter fraction is zero.  The simulator exploits this shape on the
-    broadcast fan-out: it precomputes a per-source row of base delays once
-    and inlines the jitter draw per copy — bit-identical to calling
-    :meth:`delay`, draw-for-draw, but without the method-call tower.
+    jitter fraction is zero.  The simulator exploits this shape for every
+    wire copy, unicast or broadcast, adversary or not: it precomputes a
+    per-source row of base delays once and inlines the jitter draw per
+    copy — bit-identical to calling :meth:`delay`, draw-for-draw, but
+    without the method-call tower.
     """
 
     jitter_frac = 0.0
@@ -118,15 +119,12 @@ class FixedLatency(FactoredLatency):
     def base_delay(self, src: int, dst: int) -> float:
         return 0.0 if src == dst else self.delay_s
 
-    def delay(self, src: int, dst: int, rng: random.Random) -> float:
-        return 0.0 if src == dst else self.delay_s
-
 
 class UniformLatency(LatencyModel):
     """Delay drawn uniformly from ``[low, high]`` per message.
 
     Additive form, so it does not factor into base × jitter — the
-    simulator uses the generic per-copy path for it.
+    simulator asks :meth:`delay` for each wire copy of it.
     """
 
     def __init__(self, low: float = 0.01, high: float = 0.05) -> None:

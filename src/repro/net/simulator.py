@@ -29,13 +29,13 @@ event loop dominates; everything else is protocol logic):
   event instead of a nested payload tuple; ``seq`` is a plain int bumped
   inline (no ``itertools.count`` indirection), and comparisons never get
   past ``(when, seq)`` because ``seq`` is unique.
-* **Broadcast in one pass** — :meth:`Simulation._enqueue_broadcast` draws
-  all ``n − 1`` latencies and pushes all copies in one pass, with the
-  crash check, stats accounting, and NIC serialization constant hoisted
-  out of the per-copy loop (everything in these protocols is a
-  broadcast).  It has two loops and picks between them from what it can
-  observe: a factored latency model with no adversary gets its base-delay
-  row inlined; anything else asks for each copy's delay.
+* **One fan-out pass** — :meth:`Simulation._fan_out` pushes a message's
+  copies to an ascending destination sequence in one pass (``range(n)``
+  for a broadcast, ``(dst,)`` for a unicast): crash check, the
+  adversary's per-copy verdict, FIFO NIC serialization, then propagation
+  from a per-source base-delay row when the latency model is factored
+  (``latency.delay`` per copy otherwise), with stats and egress-wait
+  staging hoisted out of the loop.
 * **Hoisted run loop** — :meth:`Simulation.run` binds the queue, node
   table, crash set, and the CPU/obs mode flags to locals once, and
   accumulates ``events_processed``/``messages_delivered`` in local ints
@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..errors import SimulationError
 from ..obs import NULL_OBS, Observability
@@ -57,6 +57,9 @@ from .eventqueue import BUCKETS_PER_SECOND, EventQueue
 from .interfaces import Message, NetworkAPI, Node, NodeFactory
 from .latency import FactoredLatency, FixedLatency, LatencyModel
 from .snapshot import SimulatorSnapshot
+
+if TYPE_CHECKING:
+    from ..adversary.base import Adversary
 
 _DELIVER = 0
 _TIMER = 1
@@ -90,8 +93,8 @@ class SimulationStats:
     """Counters accumulated over a run.
 
     A slotted plain class, not a dataclass: the send path bumps three of
-    these counters per wire copy, and slotted attribute stores are the
-    cheapest instance mutation CPython offers.  ``per_node_bytes`` is a
+    these counters per send or fan-out, and slotted attribute stores are
+    the cheapest instance mutation CPython offers.  ``per_node_bytes`` is a
     list indexed by sender id, sized to the replica set at construction.
     """
 
@@ -140,32 +143,28 @@ class _SimNetworkAPI(NetworkAPI):
         return self._sim.now
 
     def send(self, dst: int, msg: Message) -> None:
-        """One wire copy: stage its per-type obs counts (one op per send),
-        then :meth:`Simulation._enqueue_send`."""
+        """One wire copy: stage its per-type obs counts (one op), then
+        :meth:`Simulation._fan_out` over ``(dst,)``."""
         sim = self._sim
         src = self._node_id
-        if sim._obs_on and dst != src and src not in sim._crashed:
+        size = 0
+        if dst != src and src not in sim._crashed:
             size = msg.wire_size()
-            counts = sim._obs_msg_counts.get(msg.__class__)
-            if counts is None:
-                counts = sim._obs_counts(msg.__class__)
-            counts[0] += 1
-            counts[1] += size
-            sim._enqueue_send(src, dst, msg, size)
-        else:
-            sim._enqueue_send(src, dst, msg)
+            if sim._obs_on:
+                counts = sim._obs_msg_counts.get(msg.__class__)
+                if counts is None:
+                    counts = sim._obs_counts(msg.__class__)
+                counts[0] += 1
+                counts[1] += size
+        sim._fan_out(src, (dst,), msg, size)
 
     def broadcast(self, msg: Message, include_self: bool = True) -> None:
         """Fan-out with one obs staging op and one wire_size for the batch.
 
-        Everything in these protocols is a broadcast, so counting the
-        n-1 wire copies here (instead of once per copy in
-        ``_enqueue_send``) removes most of the per-message staging from
-        the engine hot loop.  Self-delivery is never a wire copy, hence
-        ``n - 1`` regardless of ``include_self`` — matching
-        ``SimulationStats``, which only records non-self sends.  The
-        copies themselves go through :meth:`Simulation._enqueue_broadcast`,
-        which pushes the whole fan-out in one pass.
+        Self-delivery is never a wire copy, hence ``n - 1`` staged copies
+        regardless of ``include_self`` — matching ``SimulationStats``,
+        which only records non-self sends.  The copies go through
+        :meth:`Simulation._fan_out` over ``range(n)``.
         """
         sim = self._sim
         src = self._node_id
@@ -177,7 +176,7 @@ class _SimNetworkAPI(NetworkAPI):
                 counts = sim._obs_counts(msg.__class__)
             counts[0] += n - 1
             counts[1] += (n - 1) * size
-        sim._enqueue_broadcast(src, msg, size, include_self)
+        sim._fan_out(src, range(n), msg, size, include_self)
 
     def set_timer(self, delay: float, tag: str, data: Any = None) -> None:
         self._sim._enqueue_timer(self._node_id, delay, tag, data)
@@ -216,7 +215,7 @@ class Simulation:
         factories: Sequence[NodeFactory],
         latency_model: LatencyModel | None = None,
         bandwidth_bps: float | None = None,
-        adversary: Optional["AdversaryProtocol"] = None,
+        adversary: Optional["Adversary"] = None,
         cpu: CpuCost | None = None,
         seed: int = 0,
         obs: Observability | None = None,
@@ -230,8 +229,8 @@ class Simulation:
         self.rng = random.Random(f"sim:{seed}")
         self.now = 0.0
         flat_ok = isinstance(self.latency, FactoredLatency)
-        #: src -> per-destination base-delay row (lazily built) for the
-        #: broadcast fan-out's inlined loop; None when the model is not
+        #: src -> per-destination base-delay row (lazily built) for
+        #: ``_fan_out``'s inlined propagation; None when the model is not
         #: factored.  A pure function of the pinned latency model, so
         #: snapshot/restore may capture it freely.
         self._flat_rows: Optional[dict] = {} if flat_ok else None
@@ -252,11 +251,9 @@ class Simulation:
         self._obs_inflight_prev: dict = {}
         #: raw queue-wait samples, bulk-folded into the histograms at flush
         #: (list.append is ~4x cheaper than a per-event observe); the
-        #: common NIC-idle case (wait 0) stays a plain int.
+        #: common NIC-idle case (wait 0) stays a plain int, and a fan-out's
+        #: egress waits are one (first, step, count) arithmetic progression.
         self._obs_egress_waits: list = []
-        #: broadcast fan-out waits staged as (first, step, count)
-        #: arithmetic progressions — one tuple per broadcast from the
-        #: flat path, expanded into ``_obs_egress_waits`` at flush.
         self._obs_egress_runs: list = []
         self._obs_egress_zero = 0
         self._obs_cpu_waits: list = []
@@ -343,17 +340,12 @@ class Simulation:
                 counts[0] = counts[1] = counts[2] = counts[3] = 0
                 self._obs_inflight_prev[msg_cls] = backlog
         if self._obs_egress_runs:
-            # Expand the staged (first, step, count) progressions from the
-            # broadcast fast path.  Values are reconstructed by closed
-            # form (first + step*k), which can differ from the per-copy
-            # iterative sum in the last ulp — telemetry only, never fed
-            # back into the schedule.
+            # Each wait is rebuilt in closed form (first + step*k), which
+            # can differ from the NIC's iterative sum in the last ulp —
+            # telemetry only, never fed back into the schedule.
             waits = self._obs_egress_waits
             for first, step, count in self._obs_egress_runs:
-                if count == 1:
-                    waits.append(first)
-                else:
-                    waits.extend([first + step * k for k in range(count)])
+                waits.extend([first + step * k for k in range(count)])
             self._obs_egress_runs.clear()
         self._h_egress_wait.observe_bulk(self._obs_egress_waits)
         self._obs_egress_waits.clear()
@@ -369,63 +361,23 @@ class Simulation:
         self._seq = seq + 1
         self._queue.push((when, seq, kind, a, b, c))
 
-    def _enqueue_send(self, src: int, dst: int, msg: Message, size: int = -1) -> None:
-        if src in self._crashed:
-            return
-        if dst == src:
-            # Local delivery: no propagation, no serialization, but still an
-            # event so handler atomicity is preserved.
-            self._push(self.now, _DELIVER, src, dst, msg)
-            return
-        if size < 0:
-            size = msg.wire_size()
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size
-        stats.per_node_bytes[src] += size
-        # per-type sent/bytes staging lives in _SimNetworkAPI.send/broadcast
-        # (one op per fan-out, not per copy); drops stay here.
-        if self.adversary is not None:
-            extra_delay = self.adversary.on_send(src, dst, msg, self.now)
-            if extra_delay is None:
-                self._adversary_dropped(src, dst, msg)
-                return
-            if extra_delay > 0.0 and self._obs_on:
-                self._adversary_delayed(src, dst, msg, extra_delay)
-        else:
-            extra_delay = 0.0
-
-        if self._bw is not None:
-            start = max(self.now, self._egress_free[src])
-            finish = start + size * 8.0 / self._bw
-            self._egress_free[src] = finish
-            if self._obs_on:
-                if start > self.now:
-                    self._obs_egress_waits.append(start - self.now)
-                else:
-                    self._obs_egress_zero += 1
-        else:
-            finish = self.now
-        d = self.latency.delay(src, dst, self.rng)
-        self._push(finish + d + extra_delay, _DELIVER, src, dst, msg)
-
-    def _enqueue_broadcast(
-        self, src: int, msg: Message, size: int, include_self: bool
+    def _fan_out(
+        self, src: int, dsts: Sequence[int], msg: Message, size: int,
+        include_self: bool = True,
     ) -> None:
-        """Push the whole fan-out in one pass.
+        """Push one message's copies to ``dsts`` (ascending) in one pass:
+        ``range(n)`` for a broadcast, ``(dst,)`` for a unicast.
 
-        Event-for-event (and RNG-draw-for-draw) equivalent to calling
-        :meth:`_enqueue_send` once per destination in ascending ``dst``
-        order, but with the crash check, stats accounting, and the NIC
-        serialization term hoisted out of the per-copy loop.
-
-        With a :class:`~repro.net.latency.FactoredLatency` model and no
-        adversary, the per-copy latency call is inlined against a
-        precomputed base-delay row: one uniform draw and three float ops
-        per copy instead of a four-call tower through ``latency.delay``.  Bit-identical to the per-copy loop below by
-        construction — CPython's ``Random.uniform(a, b)`` is
-        ``a + (b - a) * random()``, the exact expression inlined here
-        (``tests/net/test_engine.py`` diffs the two).
+        Per copy, in this order: the adversary's verdict (drop, or an extra
+        delay), FIFO serialization through ``src``'s egress NIC, then
+        propagation.  A :class:`~repro.net.latency.FactoredLatency` model
+        is inlined against a per-source base-delay row — one uniform draw
+        and three float ops per copy, bit-identical to ``latency.delay``
+        draw for draw, because CPython's ``Random.uniform(a, b)`` is
+        ``a + (b - a) * random()``, the exact expression below
+        (``tests/net/test_engine.py`` diffs the two); any other model is
+        asked per copy.  A self-copy is a local delivery at ``now``: no
+        wire copy, no NIC, no adversary.
         """
         if src in self._crashed:
             return
@@ -436,115 +388,60 @@ class Simulation:
         appended = 0
         seq = self._seq
         now = self.now
-        n = len(self.nodes)
-        copies = n - 1
-        if copies > 0:
-            stats = self.stats
-            stats.messages_sent += copies
-            stats.bytes_sent += copies * size
-            stats.per_node_bytes[src] += copies * size
         adversary = self.adversary
         bw = self._bw
-        egress = self._egress_free
         rng = self.rng
         obs_on = self._obs_on
         rows = self._flat_rows
-        if adversary is None and rows is not None:
-            # ---- flat row (factored latency, no adversary) ----
+        if rows is not None:
             row = rows.get(src)
             if row is None:
-                row = rows[src] = self.latency.base_row(src, n)
-            if bw is not None:
-                ser = size * 8.0 / bw
-                free = egress[src]
-            else:
-                ser = 0.0
-                free = now
-            free0 = free
+                row = rows[src] = self.latency.base_row(src, len(self.nodes))
             jfrac = self._flat_jitter
             neg = -jfrac
             width = jfrac - neg
             random = rng.random
-            for dst in range(n):
-                if dst == src:
-                    if include_self:
-                        push((now, seq, _DELIVER, src, dst, msg))
-                        seq += 1
-                    continue
-                if bw is not None:
-                    start = free if free > now else now
-                    finish = start + ser
-                    free = finish
-                else:
-                    finish = now
-                base = row[dst]
-                if base != 0.0 and jfrac != 0.0:
-                    arrival = finish + base * (1.0 + (neg + width * random()))
-                else:
-                    arrival = finish + base
-                bucket = later_get(int(arrival * BUCKETS_PER_SECOND))
-                if bucket is not None:
-                    bucket.append((arrival, seq, _DELIVER, src, dst, msg))
-                    appended += 1
-                else:
-                    push((arrival, seq, _DELIVER, src, dst, msg))
-                seq += 1
-            if bw is not None:
-                egress[src] = free
-            self._seq = seq
-            queue.later_count += appended
-            if obs_on and bw is not None and copies > 0:
-                # Egress waits staged as one arithmetic progression per
-                # broadcast: the NIC drains FIFO, so the k-th wire copy
-                # starts at max(free0, now) + k*ser.  One tuple append
-                # here, expanded at flush time (``_obs_flush``) — the
-                # per-copy staging branch stays off the hot loop (the
-                # <5% engine-loop budget in bench_micro_obs needs the
-                # headroom at small n, and at n=100 this is 1 op vs 99).
-                wait0 = free0 - now
-                if wait0 > 0.0:
-                    self._obs_egress_runs.append((wait0, ser, copies))
-                elif ser > 0.0:
-                    self._obs_egress_zero += 1
-                    if copies > 1:
-                        self._obs_egress_runs.append((ser, ser, copies - 1))
-                else:
-                    self._obs_egress_zero += copies
-            return
-        # ---- per copy: an adversary, or a non-factored model ----
-        latency_delay = self.latency.delay
-        ser = size * 8.0 / bw if bw is not None else 0.0
-        if obs_on:
-            obs_waits_append = self._obs_egress_waits.append
-            obs_zero = 0
-        for dst in range(n):
+        else:
+            row = None
+            latency_delay = self.latency.delay
+        if bw is not None:
+            ser = size * 8.0 / bw
+            free = self._egress_free[src]
+        else:
+            ser = 0.0
+            free = now
+        free0 = free
+        extra = 0.0
+        dropped = 0
+        for dst in dsts:
             if dst == src:
                 if include_self:
                     push((now, seq, _DELIVER, src, dst, msg))
                     seq += 1
                 continue
             if adversary is not None:
-                extra_delay = adversary.on_send(src, dst, msg, now)
-                if extra_delay is None:
+                extra = adversary.on_send(src, dst, msg, now)
+                if extra is None:
                     self._adversary_dropped(src, dst, msg)
+                    dropped += 1
                     continue
-                if extra_delay > 0.0 and obs_on:
-                    self._adversary_delayed(src, dst, msg, extra_delay)
-            else:
-                extra_delay = 0.0
+                if extra > 0.0 and obs_on:
+                    self._adversary_delayed(src, dst, msg, extra)
             if bw is not None:
-                free = egress[src]
                 start = free if free > now else now
-                finish = start + ser
-                egress[src] = finish
-                if obs_on:
-                    if start > now:
-                        obs_waits_append(start - now)
-                    else:
-                        obs_zero += 1
+                finish = free = start + ser
             else:
                 finish = now
-            arrival = finish + latency_delay(src, dst, rng) + extra_delay
+            # ``+ extra`` comes last, as in ``finish + latency.delay() +
+            # extra``; without an adversary it adds 0.0, which moves no bit.
+            if row is None:
+                arrival = finish + latency_delay(src, dst, rng) + extra
+            else:
+                base = row[dst]
+                if base != 0.0 and jfrac != 0.0:
+                    arrival = finish + base * (1.0 + (neg + width * random())) + extra
+                else:
+                    arrival = finish + base + extra
             bucket = later_get(int(arrival * BUCKETS_PER_SECOND))
             if bucket is not None:
                 bucket.append((arrival, seq, _DELIVER, src, dst, msg))
@@ -554,8 +451,36 @@ class Simulation:
             seq += 1
         self._seq = seq
         queue.later_count += appended
-        if obs_on and obs_zero:
-            self._obs_egress_zero += obs_zero
+        copies = len(dsts) - (src in dsts)
+        if not copies:
+            return
+        stats = self.stats
+        stats.messages_sent += copies
+        stats.bytes_sent += copies * size
+        stats.per_node_bytes[src] += copies * size
+        if bw is None:
+            return
+        self._egress_free[src] = free
+        wired = copies - dropped
+        if obs_on and wired:
+            # Egress waits staged as one arithmetic progression per call
+            # (a lone wait as a plain float): the NIC drains FIFO, so the
+            # k-th copy on the wire starts at max(free0, now) + k*ser.  One
+            # op here, expanded at flush (``_obs_flush``) — the per-copy
+            # staging branch stays off the hot loop, which the <5 %
+            # engine-loop budget in bench_micro_obs needs at small n.
+            wait0 = free0 - now
+            if wait0 > 0.0:
+                if wired == 1:
+                    self._obs_egress_waits.append(wait0)
+                else:
+                    self._obs_egress_runs.append((wait0, ser, wired))
+            elif ser > 0.0:
+                self._obs_egress_zero += 1
+                if wired > 1:
+                    self._obs_egress_runs.append((ser, ser, wired - 1))
+            else:
+                self._obs_egress_zero += wired
 
     def _adversary_dropped(self, src: int, dst: int, msg: Message) -> None:
         """Count (and, with obs on, attribute) one copy the adversary drops."""
@@ -759,21 +684,3 @@ class Simulation:
         stateful objects (invariant monitor, metrics collector, mempools)
         whose state must travel with the simulation."""
         return SimulatorSnapshot(self, extra_roots=extra_roots)
-
-
-class AdversaryProtocol:
-    """Structural interface the simulator expects from adversaries.
-
-    Kept here (rather than in :mod:`repro.adversary`) to avoid an import
-    cycle; real adversaries subclass :class:`repro.adversary.base.Adversary`
-    which conforms to this.
-    """
-
-    def attach(self, sim: Simulation) -> None:  # pragma: no cover - interface
-        """Called once after nodes are constructed."""
-
-    def on_send(
-        self, src: int, dst: int, msg: Message, now: float
-    ) -> float | None:  # pragma: no cover - interface
-        """Return extra delay in seconds, or ``None`` to drop the message."""
-        return 0.0

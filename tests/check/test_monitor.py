@@ -48,6 +48,24 @@ class TestPerNodeChecks:
         with pytest.raises(InvariantViolation, match="via-leader-consistent"):
             hook(record(1, block_at(1, 1), via=b"B" * 32))
 
+    def test_second_via_at_a_later_index_still_caught(self):
+        """One (index, via) entry per replica: a new index replaces it,
+        and a second via at that index is still refused."""
+        monitor = InvariantMonitor()
+        hook = monitor.wrap_commit(0)
+        hook(record(0, block_at(1, 0), leader_index=0, via=b"A" * 32))
+        hook(record(1, block_at(1, 1), leader_index=1, via=b"B" * 32))
+        hook(record(2, block_at(1, 2), leader_index=1, via=b"B" * 32))
+        with pytest.raises(InvariantViolation, match="via-leader-consistent"):
+            hook(record(3, block_at(1, 3), leader_index=1, via=b"C" * 32))
+
+    def test_leader_state_does_not_grow_with_leader_indices(self):
+        monitor = InvariantMonitor()
+        hook = monitor.wrap_commit(0)
+        for index in range(50):
+            hook(record(index, block_at(1, index), leader_index=index))
+        assert monitor._last_leader == {0: (49, b"L" * 32)}
+
     def test_inner_callback_forwarded(self):
         seen = []
         monitor = InvariantMonitor()

@@ -1,14 +1,15 @@
-"""The broadcast fan-out's two loops must be one behaviour.
+"""The simulator's one fan-out pass must be one behaviour for every model.
 
-``Simulation._enqueue_broadcast`` inlines a factored latency model's
-base-delay row when no adversary is attached, and calls
-``latency.delay()`` per copy otherwise.  The choice is the code's,
-not the caller's, so the reference here is test-local: :class:`PerCopy`
-hides the model's factored structure and thereby forces the per-copy loop.
+``Simulation._fan_out`` inlines a factored latency model's base-delay row
+and calls ``latency.delay()`` per copy for any other model, with or
+without an adversary, for a broadcast and for a unicast alike.  The choice
+is the code's, not the caller's, so the reference here is test-local:
+:class:`PerCopy` hides the model's factored structure and thereby forces
+the per-copy call.
 
 The contract is **bit-identity**: same deliveries, same times, same RNG
 trajectory, same stats.  These tests drive a 40-replica broadcast storm
-through both loops and diff everything.
+(and a unicast storm answering it) both ways and diff everything.
 """
 
 from dataclasses import dataclass
@@ -61,6 +62,31 @@ class Storm(Node):
             self.net.set_timer(0.25, "next", data + 1)
 
 
+@dataclass(frozen=True)
+class Ack(Message):
+    origin: int
+    round: int
+
+    def wire_size(self) -> int:
+        return 90
+
+
+class Answering(Storm):
+    """A storm whose every gossip is answered by unicast to its origin
+    (a replica's own gossip included: a local delivery)."""
+
+    def __init__(self, net):
+        super().__init__(net)
+        self.acks = []
+
+    def on_message(self, src, msg):
+        if msg.__class__ is Ack:
+            self.acks.append((self.net.now(), src, msg.round))
+            return
+        super().on_message(src, msg)
+        self.net.send(msg.origin, Ack(origin=self.net.node_id, round=msg.round))
+
+
 class PerCopy(LatencyModel):
     """The oracle: same delays as ``inner``, but not a FactoredLatency."""
 
@@ -73,10 +99,10 @@ class PerCopy(LatencyModel):
 
 def run_storm(
     latency, bandwidth=None, n=N_STORM, stops=(3.0,), crash_at=None,
-    adversary=None,
+    adversary=None, node=Storm,
 ):
     sim = Simulation(
-        [Storm for _ in range(n)],
+        [node for _ in range(n)],
         latency_model=latency,
         bandwidth_bps=bandwidth,
         adversary=adversary,
@@ -96,6 +122,7 @@ def trace(sim):
     """Everything that must not depend on the loop taken, in one blob."""
     return {
         "received": [node.received for node in sim.nodes],
+        "acks": [getattr(node, "acks", None) for node in sim.nodes],
         "rng": sim.rng.getstate(),
         "now": sim.now,
         "events": sim.stats.events_processed,
@@ -141,11 +168,11 @@ class TestFlatRowMatchesPerCopy:
 
     def test_lossy_model_forces_per_copy_sampling(self):
         """Loss is a ``loss`` phase of the fault schedule, decided per copy
-        by its adversary: the fan-out takes the per-copy loop (no flat row
-        is ever built) — and drops actually happen."""
+        by its adversary; propagation still comes from the base-delay
+        row — and drops actually happen."""
         schedule = FaultSchedule.from_spec("loss@0+inf:p=0.3,clusters=4")
         sim = run_storm(topology(), adversary=schedule.adversary(seed=11))
-        assert sim._flat_rows == {}
+        assert sim._flat_rows
         assert sim.stats.messages_dropped == sim.adversary.dropped > 0
         # Conservation: every wire copy is delivered or dropped; the
         # N * ROUNDS self-deliveries are never wire copies.
@@ -153,6 +180,63 @@ class TestFlatRowMatchesPerCopy:
             sim.stats.messages_delivered + sim.stats.messages_dropped
             == sim.stats.messages_sent + N_STORM * ROUNDS
         )
+
+
+#: Adversary schedules the row must serve exactly as ``latency.delay`` does.
+SCHEDULES = {
+    "loss": "loss@0+inf:p=0.3,clusters=4",
+    "delay-tail": "delay@0+inf:max=0.2,tailp=0.1,taild=1.5",
+    "partition-loss": "partition@0.3+0.4:group=0|1|2|3|4;loss@0+inf:p=0.1",
+}
+
+
+def scheduled(name):
+    return FaultSchedule.from_spec(SCHEDULES[name]).adversary(seed=11)
+
+
+class TestRowUnderAnAdversary:
+    """An adversary's verdict comes before the NIC and the propagation
+    draw; the row path keeps both RNG trajectories of the per-copy path."""
+
+    @pytest.mark.parametrize("bandwidth", [None, 50_000_000], ids=["nobw", "bw"])
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_bit_identical(self, schedule, bandwidth):
+        row = run_storm(topology(), bandwidth, adversary=scheduled(schedule))
+        per_copy = run_storm(
+            PerCopy(topology()), bandwidth, adversary=scheduled(schedule)
+        )
+        assert row._flat_rows and per_copy._flat_rows is None
+        assert trace(row) == trace(per_copy)
+        assert row.adversary.rng.getstate() == per_copy.adversary.rng.getstate()
+        if schedule != "delay-tail":
+            assert row.stats.messages_dropped > 0
+
+
+class TestUnicastStorm:
+    """``send`` takes the same pass over ``(dst,)``: every gossip is
+    answered to its origin, and replica 3 crashes mid-storm."""
+
+    @pytest.mark.parametrize("schedule", [None, "partition-loss"])
+    def test_bit_identical(self, schedule):
+        def run(latency):
+            return run_storm(
+                latency, 50_000_000, crash_at=0.3007, node=Answering,
+                adversary=schedule and scheduled(schedule),
+            )
+
+        row, per_copy = run(topology()), run(PerCopy(topology()))
+        assert row._flat_rows and per_copy._flat_rows is None
+        assert trace(row) == trace(per_copy)
+        acks = row.nodes[0].acks
+        assert {src for _, src, _ in acks} > {0, 3}  # own gossip answered too
+        # Replica 3 answers until it crashes, then hears nothing.
+        assert max(when for when, src, _ in acks if src == 3) <= 0.3007 + 0.2
+        assert max(when for when, *_ in row.nodes[3].received) <= 0.3007
+        assert not row.nodes[3].acks or max(
+            when for when, *_ in row.nodes[3].acks
+        ) <= 0.3007
+        if schedule:
+            assert row.stats.messages_dropped == row.adversary.dropped > 0
 
 
 def stopped_mid_bucket(sim):
