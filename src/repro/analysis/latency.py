@@ -2,8 +2,8 @@
 
 The paper's headline claim is *low latency through lightweight broadcast*
 — this module says **where a committed block's milliseconds went**.  From
-a traced run's journal (``block.*``/``coin.*`` events plus the
-``trace.*`` spans of :mod:`repro.obs.trace`) it reconstructs, per
+a run's journal (``block.*``/``coin.*`` events plus the ``trace.*``
+lifecycle milestones every enabled journal records) it reconstructs, per
 committed ``(replica, block)`` pair, the lifecycle timeline
 
     created → body arrived → vote/echo quorum → delivered
@@ -28,9 +28,10 @@ per-stage aggregate table claim to explain the measured commit latency
 (PBC has no quorum; a retrieved block skips it) contributes a zero-width
 stage rather than breaking the sum.
 
-Client-side **queueing** (tx submitted → proposal drained it, from
-``trace.batch``) and post-commit **execute** (from ``trace.execute``)
-are reported separately — they sit outside consensus latency.
+Client-side **queueing** (tx submitted → proposal drained it, from the
+batch's ``txs`` and ``submit_sum`` on ``block.propose``) and post-commit
+**execute** (from ``trace.execute``) are reported separately — they sit
+outside consensus latency.
 
 :func:`critical_path` walks a committed block's causal ancestry (parents
 recorded on ``trace.body``) picking, at each hop, the parent that was
@@ -71,14 +72,14 @@ class BlockTimeline:
     round: int = -1
     author: int = -1
     created: Optional[float] = None
-    batch_mean_submit: Optional[float] = None
+    #: mean client queueing delay of the block's transactions
+    queue_wait: Optional[float] = None
     body: Optional[float] = None
     quorum: Optional[float] = None
     delivered: Optional[float] = None
     coin: Optional[float] = None
     committed: Optional[float] = None
     executed: Optional[float] = None
-    position: Optional[int] = None
     wave: Optional[int] = None
     parents: Tuple[str, ...] = ()
 
@@ -112,13 +113,6 @@ class BlockTimeline:
             return None
         return self.committed - self.created
 
-    @property
-    def queue_wait(self) -> Optional[float]:
-        """Mean client queueing delay of the block's transactions."""
-        if self.created is None or self.batch_mean_submit is None:
-            return None
-        return max(self.created - self.batch_mean_submit, 0.0)
-
 
 def _normalize(event) -> Tuple[float, int, str, Dict[str, object]]:
     """Accept journal :class:`~repro.obs.Event` tuples or JSONL dicts."""
@@ -136,8 +130,8 @@ def build_timelines(events: Iterable) -> Dict[Tuple[int, str], BlockTimeline]:
     walk use their delivery times).
     """
     timelines: Dict[Tuple[int, str], BlockTimeline] = {}
-    proposed: Dict[str, Tuple[float, int, int]] = {}  # digest -> (t, round, author)
-    batches: Dict[Tuple[int, float], float] = {}  # (node, t) -> mean_submit
+    # digest -> (t, round, author, queue wait or None)
+    proposed: Dict[str, Tuple[float, int, int, Optional[float]]] = {}
     coins: Dict[Tuple[int, int], float] = {}  # (node, wave) -> reveal t
 
     def line(node: int, digest: str) -> BlockTimeline:
@@ -152,11 +146,16 @@ def build_timelines(events: Iterable) -> Dict[Tuple[int, str], BlockTimeline]:
         if type_ == "block.propose":
             digest = str(data.get("digest"))
             if digest not in proposed:
+                # (txs * t - sum) / txs, not t - sum / txs: a batch stamped
+                # at t waits exactly 0, as the commit metrics count it.
+                txs = int(data.get("txs", 0))
+                queue = None
+                if txs > 0 and "submit_sum" in data:
+                    queue = max((txs * t - float(data["submit_sum"])) / txs, 0.0)
                 proposed[digest] = (
-                    t, int(data.get("round", -1)), int(data.get("author", node))
+                    t, int(data.get("round", -1)), int(data.get("author", node)),
+                    queue,
                 )
-        elif type_ == "trace.batch":
-            batches[(node, t)] = float(data.get("mean_submit", t))
         elif type_ == "trace.body":
             tl = line(node, str(data.get("digest")))
             if tl.body is None:
@@ -183,10 +182,6 @@ def build_timelines(events: Iterable) -> Dict[Tuple[int, str], BlockTimeline]:
                 tl.wave = int(data.get("wave", -1))
                 tl.round = int(data.get("round", tl.round))
                 tl.author = int(data.get("author", tl.author))
-        elif type_ == "trace.ordered":
-            tl = line(node, str(data.get("digest")))
-            if tl.position is None:
-                tl.position = int(data.get("position", -1))
         elif type_ == "trace.execute":
             tl = line(node, str(data.get("digest")))
             if tl.executed is None:
@@ -195,12 +190,11 @@ def build_timelines(events: Iterable) -> Dict[Tuple[int, str], BlockTimeline]:
     for (node, digest), tl in timelines.items():
         origin = proposed.get(digest)
         if origin is not None:
-            tl.created, round_, author = origin
+            tl.created, round_, author, tl.queue_wait = origin
             if tl.round < 0:
                 tl.round = round_
             if tl.author < 0:
                 tl.author = author
-            tl.batch_mean_submit = batches.get((author, tl.created))
         if tl.wave is not None:
             tl.coin = coins.get((node, tl.wave))
     return timelines

@@ -75,12 +75,10 @@ _INSTANT_TYPES = {
     "stall.rebroadcast": "recovery",
     "adversary.drop": "adversary",
     "adversary.delay": "adversary",
-    # Lifecycle trace spans (repro.obs.trace) and health alerts land as
+    # Lifecycle milestones (trace.*) and health alerts land as
     # categorized instants so Perfetto can filter them per category.
-    "trace.batch": "workload",
     "trace.quorum": "lifecycle",
     "trace.unblocked": "lifecycle",
-    "trace.ordered": "lifecycle",
     "trace.execute": "smr",
     "trace.cpu_wait": "cpu",
     "trace.repropose": "lifecycle",

@@ -59,9 +59,9 @@ class CbcManager:
             "broadcast.retrieved_deliveries", primitive="cbc"
         )
         self.tracker = InstanceTracker(on_deliver, obs=obs, primitive="cbc")
-        #: causal tracer (None unless tracing requested): emits the
-        #: echo-quorum-crossed span, CBC's delivery predicate.
-        self._trace = obs.trace if obs.trace.enabled else None
+        #: pre-bound journal emit (None when the journal is off): the
+        #: echo-quorum-crossed milestone, CBC's delivery predicate.
+        self._obs_emit = obs.journal.emit if obs.journal.enabled else None
         #: digests this replica has echoed, per slot (vote bookkeeping for
         #: protocol policies; LightDAG1 allows one entry, LightDAG2 several).
         self.votes_by_slot: Dict[Tuple[int, int], List[Digest]] = {}
@@ -115,8 +115,8 @@ class CbcManager:
         before = inst.echoers
         echoers = inst.echoers = before | (1 << src)
         count = echoers.bit_count()
-        if self._trace is not None and count == self.quorum and echoers != before:
-            self._trace.emit(
+        if self._obs_emit is not None and count == self.quorum and echoers != before:
+            self._obs_emit(
                 self.net.now(), "trace.quorum", self.net.node_id,
                 digest=echo.digest.hex()[:8], round=echo.round,
                 author=echo.author, kind="echo", primitive="cbc",

@@ -58,9 +58,9 @@ class RbcManager:
             "broadcast.retrieved_deliveries", primitive="rbc"
         )
         self.tracker = InstanceTracker(on_deliver, obs=obs, primitive="rbc")
-        #: causal tracer (None unless tracing requested): emits the
-        #: ready-quorum-crossed span, RBC's delivery predicate.
-        self._trace = obs.trace if obs.trace.enabled else None
+        #: pre-bound journal emit (None when the journal is off): the
+        #: ready-quorum-crossed milestone, RBC's delivery predicate.
+        self._obs_emit = obs.journal.emit if obs.journal.enabled else None
         #: the one digest this replica echoed per slot.
         self._echoed_digest: Dict[Tuple[int, int], Digest] = {}
 
@@ -117,8 +117,8 @@ class RbcManager:
         before = inst.readiers
         readiers = inst.readiers = before | (1 << src)
         count = readiers.bit_count()
-        if self._trace is not None and count == self.quorum and readiers != before:
-            self._trace.emit(
+        if self._obs_emit is not None and count == self.quorum and readiers != before:
+            self._obs_emit(
                 self.net.now(), "trace.quorum", self.net.node_id,
                 digest=ready.digest.hex()[:8], round=ready.round,
                 author=ready.author, kind="ready", primitive="rbc",

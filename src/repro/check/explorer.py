@@ -88,7 +88,6 @@ from ..net.snapshot import SimulatorSnapshot
 from ..obs import Observability
 from ..obs.journal import EventJournal
 from ..obs.registry import _SharedSink
-from ..obs.trace import NullTracer, Tracer
 from ..workload.metrics import MetricsCollector
 from ..workload.txgen import Mempool
 from .mutants import MUTANT_REGISTRY
@@ -110,8 +109,6 @@ _SKIP_TYPES = (
     Observability,
     _SharedSink,
     EventJournal,
-    Tracer,
-    NullTracer,
     NetworkAPI,
     LatencyModel,
     Adversary,

@@ -59,13 +59,7 @@ from .harness.report import (
 )
 from .harness.runner import PROTOCOL_REGISTRY, node_class, run_experiment
 from .harness.steps import measure_commit_steps, table1_rows
-from .obs import (
-    BoundedJournal,
-    EventJournal,
-    MetricsRegistry,
-    Observability,
-    Tracer,
-)
+from .obs import BoundedJournal, EventJournal, MetricsRegistry, Observability
 from .workload.clients import ARRIVAL_KINDS
 
 
@@ -381,7 +375,7 @@ def _cmd_run(args) -> int:
                 )
             else:
                 journal = EventJournal()
-            obs = Observability(MetricsRegistry(), journal, trace=Tracer(journal))
+            obs = Observability(MetricsRegistry(), journal)
         result = run_experiment(cfg, obs=obs, health=True)
         rows, health = [result.row()], result.health
     print(format_result_rows(rows))

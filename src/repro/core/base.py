@@ -165,12 +165,10 @@ class BaseDagNode(Node):
         self.system = system
         self.protocol = protocol
         self.obs = obs if obs is not None else NULL_OBS
-        #: pre-bound journal emit for hot paths (None when disabled), so
-        #: per-delivery sites pay one attribute read + branch, not three.
-        self._obs_emit = self.obs.journal.emit if self.obs.enabled else None
-        #: causal tracer (None unless tracing was requested) — same idiom:
-        #: span sites pay one attribute read + branch when tracing is off.
-        self._trace = self.obs.trace if self.obs.trace.enabled else None
+        #: pre-bound journal emit for hot paths (None when the journal is
+        #: off), so ``block.*`` and ``trace.*`` sites alike pay one
+        #: attribute read + branch, not three.
+        self._obs_emit = self.obs.journal.emit if self.obs.journal.enabled else None
         metrics = self.obs.metrics
         self._ctr_rounds = metrics.counter("core.rounds_advanced")
         self._ctr_delivered = metrics.counter("core.blocks_delivered")
@@ -188,8 +186,6 @@ class BaseDagNode(Node):
         self.coin: GlobalPerfectCoin = make_coin(system.crypto, keychain, system.seed)
         self.store = DagStore(system.n, strict=self.STRICT_STORE)
         self.ledger = Ledger()
-        if self._trace is not None:
-            self.ledger.bind_trace(self._trace, net.node_id)
         self.retrieval = RetrievalManager(
             net, self.store, enabled=protocol.retrieval_enabled, obs=self.obs
         )
@@ -438,10 +434,10 @@ class BaseDagNode(Node):
             self._invalid[block.digest] = block.round
             return
         self._known[block.digest] = block.round
-        if self._trace is not None:
+        if self._obs_emit is not None:
             # Carry the parent digests so the analysis layer can walk a
             # committed block's causal ancestry from the journal alone.
-            self._trace.emit(
+            self._obs_emit(
                 self.net.now(), "trace.body", self.node_id,
                 round=block.round, author=block.author,
                 digest=short_hex(block.digest), src=src,
@@ -525,8 +521,8 @@ class BaseDagNode(Node):
             self.on_deliver_hook(block, now)
         self.retrieval.drop_pending(block.digest)
         for dep, src, was_retrieved in self.retrieval.satisfied_by(block.digest):
-            if self._trace is not None:
-                self._trace.emit(
+            if self._obs_emit is not None:
+                self._obs_emit(
                     now, "trace.unblocked", self.node_id,
                     digest=short_hex(dep.digest), round=dep.round,
                     author=dep.author, by=short_hex(block.digest),
@@ -569,19 +565,23 @@ class BaseDagNode(Node):
         return parents
 
     def _propose(self, round_: int) -> None:
+        now = self.net.now()
         parents = self._choose_parents(round_)
-        payload = self.payload_source(self.net.now())
+        payload = self.payload_source(now)
         block = self._build_block(round_, parents, payload)
         self._my_latest_block = block
         # Proposing is forward progress too: (re-)arm the stall clock so
         # detection counts from our first own proposal, never from t=0.
-        self._stall_clock = self.net.now()
+        self._stall_clock = now
         self._ctr_rounds.inc()
         if self._obs_emit is not None:
+            # The batch's submit-time sum rides along, so the analysis
+            # derives the client queue wait (txs * t - sum) / txs exactly.
             self._obs_emit(
-                self.net.now(), "block.propose", self.node_id,
+                now, "block.propose", self.node_id,
                 round=round_, author=self.node_id,
                 digest=short_hex(block.digest), txs=payload.count,
+                submit_sum=payload.submit_time_sum,
             )
         self._broadcast_block(block)
 
@@ -660,11 +660,11 @@ class BaseDagNode(Node):
         leader, wave_num, kind, blocks = commit
         k = self.ledger.begin_leader()
         now = self.net.now()
-        journal = self.obs.journal if self.obs.enabled else None
+        emit = self._obs_emit
         for block in blocks:
             record = self.ledger.append(block, now, leader.digest, k)
-            if journal is not None:
-                journal.emit(
+            if emit is not None:
+                emit(
                     now, "block.commit", self.node_id,
                     round=block.round, author=block.author,
                     digest=short_hex(block.digest), wave=wave_num,
@@ -673,8 +673,8 @@ class BaseDagNode(Node):
                 self.on_commit(record)
         self._ctr_commit_kind[kind].inc()
         self._ctr_committed.inc(len(blocks))
-        if journal is not None:
-            journal.emit(
+        if emit is not None:
+            emit(
                 now, "wave.commit", self.node_id,
                 wave=wave_num, kind=kind, leader=leader.author, blocks=len(blocks),
             )

@@ -251,8 +251,8 @@ class LightDag2Node(BaseDagNode):
         )
         self.my_blocks[block.digest] = block
         self.reproposals += 1
-        if self._trace is not None:
-            self._trace.emit(
+        if self._obs_emit is not None:
+            self._obs_emit(
                 self.net.now(), "trace.repropose", self.node_id,
                 round=round_, digest=block.digest.hex()[:8],
                 original=original.digest.hex()[:8], index=j,

@@ -36,7 +36,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from ..crypto.hashing import Digest, short_hex
+from ..crypto.hashing import Digest
 from ..errors import ProtocolError
 from .block import Block
 
@@ -108,17 +108,6 @@ class Ledger:
         self._shed_horizon = 0
         #: Every position before this one has had its digest shed.
         self._shed_cursor = 0
-        self._trace = None
-        self._trace_node = -1
-
-    def bind_trace(self, trace, node_id: int) -> None:
-        """Attach a tracer so appends emit ``trace.ordered`` spans.
-
-        Called by the owning node when tracing is on; the default (no
-        tracer) keeps :meth:`append` branch-only, per the obs budget.
-        """
-        self._trace = trace
-        self._trace_node = node_id
 
     # -- appends ---------------------------------------------------------------
 
@@ -157,13 +146,6 @@ class Ledger:
         cols.signature.append(block.signature)
         cols.via_leader.append(via_leader)
         self._committed.add(digest)
-        if self._trace is not None:
-            self._trace.emit(
-                commit_time, "trace.ordered", self._trace_node,
-                digest=short_hex(digest), round=block.round,
-                author=block.author, position=position,
-                leader_index=leader_index,
-            )
         return CommitRecord(position, block, commit_time, via_leader, leader_index)
 
     # -- garbage collection ----------------------------------------------------

@@ -180,12 +180,8 @@ def assemble_experiment(
     saturating mempool per replica feeding the payloads, one collector on
     the commits.  ``check_level`` overrides ``cfg.check_level``.
     """
-    obs = obs if obs is not None else NULL_OBS
     collector = MetricsCollector(warmup=cfg.warmup, measure_until=cfg.duration)
     mempools = [Mempool.from_config(cfg.protocol) for _ in range(cfg.system.n)]
-    if obs.trace.enabled:
-        for i, mempool in enumerate(mempools):
-            mempool.bind_trace(obs.trace, i)
     assembly = assemble(
         cfg.system,
         cfg.protocol,

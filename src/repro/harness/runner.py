@@ -147,7 +147,8 @@ def run_experiment(
     registry and journal are threaded through the simulator, every node,
     and all broadcast/retrieval managers, and come back attached to the
     result (``result.obs``) for export via :mod:`repro.analysis.obs_export`.
-    With its tracer enabled, the journal is what
+    An enabled journal records the ``trace.*`` lifecycle milestones with
+    the ``block.*`` events, and is what
     :func:`repro.analysis.latency.explain_report` decomposes.
 
     ``health=True`` (requires an enabled journal) installs the

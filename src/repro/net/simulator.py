@@ -342,10 +342,14 @@ class Simulation:
         if self._obs_egress_runs:
             # Each wait is rebuilt in closed form (first + step*k), which
             # can differ from the NIC's iterative sum in the last ulp —
-            # telemetry only, never fed back into the schedule.
-            waits = self._obs_egress_waits
-            for first, step, count in self._obs_egress_runs:
-                waits.extend([first + step * k for k in range(count)])
+            # telemetry only, never fed back into the schedule.  One flat
+            # comprehension: a run is a few copies at small n, so a list
+            # per run would cost more than its waits.
+            self._obs_egress_waits.extend([
+                first + step * k
+                for first, step, count in self._obs_egress_runs
+                for k in range(count)
+            ])
             self._obs_egress_runs.clear()
         self._h_egress_wait.observe_bulk(self._obs_egress_waits)
         self._obs_egress_waits.clear()
@@ -577,10 +581,10 @@ class Simulation:
         cpu_free = self._cpu_free
         cpu_waits = self._obs_cpu_waits
         obs_on = self._obs_on
-        # Causal tracer (None unless requested): trace.enabled implies
-        # obs_on, so the emit below hides inside the staged-obs branch and
-        # the tracing-off run loop pays nothing beyond that branch.
-        trace = self.obs.trace if self.obs.trace.enabled else None
+        # Journal emit (None when the journal is off): an enabled journal
+        # implies obs_on, so the emit below hides inside the staged-obs
+        # branch and the journal-off run loop pays nothing beyond it.
+        emit = self.obs.journal.emit if self.obs.journal.enabled else None
         limit = until if until is not None else math.inf
         deliver, process = _DELIVER, _PROCESS
         # Handlers prebound once per run(): one attribute hop per event
@@ -619,8 +623,8 @@ class Simulation:
                         # CPU busy: requeue behind the backlog.
                         if obs_on:
                             cpu_waits.append(free - when)
-                            if trace is not None:
-                                trace.emit(
+                            if emit is not None:
+                                emit(
                                     when, "trace.cpu_wait", dst,
                                     wait=free - when,
                                     msg=msg.__class__.__name__,

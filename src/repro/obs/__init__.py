@@ -39,28 +39,23 @@ from .registry import (
     MetricsRegistry,
     NullRegistry,
 )
-from .trace import NULL_TRACER, NullTracer, Tracer
 
 
 class Observability:
-    """A metrics registry, an event journal, and a tracer travelling
-    together.  The tracer defaults to the inert :data:`NULL_TRACER`, so
-    tracing is opt-in even when metrics/journal are on."""
+    """A metrics registry and an event journal travelling together.  A
+    journal that is on records every event type, ``trace.*`` lifecycle
+    milestones included."""
 
-    __slots__ = ("metrics", "journal", "trace", "enabled")
+    __slots__ = ("metrics", "journal", "enabled")
 
     def __init__(
         self,
         metrics: Optional[MetricsRegistry] = None,
         journal: Optional[EventJournal] = None,
-        trace: Optional[Tracer] = None,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.journal = journal if journal is not None else EventJournal()
-        self.trace = trace if trace is not None else NULL_TRACER
-        self.enabled = (
-            self.metrics.enabled or self.journal.enabled or self.trace.enabled
-        )
+        self.enabled = self.metrics.enabled or self.journal.enabled
 
     # Observability is a bundle of shared sinks; snapshot/restore cycles
     # alias it (and its members — each is its own shared sink) rather than
@@ -85,7 +80,7 @@ class Observability:
 
 
 #: Shared inert instance — the default everywhere instrumentation is optional.
-NULL_OBS = Observability(NullRegistry(), NullJournal(), NULL_TRACER)
+NULL_OBS = Observability(NullRegistry(), NullJournal())
 
 __all__ = [
     "BoundedJournal",
@@ -98,10 +93,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_OBS",
-    "NULL_TRACER",
     "NullJournal",
     "NullRegistry",
-    "NullTracer",
     "Observability",
-    "Tracer",
 ]

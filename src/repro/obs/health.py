@@ -5,14 +5,16 @@ violations; this module watches for *liveness and performance* pathology
 while the run is still going:
 
 * **commit-progress stall** — no replica has committed anything for
-  ``stall_after`` simulated seconds (after the first commit ever);
-* **retrieval storm** — one replica issued more than ``storm_threshold``
-  §IV-A retrieval requests inside a sliding ``storm_window``;
+  :data:`STALL_AFTER` simulated seconds (after the first commit ever);
+* **retrieval storm** — one replica issued more than
+  :data:`STORM_THRESHOLD` §IV-A retrieval requests inside a sliding
+  :data:`STORM_WINDOW`;
 * **quorum-wait inflation** — a block's body→quorum wait exceeded
-  ``inflation_factor``× the running mean wait (after a warm-up count),
-  i.e. votes/echoes suddenly take far longer than they used to;
+  :data:`INFLATION_FACTOR`× the running mean wait (after
+  :data:`INFLATION_MIN_SAMPLES` waits), i.e. votes/echoes suddenly take
+  far longer than they used to;
 * **per-node commit lag** — at summary time, a replica's committed-block
-  count is under ``lag_ratio``× the median replica's.
+  count is under :data:`LAG_RATIO`× the median replica's.
 
 The monitor is a journal *listener* (:meth:`~repro.obs.journal.
 EventJournal.add_listener`): it sees every event as it is emitted and
@@ -33,28 +35,26 @@ from typing import Deque, Dict, List, Optional
 
 from .journal import Event, EventJournal
 
+#: Seconds of global commit silence that count as a stall.
+STALL_AFTER = 5.0
+#: Sliding window (seconds) of the retrieval-storm detector, and the
+#: minimum spacing of its and the inflation detector's alerts.
+STORM_WINDOW = 2.0
+#: Retrieval requests by one replica inside the window that make a storm.
+STORM_THRESHOLD = 25
+#: A body→quorum wait this many times the running mean is inflated.
+INFLATION_FACTOR = 4.0
+#: Waits observed before the inflation detector may fire.
+INFLATION_MIN_SAMPLES = 20
+#: A replica with fewer than this share of the median's commits lags.
+LAG_RATIO = 0.5
+
 
 class HealthMonitor:
     """Online liveness/health detectors over one run's journal."""
 
-    def __init__(
-        self,
-        n: int,
-        stall_after: float = 5.0,
-        storm_window: float = 2.0,
-        storm_threshold: int = 25,
-        inflation_factor: float = 4.0,
-        inflation_min_samples: int = 20,
-        lag_ratio: float = 0.5,
-    ) -> None:
+    def __init__(self, n: int) -> None:
         self.n = n
-        self.stall_after = stall_after
-        self.storm_window = storm_window
-        self.storm_threshold = storm_threshold
-        self.inflation_factor = inflation_factor
-        self.inflation_min_samples = inflation_min_samples
-        self.lag_ratio = lag_ratio
-
         self._journal: Optional[EventJournal] = None
         self.now = 0.0
         self.alerts: Dict[str, int] = {}
@@ -105,16 +105,16 @@ class HealthMonitor:
         if type_ == "retrieval.request":
             window = self._retrievals.setdefault(event.node, deque())
             window.append(t)
-            floor = t - self.storm_window
+            floor = t - STORM_WINDOW
             while window and window[0] < floor:
                 window.popleft()
-            if len(window) > self.storm_threshold:
+            if len(window) > STORM_THRESHOLD:
                 last = self._last_storm_alert.get(event.node, -1e18)
-                if t - last >= self.storm_window:
+                if t - last >= STORM_WINDOW:
                     self._last_storm_alert[event.node] = t
                     self._alert(
                         t, "health.retrieval_storm", event.node,
-                        requests=len(window), window=self.storm_window,
+                        requests=len(window), window=STORM_WINDOW,
                     )
             return
         if type_ == "trace.body":
@@ -128,12 +128,12 @@ class HealthMonitor:
                 return
             wait = t - start
             if (
-                self._quorum_wait_count >= self.inflation_min_samples
+                self._quorum_wait_count >= INFLATION_MIN_SAMPLES
                 and self._quorum_wait_count > 0
             ):
                 mean = self._quorum_wait_sum / self._quorum_wait_count
-                if mean > 0 and wait > self.inflation_factor * mean:
-                    if t - self._last_inflation_alert >= self.storm_window:
+                if mean > 0 and wait > INFLATION_FACTOR * mean:
+                    if t - self._last_inflation_alert >= STORM_WINDOW:
                         self._last_inflation_alert = t
                         self._alert(
                             t, "health.quorum_inflation", event.node,
@@ -148,8 +148,8 @@ class HealthMonitor:
         if self._first_commit is not None and self._last_commit_any is not None:
             silent = t - self._last_commit_any
             if (
-                silent > self.stall_after
-                and t - self._last_stall_alert >= self.stall_after
+                silent > STALL_AFTER
+                and t - self._last_stall_alert >= STALL_AFTER
             ):
                 self._last_stall_alert = t
                 self._alert(
@@ -160,7 +160,7 @@ class HealthMonitor:
     # -- run-end verdict ------------------------------------------------------
 
     def laggards(self) -> List[int]:
-        """Replicas whose commit count trails the median by ``lag_ratio``."""
+        """Replicas whose commit count trails the median by :data:`LAG_RATIO`."""
         counts = sorted(self.commits_by_node.values())
         if not counts or counts[-1] == 0:
             return []
@@ -170,7 +170,7 @@ class HealthMonitor:
         return sorted(
             node
             for node, count in self.commits_by_node.items()
-            if count < self.lag_ratio * median
+            if count < LAG_RATIO * median
         )
 
     def summary(self, now: Optional[float] = None) -> Dict[str, object]:
@@ -185,7 +185,7 @@ class HealthMonitor:
         stalled_now = (
             self._first_commit is not None
             and self._last_commit_any is not None
-            and at - self._last_commit_any > self.stall_after
+            and at - self._last_commit_any > STALL_AFTER
         ) or self._first_commit is None
         if stalled_now and self._first_commit is None:
             verdict = "no-progress"

@@ -6,7 +6,7 @@ Design constraints (ROADMAP: hot-path-fast; ISSUE: off-by-default-cheap):
   series, Prometheus-style: ``registry.counter("net.messages_sent",
   type="BlockVal")``.  Lookups are dict hits; callers on hot paths should
   hold on to the returned instrument instead of re-resolving it per event
-  (see ``Simulation._obs_send_instruments`` for the caching idiom).
+  (see ``Simulation._obs_msg_counters`` for the caching idiom).
 * **No-op twin** — :class:`NullRegistry` hands out shared do-nothing
   instruments so uninstrumented code paths cost one attribute read and a
   branch.  ``registry.enabled`` lets hot loops skip even that bookkeeping.
@@ -38,7 +38,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 class _SharedSink:
     """Mixin marking observability objects as process-wide shared sinks.
 
-    Instruments, registries, journals, and tracers are *channels*, not
+    Instruments, registries, and journals are *channels*, not
     simulation state: protocol objects hold direct references to them
     (``self._ctr_x = obs.metrics.counter(...)``), and a snapshot/restore
     cycle (:class:`repro.net.snapshot.SimulatorSnapshot`) must keep every

@@ -115,6 +115,10 @@ class SmrReplica:
     admission:
         Optional :class:`~repro.workload.admission.AdmissionController`;
         absent means every submission is admitted (unbounded queue).
+    obs:
+        Optional :class:`~repro.obs.Observability`; with its journal on,
+        every apply emits ``trace.execute``, the committed → executed
+        milestone of the lifecycle.
     """
 
     def __init__(
@@ -123,6 +127,7 @@ class SmrReplica:
         machine: StateMachine,
         max_batch: int = 0,
         admission=None,
+        obs=None,
     ) -> None:
         self.replica_id = replica_id
         self.machine = machine
@@ -141,12 +146,9 @@ class SmrReplica:
         self._nonce = itertools.count()
         self._result_listeners: List[Callable[[Command, bytes], None]] = []
         self._waiters: Dict[Digest, List[Waiter]] = {}
-        self._trace = None
-
-    def bind_trace(self, trace) -> None:
-        """Attach a tracer so applies emit ``trace.execute`` spans — the
-        committed → executed milestone of the lifecycle."""
-        self._trace = trace
+        self._obs_emit = (
+            obs.journal.emit if obs is not None and obs.journal.enabled else None
+        )
 
     # -- client side -------------------------------------------------------------
 
@@ -303,8 +305,8 @@ class SmrReplica:
                 for waiter in waiters.pop(cid):
                     waiter(command, result, record.commit_time)
         self._checkpoint(applied)
-        if self._trace is not None:
-            self._trace.emit(
+        if self._obs_emit is not None:
+            self._obs_emit(
                 record.commit_time, "trace.execute", self.replica_id,
                 digest=record.block.digest.hex()[:8],
                 position=record.position,
@@ -397,12 +399,10 @@ class SmrCluster:
                 machine_factory(),
                 max_batch=max_batch,
                 admission=make_admission(admission, obs=obs, replica_id=i),
+                obs=obs,
             )
             for i in range(system.n)
         ]
-        if obs.trace.enabled:
-            for replica in replicas:
-                replica.bind_trace(obs.trace)
 
         def commit_hook(i: int):
             if collector is None:

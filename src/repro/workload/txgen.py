@@ -39,16 +39,6 @@ class Mempool:
         self.batch_size = batch_size
         self.tx_size = tx_size
         self.taken_total = 0
-        self._trace = None
-        self._trace_node = -1
-
-    def bind_trace(self, trace, node_id: int) -> None:
-        """Attach a tracer so drains emit ``trace.batch`` spans — the
-        tx-enqueued → batched-into-block milestone.  The span's timestamp
-        equals the proposing block's ``block.propose`` time, which is how
-        the analysis layer pairs the two."""
-        self._trace = trace
-        self._trace_node = node_id
 
     @classmethod
     def from_config(cls, protocol: ProtocolConfig) -> "Mempool":
@@ -57,11 +47,6 @@ class Mempool:
     def take(self, now: float) -> TxBatch:
         """A full batch for a block proposed now."""
         self.taken_total += self.batch_size
-        if self._trace is not None:
-            self._trace.emit(
-                now, "trace.batch", self._trace_node,
-                count=self.batch_size, mean_submit=now, oldest=now,
-            )
         return TxBatch(
             count=self.batch_size,
             tx_size=self.tx_size,

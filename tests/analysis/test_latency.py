@@ -20,7 +20,7 @@ from repro.analysis.latency import (
 )
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
 from repro.harness.runner import run_experiment
-from repro.obs import EventJournal, MetricsRegistry, Observability, Tracer
+from repro.obs import EventJournal, MetricsRegistry, Observability
 
 
 def traced_run(protocol="lightdag2", seed=1, n=4, duration=4.0, health=False):
@@ -32,8 +32,7 @@ def traced_run(protocol="lightdag2", seed=1, n=4, duration=4.0, health=False):
         warmup=1.0,
         seed=seed,
     )
-    journal = EventJournal()
-    obs = Observability(MetricsRegistry(), journal, trace=Tracer(journal))
+    obs = Observability(MetricsRegistry(), EventJournal())
     return run_experiment(cfg, obs=obs, health=health), obs
 
 
@@ -125,6 +124,24 @@ class TestBuildTimelines:
         assert shares == pytest.approx(1.0)
         assert report["reconciliation_max_abs_error"] < 1e-12
 
+    def test_queue_wait_from_propose_submit_sum(self):
+        events = self.events()
+        # Two transactions submitted at 0.0 and 0.0 - 0.2: mean wait 0.1.
+        events[0].update(t=0.0, txs=2, submit_sum=-0.2)
+        assert build_timelines(events)[(1, "aa")].queue_wait == pytest.approx(0.1)
+        # A batch stamped at proposal time waits exactly nothing, even
+        # where t - sum / txs rounds to a positive wait.
+        t = 0.22332043155515244
+        assert t - (20 * t) / 20 > 0
+        events[0].update(t=t, txs=20, submit_sum=20 * t)
+        assert build_timelines(events)[(1, "aa")].queue_wait == 0.0
+
+    def test_empty_batch_has_no_queue_wait(self):
+        events = self.events()
+        events[0].update(txs=0, submit_sum=0.0)
+        assert build_timelines(events)[(1, "aa")].queue_wait is None
+        assert stage_breakdown(build_timelines(events))["queue"] is None
+
 
 class TestCriticalPath:
     def test_walks_latest_delivered_parent(self):
@@ -177,6 +194,8 @@ class TestEndToEnd:
         report = explain_report(obs.journal, protocol="lightdag2", n=4)
         assert report["blocks"] > 0
         assert report["reconciliation_max_abs_error"] < 1e-9
+        # Mempool batches are stamped at proposal time: no queueing.
+        assert report["queue"] is not None and report["queue"]["max"] == 0.0
         mean_sum = sum(row["mean"] for row in report["stages"].values())
         assert mean_sum == pytest.approx(report["end_to_end"]["mean"],
                                          abs=1e-9)
@@ -212,9 +231,9 @@ class TestEndToEnd:
         assert json.loads(json.dumps(report))["blocks"] == report["blocks"]
 
     def test_untraced_run_attaches_no_report(self):
-        """Nothing latency-related rides on the result.  An untraced
-        journal still decomposes, but with no lifecycle milestones its
-        quorum stage is zero-width: why ``repro run --out`` traces."""
+        """Nothing latency-related rides on the result, with or without
+        the health watchdog.  Any enabled journal records the lifecycle
+        milestones, so it decomposes with a real quorum stage."""
         cfg = ExperimentConfig(
             system=SystemConfig(n=4, crypto="hmac", seed=1),
             protocol=ProtocolConfig(batch_size=20),
@@ -228,7 +247,7 @@ class TestEndToEnd:
         assert result.health is None
         report = explain_report(obs.journal, protocol="lightdag2", n=4)
         assert report["blocks"] > 0
-        assert report["stages"]["quorum"]["max"] == 0.0
+        assert report["stages"]["quorum"]["max"] > 0.0
 
 
 class TestTraceDeterminism:
@@ -240,7 +259,7 @@ class TestTraceDeterminism:
         assert trace_a and trace_a == trace_b
 
     def test_tracing_does_not_perturb_results(self):
-        # Tracing observes the run; it must not change what the run does.
+        # The journal observes the run; it must not change what it does.
         cfg = ExperimentConfig(
             system=SystemConfig(n=4, crypto="hmac", seed=5),
             protocol=ProtocolConfig(batch_size=20),
@@ -250,8 +269,7 @@ class TestTraceDeterminism:
             seed=5,
         )
         plain = run_experiment(cfg)
-        journal = EventJournal()
-        obs = Observability(MetricsRegistry(), journal, trace=Tracer(journal))
+        obs = Observability(MetricsRegistry(), EventJournal())
         traced = run_experiment(cfg, obs=obs, health=True)
         assert traced.committed_txs == plain.committed_txs
         assert traced.rounds_reached == plain.rounds_reached

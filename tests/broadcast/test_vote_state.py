@@ -21,7 +21,6 @@ from repro.broadcast.rbc import RbcManager
 from repro.dag.block import genesis_block, make_block
 from repro.obs import Observability
 from repro.obs.journal import EventJournal
-from repro.obs.trace import Tracer
 
 from ..conftest import FakeNet
 
@@ -170,7 +169,7 @@ class Subject:
     def __init__(self, primitive: str, n: int, quorum: int, amplify_threshold: int):
         self.net = FakeNet(node_id=0, n=n)
         self.journal = EventJournal()
-        self.obs = Observability(journal=self.journal, trace=Tracer(self.journal))
+        self.obs = Observability(journal=self.journal)
         self._delivered: List = []
         if primitive == "cbc":
             self.manager = CbcManager(

@@ -139,6 +139,15 @@ class TestHealthProbe:
         assert summary["verdict"] == "healthy"
         assert sum(summary["commits_by_node"].values()) > 0
 
+    def test_slowed_quorums_inflate(self):
+        # Warm-up quorums set the baseline; the delay phase then stretches
+        # body→quorum waits, which the watchdog reads off the trace.body /
+        # trace.quorum milestones of the probe's own journal.
+        case = FuzzCase("lightdag2", 1, 4, 6.0, "delay@3+2:max=0.5")
+        summary = probe_health(case)
+        assert summary["alerts"].get("health.quorum_inflation", 0) >= 1
+        assert summary["verdict"] == "degraded"
+
     def test_probe_survives_oracle_violation(self):
         seed, duration = KNOWN_BAD["lightdag1-unsafe-support"]
         case = make_case("lightdag1-unsafe-support", seed, n=4,

@@ -4,19 +4,30 @@ import json
 
 import pytest
 
+from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
+from repro.harness.runner import run_experiment
 from repro.obs import (
     NULL_OBS,
-    NULL_TRACER,
     BoundedJournal,
     Event,
     EventJournal,
     MetricsRegistry,
     NullJournal,
     NullRegistry,
-    NullTracer,
     Observability,
-    Tracer,
 )
+
+
+def short_run(obs, protocol="lightdag2"):
+    cfg = ExperimentConfig(
+        system=SystemConfig(n=4, crypto="hmac", seed=2),
+        protocol=ProtocolConfig(batch_size=10),
+        protocol_name=protocol,
+        duration=1.5,
+        warmup=0.5,
+        seed=2,
+    )
+    return run_experiment(cfg, obs=obs)
 
 
 class TestEventJournal:
@@ -73,13 +84,16 @@ class TestListeners:
         emit(0.5, "block.commit", node=0)
         assert len(seen) == 1
 
-    def test_tracer_delegates_late_so_listeners_see_trace_events(self):
+    def test_listeners_see_lifecycle_events_of_a_run(self):
+        # Nodes, managers and the engine pre-bind journal.emit for
+        # block.* and trace.* alike, so a listener installed before the
+        # run sees both, which is what the watchdog's detectors read.
         journal = EventJournal()
-        tracer = Tracer(journal)
         seen = []
-        journal.add_listener(seen.append)  # installed after Tracer creation
-        tracer.emit(1.0, "trace.body", node=2, digest="ab")
-        assert [e.type for e in seen] == ["trace.body"]
+        journal.add_listener(seen.append)
+        short_run(Observability(NullRegistry(), journal))
+        types = {e.type for e in seen}
+        assert {"block.propose", "trace.body", "trace.quorum"} <= types
         assert journal.events == seen
 
     def test_null_journal_listener_is_noop(self):
@@ -134,22 +148,6 @@ class TestBoundedJournal:
         assert journal.counts_by_type() == {"a": 1, "b": 1}
 
 
-class TestTracer:
-    def test_null_tracer_disabled_and_inert(self):
-        assert NULL_TRACER.enabled is False
-        assert isinstance(NULL_TRACER, NullTracer)
-        NULL_TRACER.emit(0.0, "trace.body", node=1, digest="x")  # no-op
-
-    def test_tracer_writes_into_journal(self):
-        journal = EventJournal()
-        tracer = Tracer(journal)
-        assert tracer.enabled is True
-        tracer.emit(0.3, "trace.quorum", node=1, digest="ab", kind="echo")
-        assert journal.events == [
-            Event(0.3, 1, "trace.quorum", {"digest": "ab", "kind": "echo"})
-        ]
-
-
 class TestObservability:
     def test_enabled_follows_components(self):
         assert Observability(MetricsRegistry(), EventJournal()).enabled
@@ -157,14 +155,18 @@ class TestObservability:
         assert Observability(NullRegistry(), EventJournal()).enabled
         assert not Observability(NullRegistry(), NullJournal()).enabled
 
-    def test_trace_alone_enables(self):
-        journal = EventJournal()
-        obs = Observability(NullRegistry(), NullJournal(), trace=Tracer(journal))
-        assert obs.enabled and obs.trace.enabled
-
-    def test_default_trace_is_null(self):
+    def test_enabled_journal_records_lifecycle(self):
         obs = Observability(MetricsRegistry(), EventJournal())
-        assert obs.trace is NULL_TRACER
+        short_run(obs, protocol="bullshark")
+        counts = obs.journal.counts_by_type()
+        for type_ in ("trace.body", "trace.quorum", "block.commit"):
+            assert counts.get(type_, 0) > 0, counts
+        # Each milestone is recorded once: the proposal carries the
+        # batch, the commit carries the ledger append.
+        assert "trace.batch" not in counts and "trace.ordered" not in counts
+        propose = next(e for e in obs.journal if e.type == "block.propose")
+        assert propose.data["txs"] == 10
+        assert propose.data["submit_sum"] == 10 * propose.t
 
     def test_null_singleton_disabled(self):
         assert NULL_OBS.enabled is False

@@ -12,7 +12,7 @@ from repro.analysis.obs_export import load_journal_jsonl
 from repro.cli import build_parser, main
 from repro.config import ExperimentConfig, ProtocolConfig, SystemConfig
 from repro.harness.runner import run_experiment
-from repro.obs import EventJournal, MetricsRegistry, Observability, Tracer
+from repro.obs import EventJournal, MetricsRegistry, Observability
 
 
 def cli_surface() -> dict:
@@ -310,7 +310,7 @@ class TestCommands:
         run = json.loads((tmp_path / "run.json").read_text())
         assert dataclasses.asdict(cfg) == run["config"]
         journal = EventJournal()
-        obs = Observability(MetricsRegistry(), journal, trace=Tracer(journal))
+        obs = Observability(MetricsRegistry(), journal)
         result = run_experiment(cfg, obs=obs, health=True)
         report = explain_report(journal, protocol="lightdag2", n=4)
         assert report == explain_report(
